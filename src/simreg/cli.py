@@ -10,11 +10,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import data as data_mod
-from .config import RunConfig, load_run_config
+from .config import RunConfig, check_buffer_fits, load_run_config
 from .encoder import (
     FeatureMode,
     Model,
@@ -23,10 +22,9 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .errors import InvalidInputError, SimregError, TrainingError
+from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
 from .evaluation import evaluate
 from .gradcheck import DEFAULT_TOLERANCE, run_gradient_checks
-from .labelmap import build_mapping
 from .losses import LossKind, LossSpec
 from .training import Stage, train, two_stage_finetune, write_history_csv
 
@@ -78,13 +76,11 @@ def build_parser() -> _Parser:
     p.add_argument("--x0", default=None, help="comma-separated x0 values")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("ablate", help="compare the three feature modes")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -194,10 +190,9 @@ def _run_training(cfg: RunConfig):
     train_ds, dev_ds, nli_ds = _load_config_datasets(cfg)
     model = _build_model(cfg, train_ds, nli_ds)
     if cfg.stages == "two_stage":
-        nli_mapping = build_mapping(cfg.nli_categories, 0.0, 1.0)
         result = two_stage_finetune(
             model, nli_ds, train_ds, dev_ds, cfg.training,
-            joint_config=cfg.joint, loss_spec=cfg.loss, nli_mapping=nli_mapping,
+            joint_config=cfg.joint, loss_spec=cfg.loss, nli_mapping=cfg.nli_mapping,
         )
         histories = {
             "history_stage1": result.stage1.history,
@@ -263,25 +258,28 @@ def cmd_train(args) -> int:
 
 # ----------------------------------------------------------------------- eval
 
-def _sniff_categorical(path) -> bool:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            first = line.split("\t", 1)[0]
-            try:
-                float(first)
-                return False
-            except ValueError:
-                return True
-    return False
+def _sniff_categorical(path, mapping) -> bool:
+    """A file is categorical when every first field is one of the mapping's
+    categories, or else when its first field does not parse as a score."""
+    # undecodable bytes are left for load_tsv to report with their line
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        firsts = [line.split("\t", 1)[0] for line in fh if line.strip()]
+    if not firsts:
+        return False
+    if mapping is not None and all(f in mapping.categories for f in firsts):
+        return True
+    try:
+        float(firsts[0])
+        return False
+    except ValueError:
+        return True
 
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     datasets = []
     for path in args.datasets:
-        if _sniff_categorical(path):
+        if _sniff_categorical(path, model.mapping):
             if model.mapping is None:
                 raise UsageError(
                     f"{path} looks categorical but the checkpoint has no mapping"
@@ -354,21 +352,13 @@ def cmd_sweep(args) -> int:
         run_seed = cfg.seed + index
         try:
             loss = LossSpec(cfg.loss.kind, k=k, x0=x0, d=cfg.loss.d)
-        except InvalidInputError as exc:
+            check_buffer_fits(loss, cfg.mapping, cfg.nli_mapping)
+        except (InvalidInputError, ConfigError) as exc:
             print(f"warning: skipping k={k} x0={x0}: {exc}", file=sys.stderr)
             continue
         jobs.append((k, x0, dataclasses.replace(_reseeded(cfg, run_seed), loss=loss)))
 
-    def run_point(job):
-        k, x0, point_cfg = job
-        _, best_dev, _ = _run_training(point_cfg)
-        return k, x0, best_dev
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_point, jobs))
-    else:
-        rows = [run_point(job) for job in jobs]
+    rows = [(k, x0, _run_training(point_cfg)[1]) for k, x0, point_cfg in jobs]
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
 
     print(f"{'k':>8}  {'x0':>8}  {'dev_spearman':>12}")
@@ -390,15 +380,11 @@ def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
     modes = (FeatureMode.UV, FeatureMode.ABS_DIFF, FeatureMode.UV_ABS_DIFF)
 
-    def run_mode(mode):
-        _, best_dev, _ = _run_training(dataclasses.replace(cfg, feature_mode=mode))
-        return mode, feature_dim(mode, cfg.dim), best_dev
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_mode, modes))
-    else:
-        rows = [run_mode(mode) for mode in modes]
+    rows = [
+        (mode, feature_dim(mode, cfg.dim),
+         _run_training(dataclasses.replace(cfg, feature_mode=mode))[1])
+        for mode in modes
+    ]
 
     print(f"{'features':>12}  {'head_params':>11}  {'dev_spearman':>12}")
     for mode, n_weights, dev in rows:

@@ -52,6 +52,7 @@ class RunConfig:
     score_range: tuple[float, float]
     nli_path: Path | None
     nli_categories: tuple[str, ...]
+    nli_mapping: LabelMapping | None  # stage-1 mapping of two_stage runs
     training: TrainConfig
     joint: TrainConfig | None
     sweep_k: tuple[float, ...]
@@ -76,6 +77,17 @@ def _require(doc: dict, key: str, section: str):
     if key not in doc:
         raise ConfigError(f"missing required key {key!r} in {section}")
     return doc[key]
+
+
+def check_buffer_fits(loss: LossSpec, *mappings) -> None:
+    """Reject a buffer x0 wider than half the node spacing of any mapping
+    trained on (None entries are skipped): past d/2 the zero-loss zone of one
+    node reaches the rounding region of its neighbour."""
+    for m in mappings:
+        if m is not None and loss.x0 > m.d / 2.0:
+            raise ConfigError(
+                f"loss.x0 = {loss.x0} exceeds half the node spacing d/2 = {m.d / 2.0}"
+            )
 
 
 def _train_config(doc: dict, seed: int, defaults: TrainConfig | None = None) -> TrainConfig:
@@ -186,6 +198,13 @@ def load_run_config(
             raise ConfigError(f"data file not found: {nli_path}")
     elif nli_path is not None:
         nli_path = Path(nli_path)
+    nli_mapping = None
+    if stages == "two_stage":
+        try:
+            nli_mapping = build_mapping(nli_categories, 0.0, 1.0)
+        except InvalidInputError as exc:
+            raise ConfigError(f"invalid nli_categories: {exc}") from exc
+    check_buffer_fits(loss, mapping, nli_mapping)
 
     training = _train_config(doc.get("training", {}), seed)
     joint = None
@@ -213,6 +232,7 @@ def load_run_config(
         score_range=score_range,
         nli_path=nli_path,
         nli_categories=nli_categories,
+        nli_mapping=nli_mapping,
         training=training,
         joint=joint,
         sweep_k=sweep_k,

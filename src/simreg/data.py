@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataFormatError, InvalidInputError
-from .labelmap import LabelMapping
 
 NLI_CATEGORIES = ("contradiction", "neutral", "entailment")
-_NLI_VALUES = {"contradiction": 0.0, "neutral": 1.0, "entailment": 2.0}
 
 
 @dataclass(frozen=True)
@@ -215,34 +213,9 @@ def merge(datasets) -> Dataset:
     return Dataset(name, pairs, first.score_range, first.categories)
 
 
-def map_nli(label: str) -> float:
-    """contradiction -> 0.0, neutral -> 1.0, entailment -> 2.0."""
-    try:
-        return _NLI_VALUES[label]
-    except KeyError:
-        raise InvalidInputError(f"unknown NLI label: {label!r}") from None
-
-
-def map_labels(dataset: Dataset, mapping: LabelMapping) -> Dataset:
-    """Convert a categorical dataset to numeric targets via a label mapping."""
-    if not dataset.is_categorical:
-        raise InvalidInputError(f"{dataset.name} is not categorical")
-    pairs = []
-    for pair in dataset.pairs:
-        idx = mapping.index(pair.label)
-        pairs.append(SentencePair(pair.s1, pair.s2, score=mapping.nodes[idx]))
-    return Dataset(dataset.name, tuple(pairs), score_range=(mapping.low, mapping.high))
-
-
-def extract_positive_pairs(dataset: Dataset, threshold: float = 4.0):
-    """(s1, s2) of every pair scoring at or above the threshold (inclusive)."""
-    if dataset.is_categorical:
-        raise InvalidInputError("positive-pair extraction needs continuous scores")
-    return [(p.s1, p.s2) for p in dataset.pairs if p.score >= threshold]
-
-
 def positive_pairs_dataset(dataset: Dataset, threshold: float = 4.0) -> Dataset:
-    """Dataset view of extract_positive_pairs, for the contrastive baseline."""
+    """Pairs scoring at or above the threshold (inclusive), for the
+    contrastive baseline."""
     if dataset.is_categorical:
         raise InvalidInputError("positive-pair extraction needs continuous scores")
     pairs = tuple(p for p in dataset.pairs if p.score >= threshold)

@@ -6,8 +6,10 @@ vector per the configured mode, and fed to a linear head: a single output for
 regression or K outputs for the classification baseline.  The backward pass
 is derived by hand and returns exact gradients for every parameter.
 
-Parameter updates are single-writer; concurrent forward passes are safe only
-against read-only parameter snapshots.
+Everything runs on whole batches at once.  A dataset is tokenized once into
+flat token ids with per-sentence offsets and lengths (``PairTokens``);
+pooling is a segment sum over those ids and the backward pass scatters each
+sentence's gradient back onto its token rows in one step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .data import SentencePair
 from .errors import CheckpointError, InvalidInputError
 from .labelmap import LabelMapping
 from .losses import LossKind, LossSpec
@@ -74,10 +75,6 @@ class Vocabulary:
     def oov_id(self) -> int:
         return self._ids[OOV_TOKEN]
 
-    @property
-    def pad_id(self) -> int:
-        return self._ids.get(PAD_TOKEN, self.oov_id)
-
     def id_of(self, token: str) -> int:
         return self._ids.get(token, self._ids[OOV_TOKEN])
 
@@ -104,6 +101,44 @@ def tokenize(text: str, vocab: Vocabulary, max_tokens: int | None = None) -> lis
     if not words:
         return [vocab.oov_id]
     return [vocab.id_of(w) for w in words]
+
+
+@dataclass(frozen=True)
+class PairTokens:
+    """Sentence pairs as flat token ids.
+
+    Sentences alternate left, right: pair i is sentences 2i and 2i + 1, and
+    sentence j is ids[starts[j]:][:lengths[j]].  Every sentence has at least
+    one token; tokenize() gives an empty text the OOV token.
+    """
+
+    ids: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        if len(self.lengths) and self.lengths.min() < 1:
+            raise InvalidInputError("cannot pool an empty token sequence")
+
+    def __len__(self) -> int:
+        return len(self.lengths) // 2
+
+    def take(self, index) -> "PairTokens":
+        """The pairs at the given positions, in that order."""
+        index = np.asarray(index)
+        sentences = np.stack([2 * index, 2 * index + 1], axis=-1).ravel()
+        lengths = self.lengths[sentences]
+        starts = np.cumsum(lengths) - lengths
+        source = np.repeat(self.starts[sentences] - starts, lengths)
+        return PairTokens(self.ids[source + np.arange(lengths.sum())], starts, lengths)
+
+
+def tokenize_pairs(texts, vocab: Vocabulary, max_tokens: int | None = None) -> PairTokens:
+    """Tokenize sentences given alternately left, right into one flat id array."""
+    token_lists = [tokenize(text, vocab, max_tokens) for text in texts]
+    lengths = np.array([len(ids) for ids in token_lists], dtype=np.intp)
+    ids = np.array([i for ids in token_lists for i in ids], dtype=np.intp)
+    return PairTokens(ids, np.cumsum(lengths) - lengths, lengths)
 
 
 @dataclass
@@ -206,38 +241,39 @@ def init_params(
     return ModelParams(emb, weights, bias)
 
 
-def embed_sentence(token_ids, params: ModelParams) -> np.ndarray:
-    """Mean of the token embedding rows (order-free)."""
-    if len(token_ids) == 0:
-        raise InvalidInputError("cannot embed an empty token sequence")
-    return params.embeddings[np.asarray(token_ids, dtype=int)].mean(axis=0)
+def pool(embeddings: np.ndarray, tokens: PairTokens) -> np.ndarray:
+    """Mean of each sentence's token embedding rows (order-free), one row per
+    sentence, so a pair's (u, v) are rows 2i and 2i + 1."""
+    sums = np.add.reduceat(embeddings[tokens.ids], tokens.starts, axis=0)
+    return sums / tokens.lengths[:, None]
 
 
 def features(u: np.ndarray, v: np.ndarray, mode: FeatureMode) -> np.ndarray:
-    """Combine the two sentence embeddings for the head."""
+    """Combine the two sentence embeddings (last axis) for the head."""
     if u.shape != v.shape:
         raise InvalidInputError(f"embedding shape mismatch: {u.shape} vs {v.shape}")
     if mode is FeatureMode.UV:
-        return np.concatenate([u, v])
+        return np.concatenate([u, v], axis=-1)
     if mode is FeatureMode.ABS_DIFF:
         return np.abs(u - v)
-    return np.concatenate([u, v, np.abs(u - v)])
+    return np.concatenate([u, v, np.abs(u - v)], axis=-1)
 
 
 def _feature_grad(df: np.ndarray, u: np.ndarray, v: np.ndarray, mode: FeatureMode):
-    """Split a feature-vector gradient into (du, dv).
+    """Split a feature gradient (last axis) into (du, dv).
 
     The |u - v| branch back-propagates sign(u - v) element-wise, with the
     standard subgradient 0 wherever u equals v.
     """
-    dim = u.shape[0]
+    dim = u.shape[-1]
     if mode is FeatureMode.UV:
-        return df[:dim], df[dim:]
+        return df[..., :dim], df[..., dim:]
     if mode is FeatureMode.ABS_DIFF:
         s = np.sign(u - v)
         return df * s, -df * s
     s = np.sign(u - v)
-    return df[:dim] + df[2 * dim:] * s, df[dim:2 * dim] - df[2 * dim:] * s
+    tail = df[..., 2 * dim:] * s
+    return df[..., :dim] + tail, df[..., dim:2 * dim] - tail
 
 
 @dataclass
@@ -284,120 +320,97 @@ class Model:
             self.max_tokens,
         )
 
-    def tokenize(self, text: str) -> list[int]:
-        return tokenize(text, self.vocab, self.max_tokens)
+    def encode(self, pairs) -> PairTokens:
+        """Tokenize both sentences of every SentencePair once."""
+        texts = [text for pair in pairs for text in (pair.s1, pair.s2)]
+        return tokenize_pairs(texts, self.vocab, self.max_tokens)
 
-    def embed(self, text: str) -> np.ndarray:
-        return embed_sentence(self.tokenize(text), self.params)
+    def embed_pairs(self, pairs: PairTokens) -> tuple[np.ndarray, np.ndarray]:
+        """Pooled sentence embeddings (u, v), one row per pair."""
+        pooled = pool(self.params.embeddings, pairs)
+        return pooled[0::2], pooled[1::2]
 
-    def predict(self, pair: SentencePair) -> float:
-        return predict(pair, self)
+    def scores(self, pairs: PairTokens) -> np.ndarray:
+        """Raw similarity score of every pair (no clamping).
 
-    def predict_logits(self, pair: SentencePair) -> np.ndarray:
-        if not self.params.is_classifier:
-            raise InvalidInputError("model has a regression head, not logits")
-        f = features(self.embed(pair.s1), self.embed(pair.s2), self.feature_mode)
-        return self.params.head_weights @ f + self.params.head_bias
-
-
-def predict(pair: SentencePair, model: Model) -> float:
-    """Raw similarity score for a pair (no clamping).
-
-    For the classification baseline this is the softmax-expected node value,
-    so rank evaluation and rounding classification work for both head kinds.
-    """
-    p = model.params
-    f = features(model.embed(pair.s1), model.embed(pair.s2), model.feature_mode)
-    if not p.is_classifier:
-        return float(p.head_weights @ f + p.head_bias)
-    logits = p.head_weights @ f + p.head_bias
-    probs = np.exp(logits - logits.max())
-    probs /= probs.sum()
-    if model.mapping is not None:
-        nodes = np.asarray(model.mapping.nodes)
-    else:
-        nodes = np.arange(p.n_classes, dtype=float)
-    return float(probs @ nodes)
+        For the classification baseline this is the softmax-expected node
+        value, so rank evaluation and rounding classification work for both
+        head kinds.
+        """
+        p = self.params
+        out = features(*self.embed_pairs(pairs), self.feature_mode) @ p.head_weights.T
+        out += p.head_bias
+        if not p.is_classifier:
+            return out
+        probs = np.exp(out - out.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        if self.mapping is not None:
+            nodes = np.asarray(self.mapping.nodes)
+        else:
+            nodes = np.arange(p.n_classes, dtype=float)
+        return probs @ nodes
 
 
 def forward_backward(
-    model: Model,
-    batch,
+    params: ModelParams,
+    pairs: PairTokens,
+    targets,
+    mode: FeatureMode,
     loss_spec: LossSpec,
     clamp_range: tuple[float, float] | None = None,
-) -> tuple[float, Gradients]:
+    with_grads: bool = True,
+) -> tuple[float, Gradients | None]:
     """Batch-mean loss and exact analytic gradients for all parameters.
 
-    batch is a list of (SentencePair, target) tuples; targets are floats for
-    the residual losses, class indices for cross-entropy, and ignored by the
-    contrastive loss (each pair is treated as anchor/positive).  Only the
-    embedding rows of tokens present in the batch receive nonzero gradients.
+    targets holds one entry per pair: floats for the residual losses, class
+    indices for cross-entropy; the contrastive loss ignores them and treats
+    each pair as anchor/positive.  Predictions outside clamp_range are
+    clamped and pass no gradient.  Only the embedding rows of tokens present
+    in the batch receive nonzero gradients.  With with_grads=False only the
+    loss is computed and the gradients are None.
     """
-    if not batch:
+    n = len(pairs)
+    if n == 0:
         raise InvalidInputError("batch must be nonempty")
-    tokenized = [
-        (model.tokenize(pair.s1), model.tokenize(pair.s2), target)
-        for pair, target in batch
-    ]
-    return _forward_backward_ids(
-        model.params, tokenized, model.feature_mode, loss_spec, clamp_range
-    )
-
-
-def _forward_backward_ids(params, tokenized, mode, loss_spec, clamp_range,
-                          with_grads=True):
-    if loss_spec.kind is LossKind.INFO_NCE:
-        return _contrastive_pass(params, tokenized, loss_spec)
-    if loss_spec.kind is LossKind.CROSS_ENTROPY:
+    kind = loss_spec.kind
+    if kind is LossKind.CROSS_ENTROPY:
         if not params.is_classifier:
             raise InvalidInputError("cross-entropy needs a classification head")
-    elif params.is_classifier:
+    elif kind is not LossKind.INFO_NCE and params.is_classifier:
         raise InvalidInputError("residual losses need a regression head")
-
-    grads = Gradients.zeros_like(params) if with_grads else None
-    n = len(tokenized)
-    total = 0.0
-    for ids1, ids2, target in tokenized:
-        u = embed_sentence(ids1, params)
-        v = embed_sentence(ids2, params)
+    pooled = pool(params.embeddings, pairs)
+    u, v = pooled[0::2], pooled[1::2]
+    if kind is LossKind.INFO_NCE:
+        value, du, dv = losses.info_nce(u, v, loss_spec.tau)
+    else:
         f = features(u, v, mode)
-        if loss_spec.kind is LossKind.CROSS_ENTROPY:
-            logits = params.head_weights @ f + params.head_bias
-            value, d_logits = losses.cross_entropy(logits, int(target))
-            if with_grads:
-                d_logits /= n
-                grads.head_weights += np.outer(d_logits, f)
-                grads.head_bias += d_logits
-                df = params.head_weights.T @ d_logits
+        out = f @ params.head_weights.T + params.head_bias
+        if kind is LossKind.CROSS_ENTROPY:
+            values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
         else:
-            raw = float(params.head_weights @ f + params.head_bias)
-            if clamp_range is not None:
-                pred, passthrough = losses.clamp_value(raw, *clamp_range)
-            else:
-                pred, passthrough = raw, 1.0
-            res = losses.residual(pred, float(target))
-            value, dvalue_dx = losses.regression_loss(res.x, loss_spec)
-            if with_grads:
-                d_pred = dvalue_dx * res.sign * passthrough / n
-                grads.head_weights += d_pred * f
-                grads.head_bias += d_pred
-                df = d_pred * params.head_weights
-        total += value / n
-        if with_grads:
-            du, dv = _feature_grad(df, u, v, mode)
-            np.add.at(grads.embeddings, ids1, du / len(ids1))
-            np.add.at(grads.embeddings, ids2, dv / len(ids2))
-    return total, grads
+            pred = out if clamp_range is None else np.clip(out, *clamp_range)
+            diff = pred - np.asarray(targets, dtype=float)
+            values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
+            # a clamped prediction passes no gradient back to the raw output
+            d_out = d_x * np.sign(diff) * (pred == out)
+        value = float(np.sum(values) / n)
+    if not with_grads:
+        return value, None
 
-
-def _contrastive_pass(params, tokenized, loss_spec):
-    anchors = np.stack([embed_sentence(ids1, params) for ids1, _, _ in tokenized])
-    positives = np.stack([embed_sentence(ids2, params) for _, ids2, _ in tokenized])
-    value, d_anchors, d_positives = losses.info_nce(anchors, positives, loss_spec.tau)
     grads = Gradients.zeros_like(params)
-    for i, (ids1, ids2, _) in enumerate(tokenized):
-        np.add.at(grads.embeddings, ids1, d_anchors[i] / len(ids1))
-        np.add.at(grads.embeddings, ids2, d_positives[i] / len(ids2))
+    if kind is not LossKind.INFO_NCE:
+        d_out = d_out / n
+        grads.head_weights[...] = d_out.T @ f
+        grads.head_bias[...] = np.sum(d_out, axis=0)
+        if params.is_classifier:
+            df = d_out @ params.head_weights
+        else:
+            df = np.multiply.outer(d_out, params.head_weights)
+        du, dv = _feature_grad(df, u, v, mode)
+    d_pooled = np.empty_like(pooled)
+    d_pooled[0::2], d_pooled[1::2] = du, dv
+    d_tokens = np.repeat(d_pooled / pairs.lengths[:, None], pairs.lengths, axis=0)
+    np.add.at(grads.embeddings, pairs.ids, d_tokens)
     return value, grads
 
 

@@ -1,7 +1,4 @@
-"""Rank-correlation evaluation and report aggregation.
-
-All computations here are read-only; datasets can be evaluated in parallel.
-"""
+"""Rank-correlation evaluation and report aggregation."""
 
 from __future__ import annotations
 
@@ -17,17 +14,10 @@ from .labelmap import LabelMapping, classify, encode
 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they cover."""
-    a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True,
+                                 return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of the last member of each group
+    return ((2 * ends - counts + 1) / 2.0)[group]
 
 
 def spearman(predictions, golds) -> float:
@@ -52,15 +42,18 @@ def spearman(predictions, golds) -> float:
     return min(1.0, max(-1.0, r))  # rounding may leak an ulp past +-1
 
 
-def cosine(u, v) -> float:
-    """cos angle between two nonzero vectors; scale-invariant."""
+def cosine(u, v):
+    """cos angle between nonzero vectors along the last axis; scale-invariant.
+
+    Two vectors give a scalar, two (n, dim) matrices give n row cosines.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
+    nu = np.linalg.norm(u, axis=-1)
+    nv = np.linalg.norm(v, axis=-1)
+    if np.any(nu == 0) or np.any(nv == 0):
         raise InvalidInputError("cosine undefined for a zero vector")
-    return float(u @ v / (nu * nv))
+    return np.sum(u * v, axis=-1) / (nu * nv)
 
 
 @dataclass(frozen=True)
@@ -128,19 +121,15 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def predictions_for(model, dataset: Dataset, use_cosine: bool = False) -> list[float]:
-    """Raw model scores for every pair; cosine(u, v) for embedding-only eval."""
-    preds = []
-    for pair in dataset.pairs:
-        if use_cosine:
-            preds.append(cosine(model.embed(pair.s1), model.embed(pair.s2)))
-        else:
-            preds.append(model.predict(pair))
-    return preds
+def predictions_for(model, pairs, use_cosine: bool = False) -> np.ndarray:
+    """Raw head scores of tokenized pairs; cosine(u, v) for embedding-only eval."""
+    if use_cosine:
+        return cosine(*model.embed_pairs(pairs))
+    return model.scores(pairs)
 
 
-def accuracy(model, dataset: Dataset, mapping: LabelMapping) -> float:
-    """Fraction of pairs whose rounded prediction hits the gold category."""
+def accuracy(scores, dataset: Dataset, mapping: LabelMapping) -> float:
+    """Fraction of pairs whose rounded score hits the gold category."""
     if not dataset.is_categorical:
         raise InvalidInputError(f"{dataset.name} has no categorical labels")
     if len(dataset) == 0:
@@ -149,7 +138,8 @@ def accuracy(model, dataset: Dataset, mapping: LabelMapping) -> float:
         if cat not in mapping.categories:
             raise InvalidInputError(f"category {cat!r} missing from the mapping")
     hits = sum(
-        classify(mapping, model.predict(pair)) == pair.label for pair in dataset.pairs
+        classify(mapping, score) == pair.label
+        for score, pair in zip(scores, dataset.pairs, strict=True)
     )
     return hits / len(dataset)
 
@@ -163,7 +153,8 @@ def evaluate(
     """Score every dataset and average the Spearman coefficients.
 
     Categorical datasets are ranked against their mapped node values and also
-    get a rounding-classification accuracy.
+    get a rounding-classification accuracy from the head scores, also when
+    use_cosine ranks by embedding cosine.
     """
     datasets = list(datasets)
     if not datasets:
@@ -177,9 +168,11 @@ def evaluate(
             golds = [encode(active, pair.label) for pair in ds.pairs]
         else:
             golds = [pair.score for pair in ds.pairs]
-        preds = predictions_for(model, ds, use_cosine)
-        rho = spearman(preds, golds)
-        acc = accuracy(model, ds, active) if ds.is_categorical else None
+        pairs = model.encode(ds.pairs)
+        scores = predictions_for(model, pairs)
+        ranked = predictions_for(model, pairs, use_cosine=True) if use_cosine else scores
+        rho = spearman(ranked, golds)
+        acc = accuracy(scores, ds, active) if ds.is_categorical else None
         rows.append(DatasetReport(ds.name, rho, acc, len(ds)))
     average = sum(r.spearman for r in rows) / len(rows)
     return EvalReport(tuple(rows), average)

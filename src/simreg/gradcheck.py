@@ -18,12 +18,12 @@ from .encoder import (
     FeatureMode,
     Gradients,
     ModelParams,
-    _forward_backward_ids,
     build_vocab,
-    embed_sentence,
     features,
+    forward_backward,
     init_params,
-    tokenize,
+    pool,
+    tokenize_pairs,
 )
 from .errors import TrainingError
 from .losses import LossKind, LossSpec
@@ -33,15 +33,8 @@ DEFAULT_TOLERANCE = 1e-4
 KNOT_MARGIN = 1e-3  # distance kept from non-smooth points of the loss surface
 ABS_MARGIN = 1e-4  # min per-coordinate |u - v| when the |u-v| branch is active
 
-ALL_KINDS = (
-    LossKind.TRANSLATED_RELU,
-    LossKind.SMOOTH_K2,
-    LossKind.L1,
-    LossKind.MSE,
-    LossKind.CROSS_ENTROPY,
-    LossKind.INFO_NCE,
-)
-ALL_MODES = (FeatureMode.UV, FeatureMode.ABS_DIFF, FeatureMode.UV_ABS_DIFF)
+ALL_KINDS = tuple(LossKind)
+ALL_MODES = tuple(FeatureMode)
 
 
 @dataclass(frozen=True)
@@ -88,31 +81,23 @@ def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
 
 
 def _random_sentences(rng, words, batch):
-    sents = []
-    for _ in range(2 * batch):
-        length = int(rng.integers(1, 6))
-        sents.append(" ".join(rng.choice(words, size=length)))
-    return [(sents[2 * i], sents[2 * i + 1]) for i in range(batch)]
+    """A random batch of pairs, sentences alternately left and right."""
+    return [" ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+            for _ in range(2 * batch)]
 
 
-def _too_close_to_kink(params, tokenized, mode, spec):
-    uses_abs = mode in (FeatureMode.ABS_DIFF, FeatureMode.UV_ABS_DIFF)
-    for ids1, ids2, target in tokenized:
-        u = embed_sentence(ids1, params)
-        v = embed_sentence(ids2, params)
-        if uses_abs and np.min(np.abs(u - v)) < ABS_MARGIN:
+def _too_close_to_kink(params, pairs, targets, mode, spec):
+    pooled = pool(params.embeddings, pairs)
+    u, v = pooled[0::2], pooled[1::2]
+    if mode is not FeatureMode.UV and np.min(np.abs(u - v)) < ABS_MARGIN:
+        return True
+    if spec.kind in (LossKind.CROSS_ENTROPY, LossKind.INFO_NCE):
+        return False
+    x = np.abs(features(u, v, mode) @ params.head_weights + params.head_bias - targets)
+    if spec.kind in (LossKind.TRANSLATED_RELU, LossKind.SMOOTH_K2):
+        if np.any(np.abs(x - spec.x0) < KNOT_MARGIN):
             return True
-        if spec.kind in (LossKind.CROSS_ENTROPY, LossKind.INFO_NCE):
-            continue
-        f = features(u, v, mode)
-        pred = float(params.head_weights @ f + params.head_bias)
-        x = abs(pred - target)
-        if spec.kind in (LossKind.TRANSLATED_RELU, LossKind.SMOOTH_K2):
-            if abs(x - spec.x0) < KNOT_MARGIN:
-                return True
-        if spec.kind in (LossKind.TRANSLATED_RELU, LossKind.L1) and x < KNOT_MARGIN:
-            return True
-    return False
+    return spec.kind in (LossKind.TRANSLATED_RELU, LossKind.L1) and np.any(x < KNOT_MARGIN)
 
 
 def check_configuration(
@@ -137,25 +122,21 @@ def check_configuration(
     spec = _random_spec(rng, kind)
 
     for _ in range(200):
-        pairs = _random_sentences(rng, words, batch)
+        texts = _random_sentences(rng, words, batch)
         if kind is LossKind.CROSS_ENTROPY:
-            targets = rng.integers(0, n_classes, size=batch).tolist()
+            targets = rng.integers(0, n_classes, size=batch)
         else:
-            targets = rng.uniform(0.0, 3.0, size=batch).tolist()
-        tokenized = [
-            (tokenize(s1, vocab), tokenize(s2, vocab), t)
-            for (s1, s2), t in zip(pairs, targets)
-        ]
-        if not _too_close_to_kink(params, tokenized, mode, spec):
+            targets = rng.uniform(0.0, 3.0, size=batch)
+        tokens = tokenize_pairs(texts, vocab)
+        if not _too_close_to_kink(params, tokens, targets, mode, spec):
             break
     else:
         raise TrainingError("could not sample a configuration away from kinks")
 
-    _, analytic = _forward_backward_ids(params, tokenized, mode, spec, None)
+    _, analytic = forward_backward(params, tokens, targets, mode, spec)
     fd = finite_difference_grads(
-        lambda: _forward_backward_ids(
-            params, tokenized, mode, spec, None, with_grads=False
-        )[0],
+        lambda: forward_backward(params, tokens, targets, mode, spec,
+                                 with_grads=False)[0],
         params,
         step,
     )

@@ -41,10 +41,6 @@ class LabelMapping:
         object.__setattr__(self, "d", gaps[0])
 
     @property
-    def start(self) -> float:
-        return self.nodes[0]
-
-    @property
     def low(self) -> float:
         return self.nodes[0]
 
@@ -84,13 +80,6 @@ def encode(mapping: LabelMapping, category: str) -> float:
     return mapping.nodes[mapping.index(category)]
 
 
-def decode(mapping: LabelMapping, node_index: int) -> str:
-    """Category name at a node index (exact inverse of encode)."""
-    if not 0 <= node_index < len(mapping.categories):
-        raise InvalidInputError(f"node index {node_index} out of range")
-    return mapping.categories[node_index]
-
-
 def classify(mapping: LabelMapping, prediction: float) -> str:
     """Category whose node is nearest to the prediction.
 
@@ -100,11 +89,7 @@ def classify(mapping: LabelMapping, prediction: float) -> str:
     """
     if not math.isfinite(prediction):
         raise InvalidInputError(f"prediction must be finite, got {prediction}")
-    idx = math.floor((prediction - mapping.start) / mapping.d + 0.5)
+    idx = math.floor((prediction - mapping.low) / mapping.d + 0.5)
     idx = min(max(idx, 0), len(mapping.categories) - 1)
     return mapping.categories[idx]
 
-
-def correctness_radius(mapping: LabelMapping) -> float:
-    """Largest |prediction - node| that still classifies interior nodes correctly."""
-    return mapping.d / 2.0

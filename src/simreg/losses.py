@@ -1,7 +1,8 @@
 """Loss functions and their analytic derivatives.
 
-Everything here is stateless and operates on plain floats/arrays, so any
-function may be called concurrently.  The two buffered losses share the same
+Everything here is stateless.  The residual losses and cross-entropy are
+element-wise: they take a scalar or a whole batch at once and return values
+and derivatives of the same shape.  The two buffered losses share the same
 shape: they are identically zero on ``[0, x0)`` (the zero-gradient buffer
 zone) and penalize only residuals at or past the threshold:
 
@@ -23,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
-from .labelmap import LabelMapping
 
 
 class LossKind(str, Enum):
@@ -73,56 +73,39 @@ class LossSpec:
                 raise InvalidInputError("info_nce requires tau > 0")
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Absolute prediction error plus the sign needed for the chain rule."""
-
-    x: float
-    sign: int  # sign(prediction - label): -1, 0 or +1
-
-    def __post_init__(self):
-        if self.x < 0:
-            raise InvalidInputError(f"residual must be non-negative, got {self.x}")
+def _residuals(x):
+    """x as a float (array); every entry must be finite and non-negative."""
+    x = np.asarray(x, dtype=float)[()]
+    if not ((x >= 0.0) & (x < math.inf)).all():
+        raise InvalidInputError(f"residual must be finite and non-negative, got {x}")
+    return x
 
 
-def residual(prediction: float, label: float) -> Residual:
-    """|prediction - label| together with sign(prediction - label)."""
-    if not (math.isfinite(prediction) and math.isfinite(label)):
-        raise InvalidInputError("prediction and label must be finite")
-    diff = prediction - label
-    return Residual(abs(diff), (diff > 0) - (diff < 0))
-
-
-def translated_relu(x: float, spec: LossSpec) -> tuple[float, float]:
+def translated_relu(x, spec: LossSpec):
     """max(0, k*(x - x0)) and its derivative in x."""
-    _check_residual(x)
-    if x < spec.x0:
-        return 0.0, 0.0
-    return spec.k * (x - spec.x0), spec.k
+    x = _residuals(x)
+    return np.maximum(spec.k * (x - spec.x0), 0.0), spec.k * (x >= spec.x0)
 
 
-def smooth_k2(x: float, spec: LossSpec) -> tuple[float, float]:
+def smooth_k2(x, spec: LossSpec):
     """k*(x - x0)**2 past the buffer zone, 0 inside it; C1 at the knot."""
-    _check_residual(x)
-    if x < spec.x0:
-        return 0.0, 0.0
-    t = x - spec.x0
+    t = np.maximum(_residuals(x) - spec.x0, 0.0)
     return spec.k * t * t, 2.0 * spec.k * t
 
 
-def l1_loss(x: float) -> tuple[float, float]:
+def l1_loss(x):
     """Plain absolute-error baseline: value x, slope 1 (0 at x = 0)."""
-    _check_residual(x)
-    return x, 0.0 if x == 0 else 1.0
+    x = _residuals(x)
+    return x, np.sign(x)
 
 
-def mse_loss(x: float) -> tuple[float, float]:
+def mse_loss(x):
     """Squared-error baseline: value x**2, slope 2x."""
-    _check_residual(x)
+    x = _residuals(x)
     return x * x, 2.0 * x
 
 
-def regression_loss(x: float, spec: LossSpec) -> tuple[float, float]:
+def regression_loss(x, spec: LossSpec):
     """Dispatch to the residual-based loss named by the spec."""
     if spec.kind is LossKind.TRANSLATED_RELU:
         return translated_relu(x, spec)
@@ -135,44 +118,31 @@ def regression_loss(x: float, spec: LossSpec) -> tuple[float, float]:
     raise InvalidInputError(f"{spec.kind.value} is not a residual-based loss")
 
 
-def clamp_value(prediction: float, low: float, high: float) -> tuple[float, float]:
-    """Clamp into [low, high]; second value is the gradient pass-through (1 or 0).
-
-    Predictions outside the range are moved to the boundary and block gradient
-    flow, so overshoot past a terminal node costs nothing once the residual
-    sits inside the buffer zone.
-    """
-    if prediction < low:
-        return low, 0.0
-    if prediction > high:
-        return high, 0.0
-    return prediction, 1.0
-
-
-def clamp_to_range(prediction: float, mapping: LabelMapping) -> float:
-    """Clamp a prediction into the mapping's [lowest node, highest node]."""
-    return clamp_value(prediction, mapping.low, mapping.high)[0]
-
-
-def cross_entropy(logits, class_index: int) -> tuple[float, np.ndarray]:
+def cross_entropy(logits, class_index):
     """Softmax cross-entropy and its gradient with respect to the logits.
 
-    Uses the log-sum-exp stabilized form; gradient is softmax(logits) - onehot.
+    logits is a K-vector with one class index, or an (n, K) matrix with n
+    indices; the values and gradients have the matching shapes.  Uses the
+    log-sum-exp stabilized form; gradient is softmax(logits) - onehot.
     """
     z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise InvalidInputError("logits must be a nonempty vector")
-    if not 0 <= class_index < z.size:
+    t = np.asarray(class_index)
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise InvalidInputError("logits must be a nonempty vector or matrix")
+    if t.shape != z.shape[:-1] or not np.issubdtype(t.dtype, np.integer):
+        raise InvalidInputError("need one integer class index per logit row")
+    if ((t < 0) | (t >= z.shape[-1])).any():
         raise InvalidInputError(
-            f"class index {class_index} out of range for {z.size} logits"
+            f"class index {class_index} out of range for {z.shape[-1]} logits"
         )
-    m = z.max()
+    t = t[..., None]
+    m = z.max(axis=-1, keepdims=True)
     exp = np.exp(z - m)
-    log_norm = m + math.log(exp.sum())
-    value = log_norm - z[class_index]
-    grad = exp / exp.sum()
-    grad[class_index] -= 1.0
-    return float(value), grad
+    norm = exp.sum(axis=-1, keepdims=True)
+    value = m + np.log(norm) - np.take_along_axis(z, t, axis=-1)
+    grad = exp / norm
+    np.put_along_axis(grad, t, np.take_along_axis(grad, t, axis=-1) - 1.0, axis=-1)
+    return value[..., 0][()], grad
 
 
 def info_nce(anchors, positives, tau: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -221,8 +191,3 @@ def info_nce(anchors, positives, tau: float) -> tuple[float, np.ndarray, np.ndar
     col_dot = (d_sims * sims).sum(axis=0)[:, None]
     d_positives = (d_sims.T @ ah - col_dot * ph) / np_[:, None]
     return value, d_anchors, d_positives
-
-
-def _check_residual(x: float) -> None:
-    if x < 0 or not math.isfinite(x):
-        raise InvalidInputError(f"residual must be finite and non-negative, got {x}")

@@ -72,21 +72,18 @@ class TwoStageResult:
 _PARAM_FIELDS = ("embeddings", "head_weights", "head_bias")
 
 
-def _check_shapes(params, grads) -> None:
+def _unfrozen(params, grads, stage: Stage):
+    """(field name, parameter, gradient) of every parameter the stage updates,
+    after checking that every gradient has its parameter's shape."""
     for name in _PARAM_FIELDS:
         p, g = getattr(params, name), getattr(grads, name)
         if p.shape != g.shape:
             raise InvalidInputError(f"{name} gradient shape {g.shape} != {p.shape}")
-
-
-def sgd_step(params, grads, learning_rate: float, stage: Stage):
-    """p <- p - lr*g for every unfrozen parameter; frozen ones untouched."""
-    _check_shapes(params, grads)
-    if stage is Stage.JOINT:
-        params.embeddings -= learning_rate * grads.embeddings
-    params.head_weights -= learning_rate * grads.head_weights
-    params.head_bias -= learning_rate * grads.head_bias
-    return params
+    return [
+        (name, getattr(params, name), getattr(grads, name))
+        for name in _PARAM_FIELDS
+        if stage is Stage.JOINT or name != "embeddings"
+    ]
 
 
 class AdamOptimizer:
@@ -101,19 +98,16 @@ class AdamOptimizer:
         self.t = 0
 
     def step(self, params, grads, stage: Stage):
-        _check_shapes(params, grads)
+        updates = _unfrozen(params, grads, stage)
         self.t += 1
-        for name in _PARAM_FIELDS:
-            if stage is Stage.HEAD_ONLY and name == "embeddings":
-                continue
-            g = getattr(grads, name)
+        for name, p, g in updates:
             m = getattr(self.m, name)
             v = getattr(self.v, name)
             m[...] = self.beta1 * m + (1 - self.beta1) * g
             v[...] = self.beta2 * v + (1 - self.beta2) * g * g
             m_hat = m / (1 - self.beta1 ** self.t)
             v_hat = v / (1 - self.beta2 ** self.t)
-            getattr(params, name)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return params
 
 
@@ -122,7 +116,10 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def step(self, params, grads, stage: Stage):
-        return sgd_step(params, grads, self.lr, stage)
+        """p <- p - lr*g for every unfrozen parameter; frozen ones untouched."""
+        for _, p, g in _unfrozen(params, grads, stage):
+            p -= self.lr * g
+        return params
 
 
 def _make_optimizer(config: TrainConfig, params):
@@ -140,26 +137,17 @@ def _mapping_for(dataset: Dataset, mapping: LabelMapping | None):
 
 
 def _targets(dataset: Dataset, mapping: LabelMapping | None, kind: LossKind):
-    """Pair up sentences with numeric targets (or class indices for CE)."""
-    out = []
-    for pair in dataset.pairs:
-        if kind is LossKind.INFO_NCE:
-            out.append((pair, 0.0))
-        elif kind is LossKind.CROSS_ENTROPY:
-            if pair.label is not None:
-                out.append((pair, mapping.index(pair.label)))
-            else:
-                try:
-                    out.append((pair, mapping.nodes.index(pair.score)))
-                except (ValueError, AttributeError):
-                    raise InvalidInputError(
-                        "cross-entropy needs categorical targets"
-                    ) from None
-        elif pair.label is not None:
-            out.append((pair, mapping.nodes[mapping.index(pair.label)]))
-        else:
-            out.append((pair, pair.score))
-    return out
+    """One numeric target per pair (class indices for CE, unused for InfoNCE)."""
+    if kind is LossKind.INFO_NCE:
+        return np.zeros(len(dataset))
+    if kind is not LossKind.CROSS_ENTROPY:
+        return np.asarray(_numeric_golds(dataset, mapping))
+    if dataset.is_categorical:
+        return np.array([mapping.index(pair.label) for pair in dataset.pairs])
+    try:
+        return np.array([mapping.nodes.index(pair.score) for pair in dataset.pairs])
+    except (ValueError, AttributeError):
+        raise InvalidInputError("cross-entropy needs categorical targets") from None
 
 
 def _numeric_golds(dataset: Dataset, mapping: LabelMapping | None):
@@ -177,9 +165,9 @@ def _clamp_range(train_set, mapping, config):
     return train_set.score_range
 
 
-def _dev_score(model: Model, dev_set: Dataset, golds, use_cosine: bool) -> float:
+def _dev_score(model: Model, dev_pairs, golds, use_cosine: bool) -> float:
     # checkpoint selection uses raw (unclamped) predictions
-    return spearman(predictions_for(model, dev_set, use_cosine), golds)
+    return spearman(predictions_for(model, dev_pairs, use_cosine), golds)
 
 
 def train(
@@ -201,30 +189,34 @@ def train(
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
     mapping = _mapping_for(train_set, mapping if mapping is not None else model.mapping)
-    examples = _targets(train_set, mapping, loss_spec.kind)
+    targets = _targets(train_set, mapping, loss_spec.kind)
     dev_golds = _numeric_golds(dev_set, mapping)
     clamp_range = _clamp_range(train_set, mapping, config)
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
     work = model.copy()
     work.max_tokens = config.max_tokens
+    train_pairs = work.encode(train_set.pairs)
+    dev_pairs = work.encode(dev_set.pairs)
     optimizer = _make_optimizer(config, work.params)
     rng = np.random.default_rng(config.seed)
 
-    best_dev = _dev_score(work, dev_set, dev_golds, use_cosine)
+    best_dev = _dev_score(work, dev_pairs, dev_golds, use_cosine)
     best_params = work.params.copy()
     history = [HistoryEntry(0, None, best_dev)]
 
     step = 0
-    n = len(examples)
+    n = len(targets)
     batches_per_epoch = math.ceil(n / config.batch_size)
     for _ in range(config.epochs):
         perm = rng.permutation(n)
         for b in range(batches_per_epoch):
             idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
-            batch = [examples[i] for i in idx]
             try:
-                value, grads = forward_backward(work, batch, loss_spec, clamp_range)
+                value, grads = forward_backward(
+                    work.params, train_pairs.take(idx), targets[idx],
+                    work.feature_mode, loss_spec, clamp_range,
+                )
             except InvalidInputError as exc:
                 # diverged parameters produce non-finite predictions downstream
                 raise TrainingError(f"aborted at step {step + 1}: {exc}") from exc
@@ -235,7 +227,7 @@ def train(
             dev = None
             if step % config.eval_every == 0 or b == batches_per_epoch - 1:
                 try:
-                    dev = _dev_score(work, dev_set, dev_golds, use_cosine)
+                    dev = _dev_score(work, dev_pairs, dev_golds, use_cosine)
                 except InvalidInputError as exc:
                     # finite loss but runaway parameters: treat as divergence
                     raise TrainingError(

@@ -2,13 +2,16 @@
 
 These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
-formula, classification from an argmin scan over nodes, and deduplication
-from a full O(n*m) comparison.
+formula, classification from an argmin scan over nodes, deduplication from
+a full O(n*m) comparison, and the model's forward/backward pass from
+scalar loss closed forms applied one pair and one token at a time.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def rank_with_ties(values):
@@ -70,3 +73,71 @@ def softmax_bruteforce(logits):
 
 def central_difference(fn, x, step=1e-6):
     return (fn(x + step) - fn(x - step)) / (2.0 * step)
+
+
+def residual_loss_scalar(x, kind, k, x0):
+    """Closed-form value and slope of a residual loss at x >= 0."""
+    if kind == "translated_relu":
+        return (0.0, 0.0) if x < x0 else (k * (x - x0), k)
+    if kind == "smooth_k2":
+        return (0.0, 0.0) if x < x0 else (k * (x - x0) ** 2, 2.0 * k * (x - x0))
+    if kind == "l1":
+        return x, (0.0 if x == 0 else 1.0)
+    return x * x, 2.0 * x
+
+
+def forward_backward_per_pair(params, pairs, targets, mode, spec, clamp_range=None,
+                              contrastive=None):
+    """Batch-mean loss and (embedding, head weight, head bias) gradients, one
+    pair at a time: per-sentence means, scalar losses, per-token scatter.
+
+    pairs is a list of (ids1, ids2) and mode a feature-mode string.  For
+    info_nce, contrastive(anchors, positives) gives the loss and the pooled
+    gradients (value, d_anchors, d_positives); only the scatter is done here.
+    """
+    emb, w, b = params.embeddings, params.head_weights, params.head_bias
+    g_w, g_b = np.zeros_like(w), np.zeros_like(b)
+    kind, n, total = spec.kind.value, len(pairs), 0.0
+    pooled = [(emb[i1].mean(axis=0), emb[i2].mean(axis=0)) for i1, i2 in pairs]
+    if kind == "info_nce":
+        total, d_a, d_p = contrastive([u for u, _ in pooled], [v for _, v in pooled])
+        return total, (_scatter(emb, pairs, zip(d_a, d_p)), g_w, g_b)
+    d_pooled = []
+    for (u, v), target in zip(pooled, targets):
+        dim, s = len(u), np.sign(u - v)
+        f = {"uv": np.concatenate([u, v]), "absdiff": np.abs(u - v),
+             "uv_absdiff": np.concatenate([u, v, np.abs(u - v)])}[mode]
+        out = w @ f + b
+        if kind == "cross_entropy":
+            probs = softmax_bruteforce(list(out))
+            value = -math.log(probs[int(target)])
+            d_out = (np.array(probs) - np.eye(len(probs))[int(target)]) / n
+        else:
+            pred, passthrough = float(out), 1.0
+            if clamp_range is not None and not clamp_range[0] <= pred <= clamp_range[1]:
+                pred, passthrough = min(max(pred, clamp_range[0]), clamp_range[1]), 0.0
+            diff = pred - float(target)
+            value, slope = residual_loss_scalar(abs(diff), kind, spec.k, spec.x0)
+            d_out = slope * ((diff > 0) - (diff < 0)) * passthrough / n
+        total += value / n
+        g_w += np.multiply.outer(d_out, f)
+        g_b += d_out
+        df = d_out @ w if w.ndim == 2 else d_out * w
+        if mode == "uv":
+            d_pooled.append((df[:dim], df[dim:]))
+        elif mode == "absdiff":
+            d_pooled.append((df * s, -df * s))
+        else:
+            d_pooled.append((df[:dim] + df[2 * dim:] * s,
+                             df[dim:2 * dim] - df[2 * dim:] * s))
+    return total, (_scatter(emb, pairs, d_pooled), g_w, g_b)
+
+
+def _scatter(emb, pairs, d_pooled):
+    """Embedding gradient: each sentence's gradient split over its tokens."""
+    g_emb = np.zeros_like(emb)
+    for (i1, i2), (du, dv) in zip(pairs, d_pooled):
+        for ids, d in ((i1, du), (i2, dv)):
+            for i in ids:
+                g_emb[i] += d / len(ids)
+    return g_emb

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from simreg.cli import main
-from simreg.data import Dataset, SentencePair, load_tsv, map_labels, save_tsv
-from simreg.encoder import load_checkpoint
+from simreg.data import Dataset, SentencePair, load_tsv, save_tsv
+from simreg.encoder import Model, build_vocab, load_checkpoint, save_checkpoint
 from simreg.evaluation import evaluate
+from simreg.labelmap import build_mapping
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
 
 
@@ -146,6 +147,24 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
         assert "x0" in capsys.readouterr().err
 
+    def test_x0_checked_against_node_spacing(self, corpus_files, capsys):
+        tmp_path, config_path, config = corpus_files
+        # x0 fits loss.d = 1.0 but covers the whole 0.25-spaced label range
+        config["data"]["mapping_interval"] = 0.25
+        config["loss"].update(x0=0.5, d=1.0)
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert "x0" in capsys.readouterr().err
+        # fits the data mapping (d = 2) but not the stage-1 mapping (d = 1)
+        config["data"]["mapping_interval"] = 2.0
+        config["data"]["nli_train"] = config["data"]["train"]
+        config["stages"] = "two_stage"
+        config["loss"].update(x0=0.75, d=2.0)
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert "x0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_rejected(self, corpus_files):
         tmp_path, config_path, config = corpus_files
         config["typo_key"] = 1
@@ -187,18 +206,14 @@ class TestTrain:
         assert manifest["head_weight_count"] == 3 * 8 * 4  # dim 8, four classes
 
     def test_contrastive_baseline(self, tmp_path, capsys):
-        from simreg.labelmap import build_mapping
-
-        train = map_labels(
-            make_ordinal_corpus(120, seed=51, name="t"),
-            build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0),
-        )
-        dev = map_labels(
-            make_ordinal_corpus(48, seed=52, name="d"),
-            build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0),
-        )
-        save_tsv(train, tmp_path / "train.tsv")
-        save_tsv(dev, tmp_path / "dev.tsv")
+        for name, n, seed in (("train", 120, 51), ("dev", 48, 52)):
+            # category i of the ordinal corpus scores i on [0, 3]
+            scored = tuple(
+                SentencePair(p.s1, p.s2, score=float(ORDINAL_CATEGORIES.index(p.label)))
+                for p in make_ordinal_corpus(n, seed=seed).pairs
+            )
+            save_tsv(Dataset(name, scored, score_range=(0.0, 3.0)),
+                     tmp_path / f"{name}.tsv")
         config = {
             "out_dir": str(tmp_path / "nce"),
             "seed": 2,
@@ -254,6 +269,18 @@ class TestEval:
         expect = evaluate(model, [dev])
         assert report["average"] == pytest.approx(expect.average, abs=1e-12)
         assert report["datasets"][0]["accuracy"] == expect.per_dataset[0].accuracy
+
+    def test_numeric_category_names_are_categorical(self, tmp_path):
+        labels = ("1", "2", "3", "4")
+        ds = make_ordinal_corpus(40, seed=7, categories=labels)
+        vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=4, mapping=build_mapping(labels, 0.0, 1.0))
+        save_checkpoint(model, tmp_path / "ck.json")
+        save_tsv(ds, tmp_path / "graded.tsv")
+        assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+                     str(tmp_path / "graded.tsv"), "--out", str(tmp_path / "rep")]) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert report["datasets"][0]["accuracy"] is not None
 
     def test_corrupt_checkpoint_clean_error(self, corpus_files, tmp_path, capsys):
         _, config_path, config = corpus_files
@@ -311,17 +338,6 @@ class TestSweep:
         assert "skipping" in captured.err
         rows = (tmp_path / "sweepbad" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 1
-
-    def test_threaded_matches_serial(self, corpus_files):
-        tmp_path, config_path, _ = corpus_files
-        assert main(["sweep", "--config", str(config_path), "--k", "1,2",
-                     "--x0", "0.25", "--out", str(tmp_path / "ser")]) == 0
-        assert main(["sweep", "--config", str(config_path), "--k", "1,2",
-                     "--x0", "0.25", "--threads", "2",
-                     "--out", str(tmp_path / "par")]) == 0
-        assert (tmp_path / "ser" / "sweep.csv").read_text() == (
-            tmp_path / "par" / "sweep.csv"
-        ).read_text()
 
 
 class TestAblate:

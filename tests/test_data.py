@@ -9,10 +9,7 @@ from simreg.data import (
     Dataset,
     SentencePair,
     dedup_filter,
-    extract_positive_pairs,
     load_tsv,
-    map_labels,
-    map_nli,
     merge,
     positive_pairs_dataset,
     rescale_sick,
@@ -21,7 +18,6 @@ from simreg.data import (
     write_removal_audit,
 )
 from simreg.errors import DataFormatError, InvalidInputError
-from simreg.labelmap import build_mapping
 
 
 def cont(name, rows, score_range=(0.0, 5.0)):
@@ -248,47 +244,20 @@ class TestMerge:
         assert len(merged) == 2 and merged.categories == cats
 
 
-class TestLabelMapping:
-    def test_nli_values(self):
-        assert map_nli("contradiction") == 0.0
-        assert map_nli("neutral") == 1.0
-        assert map_nli("entailment") == 2.0
-
-    def test_unknown_label(self):
-        with pytest.raises(InvalidInputError):
-            map_nli("paraphrase")
-
-    def test_map_labels_dataset(self):
-        mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
-        ds = Dataset(
-            "c",
-            (SentencePair("a", "b", label="high"), SentencePair("c", "d", label="low")),
-            categories=("low", "mid", "high"),
-        )
-        out = map_labels(ds, mapping)
-        assert [p.score for p in out.pairs] == [2.0, 0.0]
-        assert out.score_range == (0.0, 2.0)
-
-
 class TestPositivePairs:
     def test_inclusive_threshold(self):
         ds = cont("d", [(3.9, "a", "b"), (4.0, "c", "d"), (4.7, "e", "f")])
-        kept = extract_positive_pairs(ds, threshold=4.0)
-        assert kept == [("c", "d"), ("e", "f")]
+        kept = positive_pairs_dataset(ds, threshold=4.0)
+        assert [(p.s1, p.s2) for p in kept.pairs] == [("c", "d"), ("e", "f")]
 
     def test_threshold_above_max(self):
         ds = cont("d", [(3.9, "a", "b")])
-        assert extract_positive_pairs(ds, threshold=4.5) == []
+        assert len(positive_pairs_dataset(ds, threshold=4.5)) == 0
 
     def test_categorical_rejected(self):
         ds = Dataset("c", (SentencePair("a", "b", label="x"),), categories=("x",))
         with pytest.raises(InvalidInputError):
-            extract_positive_pairs(ds)
-
-    def test_dataset_view_matches(self):
-        ds = cont("d", [(3.9, "a", "b"), (4.0, "c", "d")])
-        view = positive_pairs_dataset(ds, threshold=4.0)
-        assert [(p.s1, p.s2) for p in view.pairs] == extract_positive_pairs(ds, 4.0)
+            positive_pairs_dataset(ds)
 
 
 class TestSentencePair:

@@ -1,28 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import forward_backward_per_pair
 from simreg.data import SentencePair
 from simreg.encoder import (
     FeatureMode,
     Model,
-    ModelParams,
+    PairTokens,
     Vocabulary,
     build_vocab,
-    embed_sentence,
     feature_dim,
     features,
     forward_backward,
     init_params,
     load_checkpoint,
-    predict,
+    pool,
     save_checkpoint,
     split_tokens,
     tokenize,
+    tokenize_pairs,
 )
 from simreg.errors import CheckpointError, InvalidInputError
-from simreg.gradcheck import finite_difference_grads, max_relative_error
+from simreg.gradcheck import _random_spec, finite_difference_grads, max_relative_error
 from simreg.labelmap import build_mapping
-from simreg.losses import LossKind, LossSpec
+from simreg.losses import LossKind, LossSpec, info_nce
+
+
+def run(model, batch, spec, clamp_range=None):
+    """forward_backward on a list of (SentencePair, target)."""
+    pairs = model.encode([pair for pair, _ in batch])
+    targets = [target for _, target in batch]
+    return forward_backward(model.params, pairs, targets, model.feature_mode, spec,
+                            clamp_range)
+
+
+def score(model, pair):
+    return float(model.scores(model.encode([pair]))[0])
+
+
+def one_sentence(ids):
+    ids = np.asarray(ids, dtype=np.intp)
+    return PairTokens(ids, np.array([0]), np.array([len(ids)]))
 
 
 @pytest.fixture
@@ -56,7 +76,14 @@ class TestTokenize:
 
     def test_vocab_ids_dense_with_oov(self, vocab):
         assert sorted(vocab._ids.values()) == list(range(len(vocab)))
-        assert vocab.oov_id == 1 and vocab.pad_id == 0
+        assert vocab.oov_id == 1 and vocab.id_of("<pad>") == 0
+
+    def test_take_matches_tokenizing_the_chosen_pairs(self, vocab):
+        texts = ["a man runs", "", "the dog", "cat cat sleeps", "zebra", "a"]
+        picked = tokenize_pairs(texts, vocab).take([2, 0, 2])
+        direct = tokenize_pairs(texts[4:6] + texts[0:2] + texts[4:6], vocab)
+        for name in ("ids", "starts", "lengths"):
+            np.testing.assert_array_equal(getattr(picked, name), getattr(direct, name))
 
     def test_vocab_build_is_deterministic(self):
         texts = ["b a a", "c b a"]
@@ -68,26 +95,24 @@ class TestTokenize:
 class TestEmbedSentence:
     def test_single_token_is_its_row(self, model):
         row = model.params.embeddings[3]
-        np.testing.assert_array_equal(embed_sentence([3], model.params), row)
+        np.testing.assert_array_equal(pool(model.params.embeddings, one_sentence([3]))[0],
+                                      row)
 
     def test_mean_of_two_rows(self):
-        params = ModelParams(
-            np.array([[1.0, 3.0], [3.0, 5.0]]), np.zeros(6), np.asarray(0.0)
-        )
-        np.testing.assert_array_equal(
-            embed_sentence([0, 1], params), np.array([2.0, 4.0])
-        )
+        table = np.array([[1.0, 3.0], [3.0, 5.0]])
+        np.testing.assert_array_equal(pool(table, one_sentence([0, 1])),
+                                      np.array([[2.0, 4.0]]))
 
     def test_permutation_invariance(self, model):
         ids = [2, 3, 4, 2]
         np.testing.assert_allclose(
-            embed_sentence(ids, model.params),
-            embed_sentence(list(reversed(ids)), model.params),
+            pool(model.params.embeddings, one_sentence(ids)),
+            pool(model.params.embeddings, one_sentence(list(reversed(ids)))),
         )
 
-    def test_empty_sequence_rejected(self, model):
+    def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidInputError):
-            embed_sentence([], model.params)
+            PairTokens(np.array([], dtype=np.intp), np.array([0]), np.array([0]))
 
 
 class TestFeatures:
@@ -126,13 +151,13 @@ class TestPredict:
         params.head_weights[:] = 0.0
         m = Model(vocab, params, FeatureMode.UV_ABS_DIFF)
         pair = SentencePair("a man", "the dog", score=1.0)
-        assert m.predict(pair) == float(params.head_bias)
+        assert score(m, pair) == float(params.head_bias)
 
     def test_identical_sentences_absdiff_gives_bias(self, vocab):
         m = Model.initialize(vocab, dim=4, feature_mode=FeatureMode.ABS_DIFF, seed=1,
                              label_range=(0.0, 3.0))
         pair = SentencePair("a man runs", "a man runs", score=1.0)
-        assert m.predict(pair) == pytest.approx(float(m.params.head_bias))
+        assert score(m, pair) == pytest.approx(float(m.params.head_bias))
 
     def test_matches_manual_dot_product(self, model):
         pair = SentencePair("a man runs", "the dog swims", score=1.0)
@@ -141,36 +166,33 @@ class TestPredict:
         f = np.concatenate([u, v, np.abs(u - v)])
         manual = sum(w * x for w, x in zip(model.params.head_weights, f))
         manual += float(model.params.head_bias)
-        assert predict(pair, model) == pytest.approx(manual, rel=1e-12)
+        assert score(model, pair) == pytest.approx(manual, rel=1e-12)
 
     def test_absdiff_mode_is_symmetric(self, vocab):
         m = Model.initialize(vocab, dim=5, feature_mode=FeatureMode.ABS_DIFF, seed=9,
                              label_range=(0.0, 3.0))
         a = SentencePair("a man runs", "the dog swims fast", score=1.0)
         b = SentencePair("the dog swims fast", "a man runs", score=1.0)
-        assert m.predict(a) == pytest.approx(m.predict(b), rel=1e-12)
+        assert score(m, a) == pytest.approx(score(m, b), rel=1e-12)
 
     def test_classifier_predicts_expected_node_value(self, vocab):
         mapping = build_mapping(["lo", "mid", "hi"], 0.0, 1.0)
         m = Model.initialize(vocab, dim=4, seed=7, n_classes=3, mapping=mapping)
         pair = SentencePair("a man runs", "the dog swims", score=1.0)
-        logits = m.predict_logits(pair)
-        assert logits.shape == (3,)
+        u = m.params.embeddings[tokenize(pair.s1, vocab)].mean(axis=0)
+        v = m.params.embeddings[tokenize(pair.s2, vocab)].mean(axis=0)
+        logits = m.params.head_weights @ np.concatenate([u, v, np.abs(u - v)])
+        logits += m.params.head_bias
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        assert m.predict(pair) == pytest.approx(float(probs @ [0.0, 1.0, 2.0]))
-        assert 0.0 <= m.predict(pair) <= 2.0
+        assert score(m, pair) == pytest.approx(float(probs @ [0.0, 1.0, 2.0]))
+        assert 0.0 <= score(m, pair) <= 2.0
 
     def test_classifier_without_mapping_uses_class_indices(self, vocab):
         m = Model.initialize(vocab, dim=4, seed=7, n_classes=4,
                              label_range=(0.0, 3.0))
         pair = SentencePair("a man runs", "the dog swims", score=1.0)
-        assert 0.0 <= m.predict(pair) <= 3.0
-
-    def test_logits_unavailable_on_regression_head(self, model):
-        pair = SentencePair("a man", "the dog", score=1.0)
-        with pytest.raises(InvalidInputError):
-            model.predict_logits(pair)
+        assert 0.0 <= score(m, pair) <= 3.0
 
 
 class TestParameterCounts:
@@ -201,9 +223,9 @@ class TestForwardBackward:
     def test_buffer_zone_zeroes_all_gradients(self, vocab):
         m = Model.initialize(vocab, dim=4, seed=3, label_range=(0.0, 3.0))
         pair = SentencePair("a man", "the dog", score=0.0)
-        target = m.predict(pair) + 0.1  # residual 0.1 < x0
+        target = score(m, pair) + 0.1  # residual 0.1 < x0
         spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
-        value, grads = forward_backward(m, [(pair, target)], spec)
+        value, grads = run(m, [(pair, target)], spec)
         assert value == 0.0
         assert not grads.embeddings.any()
         assert not grads.head_weights.any()
@@ -212,7 +234,7 @@ class TestForwardBackward:
     def test_absent_tokens_have_zero_gradients(self, model):
         pair = SentencePair("a man", "the dog", score=0.0)
         spec = LossSpec(LossKind.MSE)
-        _, grads = forward_backward(model, [(pair, 3.0)], spec)
+        _, grads = run(model, [(pair, 3.0)], spec)
         used = set(tokenize(pair.s1, model.vocab) + tokenize(pair.s2, model.vocab))
         for row in range(model.params.vocab_size):
             if row not in used:
@@ -220,7 +242,7 @@ class TestForwardBackward:
 
     def test_repeated_tokens_accumulate(self, model):
         pair = SentencePair("man man man", "the dog", score=0.0)
-        _, grads = forward_backward(model, [(pair, 3.0)], LossSpec(LossKind.MSE))
+        _, grads = run(model, [(pair, 3.0)], LossSpec(LossKind.MSE))
         man = model.vocab.id_of("man")
         assert grads.embeddings[man].any()
 
@@ -241,10 +263,8 @@ class TestForwardBackward:
             if kind in (LossKind.TRANSLATED_RELU, LossKind.SMOOTH_K2)
             else LossSpec(kind)
         )
-        _, analytic = forward_backward(m, batch, spec)
-        fd = finite_difference_grads(
-            lambda: forward_backward(m, batch, spec)[0], m.params
-        )
+        _, analytic = run(m, batch, spec)
+        fd = finite_difference_grads(lambda: run(m, batch, spec)[0], m.params)
         assert max_relative_error(analytic, fd) < 1e-4
 
     def test_classifier_gradcheck(self, vocab):
@@ -255,10 +275,8 @@ class TestForwardBackward:
             (SentencePair("cat sleeps", "a man", score=0.0), 0),
         ]
         spec = LossSpec(LossKind.CROSS_ENTROPY)
-        _, analytic = forward_backward(m, batch, spec)
-        fd = finite_difference_grads(
-            lambda: forward_backward(m, batch, spec)[0], m.params
-        )
+        _, analytic = run(m, batch, spec)
+        fd = finite_difference_grads(lambda: run(m, batch, spec)[0], m.params)
         assert max_relative_error(analytic, fd) < 1e-4
 
     def test_clamped_overshoot_blocks_gradient(self, vocab):
@@ -266,13 +284,24 @@ class TestForwardBackward:
         pair = SentencePair("a man", "the dog", score=0.0)
         m.params.head_bias = np.asarray(3.8)  # raw prediction past the top node
         spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
-        value, grads = forward_backward(m, [(pair, 3.0)], spec, clamp_range=(0.0, 3.0))
+        value, grads = run(m, [(pair, 3.0)], spec, clamp_range=(0.0, 3.0))
         assert value == 0.0  # clamped to 3.0, residual 0 within buffer
         assert not grads.head_bias.any() and not grads.embeddings.any()
+        offset = score(m, pair) - 3.8  # the raw prediction without the bias
+        # undershoot: clamped up to 0.0, so the residual 1.0 costs but sends nothing
+        m.params.head_bias = np.asarray(-0.4 - offset)
+        value, grads = run(m, [(pair, 1.0)], spec, clamp_range=(0.0, 3.0))
+        assert value == pytest.approx(2.0 * 0.75 ** 2)
+        assert not grads.head_bias.any() and not grads.embeddings.any()
+        # in range: the prediction 1.5 is not clamped and its gradient flows
+        m.params.head_bias = np.asarray(1.5 - offset)
+        value, grads = run(m, [(pair, 0.0)], spec, clamp_range=(0.0, 3.0))
+        assert value == pytest.approx(2.0 * 1.25 ** 2)
+        assert float(grads.head_bias) == pytest.approx(2.0 * 2.0 * 1.25)
 
     def test_empty_batch_rejected(self, model):
         with pytest.raises(InvalidInputError):
-            forward_backward(model, [], LossSpec(LossKind.MSE))
+            run(model, [], LossSpec(LossKind.MSE))
 
     def test_head_kind_mismatch_rejected(self, vocab):
         regressor = Model.initialize(vocab, dim=4, seed=0, label_range=(0.0, 3.0))
@@ -280,9 +309,46 @@ class TestForwardBackward:
                                       label_range=(0.0, 2.0))
         pair = SentencePair("a man", "the dog", score=0.0)
         with pytest.raises(InvalidInputError):
-            forward_backward(regressor, [(pair, 1)], LossSpec(LossKind.CROSS_ENTROPY))
+            run(regressor, [(pair, 1)], LossSpec(LossKind.CROSS_ENTROPY))
         with pytest.raises(InvalidInputError):
-            forward_backward(classifier, [(pair, 1.0)], LossSpec(LossKind.MSE))
+            run(classifier, [(pair, 1.0)], LossSpec(LossKind.MSE))
+
+
+WORDS = [f"w{i}" for i in range(10)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(LossKind)),
+       st.sampled_from(list(FeatureMode)), st.booleans())
+def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab([" ".join(WORDS)])
+    batch = int(rng.integers(1, 6))
+    n_classes = 3 if kind is LossKind.CROSS_ENTROPY else None
+    params = init_params(len(vocab), int(rng.integers(2, 6)), mode, seed,
+                         n_classes=n_classes)
+    if n_classes is None:
+        params.head_bias = np.asarray(rng.uniform(-1.0, 4.0))  # some get clamped
+        targets = rng.uniform(0.0, 3.0, size=batch)
+    else:
+        targets = rng.integers(0, n_classes, size=batch)
+    spec = _random_spec(rng, kind)
+    clamp_range = (0.0, 3.0) if clamp else None
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
+             for _ in range(2 * batch)]
+
+    value, grads = forward_backward(params, tokenize_pairs(texts, vocab), targets,
+                                    mode, spec, clamp_range)
+    ids = [(tokenize(a, vocab), tokenize(b, vocab))
+           for a, b in zip(texts[0::2], texts[1::2])]
+    expect, expect_grads = forward_backward_per_pair(
+        params, ids, targets, mode.value, spec, clamp_range,
+        contrastive=lambda a, p: info_nce(a, p, spec.tau),
+    )
+    assert abs(value - expect) <= 1e-12
+    for got, want in zip((grads.embeddings, grads.head_weights, grads.head_bias),
+                         expect_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestCheckpoint:
@@ -300,7 +366,7 @@ class TestCheckpoint:
         assert again.mapping == model.mapping
         assert again.feature_mode == model.feature_mode
         pair = SentencePair("a man runs", "the dog swims", score=1.0)
-        assert again.predict(pair) == model.predict(pair)
+        assert score(again, pair) == score(model, pair)
 
     def test_save_is_deterministic(self, model, tmp_path):
         save_checkpoint(model, tmp_path / "a.json")

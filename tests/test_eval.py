@@ -20,11 +20,18 @@ class StubModel:
         self.fn = fn
         self.mapping = mapping
 
-    def predict(self, pair):
-        return self.fn(pair)
+    def encode(self, pairs):
+        return pairs
 
-    def embed(self, text):
-        return np.array([1.0 + sum(map(ord, text)) % 17, 1.0])
+    def scores(self, pairs):
+        return np.array([self.fn(pair) for pair in pairs])
+
+    def embed_pairs(self, pairs):
+        def embed(text):
+            return [1.0 + sum(map(ord, text)) % 17, 1.0]
+
+        return (np.array([embed(p.s1) for p in pairs]),
+                np.array([embed(p.s2) for p in pairs]))
 
 
 class TestSpearman:
@@ -132,6 +139,8 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError):
             cosine([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            cosine([[1.0, 2.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
 
 
 def categorical_ds(name, labels, cats=("low", "mid", "high")):
@@ -144,28 +153,27 @@ class TestAccuracy:
 
     def test_exact_node_predictions_score_one(self):
         ds = categorical_ds("d", ["low", "high", "mid"])
-        model = StubModel(lambda p: {"low": 0.0, "mid": 1.0, "high": 2.0}[p.label])
-        assert accuracy(model, ds, self.MAPPING) == 1.0
+        assert accuracy([0.0, 2.0, 1.0], ds, self.MAPPING) == 1.0
 
     def test_constant_prediction_on_balanced_set(self):
         ds = categorical_ds("d", ["low", "mid", "high"] * 4)
-        model = StubModel(lambda p: 1.1)  # always classifies as "mid"
-        assert accuracy(model, ds, self.MAPPING) == pytest.approx(1 / 3)
+        scores = np.full(len(ds), 1.1)  # always classifies as "mid"
+        assert accuracy(scores, ds, self.MAPPING) == pytest.approx(1 / 3)
 
     def test_empty_dataset_is_an_error(self):
         ds = Dataset("d", (), categories=("low", "mid", "high"))
         with pytest.raises(InvalidInputError):
-            accuracy(StubModel(lambda p: 0.0), ds, self.MAPPING)
+            accuracy([], ds, self.MAPPING)
 
     def test_category_mismatch(self):
         ds = categorical_ds("d", ["x"], cats=("x", "y"))
         with pytest.raises(InvalidInputError):
-            accuracy(StubModel(lambda p: 0.0), ds, self.MAPPING)
+            accuracy([], ds, self.MAPPING)
 
     def test_continuous_dataset_rejected(self):
         ds = Dataset("d", (SentencePair("a", "b", score=1.0),), score_range=(0, 5))
         with pytest.raises(InvalidInputError):
-            accuracy(StubModel(lambda p: 0.0), ds, self.MAPPING)
+            accuracy([], ds, self.MAPPING)
 
 
 class TestEvaluate:
@@ -193,7 +201,7 @@ class TestEvaluate:
         assert report.average == pytest.approx(expect, abs=1e-15)
         per_ds = [
             spearman_bruteforce(
-                [model.predict(p) for p in ds.pairs], [p.score for p in ds.pairs]
+                [model.fn(p) for p in ds.pairs], [p.score for p in ds.pairs]
             )
             for ds in datasets
         ]
@@ -208,6 +216,8 @@ class TestEvaluate:
         report = evaluate(model, [ds])
         assert report.per_dataset[0].accuracy == 1.0
         assert report.per_dataset[0].spearman > 0.8
+        # ranking by cosine still takes the accuracy from the head scores
+        assert evaluate(model, [ds], use_cosine=True).per_dataset[0].accuracy == 1.0
 
     def test_json_round_trip(self):
         ds = self.make_ds("only", [0.0, 1.0, 2.0, 3.0])

@@ -43,13 +43,15 @@ def test_buffer_zone_gives_zero_on_both_routes():
     vocab = build_vocab(["alpha beta gamma", "delta epsilon"])
     model = Model.initialize(vocab, dim=4, seed=8, label_range=(0.0, 3.0))
     pair = SentencePair("alpha beta", "delta epsilon", score=0.0)
-    target = model.predict(pair) + 0.05  # inside the x0 = 0.25 buffer
+    pairs = model.encode([pair])
+    target = model.scores(pairs)[0] + 0.05  # inside the x0 = 0.25 buffer
     spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
-    batch = [(pair, target)]
-    value, analytic = forward_backward(model, batch, spec)
-    fd = finite_difference_grads(
-        lambda: forward_backward(model, batch, spec)[0], model.params
-    )
+
+    def run():
+        return forward_backward(model.params, pairs, [target], model.feature_mode, spec)
+
+    value, analytic = run()
+    fd = finite_difference_grads(lambda: run()[0], model.params)
     assert value == 0.0
     for grads in (analytic, fd):
         assert not grads.embeddings.any()

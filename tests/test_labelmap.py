@@ -10,8 +10,6 @@ from simreg.labelmap import (
     LabelMapping,
     build_mapping,
     classify,
-    correctness_radius,
-    decode,
     encode,
 )
 
@@ -59,22 +57,14 @@ class TestEncodeDecode:
     def test_entailment_encodes_to_two(self):
         assert encode(NLI, "entailment") == 2.0
 
-    def test_decode_zero(self):
-        assert decode(NLI, 0) == "contradiction"
-
     def test_round_trip(self):
-        for i in range(len(NLI.categories)):
-            assert encode(NLI, decode(NLI, i)) == NLI.nodes[i]
+        for i, category in enumerate(NLI.categories):
+            assert encode(NLI, category) == NLI.nodes[i]
+            assert classify(NLI, NLI.nodes[i]) == category
 
     def test_unknown_category(self):
         with pytest.raises(InvalidInputError):
             encode(NLI, "paraphrase")
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            decode(NLI, 3)
-        with pytest.raises(InvalidInputError):
-            decode(NLI, -1)
 
 
 class TestClassify:
@@ -115,14 +105,8 @@ class TestClassify:
 
 
 class TestCorrectnessRadius:
-    def test_unit_interval(self):
-        assert correctness_radius(FOUR) == 0.5
-
-    def test_half_interval(self):
-        assert correctness_radius(TWO) == 0.25
-
     def test_interior_nodes_classified_within_radius(self):
-        radius = correctness_radius(FOUR)
+        radius = FOUR.d / 2.0
         for i in (1, 2):  # interior nodes
             node = FOUR.nodes[i]
             for eps in (0.0, 0.1, 0.25, 0.49, radius - 1e-9):

@@ -6,22 +6,40 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import central_difference, softmax_bruteforce
+from simreg.data import SentencePair
+from simreg.encoder import Model, build_vocab, forward_backward
 from simreg.errors import InvalidInputError
 from simreg.labelmap import build_mapping
 from simreg.losses import (
     LossKind,
     LossSpec,
-    clamp_to_range,
     cross_entropy,
     info_nce,
     l1_loss,
     mse_loss,
-    residual,
     smooth_k2,
     translated_relu,
 )
 
+
 FOUR_CLASS = build_mapping(["irrelevant", "slight", "moderate", "high"], 0.0, 1.0)
+
+
+def mse_with_prediction(prediction, target, clamp_range=None):
+    """forward_backward MSE of one pair whose raw prediction is fixed.
+
+    The head weights are zeroed, so the raw prediction is the head bias.
+    Returns the loss and the gradient reaching the head bias.
+    """
+    model = Model.initialize(build_vocab(["a man", "the dog"]), dim=4, seed=0,
+                             label_range=(0.0, 3.0))
+    model.params.head_weights[...] = 0.0
+    model.params.head_bias = np.asarray(prediction)
+    pairs = model.encode([SentencePair("a man", "the dog", score=0.0)])
+    value, grads = forward_backward(model.params, pairs, [target],
+                                    model.feature_mode, LossSpec(LossKind.MSE),
+                                    clamp_range)
+    return value, float(grads.head_bias)
 
 
 def tr_spec(k=2.0, x0=0.25, d=1.0):
@@ -56,23 +74,11 @@ class TestLossSpec:
 
 
 class TestResidual:
-    def test_subtraction(self):
-        assert residual(2.875, 3.0).x == pytest.approx(0.125)
-
-    def test_identity_has_zero_sign(self):
-        r = residual(1.0, 1.0)
-        assert r.x == 0.0 and r.sign == 0
-
-    def test_sign_tracks_direction(self):
-        r = residual(0.2, 1.7)
-        assert r.x == pytest.approx(1.5) and r.sign == -1
-        assert residual(1.7, 0.2).sign == 1
-
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            residual(float("nan"), 1.0)
+            mse_with_prediction(float("nan"), 1.0)
         with pytest.raises(InvalidInputError):
-            residual(1.0, float("inf"))
+            mse_with_prediction(1.0, float("inf"))
 
 
 class TestTranslatedRelu:
@@ -130,9 +136,10 @@ class TestBaselines:
         assert grad == pytest.approx(1.0)
 
     def test_negative_residual_rejected(self):
-        for fn in (l1_loss, mse_loss):
-            with pytest.raises(InvalidInputError):
-                fn(-0.1)
+        for bad in (-0.1, float("nan"), float("inf"), [0.5, -0.1]):
+            for fn in (l1_loss, mse_loss, lambda x: smooth_k2(x, k2_spec())):
+                with pytest.raises(InvalidInputError):
+                    fn(bad)
 
 
 class TestBufferZoneProperties:
@@ -186,14 +193,23 @@ class TestBufferZoneProperties:
 
 
 class TestClamp:
+    CLAMP = (FOUR_CLASS.low, FOUR_CLASS.high)
+
     def test_overshoot_reassigned_to_boundary(self):
-        assert clamp_to_range(3.57, FOUR_CLASS) == 3.0
+        # 3.57 is clamped to the top node 3.0: no loss against 3.0, no gradient
+        assert mse_with_prediction(3.57, 3.0, self.CLAMP) == (0.0, 0.0)
+        value, grad = mse_with_prediction(3.57, 2.0, self.CLAMP)
+        assert value == pytest.approx(1.0) and grad == 0.0
 
     def test_undershoot(self):
-        assert clamp_to_range(-0.4, FOUR_CLASS) == 0.0
+        assert mse_with_prediction(-0.4, 0.0, self.CLAMP) == (0.0, 0.0)
+        value, grad = mse_with_prediction(-0.4, 1.0, self.CLAMP)
+        assert value == pytest.approx(1.0) and grad == 0.0
 
     def test_in_range_identity(self):
-        assert clamp_to_range(1.5, FOUR_CLASS) == 1.5
+        clamped = mse_with_prediction(1.5, 0.0, self.CLAMP)
+        assert clamped == pytest.approx((2.25, 3.0))
+        assert clamped == mse_with_prediction(1.5, 0.0)
 
 
 class TestCrossEntropy:

@@ -9,9 +9,9 @@ from simreg.losses import LossKind, LossSpec
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
 from simreg.training import (
     AdamOptimizer,
+    SgdOptimizer,
     Stage,
     TrainConfig,
-    sgd_step,
     train,
     two_stage_finetune,
     write_history_csv,
@@ -49,7 +49,7 @@ def model(corpus):
 class TestSgdStep:
     def test_zero_gradient_is_identity(self, model):
         params = model.params.copy()
-        sgd_step(params, Gradients.zeros_like(params), 0.5, Stage.JOINT)
+        SgdOptimizer(0.5).step(params, Gradients.zeros_like(params), Stage.JOINT)
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
         np.testing.assert_array_equal(params.head_weights, model.params.head_weights)
 
@@ -58,7 +58,7 @@ class TestSgdStep:
         params.head_bias = np.asarray(1.0)
         grads = Gradients.zeros_like(params)
         grads.head_bias = np.asarray(2.0)
-        sgd_step(params, grads, 0.1, Stage.JOINT)
+        SgdOptimizer(0.1).step(params, grads, Stage.JOINT)
         assert float(params.head_bias) == pytest.approx(0.8)
 
     def test_head_only_freezes_embeddings(self, model):
@@ -66,7 +66,7 @@ class TestSgdStep:
         grads = Gradients.zeros_like(params)
         grads.embeddings[:] = 1.0
         grads.head_weights[:] = 1.0
-        sgd_step(params, grads, 0.1, Stage.HEAD_ONLY)
+        SgdOptimizer(0.1).step(params, grads, Stage.HEAD_ONLY)
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
         assert not np.array_equal(params.head_weights, model.params.head_weights)
 
@@ -74,8 +74,10 @@ class TestSgdStep:
         params = model.params.copy()
         grads = Gradients.zeros_like(params)
         grads.head_weights = np.zeros(5)
-        with pytest.raises(InvalidInputError):
-            sgd_step(params, grads, 0.1, Stage.JOINT)
+        for optimizer in (SgdOptimizer(0.1), AdamOptimizer(params, 0.1)):
+            with pytest.raises(InvalidInputError):
+                optimizer.step(params, grads, Stage.JOINT)
+        np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
 
 
 class TestAdam:
