@@ -243,13 +243,13 @@ def cmd_train(args) -> int:
     for name, history in histories.items():
         write_history_csv(history, out / f"{name}.csv")
     if best_model.mapping is not None:
-        (out / "mapping.json").write_text(
+        data_mod.write_atomic(
+            out / "mapping.json",
             json.dumps(best_model.mapping.to_json_dict(), sort_keys=True),
-            encoding="utf-8",
         )
-    (out / "manifest.json").write_text(
+    data_mod.write_atomic(
+        out / "manifest.json",
         json.dumps(_manifest(cfg, best_model, best_dev), sort_keys=True, indent=2),
-        encoding="utf-8",
     )
     print(f"best dev spearman: {best_dev:.4f}")
     print(f"checkpoint -> {out / 'checkpoint.json'}")

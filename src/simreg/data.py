@@ -3,12 +3,14 @@
 The on-disk format is UTF-8 TSV with no header: ``score<TAB>s1<TAB>s2`` for
 continuous corpora or ``label<TAB>s1<TAB>s2`` for categorical ones.  Loaded
 datasets are immutable, so loading and filtering different files can safely
-run in parallel.
+run in parallel.  ``write_atomic`` is the package's writer for outputs that
+must never be left half-written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,6 +127,23 @@ def load_tsv(
 def format_score(score: float) -> str:
     """Shortest exact decimal form, shared by every writer in the package."""
     return repr(float(score))
+
+
+def write_atomic(path, text: str) -> None:
+    """Write a UTF-8 text file whole or not at all.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces the target in one rename; if writing fails, the temporary file
+    is removed and an existing target is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_tsv(dataset: Dataset, path) -> None:

@@ -9,12 +9,16 @@ is derived by hand and returns exact gradients for every parameter.
 Everything runs on whole batches at once.  A dataset is tokenized once into
 flat token ids with per-sentence offsets and lengths (``PairTokens``);
 pooling is a segment sum over those ids and the backward pass scatters each
-sentence's gradient back onto its token rows in one step.
+sentence's gradient back onto its token rows in one step.  The embedding
+gradient holds only the rows of the tokens in the batch, so its cost does not
+grow with the vocabulary.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
+from .data import write_atomic
 from .errors import CheckpointError, InvalidInputError
 from .labelmap import LabelMapping
 from .losses import LossKind, LossSpec
@@ -34,7 +39,8 @@ OOV_TOKEN = "<oov>"
 _WORD_RE = re.compile(r"\w+")
 
 CHECKPOINT_FORMAT = "simreg-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_DTYPE = "<f8"  # little-endian float64, the raw bytes of each array
 
 
 class FeatureMode(str, Enum):
@@ -197,19 +203,33 @@ class ModelParams:
 
 @dataclass
 class Gradients:
-    """Same shapes as ModelParams."""
+    """Gradients of every parameter, the embedding table's row-sparse.
+
+    rows holds sorted, unique token ids and embeddings one gradient row per
+    id; every other row of the table has a zero gradient.  The head
+    gradients have the shapes of their parameters.
+    """
 
     embeddings: np.ndarray
     head_weights: np.ndarray
     head_bias: np.ndarray
+    rows: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "Gradients":
+        """Zero gradients covering the whole embedding table."""
         return cls(
             np.zeros_like(params.embeddings),
             np.zeros_like(params.head_weights),
             np.zeros_like(params.head_bias),
+            np.arange(params.vocab_size),
         )
+
+    def dense_embeddings(self, vocab_size: int) -> np.ndarray:
+        """The (vocab_size, dim) embedding gradient, zero on untouched rows."""
+        dense = np.zeros((vocab_size, self.embeddings.shape[1]))
+        dense[self.rows] = self.embeddings
+        return dense
 
 
 def init_params(
@@ -365,9 +385,10 @@ def forward_backward(
     targets holds one entry per pair: floats for the residual losses, class
     indices for cross-entropy; the contrastive loss ignores them and treats
     each pair as anchor/positive.  Predictions outside clamp_range are
-    clamped and pass no gradient.  Only the embedding rows of tokens present
-    in the batch receive nonzero gradients.  With with_grads=False only the
-    loss is computed and the gradients are None.
+    clamped and pass no gradient.  The embedding gradient covers only the
+    rows of tokens present in the batch (Gradients.rows); every other row's
+    gradient is zero.  With with_grads=False only the loss is computed and
+    the gradients are None.
     """
     n = len(pairs)
     if n == 0:
@@ -397,7 +418,13 @@ def forward_backward(
     if not with_grads:
         return value, None
 
-    grads = Gradients.zeros_like(params)
+    rows, inverse = np.unique(pairs.ids, return_inverse=True)
+    grads = Gradients(
+        np.zeros((len(rows), params.dim)),
+        np.zeros_like(params.head_weights),
+        np.zeros_like(params.head_bias),
+        rows,
+    )
     if kind is not LossKind.INFO_NCE:
         d_out = d_out / n
         grads.head_weights[...] = d_out.T @ f
@@ -410,12 +437,42 @@ def forward_backward(
     d_pooled = np.empty_like(pooled)
     d_pooled[0::2], d_pooled[1::2] = du, dv
     d_tokens = np.repeat(d_pooled / pairs.lengths[:, None], pairs.lengths, axis=0)
-    np.add.at(grads.embeddings, pairs.ids, d_tokens)
+    np.add.at(grads.embeddings, inverse, d_tokens)
     return value, grads
 
 
+def _encode_array(array: np.ndarray) -> dict:
+    raw = np.ascontiguousarray(array, dtype=CHECKPOINT_DTYPE).tobytes()
+    return {
+        "dtype": CHECKPOINT_DTYPE,
+        "shape": list(array.shape),
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+def _decode_array(doc: dict, name: str) -> np.ndarray:
+    if doc["dtype"] != CHECKPOINT_DTYPE:
+        raise CheckpointError(f"{name}: unsupported dtype {doc['dtype']!r}")
+    shape = doc["shape"]
+    if not isinstance(shape, list) or not all(
+        type(n) is int and n >= 0 for n in shape
+    ):
+        raise CheckpointError(f"{name}: bad shape {shape!r}")
+    raw = base64.b64decode(doc["data"], validate=True)
+    itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
+    if len(raw) != itemsize * math.prod(shape):
+        raise CheckpointError(
+            f"{name}: {len(raw)} bytes do not hold an array of shape {shape}"
+        )
+    return np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float).reshape(shape)
+
+
 def save_checkpoint(model: Model, path) -> None:
-    """Write a self-describing JSON checkpoint (bit-exact round trip)."""
+    """Write a self-describing JSON checkpoint (bit-exact round trip).
+
+    Each parameter array is stored as its dtype, shape and raw bytes in
+    base64.  The file is replaced whole, never left half-written.
+    """
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -424,11 +481,11 @@ def save_checkpoint(model: Model, path) -> None:
         "vocab": list(model.vocab.tokens),
         "mapping": model.mapping.to_json_dict() if model.mapping else None,
         "head_kind": "classification" if model.params.is_classifier else "regression",
-        "embeddings": model.params.embeddings.tolist(),
-        "head_weights": model.params.head_weights.tolist(),
-        "head_bias": model.params.head_bias.tolist(),
+        "embeddings": _encode_array(model.params.embeddings),
+        "head_weights": _encode_array(model.params.head_weights),
+        "head_bias": _encode_array(model.params.head_bias),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    write_atomic(path, json.dumps(doc, sort_keys=True))
 
 
 def load_checkpoint(path) -> Model:
@@ -449,9 +506,8 @@ def load_checkpoint(path) -> Model:
             LabelMapping.from_json_dict(doc["mapping"]) if doc["mapping"] else None
         )
         params = ModelParams(
-            np.asarray(doc["embeddings"], dtype=float),
-            np.asarray(doc["head_weights"], dtype=float),
-            np.asarray(doc["head_bias"], dtype=float),
+            *(_decode_array(doc[name], name)
+              for name in ("embeddings", "head_weights", "head_bias"))
         )
         return Model(
             vocab, params, FeatureMode(doc["feature_mode"]), mapping,

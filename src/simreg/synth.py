@@ -54,8 +54,9 @@ def make_ordinal_corpus(
         k = shared_counts[c]
         first = rng.choice(vocab_size, size=sentence_len, replace=False)
         shared = rng.choice(first, size=k, replace=False)
-        rest_pool = np.setdiff1d(np.arange(vocab_size), first)
-        rest = rng.choice(rest_pool, size=sentence_len - k, replace=False)
+        unused = np.ones(vocab_size, dtype=bool)
+        unused[first] = False
+        rest = rng.choice(np.flatnonzero(unused), size=sentence_len - k, replace=False)
         second = rng.permutation(np.concatenate([shared, rest]))
         pairs.append(
             SentencePair(

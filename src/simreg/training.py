@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_atomic
 from .encoder import Gradients, Model, forward_backward
 from .errors import InvalidInputError, TrainingError
 from .evaluation import predictions_for, spearman
@@ -74,11 +74,13 @@ _PARAM_FIELDS = ("embeddings", "head_weights", "head_bias")
 
 def _unfrozen(params, grads, stage: Stage):
     """(field name, parameter, gradient) of every parameter the stage updates,
-    after checking that every gradient has its parameter's shape."""
+    after checking that every gradient has its expected shape: the embedding
+    gradient one row of the table's width per id in grads.rows."""
     for name in _PARAM_FIELDS:
         p, g = getattr(params, name), getattr(grads, name)
-        if p.shape != g.shape:
-            raise InvalidInputError(f"{name} gradient shape {g.shape} != {p.shape}")
+        expected = (len(grads.rows), p.shape[1]) if name == "embeddings" else p.shape
+        if g.shape != expected:
+            raise InvalidInputError(f"{name} gradient shape {g.shape} != {expected}")
     return [
         (name, getattr(params, name), getattr(grads, name))
         for name in _PARAM_FIELDS
@@ -87,7 +89,11 @@ def _unfrozen(params, grads, stage: Stage):
 
 
 class AdamOptimizer:
-    """Adaptive-moment updates (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adaptive-moment updates (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    The moments cover the whole embedding table, so rows a batch does not
+    touch still move by their momentum.
+    """
 
     def __init__(self, params, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -101,6 +107,8 @@ class AdamOptimizer:
         updates = _unfrozen(params, grads, stage)
         self.t += 1
         for name, p, g in updates:
+            if name == "embeddings":
+                g = grads.dense_embeddings(len(p))
             m = getattr(self.m, name)
             v = getattr(self.v, name)
             m[...] = self.beta1 * m + (1 - self.beta1) * g
@@ -116,9 +124,13 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def step(self, params, grads, stage: Stage):
-        """p <- p - lr*g for every unfrozen parameter; frozen ones untouched."""
-        for _, p, g in _unfrozen(params, grads, stage):
-            p -= self.lr * g
+        """p <- p - lr*g for every unfrozen parameter; frozen ones untouched.
+        Only the embedding rows in grads.rows are updated."""
+        for name, p, g in _unfrozen(params, grads, stage):
+            if name == "embeddings":
+                p[grads.rows] -= self.lr * g
+            else:
+                p -= self.lr * g
         return params
 
 
@@ -129,11 +141,19 @@ def _make_optimizer(config: TrainConfig, params):
 
 
 def _mapping_for(dataset: Dataset, mapping: LabelMapping | None):
+    """The mapping a categorical dataset's labels go through: the given one,
+    which must cover every category, or a 0/1-spaced default when none is
+    given."""
     if not dataset.is_categorical:
         return mapping
-    if mapping is not None and all(c in mapping.categories for c in dataset.categories):
-        return mapping
-    return build_mapping(dataset.categories, 0.0, 1.0)
+    if mapping is None:
+        return build_mapping(dataset.categories, 0.0, 1.0)
+    missing = [c for c in dataset.categories if c not in mapping.categories]
+    if missing:
+        raise InvalidInputError(
+            f"label mapping has no node for categories {missing} of {dataset.name}"
+        )
+    return mapping
 
 
 def _targets(dataset: Dataset, mapping: LabelMapping | None, kind: LossKind):
@@ -190,7 +210,10 @@ def train(
         raise InvalidInputError("training and dev sets must be nonempty")
     mapping = _mapping_for(train_set, mapping if mapping is not None else model.mapping)
     targets = _targets(train_set, mapping, loss_spec.kind)
-    dev_golds = _numeric_golds(dev_set, mapping)
+    # dev scores are judged as the saved model will be: through its own mapping
+    dev_golds = _numeric_golds(
+        dev_set, model.mapping if model.mapping is not None else mapping
+    )
     clamp_range = _clamp_range(train_set, mapping, config)
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
@@ -281,5 +304,4 @@ def write_history_csv(history, path) -> None:
         loss = repr(entry.train_loss) if entry.train_loss is not None else ""
         dev = repr(entry.dev_spearman) if entry.dev_spearman is not None else ""
         lines.append(f"{entry.step},{loss},{dev}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    write_atomic(path, "".join(lines))

@@ -3,8 +3,10 @@
 These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
 formula, classification from an argmin scan over nodes, deduplication from
-a full O(n*m) comparison, and the model's forward/backward pass from
-scalar loss closed forms applied one pair and one token at a time.
+a full O(n*m) comparison, the model's forward/backward pass from
+scalar loss closed forms applied one pair and one token at a time, the
+optimizers as updates of whole dense arrays, and the synthetic corpus from a
+set difference over the whole vocabulary per pair.
 """
 
 from __future__ import annotations
@@ -141,3 +143,54 @@ def _scatter(emb, pairs, d_pooled):
             for i in ids:
                 g_emb[i] += d / len(ids)
     return g_emb
+
+
+def sgd_step_dense(params, grads, lr, names):
+    """p -= lr * g over whole arrays; grads maps each field name to its dense
+    gradient, and only the fields in names are updated."""
+    for name in names:
+        p = getattr(params, name)
+        p -= lr * grads[name]
+
+
+class DenseAdam:
+    """Adam over whole arrays: every entry, touched by the batch or not,
+    moves by its momentum."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        names = ("embeddings", "head_weights", "head_bias")
+        self.m = {n: np.zeros_like(getattr(params, n)) for n in names}
+        self.v = {n: np.zeros_like(getattr(params, n)) for n in names}
+        self.t = 0
+
+    def step(self, params, grads, names):
+        self.t += 1
+        for name in names:
+            p, g, m, v = getattr(params, name), grads[name], self.m[name], self.v[name]
+            m[...] = self.beta1 * m + (1 - self.beta1) * g
+            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1 ** self.t)
+            v_hat = v / (1 - self.beta2 ** self.t)
+            p[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def ordinal_corpus_setdiff(n_pairs, seed, vocab_size=120, sentence_len=9,
+                           shared_counts=(0, 5, 8, 9),
+                           categories=("irrelevant", "slightly relevant",
+                                       "moderately relevant", "highly relevant")):
+    """(s1, s2, label) rows of the synthetic ordinal corpus, drawing each
+    pair's remaining tokens from np.setdiff1d over the whole vocabulary."""
+    rng = np.random.default_rng(seed)
+    words = np.array([f"tok{i:03d}" for i in range(vocab_size)])
+    rows = []
+    for i in range(n_pairs):
+        c = i % len(categories)
+        k = shared_counts[c]
+        first = rng.choice(vocab_size, size=sentence_len, replace=False)
+        shared = rng.choice(first, size=k, replace=False)
+        rest_pool = np.setdiff1d(np.arange(vocab_size), first)
+        rest = rng.choice(rest_pool, size=sentence_len - k, replace=False)
+        second = rng.permutation(np.concatenate([shared, rest]))
+        rows.append((" ".join(words[first]), " ".join(words[second]), categories[c]))
+    return rows

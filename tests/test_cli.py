@@ -290,6 +290,17 @@ class TestEval:
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_corrupt_array_payload_clean_error(self, corpus_files, capsys):
+        tmp_path, config_path, config = corpus_files
+        assert main(["train", "--config", str(config_path)]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(checkpoint.read_text())
+        doc["embeddings"]["data"] = doc["embeddings"]["data"][:-8]
+        checkpoint.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(checkpoint), config["data"]["dev"]])
+        assert code == 1
+        assert "corrupt checkpoint" in capsys.readouterr().err
+
     def test_empty_dataset_list_is_usage_error(self, corpus_files, capsys):
         tmp_path, config_path, _ = corpus_files
         code = main(["eval", "--checkpoint", "whatever.json"])

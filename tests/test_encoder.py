@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,15 +239,27 @@ class TestForwardBackward:
         spec = LossSpec(LossKind.MSE)
         _, grads = run(model, [(pair, 3.0)], spec)
         used = set(tokenize(pair.s1, model.vocab) + tokenize(pair.s2, model.vocab))
+        dense = grads.dense_embeddings(model.params.vocab_size)
         for row in range(model.params.vocab_size):
             if row not in used:
-                assert not grads.embeddings[row].any()
+                assert not dense[row].any()
 
     def test_repeated_tokens_accumulate(self, model):
         pair = SentencePair("man man man", "the dog", score=0.0)
         _, grads = run(model, [(pair, 3.0)], LossSpec(LossKind.MSE))
         man = model.vocab.id_of("man")
-        assert grads.embeddings[man].any()
+        assert grads.dense_embeddings(model.params.vocab_size)[man].any()
+
+    def test_gradient_rows_are_the_batch_token_set(self, model):
+        batch = [
+            (SentencePair("man man dog", "the a", score=0.0), 3.0),
+            (SentencePair("zebra cat", "dog", score=0.0), 1.0),
+        ]
+        _, grads = run(model, batch, LossSpec(LossKind.MSE))
+        ids = {i for pair, _ in batch for text in (pair.s1, pair.s2)
+               for i in tokenize(text, model.vocab)}
+        assert grads.rows.tolist() == sorted(ids)
+        assert grads.embeddings.shape == (len(ids), model.params.dim)
 
     @pytest.mark.parametrize("mode", list(FeatureMode))
     @pytest.mark.parametrize(
@@ -346,8 +361,8 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
         contrastive=lambda a, p: info_nce(a, p, spec.tau),
     )
     assert abs(value - expect) <= 1e-12
-    for got, want in zip((grads.embeddings, grads.head_weights, grads.head_bias),
-                         expect_grads):
+    dense = grads.dense_embeddings(len(vocab))
+    for got, want in zip((dense, grads.head_weights, grads.head_bias), expect_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -385,6 +400,45 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["embeddings"].update(data="not*base64"),
+        lambda doc: doc["embeddings"].update(dtype="<f4"),
+        lambda doc: doc["head_weights"]["shape"].append(2),
+        lambda doc: doc["head_weights"].update(shape=[1.5]),
+        lambda doc: doc.update(embeddings=[[0.0, 1.0]]),
+        lambda doc: doc.update(version=1),
+    ], ids=["bad-base64", "wrong-dtype", "bytes-not-shape", "float-shape",
+            "list-payload", "version-1"])
+    def test_corrupt_arrays_rejected(self, model, tmp_path, corrupt):
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_arrays_stored_as_base64_bytes(self, model, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        entry = json.loads(path.read_text())["embeddings"]
+        assert entry["dtype"] == "<f8"
+        assert entry["shape"] == list(model.params.embeddings.shape)
+        raw = base64.b64decode(entry["data"])
+        assert raw == model.params.embeddings.astype("<f8").tobytes()
+
+    def test_failed_save_keeps_the_old_checkpoint(self, model, tmp_path,
+                                                 failing_writes):
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        other = model.copy()
+        other.params.embeddings += 1.0
+        with failing_writes(), pytest.raises(OSError):
+            save_checkpoint(other, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
     def test_vocab_requires_oov(self):
         with pytest.raises(InvalidInputError):

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import DenseAdam, sgd_step_dense
 from simreg.data import Dataset, SentencePair
-from simreg.encoder import Gradients, Model, build_vocab
+from simreg.encoder import (
+    FeatureMode,
+    Gradients,
+    Model,
+    build_vocab,
+    forward_backward,
+    init_params,
+    tokenize_pairs,
+)
 from simreg.errors import InvalidInputError, TrainingError
+from simreg.evaluation import evaluate
 from simreg.labelmap import build_mapping
 from simreg.losses import LossKind, LossSpec
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
@@ -101,6 +113,55 @@ class TestAdam:
         assert np.all(params.head_weights < before)
 
 
+WORDS = [f"w{i}" for i in range(12)]
+
+
+def random_batch_grads(rng, params, vocab):
+    """Row-sparse gradients of a random MSE batch drawn from rng."""
+    batch = int(rng.integers(1, 5))
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 5))))
+             for _ in range(2 * batch)]
+    _, grads = forward_backward(
+        params, tokenize_pairs(texts, vocab), rng.uniform(0.0, 3.0, size=batch),
+        FeatureMode.UV_ABS_DIFF, LossSpec(LossKind.MSE),
+    )
+    return grads
+
+
+def densified(grads, vocab_size):
+    embeddings = np.zeros((vocab_size, grads.embeddings.shape[1]))
+    embeddings[grads.rows] = grads.embeddings
+    return {"embeddings": embeddings, "head_weights": grads.head_weights,
+            "head_bias": grads.head_bias}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["sgd", "adam"]),
+       st.sampled_from(list(Stage)), st.floats(1e-4, 2.0))
+def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab([" ".join(WORDS)])
+    params = init_params(len(vocab), int(rng.integers(2, 6)),
+                         FeatureMode.UV_ABS_DIFF, seed, label_range=(0.0, 3.0))
+    expect = params.copy()
+    names = [n for n in ("embeddings", "head_weights", "head_bias")
+             if stage is Stage.JOINT or n != "embeddings"]
+    if optimizer == "sgd":
+        opt = SgdOptimizer(lr)
+    else:
+        opt, oracle = AdamOptimizer(params, lr), DenseAdam(expect, lr)
+    for _ in range(3):
+        grads = random_batch_grads(rng, params, vocab)
+        dense = densified(grads, len(vocab))
+        opt.step(params, grads, stage)
+        if optimizer == "sgd":
+            sgd_step_dense(expect, dense, lr, names)
+        else:
+            oracle.step(expect, dense, names)
+    for name in ("embeddings", "head_weights", "head_bias"):
+        assert getattr(params, name).tobytes() == getattr(expect, name).tobytes()
+
+
 class TestTrain:
     def test_head_only_leaves_embeddings_bit_identical(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
@@ -179,6 +240,18 @@ class TestTrain:
         result = train(model, train_ds, train_ds, cfg, K2, Stage.JOINT, mapping)
         assert len(result.history) >= 2
 
+    def test_mapping_missing_a_category_rejected(self):
+        train_ds = make_ordinal_corpus(40, seed=4)
+        partial = build_mapping(ORDINAL_CATEGORIES[:3], 0.0, 1.0)
+        vocab = build_vocab([s for p in train_ds.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=8, seed=0)
+        cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.05, seed=0)
+        with pytest.raises(InvalidInputError, match="highly relevant"):
+            train(model, train_ds, train_ds, cfg, K2, Stage.JOINT, partial)
+        model.mapping = partial
+        with pytest.raises(InvalidInputError, match="highly relevant"):
+            train(model, train_ds, train_ds, cfg, K2, Stage.JOINT)
+
     def test_contrastive_training_runs(self, corpus):
         vocab = build_vocab([s for p in corpus.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=8, seed=2, label_range=(0.0, 3.0))
@@ -221,6 +294,22 @@ class TestTwoStage:
         result = two_stage_finetune(model, nli, corpus, corpus, cfg)
         assert result.stage2.best_dev >= result.stage1.best_dev
 
+    def test_categorical_dev_judged_by_the_model_mapping(self):
+        # stage 1 trains under the NLI mapping; the dev set's categories are
+        # the model's own and need not be NLI categories
+        nli = make_ordinal_corpus(60, seed=6, categories=("c", "n", "e"),
+                                  shared_counts=(0, 5, 9))
+        sts = make_ordinal_corpus(48, seed=7)
+        vocab = build_vocab([s for ds in (nli, sts) for p in ds.pairs
+                             for s in (p.s1, p.s2)])
+        mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+        model = Model.initialize(vocab, dim=8, seed=21, mapping=mapping)
+        cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.1, seed=21)
+        result = two_stage_finetune(model, nli, sts, sts, cfg,
+                                    nli_mapping=build_mapping(("c", "n", "e"), 0, 1))
+        initial = evaluate(model, [sts]).average
+        assert result.stage1.history[0].dev_spearman == pytest.approx(initial, abs=1e-12)
+
     def test_bit_identical_across_reruns(self, corpus):
         nli = make_ordinal_corpus(60, seed=6, categories=("c", "n", "e"),
                                   shared_counts=(0, 5, 9))
@@ -250,6 +339,18 @@ class TestHistoryCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,train_loss,dev_spearman"
         assert lines[1].startswith("0,,")  # step 0 has no train loss
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, model, corpus,
+                                             failing_writes):
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
+        history = train(model, corpus, corpus, cfg, K2, Stage.JOINT).history
+        path = tmp_path / "history.csv"
+        write_history_csv(history[:1], path)
+        before = path.read_bytes()
+        with failing_writes(), pytest.raises(OSError):
+            write_history_csv(history, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
 
 
 class TestTrainConfig:
