@@ -151,15 +151,14 @@ def cmd_filter_data(args) -> int:
 # ---------------------------------------------------------------------- train
 
 def _load_config_datasets(cfg: RunConfig):
-    if cfg.categories is not None:
-        train_ds = data_mod.load_tsv(cfg.train_path, categories=cfg.categories)
-        dev_ds = data_mod.load_tsv(cfg.dev_path, categories=cfg.categories)
-    else:
-        train_ds = data_mod.load_tsv(cfg.train_path, score_range=cfg.score_range)
-        dev_ds = data_mod.load_tsv(cfg.dev_path, score_range=cfg.score_range)
+    categories = cfg.mapping.categories if cfg.mapping is not None else None
+    train_ds, dev_ds = (
+        data_mod.load_tsv(path, score_range=cfg.score_range, categories=categories)
+        for path in (cfg.train_path, cfg.dev_path)
+    )
     nli_ds = None
     if cfg.nli_path is not None:
-        nli_ds = data_mod.load_tsv(cfg.nli_path, categories=cfg.nli_categories)
+        nli_ds = data_mod.load_tsv(cfg.nli_path, categories=cfg.nli_mapping.categories)
     return train_ds, dev_ds, nli_ds
 
 
@@ -170,15 +169,15 @@ def _build_model(cfg: RunConfig, train_ds, nli_ds) -> Model:
     vocab = build_vocab(texts)
     n_classes = None
     if cfg.loss.kind is LossKind.CROSS_ENTROPY:
-        if cfg.categories is None:
+        if cfg.mapping is None:
             raise UsageError("cross-entropy training needs data.categories")
-        n_classes = len(cfg.categories)
+        n_classes = len(cfg.mapping.categories)
     return Model.initialize(
         vocab,
         dim=cfg.dim,
         feature_mode=cfg.feature_mode,
         seed=cfg.seed,
-        label_range=cfg.label_range,
+        label_range=cfg.score_range,  # a mapping, when given, sets the range
         mapping=cfg.mapping,
         n_classes=n_classes,
         max_tokens=cfg.training.max_tokens,
@@ -294,8 +293,8 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        (out / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+        data_mod.write_atomic(out / "report.json", report.to_json() + "\n")
+        data_mod.write_atomic(out / "report.txt", report.format_table() + "\n")
         print(f"report -> {out / 'report.json'}")
     return 0
 
@@ -334,7 +333,7 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 def _reseeded(cfg: RunConfig, seed: int) -> RunConfig:
     training = dataclasses.replace(cfg.training, seed=seed)
-    joint = dataclasses.replace(cfg.joint, seed=seed) if cfg.joint else None
+    joint = dataclasses.replace(cfg.joint, seed=seed)
     return dataclasses.replace(cfg, seed=seed, training=training, joint=joint)
 
 
@@ -366,10 +365,9 @@ def cmd_sweep(args) -> int:
         print(f"{k:>8g}  {x0:>8g}  {dev:>12.4f}")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("k,x0,dev_spearman\n")
-        for k, x0, dev in rows:
-            fh.write(f"{k},{x0},{repr(dev)}\n")
+    lines = ["k,x0,dev_spearman\n"]
+    lines += [f"{k},{x0},{repr(dev)}\n" for k, x0, dev in rows]
+    data_mod.write_atomic(out / "sweep.csv", "".join(lines))
     print(f"sweep table -> {out / 'sweep.csv'}")
     return 0
 
@@ -391,10 +389,9 @@ def cmd_ablate(args) -> int:
         print(f"{mode.value:>12}  {n_weights:>11}  {dev:>12.4f}")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ablate.csv", "w", encoding="utf-8") as fh:
-        fh.write("features,head_params,dev_spearman\n")
-        for mode, n_weights, dev in rows:
-            fh.write(f"{mode.value},{n_weights},{repr(dev)}\n")
+    lines = ["features,head_params,dev_spearman\n"]
+    lines += [f"{mode.value},{n},{repr(dev)}\n" for mode, n, dev in rows]
+    data_mod.write_atomic(out / "ablate.csv", "".join(lines))
     print(f"ablation table -> {out / 'ablate.csv'}")
     return 0
 

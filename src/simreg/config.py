@@ -1,14 +1,19 @@
 """Declarative run configuration for the command-line tools.
 
-A run is described by a JSON document; every key is validated up front and
-unknown keys are rejected so a typo cannot silently fall back to a default.
+A run is described by a JSON document.  ``SCHEMA`` declares every key once,
+with its JSON type and default, and the document is checked against it before
+any data is read: an unknown key, a missing required key or a wrong-typed
+value is a ConfigError naming ``<section>.<key>``, never a silent default.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 from .data import NLI_CATEGORIES
@@ -19,22 +24,55 @@ from .losses import REGRESSION_KINDS, LossKind, LossSpec
 from .training import TrainConfig
 
 OUT_DIR_ENV = "SIMREG_OUT"
+REQUIRED = MISSING  # the default of a key every document must give
 
-_TOP_KEYS = {
-    "out_dir", "seed", "encoder", "loss", "data", "training", "joint", "stages",
-    "sweep",
+
+def _from_fields(cls, *skip) -> dict:
+    """Schema entries for a dataclass's fields: the annotated type and the
+    field's own default, so that default is not restated here.  A field whose
+    default is None is annotated ``X | None``; its key also takes null."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (typing.get_args(hints[f.name])[0] if f.default is None
+                 else hints[f.name], f.default)
+        for f in fields(cls) if f.name not in skip
+    }
+
+
+# section -> key -> (JSON type, default); "" is the top level, whose object
+# keys are the other sections.  float takes any finite JSON number, a tuple
+# type a list of that element type, an Enum one of its values.
+SCHEMA = {
+    "": {
+        "out_dir": (str, None),
+        "seed": (int, 0),
+        "stages": (str, "single"),  # or "two_stage"
+        "encoder": (dict, {}),
+        "loss": (dict, {}),
+        "data": (dict, REQUIRED),
+        "training": (dict, {}),
+        "joint": (dict, {}),  # stage-2 overrides of training
+        "sweep": (dict, {}),
+    },
+    "encoder": {"dim": (int, 32),
+                "feature_mode": (FeatureMode, FeatureMode.UV_ABS_DIFF)},
+    "loss": {**_from_fields(LossSpec), "kind": (LossKind, LossKind.SMOOTH_K2)},
+    "data": {
+        "train": (str, REQUIRED),
+        "dev": (str, REQUIRED),
+        "categories": (tuple[str, ...], None),
+        "mapping_start": (float, 0.0),
+        "mapping_interval": (float, 1.0),
+        "score_range": (tuple[float, ...], (0.0, 5.0)),
+        "nli_train": (str, None),  # read by two_stage runs only
+        "nli_categories": (tuple[str, ...], NLI_CATEGORIES),
+        "positive_threshold": (float, 4.0),
+    },
+    "training": _from_fields(TrainConfig, "seed"),
+    "sweep": {"k": (tuple[float, ...], ()), "x0": (tuple[float, ...], ())},
 }
-_ENCODER_KEYS = {"dim", "feature_mode"}
-_LOSS_KEYS = {"kind", "k", "x0", "d", "tau"}
-_DATA_KEYS = {
-    "train", "dev", "categories", "mapping_start", "mapping_interval",
-    "score_range", "nli_train", "nli_categories", "positive_threshold",
-}
-_TRAIN_KEYS = {
-    "batch_size", "epochs", "learning_rate", "eval_every", "max_tokens",
-    "clamp_predictions", "optimizer",
-}
-_SWEEP_KEYS = {"k", "x0"}
+
+_JSON_NAMES = {str: "string", int: "integer", bool: "boolean", dict: "object"}
 
 
 @dataclass(frozen=True)
@@ -47,36 +85,82 @@ class RunConfig:
     stages: str  # "single" or "two_stage"
     train_path: Path
     dev_path: Path
-    categories: tuple[str, ...] | None
-    mapping: LabelMapping | None
+    mapping: LabelMapping | None  # set for categorical corpora
     score_range: tuple[float, float]
-    nli_path: Path | None
-    nli_categories: tuple[str, ...]
+    nli_path: Path | None  # stage-1 corpus of two_stage runs
     nli_mapping: LabelMapping | None  # stage-1 mapping of two_stage runs
     training: TrainConfig
-    joint: TrainConfig | None
+    joint: TrainConfig  # stage 2 of two_stage runs
     sweep_k: tuple[float, ...]
     sweep_x0: tuple[float, ...]
     positive_threshold: float
     raw: dict
 
-    @property
-    def label_range(self) -> tuple[float, float]:
-        if self.mapping is not None:
-            return self.mapping.low, self.mapping.high
-        return self.score_range
+
+def _typed(where: str, value, kind):
+    """value read as the declared kind; anything else is a ConfigError."""
+    if typing.get_origin(kind) is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{where} must be a list, got {json.dumps(value)}")
+        element = typing.get_args(kind)[0]
+        return tuple(_typed(f"{where}[{i}]", v, element) for i, v in enumerate(value))
+    if issubclass(kind, Enum):
+        choices = [m.value for m in kind]
+        if type(value) is str and value in choices:
+            return kind(value)
+        expected = f"one of {', '.join(choices)}"
+    elif kind is float:  # Python's json reads NaN and Infinity; JSON has neither
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+        expected = "a finite JSON number"
+    elif type(value) is kind:
+        return value
+    else:
+        expected = f"a JSON {_JSON_NAMES[kind]}"
+    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
-def _reject_unknown(section: str, doc: dict, allowed: set) -> None:
-    unknown = set(doc) - allowed
+def _section(name: str, doc, schema: dict | None = None) -> dict:
+    """Every key of schema (default SCHEMA[name]) with its value from doc, of
+    the declared type, or its default when doc does not give it."""
+    schema = SCHEMA[name] if schema is None else schema
+    prefix = f"{name}." if name else ""
+    unknown = [prefix + key for key in sorted(set(doc) - set(schema))]
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    checked = {}
+    for key, (kind, default) in schema.items():
+        if key in doc and not (doc[key] is None and default is None):
+            checked[key] = _typed(prefix + key, doc[key], kind)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required config key {prefix}{key}")
+        else:
+            checked[key] = default
+    return checked
 
 
-def _require(doc: dict, key: str, section: str):
-    if key not in doc:
-        raise ConfigError(f"missing required key {key!r} in {section}")
-    return doc[key]
+def _train_config(name: str, doc: dict, seed: int, base: TrainConfig | None = None):
+    """A TrainConfig from one training section; base fills keys it omits."""
+    schema = SCHEMA["training"]
+    if base is not None:
+        schema = {key: (kind, getattr(base, key)) for key, (kind, _) in schema.items()}
+    try:
+        return TrainConfig(seed=seed, **_section(name, doc, schema))
+    except InvalidInputError as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
+def _mapping(where: str, categories, start: float, interval: float) -> LabelMapping:
+    try:
+        return build_mapping(categories, start, interval)
+    except InvalidInputError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _existing(name: str) -> Path:
+    if not Path(name).exists():
+        raise ConfigError(f"data file not found: {name}")
+    return Path(name)
 
 
 def check_buffer_fits(loss: LossSpec, *mappings) -> None:
@@ -90,30 +174,8 @@ def check_buffer_fits(loss: LossSpec, *mappings) -> None:
             )
 
 
-def _train_config(doc: dict, seed: int, defaults: TrainConfig | None = None) -> TrainConfig:
-    _reject_unknown("training", doc, _TRAIN_KEYS)
-    base = defaults if defaults is not None else TrainConfig(seed=seed)
-    merged = {
-        "batch_size": doc.get("batch_size", base.batch_size),
-        "epochs": doc.get("epochs", base.epochs),
-        "learning_rate": doc.get("learning_rate", base.learning_rate),
-        "eval_every": doc.get("eval_every", base.eval_every),
-        "max_tokens": doc.get("max_tokens", base.max_tokens),
-        "clamp_predictions": doc.get("clamp_predictions", base.clamp_predictions),
-        "optimizer": doc.get("optimizer", base.optimizer),
-        "seed": seed,
-    }
-    try:
-        return TrainConfig(**merged)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_run_config(
-    path,
-    seed_override: int | None = None,
-    out_override: str | None = None,
-) -> RunConfig:
+def load_run_config(path, seed_override: int | None = None,
+                    out_override: str | None = None) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
     Output-directory precedence: --out flag, then the SIMREG_OUT environment
@@ -128,115 +190,51 @@ def load_run_config(
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _reject_unknown("config", doc, _TOP_KEYS)
+    top = _section("", doc)
+    enc, data, sweep = (_section(key, top[key]) for key in ("encoder", "data", "sweep"))
 
-    seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
-    out_dir = out_override or os.environ.get(OUT_DIR_ENV) or doc.get("out_dir")
+    seed = seed_override if seed_override is not None else top["seed"]
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    out_dir = out_override or os.environ.get(OUT_DIR_ENV) or top["out_dir"]
     if out_dir is None:
         raise ConfigError("no output directory (set out_dir, SIMREG_OUT or --out)")
-
-    enc = doc.get("encoder", {})
-    _reject_unknown("encoder", enc, _ENCODER_KEYS)
-    dim = int(enc.get("dim", 32))
-    if dim <= 0:
+    if enc["dim"] <= 0:
         raise ConfigError("encoder.dim must be positive")
     try:
-        feature_mode = FeatureMode(enc.get("feature_mode", "uv_absdiff"))
-    except ValueError as exc:
-        raise ConfigError(f"unknown feature_mode: {enc.get('feature_mode')!r}") from exc
-
-    loss_doc = doc.get("loss", {})
-    _reject_unknown("loss", loss_doc, _LOSS_KEYS)
-    try:
-        kind = LossKind(loss_doc.get("kind", "smooth_k2"))
-        loss = LossSpec(
-            kind,
-            k=float(loss_doc.get("k", 1.0)),
-            x0=float(loss_doc.get("x0", 0.0)),
-            d=float(loss_doc.get("d", 1.0)),
-            tau=loss_doc.get("tau"),
-        )
-    except (ValueError, InvalidInputError) as exc:
+        loss = LossSpec(**_section("loss", top["loss"]))
+    except InvalidInputError as exc:
         raise ConfigError(f"invalid loss: {exc}") from exc
+    training = _train_config("training", top["training"], seed)
+    joint = _train_config("joint", top["joint"], seed, base=training)
 
-    data_doc = _require(doc, "data", "config")
-    _reject_unknown("data", data_doc, _DATA_KEYS)
-    train_path = Path(_require(data_doc, "train", "data"))
-    dev_path = Path(_require(data_doc, "dev", "data"))
-    for p in (train_path, dev_path):
-        if not p.exists():
-            raise ConfigError(f"data file not found: {p}")
-
-    categories = data_doc.get("categories")
     mapping = None
-    if categories is not None:
-        try:
-            mapping = build_mapping(
-                categories,
-                float(data_doc.get("mapping_start", 0.0)),
-                float(data_doc.get("mapping_interval", 1.0)),
-            )
-        except InvalidInputError as exc:
-            raise ConfigError(f"invalid mapping: {exc}") from exc
-        categories = tuple(categories)
-    score_range = tuple(float(x) for x in data_doc.get("score_range", (0.0, 5.0)))
+    if data["categories"] is not None:
+        mapping = _mapping("data.categories", data["categories"],
+                           data["mapping_start"], data["mapping_interval"])
+    score_range = data["score_range"]
     if len(score_range) != 2 or score_range[0] >= score_range[1]:
-        raise ConfigError(f"invalid score_range: {score_range}")
+        raise ConfigError(f"invalid data.score_range: {list(score_range)}")
 
-    stages = doc.get("stages", "single")
+    stages = top["stages"]
     if stages not in ("single", "two_stage"):
         raise ConfigError(f"stages must be 'single' or 'two_stage', got {stages!r}")
-    if stages == "two_stage" and kind not in REGRESSION_KINDS:
-        raise ConfigError("two_stage runs use a residual-based loss")
-    nli_path = data_doc.get("nli_train")
-    nli_categories = tuple(data_doc.get("nli_categories", NLI_CATEGORIES))
+    train_path, dev_path = _existing(data["train"]), _existing(data["dev"])
+    nli_path = nli_mapping = None
     if stages == "two_stage":
-        if nli_path is None:
+        if loss.kind not in REGRESSION_KINDS:
+            raise ConfigError("two_stage runs use a residual-based loss")
+        if data["nli_train"] is None:
             raise ConfigError("two_stage runs need data.nli_train")
-        nli_path = Path(nli_path)
-        if not nli_path.exists():
-            raise ConfigError(f"data file not found: {nli_path}")
-    elif nli_path is not None:
-        nli_path = Path(nli_path)
-    nli_mapping = None
-    if stages == "two_stage":
-        try:
-            nli_mapping = build_mapping(nli_categories, 0.0, 1.0)
-        except InvalidInputError as exc:
-            raise ConfigError(f"invalid nli_categories: {exc}") from exc
+        nli_path = _existing(data["nli_train"])
+        nli_mapping = _mapping("data.nli_categories", data["nli_categories"], 0.0, 1.0)
     check_buffer_fits(loss, mapping, nli_mapping)
 
-    training = _train_config(doc.get("training", {}), seed)
-    joint = None
-    if "joint" in doc:
-        joint = _train_config(doc["joint"], seed, defaults=training)
-
-    sweep_doc = doc.get("sweep", {})
-    _reject_unknown("sweep", sweep_doc, _SWEEP_KEYS)
-    sweep_k = tuple(float(x) for x in sweep_doc.get("k", ()))
-    sweep_x0 = tuple(float(x) for x in sweep_doc.get("x0", ()))
-
-    threshold = float(data_doc.get("positive_threshold", 4.0))
-
     return RunConfig(
-        out_dir=Path(out_dir),
-        seed=seed,
-        dim=dim,
-        feature_mode=feature_mode,
-        loss=loss,
-        stages=stages,
-        train_path=train_path,
-        dev_path=dev_path,
-        categories=categories,
-        mapping=mapping,
-        score_range=score_range,
-        nli_path=nli_path,
-        nli_categories=nli_categories,
-        nli_mapping=nli_mapping,
-        training=training,
-        joint=joint,
-        sweep_k=sweep_k,
-        sweep_x0=sweep_x0,
-        positive_threshold=threshold,
-        raw=doc,
+        out_dir=Path(out_dir), seed=seed, dim=enc["dim"],
+        feature_mode=enc["feature_mode"], loss=loss, stages=stages,
+        train_path=train_path, dev_path=dev_path, mapping=mapping,
+        score_range=score_range, nli_path=nli_path, nli_mapping=nli_mapping,
+        training=training, joint=joint, sweep_k=sweep["k"], sweep_x0=sweep["x0"],
+        positive_threshold=data["positive_threshold"], raw=doc,
     )

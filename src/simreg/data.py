@@ -147,12 +147,12 @@ def write_atomic(path, text: str) -> None:
 
 
 def save_tsv(dataset: Dataset, path) -> None:
-    """Write a dataset back out in the canonical TSV format."""
+    """Write a dataset back out in the canonical TSV format (atomically)."""
     lines = []
     for pair in dataset.pairs:
         first = pair.label if pair.label is not None else format_score(pair.score)
         lines.append(f"{first}\t{pair.s1}\t{pair.s2}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_atomic(path, "".join(lines))
 
 
 def _dedup_key(s1: str, s2: str) -> tuple[str, str]:
@@ -188,15 +188,16 @@ def dedup_filter(train: Dataset, tests) -> tuple[Dataset, list[RemovedPair]]:
 
 def write_removal_audit(removed, path) -> None:
     """One JSON line per removed pair, naming the matching test dataset."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in removed:
-            pair = record.pair
-            doc = {"s1": pair.s1, "s2": pair.s2, "matched_test": record.test_name}
-            if pair.score is not None:
-                doc["score"] = pair.score
-            else:
-                doc["label"] = pair.label
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    lines = []
+    for record in removed:
+        pair = record.pair
+        doc = {"s1": pair.s1, "s2": pair.s2, "matched_test": record.test_name}
+        if pair.score is not None:
+            doc["score"] = pair.score
+        else:
+            doc["label"] = pair.label
+        lines.append(json.dumps(doc, sort_keys=True) + "\n")
+    write_atomic(path, "".join(lines))
 
 
 def rescale_sick(score: float) -> float:

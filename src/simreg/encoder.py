@@ -467,6 +467,10 @@ def _decode_array(doc: dict, name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float).reshape(shape)
 
 
+def _head_kind(params: ModelParams) -> str:
+    return "classification" if params.is_classifier else "regression"
+
+
 def save_checkpoint(model: Model, path) -> None:
     """Write a self-describing JSON checkpoint (bit-exact round trip).
 
@@ -480,7 +484,7 @@ def save_checkpoint(model: Model, path) -> None:
         "max_tokens": model.max_tokens,
         "vocab": list(model.vocab.tokens),
         "mapping": model.mapping.to_json_dict() if model.mapping else None,
-        "head_kind": "classification" if model.params.is_classifier else "regression",
+        "head_kind": _head_kind(model.params),
         "embeddings": _encode_array(model.params.embeddings),
         "head_weights": _encode_array(model.params.head_weights),
         "head_bias": _encode_array(model.params.head_bias),
@@ -509,9 +513,15 @@ def load_checkpoint(path) -> Model:
             *(_decode_array(doc[name], name)
               for name in ("embeddings", "head_weights", "head_bias"))
         )
+        if doc["head_kind"] != _head_kind(params):
+            raise CheckpointError(
+                f"head_kind {doc['head_kind']!r} does not match the head weights")
+        max_tokens = doc["max_tokens"]
+        if type(max_tokens) is not int or max_tokens <= 0:
+            raise CheckpointError(
+                f"max_tokens must be a positive integer, got {max_tokens!r}")
         return Model(
-            vocab, params, FeatureMode(doc["feature_mode"]), mapping,
-            int(doc["max_tokens"]),
+            vocab, params, FeatureMode(doc["feature_mode"]), mapping, max_tokens
         )
     except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc

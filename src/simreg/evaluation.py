@@ -86,14 +86,6 @@ class EvalReport:
             "average": self.average,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EvalReport":
-        rows = tuple(
-            DatasetReport(r["name"], r["spearman"], r["accuracy"], r["n_pairs"])
-            for r in doc["datasets"]
-        )
-        return cls(rows, doc["average"])
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 

@@ -100,6 +100,17 @@ class TestFilterData:
         assert "removed:       0" in capsys.readouterr().out
         assert (out / "filtered.tsv").read_bytes() == train_path.read_bytes()
 
+    def test_failed_write_keeps_the_old_outputs(self, tmp_path, failing_writes):
+        train_path, test_path = self.overlap_fixture(tmp_path)
+        out = tmp_path / "out"
+        argv = ["filter-data", "--train", str(train_path), "--test", str(test_path),
+                "--out", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with failing_writes():
+            assert main(argv) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_missing_input_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["filter-data", "--train", str(tmp_path / "absent.tsv"),
@@ -237,6 +248,24 @@ class TestTrain:
                      str(tmp_path / "dev.tsv"), "--cosine"])
         assert code == 0
 
+    def test_single_stage_ignores_nli_train(self, corpus_files):
+        tmp_path, config_path, config = corpus_files
+        # words the training corpus lacks, so a vocabulary built from them differs
+        unseen = tuple(SentencePair(f"zebra w{i} quartz", f"violin w{i} ember",
+                                    label="neutral") for i in range(20))
+        nli_path = tmp_path / "nli.tsv"
+        save_tsv(Dataset("nli", unseen, categories=("contradiction", "neutral",
+                                                    "entailment")), nli_path)
+        assert main(["train", "--config", str(config_path),
+                     "--out", str(tmp_path / "plain")]) == 0
+        config["data"]["nli_train"] = str(nli_path)
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path),
+                     "--out", str(tmp_path / "with-nli")]) == 0
+        for name in ("checkpoint.json", "history.csv"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "with-nli" / name).read_bytes() == plain, name
+
     def test_two_stage_config(self, corpus_files):
         tmp_path, config_path, config = corpus_files
         nli = make_ordinal_corpus(90, seed=33, categories=("contradiction", "neutral",
@@ -281,6 +310,19 @@ class TestEval:
                      str(tmp_path / "graded.tsv"), "--out", str(tmp_path / "rep")]) == 0
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert report["datasets"][0]["accuracy"] is not None
+
+    def test_failed_report_write_keeps_the_old_report(self, corpus_files,
+                                                      failing_writes):
+        tmp_path, config_path, config = corpus_files
+        assert main(["train", "--config", str(config_path)]) == 0
+        argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                config["data"]["dev"], "--out", str(tmp_path / "report")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "report").iterdir()}
+        with failing_writes():
+            assert main(argv) == 2
+        after = {p.name: p.read_bytes() for p in (tmp_path / "report").iterdir()}
+        assert after == before
 
     def test_corrupt_checkpoint_clean_error(self, corpus_files, tmp_path, capsys):
         _, config_path, config = corpus_files

@@ -408,8 +408,13 @@ class TestCheckpoint:
         lambda doc: doc["head_weights"].update(shape=[1.5]),
         lambda doc: doc.update(embeddings=[[0.0, 1.0]]),
         lambda doc: doc.update(version=1),
+        lambda doc: doc.update(head_kind="classification"),
+        lambda doc: doc.update(head_kind="banana"),
+        lambda doc: doc.update(max_tokens=-3),
+        lambda doc: doc.update(max_tokens=2.5),
     ], ids=["bad-base64", "wrong-dtype", "bytes-not-shape", "float-shape",
-            "list-payload", "version-1"])
+            "list-payload", "version-1", "head-kind-mismatch", "head-kind-unknown",
+            "max-tokens-negative", "max-tokens-float"])
     def test_corrupt_arrays_rejected(self, model, tmp_path, corrupt):
         path = tmp_path / "ck.json"
         save_checkpoint(model, path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import spearman_bruteforce
 from simreg.data import Dataset, SentencePair
 from simreg.errors import DegenerateInputError, InvalidInputError
-from simreg.evaluation import EvalReport, accuracy, cosine, evaluate, spearman
+from simreg.evaluation import accuracy, cosine, evaluate, spearman
 from simreg.labelmap import build_mapping
 
 
@@ -223,8 +223,12 @@ class TestEvaluate:
         ds = self.make_ds("only", [0.0, 1.0, 2.0, 3.0])
         model = StubModel(lambda p: float(p.s1[1]))
         report = evaluate(model, [ds])
-        again = EvalReport.from_json_dict(json.loads(report.to_json()))
-        assert again == report
+        doc = json.loads(report.to_json())
+        assert [r["name"] for r in doc["datasets"]] == ["only"]
+        row, = report.per_dataset
+        assert doc["datasets"][0] == {"name": row.name, "spearman": row.spearman,
+                                      "accuracy": row.accuracy, "n_pairs": row.n_pairs}
+        assert doc["average"] == report.average
 
     def test_table_mirrors_benchmark_layout(self):
         ds = self.make_ds("only", [0.0, 1.0, 2.0, 3.0])
