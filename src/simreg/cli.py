@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -302,19 +303,21 @@ def cmd_eval(args) -> int:
 # ------------------------------------------------------------------ gradcheck
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     results = run_gradient_checks(
         seeds=range(args.seeds),
         dim_max=args.dim,
         vocab_max=args.vocab,
         batch_max=args.batch,
     )
-    worst = 0.0
     failed = 0
     for r in results:
-        status = "ok" if r.max_rel_error <= args.tolerance else "FAIL"
+        status = "ok" if r.max_rel_error <= args.tolerance else "FAIL"  # NaN fails
         print(f"{r.label:<50} max_rel_err={r.max_rel_error:.3e}  {status}")
-        worst = max(worst, r.max_rel_error)
-        failed += r.max_rel_error > args.tolerance
+        failed += status == "FAIL"
+    # a NaN error ranks worst
+    worst = max((r.max_rel_error for r in results), key=lambda e: (math.isnan(e), e))
     print(f"checked {len(results)} configurations; worst relative error {worst:.3e}")
     if failed:
         print(f"{failed} configuration(s) exceeded tolerance {args.tolerance}")

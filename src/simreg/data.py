@@ -2,9 +2,8 @@
 
 The on-disk format is UTF-8 TSV with no header: ``score<TAB>s1<TAB>s2`` for
 continuous corpora or ``label<TAB>s1<TAB>s2`` for categorical ones.  Loaded
-datasets are immutable, so loading and filtering different files can safely
-run in parallel.  ``write_atomic`` is the package's writer for outputs that
-must never be left half-written.
+datasets are immutable.  ``write_atomic`` is the package's writer for outputs
+that must never be left half-written.
 """
 
 from __future__ import annotations

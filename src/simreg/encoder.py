@@ -316,6 +316,10 @@ class Model:
             )
         if len(self.vocab) != self.params.vocab_size:
             raise InvalidInputError("vocabulary and embedding table sizes differ")
+        if (self.params.is_classifier and self.mapping is not None
+                and self.params.n_classes != len(self.mapping.categories)):
+            raise InvalidInputError(f"classification head has {self.params.n_classes} "
+                                    f"logits for {len(self.mapping.categories)} categories")
 
     @classmethod
     def initialize(

@@ -120,20 +120,32 @@ def predictions_for(model, pairs, use_cosine: bool = False) -> np.ndarray:
     return model.scores(pairs)
 
 
+def golds(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:
+    """Gold value of every pair: its score, or its category's node under the
+    mapping, which must cover every category of a categorical dataset."""
+    if not dataset.is_categorical:
+        return np.array([pair.score for pair in dataset.pairs], dtype=float)
+    if mapping is None:
+        raise InvalidInputError(f"{dataset.name} needs a label mapping")
+    missing = [c for c in dataset.categories if c not in mapping.categories]
+    if missing:
+        raise InvalidInputError(
+            f"label mapping has no node for categories {missing} of {dataset.name}"
+        )
+    return encode(mapping, [pair.label for pair in dataset.pairs])
+
+
 def accuracy(scores, dataset: Dataset, mapping: LabelMapping) -> float:
     """Fraction of pairs whose rounded score hits the gold category."""
     if not dataset.is_categorical:
         raise InvalidInputError(f"{dataset.name} has no categorical labels")
     if len(dataset) == 0:
         raise InvalidInputError("accuracy undefined on an empty dataset")
-    for cat in dataset.categories:
-        if cat not in mapping.categories:
-            raise InvalidInputError(f"category {cat!r} missing from the mapping")
-    hits = sum(
-        classify(mapping, score) == pair.label
-        for score, pair in zip(scores, dataset.pairs, strict=True)
-    )
-    return hits / len(dataset)
+    golds(dataset, mapping)  # the mapping must cover every category
+    if len(scores) != len(dataset):
+        raise InvalidInputError(f"{len(scores)} scores for {len(dataset)} pairs")
+    labels = np.array([pair.label for pair in dataset.pairs])
+    return int(np.count_nonzero(classify(mapping, scores) == labels)) / len(dataset)
 
 
 def evaluate(
@@ -154,16 +166,11 @@ def evaluate(
     rows = []
     for ds in datasets:
         active = mapping if mapping is not None else model.mapping
-        if ds.is_categorical:
-            if active is None:
-                raise InvalidInputError(f"{ds.name} needs a label mapping")
-            golds = [encode(active, pair.label) for pair in ds.pairs]
-        else:
-            golds = [pair.score for pair in ds.pairs]
+        gold = golds(ds, active)
         pairs = model.encode(ds.pairs)
         scores = predictions_for(model, pairs)
         ranked = predictions_for(model, pairs, use_cosine=True) if use_cosine else scores
-        rho = spearman(ranked, golds)
+        rho = spearman(ranked, gold)
         acc = accuracy(scores, ds, active) if ds.is_categorical else None
         rows.append(DatasetReport(ds.name, rho, acc, len(ds)))
     average = sum(r.spearman for r in rows) / len(rows)

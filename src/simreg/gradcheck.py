@@ -25,7 +25,7 @@ from .encoder import (
     pool,
     tokenize_pairs,
 )
-from .errors import TrainingError
+from .errors import InvalidInputError, TrainingError
 from .losses import LossKind, LossSpec
 
 DEFAULT_STEP = 1e-5
@@ -73,17 +73,18 @@ def finite_difference_grads(value_fn, params: ModelParams,
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
     """Worst entry-wise relative error of analytic against the whole-table
     finite-difference gradient fd; analytic's embedding gradient is compared
-    densified, so rows it leaves out are checked to be zero."""
-    worst = 0.0
+    densified, so rows it leaves out are checked to be zero.  A NaN entry
+    makes the result NaN."""
     vocab_size = len(fd.embeddings)
+    errors = []
     for a, f in (
         (analytic.dense_embeddings(vocab_size), fd.embeddings),
         (analytic.head_weights, fd.head_weights),
         (np.atleast_1d(analytic.head_bias), np.atleast_1d(fd.head_bias)),
     ):
         denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
-        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
-    return worst
+        errors.append(np.max(np.abs(a - f) / denom))
+    return float(np.max(errors))
 
 
 def _random_sentences(rng, words, batch):
@@ -160,6 +161,13 @@ def run_gradient_checks(
     step: float = DEFAULT_STEP,
 ) -> list[GradCheckResult]:
     """The full sweep: every seed x loss kind x feature mode."""
+    seeds = tuple(seeds)
+    if not seeds:
+        raise InvalidInputError("gradient check needs at least one seed")
+    for name, value, least in (("dim_max", dim_max, 2), ("vocab_max", vocab_max, 7),
+                               ("batch_max", batch_max, 2)):
+        if value < least:
+            raise InvalidInputError(f"{name} must be at least {least}, got {value}")
     return [
         check_configuration(seed, kind, mode, dim_max, vocab_max, batch_max, step)
         for seed in seeds

@@ -5,13 +5,14 @@ A mapping assigns each category (listed in ascending similarity) the value
 categories by nearest-node rounding; a prediction is classified correctly
 whenever it lands within half an interval of the true node.
 
-Instances are immutable and safe to share across threads.
+Instances are immutable; ``index``, ``encode`` and ``classify`` work element-wise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -25,6 +26,7 @@ class LabelMapping:
     categories: tuple[str, ...]
     nodes: tuple[float, ...]
     d: float = field(init=False)
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.categories) < 2:
@@ -39,6 +41,8 @@ class LabelMapping:
         if any(abs(g - gaps[0]) > SPACING_TOL for g in gaps):
             raise InvalidInputError("nodes must be evenly spaced")
         object.__setattr__(self, "d", gaps[0])
+        object.__setattr__(self, "_positions",
+                           {c: i for i, c in enumerate(self.categories)})
 
     @property
     def low(self) -> float:
@@ -48,11 +52,14 @@ class LabelMapping:
     def high(self) -> float:
         return self.nodes[-1]
 
-    def index(self, category: str) -> int:
+    def index(self, category):
+        """Position of a category name; an int array for a sequence of names."""
         try:
-            return self.categories.index(category)
-        except ValueError:
-            raise InvalidInputError(f"unknown category: {category!r}") from None
+            if isinstance(category, str):
+                return self._positions[category]
+            return np.array([self._positions[c] for c in category], dtype=np.intp)
+        except KeyError as exc:
+            raise InvalidInputError(f"unknown category: {exc.args[0]!r}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,21 +82,28 @@ def build_mapping(categories, start: float, d: float) -> LabelMapping:
     return LabelMapping(cats, nodes)
 
 
-def encode(mapping: LabelMapping, category: str) -> float:
-    """Numeric node for a category name."""
-    return mapping.nodes[mapping.index(category)]
+def encode(mapping: LabelMapping, category):
+    """Numeric node of a category name; an array for a sequence of names."""
+    idx = mapping.index(category)
+    if isinstance(idx, int):
+        return mapping.nodes[idx]
+    return np.asarray(mapping.nodes, dtype=float)[idx]
 
 
-def classify(mapping: LabelMapping, prediction: float) -> str:
-    """Category whose node is nearest to the prediction.
+def classify(mapping: LabelMapping, prediction):
+    """Category whose node is nearest to the prediction; an array of names
+    for an array of predictions.
 
     Exact midpoints round to the higher node, which keeps the classifier a
     non-decreasing step function.  Predictions beyond the terminal nodes map
     to the nearest terminal category.
     """
-    if not math.isfinite(prediction):
-        raise InvalidInputError(f"prediction must be finite, got {prediction}")
-    idx = math.floor((prediction - mapping.low) / mapping.d + 0.5)
-    idx = min(max(idx, 0), len(mapping.categories) - 1)
-    return mapping.categories[idx]
-
+    p = np.asarray(prediction, dtype=float)
+    finite = np.isfinite(p)
+    if not finite.all():
+        raise InvalidInputError(f"prediction must be finite, got {p[~finite][0]}")
+    idx = np.floor((p - mapping.low) / mapping.d + 0.5)
+    idx = np.clip(idx, 0, len(mapping.categories) - 1).astype(np.intp)
+    if p.ndim == 0:
+        return mapping.categories[int(idx)]
+    return np.asarray(mapping.categories)[idx]

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset, write_atomic
 from .encoder import Gradients, Model, forward_backward
 from .errors import InvalidInputError, TrainingError
-from .evaluation import predictions_for, spearman
+from .evaluation import golds, predictions_for, spearman
 from .labelmap import LabelMapping, build_mapping
 from .losses import LossKind, LossSpec
 
@@ -140,54 +140,9 @@ def _make_optimizer(config: TrainConfig, params):
     return SgdOptimizer(config.learning_rate)
 
 
-def _mapping_for(dataset: Dataset, mapping: LabelMapping | None):
-    """The mapping a categorical dataset's labels go through: the given one,
-    which must cover every category, or a 0/1-spaced default when none is
-    given."""
-    if not dataset.is_categorical:
-        return mapping
-    if mapping is None:
-        return build_mapping(dataset.categories, 0.0, 1.0)
-    missing = [c for c in dataset.categories if c not in mapping.categories]
-    if missing:
-        raise InvalidInputError(
-            f"label mapping has no node for categories {missing} of {dataset.name}"
-        )
-    return mapping
-
-
-def _targets(dataset: Dataset, mapping: LabelMapping | None, kind: LossKind):
-    """One numeric target per pair (class indices for CE, unused for InfoNCE)."""
-    if kind is LossKind.INFO_NCE:
-        return np.zeros(len(dataset))
-    if kind is not LossKind.CROSS_ENTROPY:
-        return np.asarray(_numeric_golds(dataset, mapping))
-    if dataset.is_categorical:
-        return np.array([mapping.index(pair.label) for pair in dataset.pairs])
-    try:
-        return np.array([mapping.nodes.index(pair.score) for pair in dataset.pairs])
-    except (ValueError, AttributeError):
-        raise InvalidInputError("cross-entropy needs categorical targets") from None
-
-
-def _numeric_golds(dataset: Dataset, mapping: LabelMapping | None):
-    if dataset.is_categorical:
-        m = _mapping_for(dataset, mapping)
-        return [m.nodes[m.index(pair.label)] for pair in dataset.pairs]
-    return [pair.score for pair in dataset.pairs]
-
-
-def _clamp_range(train_set, mapping, config):
-    if not config.clamp_predictions:
-        return None
-    if train_set.is_categorical:
-        return mapping.low, mapping.high
-    return train_set.score_range
-
-
-def _dev_score(model: Model, dev_pairs, golds, use_cosine: bool) -> float:
+def _dev_score(model: Model, dev_pairs, dev_golds, use_cosine: bool) -> float:
     # checkpoint selection uses raw (unclamped) predictions
-    return spearman(predictions_for(model, dev_pairs, use_cosine), golds)
+    return spearman(predictions_for(model, dev_pairs, use_cosine), dev_golds)
 
 
 def train(
@@ -208,13 +163,21 @@ def train(
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
-    mapping = _mapping_for(train_set, mapping if mapping is not None else model.mapping)
-    targets = _targets(train_set, mapping, loss_spec.kind)
+    mapping = mapping if mapping is not None else model.mapping
+    if mapping is None and train_set.is_categorical:
+        mapping = build_mapping(train_set.categories, 0.0, 1.0)
+    if loss_spec.kind is not LossKind.CROSS_ENTROPY:
+        targets = golds(train_set, mapping)  # the contrastive loss ignores them
+    elif train_set.is_categorical:
+        targets = mapping.index([pair.label for pair in train_set.pairs])
+    else:
+        raise InvalidInputError("cross-entropy needs categorical targets")
     # dev scores are judged as the saved model will be: through its own mapping
-    dev_golds = _numeric_golds(
-        dev_set, model.mapping if model.mapping is not None else mapping
-    )
-    clamp_range = _clamp_range(train_set, mapping, config)
+    dev_golds = golds(dev_set, model.mapping if model.mapping is not None else mapping)
+    clamp_range = None
+    if config.clamp_predictions:
+        clamp_range = ((mapping.low, mapping.high) if train_set.is_categorical
+                       else train_set.score_range)
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
     work = model.copy()

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
-formula, classification from an argmin scan over nodes, deduplication from
+formula, classification from an argmin scan over nodes, gold values and
+rounding accuracy one pair at a time, deduplication from
 a full O(n*m) comparison, the model's forward/backward pass from
 scalar loss closed forms applied one pair and one token at a time, the
 optimizers as updates of whole dense arrays, and the synthetic corpus from a
@@ -47,6 +48,21 @@ def classify_bruteforce(mapping, prediction):
         if dist < best_dist or (dist == best_dist and i > best_i):
             best_i, best_dist = i, dist
     return mapping.categories[best_i]
+
+
+def golds_per_pair(dataset, mapping):
+    """Each pair's score, or the node at its label's position in a scan of
+    the mapping's categories."""
+    return [pair.score if pair.label is None
+            else mapping.nodes[list(mapping.categories).index(pair.label)]
+            for pair in dataset.pairs]
+
+
+def accuracy_per_pair(scores, dataset, mapping):
+    """Share of pairs whose nearest node (by linear scan) is their label's."""
+    hits = sum(classify_bruteforce(mapping, s) == pair.label
+               for s, pair in zip(scores, dataset.pairs, strict=True))
+    return hits / len(dataset)
 
 
 def dedup_bruteforce(train, tests):

@@ -1,12 +1,22 @@
 import json
+import math
 
 import pytest
 
+from simreg import cli
 from simreg.cli import main
 from simreg.data import Dataset, SentencePair, load_tsv, save_tsv
-from simreg.encoder import Model, build_vocab, load_checkpoint, save_checkpoint
+from simreg.encoder import (
+    FeatureMode,
+    Model,
+    build_vocab,
+    load_checkpoint,
+    save_checkpoint,
+)
 from simreg.evaluation import evaluate
+from simreg.gradcheck import GradCheckResult
 from simreg.labelmap import build_mapping
+from simreg.losses import LossKind
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
 
 
@@ -343,6 +353,24 @@ class TestEval:
         assert code == 1
         assert "corrupt checkpoint" in capsys.readouterr().err
 
+    def test_classifier_mapping_mismatch_clean_error(self, tmp_path, capsys):
+        ds = make_ordinal_corpus(40, seed=7)
+        vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=4, n_classes=4,
+                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+        checkpoint = tmp_path / "ck.json"
+        save_checkpoint(model, checkpoint)
+        doc = json.loads(checkpoint.read_text())
+        doc["mapping"]["categories"] = doc["mapping"]["categories"][:3]
+        checkpoint.write_text(json.dumps(doc))
+        scored = cont("scored", [(float(i % 4), p.s1, p.s2)
+                                 for i, p in enumerate(ds.pairs)])
+        save_tsv(scored, tmp_path / "scored.tsv")
+        code = main(["eval", "--checkpoint", str(checkpoint), str(tmp_path / "scored.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt checkpoint") and "logits" in err
+
     def test_empty_dataset_list_is_usage_error(self, corpus_files, capsys):
         tmp_path, config_path, _ = corpus_files
         code = main(["eval", "--checkpoint", "whatever.json"])
@@ -361,6 +389,26 @@ class TestGradcheck:
         code = main(["gradcheck", "--seeds", "1", "--dim", "4", "--vocab", "12",
                      "--batch", "2", "--tolerance", "1e-18"])
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "0"], ["--seeds", "-3"], ["--tolerance", "nan"],
+        ["--dim", "1"], ["--vocab", "6"], ["--batch", "1"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_invalid_flag_is_a_clean_error(self, capsys, flags):
+        assert main(["gradcheck", "--seeds", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+
+    def test_nan_error_counts_as_failure(self, capsys, monkeypatch):
+        results = [GradCheckResult(0, LossKind.MSE, FeatureMode.UV, 0.0, 10),
+                   GradCheckResult(0, LossKind.L1, FeatureMode.UV, math.nan, 10)]
+        monkeypatch.setattr(cli, "run_gradient_checks", lambda **kw: results)
+        assert main(["gradcheck"]) == 1
+        out = capsys.readouterr().out
+        assert "worst relative error nan" in out
+        assert "1 configuration(s) exceeded" in out
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import spearman_bruteforce
+from oracles import accuracy_per_pair, golds_per_pair, spearman_bruteforce
 from simreg.data import Dataset, SentencePair
 from simreg.errors import DegenerateInputError, InvalidInputError
 from simreg.evaluation import accuracy, cosine, evaluate, spearman
@@ -174,6 +174,31 @@ class TestAccuracy:
         ds = Dataset("d", (SentencePair("a", "b", score=1.0),), score_range=(0, 5))
         with pytest.raises(InvalidInputError):
             accuracy([], ds, self.MAPPING)
+
+
+def test_evaluate_and_accuracy_match_per_pair_oracle():
+    rng = np.random.default_rng(29)
+    cats = ("low", "mid", "high", "top")
+    mapping = build_mapping(cats, -1.0, 0.5)
+    datasets = [categorical_ds(f"c{i}", [str(c) for c in rng.choice(cats, size=40)],
+                               cats) for i in range(3)]
+    datasets.append(Dataset("cont", tuple(
+        SentencePair(f"s{i}", f"t{i}", score=float(s))
+        for i, s in enumerate(rng.uniform(0, 5, size=40))), score_range=(0.0, 5.0)))
+    # predictions on nodes, on midpoints and beyond the terminal nodes
+    grid = np.concatenate([np.arange(-2.0, 1.75, 0.25), rng.uniform(-3, 2, size=40)])
+    table = {f"s{i}": float(v) for i, v in enumerate(rng.choice(grid, size=40))}
+    model = StubModel(lambda p: table[p.s1], mapping)
+    report = evaluate(model, datasets)
+    for ds, row in zip(datasets, report.per_dataset, strict=True):
+        scores = [table[p.s1] for p in ds.pairs]
+        expect = spearman_bruteforce(scores, golds_per_pair(ds, mapping))
+        assert row.spearman == pytest.approx(expect, abs=1e-12)
+        if ds.is_categorical:
+            assert row.accuracy == accuracy_per_pair(scores, ds, mapping)
+            assert accuracy(scores, ds, mapping) == row.accuracy
+        else:
+            assert row.accuracy is None
 
 
 class TestEvaluate:

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 import simreg.encoder as encoder
 from simreg.data import SentencePair
@@ -58,3 +61,21 @@ def test_buffer_zone_gives_zero_on_both_routes():
         assert not grads.head_weights.any()
         assert not np.atleast_1d(grads.head_bias).any()
     assert max_relative_error(analytic, fd) == 0.0
+
+
+@pytest.mark.parametrize("name", ["embeddings", "head_bias"])
+def test_nan_analytic_entry_is_reported(name):
+    vocab = build_vocab(["alpha beta gamma", "delta epsilon"])
+    model = Model.initialize(vocab, dim=4, seed=8, label_range=(0.0, 3.0))
+    pairs = model.encode([SentencePair("alpha beta", "delta epsilon", score=0.0)])
+
+    def run():
+        return forward_backward(model.params, pairs, [1.0], model.feature_mode,
+                                LossSpec(LossKind.MSE))
+
+    _, analytic = run()
+    fd = finite_difference_grads(lambda: run()[0], model.params)
+    assert max_relative_error(analytic, fd) < 1e-4
+    grad = getattr(analytic, name)
+    grad[(0,) * grad.ndim] = np.nan
+    assert math.isnan(max_relative_error(analytic, fd))

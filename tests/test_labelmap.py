@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,6 +103,34 @@ class TestClassify:
         lower = FOUR.categories.index(classify(FOUR, p))
         upper = FOUR.categories.index(classify(FOUR, p + delta))
         assert lower <= upper
+
+
+def predictions(mapping):
+    """Floats across and beyond the node range, with nodes and exact midpoints."""
+    span = mapping.high - mapping.low
+    exact = list(mapping.nodes) + [a + mapping.d / 2 for a in mapping.nodes[:-1]]
+    return st.lists(st.one_of(st.floats(mapping.low - span, mapping.high + span),
+                              st.sampled_from(exact)), max_size=20)
+
+
+class TestElementwise:
+    @given(st.sampled_from([FOUR, NLI, TWO]).flatmap(lambda m: st.tuples(
+        st.just(m), predictions(m), st.lists(st.sampled_from(m.categories)))))
+    def test_arrays_match_per_entry_results(self, case):
+        mapping, preds, names = case
+        rounded = classify(mapping, np.array(preds, dtype=float))
+        assert list(rounded) == [classify(mapping, p) for p in preds]
+        assert list(rounded) == [classify_bruteforce(mapping, p) for p in preds]
+        assert list(encode(mapping, names)) == [encode(mapping, n) for n in names]
+        assert list(mapping.index(names)) == [mapping.index(n) for n in names]
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(InvalidInputError):
+            classify(FOUR, [0.5, float("inf"), 1.0])
+
+    def test_unknown_name_in_a_sequence_rejected(self):
+        with pytest.raises(InvalidInputError, match="paraphrase"):
+            encode(NLI, ["neutral", "paraphrase"])
 
 
 class TestCorrectnessRadius:

@@ -252,6 +252,16 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="highly relevant"):
             train(model, train_ds, train_ds, cfg, K2, Stage.JOINT)
 
+    @pytest.mark.parametrize("mapping", [
+        None, build_mapping(("a", "b", "c", "d"), 0.0, 1.0),  # a node for every score
+    ], ids=["no-mapping", "scores-on-nodes"])
+    def test_cross_entropy_needs_categorical_targets(self, corpus, mapping):
+        vocab = build_vocab([s for p in corpus.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=8, seed=2, n_classes=4, mapping=mapping)
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.05, seed=2)
+        with pytest.raises(InvalidInputError, match="categorical targets"):
+            train(model, corpus, corpus, cfg, LossSpec(LossKind.CROSS_ENTROPY))
+
     def test_contrastive_training_runs(self, corpus):
         vocab = build_vocab([s for p in corpus.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=8, seed=2, label_range=(0.0, 3.0))
