@@ -16,18 +16,26 @@ from pathlib import Path
 from . import data as data_mod
 from .config import RunConfig, check_buffer_fits, load_run_config
 from .encoder import (
+    Corpus,
     FeatureMode,
     Model,
     build_vocab,
     feature_dim,
     load_checkpoint,
+    pair_texts,
     save_checkpoint,
 )
 from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
 from .evaluation import evaluate
 from .gradcheck import DEFAULT_TOLERANCE, run_gradient_checks
 from .losses import LossKind, LossSpec
-from .training import Stage, train, two_stage_finetune, write_history_csv
+from .training import (
+    Stage,
+    tokenize_datasets,
+    train,
+    two_stage_finetune,
+    write_history_csv,
+)
 
 
 class UsageError(Exception):
@@ -163,11 +171,18 @@ def _load_config_datasets(cfg: RunConfig):
     return train_ds, dev_ds, nli_ds
 
 
-def _build_model(cfg: RunConfig, train_ds, nli_ds) -> Model:
-    texts = [s for pair in train_ds.pairs for s in (pair.s1, pair.s2)]
-    if nli_ds is not None:
-        texts.extend(s for pair in nli_ds.pairs for s in (pair.s1, pair.s2))
-    vocab = build_vocab(texts)
+def _vocab_and_tokens(vocab_sets, datasets):
+    """The vocabulary of vocab_sets and the PairTokens of each of datasets.
+
+    Every distinct text of them all is split once, and the split serves both.
+    """
+    vocab_texts = [text for ds in vocab_sets for text in pair_texts(ds.pairs)]
+    corpus = Corpus(vocab_texts + [t for ds in datasets for t in pair_texts(ds.pairs)])
+    vocab = build_vocab(vocab_texts, corpus)
+    return vocab, tokenize_datasets(vocab, *datasets, corpus=corpus)
+
+
+def _build_model(cfg: RunConfig, vocab) -> Model:
     n_classes = None
     if cfg.loss.kind is LossKind.CROSS_ENTROPY:
         if cfg.mapping is None:
@@ -188,11 +203,13 @@ def _build_model(cfg: RunConfig, train_ds, nli_ds) -> Model:
 def _run_training(cfg: RunConfig):
     """Returns (best_model, best_dev, {history_name: history})."""
     train_ds, dev_ds, nli_ds = _load_config_datasets(cfg)
-    model = _build_model(cfg, train_ds, nli_ds)
+    vocab_sets = [train_ds] if nli_ds is None else [train_ds, nli_ds]
     if cfg.stages == "two_stage":
+        vocab, tokens = _vocab_and_tokens(vocab_sets, [nli_ds, train_ds, dev_ds])
         result = two_stage_finetune(
-            model, nli_ds, train_ds, dev_ds, cfg.training,
+            _build_model(cfg, vocab), nli_ds, train_ds, dev_ds, cfg.training,
             joint_config=cfg.joint, loss_spec=cfg.loss, nli_mapping=cfg.nli_mapping,
+            tokens=tokens,
         )
         histories = {
             "history_stage1": result.stage1.history,
@@ -206,8 +223,10 @@ def _run_training(cfg: RunConfig):
             f"contrastive positives: kept {len(train_set)} of {len(train_ds)} pairs "
             f"at threshold {cfg.positive_threshold}"
         )
+    vocab, tokens = _vocab_and_tokens(vocab_sets, [train_set, dev_ds])
     result = train(
-        model, train_set, dev_ds, cfg.training, cfg.loss, Stage.JOINT, cfg.mapping
+        _build_model(cfg, vocab), train_set, dev_ds, cfg.training, cfg.loss,
+        Stage.JOINT, cfg.mapping, *tokens,
     )
     return result.best_model, result.best_dev, {"history": result.history}
 

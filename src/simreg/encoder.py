@@ -6,12 +6,14 @@ vector per the configured mode, and fed to a linear head: a single output for
 regression or K outputs for the classification baseline.  The backward pass
 is derived by hand and returns exact gradients for every parameter.
 
-Everything runs on whole batches at once.  A dataset is tokenized once into
-flat token ids with per-sentence offsets and lengths (``PairTokens``);
-pooling is a segment sum over those ids and the backward pass scatters each
-sentence's gradient back onto its token rows in one step.  The embedding
-gradient holds only the rows of the tokens in the batch, so its cost does not
-grow with the vocabulary.
+Everything runs on whole batches at once.  Each distinct text is split into
+words once (``Corpus``), and a dataset becomes flat token ids with
+per-sentence offsets and lengths (``PairTokens``).  Pooling is a segment sum
+over those ids.  The backward pass builds the batch's pooling matrix, one row
+per distinct token and one column per sentence holding count / length, and
+one matrix product with it carries every sentence's gradient back to the
+token rows.  The embedding gradient holds only the rows of the tokens in the
+batch, so its cost does not grow with the vocabulary.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import base64
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -81,8 +82,12 @@ class Vocabulary:
     def oov_id(self) -> int:
         return self._ids[OOV_TOKEN]
 
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, self._ids[OOV_TOKEN])
+    def lookup(self, words) -> np.ndarray:
+        """The id of each word, the OOV id for words outside the vocabulary."""
+        words = list(words)
+        oov, get = self.oov_id, self._ids.get
+        return np.fromiter((get(w, oov) for w in words), dtype=np.intp,
+                           count=len(words))
 
 
 def split_tokens(text: str) -> list[str]:
@@ -90,23 +95,66 @@ def split_tokens(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-def build_vocab(texts) -> Vocabulary:
-    """Vocabulary from a corpus, most frequent tokens first (ties alphabetical)."""
-    counts = Counter()
-    for text in texts:
-        counts.update(split_tokens(text))
-    ordered = sorted(counts, key=lambda t: (-counts[t], t))
-    return Vocabulary((PAD_TOKEN, OOV_TOKEN, *ordered))
+class Corpus:
+    """Texts with each distinct text split into words once.
+
+    A text's words are kept as ids into the corpus's own word table, so
+    build_vocab and tokenize_pairs reuse the split without holding one word
+    list per text.  A text without words holds the single word id -1, which
+    no vocabulary knows.
+    """
+
+    def __init__(self, texts):
+        rows: dict[str, int] = {}
+        for text in texts:
+            rows.setdefault(text, len(rows))
+        words = {"": -1}  # "" never matches a word; it marks an empty text
+        self.lengths = np.empty(len(rows), dtype=np.intp)
+
+        def word_ids():
+            for row, text in enumerate(rows):
+                found = split_tokens(text) or [""]
+                self.lengths[row] = len(found)
+                for w in found:
+                    yield words.setdefault(w, len(words) - 1)
+
+        self.word_ids = np.fromiter(word_ids(), dtype=np.intp)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.words = tuple(words)[1:]
+        self._rows = rows
+
+    def rows_of(self, texts) -> np.ndarray:
+        """Position of each text among the corpus's distinct texts."""
+        try:
+            return np.fromiter(map(self._rows.__getitem__, texts), dtype=np.intp)
+        except KeyError as exc:
+            raise InvalidInputError(
+                f"text not in the corpus: {exc.args[0]!r}") from None
 
 
-def tokenize(text: str, vocab: Vocabulary, max_tokens: int | None = None) -> list[int]:
-    """Token ids for a sentence; empty input yields a single OOV token."""
-    words = split_tokens(text)
-    if max_tokens is not None:
-        words = words[:max_tokens]
-    if not words:
-        return [vocab.oov_id]
-    return [vocab.id_of(w) for w in words]
+def build_vocab(texts, corpus: Corpus | None = None) -> Vocabulary:
+    """Vocabulary from a corpus, most frequent tokens first (ties alphabetical).
+
+    corpus, when given, holds the texts already split.
+    """
+    if corpus is None:
+        texts = list(texts)
+        corpus = Corpus(texts)
+    per_text = np.bincount(corpus.rows_of(texts), minlength=len(corpus.lengths))
+    # shift by one so an empty text's -1 lands in bin 0, which is dropped
+    counts = np.bincount(corpus.word_ids + 1, np.repeat(per_text, corpus.lengths),
+                         minlength=len(corpus.words) + 1)[1:].tolist()
+    present = [i for i, c in enumerate(counts) if c]
+    present.sort(key=lambda i: (-counts[i], corpus.words[i]))
+    return Vocabulary((PAD_TOKEN, OOV_TOKEN, *(corpus.words[i] for i in present)))
+
+
+def _segments(ids, starts, sources, lengths):
+    """Flat ids of the first lengths[j] ids of segment sources[j], for every j,
+    with the new segments' starts."""
+    new_starts = np.cumsum(lengths) - lengths
+    offset = np.repeat(starts[sources] - new_starts, lengths)
+    return ids[offset + np.arange(lengths.sum())], new_starts
 
 
 @dataclass(frozen=True)
@@ -115,7 +163,7 @@ class PairTokens:
 
     Sentences alternate left, right: pair i is sentences 2i and 2i + 1, and
     sentence j is ids[starts[j]:][:lengths[j]].  Every sentence has at least
-    one token; tokenize() gives an empty text the OOV token.
+    one token; tokenize_pairs gives an empty text the OOV token.
     """
 
     ids: np.ndarray
@@ -134,17 +182,40 @@ class PairTokens:
         index = np.asarray(index)
         sentences = np.stack([2 * index, 2 * index + 1], axis=-1).ravel()
         lengths = self.lengths[sentences]
-        starts = np.cumsum(lengths) - lengths
-        source = np.repeat(self.starts[sentences] - starts, lengths)
-        return PairTokens(self.ids[source + np.arange(lengths.sum())], starts, lengths)
+        return PairTokens(*_segments(self.ids, self.starts, sentences, lengths), lengths)
+
+    def truncate(self, max_tokens: int) -> "PairTokens":
+        """Every sentence cut to its first max_tokens tokens."""
+        if not len(self.lengths) or self.lengths.max() <= max_tokens:
+            return self
+        lengths = np.minimum(self.lengths, max_tokens)
+        sentences = np.arange(len(lengths))
+        return PairTokens(*_segments(self.ids, self.starts, sentences, lengths), lengths)
 
 
-def tokenize_pairs(texts, vocab: Vocabulary, max_tokens: int | None = None) -> PairTokens:
-    """Tokenize sentences given alternately left, right into one flat id array."""
-    token_lists = [tokenize(text, vocab, max_tokens) for text in texts]
-    lengths = np.array([len(ids) for ids in token_lists], dtype=np.intp)
-    ids = np.array([i for ids in token_lists for i in ids], dtype=np.intp)
-    return PairTokens(ids, np.cumsum(lengths) - lengths, lengths)
+def pair_texts(pairs) -> list[str]:
+    """Both sentences of every SentencePair, alternately left, right."""
+    return [text for pair in pairs for text in (pair.s1, pair.s2)]
+
+
+def tokenize_pairs(texts, vocab: Vocabulary, max_tokens: int | None = None,
+                   corpus: Corpus | None = None) -> PairTokens:
+    """Tokenize sentences given alternately left, right into one flat id array.
+
+    A text without words becomes the single OOV token.  corpus, when given,
+    holds the texts already split.
+    """
+    if corpus is None:
+        texts = list(texts)
+        corpus = Corpus(texts)
+    rows = corpus.rows_of(texts)
+    lengths = corpus.lengths[rows]
+    if max_tokens is not None:
+        lengths = np.minimum(lengths, max_tokens)
+    word_ids, starts = _segments(corpus.word_ids, corpus.starts, rows, lengths)
+    # the extra last entry is the id of -1, the empty text's word
+    ids = np.append(vocab.lookup(corpus.words), vocab.oov_id)[word_ids]
+    return PairTokens(ids, starts, lengths)
 
 
 @dataclass
@@ -346,8 +417,7 @@ class Model:
 
     def encode(self, pairs) -> PairTokens:
         """Tokenize both sentences of every SentencePair once."""
-        texts = [text for pair in pairs for text in (pair.s1, pair.s2)]
-        return tokenize_pairs(texts, self.vocab, self.max_tokens)
+        return tokenize_pairs(pair_texts(pairs), self.vocab, self.max_tokens)
 
     def embed_pairs(self, pairs: PairTokens) -> tuple[np.ndarray, np.ndarray]:
         """Pooled sentence embeddings (u, v), one row per pair."""
@@ -383,6 +453,7 @@ def forward_backward(
     loss_spec: LossSpec,
     clamp_range: tuple[float, float] | None = None,
     with_grads: bool = True,
+    encoder_grads: bool = True,
 ) -> tuple[float, Gradients | None]:
     """Batch-mean loss and exact analytic gradients for all parameters.
 
@@ -391,8 +462,10 @@ def forward_backward(
     each pair as anchor/positive.  Predictions outside clamp_range are
     clamped and pass no gradient.  The embedding gradient covers only the
     rows of tokens present in the batch (Gradients.rows); every other row's
-    gradient is zero.  With with_grads=False only the loss is computed and
-    the gradients are None.
+    gradient is zero.  With encoder_grads=False, for a stage that freezes the
+    encoder, no embedding gradient is computed and Gradients.rows is empty.
+    With with_grads=False only the loss is computed and the gradients are
+    None.
     """
     n = len(pairs)
     if n == 0:
@@ -422,17 +495,19 @@ def forward_backward(
     if not with_grads:
         return value, None
 
-    rows, inverse = np.unique(pairs.ids, return_inverse=True)
     grads = Gradients(
-        np.zeros((len(rows), params.dim)),
+        np.zeros((0, params.dim)),
         np.zeros_like(params.head_weights),
         np.zeros_like(params.head_bias),
-        rows,
+        np.zeros(0, dtype=np.intp),
     )
     if kind is not LossKind.INFO_NCE:
         d_out = d_out / n
         grads.head_weights[...] = d_out.T @ f
         grads.head_bias[...] = np.sum(d_out, axis=0)
+    if not encoder_grads:
+        return value, grads
+    if kind is not LossKind.INFO_NCE:
         if params.is_classifier:
             df = d_out @ params.head_weights
         else:
@@ -440,8 +515,15 @@ def forward_backward(
         du, dv = _feature_grad(df, u, v, mode)
     d_pooled = np.empty_like(pooled)
     d_pooled[0::2], d_pooled[1::2] = du, dv
-    d_tokens = np.repeat(d_pooled / pairs.lengths[:, None], pairs.lengths, axis=0)
-    np.add.at(grads.embeddings, inverse, d_tokens)
+    # pooling matrix: entry (r, j) is how often row r occurs in sentence j,
+    # over sentence j's length, so d(rows) = S @ d(pooled)
+    grads.rows, inverse = np.unique(pairs.ids, return_inverse=True)
+    n_sentences = len(pairs.lengths)
+    sentence = np.repeat(np.arange(n_sentences), pairs.lengths)
+    counts = np.bincount(inverse * n_sentences + sentence,
+                         minlength=len(grads.rows) * n_sentences)
+    S = counts.reshape(len(grads.rows), n_sentences) / pairs.lengths
+    grads.embeddings = S @ d_pooled
     return value, grads
 
 

@@ -125,6 +125,12 @@ def golds(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:
     mapping, which must cover every category of a categorical dataset."""
     if not dataset.is_categorical:
         return np.array([pair.score for pair in dataset.pairs], dtype=float)
+    _check_covers(mapping, dataset)
+    return encode(mapping, [pair.label for pair in dataset.pairs])
+
+
+def _check_covers(mapping: LabelMapping | None, dataset: Dataset) -> None:
+    """The mapping must give every category of the dataset a node."""
     if mapping is None:
         raise InvalidInputError(f"{dataset.name} needs a label mapping")
     missing = [c for c in dataset.categories if c not in mapping.categories]
@@ -132,7 +138,6 @@ def golds(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:
         raise InvalidInputError(
             f"label mapping has no node for categories {missing} of {dataset.name}"
         )
-    return encode(mapping, [pair.label for pair in dataset.pairs])
 
 
 def accuracy(scores, dataset: Dataset, mapping: LabelMapping) -> float:
@@ -141,7 +146,7 @@ def accuracy(scores, dataset: Dataset, mapping: LabelMapping) -> float:
         raise InvalidInputError(f"{dataset.name} has no categorical labels")
     if len(dataset) == 0:
         raise InvalidInputError("accuracy undefined on an empty dataset")
-    golds(dataset, mapping)  # the mapping must cover every category
+    _check_covers(mapping, dataset)
     if len(scores) != len(dataset):
         raise InvalidInputError(f"{len(scores)} scores for {len(dataset)} pairs")
     labels = np.array([pair.label for pair in dataset.pairs])

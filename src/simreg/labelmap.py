@@ -78,6 +78,7 @@ def build_mapping(categories, start: float, d: float) -> LabelMapping:
     if d <= 0:
         raise InvalidInputError(f"interval must be positive, got {d}")
     cats = tuple(categories)
+    start, d = float(start), float(d)
     nodes = tuple(start + i * d for i in range(len(cats)))
     return LabelMapping(cats, nodes)
 

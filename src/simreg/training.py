@@ -15,7 +15,15 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, write_atomic
-from .encoder import Gradients, Model, forward_backward
+from .encoder import (
+    Corpus,
+    Gradients,
+    Model,
+    PairTokens,
+    forward_backward,
+    pair_texts,
+    tokenize_pairs,
+)
 from .errors import InvalidInputError, TrainingError
 from .evaluation import golds, predictions_for, spearman
 from .labelmap import LabelMapping, build_mapping
@@ -92,7 +100,9 @@ class AdamOptimizer:
     """Adaptive-moment updates (beta1=0.9, beta2=0.999, eps=1e-8).
 
     The moments cover the whole embedding table, so rows a batch does not
-    touch still move by their momentum.
+    touch still move by their momentum.  Each step works in place in
+    buffers made once, with the same floating-point operations in the same
+    order as the textbook formulas.
     """
 
     def __init__(self, params, learning_rate: float, beta1: float = 0.9,
@@ -102,20 +112,44 @@ class AdamOptimizer:
         self.m = Gradients.zeros_like(params)
         self.v = Gradients.zeros_like(params)
         self.t = 0
+        self._scratch = {
+            name: (np.zeros_like(getattr(params, name)),
+                   np.zeros_like(getattr(params, name)))
+            for name in _PARAM_FIELDS
+        }
+        # the dense embedding gradient, nonzero only on the rows of _rows
+        self._dense = np.zeros_like(params.embeddings)
+        self._rows = np.zeros(0, dtype=np.intp)
 
     def step(self, params, grads, stage: Stage):
         updates = _unfrozen(params, grads, stage)
         self.t += 1
+        b1, b2 = self.beta1, self.beta2
         for name, p, g in updates:
             if name == "embeddings":
-                g = grads.dense_embeddings(len(p))
-            m = getattr(self.m, name)
-            v = getattr(self.v, name)
-            m[...] = self.beta1 * m + (1 - self.beta1) * g
-            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                g = self._dense
+                g[self._rows] = 0.0
+                g[grads.rows] = grads.embeddings
+                self._rows = grads.rows
+            m, v = getattr(self.m, name), getattr(self.v, name)
+            a, b = self._scratch[name]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1 - b1, out=a)
+            np.add(m, a, out=m)
+            # v = b2 * v + (1 - b2) * g * g
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1 - b1 ** self.t, out=a)
+            np.divide(v, 1 - b2 ** self.t, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.multiply(a, self.lr, out=a)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
         return params
 
 
@@ -145,6 +179,18 @@ def _dev_score(model: Model, dev_pairs, dev_golds, use_cosine: bool) -> float:
     return spearman(predictions_for(model, dev_pairs, use_cosine), dev_golds)
 
 
+def tokenize_datasets(vocab, *datasets, corpus: Corpus | None = None):
+    """Each dataset's PairTokens under the vocabulary, untruncated, in a list.
+
+    corpus, when given, holds the datasets' texts already split; otherwise
+    every distinct text of all the datasets is split once here.
+    """
+    texts = [pair_texts(ds.pairs) for ds in datasets]
+    if corpus is None:
+        corpus = Corpus(t for group in texts for t in group)
+    return [tokenize_pairs(group, vocab, corpus=corpus) for group in texts]
+
+
 def train(
     model: Model,
     train_set: Dataset,
@@ -153,13 +199,17 @@ def train(
     loss_spec: LossSpec,
     stage: Stage = Stage.JOINT,
     mapping: LabelMapping | None = None,
+    train_tokens: PairTokens | None = None,
+    dev_tokens: PairTokens | None = None,
 ) -> TrainResult:
     """Optimize a copy of the model, returning the best dev checkpoint.
 
     Shuffles once per epoch under the config seed, evaluates dev Spearman at
     step 0, every `eval_every` steps and at each epoch end, and keeps the
     parameters of the best evaluation (first best wins ties).  The input
-    model is never mutated.
+    model is never mutated.  train_tokens and dev_tokens, when given, are
+    the two sets already tokenized with the model's vocabulary (see
+    tokenize_datasets); they are cut to config.max_tokens here.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
@@ -182,8 +232,10 @@ def train(
 
     work = model.copy()
     work.max_tokens = config.max_tokens
-    train_pairs = work.encode(train_set.pairs)
-    dev_pairs = work.encode(dev_set.pairs)
+    if train_tokens is None or dev_tokens is None:
+        train_tokens, dev_tokens = tokenize_datasets(work.vocab, train_set, dev_set)
+    train_pairs = train_tokens.truncate(config.max_tokens)
+    dev_pairs = dev_tokens.truncate(config.max_tokens)
     optimizer = _make_optimizer(config, work.params)
     rng = np.random.default_rng(config.seed)
 
@@ -202,6 +254,7 @@ def train(
                 value, grads = forward_backward(
                     work.params, train_pairs.take(idx), targets[idx],
                     work.feature_mode, loss_spec, clamp_range,
+                    encoder_grads=stage is Stage.JOINT,
                 )
             except InvalidInputError as exc:
                 # diverged parameters produce non-finite predictions downstream
@@ -239,6 +292,7 @@ def two_stage_finetune(
     joint_config: TrainConfig | None = None,
     loss_spec: LossSpec | None = None,
     nli_mapping: LabelMapping | None = None,
+    tokens: tuple[PairTokens, PairTokens, PairTokens] | None = None,
 ) -> TwoStageResult:
     """Freeze-then-joint fine-tuning.
 
@@ -246,16 +300,22 @@ def two_stage_finetune(
     from the stage-1 best checkpoint and trains everything on the similarity
     corpus.  The buffered quadratic loss is used throughout unless another
     spec is supplied.  Because stage 2 re-evaluates its starting point, the
-    final dev score can never fall below stage 1's.
+    final dev score can never fall below stage 1's.  tokens, when given, are
+    the NLI, similarity and dev sets already tokenized with the model's
+    vocabulary; otherwise all three are tokenized once here.
     """
     if loss_spec is None:
         loss_spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25, d=1.0)
+    if tokens is None:
+        tokens = tokenize_datasets(model.vocab, nli_set, sts_set, dev_set)
+    nli_tokens, sts_tokens, dev_tokens = tokens
     stage1 = train(
-        model, nli_set, dev_set, config, loss_spec, Stage.HEAD_ONLY, nli_mapping
+        model, nli_set, dev_set, config, loss_spec, Stage.HEAD_ONLY, nli_mapping,
+        nli_tokens, dev_tokens,
     )
     stage2 = train(
         stage1.best_model, sts_set, dev_set, joint_config or config, loss_spec,
-        Stage.JOINT,
+        Stage.JOINT, train_tokens=sts_tokens, dev_tokens=dev_tokens,
     )
     return TwoStageResult(stage2.best_model, stage1, stage2)
 

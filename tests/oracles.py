@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
 formula, classification from an argmin scan over nodes, gold values and
-rounding accuracy one pair at a time, deduplication from
+rounding accuracy one pair at a time, token ids one dictionary lookup per
+word, deduplication from
 a full O(n*m) comparison, the model's forward/backward pass from
 scalar loss closed forms applied one pair and one token at a time, the
 optimizers as updates of whole dense arrays, and the synthetic corpus from a
@@ -13,6 +14,7 @@ set difference over the whole vocabulary per pair.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -102,6 +104,15 @@ def residual_loss_scalar(x, kind, k, x0):
     if kind == "l1":
         return x, (0.0 if x == 0 else 1.0)
     return x * x, 2.0 * x
+
+
+def tokenize_per_token(text, vocab, max_tokens=None):
+    """Token ids of one sentence, one lookup per lowercased word, cut to
+    max_tokens words; a text without words is the single OOV token."""
+    ids = {token: i for i, token in enumerate(vocab.tokens)}
+    oov = ids["<oov>"]
+    words = re.findall(r"\w+", text.lower())[:max_tokens]
+    return [ids.get(word, oov) for word in words] or [oov]
 
 
 def forward_backward_per_pair(params, pairs, targets, mode, spec, clamp_range=None,

@@ -1,9 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from simreg import cli
+from simreg import cli, encoder
 from simreg.cli import main
 from simreg.data import Dataset, SentencePair, load_tsv, save_tsv
 from simreg.encoder import (
@@ -291,6 +292,33 @@ class TestTrain:
         out = tmp_path / "run"
         assert (out / "history_stage1.csv").exists()
         assert (out / "history_stage2.csv").exists()
+
+    def test_two_stage_splits_each_distinct_text_once(self, corpus_files,
+                                                      monkeypatch):
+        # stage 1 reads the train file again as its NLI corpus, the dev set is
+        # scored by both stages, and the stages cut sentences at different
+        # lengths: still one split per distinct text
+        tmp_path, config_path, config = corpus_files
+        config["stages"] = "two_stage"
+        config["data"].update(nli_train=config["data"]["train"],
+                              nli_categories=list(ORDINAL_CATEGORIES))
+        config["training"]["max_tokens"] = 4
+        config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd", "max_tokens": 6}
+        config_path.write_text(json.dumps(config))
+        splits = Counter()
+        split_tokens = encoder.split_tokens
+
+        def counted(text):
+            splits[text] += 1
+            return split_tokens(text)
+
+        monkeypatch.setattr(encoder, "split_tokens", counted)
+        assert main(["train", "--config", str(config_path)]) == 0
+        texts = {text for key in ("train", "dev")
+                 for pair in load_tsv(config["data"][key],
+                                      categories=ORDINAL_CATEGORIES).pairs
+                 for text in (pair.s1, pair.s2)}
+        assert splits == Counter(dict.fromkeys(texts, 1))
 
 
 class TestEval:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import forward_backward_per_pair
+from oracles import forward_backward_per_pair, tokenize_per_token
 from simreg.data import SentencePair
 from simreg.encoder import (
+    Corpus,
     FeatureMode,
     Model,
     PairTokens,
@@ -22,7 +23,6 @@ from simreg.encoder import (
     pool,
     save_checkpoint,
     split_tokens,
-    tokenize,
     tokenize_pairs,
 )
 from simreg.errors import CheckpointError, InvalidInputError
@@ -43,6 +43,11 @@ def score(model, pair):
     return float(model.scores(model.encode([pair]))[0])
 
 
+def token_ids(text, vocab, max_tokens=None):
+    """The token ids of one sentence."""
+    return tokenize_pairs([text], vocab, max_tokens).ids.tolist()
+
+
 def one_sentence(ids):
     ids = np.asarray(ids, dtype=np.intp)
     return PairTokens(ids, np.array([0]), np.array([len(ids)]))
@@ -60,26 +65,26 @@ def model(vocab):
 
 class TestTokenize:
     def test_exact_lookup(self, vocab):
-        ids = tokenize("a man runs", vocab)
-        assert ids == [vocab.id_of("a"), vocab.id_of("man"), vocab.id_of("runs")]
+        ids = token_ids("a man runs", vocab)
+        assert ids == [vocab.tokens.index(w) for w in ("a", "man", "runs")]
 
     def test_case_folding_and_punctuation(self, vocab):
-        assert tokenize("A MAN runs!", vocab) == tokenize("a man runs", vocab)
+        assert token_ids("A MAN runs!", vocab) == token_ids("a man runs", vocab)
         assert split_tokens("Hello,world...again") == ["hello", "world", "again"]
 
     def test_unknown_maps_to_oov(self, vocab):
-        assert tokenize("zebra", vocab) == [vocab.oov_id]
+        assert token_ids("zebra", vocab) == [vocab.oov_id]
 
     def test_empty_input_yields_single_oov(self, vocab):
-        assert tokenize("", vocab) == [vocab.oov_id]
-        assert tokenize("!!!", vocab) == [vocab.oov_id]
+        assert token_ids("", vocab) == [vocab.oov_id]
+        assert token_ids("!!!", vocab) == [vocab.oov_id]
 
     def test_truncation(self, vocab):
-        assert len(tokenize("a man runs a man runs", vocab, max_tokens=2)) == 2
+        assert len(token_ids("a man runs a man runs", vocab, max_tokens=2)) == 2
 
     def test_vocab_ids_dense_with_oov(self, vocab):
         assert sorted(vocab._ids.values()) == list(range(len(vocab)))
-        assert vocab.oov_id == 1 and vocab.id_of("<pad>") == 0
+        assert vocab.oov_id == 1 and vocab.lookup(["<pad>"]).tolist() == [0]
 
     def test_take_matches_tokenizing_the_chosen_pairs(self, vocab):
         texts = ["a man runs", "", "the dog", "cat cat sleeps", "zebra", "a"]
@@ -87,6 +92,16 @@ class TestTokenize:
         direct = tokenize_pairs(texts[4:6] + texts[0:2] + texts[4:6], vocab)
         for name in ("ids", "starts", "lengths"):
             np.testing.assert_array_equal(getattr(picked, name), getattr(direct, name))
+
+    def test_text_outside_the_corpus_rejected(self, vocab):
+        with pytest.raises(InvalidInputError, match="not in the corpus"):
+            tokenize_pairs(["a man", "a cat"], vocab, corpus=Corpus(["a man"]))
+
+    def test_vocab_counts_repeats_but_only_its_own_texts(self):
+        texts = ["c", "b b", "c", "C!"]  # c three times, b twice
+        shared = Corpus(["b b b", "d"] + texts)
+        assert build_vocab(texts, shared) == build_vocab(texts)
+        assert build_vocab(texts).tokens == ("<pad>", "<oov>", "c", "b")
 
     def test_vocab_build_is_deterministic(self):
         texts = ["b a a", "c b a"]
@@ -164,8 +179,8 @@ class TestPredict:
 
     def test_matches_manual_dot_product(self, model):
         pair = SentencePair("a man runs", "the dog swims", score=1.0)
-        u = model.params.embeddings[tokenize(pair.s1, model.vocab)].mean(axis=0)
-        v = model.params.embeddings[tokenize(pair.s2, model.vocab)].mean(axis=0)
+        u = model.params.embeddings[token_ids(pair.s1, model.vocab)].mean(axis=0)
+        v = model.params.embeddings[token_ids(pair.s2, model.vocab)].mean(axis=0)
         f = np.concatenate([u, v, np.abs(u - v)])
         manual = sum(w * x for w, x in zip(model.params.head_weights, f))
         manual += float(model.params.head_bias)
@@ -182,8 +197,8 @@ class TestPredict:
         mapping = build_mapping(["lo", "mid", "hi"], 0.0, 1.0)
         m = Model.initialize(vocab, dim=4, seed=7, n_classes=3, mapping=mapping)
         pair = SentencePair("a man runs", "the dog swims", score=1.0)
-        u = m.params.embeddings[tokenize(pair.s1, vocab)].mean(axis=0)
-        v = m.params.embeddings[tokenize(pair.s2, vocab)].mean(axis=0)
+        u = m.params.embeddings[token_ids(pair.s1, vocab)].mean(axis=0)
+        v = m.params.embeddings[token_ids(pair.s2, vocab)].mean(axis=0)
         logits = m.params.head_weights @ np.concatenate([u, v, np.abs(u - v)])
         logits += m.params.head_bias
         probs = np.exp(logits - logits.max())
@@ -238,7 +253,7 @@ class TestForwardBackward:
         pair = SentencePair("a man", "the dog", score=0.0)
         spec = LossSpec(LossKind.MSE)
         _, grads = run(model, [(pair, 3.0)], spec)
-        used = set(tokenize(pair.s1, model.vocab) + tokenize(pair.s2, model.vocab))
+        used = set(token_ids(pair.s1, model.vocab) + token_ids(pair.s2, model.vocab))
         dense = grads.dense_embeddings(model.params.vocab_size)
         for row in range(model.params.vocab_size):
             if row not in used:
@@ -247,7 +262,7 @@ class TestForwardBackward:
     def test_repeated_tokens_accumulate(self, model):
         pair = SentencePair("man man man", "the dog", score=0.0)
         _, grads = run(model, [(pair, 3.0)], LossSpec(LossKind.MSE))
-        man = model.vocab.id_of("man")
+        man = model.vocab.tokens.index("man")
         assert grads.dense_embeddings(model.params.vocab_size)[man].any()
 
     def test_gradient_rows_are_the_batch_token_set(self, model):
@@ -257,7 +272,7 @@ class TestForwardBackward:
         ]
         _, grads = run(model, batch, LossSpec(LossKind.MSE))
         ids = {i for pair, _ in batch for text in (pair.s1, pair.s2)
-               for i in tokenize(text, model.vocab)}
+               for i in token_ids(text, model.vocab)}
         assert grads.rows.tolist() == sorted(ids)
         assert grads.embeddings.shape == (len(ids), model.params.dim)
 
@@ -354,7 +369,7 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
 
     value, grads = forward_backward(params, tokenize_pairs(texts, vocab), targets,
                                     mode, spec, clamp_range)
-    ids = [(tokenize(a, vocab), tokenize(b, vocab))
+    ids = [(tokenize_per_token(a, vocab), tokenize_per_token(b, vocab))
            for a, b in zip(texts[0::2], texts[1::2])]
     expect, expect_grads = forward_backward_per_pair(
         params, ids, targets, mode.value, spec, clamp_range,
@@ -364,6 +379,50 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
     dense = grads.dense_embeddings(len(vocab))
     for got, want in zip((dense, grads.head_weights, grads.head_bias), expect_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+TEXT_PIECES = ["a", "man", "runs", "Dog", "zebra", "QUOKKA", "!!!", ",", "cat's", ""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TEXT_PIECES), max_size=7), min_size=1,
+                max_size=8),
+       st.one_of(st.none(), st.integers(1, 4)), st.lists(st.sampled_from(WORDS)))
+def test_vectorized_lookup_matches_per_token_oracle(pieces, max_tokens, extra):
+    vocab = build_vocab(["a man runs", "the dog swims fast", "a cat sleeps"])
+    texts = [" ".join(p) for p in pieces]
+    expect = [tokenize_per_token(t, vocab, max_tokens) for t in texts]
+    # alone, and inside a larger corpus that also repeats the texts
+    shared = Corpus(extra + texts[::-1] + texts)
+    for tokens in (tokenize_pairs(texts, vocab, max_tokens),
+                   tokenize_pairs(texts, vocab, max_tokens, corpus=shared),
+                   tokenize_pairs(texts, vocab).truncate(max_tokens or 10**6)):
+        assert tokens.lengths.tolist() == [len(ids) for ids in expect]
+        assert tokens.ids.tolist() == [i for ids in expect for i in ids]
+        assert tokens.starts.tolist() == np.cumsum([0, *tokens.lengths[:-1]]).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(LossKind)),
+       st.sampled_from(list(FeatureMode)))
+def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab([" ".join(WORDS)])
+    batch = int(rng.integers(1, 6))
+    n_classes = 3 if kind is LossKind.CROSS_ENTROPY else None
+    params = init_params(len(vocab), 4, mode, seed, n_classes=n_classes)
+    targets = (rng.integers(0, 3, size=batch) if n_classes
+               else rng.uniform(0.0, 3.0, size=batch))
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
+             for _ in range(2 * batch)]
+    tokens, spec = tokenize_pairs(texts, vocab), _random_spec(rng, kind)
+    full = forward_backward(params, tokens, targets, mode, spec, (0.0, 3.0))
+    head = forward_backward(params, tokens, targets, mode, spec, (0.0, 3.0),
+                            encoder_grads=False)
+    assert head[0] == full[0]
+    assert head[1].rows.size == 0 and head[1].embeddings.shape == (0, 4)
+    for name in ("head_weights", "head_bias"):
+        assert getattr(head[1], name).tobytes() == getattr(full[1], name).tobytes()
 
 
 class TestCheckpoint:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import accuracy_per_pair, golds_per_pair, spearman_bruteforce
 from simreg.data import Dataset, SentencePair
+from simreg import evaluation
 from simreg.errors import DegenerateInputError, InvalidInputError
 from simreg.evaluation import accuracy, cosine, evaluate, spearman
 from simreg.labelmap import build_mapping
@@ -243,6 +244,18 @@ class TestEvaluate:
         assert report.per_dataset[0].spearman > 0.8
         # ranking by cosine still takes the accuracy from the head scores
         assert evaluate(model, [ds], use_cosine=True).per_dataset[0].accuracy == 1.0
+
+    def test_gold_values_computed_once_per_dataset(self, monkeypatch):
+        ds = categorical_ds("c", ["low", "mid", "high"] * 3)
+        mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
+        model = StubModel(lambda p: {"low": 0.1, "mid": 0.9, "high": 2.2}[p.label],
+                          mapping)
+        calls = []
+        real = evaluation.encode
+        monkeypatch.setattr(evaluation, "encode",
+                            lambda *args: calls.append(args) or real(*args))
+        evaluate(model, [ds, ds])
+        assert len(calls) == 2
 
     def test_json_round_trip(self):
         ds = self.make_ds("only", [0.0, 1.0, 2.0, 3.0])

@@ -35,6 +35,13 @@ class TestBuildMapping:
         assert TWO.nodes == (0.0, 0.5)
         assert TWO.d == 0.5
 
+    def test_integer_start_and_interval_give_float_nodes(self):
+        mapping = build_mapping(["a", "b", "c"], 0, 1)
+        assert [type(n) for n in mapping.nodes] == [float] * 3
+        assert type(mapping.d) is float
+        assert type(encode(mapping, "a")) is float
+        assert json.dumps(mapping.to_json_dict()["start"]) == "0.0"
+
     def test_needs_two_categories(self):
         with pytest.raises(InvalidInputError):
             build_mapping(["only"], 0.0, 1.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import DenseAdam, sgd_step_dense
+from simreg import training
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
     FeatureMode,
@@ -163,6 +164,22 @@ def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("stage", list(Stage))
+    def test_embedding_gradient_only_when_the_encoder_trains(self, model, corpus,
+                                                             stage, monkeypatch):
+        rows = []
+
+        def recorded(*args, **kwargs):
+            value, grads = forward_backward(*args, **kwargs)
+            rows.append(len(grads.rows))
+            return value, grads
+
+        monkeypatch.setattr(training, "forward_backward", recorded)
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
+        train(model, corpus, corpus, cfg, K2, stage)
+        assert len(rows) == 2
+        assert all(rows) if stage is Stage.JOINT else not any(rows)
+
     def test_head_only_leaves_embeddings_bit_identical(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
         result = train(model, corpus, corpus, cfg, K2, Stage.HEAD_ONLY)
