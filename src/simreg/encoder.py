@@ -198,8 +198,7 @@ def pair_texts(pairs) -> list[str]:
     return [text for pair in pairs for text in (pair.s1, pair.s2)]
 
 
-def tokenize_pairs(texts, vocab: Vocabulary, max_tokens: int | None = None,
-                   corpus: Corpus | None = None) -> PairTokens:
+def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> PairTokens:
     """Tokenize sentences given alternately left, right into one flat id array.
 
     A text without words becomes the single OOV token.  corpus, when given,
@@ -210,8 +209,6 @@ def tokenize_pairs(texts, vocab: Vocabulary, max_tokens: int | None = None,
         corpus = Corpus(texts)
     rows = corpus.rows_of(texts)
     lengths = corpus.lengths[rows]
-    if max_tokens is not None:
-        lengths = np.minimum(lengths, max_tokens)
     word_ids, starts = _segments(corpus.word_ids, corpus.starts, rows, lengths)
     # the extra last entry is the id of -1, the empty text's word
     ids = np.append(vocab.lookup(corpus.words), vocab.oov_id)[word_ids]
@@ -417,7 +414,8 @@ class Model:
 
     def encode(self, pairs) -> PairTokens:
         """Tokenize both sentences of every SentencePair once."""
-        return tokenize_pairs(pair_texts(pairs), self.vocab, self.max_tokens)
+        tokens = tokenize_pairs(pair_texts(pairs), self.vocab)
+        return tokens.truncate(self.max_tokens)
 
     def embed_pairs(self, pairs: PairTokens) -> tuple[np.ndarray, np.ndarray]:
         """Pooled sentence embeddings (u, v), one row per pair."""

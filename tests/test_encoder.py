@@ -45,7 +45,8 @@ def score(model, pair):
 
 def token_ids(text, vocab, max_tokens=None):
     """The token ids of one sentence."""
-    return tokenize_pairs([text], vocab, max_tokens).ids.tolist()
+    tokens = tokenize_pairs([text], vocab)
+    return (tokens.truncate(max_tokens) if max_tokens else tokens).ids.tolist()
 
 
 def one_sentence(ids):
@@ -394,9 +395,9 @@ def test_vectorized_lookup_matches_per_token_oracle(pieces, max_tokens, extra):
     expect = [tokenize_per_token(t, vocab, max_tokens) for t in texts]
     # alone, and inside a larger corpus that also repeats the texts
     shared = Corpus(extra + texts[::-1] + texts)
-    for tokens in (tokenize_pairs(texts, vocab, max_tokens),
-                   tokenize_pairs(texts, vocab, max_tokens, corpus=shared),
-                   tokenize_pairs(texts, vocab).truncate(max_tokens or 10**6)):
+    for tokens in (tokenize_pairs(texts, vocab), tokenize_pairs(texts, vocab, shared)):
+        if max_tokens is not None:
+            tokens = tokens.truncate(max_tokens)
         assert tokens.lengths.tolist() == [len(ids) for ids in expect]
         assert tokens.ids.tolist() == [i for ids in expect for i in ids]
         assert tokens.starts.tolist() == np.cumsum([0, *tokens.lengths[:-1]]).tolist()
