@@ -292,7 +292,7 @@ def two_stage_finetune(
     joint_config: TrainConfig | None = None,
     loss_spec: LossSpec | None = None,
     nli_mapping: LabelMapping | None = None,
-    tokens: tuple[PairTokens, PairTokens, PairTokens] | None = None,
+    tokens: list[PairTokens] | None = None,
 ) -> TwoStageResult:
     """Freeze-then-joint fine-tuning.
 
