@@ -14,6 +14,15 @@ per distinct token and one column per sentence holding count / length, and
 one matrix product with it carries every sentence's gradient back to the
 token rows.  The embedding gradient holds only the rows of the tokens in the
 batch, so its cost does not grow with the vocabulary.
+
+The value path (pooling, features, head and every loss) also broadcasts over
+a leading parameter-stack axis: ModelParams whose arrays all carry the same
+leading shape hold that many parameter copies, and
+forward_backward(..., with_grads=False) returns one loss value per copy.
+The finite-difference gradient check uses this to evaluate every perturbed
+copy of a parameter array in one call.  Each copy's loss agrees with an
+unstacked call on that copy to a few ulps; an unstacked call itself runs no
+extra operation.
 """
 
 from __future__ import annotations
@@ -221,7 +230,8 @@ class ModelParams:
 
     head_weights is a vector of length feature_dim for the regression head or
     a (K, feature_dim) matrix for the K-logit classification head; head_bias
-    is a 0-d array (regression) or a K-vector.
+    is a 0-d array (regression) or a K-vector.  A stack of parameter copies
+    puts the same leading axes (stack_shape) in front of all three arrays.
     """
 
     embeddings: np.ndarray
@@ -232,32 +242,43 @@ class ModelParams:
         self.embeddings = np.asarray(self.embeddings, dtype=float)
         self.head_weights = np.asarray(self.head_weights, dtype=float)
         self.head_bias = np.asarray(self.head_bias, dtype=float)
-        if self.embeddings.ndim != 2:
+        if self.embeddings.ndim < 2:
             raise InvalidInputError("embeddings must be a (vocab, dim) matrix")
-        if self.head_weights.ndim == 1:
-            if self.head_bias.ndim != 0:
+        stack = self.stack_shape
+        weights = self.head_weights.shape[len(stack):]
+        bias = self.head_bias.shape[len(stack):]
+        if (self.head_weights.shape[:len(stack)] != stack
+                or self.head_bias.shape[:len(stack)] != stack):
+            raise InvalidInputError("stacked parameters need one leading shape")
+        if len(weights) == 1:
+            if bias != ():
                 raise InvalidInputError("regression head needs a scalar bias")
-        elif self.head_weights.ndim == 2:
-            if self.head_bias.shape != (self.head_weights.shape[0],):
+        elif len(weights) == 2:
+            if bias != weights[:1]:
                 raise InvalidInputError("classification head needs a K-vector bias")
         else:
             raise InvalidInputError("head_weights must be 1- or 2-dimensional")
 
     @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """Leading axes of a stack of parameter copies; () for one set."""
+        return self.embeddings.shape[:-2]
+
+    @property
     def dim(self) -> int:
-        return self.embeddings.shape[1]
+        return self.embeddings.shape[-1]
 
     @property
     def vocab_size(self) -> int:
-        return self.embeddings.shape[0]
+        return self.embeddings.shape[-2]
 
     @property
     def is_classifier(self) -> bool:
-        return self.head_weights.ndim == 2
+        return self.head_weights.ndim == len(self.stack_shape) + 2
 
     @property
     def n_classes(self) -> int:
-        return self.head_weights.shape[0] if self.is_classifier else 1
+        return self.head_weights.shape[-2] if self.is_classifier else 1
 
     @property
     def head_weight_count(self) -> int:
@@ -331,9 +352,20 @@ def init_params(
 
 def pool(embeddings: np.ndarray, tokens: PairTokens) -> np.ndarray:
     """Mean of each sentence's token embedding rows (order-free), one row per
-    sentence, so a pair's (u, v) are rows 2i and 2i + 1."""
-    sums = np.add.reduceat(embeddings[tokens.ids], tokens.starts, axis=0)
+    sentence, so a pair's (u, v) are rows 2i and 2i + 1.  Leading stack axes
+    of embeddings carry over to the result."""
+    sums = np.add.reduceat(embeddings[..., tokens.ids, :], tokens.starts, axis=-2)
     return sums / tokens.lengths[:, None]
+
+
+def head(params: ModelParams, f: np.ndarray) -> np.ndarray:
+    """Raw head output for features f (..., n, feature_dim): n outputs of the
+    regression head or an (n, K) logit matrix, with params' stack axes
+    broadcast against f's leading axes."""
+    w, b = params.head_weights, params.head_bias
+    if params.is_classifier:
+        return f @ np.swapaxes(w, -1, -2) + b[..., None, :]
+    return (f @ w[..., None])[..., 0] + b[..., None]
 
 
 def features(u: np.ndarray, v: np.ndarray, mode: FeatureMode) -> np.ndarray:
@@ -382,6 +414,8 @@ class Model:
                 f"head expects {expected} features for mode "
                 f"{self.feature_mode.value}, parameters have {got}"
             )
+        if self.params.stack_shape:
+            raise InvalidInputError("a model holds one unstacked parameter set")
         if len(self.vocab) != self.params.vocab_size:
             raise InvalidInputError("vocabulary and embedding table sizes differ")
         if (self.params.is_classifier and self.mapping is not None
@@ -423,15 +457,18 @@ class Model:
         return pooled[0::2], pooled[1::2]
 
     def scores(self, pairs: PairTokens) -> np.ndarray:
-        """Raw similarity score of every pair (no clamping).
+        """Raw similarity score of every pair (no clamping)."""
+        return self.head_scores(*self.embed_pairs(pairs))
+
+    def head_scores(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Raw similarity score of every pair from its pooled embeddings.
 
         For the classification baseline this is the softmax-expected node
         value, so rank evaluation and rounding classification work for both
         head kinds.
         """
         p = self.params
-        out = features(*self.embed_pairs(pairs), self.feature_mode) @ p.head_weights.T
-        out += p.head_bias
+        out = head(p, features(u, v, self.feature_mode))
         if not p.is_classifier:
             return out
         probs = np.exp(out - out.max(axis=1, keepdims=True))
@@ -452,7 +489,7 @@ def forward_backward(
     clamp_range: tuple[float, float] | None = None,
     with_grads: bool = True,
     encoder_grads: bool = True,
-) -> tuple[float, Gradients | None]:
+) -> tuple[float | np.ndarray, Gradients | None]:
     """Batch-mean loss and exact analytic gradients for all parameters.
 
     targets holds one entry per pair: floats for the residual losses, class
@@ -463,11 +500,15 @@ def forward_backward(
     gradient is zero.  With encoder_grads=False, for a stage that freezes the
     encoder, no embedding gradient is computed and Gradients.rows is empty.
     With with_grads=False only the loss is computed and the gradients are
-    None.
+    None; params may then be a stack of copies (ModelParams.stack_shape), and
+    the loss is an array with one value per copy.
     """
     n = len(pairs)
     if n == 0:
         raise InvalidInputError("batch must be nonempty")
+    stacked = bool(params.stack_shape)
+    if stacked and with_grads:
+        raise InvalidInputError("gradients need one unstacked parameter set")
     kind = loss_spec.kind
     if kind is LossKind.CROSS_ENTROPY:
         if not params.is_classifier:
@@ -475,12 +516,12 @@ def forward_backward(
     elif kind is not LossKind.INFO_NCE and params.is_classifier:
         raise InvalidInputError("residual losses need a regression head")
     pooled = pool(params.embeddings, pairs)
-    u, v = pooled[0::2], pooled[1::2]
+    u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
     if kind is LossKind.INFO_NCE:
         value, du, dv = losses.info_nce(u, v, loss_spec.tau)
     else:
         f = features(u, v, mode)
-        out = f @ params.head_weights.T + params.head_bias
+        out = head(params, f)
         if kind is LossKind.CROSS_ENTROPY:
             values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
         else:
@@ -489,7 +530,9 @@ def forward_backward(
             values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
             # a clamped prediction passes no gradient back to the raw output
             d_out = d_x * np.sign(diff) * (pred == out)
-        value = float(np.sum(values) / n)
+        value = np.sum(values, axis=-1) / n
+    if not stacked:
+        value = float(value)
     if not with_grads:
         return value, None
 

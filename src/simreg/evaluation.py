@@ -163,7 +163,8 @@ def evaluate(
 
     Categorical datasets are ranked against their mapped node values and also
     get a rounding-classification accuracy from the head scores, also when
-    use_cosine ranks by embedding cosine.
+    use_cosine ranks by embedding cosine.  Each dataset is pooled once; the
+    head scores and the cosine share its (u, v).
     """
     datasets = list(datasets)
     if not datasets:
@@ -173,8 +174,9 @@ def evaluate(
         active = mapping if mapping is not None else model.mapping
         gold = golds(ds, active)
         pairs = model.encode(ds.pairs)
-        scores = predictions_for(model, pairs)
-        ranked = predictions_for(model, pairs, use_cosine=True) if use_cosine else scores
+        u, v = model.embed_pairs(pairs)
+        scores = model.head_scores(u, v)
+        ranked = cosine(u, v) if use_cosine else scores
         rho = spearman(ranked, gold)
         acc = accuracy(scores, ds, active) if ds.is_categorical else None
         rows.append(DatasetReport(ds.name, rho, acc, len(ds)))

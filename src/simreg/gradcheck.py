@@ -1,11 +1,18 @@
 """Finite-difference verification of every analytic gradient.
 
 Builds small random models and compares the hand-derived backward pass
-against central differences, parameter by parameter, for every loss kind and
-feature mode.  Sampled configurations are redrawn when the forward pass lands
-too close to a non-smooth point (the loss knot at x0, the kink of |u - v| at
-equal coordinates, the kink of the absolute error at zero), where comparing
-slopes is meaningless.
+against central differences over every entry of every parameter array, the
+embedding rows of tokens absent from the batch included, for every loss kind
+and feature mode.  Sampled configurations are redrawn when the forward pass
+lands too close to a non-smooth point (the loss knot at x0, the kink of
+|u - v| at equal coordinates, the kink of the absolute error at zero), where
+comparing slopes is meaningless.
+
+The central differences run on the batched core's parameter-stack axis: all
++step and -step copies of one parameter array go through one value-only
+forward pass, in chunks of at most FD_CHUNK_BYTES of perturbed copies, so
+memory stays bounded however large the table.  The caller's parameters are
+never written.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .encoder import (
     build_vocab,
     features,
     forward_backward,
+    head,
     init_params,
     pool,
     tokenize_pairs,
@@ -32,6 +40,9 @@ DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 KNOT_MARGIN = 1e-3  # distance kept from non-smooth points of the loss surface
 ABS_MARGIN = 1e-4  # min per-coordinate |u - v| when the |u-v| branch is active
+FD_CHUNK_BYTES = 4 * 2**20  # bytes of perturbed parameter copies per forward
+
+_PARAM_NAMES = ("embeddings", "head_weights", "head_bias")
 
 ALL_KINDS = tuple(LossKind)
 ALL_MODES = tuple(FeatureMode)
@@ -52,22 +63,44 @@ class GradCheckResult:
 
 def finite_difference_grads(value_fn, params: ModelParams,
                             step: float = DEFAULT_STEP) -> Gradients:
-    """Central-difference gradient of value_fn() over every parameter entry."""
+    """Central-difference gradient of value_fn over every parameter entry.
+
+    value_fn takes ModelParams stacked along one leading axis of P copies and
+    returns their P loss values.  Each call gets the perturbed copies of a
+    run of entries of one parameter array (_perturbed_copies), at most
+    FD_CHUNK_BYTES of them.
+    """
     fd = Gradients.zeros_like(params)
-    for name in ("embeddings", "head_weights", "head_bias"):
+    for name in _PARAM_NAMES:
         arr = getattr(params, name)
-        out = getattr(fd, name)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + step
-            up = value_fn()
-            arr[ix] = orig - step
-            down = value_fn()
-            arr[ix] = orig
-            out[ix] = (up - down) / (2.0 * step)
+        out = getattr(fd, name).reshape(-1)  # a view: fd is contiguous
+        per_call = max(1, FD_CHUNK_BYTES // (2 * arr.nbytes))
+        for lo in range(0, arr.size, per_call):
+            entries = np.arange(lo, min(lo + per_call, arr.size))
+            values = value_fn(_perturbed_copies(params, name, entries, step))
+            up, down = np.reshape(values, (2, len(entries)))
+            out[entries] = (up - down) / (2.0 * step)
     return fd
+
+
+def _perturbed_copies(params: ModelParams, name: str, entries: np.ndarray,
+                      step: float) -> ModelParams:
+    """2k stacked copies of params for k flat entries of the named array.
+
+    Copy i holds entries[i] moved up by step and copy k + i the same entry
+    moved down; the other two arrays are read-only broadcast views.
+    """
+    k = len(entries)
+    arrays = {}
+    for other in _PARAM_NAMES:
+        arr = getattr(params, other)
+        arrays[other] = np.broadcast_to(arr, (2 * k,) + arr.shape)
+    arr = getattr(params, name)
+    stack = np.repeat(arr.reshape(1, -1), 2 * k, axis=0)
+    stack[np.arange(k), entries] += step
+    stack[np.arange(k, 2 * k), entries] -= step
+    arrays[name] = stack.reshape((2 * k,) + arr.shape)
+    return ModelParams(**arrays)
 
 
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
@@ -100,7 +133,7 @@ def _too_close_to_kink(params, pairs, targets, mode, spec):
         return True
     if spec.kind in (LossKind.CROSS_ENTROPY, LossKind.INFO_NCE):
         return False
-    x = np.abs(features(u, v, mode) @ params.head_weights + params.head_bias - targets)
+    x = np.abs(head(params, features(u, v, mode)) - targets)
     if spec.kind in (LossKind.TRANSLATED_RELU, LossKind.SMOOTH_K2):
         if np.any(np.abs(x - spec.x0) < KNOT_MARGIN):
             return True
@@ -117,6 +150,23 @@ def check_configuration(
     step: float = DEFAULT_STEP,
 ) -> GradCheckResult:
     """Gradient-check one randomly drawn (loss, feature-mode) configuration."""
+    params, tokens, targets, spec = draw_configuration(
+        seed, kind, mode, dim_max, vocab_max, batch_max)
+    _, analytic = forward_backward(params, tokens, targets, mode, spec)
+    fd = finite_difference_grads(
+        lambda stacked: forward_backward(stacked, tokens, targets, mode, spec,
+                                         with_grads=False)[0],
+        params,
+        step,
+    )
+    n_params = params.embeddings.size + params.head_weights.size + params.head_bias.size
+    return GradCheckResult(seed, kind, mode, max_relative_error(analytic, fd), n_params)
+
+
+def draw_configuration(seed: int, kind: LossKind, mode: FeatureMode,
+                       dim_max: int = 8, vocab_max: int = 30, batch_max: int = 4):
+    """The random (params, tokens, targets, spec) that check_configuration
+    checks, drawn away from the loss surface's kinks."""
     rng = np.random.default_rng([seed, ALL_KINDS.index(kind), ALL_MODES.index(mode)])
     dim = int(rng.integers(2, dim_max + 1))
     n_words = int(rng.integers(5, vocab_max - 1))
@@ -139,16 +189,7 @@ def check_configuration(
             break
     else:
         raise TrainingError("could not sample a configuration away from kinks")
-
-    _, analytic = forward_backward(params, tokens, targets, mode, spec)
-    fd = finite_difference_grads(
-        lambda: forward_backward(params, tokens, targets, mode, spec,
-                                 with_grads=False)[0],
-        params,
-        step,
-    )
-    n_params = params.embeddings.size + params.head_weights.size + params.head_bias.size
-    return GradCheckResult(seed, kind, mode, max_relative_error(analytic, fd), n_params)
+    return params, tokens, targets, spec
 
 
 def run_gradient_checks(

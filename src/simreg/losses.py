@@ -2,9 +2,11 @@
 
 Everything here is stateless.  The residual losses and cross-entropy are
 element-wise: they take a scalar or a whole batch at once and return values
-and derivatives of the same shape.  The two buffered losses share the same
-shape: they are identically zero on ``[0, x0)`` (the zero-gradient buffer
-zone) and penalize only residuals at or past the threshold:
+and derivatives of the same shape.  Cross-entropy and InfoNCE also take
+batches stacked along leading axes, one batch per parameter copy.  The two
+buffered losses share the same shape: they are identically zero on
+``[0, x0)`` (the zero-gradient buffer zone) and penalize only residuals at
+or past the threshold:
 
     translated_relu(x) = max(0, k*(x - x0))          (piecewise linear)
     smooth_k2(x)       = k*(x - x0)**2  for x >= x0  (piecewise quadratic, C1)
@@ -121,21 +123,24 @@ def regression_loss(x, spec: LossSpec):
 def cross_entropy(logits, class_index):
     """Softmax cross-entropy and its gradient with respect to the logits.
 
-    logits is a K-vector with one class index, or an (n, K) matrix with n
-    indices; the values and gradients have the matching shapes.  Uses the
-    log-sum-exp stabilized form; gradient is softmax(logits) - onehot.
+    logits is a K-vector with one class index, or an (..., n, K) array with
+    n indices, broadcast over any leading stack axes; the values and
+    gradients have the shape of the logits' rows.  Uses the log-sum-exp
+    stabilized form; gradient is softmax(logits) - onehot.
     """
     z = np.asarray(logits, dtype=float)
     t = np.asarray(class_index)
-    if z.ndim not in (1, 2) or z.size == 0:
-        raise InvalidInputError("logits must be a nonempty vector or matrix")
-    if t.shape != z.shape[:-1] or not np.issubdtype(t.dtype, np.integer):
+    if z.ndim == 0 or z.size == 0:
+        raise InvalidInputError("logits must be a nonempty vector or array")
+    rows = z.shape[:-1]
+    if (t.ndim > len(rows) or rows[len(rows) - t.ndim:] != t.shape
+            or not np.issubdtype(t.dtype, np.integer)):
         raise InvalidInputError("need one integer class index per logit row")
     if ((t < 0) | (t >= z.shape[-1])).any():
         raise InvalidInputError(
             f"class index {class_index} out of range for {z.shape[-1]} logits"
         )
-    t = t[..., None]
+    t = np.broadcast_to(t, rows)[..., None]
     m = z.max(axis=-1, keepdims=True)
     exp = np.exp(z - m)
     norm = exp.sum(axis=-1, keepdims=True)
@@ -145,7 +150,8 @@ def cross_entropy(logits, class_index):
     return value[..., 0][()], grad
 
 
-def info_nce(anchors, positives, tau: float) -> tuple[float, np.ndarray, np.ndarray]:
+def info_nce(anchors, positives, tau: float
+             ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Batch-mean contrastive loss over cosine similarities.
 
     Each anchor is pulled toward its own positive and pushed away from every
@@ -154,40 +160,42 @@ def info_nce(anchors, positives, tau: float) -> tuple[float, np.ndarray, np.ndar
         loss_i = -log( exp(cos(a_i, p_i)/tau) / sum_j exp(cos(a_i, p_j)/tau) )
 
     Returns the mean loss and gradients for the anchor and positive matrices.
-    With a single pair the numerator equals the denominator, so the loss and
-    all gradients are exactly zero.
+    Stacked (..., n, dim) inputs give one batch-mean loss per leading index
+    (an array) and gradients of the inputs' shape.  With a single pair the
+    numerator equals the denominator, so the loss and all gradients are
+    exactly zero.
     """
     if tau <= 0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
     a = np.atleast_2d(np.asarray(anchors, dtype=float))
     p = np.atleast_2d(np.asarray(positives, dtype=float))
-    if a.shape[0] == 0:
+    if a.shape[-2] == 0:
         raise InvalidInputError("batch must be nonempty")
     if a.shape != p.shape:
         raise InvalidInputError(f"shape mismatch: {a.shape} vs {p.shape}")
-    na = np.linalg.norm(a, axis=1)
-    np_ = np.linalg.norm(p, axis=1)
+    na = np.linalg.norm(a, axis=-1, keepdims=True)
+    np_ = np.linalg.norm(p, axis=-1, keepdims=True)
     if np.any(na == 0) or np.any(np_ == 0):
         raise InvalidInputError("zero-norm embedding in contrastive batch")
 
-    ah = a / na[:, None]
-    ph = p / np_[:, None]
-    sims = ah @ ph.T  # sims[i, j] = cos(a_i, p_j)
-    n = sims.shape[0]
+    ah = a / na
+    ph = p / np_
+    sims = ah @ np.swapaxes(ph, -1, -2)  # sims[..., i, j] = cos(a_i, p_j)
+    n = sims.shape[-1]
 
     scaled = sims / tau
-    row_max = scaled.max(axis=1, keepdims=True)
+    row_max = scaled.max(axis=-1, keepdims=True)
     exp = np.exp(scaled - row_max)
-    log_norm = row_max[:, 0] + np.log(exp.sum(axis=1))
-    value = float(np.mean(log_norm - np.diag(scaled)))
+    log_norm = row_max[..., 0] + np.log(exp.sum(axis=-1))
+    value = np.mean(log_norm - np.diagonal(scaled, axis1=-2, axis2=-1), axis=-1)
 
-    d_sims = exp / exp.sum(axis=1, keepdims=True)
-    d_sims[np.arange(n), np.arange(n)] -= 1.0
+    d_sims = exp / exp.sum(axis=-1, keepdims=True)
+    d_sims[..., np.arange(n), np.arange(n)] -= 1.0
     d_sims /= n * tau
 
     # d cos(a_i, p_j) / d a_i = (ph_j - sims_ij * ah_i) / |a_i|
-    row_dot = (d_sims * sims).sum(axis=1, keepdims=True)
-    d_anchors = (d_sims @ ph - row_dot * ah) / na[:, None]
-    col_dot = (d_sims * sims).sum(axis=0)[:, None]
-    d_positives = (d_sims.T @ ah - col_dot * ph) / np_[:, None]
-    return value, d_anchors, d_positives
+    row_dot = (d_sims * sims).sum(axis=-1, keepdims=True)
+    d_anchors = (d_sims @ ph - row_dot * ah) / na
+    col_dot = (d_sims * sims).sum(axis=-2)[..., None]
+    d_positives = (np.swapaxes(d_sims, -1, -2) @ ah - col_dot * ph) / np_
+    return (value if value.ndim else float(value)), d_anchors, d_positives

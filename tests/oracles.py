@@ -6,7 +6,8 @@ formula, classification from an argmin scan over nodes, gold values and
 rounding accuracy one pair at a time, token ids one dictionary lookup per
 word, deduplication from
 a full O(n*m) comparison, the model's forward/backward pass from
-scalar loss closed forms applied one pair and one token at a time, the
+scalar loss closed forms applied one pair and one token at a time, finite
+differences one parameter entry and two forward passes at a time, the
 optimizers as updates of whole dense arrays, and the synthetic corpus from a
 set difference over the whole vocabulary per pair.
 """
@@ -170,6 +171,28 @@ def _scatter(emb, pairs, d_pooled):
             for i in ids:
                 g_emb[i] += d / len(ids)
     return g_emb
+
+
+def finite_difference_per_entry(value_fn, params, step):
+    """Central differences of value_fn(params) over every entry of
+    (embeddings, head weights, head bias) of a copy of params, perturbing one
+    entry in place for each pair of unstacked calls."""
+    params = params.copy()
+    fd = []
+    for arr in (params.embeddings, params.head_weights, params.head_bias):
+        out = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            orig = arr[ix]
+            arr[ix] = orig + step
+            up = value_fn(params)
+            arr[ix] = orig - step
+            down = value_fn(params)
+            arr[ix] = orig
+            out[ix] = (up - down) / (2.0 * step)
+        fd.append(out)
+    return fd
 
 
 def sgd_step_dense(params, grads, lr, names):

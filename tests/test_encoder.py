@@ -12,6 +12,7 @@ from simreg.encoder import (
     Corpus,
     FeatureMode,
     Model,
+    ModelParams,
     PairTokens,
     Vocabulary,
     build_vocab,
@@ -37,6 +38,15 @@ def run(model, batch, spec, clamp_range=None):
     targets = [target for _, target in batch]
     return forward_backward(model.params, pairs, targets, model.feature_mode, spec,
                             clamp_range)
+
+
+def loss_of(model, batch, spec):
+    """value_fn for finite_difference_grads: the loss of each stacked
+    parameter copy on a list of (SentencePair, target)."""
+    pairs = model.encode([pair for pair, _ in batch])
+    targets = [target for _, target in batch]
+    return lambda params: forward_backward(params, pairs, targets, model.feature_mode,
+                                           spec, with_grads=False)[0]
 
 
 def score(model, pair):
@@ -295,7 +305,7 @@ class TestForwardBackward:
             else LossSpec(kind)
         )
         _, analytic = run(m, batch, spec)
-        fd = finite_difference_grads(lambda: run(m, batch, spec)[0], m.params)
+        fd = finite_difference_grads(loss_of(m, batch, spec), m.params)
         assert max_relative_error(analytic, fd) < 1e-4
 
     def test_classifier_gradcheck(self, vocab):
@@ -307,7 +317,7 @@ class TestForwardBackward:
         ]
         spec = LossSpec(LossKind.CROSS_ENTROPY)
         _, analytic = run(m, batch, spec)
-        fd = finite_difference_grads(lambda: run(m, batch, spec)[0], m.params)
+        fd = finite_difference_grads(loss_of(m, batch, spec), m.params)
         assert max_relative_error(analytic, fd) < 1e-4
 
     def test_clamped_overshoot_blocks_gradient(self, vocab):
@@ -343,6 +353,20 @@ class TestForwardBackward:
             run(regressor, [(pair, 1)], LossSpec(LossKind.CROSS_ENTROPY))
         with pytest.raises(InvalidInputError):
             run(classifier, [(pair, 1.0)], LossSpec(LossKind.MSE))
+
+    def test_stacked_params_give_values_only(self, model):
+        p = model.params
+        stack = ModelParams(*(np.stack([a, a]) for a in
+                              (p.embeddings, p.head_weights, p.head_bias)))
+        assert stack.stack_shape == (2,) and stack.dim == p.dim
+        pairs = model.encode([SentencePair("a man", "the dog", score=0.0)])
+        with pytest.raises(InvalidInputError):
+            forward_backward(stack, pairs, [1.0], model.feature_mode,
+                             LossSpec(LossKind.MSE))
+        with pytest.raises(InvalidInputError):
+            ModelParams(stack.embeddings, p.head_weights, stack.head_bias)
+        with pytest.raises(InvalidInputError):
+            Model(model.vocab, stack, model.feature_mode)
 
 
 WORDS = [f"w{i}" for i in range(10)]
@@ -426,6 +450,43 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
         assert getattr(head[1], name).tobytes() == getattr(full[1], name).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(LossKind)),
+       st.sampled_from(list(FeatureMode)), st.booleans(), st.integers(1, 4),
+       st.integers(1, 5))
+def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batch,
+                                                   copies):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab([" ".join(WORDS)])
+    n_classes = 3 if kind is LossKind.CROSS_ENTROPY else None
+    base = init_params(len(vocab), int(rng.integers(2, 6)), mode, seed,
+                       n_classes=n_classes)
+    if n_classes is None:
+        base.head_bias = np.asarray(rng.uniform(-1.0, 4.0))  # some get clamped
+        targets = rng.uniform(0.0, 3.0, size=batch)
+    else:
+        targets = rng.integers(0, n_classes, size=batch)
+    stack = ModelParams(*(a + rng.normal(0.0, 0.05, size=(copies,) + a.shape)
+                          for a in (base.embeddings, base.head_weights, base.head_bias)))
+    spec = _random_spec(rng, kind)
+    clamp_range = (0.0, 3.0) if clamp else None
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
+             for _ in range(2 * batch)]
+    tokens = tokenize_pairs(texts, vocab)
+
+    values, grads = forward_backward(stack, tokens, targets, mode, spec, clamp_range,
+                                     with_grads=False)
+    assert grads is None and values.shape == (copies,)
+    each = [forward_backward(ModelParams(stack.embeddings[i], stack.head_weights[i],
+                                         stack.head_bias[i]),
+                             tokens, targets, mode, spec, clamp_range,
+                             with_grads=False)[0]
+            for i in range(copies)]
+    np.testing.assert_array_max_ulp(values, np.array(each), maxulp=4)
+    if kind is LossKind.INFO_NCE and batch == 1:
+        assert not values.any()
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, model, tmp_path):
         model.mapping = build_mapping(["lo", "mid", "hi"], 0.0, 1.0)
@@ -472,9 +533,11 @@ class TestCheckpoint:
         lambda doc: doc.update(head_kind="banana"),
         lambda doc: doc.update(max_tokens=-3),
         lambda doc: doc.update(max_tokens=2.5),
+        lambda doc: [doc[name]["shape"].insert(0, 1)
+                     for name in ("embeddings", "head_weights", "head_bias")],
     ], ids=["bad-base64", "wrong-dtype", "bytes-not-shape", "float-shape",
             "list-payload", "version-1", "head-kind-mismatch", "head-kind-unknown",
-            "max-tokens-negative", "max-tokens-float"])
+            "max-tokens-negative", "max-tokens-float", "stacked-arrays"])
     def test_corrupt_arrays_rejected(self, model, tmp_path, corrupt):
         path = tmp_path / "ck.json"
         save_checkpoint(model, path)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import accuracy_per_pair, golds_per_pair, spearman_bruteforce
 from simreg.data import Dataset, SentencePair
-from simreg import evaluation
+from simreg import encoder, evaluation
+from simreg.encoder import Model, build_vocab
 from simreg.errors import DegenerateInputError, InvalidInputError
 from simreg.evaluation import accuracy, cosine, evaluate, spearman
 from simreg.labelmap import build_mapping
@@ -31,8 +32,14 @@ class StubModel:
         def embed(text):
             return [1.0 + sum(map(ord, text)) % 17, 1.0]
 
+        self.embedded = pairs
         return (np.array([embed(p.s1) for p in pairs]),
                 np.array([embed(p.s2) for p in pairs]))
+
+    def head_scores(self, u, v):
+        """The scores of the pairs last embedded."""
+        assert len(u) == len(v) == len(self.embedded)
+        return self.scores(self.embedded)
 
 
 class TestSpearman:
@@ -292,6 +299,27 @@ class TestEvaluate:
         model = StubModel(lambda p: 0.0)  # constant head would raise
         report = evaluate(model, [ds], use_cosine=True)
         assert -1.0 <= report.average <= 1.0
+
+    def test_cosine_eval_pools_each_dataset_once(self, monkeypatch):
+        cats = build_mapping(["low", "mid", "high"], 0.0, 1.0)
+        categorical = categorical_ds("c", ["low", "mid", "high", "mid"])
+        continuous = self.make_ds("s", [0.0, 1.0, 2.0, 3.0])
+        texts = [t for ds in (categorical, continuous) for p in ds.pairs
+                 for t in (p.s1, p.s2)]
+        model = Model.initialize(build_vocab(texts), dim=4, seed=2, mapping=cats)
+        expected = [
+            (spearman(cosine(*model.embed_pairs(model.encode(ds.pairs))),
+                      evaluation.golds(ds, cats)),
+             accuracy(model.scores(model.encode(ds.pairs)), ds, cats)
+             if ds.is_categorical else None)
+            for ds in (categorical, continuous)]
+        calls = []
+        real = encoder.pool
+        monkeypatch.setattr(encoder, "pool",
+                            lambda *args: calls.append(args) or real(*args))
+        report = evaluate(model, [categorical, continuous], use_cosine=True)
+        assert len(calls) == 2
+        assert [(r.spearman, r.accuracy) for r in report.per_dataset] == expected
 
     def test_no_datasets_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,13 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import simreg.encoder as encoder
+from oracles import finite_difference_per_entry
 from simreg.data import SentencePair
 from simreg.encoder import FeatureMode, Model, build_vocab, forward_backward
 from simreg.gradcheck import (
+    ALL_KINDS,
+    ALL_MODES,
+    DEFAULT_STEP,
+    FD_CHUNK_BYTES,
     check_configuration,
+    draw_configuration,
     finite_difference_grads,
     max_relative_error,
     run_gradient_checks,
@@ -50,11 +57,12 @@ def test_buffer_zone_gives_zero_on_both_routes():
     target = model.scores(pairs)[0] + 0.05  # inside the x0 = 0.25 buffer
     spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
 
-    def run():
-        return forward_backward(model.params, pairs, [target], model.feature_mode, spec)
+    def run(params=model.params, with_grads=True):
+        return forward_backward(params, pairs, [target], model.feature_mode, spec,
+                                with_grads=with_grads)
 
     value, analytic = run()
-    fd = finite_difference_grads(lambda: run()[0], model.params)
+    fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
     assert value == 0.0
     for grads in (analytic, fd):
         assert not grads.dense_embeddings(model.params.vocab_size).any()
@@ -69,13 +77,83 @@ def test_nan_analytic_entry_is_reported(name):
     model = Model.initialize(vocab, dim=4, seed=8, label_range=(0.0, 3.0))
     pairs = model.encode([SentencePair("alpha beta", "delta epsilon", score=0.0)])
 
-    def run():
-        return forward_backward(model.params, pairs, [1.0], model.feature_mode,
-                                LossSpec(LossKind.MSE))
+    def run(params=model.params, with_grads=True):
+        return forward_backward(params, pairs, [1.0], model.feature_mode,
+                                LossSpec(LossKind.MSE), with_grads=with_grads)
 
     _, analytic = run()
-    fd = finite_difference_grads(lambda: run()[0], model.params)
+    fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
     assert max_relative_error(analytic, fd) < 1e-4
     grad = getattr(analytic, name)
     grad[(0,) * grad.ndim] = np.nan
     assert math.isnan(max_relative_error(analytic, fd))
+
+
+def loss_fn(tokens, targets, mode, spec):
+    """value_fn for finite_difference_grads on one drawn configuration."""
+    return lambda params: forward_backward(params, tokens, targets, mode, spec,
+                                           with_grads=False)[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_differences_match_per_entry_oracle(seed):
+    for kind in ALL_KINDS:
+        for mode in ALL_MODES:
+            params, tokens, targets, spec = draw_configuration(seed, kind, mode)
+            value_fn = loss_fn(tokens, targets, mode, spec)
+            fd = finite_difference_grads(value_fn, params)
+            expected = finite_difference_per_entry(value_fn, params, DEFAULT_STEP)
+            for got, want in zip((fd.embeddings, fd.head_weights, fd.head_bias),
+                                 expected, strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
+                                           err_msg=f"{kind.value} {mode.value}")
+
+
+def snapshot(params):
+    return [a.tobytes() for a in (params.embeddings, params.head_weights,
+                                  params.head_bias)]
+
+
+def test_caller_params_are_never_written():
+    params, tokens, targets, spec = draw_configuration(
+        0, LossKind.SMOOTH_K2, FeatureMode.UV_ABS_DIFF)
+    before = snapshot(params)
+    finite_difference_grads(loss_fn(tokens, targets, FeatureMode.UV_ABS_DIFF, spec),
+                            params)
+    assert snapshot(params) == before
+
+
+def test_raising_value_fn_leaves_params_unperturbed():
+    params, *_ = draw_configuration(0, LossKind.MSE, FeatureMode.UV)
+    before = snapshot(params)
+
+    def value_fn(stacked):
+        raise RuntimeError("forward failed")
+
+    with pytest.raises(RuntimeError):
+        finite_difference_grads(value_fn, params)
+    assert snapshot(params) == before
+
+
+def test_memory_stays_near_the_chunk_budget():
+    words = [f"w{i}" for i in range(100)]
+    model = Model.initialize(build_vocab([" ".join(words)]), dim=16, seed=4,
+                             label_range=(0.0, 3.0))
+    table = model.params.embeddings
+    # unchunked: one +step and one -step copy of the whole table per entry
+    assert 2 * table.size * table.nbytes > 40e6
+    pairs = model.encode([SentencePair(" ".join(words[i:i + 5]), words[i + 50], 0.0)
+                          for i in range(0, 40, 10)])
+    targets = [0.5, 1.0, 2.0, 2.5]
+    spec = LossSpec(LossKind.MSE)
+    value_fn = loss_fn(pairs, targets, model.feature_mode, spec)
+    tracemalloc.start()
+    try:
+        fd = finite_difference_grads(value_fn, model.params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * FD_CHUNK_BYTES
+    _, analytic = forward_backward(model.params, pairs, targets, model.feature_mode,
+                                   spec)
+    assert max_relative_error(analytic, fd) <= 1e-4
