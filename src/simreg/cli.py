@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -277,12 +278,11 @@ def cmd_train(args) -> int:
 
 # ----------------------------------------------------------------------- eval
 
-def _sniff_categorical(path, mapping) -> bool:
+def _sniff_categorical(text: str, mapping) -> bool:
     """A file is categorical when every first field is one of the mapping's
     categories, or else when its first field does not parse as a score."""
-    # undecodable bytes are left for load_tsv to report with their line
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        firsts = [line.split("\t", 1)[0] for line in fh if line.strip()]
+    lines = io.StringIO(text, newline=None)  # the lines of a file opened as text
+    firsts = [line.split("\t", 1)[0] for line in lines if line.strip()]
     if not firsts:
         return False
     if mapping is not None and all(f in mapping.categories for f in firsts):
@@ -298,16 +298,19 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     datasets = []
     for path in args.datasets:
-        if _sniff_categorical(path, model.mapping):
+        with open(path, "rb") as fh:  # a missing file is an OSError: exit 2
+            raw = fh.read()
+        # undecodable bytes are left for parse_tsv to report
+        if _sniff_categorical(raw.decode("utf-8", errors="replace"), model.mapping):
             if model.mapping is None:
                 raise UsageError(
                     f"{path} looks categorical but the checkpoint has no mapping"
                 )
             datasets.append(
-                data_mod.load_tsv(path, categories=model.mapping.categories)
+                data_mod.parse_tsv(raw, path, categories=model.mapping.categories)
             )
         else:
-            datasets.append(data_mod.load_tsv(path))
+            datasets.append(data_mod.parse_tsv(raw, path))
     report = evaluate(model, datasets, use_cosine=args.cosine)
     print(report.format_table())
     if args.out:

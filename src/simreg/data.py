@@ -79,18 +79,32 @@ def load_tsv(
     score_range: tuple[float, float] = (0.0, 5.0),
     categories: tuple[str, ...] | None = None,
 ) -> Dataset:
-    """Parse a TSV corpus; any malformed line rejects the whole file.
+    """Read and parse a TSV corpus (see parse_tsv)."""
+    path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"no such data file: {path}")
+    return parse_tsv(path.read_bytes(), path, name, score_range, categories)
+
+
+def parse_tsv(
+    raw: bytes,
+    path,
+    name: str | None = None,
+    score_range: tuple[float, float] = (0.0, 5.0),
+    categories: tuple[str, ...] | None = None,
+) -> Dataset:
+    """Parse the bytes of a TSV corpus read from path, which names it in
+    errors and by default in the dataset; any malformed line rejects the
+    whole file.
 
     With `categories` the first field is read as a label, otherwise as a
     float score that must fall inside `score_range`.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"no such data file: {path}")
     name = name if name is not None else path.stem
     pairs = []
     try:
-        text = path.read_text(encoding="utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

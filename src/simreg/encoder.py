@@ -8,12 +8,17 @@ is derived by hand and returns exact gradients for every parameter.
 
 Everything runs on whole batches at once.  Each distinct text is split into
 words once (``Corpus``), and a dataset becomes flat token ids with
-per-sentence offsets and lengths (``PairTokens``).  Pooling is a segment sum
-over those ids.  The backward pass builds the batch's pooling matrix, one row
-per distinct token and one column per sentence holding count / length, and
-one matrix product with it carries every sentence's gradient back to the
-token rows.  The embedding gradient holds only the rows of the tokens in the
-batch, so its cost does not grow with the vocabulary.
+per-sentence offsets and lengths (``PairTokens``).  A whole dataset is pooled
+by ``pool``: sentences sorted by length, longest first, and each token
+position added into the sentences that reach it, so the work is one gather
+and add per token with no padding.  A training batch is pooled by its pooling
+matrix S, one row per distinct token and one column per sentence holding
+count / length: pooled = S.T @ E[rows] forward, and one matrix product with S
+carries every sentence's gradient back to the token rows.  The embedding
+gradient holds only the rows of the tokens in the batch, so its cost does not
+grow with the vocabulary.  The head and loss half of the batch core,
+head_forward_backward, also runs on its own on vectors pooled once, for a
+stage that freezes the encoder.
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
@@ -21,8 +26,7 @@ leading shape hold that many parameter copies, and
 forward_backward(..., with_grads=False) returns one loss value per copy.
 The finite-difference gradient check uses this to evaluate every perturbed
 copy of a parameter array in one call.  Each copy's loss agrees with an
-unstacked call on that copy to a few ulps; an unstacked call itself runs no
-extra operation.
+unstacked call on that copy to a few ulps.
 """
 
 from __future__ import annotations
@@ -353,9 +357,39 @@ def init_params(
 def pool(embeddings: np.ndarray, tokens: PairTokens) -> np.ndarray:
     """Mean of each sentence's token embedding rows (order-free), one row per
     sentence, so a pair's (u, v) are rows 2i and 2i + 1.  Leading stack axes
-    of embeddings carry over to the result."""
-    sums = np.add.reduceat(embeddings[..., tokens.ids, :], tokens.starts, axis=-2)
-    return sums / tokens.lengths[:, None]
+    of embeddings carry over to the result.
+
+    Sentences are sorted by length, longest first, so the sentences with more
+    than k tokens are a prefix of that order: token position k is one gather
+    added into that prefix.  The loop runs once per token position.
+    """
+    lengths = tokens.lengths
+    order = np.argsort(-lengths, kind="stable")
+    first = tokens.starts[order]
+    # longer[k] sentences have more than k tokens; longer[0] is all of them
+    longer = len(lengths) - np.cumsum(np.bincount(lengths))
+    sums = embeddings[..., tokens.ids[first], :]
+    for k in range(1, len(longer) - 1):
+        m = longer[k]
+        sums[..., :m, :] += embeddings[..., tokens.ids[first[:m] + k], :]
+    sums /= lengths[order, None]
+    pooled = np.empty(sums.shape)
+    pooled[..., order, :] = sums
+    return pooled
+
+
+def pooling_matrix(tokens: PairTokens) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, S) of a batch: its sorted distinct token ids and its pooling
+    matrix, whose entry (r, j) is how often rows[r] occurs in sentence j over
+    sentence j's length.  So pooled = S.T @ E[rows] and the gradient of
+    E[rows] is S @ d(pooled).  S is dense, distinct tokens x sentences: it
+    suits a batch; a whole dataset is pooled by pool."""
+    rows, inverse = np.unique(tokens.ids, return_inverse=True)
+    n_sentences = len(tokens.lengths)
+    sentence = np.repeat(np.arange(n_sentences), tokens.lengths)
+    counts = np.bincount(inverse * n_sentences + sentence,
+                         minlength=len(rows) * n_sentences)
+    return rows, counts.reshape(len(rows), n_sentences) / tokens.lengths
 
 
 def head(params: ModelParams, f: np.ndarray) -> np.ndarray:
@@ -488,22 +522,53 @@ def forward_backward(
     loss_spec: LossSpec,
     clamp_range: tuple[float, float] | None = None,
     with_grads: bool = True,
-    encoder_grads: bool = True,
 ) -> tuple[float | np.ndarray, Gradients | None]:
     """Batch-mean loss and exact analytic gradients for all parameters.
 
     targets holds one entry per pair: floats for the residual losses, class
     indices for cross-entropy; the contrastive loss ignores them and treats
     each pair as anchor/positive.  Predictions outside clamp_range are
-    clamped and pass no gradient.  The embedding gradient covers only the
-    rows of tokens present in the batch (Gradients.rows); every other row's
-    gradient is zero.  With encoder_grads=False, for a stage that freezes the
-    encoder, no embedding gradient is computed and Gradients.rows is empty.
-    With with_grads=False only the loss is computed and the gradients are
-    None; params may then be a stack of copies (ModelParams.stack_shape), and
-    the loss is an array with one value per copy.
+    clamped and pass no gradient.  The batch is pooled through its
+    pooling_matrix, and the head and loss run in head_forward_backward.  The
+    embedding gradient covers only the rows of tokens present in the batch
+    (Gradients.rows); every other row's gradient is zero.  With
+    with_grads=False only the loss is computed and the gradients are None;
+    params may then be a stack of copies (ModelParams.stack_shape), and the
+    loss is an array with one value per copy.
     """
-    n = len(pairs)
+    rows, S = pooling_matrix(pairs)
+    pooled = S.T @ params.embeddings[..., rows, :]
+    value, grads, du, dv = head_forward_backward(
+        params, pooled[..., 0::2, :], pooled[..., 1::2, :], targets, mode,
+        loss_spec, clamp_range, with_grads)
+    if grads is None:
+        return value, None
+    d_pooled = np.empty_like(pooled)
+    d_pooled[0::2], d_pooled[1::2] = du, dv
+    grads.rows, grads.embeddings = rows, S @ d_pooled
+    return value, grads
+
+
+def head_forward_backward(
+    params: ModelParams,
+    u: np.ndarray,
+    v: np.ndarray,
+    targets,
+    mode: FeatureMode,
+    loss_spec: LossSpec,
+    clamp_range: tuple[float, float] | None = None,
+    with_grads: bool = True,
+) -> tuple[float | np.ndarray, Gradients | None, np.ndarray | None, np.ndarray | None]:
+    """The head and loss half of forward_backward, on pooled pairs.
+
+    u and v (..., n, dim) are the n pairs' left and right sentence vectors;
+    the other arguments are as for forward_backward.  Returns (value, grads,
+    du, dv): grads holds the head gradients and no embedding rows, du and dv
+    the loss gradient with respect to u and v.  With with_grads=False only
+    the loss is computed, the other three are None, and params may be a
+    stack of copies.
+    """
+    n = u.shape[-2]
     if n == 0:
         raise InvalidInputError("batch must be nonempty")
     stacked = bool(params.stack_shape)
@@ -515,8 +580,6 @@ def forward_backward(
             raise InvalidInputError("cross-entropy needs a classification head")
     elif kind is not LossKind.INFO_NCE and params.is_classifier:
         raise InvalidInputError("residual losses need a regression head")
-    pooled = pool(params.embeddings, pairs)
-    u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
     if kind is LossKind.INFO_NCE:
         value, du, dv = losses.info_nce(u, v, loss_spec.tau)
     else:
@@ -534,7 +597,7 @@ def forward_backward(
     if not stacked:
         value = float(value)
     if not with_grads:
-        return value, None
+        return value, None, None, None
 
     grads = Gradients(
         np.zeros((0, params.dim)),
@@ -546,26 +609,12 @@ def forward_backward(
         d_out = d_out / n
         grads.head_weights[...] = d_out.T @ f
         grads.head_bias[...] = np.sum(d_out, axis=0)
-    if not encoder_grads:
-        return value, grads
-    if kind is not LossKind.INFO_NCE:
         if params.is_classifier:
             df = d_out @ params.head_weights
         else:
             df = np.multiply.outer(d_out, params.head_weights)
         du, dv = _feature_grad(df, u, v, mode)
-    d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = du, dv
-    # pooling matrix: entry (r, j) is how often row r occurs in sentence j,
-    # over sentence j's length, so d(rows) = S @ d(pooled)
-    grads.rows, inverse = np.unique(pairs.ids, return_inverse=True)
-    n_sentences = len(pairs.lengths)
-    sentence = np.repeat(np.arange(n_sentences), pairs.lengths)
-    counts = np.bincount(inverse * n_sentences + sentence,
-                         minlength=len(grads.rows) * n_sentences)
-    S = counts.reshape(len(grads.rows), n_sentences) / pairs.lengths
-    grads.embeddings = S @ d_pooled
-    return value, grads
+    return value, grads, du, dv
 
 
 def _encode_array(array: np.ndarray) -> dict:

@@ -113,11 +113,12 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def predictions_for(model, pairs, use_cosine: bool = False) -> np.ndarray:
-    """Raw head scores of tokenized pairs; cosine(u, v) for embedding-only eval."""
+def predictions_for(model, u, v, use_cosine: bool = False) -> np.ndarray:
+    """Raw head scores of pooled pairs (u, v); cosine(u, v) for embedding-only
+    eval."""
     if use_cosine:
-        return cosine(*model.embed_pairs(pairs))
-    return model.scores(pairs)
+        return cosine(u, v)
+    return model.head_scores(u, v)
 
 
 def golds(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:

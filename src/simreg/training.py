@@ -2,8 +2,9 @@
 
 Supports single-stage runs and the two-stage workflow used for contrastive
 pre-trained encoders: first only the randomly initialized head is updated
-while the encoder stays frozen, then everything is trained jointly.  Given a
-seed, the whole procedure is deterministic.
+while the encoder stays frozen, then everything is trained jointly.  The
+frozen stage pools its train and dev sentences once and runs only the head
+and loss on each batch.  Given a seed, the whole procedure is deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .encoder import (
     Model,
     PairTokens,
     forward_backward,
+    head_forward_backward,
     pair_texts,
     tokenize_pairs,
 )
@@ -174,9 +176,9 @@ def _make_optimizer(config: TrainConfig, params):
     return SgdOptimizer(config.learning_rate)
 
 
-def _dev_score(model: Model, dev_pairs, dev_golds, use_cosine: bool) -> float:
+def _dev_score(model: Model, u, v, dev_golds, use_cosine: bool) -> float:
     # checkpoint selection uses raw (unclamped) predictions
-    return spearman(predictions_for(model, dev_pairs, use_cosine), dev_golds)
+    return spearman(predictions_for(model, u, v, use_cosine), dev_golds)
 
 
 def tokenize_datasets(vocab, *datasets, corpus: Corpus | None = None):
@@ -238,9 +240,29 @@ def train(
     dev_pairs = dev_tokens.truncate(config.max_tokens)
     optimizer = _make_optimizer(config, work.params)
     rng = np.random.default_rng(config.seed)
+    frozen = stage is Stage.HEAD_ONLY
+    if frozen:
+        # the encoder does not change in this stage: pool every sentence once
+        train_u, train_v = work.embed_pairs(train_pairs)
+        dev_uv = work.embed_pairs(dev_pairs)
 
-    best_dev = _dev_score(work, dev_pairs, dev_golds, use_cosine)
+    def batch_step(idx):
+        if frozen:
+            value, grads, _, _ = head_forward_backward(
+                work.params, train_u[idx], train_v[idx], targets[idx],
+                work.feature_mode, loss_spec, clamp_range)
+            return value, grads
+        return forward_backward(work.params, train_pairs.take(idx), targets[idx],
+                                work.feature_mode, loss_spec, clamp_range)
+
+    def dev_score():
+        u, v = dev_uv if frozen else work.embed_pairs(dev_pairs)
+        return _dev_score(work, u, v, dev_golds, use_cosine)
+
+    best_dev = dev_score()
+    # one buffer for the best parameters, overwritten at each improvement
     best_params = work.params.copy()
+    updated = [name for name in _PARAM_FIELDS if not (frozen and name == "embeddings")]
     history = [HistoryEntry(0, None, best_dev)]
 
     step = 0
@@ -251,11 +273,7 @@ def train(
         for b in range(batches_per_epoch):
             idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
             try:
-                value, grads = forward_backward(
-                    work.params, train_pairs.take(idx), targets[idx],
-                    work.feature_mode, loss_spec, clamp_range,
-                    encoder_grads=stage is Stage.JOINT,
-                )
+                value, grads = batch_step(idx)
             except InvalidInputError as exc:
                 # diverged parameters produce non-finite predictions downstream
                 raise TrainingError(f"aborted at step {step + 1}: {exc}") from exc
@@ -266,7 +284,7 @@ def train(
             dev = None
             if step % config.eval_every == 0 or b == batches_per_epoch - 1:
                 try:
-                    dev = _dev_score(work, dev_pairs, dev_golds, use_cosine)
+                    dev = dev_score()
                 except InvalidInputError as exc:
                     # finite loss but runaway parameters: treat as divergence
                     raise TrainingError(
@@ -274,7 +292,8 @@ def train(
                     ) from exc
                 if dev > best_dev:
                     best_dev = dev
-                    best_params = work.params.copy()
+                    for name in updated:
+                        np.copyto(getattr(best_params, name), getattr(work.params, name))
             history.append(HistoryEntry(step, value, dev))
 
     best_model = Model(

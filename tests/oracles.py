@@ -4,7 +4,7 @@ These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
 formula, classification from an argmin scan over nodes, gold values and
 rounding accuracy one pair at a time, token ids one dictionary lookup per
-word, deduplication from
+word, sentence means one sentence at a time, deduplication from
 a full O(n*m) comparison, the model's forward/backward pass from
 scalar loss closed forms applied one pair and one token at a time, finite
 differences one parameter entry and two forward passes at a time, the
@@ -114,6 +114,15 @@ def tokenize_per_token(text, vocab, max_tokens=None):
     oov = ids["<oov>"]
     words = re.findall(r"\w+", text.lower())[:max_tokens]
     return [ids.get(word, oov) for word in words] or [oov]
+
+
+def pool_per_sentence(embeddings, tokens):
+    """Each sentence's mean embedding row, E[ids].mean(axis=0) one sentence at
+    a time, stacked as (..., n_sentences, dim) over embeddings' leading axes."""
+    lead, dim = embeddings.shape[:-2], embeddings.shape[-1]
+    means = [embeddings[..., tokens.ids[start:start + length], :].mean(axis=-2)
+             for start, length in zip(tokens.starts, tokens.lengths)]
+    return np.stack(means, axis=-2) if means else np.zeros(lead + (0, dim))
 
 
 def forward_backward_per_pair(params, pairs, targets, mode, spec, clamp_range=None,

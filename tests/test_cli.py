@@ -1,6 +1,9 @@
+import builtins
+import io
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +351,49 @@ class TestEval:
                      str(tmp_path / "graded.tsv"), "--out", str(tmp_path / "rep")]) == 0
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert report["datasets"][0]["accuracy"] is not None
+
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch):
+        ds = make_ordinal_corpus(40, seed=7)
+        vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=4,
+                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+        save_checkpoint(model, tmp_path / "ck.json")
+        save_tsv(ds, tmp_path / "graded.tsv")
+        save_tsv(cont("scored", [(float(i % 4), p.s1, p.s2)
+                                 for i, p in enumerate(ds.pairs)]), tmp_path / "scored.tsv")
+        opened = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[Path(file).name] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+                     str(tmp_path / "graded.tsv"), str(tmp_path / "scored.tsv")]) == 0
+        assert opened["graded.tsv"] == 1 and opened["scored.tsv"] == 1
+
+    def test_unreadable_files_keep_their_errors(self, tmp_path, capsys):
+        ds = make_ordinal_corpus(20, seed=7)
+        vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
+        save_checkpoint(Model.initialize(vocab, dim=4), tmp_path / "ck.json")
+        checkpoint = str(tmp_path / "ck.json")
+        missing = str(tmp_path / "missing.tsv")
+        assert main(["eval", "--checkpoint", checkpoint, missing]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {missing!r}\n")
+        (tmp_path / "bad.tsv").write_bytes(b"1.0\ta\xffb\tc\n")
+        assert main(["eval", "--checkpoint", checkpoint, str(tmp_path / "bad.tsv")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'bad.tsv'} is not valid UTF-8: 'utf-8' codec can't decode"
+            " byte 0xff in position 5")
+        # the categorical sniff still comes first: a mapping-less checkpoint
+        (tmp_path / "badcat.tsv").write_bytes(b"neutral\ta\xffb\tc\n")
+        assert main(["eval", "--checkpoint", checkpoint,
+                     str(tmp_path / "badcat.tsv")]) == 1
+        assert "looks categorical but the checkpoint has no mapping" in (
+            capsys.readouterr().err)
 
     def test_failed_report_write_keeps_the_old_report(self, corpus_files,
                                                       failing_writes):

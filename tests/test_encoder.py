@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import forward_backward_per_pair, tokenize_per_token
+from oracles import forward_backward_per_pair, pool_per_sentence, tokenize_per_token
+from simreg import encoder
 from simreg.data import SentencePair
 from simreg.encoder import (
     Corpus,
@@ -19,9 +20,11 @@ from simreg.encoder import (
     feature_dim,
     features,
     forward_backward,
+    head_forward_backward,
     init_params,
     load_checkpoint,
     pool,
+    pooling_matrix,
     save_checkpoint,
     split_tokens,
     tokenize_pairs,
@@ -427,6 +430,66 @@ def test_vectorized_lookup_matches_per_token_oracle(pieces, max_tokens, extra):
         assert tokens.starts.tolist() == np.cumsum([0, *tokens.lengths[:-1]]).tolist()
 
 
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 20),
+       st.sampled_from([(), (2,), (3, 2)]))
+def test_pool_matches_per_sentence_oracle(seed, n_sentences, max_tokens, stack):
+    rng = np.random.default_rng(seed)
+    vocab_size, dim = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+    lengths = rng.integers(1, max_tokens + 1, size=n_sentences)
+    if n_sentences:
+        lengths[rng.integers(n_sentences)] = max_tokens
+    ids = rng.integers(0, vocab_size, size=int(lengths.sum()))
+    tokens = PairTokens(ids, np.cumsum(lengths) - lengths, lengths)
+    table = rng.normal(size=stack + (vocab_size, dim))
+    got = pool(table, tokens)
+    assert got.shape == stack + (n_sentences, dim)
+    # a mean of at most max_tokens rows: a few ulps of the largest entry per row
+    np.testing.assert_allclose(got, pool_per_sentence(table, tokens), rtol=0,
+                               atol=4 * max_tokens * EPS * np.abs(table).max())
+    # integer entries sum exactly in any order, so the means agree exactly
+    whole = np.round(8 * table)
+    np.testing.assert_array_equal(pool(whole, tokens), pool_per_sentence(whole, tokens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(LossKind)),
+       st.sampled_from(list(FeatureMode)), st.integers(0, 3))
+def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab([" ".join(WORDS)])
+    batch = int(rng.integers(1, 6))
+    n_classes = 3 if kind is LossKind.CROSS_ENTROPY else None
+    params = init_params(len(vocab), 4, mode, seed, n_classes=n_classes)
+    if copies:  # the value path of a stack of parameter copies
+        params = ModelParams(*(a + rng.normal(0.0, 0.05, size=(copies,) + a.shape)
+                               for a in (params.embeddings, params.head_weights,
+                                         params.head_bias)))
+    targets = (rng.integers(0, 3, size=batch) if n_classes
+               else rng.uniform(0.0, 3.0, size=batch))
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 9))))
+             for _ in range(2 * batch)]
+    tokens = tokenize_pairs(texts, vocab)
+    seen = []
+
+    def spy(params, u, v, *args):
+        seen.append((u, v))
+        return head_forward_backward(params, u, v, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "head_forward_backward", spy)
+        forward_backward(params, tokens, targets, mode, _random_spec(rng, kind),
+                         with_grads=not copies)
+    pooled = pool(params.embeddings, tokens)
+    atol = 4 * tokens.lengths.max() * EPS * np.abs(params.embeddings).max()
+    (u, v), = seen
+    np.testing.assert_allclose(u, pooled[..., 0::2, :], rtol=0, atol=atol)
+    np.testing.assert_allclose(v, pooled[..., 1::2, :], rtol=0, atol=atol)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(list(LossKind)),
        st.sampled_from(list(FeatureMode)))
@@ -442,8 +505,10 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
              for _ in range(2 * batch)]
     tokens, spec = tokenize_pairs(texts, vocab), _random_spec(rng, kind)
     full = forward_backward(params, tokens, targets, mode, spec, (0.0, 3.0))
-    head = forward_backward(params, tokens, targets, mode, spec, (0.0, 3.0),
-                            encoder_grads=False)
+    rows, S = pooling_matrix(tokens)
+    pooled = S.T @ params.embeddings[rows]
+    head = head_forward_backward(params, pooled[0::2], pooled[1::2], targets, mode,
+                                 spec, (0.0, 3.0))
     assert head[0] == full[0]
     assert head[1].rows.size == 0 and head[1].embeddings.shape == (0, 4)
     for name in ("head_weights", "head_bias"):

@@ -12,6 +12,7 @@ from simreg.encoder import (
     Model,
     build_vocab,
     forward_backward,
+    head_forward_backward,
     init_params,
     tokenize_pairs,
 )
@@ -169,12 +170,16 @@ class TestTrain:
                                                              stage, monkeypatch):
         rows = []
 
-        def recorded(*args, **kwargs):
-            value, grads = forward_backward(*args, **kwargs)
-            rows.append(len(grads.rows))
-            return value, grads
+        def recorded(batch_core):
+            def call(*args, **kwargs):
+                value, grads, *rest = batch_core(*args, **kwargs)
+                rows.append(len(grads.rows))
+                return (value, grads, *rest)
+            return call
 
-        monkeypatch.setattr(training, "forward_backward", recorded)
+        monkeypatch.setattr(training, "forward_backward", recorded(forward_backward))
+        monkeypatch.setattr(training, "head_forward_backward",
+                            recorded(head_forward_backward))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
         train(model, corpus, corpus, cfg, K2, stage)
         assert len(rows) == 2
@@ -189,6 +194,44 @@ class TestTrain:
         assert not np.array_equal(
             result.best_model.params.head_weights, model.params.head_weights
         ) or result.best_dev == result.history[0].dev_spearman
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("spec", [K2, LossSpec(LossKind.L1)], ids=["k2", "l1"])
+    def test_head_only_matches_per_batch_forward_backward(self, model, corpus,
+                                                          optimizer, spec,
+                                                          monkeypatch):
+        # every evaluation is a new best, so the best checkpoint is the last step
+        rising = iter(range(1000))
+        monkeypatch.setattr(training, "_dev_score", lambda *args: float(next(rising)))
+        cfg = TrainConfig(batch_size=3, epochs=3, learning_rate=0.1, seed=4,
+                          eval_every=2, optimizer=optimizer)
+        result = train(model, corpus, corpus, cfg, spec, Stage.HEAD_ONLY)
+
+        # oracle: pool every batch again through forward_backward
+        params = model.params.copy()
+        opt = (AdamOptimizer(params, cfg.learning_rate) if optimizer == "adam"
+               else SgdOptimizer(cfg.learning_rate))
+        (tokens,) = training.tokenize_datasets(model.vocab, corpus)
+        targets = np.array([pair.score for pair in corpus.pairs])
+        rng = np.random.default_rng(cfg.seed)
+        losses = []
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(corpus))
+            for start in range(0, len(corpus), cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                value, grads = forward_backward(params, tokens.take(idx), targets[idx],
+                                                model.feature_mode, spec,
+                                                corpus.score_range)
+                opt.step(params, grads, Stage.HEAD_ONLY)
+                losses.append(value)
+        best = result.best_model.params
+        assert best.embeddings.tobytes() == model.params.embeddings.tobytes()
+        assert not np.array_equal(best.head_weights, model.params.head_weights)
+        for name in ("head_weights", "head_bias"):
+            np.testing.assert_allclose(getattr(best, name), getattr(params, name),
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose([e.train_loss for e in result.history[1:]], losses,
+                                   rtol=0, atol=1e-12)
 
     def test_zero_learning_rate_returns_initial_params(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.0, seed=1)
