@@ -18,7 +18,8 @@ carries every sentence's gradient back to the token rows.  The embedding
 gradient holds only the rows of the tokens in the batch, so its cost does not
 grow with the vocabulary.  The head and loss half of the batch core,
 head_forward_backward, also runs on its own on vectors pooled once, for a
-stage that freezes the encoder.
+stage that freezes the encoder: it returns the head gradients and the loss
+gradient of its input, and computes no embedding gradient.
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
@@ -37,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,9 @@ _WORD_RE = re.compile(r"\w+")
 CHECKPOINT_FORMAT = "simreg-checkpoint"
 CHECKPOINT_VERSION = 2
 CHECKPOINT_DTYPE = "<f8"  # little-endian float64, the raw bytes of each array
+
+# the trainable arrays of ModelParams, in the order of its fields
+PARAM_NAMES = ("embeddings", "head_weights", "head_bias")
 
 
 class FeatureMode(str, Enum):
@@ -86,6 +91,8 @@ class Vocabulary:
             raise InvalidInputError("duplicate tokens in vocabulary")
         if OOV_TOKEN not in ids:
             raise InvalidInputError(f"vocabulary is missing {OOV_TOKEN}")
+        if "" in ids:
+            raise InvalidInputError("the empty string is not a token")
         object.__setattr__(self, "_ids", ids)
 
     def __len__(self) -> int:
@@ -113,28 +120,22 @@ class Corpus:
 
     A text's words are kept as ids into the corpus's own word table, so
     build_vocab and tokenize_pairs reuse the split without holding one word
-    list per text.  A text without words holds the single word id -1, which
-    no vocabulary knows.
+    list per text.  A text without words holds the single word "", which no
+    vocabulary holds.
     """
 
     def __init__(self, texts):
-        rows: dict[str, int] = {}
-        for text in texts:
-            rows.setdefault(text, len(rows))
-        words = {"": -1}  # "" never matches a word; it marks an empty text
-        self.lengths = np.empty(len(rows), dtype=np.intp)
-
-        def word_ids():
-            for row, text in enumerate(rows):
-                found = split_tokens(text) or [""]
-                self.lengths[row] = len(found)
-                for w in found:
-                    yield words.setdefault(w, len(words) - 1)
-
-        self.word_ids = np.fromiter(word_ids(), dtype=np.intp)
+        distinct = dict.fromkeys(texts)
+        word_id: dict[str, int] = {}
+        # ids, not words, per text: a text's list holds no strings of its own
+        ids = [[word_id.setdefault(w, len(word_id)) for w in split_tokens(text) or [""]]
+               for text in distinct]
+        self.lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
         self.starts = np.cumsum(self.lengths) - self.lengths
-        self.words = tuple(words)[1:]
-        self._rows = rows
+        self.word_ids = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
+                                    count=int(self.lengths.sum()))
+        self.words = tuple(word_id)
+        self._rows = dict(zip(distinct, range(len(distinct))))
 
     def rows_of(self, texts) -> np.ndarray:
         """Position of each text among the corpus's distinct texts."""
@@ -154,20 +155,17 @@ def build_vocab(texts, corpus: Corpus | None = None) -> Vocabulary:
         texts = list(texts)
         corpus = Corpus(texts)
     per_text = np.bincount(corpus.rows_of(texts), minlength=len(corpus.lengths))
-    # shift by one so an empty text's -1 lands in bin 0, which is dropped
-    counts = np.bincount(corpus.word_ids + 1, np.repeat(per_text, corpus.lengths),
-                         minlength=len(corpus.words) + 1)[1:].tolist()
-    present = [i for i, c in enumerate(counts) if c]
+    counts = np.bincount(corpus.word_ids, np.repeat(per_text, corpus.lengths),
+                         minlength=len(corpus.words)).tolist()
+    present = [i for i, c in enumerate(counts) if c and corpus.words[i]]
     present.sort(key=lambda i: (-counts[i], corpus.words[i]))
     return Vocabulary((PAD_TOKEN, OOV_TOKEN, *(corpus.words[i] for i in present)))
 
 
 def _segments(ids, starts, sources, lengths):
-    """Flat ids of the first lengths[j] ids of segment sources[j], for every j,
-    with the new segments' starts."""
-    new_starts = np.cumsum(lengths) - lengths
-    offset = np.repeat(starts[sources] - new_starts, lengths)
-    return ids[offset + np.arange(lengths.sum())], new_starts
+    """Flat ids of the first lengths[j] ids of segment sources[j], for every j."""
+    offset = np.repeat(starts[sources] - (np.cumsum(lengths) - lengths), lengths)
+    return ids[offset + np.arange(lengths.sum())]
 
 
 @dataclass(frozen=True)
@@ -175,17 +173,22 @@ class PairTokens:
     """Sentence pairs as flat token ids.
 
     Sentences alternate left, right: pair i is sentences 2i and 2i + 1, and
-    sentence j is ids[starts[j]:][:lengths[j]].  Every sentence has at least
-    one token; tokenize_pairs gives an empty text the OOV token.
+    sentence j is ids[starts[j]:][:lengths[j]], the sentences laid out one
+    after another.  Every sentence has at least one token; tokenize_pairs
+    gives an empty text the OOV token.
     """
 
     ids: np.ndarray
-    starts: np.ndarray
     lengths: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lengths) and self.lengths.min() < 1:
             raise InvalidInputError("cannot pool an empty token sequence")
+        if len(self.ids) != self.lengths.sum():
+            raise InvalidInputError(f"{len(self.ids)} token ids for sentences "
+                                    f"of {self.lengths.sum()} tokens")
+        object.__setattr__(self, "starts", np.cumsum(self.lengths) - self.lengths)
 
     def __len__(self) -> int:
         return len(self.lengths) // 2
@@ -195,7 +198,7 @@ class PairTokens:
         index = np.asarray(index)
         sentences = np.stack([2 * index, 2 * index + 1], axis=-1).ravel()
         lengths = self.lengths[sentences]
-        return PairTokens(*_segments(self.ids, self.starts, sentences, lengths), lengths)
+        return PairTokens(_segments(self.ids, self.starts, sentences, lengths), lengths)
 
     def truncate(self, max_tokens: int) -> "PairTokens":
         """Every sentence cut to its first max_tokens tokens."""
@@ -203,7 +206,7 @@ class PairTokens:
             return self
         lengths = np.minimum(self.lengths, max_tokens)
         sentences = np.arange(len(lengths))
-        return PairTokens(*_segments(self.ids, self.starts, sentences, lengths), lengths)
+        return PairTokens(_segments(self.ids, self.starts, sentences, lengths), lengths)
 
 
 def pair_texts(pairs) -> list[str]:
@@ -222,10 +225,8 @@ def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> Pa
         corpus = Corpus(texts)
     rows = corpus.rows_of(texts)
     lengths = corpus.lengths[rows]
-    word_ids, starts = _segments(corpus.word_ids, corpus.starts, rows, lengths)
-    # the extra last entry is the id of -1, the empty text's word
-    ids = np.append(vocab.lookup(corpus.words), vocab.oov_id)[word_ids]
-    return PairTokens(ids, starts, lengths)
+    word_ids = _segments(corpus.word_ids, corpus.starts, rows, lengths)
+    return PairTokens(vocab.lookup(corpus.words)[word_ids], lengths)
 
 
 @dataclass
@@ -296,17 +297,18 @@ class ModelParams:
 
 @dataclass
 class Gradients:
-    """Gradients of every parameter, the embedding table's row-sparse.
+    """Gradients of the parameters, the embedding table's row-sparse.
 
     rows holds sorted, unique token ids and embeddings one gradient row per
-    id; every other row of the table has a zero gradient.  The head
-    gradients have the shapes of their parameters.
+    id; every other row of the table has a zero gradient.  Both are None
+    when no embedding gradient was computed (head_forward_backward).  The
+    head gradients have the shapes of their parameters.
     """
 
-    embeddings: np.ndarray
+    embeddings: np.ndarray | None
     head_weights: np.ndarray
     head_bias: np.ndarray
-    rows: np.ndarray
+    rows: np.ndarray | None
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "Gradients":
@@ -490,10 +492,6 @@ class Model:
         pooled = pool(self.params.embeddings, pairs)
         return pooled[0::2], pooled[1::2]
 
-    def scores(self, pairs: PairTokens) -> np.ndarray:
-        """Raw similarity score of every pair (no clamping)."""
-        return self.head_scores(*self.embed_pairs(pairs))
-
     def head_scores(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Raw similarity score of every pair from its pooled embeddings.
 
@@ -529,7 +527,8 @@ def forward_backward(
     indices for cross-entropy; the contrastive loss ignores them and treats
     each pair as anchor/positive.  Predictions outside clamp_range are
     clamped and pass no gradient.  The batch is pooled through its
-    pooling_matrix, and the head and loss run in head_forward_backward.  The
+    pooling_matrix, and the head and loss run in head_forward_backward,
+    whose input gradient is split here into the gradients of u and v.  The
     embedding gradient covers only the rows of tokens present in the batch
     (Gradients.rows); every other row's gradient is zero.  With
     with_grads=False only the loss is computed and the gradients are None;
@@ -538,13 +537,15 @@ def forward_backward(
     """
     rows, S = pooling_matrix(pairs)
     pooled = S.T @ params.embeddings[..., rows, :]
-    value, grads, du, dv = head_forward_backward(
-        params, pooled[..., 0::2, :], pooled[..., 1::2, :], targets, mode,
-        loss_spec, clamp_range, with_grads)
+    u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
+    value, grads, d_input = head_forward_backward(
+        params, u, v, targets, mode, loss_spec, clamp_range, with_grads)
     if grads is None:
         return value, None
+    if loss_spec.kind is LossKind.INFO_NCE:
+        mode = FeatureMode.UV  # the loss reads [u | v]
     d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = du, dv
+    d_pooled[0::2], d_pooled[1::2] = _feature_grad(d_input, u, v, mode)
     grads.rows, grads.embeddings = rows, S @ d_pooled
     return value, grads
 
@@ -558,15 +559,16 @@ def head_forward_backward(
     loss_spec: LossSpec,
     clamp_range: tuple[float, float] | None = None,
     with_grads: bool = True,
-) -> tuple[float | np.ndarray, Gradients | None, np.ndarray | None, np.ndarray | None]:
+) -> tuple[float | np.ndarray, Gradients | None, np.ndarray | None]:
     """The head and loss half of forward_backward, on pooled pairs.
 
     u and v (..., n, dim) are the n pairs' left and right sentence vectors;
     the other arguments are as for forward_backward.  Returns (value, grads,
-    du, dv): grads holds the head gradients and no embedding rows, du and dv
-    the loss gradient with respect to u and v.  With with_grads=False only
-    the loss is computed, the other three are None, and params may be a
-    stack of copies.
+    d_input): grads holds the head gradients, its embeddings and rows None,
+    and d_input the loss gradient of what the loss reads: the (n,
+    feature_dim) features for the head losses, [u | v] for InfoNCE, which
+    has no head.  With with_grads=False only the loss is computed, grads and
+    d_input are None, and params may be a stack of copies.
     """
     n = u.shape[-2]
     if n == 0:
@@ -597,24 +599,18 @@ def head_forward_backward(
     if not stacked:
         value = float(value)
     if not with_grads:
-        return value, None, None, None
+        return value, None, None
 
-    grads = Gradients(
-        np.zeros((0, params.dim)),
-        np.zeros_like(params.head_weights),
-        np.zeros_like(params.head_bias),
-        np.zeros(0, dtype=np.intp),
-    )
-    if kind is not LossKind.INFO_NCE:
-        d_out = d_out / n
-        grads.head_weights[...] = d_out.T @ f
-        grads.head_bias[...] = np.sum(d_out, axis=0)
-        if params.is_classifier:
-            df = d_out @ params.head_weights
-        else:
-            df = np.multiply.outer(d_out, params.head_weights)
-        du, dv = _feature_grad(df, u, v, mode)
-    return value, grads, du, dv
+    grads = Gradients(None, np.zeros_like(params.head_weights),
+                      np.zeros_like(params.head_bias), None)
+    if kind is LossKind.INFO_NCE:
+        return value, grads, np.concatenate([du, dv], axis=-1)
+    d_out = d_out / n
+    grads.head_weights[...] = d_out.T @ f
+    grads.head_bias[...] = np.sum(d_out, axis=0)
+    if params.is_classifier:
+        return value, grads, d_out @ params.head_weights
+    return value, grads, np.multiply.outer(d_out, params.head_weights)
 
 
 def _encode_array(array: np.ndarray) -> dict:
@@ -685,10 +681,7 @@ def load_checkpoint(path) -> Model:
         mapping = (
             LabelMapping.from_json_dict(doc["mapping"]) if doc["mapping"] else None
         )
-        params = ModelParams(
-            *(_decode_array(doc[name], name)
-              for name in ("embeddings", "head_weights", "head_bias"))
-        )
+        params = ModelParams(*(_decode_array(doc[name], name) for name in PARAM_NAMES))
         if doc["head_kind"] != _head_kind(params):
             raise CheckpointError(
                 f"head_kind {doc['head_kind']!r} does not match the head weights")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
+    PARAM_NAMES,
     FeatureMode,
     Gradients,
     ModelParams,
@@ -41,8 +42,6 @@ DEFAULT_TOLERANCE = 1e-4
 KNOT_MARGIN = 1e-3  # distance kept from non-smooth points of the loss surface
 ABS_MARGIN = 1e-4  # min per-coordinate |u - v| when the |u-v| branch is active
 FD_CHUNK_BYTES = 4 * 2**20  # bytes of perturbed parameter copies per forward
-
-_PARAM_NAMES = ("embeddings", "head_weights", "head_bias")
 
 ALL_KINDS = tuple(LossKind)
 ALL_MODES = tuple(FeatureMode)
@@ -71,7 +70,7 @@ def finite_difference_grads(value_fn, params: ModelParams,
     FD_CHUNK_BYTES of them.
     """
     fd = Gradients.zeros_like(params)
-    for name in _PARAM_NAMES:
+    for name in PARAM_NAMES:
         arr = getattr(params, name)
         out = getattr(fd, name).reshape(-1)  # a view: fd is contiguous
         per_call = max(1, FD_CHUNK_BYTES // (2 * arr.nbytes))
@@ -92,7 +91,7 @@ def _perturbed_copies(params: ModelParams, name: str, entries: np.ndarray,
     """
     k = len(entries)
     arrays = {}
-    for other in _PARAM_NAMES:
+    for other in PARAM_NAMES:
         arr = getattr(params, other)
         arrays[other] = np.broadcast_to(arr, (2 * k,) + arr.shape)
     arr = getattr(params, name)
@@ -159,7 +158,7 @@ def check_configuration(
         params,
         step,
     )
-    n_params = params.embeddings.size + params.head_weights.size + params.head_bias.size
+    n_params = sum(getattr(params, name).size for name in PARAM_NAMES)
     return GradCheckResult(seed, kind, mode, max_relative_error(analytic, fd), n_params)
 
 

@@ -4,7 +4,10 @@ Supports single-stage runs and the two-stage workflow used for contrastive
 pre-trained encoders: first only the randomly initialized head is updated
 while the encoder stays frozen, then everything is trained jointly.  The
 frozen stage pools its train and dev sentences once and runs only the head
-and loss on each batch.  Given a seed, the whole procedure is deterministic.
+and loss on each batch (head_forward_backward), which returns no embedding
+gradient.  train is the only code that knows a stage is frozen: an
+optimizer updates every parameter it is given a gradient for, and only
+those.  Given a seed, the whole procedure is deterministic.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import numpy as np
 
 from .data import Dataset, write_atomic
 from .encoder import (
+    PARAM_NAMES,
     Corpus,
-    Gradients,
     Model,
     PairTokens,
     forward_backward,
@@ -79,62 +82,59 @@ class TwoStageResult:
     stage2: TrainResult
 
 
-_PARAM_FIELDS = ("embeddings", "head_weights", "head_bias")
-
-
-def _unfrozen(params, grads, stage: Stage):
-    """(field name, parameter, gradient) of every parameter the stage updates,
-    after checking that every gradient has its expected shape: the embedding
-    gradient one row of the table's width per id in grads.rows."""
-    for name in _PARAM_FIELDS:
+def _present(params, grads):
+    """(field name, parameter, gradient) of every parameter with a gradient,
+    after checking that each of those gradients has its expected shape: the
+    embedding gradient one row of the table's width per id in grads.rows."""
+    updates = []
+    for name in PARAM_NAMES:
         p, g = getattr(params, name), getattr(grads, name)
-        expected = (len(grads.rows), p.shape[1]) if name == "embeddings" else p.shape
+        if g is None:
+            continue
+        expected = ((*np.shape(grads.rows), p.shape[1]) if name == "embeddings"
+                    else p.shape)
         if g.shape != expected:
             raise InvalidInputError(f"{name} gradient shape {g.shape} != {expected}")
-    return [
-        (name, getattr(params, name), getattr(grads, name))
-        for name in _PARAM_FIELDS
-        if stage is Stage.JOINT or name != "embeddings"
-    ]
+        updates.append((name, p, g))
+    return updates
 
 
 class AdamOptimizer:
     """Adaptive-moment updates (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    The moments cover the whole embedding table, so rows a batch does not
-    touch still move by their momentum.  Each step works in place in
-    buffers made once, with the same floating-point operations in the same
-    order as the textbook formulas.
+    A parameter's moments and scratch buffers are made at its first
+    gradient, so a parameter that never gets one costs nothing.  The
+    moments cover the whole embedding table, so rows a batch does not touch
+    still move by their momentum.  Each step works in place in those
+    buffers, with the same floating-point operations in the same order as
+    the textbook formulas; t counts the optimizer's steps.
     """
 
-    def __init__(self, params, learning_rate: float, beta1: float = 0.9,
+    def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = Gradients.zeros_like(params)
-        self.v = Gradients.zeros_like(params)
         self.t = 0
-        self._scratch = {
-            name: (np.zeros_like(getattr(params, name)),
-                   np.zeros_like(getattr(params, name)))
-            for name in _PARAM_FIELDS
-        }
+        self.state = {}  # name -> (m, v, scratch, scratch)
         # the dense embedding gradient, nonzero only on the rows of _rows
-        self._dense = np.zeros_like(params.embeddings)
+        self._dense = None
         self._rows = np.zeros(0, dtype=np.intp)
 
-    def step(self, params, grads, stage: Stage):
-        updates = _unfrozen(params, grads, stage)
+    def step(self, params, grads):
+        updates = _present(params, grads)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p, g in updates:
+            if name not in self.state:
+                self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
+                if name == "embeddings":
+                    self._dense = np.zeros_like(p)
             if name == "embeddings":
                 g = self._dense
                 g[self._rows] = 0.0
                 g[grads.rows] = grads.embeddings
                 self._rows = grads.rows
-            m, v = getattr(self.m, name), getattr(self.v, name)
-            a, b = self._scratch[name]
+            m, v, a, b = self.state[name]
             # m = b1 * m + (1 - b1) * g
             np.multiply(m, b1, out=m)
             np.multiply(g, 1 - b1, out=a)
@@ -159,10 +159,10 @@ class SgdOptimizer:
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
 
-    def step(self, params, grads, stage: Stage):
-        """p <- p - lr*g for every unfrozen parameter; frozen ones untouched.
-        Only the embedding rows in grads.rows are updated."""
-        for name, p, g in _unfrozen(params, grads, stage):
+    def step(self, params, grads):
+        """p <- p - lr*g for every parameter with a gradient; the others are
+        untouched.  Only the embedding rows in grads.rows are updated."""
+        for name, p, g in _present(params, grads):
             if name == "embeddings":
                 p[grads.rows] -= self.lr * g
             else:
@@ -170,9 +170,9 @@ class SgdOptimizer:
         return params
 
 
-def _make_optimizer(config: TrainConfig, params):
+def _make_optimizer(config: TrainConfig):
     if config.optimizer == "adam":
-        return AdamOptimizer(params, config.learning_rate)
+        return AdamOptimizer(config.learning_rate)
     return SgdOptimizer(config.learning_rate)
 
 
@@ -209,12 +209,16 @@ def train(
     Shuffles once per epoch under the config seed, evaluates dev Spearman at
     step 0, every `eval_every` steps and at each epoch end, and keeps the
     parameters of the best evaluation (first best wins ties).  The input
-    model is never mutated.  train_tokens and dev_tokens, when given, are
-    the two sets already tokenized with the model's vocabulary (see
-    tokenize_datasets); they are cut to config.max_tokens here.
+    model is never mutated.  train_tokens and dev_tokens, given both or
+    neither, are the two sets already tokenized with the model's vocabulary
+    (see tokenize_datasets); they are cut to config.max_tokens here.  With
+    Stage.HEAD_ONLY the encoder is frozen: no embedding gradient is
+    computed, so the optimizer never touches the table.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
+    if (train_tokens is None) != (dev_tokens is None):
+        raise InvalidInputError("give both train_tokens and dev_tokens, or neither")
     mapping = mapping if mapping is not None else model.mapping
     if mapping is None and train_set.is_categorical:
         mapping = build_mapping(train_set.categories, 0.0, 1.0)
@@ -234,11 +238,15 @@ def train(
 
     work = model.copy()
     work.max_tokens = config.max_tokens
-    if train_tokens is None or dev_tokens is None:
+    if train_tokens is None:
         train_tokens, dev_tokens = tokenize_datasets(work.vocab, train_set, dev_set)
+    for tokens, dataset in ((train_tokens, train_set), (dev_tokens, dev_set)):
+        if len(tokens) != len(dataset):
+            raise InvalidInputError(f"{len(tokens)} tokenized pairs for the "
+                                    f"{len(dataset)} pairs of {dataset.name}")
     train_pairs = train_tokens.truncate(config.max_tokens)
     dev_pairs = dev_tokens.truncate(config.max_tokens)
-    optimizer = _make_optimizer(config, work.params)
+    optimizer = _make_optimizer(config)
     rng = np.random.default_rng(config.seed)
     frozen = stage is Stage.HEAD_ONLY
     if frozen:
@@ -248,7 +256,7 @@ def train(
 
     def batch_step(idx):
         if frozen:
-            value, grads, _, _ = head_forward_backward(
+            value, grads, _ = head_forward_backward(
                 work.params, train_u[idx], train_v[idx], targets[idx],
                 work.feature_mode, loss_spec, clamp_range)
             return value, grads
@@ -262,7 +270,7 @@ def train(
     best_dev = dev_score()
     # one buffer for the best parameters, overwritten at each improvement
     best_params = work.params.copy()
-    updated = [name for name in _PARAM_FIELDS if not (frozen and name == "embeddings")]
+    updated = [name for name in PARAM_NAMES if not (frozen and name == "embeddings")]
     history = [HistoryEntry(0, None, best_dev)]
 
     step = 0
@@ -279,7 +287,7 @@ def train(
                 raise TrainingError(f"aborted at step {step + 1}: {exc}") from exc
             if not math.isfinite(value):
                 raise TrainingError(f"non-finite training loss at step {step + 1}")
-            optimizer.step(work.params, grads, stage)
+            optimizer.step(work.params, grads)
             step += 1
             dev = None
             if step % config.eval_every == 0 or b == batches_per_epoch - 1:

@@ -53,7 +53,7 @@ def loss_of(model, batch, spec):
 
 
 def score(model, pair):
-    return float(model.scores(model.encode([pair]))[0])
+    return float(model.head_scores(*model.embed_pairs(model.encode([pair])))[0])
 
 
 def token_ids(text, vocab, max_tokens=None):
@@ -64,7 +64,7 @@ def token_ids(text, vocab, max_tokens=None):
 
 def one_sentence(ids):
     ids = np.asarray(ids, dtype=np.intp)
-    return PairTokens(ids, np.array([0]), np.array([len(ids)]))
+    return PairTokens(ids, np.array([len(ids)]))
 
 
 @pytest.fixture
@@ -117,6 +117,11 @@ class TestTokenize:
         assert build_vocab(texts, shared) == build_vocab(texts)
         assert build_vocab(texts).tokens == ("<pad>", "<oov>", "c", "b")
 
+    def test_text_without_words_adds_no_token(self):
+        assert build_vocab(["", "?!", "a"]).tokens == ("<pad>", "<oov>", "a")
+        with pytest.raises(InvalidInputError, match="empty string"):
+            Vocabulary(("<pad>", "<oov>", ""))
+
     def test_vocab_build_is_deterministic(self):
         texts = ["b a a", "c b a"]
         assert build_vocab(texts).tokens == build_vocab(list(texts)).tokens
@@ -144,7 +149,11 @@ class TestEmbedSentence:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidInputError):
-            PairTokens(np.array([], dtype=np.intp), np.array([0]), np.array([0]))
+            PairTokens(np.array([], dtype=np.intp), np.array([0]))
+
+    def test_ids_must_fill_the_lengths(self):
+        with pytest.raises(InvalidInputError, match="3 token ids"):
+            PairTokens(np.array([1, 2, 3], dtype=np.intp), np.array([1, 1]))
 
 
 class TestFeatures:
@@ -443,7 +452,7 @@ def test_pool_matches_per_sentence_oracle(seed, n_sentences, max_tokens, stack):
     if n_sentences:
         lengths[rng.integers(n_sentences)] = max_tokens
     ids = rng.integers(0, vocab_size, size=int(lengths.sum()))
-    tokens = PairTokens(ids, np.cumsum(lengths) - lengths, lengths)
+    tokens = PairTokens(ids, lengths)
     table = rng.normal(size=stack + (vocab_size, dim))
     got = pool(table, tokens)
     assert got.shape == stack + (n_sentences, dim)
@@ -507,12 +516,18 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     full = forward_backward(params, tokens, targets, mode, spec, (0.0, 3.0))
     rows, S = pooling_matrix(tokens)
     pooled = S.T @ params.embeddings[rows]
-    head = head_forward_backward(params, pooled[0::2], pooled[1::2], targets, mode,
-                                 spec, (0.0, 3.0))
-    assert head[0] == full[0]
-    assert head[1].rows.size == 0 and head[1].embeddings.shape == (0, 4)
+    u, v = pooled[0::2], pooled[1::2]
+    value, grads, d_input = head_forward_backward(params, u, v, targets, mode, spec,
+                                                  (0.0, 3.0))
+    assert value == full[0]
+    assert grads.rows is None and grads.embeddings is None
     for name in ("head_weights", "head_bias"):
-        assert getattr(head[1], name).tobytes() == getattr(full[1], name).tobytes()
+        assert getattr(grads, name).tobytes() == getattr(full[1], name).tobytes()
+    # d_input is all the encoder's gradient needs: forward_backward's split of it
+    split = FeatureMode.UV if kind is LossKind.INFO_NCE else mode
+    d_pooled = np.empty_like(pooled)
+    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u, v, split)
+    assert (S @ d_pooled).tobytes() == full[1].embeddings.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -310,7 +310,8 @@ class TestEvaluate:
         expected = [
             (spearman(cosine(*model.embed_pairs(model.encode(ds.pairs))),
                       evaluation.golds(ds, cats)),
-             accuracy(model.scores(model.encode(ds.pairs)), ds, cats)
+             accuracy(model.head_scores(*model.embed_pairs(model.encode(ds.pairs))),
+                      ds, cats)
              if ds.is_categorical else None)
             for ds in (categorical, continuous)]
         calls = []

@@ -54,7 +54,7 @@ def test_buffer_zone_gives_zero_on_both_routes():
     model = Model.initialize(vocab, dim=4, seed=8, label_range=(0.0, 3.0))
     pair = SentencePair("alpha beta", "delta epsilon", score=0.0)
     pairs = model.encode([pair])
-    target = model.scores(pairs)[0] + 0.05  # inside the x0 = 0.25 buffer
+    target = model.head_scores(*model.embed_pairs(pairs))[0] + 0.05  # in the buffer
     spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
 
     def run(params=model.params, with_grads=True):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import DenseAdam, sgd_step_dense
-from simreg import training
+from simreg import encoder, training
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
     FeatureMode,
@@ -63,7 +63,7 @@ def model(corpus):
 class TestSgdStep:
     def test_zero_gradient_is_identity(self, model):
         params = model.params.copy()
-        SgdOptimizer(0.5).step(params, Gradients.zeros_like(params), Stage.JOINT)
+        SgdOptimizer(0.5).step(params, Gradients.zeros_like(params))
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
         np.testing.assert_array_equal(params.head_weights, model.params.head_weights)
 
@@ -72,47 +72,72 @@ class TestSgdStep:
         params.head_bias = np.asarray(1.0)
         grads = Gradients.zeros_like(params)
         grads.head_bias = np.asarray(2.0)
-        SgdOptimizer(0.1).step(params, grads, Stage.JOINT)
+        SgdOptimizer(0.1).step(params, grads)
         assert float(params.head_bias) == pytest.approx(0.8)
 
-    def test_head_only_freezes_embeddings(self, model):
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_no_embedding_gradient_leaves_the_table_bit_identical(self, model,
+                                                                  optimizer):
         params = model.params.copy()
+        opt = SgdOptimizer(0.1) if optimizer == "sgd" else AdamOptimizer(0.1)
         grads = Gradients.zeros_like(params)
         grads.embeddings[:] = 1.0
         grads.head_weights[:] = 1.0
-        SgdOptimizer(0.1).step(params, grads, Stage.HEAD_ONLY)
-        np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
-        assert not np.array_equal(params.head_weights, model.params.head_weights)
+        opt.step(params, grads)  # Adam's table moments are nonzero from here on
+        table, head = params.embeddings.copy(), params.head_weights.copy()
+        grads.embeddings = grads.rows = None
+        opt.step(params, grads)
+        assert params.embeddings.tobytes() == table.tobytes()
+        assert not np.array_equal(params.head_weights, head)
 
     def test_shape_mismatch_rejected(self, model):
         params = model.params.copy()
         grads = Gradients.zeros_like(params)
         grads.head_weights = np.zeros(5)
-        for optimizer in (SgdOptimizer(0.1), AdamOptimizer(params, 0.1)):
-            with pytest.raises(InvalidInputError):
-                optimizer.step(params, grads, Stage.JOINT)
+        rowless = Gradients.zeros_like(params)
+        rowless.rows = None  # an embedding gradient without its rows
+        for optimizer in (SgdOptimizer(0.1), AdamOptimizer(0.1)):
+            for bad in (grads, rowless):
+                with pytest.raises(InvalidInputError):
+                    optimizer.step(params, bad)
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
 
 
 class TestAdam:
     def test_head_only_freezes_embeddings_and_moments(self, model):
         params = model.params.copy()
-        opt = AdamOptimizer(params, 0.01)
+        opt = AdamOptimizer(0.01)
         grads = Gradients.zeros_like(params)
-        grads.embeddings[:] = 1.0
+        grads.embeddings = grads.rows = None
         grads.head_weights[:] = 1.0
-        opt.step(params, grads, Stage.HEAD_ONLY)
+        opt.step(params, grads)
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
-        assert not opt.m.embeddings.any()
+        assert not np.array_equal(params.head_weights, model.params.head_weights)
+        # no moments or buffers exist for the table
+        assert "embeddings" not in opt.state
+        assert model.params.embeddings.shape not in [a.shape for a in arrays_in(opt)]
 
     def test_step_direction(self, model):
         params = model.params.copy()
         before = params.head_weights.copy()
-        opt = AdamOptimizer(params, 0.01)
+        opt = AdamOptimizer(0.01)
         grads = Gradients.zeros_like(params)
         grads.head_weights[:] = 1.0
-        opt.step(params, grads, Stage.JOINT)
+        opt.step(params, grads)
         assert np.all(params.head_weights < before)
+
+
+def arrays_in(obj) -> list:
+    """Every numpy array reachable from obj through attributes and containers."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif hasattr(obj, "__dict__"):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in arrays_in(item)]
+    return []
 
 
 WORDS = [f"w{i}" for i in range(12)]
@@ -151,11 +176,13 @@ def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
     if optimizer == "sgd":
         opt = SgdOptimizer(lr)
     else:
-        opt, oracle = AdamOptimizer(params, lr), DenseAdam(expect, lr)
+        opt, oracle = AdamOptimizer(lr), DenseAdam(expect, lr)
     for _ in range(3):
         grads = random_batch_grads(rng, params, vocab)
         dense = densified(grads, len(vocab))
-        opt.step(params, grads, stage)
+        if stage is Stage.HEAD_ONLY:  # the frozen stage computes no table gradient
+            grads.embeddings = grads.rows = None
+        opt.step(params, grads)
         if optimizer == "sgd":
             sgd_step_dense(expect, dense, lr, names)
         else:
@@ -173,7 +200,8 @@ class TestTrain:
         def recorded(batch_core):
             def call(*args, **kwargs):
                 value, grads, *rest = batch_core(*args, **kwargs)
-                rows.append(len(grads.rows))
+                rows.append(grads.rows)
+                assert (grads.rows is None) == (grads.embeddings is None)
                 return (value, grads, *rest)
             return call
 
@@ -183,7 +211,57 @@ class TestTrain:
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
         train(model, corpus, corpus, cfg, K2, stage)
         assert len(rows) == 2
-        assert all(rows) if stage is Stage.JOINT else not any(rows)
+        if stage is Stage.JOINT:
+            assert all(r is not None and len(r) for r in rows)
+        else:
+            assert all(r is None for r in rows)
+
+    def test_head_only_computes_no_encoder_gradient(self, model, corpus,
+                                                    monkeypatch):
+        calls = []
+        split = encoder._feature_grad
+        monkeypatch.setattr(encoder, "_feature_grad",
+                            lambda *args: calls.append(args) or split(*args))
+        cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
+        train(model, corpus, corpus, cfg, K2, Stage.HEAD_ONLY)
+        assert calls == []
+        train(model, corpus, corpus, cfg, K2, Stage.JOINT)
+        assert len(calls) == 4  # the spy sees every joint step
+
+    def test_head_only_adam_holds_no_array_of_the_table(self, model, corpus,
+                                                         monkeypatch):
+        made = []
+
+        class Recorded(AdamOptimizer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(training, "AdamOptimizer", Recorded)
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1,
+                          optimizer="adam")
+        table = model.params.embeddings.shape
+        for stage in (Stage.HEAD_ONLY, Stage.JOINT):
+            train(model, corpus, corpus, cfg, K2, stage)
+        frozen, joint = ([a.shape for a in arrays_in(opt)] for opt in made)
+        assert frozen and table not in frozen
+        assert table in joint  # the joint stage's moments cover the table
+
+    def test_train_tokens_go_with_dev_tokens(self, model, corpus):
+        (tokens,) = training.tokenize_datasets(model.vocab, corpus)
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
+        for given in ({"train_tokens": tokens}, {"dev_tokens": tokens}):
+            with pytest.raises(InvalidInputError, match="train_tokens and dev_tokens"):
+                train(model, corpus, corpus, cfg, K2, **given)
+
+    def test_tokens_of_another_dataset_size_rejected(self, model, corpus):
+        (tokens,) = training.tokenize_datasets(model.vocab, corpus)
+        fewer = tokens.take(np.arange(len(corpus) - 1))
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
+        for train_tokens, dev_tokens in ((fewer, tokens), (tokens, fewer)):
+            with pytest.raises(InvalidInputError, match="7 tokenized pairs"):
+                train(model, corpus, corpus, cfg, K2, train_tokens=train_tokens,
+                      dev_tokens=dev_tokens)
 
     def test_head_only_leaves_embeddings_bit_identical(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
@@ -209,7 +287,7 @@ class TestTrain:
 
         # oracle: pool every batch again through forward_backward
         params = model.params.copy()
-        opt = (AdamOptimizer(params, cfg.learning_rate) if optimizer == "adam"
+        opt = (AdamOptimizer(cfg.learning_rate) if optimizer == "adam"
                else SgdOptimizer(cfg.learning_rate))
         (tokens,) = training.tokenize_datasets(model.vocab, corpus)
         targets = np.array([pair.score for pair in corpus.pairs])
@@ -222,7 +300,8 @@ class TestTrain:
                 value, grads = forward_backward(params, tokens.take(idx), targets[idx],
                                                 model.feature_mode, spec,
                                                 corpus.score_range)
-                opt.step(params, grads, Stage.HEAD_ONLY)
+                grads.embeddings = grads.rows = None  # the encoder is frozen
+                opt.step(params, grads)
                 losses.append(value)
         best = result.best_model.params
         assert best.embeddings.tobytes() == model.params.embeddings.tobytes()
