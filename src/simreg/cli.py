@@ -30,13 +30,7 @@ from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
 from .evaluation import evaluate
 from .gradcheck import DEFAULT_TOLERANCE, run_gradient_checks
 from .losses import LossKind, LossSpec
-from .training import (
-    Stage,
-    tokenize_datasets,
-    train,
-    two_stage_finetune,
-    write_history_csv,
-)
+from .training import Stage, train, two_stage_finetune, write_history_csv
 
 
 class UsageError(Exception):
@@ -172,15 +166,16 @@ def _load_config_datasets(cfg: RunConfig):
     return train_ds, dev_ds, nli_ds
 
 
-def _vocab_and_tokens(vocab_sets, datasets):
-    """The vocabulary of vocab_sets and the PairTokens of each of datasets.
+def _vocab_and_corpus(vocab_sets, datasets):
+    """The vocabulary of vocab_sets and one Corpus of every text of
+    vocab_sets and datasets.
 
-    Every distinct text of them all is split once, and the split serves both.
+    Every distinct text is split once: the vocabulary counts the split
+    words, and training gathers each dataset's token ids from the corpus.
     """
     vocab_texts = [text for ds in vocab_sets for text in pair_texts(ds.pairs)]
     corpus = Corpus(vocab_texts + [t for ds in datasets for t in pair_texts(ds.pairs)])
-    vocab = build_vocab(vocab_texts, corpus)
-    return vocab, tokenize_datasets(vocab, *datasets, corpus=corpus)
+    return build_vocab(vocab_texts, corpus), corpus
 
 
 def _build_model(cfg: RunConfig, vocab) -> Model:
@@ -197,7 +192,6 @@ def _build_model(cfg: RunConfig, vocab) -> Model:
         label_range=cfg.score_range,  # a mapping, when given, sets the range
         mapping=cfg.mapping,
         n_classes=n_classes,
-        max_tokens=cfg.training.max_tokens,
     )
 
 
@@ -206,11 +200,11 @@ def _run_training(cfg: RunConfig):
     train_ds, dev_ds, nli_ds = _load_config_datasets(cfg)
     vocab_sets = [train_ds] if nli_ds is None else [train_ds, nli_ds]
     if cfg.stages == "two_stage":
-        vocab, tokens = _vocab_and_tokens(vocab_sets, [nli_ds, train_ds, dev_ds])
+        vocab, corpus = _vocab_and_corpus(vocab_sets, [nli_ds, train_ds, dev_ds])
         result = two_stage_finetune(
             _build_model(cfg, vocab), nli_ds, train_ds, dev_ds, cfg.training,
             joint_config=cfg.joint, loss_spec=cfg.loss, nli_mapping=cfg.nli_mapping,
-            tokens=tokens,
+            corpus=corpus,
         )
         histories = {
             "history_stage1": result.stage1.history,
@@ -224,10 +218,10 @@ def _run_training(cfg: RunConfig):
             f"contrastive positives: kept {len(train_set)} of {len(train_ds)} pairs "
             f"at threshold {cfg.positive_threshold}"
         )
-    vocab, tokens = _vocab_and_tokens(vocab_sets, [train_set, dev_ds])
+    vocab, corpus = _vocab_and_corpus(vocab_sets, [train_set, dev_ds])
     result = train(
         _build_model(cfg, vocab), train_set, dev_ds, cfg.training, cfg.loss,
-        Stage.JOINT, cfg.mapping, *tokens,
+        Stage.JOINT, cfg.mapping, corpus,
     )
     return result.best_model, result.best_dev, {"history": result.history}
 

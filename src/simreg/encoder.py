@@ -469,18 +469,11 @@ class Model:
         label_range: tuple[float, float] = (0.0, 5.0),
         mapping: LabelMapping | None = None,
         n_classes: int | None = None,
-        max_tokens: int = 256,
     ) -> "Model":
         if mapping is not None:
             label_range = (mapping.low, mapping.high)
         params = init_params(len(vocab), dim, feature_mode, seed, label_range, n_classes)
-        return cls(vocab, params, feature_mode, mapping, max_tokens)
-
-    def copy(self) -> "Model":
-        return Model(
-            self.vocab, self.params.copy(), self.feature_mode, self.mapping,
-            self.max_tokens,
-        )
+        return cls(vocab, params, feature_mode, mapping)
 
     def encode(self, pairs) -> PairTokens:
         """Tokenize both sentences of every SentencePair once."""

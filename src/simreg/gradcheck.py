@@ -60,9 +60,9 @@ class GradCheckResult:
         return f"seed={self.seed} loss={self.kind.value} mode={self.mode.value}"
 
 
-def finite_difference_grads(value_fn, params: ModelParams,
-                            step: float = DEFAULT_STEP) -> Gradients:
-    """Central-difference gradient of value_fn over every parameter entry.
+def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
+    """Central-difference gradient of value_fn over every parameter entry,
+    with steps of DEFAULT_STEP.
 
     value_fn takes ModelParams stacked along one leading axis of P copies and
     returns their P loss values.  Each call gets the perturbed copies of a
@@ -76,18 +76,18 @@ def finite_difference_grads(value_fn, params: ModelParams,
         per_call = max(1, FD_CHUNK_BYTES // (2 * arr.nbytes))
         for lo in range(0, arr.size, per_call):
             entries = np.arange(lo, min(lo + per_call, arr.size))
-            values = value_fn(_perturbed_copies(params, name, entries, step))
+            values = value_fn(_perturbed_copies(params, name, entries))
             up, down = np.reshape(values, (2, len(entries)))
-            out[entries] = (up - down) / (2.0 * step)
+            out[entries] = (up - down) / (2.0 * DEFAULT_STEP)
     return fd
 
 
-def _perturbed_copies(params: ModelParams, name: str, entries: np.ndarray,
-                      step: float) -> ModelParams:
+def _perturbed_copies(params: ModelParams, name: str,
+                      entries: np.ndarray) -> ModelParams:
     """2k stacked copies of params for k flat entries of the named array.
 
-    Copy i holds entries[i] moved up by step and copy k + i the same entry
-    moved down; the other two arrays are read-only broadcast views.
+    Copy i holds entries[i] moved up by DEFAULT_STEP and copy k + i the same
+    entry moved down; the other two arrays are read-only broadcast views.
     """
     k = len(entries)
     arrays = {}
@@ -96,8 +96,8 @@ def _perturbed_copies(params: ModelParams, name: str, entries: np.ndarray,
         arrays[other] = np.broadcast_to(arr, (2 * k,) + arr.shape)
     arr = getattr(params, name)
     stack = np.repeat(arr.reshape(1, -1), 2 * k, axis=0)
-    stack[np.arange(k), entries] += step
-    stack[np.arange(k, 2 * k), entries] -= step
+    stack[np.arange(k), entries] += DEFAULT_STEP
+    stack[np.arange(k, 2 * k), entries] -= DEFAULT_STEP
     arrays[name] = stack.reshape((2 * k,) + arr.shape)
     return ModelParams(**arrays)
 
@@ -146,7 +146,6 @@ def check_configuration(
     dim_max: int = 8,
     vocab_max: int = 30,
     batch_max: int = 4,
-    step: float = DEFAULT_STEP,
 ) -> GradCheckResult:
     """Gradient-check one randomly drawn (loss, feature-mode) configuration."""
     params, tokens, targets, spec = draw_configuration(
@@ -156,7 +155,6 @@ def check_configuration(
         lambda stacked: forward_backward(stacked, tokens, targets, mode, spec,
                                          with_grads=False)[0],
         params,
-        step,
     )
     n_params = sum(getattr(params, name).size for name in PARAM_NAMES)
     return GradCheckResult(seed, kind, mode, max_relative_error(analytic, fd), n_params)
@@ -193,14 +191,12 @@ def draw_configuration(seed: int, kind: LossKind, mode: FeatureMode,
 
 def run_gradient_checks(
     seeds=range(20),
-    kinds=ALL_KINDS,
-    modes=ALL_MODES,
     dim_max: int = 8,
     vocab_max: int = 30,
     batch_max: int = 4,
-    step: float = DEFAULT_STEP,
 ) -> list[GradCheckResult]:
-    """The full sweep: every seed x loss kind x feature mode."""
+    """The full sweep: every seed x loss kind x feature mode (ALL_KINDS x
+    ALL_MODES)."""
     seeds = tuple(seeds)
     if not seeds:
         raise InvalidInputError("gradient check needs at least one seed")
@@ -209,10 +205,10 @@ def run_gradient_checks(
         if value < least:
             raise InvalidInputError(f"{name} must be at least {least}, got {value}")
     return [
-        check_configuration(seed, kind, mode, dim_max, vocab_max, batch_max, step)
+        check_configuration(seed, kind, mode, dim_max, vocab_max, batch_max)
         for seed in seeds
-        for kind in kinds
-        for mode in modes
+        for kind in ALL_KINDS
+        for mode in ALL_MODES
     ]
 
 

@@ -10,6 +10,7 @@ Instances are immutable; ``index``, ``encode`` and ``classify`` work element-wis
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,8 @@ def build_mapping(categories, start: float, d: float) -> LabelMapping:
         raise InvalidInputError(f"interval must be positive, got {d}")
     cats = tuple(categories)
     start, d = float(start), float(d)
+    if not (math.isfinite(start) and math.isfinite(d)):
+        raise InvalidInputError(f"start and interval must be finite, got {start}, {d}")
     nodes = tuple(start + i * d for i in range(len(cats)))
     return LabelMapping(cats, nodes)
 

@@ -7,7 +7,10 @@ frozen stage pools its train and dev sentences once and runs only the head
 and loss on each batch (head_forward_backward), which returns no embedding
 gradient.  train is the only code that knows a stage is frozen: an
 optimizer updates every parameter it is given a gradient for, and only
-those.  Given a seed, the whole procedure is deterministic.
+those, and the frozen table is shared read-only, never copied.  Every
+dataset's tokens are derived inside train from the dataset itself, so
+tokens and labels cannot come from different datasets.  Given a seed, the
+whole procedure is deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .encoder import (
     PARAM_NAMES,
     Corpus,
     Model,
-    PairTokens,
+    ModelParams,
     forward_backward,
     head_forward_backward,
     pair_texts,
@@ -100,7 +103,7 @@ def _present(params, grads):
 
 
 class AdamOptimizer:
-    """Adaptive-moment updates (beta1=0.9, beta2=0.999, eps=1e-8).
+    """Adaptive-moment updates with the textbook BETA1, BETA2 and EPS.
 
     A parameter's moments and scratch buffers are made at its first
     gradient, so a parameter that never gets one costs nothing.  The
@@ -110,10 +113,10 @@ class AdamOptimizer:
     the textbook formulas; t counts the optimizer's steps.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.state = {}  # name -> (m, v, scratch, scratch)
         # the dense embedding gradient, nonzero only on the rows of _rows
@@ -123,7 +126,7 @@ class AdamOptimizer:
     def step(self, params, grads):
         updates = _present(params, grads)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, p, g in updates:
             if name not in self.state:
                 self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
@@ -148,7 +151,7 @@ class AdamOptimizer:
             np.divide(m, 1 - b1 ** self.t, out=a)
             np.divide(v, 1 - b2 ** self.t, out=b)
             np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
+            np.add(b, self.EPS, out=b)
             np.multiply(a, self.lr, out=a)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
@@ -193,6 +196,21 @@ def tokenize_datasets(vocab, *datasets, corpus: Corpus | None = None):
     return [tokenize_pairs(group, vocab, corpus=corpus) for group in texts]
 
 
+def _copy_updated(params: ModelParams, updated) -> ModelParams:
+    """params with a private copy of each array named in updated and a
+    read-only view of the others, which numpy then refuses to write."""
+    arrays = {}
+    for name in PARAM_NAMES:
+        array = getattr(params, name)
+        if name in updated:
+            array = array.copy()
+        else:
+            array = array.view()
+            array.flags.writeable = False
+        arrays[name] = array
+    return ModelParams(**arrays)
+
+
 def train(
     model: Model,
     train_set: Dataset,
@@ -201,24 +219,23 @@ def train(
     loss_spec: LossSpec,
     stage: Stage = Stage.JOINT,
     mapping: LabelMapping | None = None,
-    train_tokens: PairTokens | None = None,
-    dev_tokens: PairTokens | None = None,
+    corpus: Corpus | None = None,
 ) -> TrainResult:
-    """Optimize a copy of the model, returning the best dev checkpoint.
+    """Optimize the model's trainable parameters, returning the best dev
+    checkpoint.
 
     Shuffles once per epoch under the config seed, evaluates dev Spearman at
     step 0, every `eval_every` steps and at each epoch end, and keeps the
     parameters of the best evaluation (first best wins ties).  The input
-    model is never mutated.  train_tokens and dev_tokens, given both or
-    neither, are the two sets already tokenized with the model's vocabulary
-    (see tokenize_datasets); they are cut to config.max_tokens here.  With
-    Stage.HEAD_ONLY the encoder is frozen: no embedding gradient is
-    computed, so the optimizer never touches the table.
+    model is never mutated.  Both sets are tokenized here with the model's
+    vocabulary and cut to config.max_tokens; corpus, when given, holds their
+    texts already split (see tokenize_datasets), and a text it lacks is an
+    InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
+    embedding gradient is computed, and the returned model reads the input
+    model's table through a read-only view instead of a copy.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
-    if (train_tokens is None) != (dev_tokens is None):
-        raise InvalidInputError("give both train_tokens and dev_tokens, or neither")
     mapping = mapping if mapping is not None else model.mapping
     if mapping is None and train_set.is_categorical:
         mapping = build_mapping(train_set.categories, 0.0, 1.0)
@@ -236,19 +253,16 @@ def train(
                        else train_set.score_range)
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
-    work = model.copy()
-    work.max_tokens = config.max_tokens
-    if train_tokens is None:
-        train_tokens, dev_tokens = tokenize_datasets(work.vocab, train_set, dev_set)
-    for tokens, dataset in ((train_tokens, train_set), (dev_tokens, dev_set)):
-        if len(tokens) != len(dataset):
-            raise InvalidInputError(f"{len(tokens)} tokenized pairs for the "
-                                    f"{len(dataset)} pairs of {dataset.name}")
-    train_pairs = train_tokens.truncate(config.max_tokens)
-    dev_pairs = dev_tokens.truncate(config.max_tokens)
+    frozen = stage is Stage.HEAD_ONLY
+    updated = [name for name in PARAM_NAMES if not (frozen and name == "embeddings")]
+    work = Model(model.vocab, _copy_updated(model.params, updated), model.feature_mode,
+                 model.mapping, config.max_tokens)
+    train_pairs, dev_pairs = (
+        tokens.truncate(config.max_tokens)
+        for tokens in tokenize_datasets(work.vocab, train_set, dev_set, corpus=corpus)
+    )
     optimizer = _make_optimizer(config)
     rng = np.random.default_rng(config.seed)
-    frozen = stage is Stage.HEAD_ONLY
     if frozen:
         # the encoder does not change in this stage: pool every sentence once
         train_u, train_v = work.embed_pairs(train_pairs)
@@ -269,8 +283,7 @@ def train(
 
     best_dev = dev_score()
     # one buffer for the best parameters, overwritten at each improvement
-    best_params = work.params.copy()
-    updated = [name for name in PARAM_NAMES if not (frozen and name == "embeddings")]
+    best_params = _copy_updated(work.params, updated)
     history = [HistoryEntry(0, None, best_dev)]
 
     step = 0
@@ -319,30 +332,32 @@ def two_stage_finetune(
     joint_config: TrainConfig | None = None,
     loss_spec: LossSpec | None = None,
     nli_mapping: LabelMapping | None = None,
-    tokens: list[PairTokens] | None = None,
+    corpus: Corpus | None = None,
 ) -> TwoStageResult:
     """Freeze-then-joint fine-tuning.
 
-    Stage 1 trains only the head on the categorical corpus; stage 2 starts
-    from the stage-1 best checkpoint and trains everything on the similarity
-    corpus.  The buffered quadratic loss is used throughout unless another
-    spec is supplied.  Because stage 2 re-evaluates its starting point, the
-    final dev score can never fall below stage 1's.  tokens, when given, are
-    the NLI, similarity and dev sets already tokenized with the model's
-    vocabulary; otherwise all three are tokenized once here.
+    Stage 1 trains only the head on the categorical corpus; its best model
+    shares the input model's table read-only.  Stage 2 starts from the
+    stage-1 best checkpoint and trains everything on the similarity corpus.
+    The buffered quadratic loss is used throughout unless another spec is
+    supplied.  Because stage 2 re-evaluates its starting point, the final
+    dev score can never fall below stage 1's.  corpus, when given, holds
+    the texts of all three sets already split; otherwise one Corpus over
+    them is built here, so each distinct text is split once and each stage
+    gathers its token ids from it.
     """
     if loss_spec is None:
         loss_spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25, d=1.0)
-    if tokens is None:
-        tokens = tokenize_datasets(model.vocab, nli_set, sts_set, dev_set)
-    nli_tokens, sts_tokens, dev_tokens = tokens
+    if corpus is None:
+        corpus = Corpus(text for ds in (nli_set, sts_set, dev_set)
+                        for text in pair_texts(ds.pairs))
     stage1 = train(
         model, nli_set, dev_set, config, loss_spec, Stage.HEAD_ONLY, nli_mapping,
-        nli_tokens, dev_tokens,
+        corpus,
     )
     stage2 = train(
         stage1.best_model, sts_set, dev_set, joint_config or config, loss_spec,
-        Stage.JOINT, train_tokens=sts_tokens, dev_tokens=dev_tokens,
+        Stage.JOINT, corpus=corpus,
     )
     return TwoStageResult(stage2.best_model, stage1, stage2)
 

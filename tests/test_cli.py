@@ -427,6 +427,22 @@ class TestEval:
         assert code == 1
         assert "corrupt checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("start", float("nan")), ("start", -float("inf")), ("interval", float("inf")),
+    ])
+    def test_non_finite_mapping_is_a_corrupt_checkpoint(self, corpus_files, capsys,
+                                                        key, value):
+        tmp_path, config_path, config = corpus_files
+        assert main(["train", "--config", str(config_path)]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(checkpoint.read_text())
+        doc["mapping"][key] = value  # json writes NaN and Infinity literally
+        checkpoint.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(checkpoint), config["data"]["dev"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt checkpoint") and "finite" in err
+
     def test_classifier_mapping_mismatch_clean_error(self, tmp_path, capsys):
         ds = make_ordinal_corpus(40, seed=7)
         vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -641,7 +642,7 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         save_checkpoint(model, path)
         before = path.read_bytes()
-        other = model.copy()
+        other = dataclasses.replace(model, params=model.params.copy())
         other.params.embeddings += 1.0
         with failing_writes(), pytest.raises(OSError):
             save_checkpoint(other, path)

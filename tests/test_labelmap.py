@@ -52,6 +52,17 @@ class TestBuildMapping:
         with pytest.raises(InvalidInputError):
             build_mapping(["a", "b"], 0.0, -1.0)
 
+    @pytest.mark.parametrize("start, d", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
+        (0.0, float("nan")), (0.0, float("inf")),
+    ])
+    def test_rejects_non_finite_start_or_interval(self, start, d):
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_mapping(["a", "b"], start, d)
+        with pytest.raises(InvalidInputError, match="finite"):
+            LabelMapping.from_json_dict(
+                {"categories": ["a", "b"], "start": start, "interval": d})
+
     def test_uneven_spacing_rejected(self):
         with pytest.raises(InvalidInputError):
             LabelMapping(("a", "b", "c"), (0.0, 1.0, 2.5))

@@ -7,6 +7,7 @@ from oracles import DenseAdam, sgd_step_dense
 from simreg import encoder, training
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
+    Corpus,
     FeatureMode,
     Gradients,
     Model,
@@ -14,6 +15,7 @@ from simreg.encoder import (
     forward_backward,
     head_forward_backward,
     init_params,
+    pair_texts,
     tokenize_pairs,
 )
 from simreg.errors import InvalidInputError, TrainingError
@@ -125,6 +127,11 @@ class TestAdam:
         grads.head_weights[:] = 1.0
         opt.step(params, grads)
         assert np.all(params.head_weights < before)
+
+
+def assert_same_params(a, b):
+    for name in encoder.PARAM_NAMES:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def arrays_in(obj) -> list:
@@ -247,21 +254,39 @@ class TestTrain:
         assert frozen and table not in frozen
         assert table in joint  # the joint stage's moments cover the table
 
-    def test_train_tokens_go_with_dev_tokens(self, model, corpus):
-        (tokens,) = training.tokenize_datasets(model.vocab, corpus)
-        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
-        for given in ({"train_tokens": tokens}, {"dev_tokens": tokens}):
-            with pytest.raises(InvalidInputError, match="train_tokens and dev_tokens"):
-                train(model, corpus, corpus, cfg, K2, **given)
+    @pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
+    def test_corpus_with_other_texts_changes_nothing(self, model, corpus, stage):
+        other = make_ordinal_corpus(30, seed=5)
+        cfg = TrainConfig(batch_size=3, epochs=2, learning_rate=0.1, seed=4,
+                          eval_every=2, max_tokens=3, optimizer="adam")
+        # another dataset's texts come first, so every word id differs
+        shared = Corpus(pair_texts(other.pairs) + pair_texts(corpus.pairs))
+        alone = train(model, corpus, corpus, cfg, K2, stage)
+        given = train(model, corpus, corpus, cfg, K2, stage, corpus=shared)
+        assert given.history == alone.history
+        assert_same_params(given.best_model.params, alone.best_model.params)
 
-    def test_tokens_of_another_dataset_size_rejected(self, model, corpus):
-        (tokens,) = training.tokenize_datasets(model.vocab, corpus)
-        fewer = tokens.take(np.arange(len(corpus) - 1))
+    def test_corpus_lacking_a_dev_text_rejected(self, model, corpus):
+        dev = Dataset("dev", (SentencePair("red apple on table", "green frog leaps",
+                                           score=1.0),), score_range=(0.0, 3.0))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
-        for train_tokens, dev_tokens in ((fewer, tokens), (tokens, fewer)):
-            with pytest.raises(InvalidInputError, match="7 tokenized pairs"):
-                train(model, corpus, corpus, cfg, K2, train_tokens=train_tokens,
-                      dev_tokens=dev_tokens)
+        with pytest.raises(InvalidInputError,
+                           match="text not in the corpus: 'green frog leaps'"):
+            train(model, corpus, dev, cfg, K2,
+                  corpus=Corpus(pair_texts(corpus.pairs)))
+
+    def test_head_only_shares_the_input_table_read_only(self, model, corpus):
+        cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
+        frozen = train(model, corpus, corpus, cfg, K2, Stage.HEAD_ONLY).best_model
+        table = frozen.params.embeddings
+        assert np.shares_memory(table, model.params.embeddings)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        assert model.params.embeddings.flags.writeable
+        assert not np.shares_memory(frozen.params.head_weights,
+                                    model.params.head_weights)
+        joint = train(model, corpus, corpus, cfg, K2, Stage.JOINT).best_model
+        assert not np.shares_memory(joint.params.embeddings, model.params.embeddings)
 
     def test_head_only_leaves_embeddings_bit_identical(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
@@ -458,6 +483,25 @@ class TestTwoStage:
                                     nli_mapping=build_mapping(("c", "n", "e"), 0, 1))
         initial = evaluate(model, [sts]).average
         assert result.stage1.history[0].dev_spearman == pytest.approx(initial, abs=1e-12)
+
+    def test_corpus_with_other_texts_changes_nothing(self, corpus):
+        nli = make_ordinal_corpus(60, seed=6, categories=("c", "n", "e"),
+                                  shared_counts=(0, 5, 9))
+        other = make_ordinal_corpus(30, seed=5)
+        vocab = build_vocab(pair_texts(corpus.pairs) + pair_texts(nli.pairs))
+        model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21,
+                          eval_every=3, max_tokens=4)
+        joint = TrainConfig(batch_size=4, epochs=2, learning_rate=0.05, seed=21,
+                            eval_every=2, max_tokens=3, optimizer="adam")
+        shared = Corpus(pair_texts(other.pairs) + pair_texts(nli.pairs)
+                        + pair_texts(corpus.pairs))
+        alone = two_stage_finetune(model, nli, corpus, corpus, cfg, joint)
+        given = two_stage_finetune(model, nli, corpus, corpus, cfg, joint,
+                                   corpus=shared)
+        for a, b in ((given.stage1, alone.stage1), (given.stage2, alone.stage2)):
+            assert a.history == b.history
+            assert_same_params(a.best_model.params, b.best_model.params)
 
     def test_bit_identical_across_reruns(self, corpus):
         nli = make_ordinal_corpus(60, seed=6, categories=("c", "n", "e"),
