@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,17 +143,22 @@ def format_score(score: float) -> str:
     return repr(float(score))
 
 
-def write_atomic(path, text: str) -> None:
-    """Write a UTF-8 text file whole or not at all.
+def write_atomic(path, content: str | Iterable[bytes]) -> None:
+    """Write a file whole or not at all.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces the target in one rename; if writing fails, the temporary file
-    is removed and an existing target is left as it was.
+    content is UTF-8 text, or an iterable of bytes chunks written one after
+    another as they are produced.  It goes to a temporary file in the same
+    directory, which then replaces the target in one rename; if writing or
+    producing a chunk fails, the temporary file is removed and an existing
+    target is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if isinstance(content, str):
+        content = [content.encode("utf-8")]
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "wb") as fh:
+            fh.writelines(content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

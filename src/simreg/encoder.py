@@ -33,6 +33,7 @@ unstacked call on that copy to a few ulps.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import re
@@ -57,6 +58,9 @@ _WORD_RE = re.compile(r"\w+")
 CHECKPOINT_FORMAT = "simreg-checkpoint"
 CHECKPOINT_VERSION = 2
 CHECKPOINT_DTYPE = "<f8"  # little-endian float64, the raw bytes of each array
+# raw bytes base64-encoded per checkpoint chunk; a multiple of 3, so the
+# chunks' encodings join without padding into the whole array's
+_B64_CHUNK = 3 << 16
 
 # the trainable arrays of ModelParams, in the order of its fields
 PARAM_NAMES = ("embeddings", "head_weights", "head_bias")
@@ -121,7 +125,8 @@ class Corpus:
     A text's words are kept as ids into the corpus's own word table, so
     build_vocab and tokenize_pairs reuse the split without holding one word
     list per text.  A text without words holds the single word "", which no
-    vocabulary holds.
+    vocabulary holds.  The word table's ids under the vocabulary last asked
+    for (vocab_ids) are kept, so a run looks its words up once.
     """
 
     def __init__(self, texts):
@@ -136,6 +141,7 @@ class Corpus:
                                     count=int(self.lengths.sum()))
         self.words = tuple(word_id)
         self._rows = dict(zip(distinct, range(len(distinct))))
+        self._vocab, self._vocab_ids = None, None
 
     def rows_of(self, texts) -> np.ndarray:
         """Position of each text among the corpus's distinct texts."""
@@ -144,6 +150,14 @@ class Corpus:
         except KeyError as exc:
             raise InvalidInputError(
                 f"text not in the corpus: {exc.args[0]!r}") from None
+
+    def vocab_ids(self, vocab: Vocabulary) -> np.ndarray:
+        """Each word's id in vocab (read-only), the OOV id for words it lacks."""
+        if vocab is not self._vocab:
+            ids = vocab.lookup(self.words)
+            ids.flags.writeable = False
+            self._vocab, self._vocab_ids = vocab, ids
+        return self._vocab_ids
 
 
 def build_vocab(texts, corpus: Corpus | None = None) -> Vocabulary:
@@ -226,7 +240,7 @@ def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> Pa
     rows = corpus.rows_of(texts)
     lengths = corpus.lengths[rows]
     word_ids = _segments(corpus.word_ids, corpus.starts, rows, lengths)
-    return PairTokens(vocab.lookup(corpus.words)[word_ids], lengths)
+    return PairTokens(corpus.vocab_ids(vocab)[word_ids], lengths)
 
 
 @dataclass
@@ -288,11 +302,6 @@ class ModelParams:
     @property
     def head_weight_count(self) -> int:
         return int(self.head_weights.size)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.embeddings.copy(), self.head_weights.copy(), self.head_bias.copy()
-        )
 
 
 @dataclass
@@ -606,13 +615,20 @@ def head_forward_backward(
     return value, grads, np.multiply.outer(d_out, params.head_weights)
 
 
-def _encode_array(array: np.ndarray) -> dict:
-    raw = np.ascontiguousarray(array, dtype=CHECKPOINT_DTYPE).tobytes()
-    return {
-        "dtype": CHECKPOINT_DTYPE,
-        "shape": list(array.shape),
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
+def _array_chunks(array: np.ndarray):
+    """The bytes of json.dumps(entry, sort_keys=True) for the array's entry
+    {"data": ..., "dtype": ..., "shape": ...}, in pieces.
+
+    The raw bytes are base64-encoded _B64_CHUNK at a time; the chunk size
+    is a multiple of 3, so the pieces join into the whole array's base64.
+    """
+    raw = np.ascontiguousarray(array, dtype=CHECKPOINT_DTYPE).reshape(-1)
+    raw = memoryview(raw.view(np.uint8))
+    yield b'{"data": "'
+    for start in range(0, len(raw), _B64_CHUNK):
+        yield binascii.b2a_base64(raw[start:start + _B64_CHUNK], newline=False)
+    yield (f'", "dtype": {json.dumps(CHECKPOINT_DTYPE)}, '
+           f'"shape": {json.dumps(list(array.shape))}}}').encode("ascii")
 
 
 def _decode_array(doc: dict, name: str) -> np.ndarray:
@@ -636,13 +652,30 @@ def _head_kind(params: ModelParams) -> str:
     return "classification" if params.is_classifier else "regression"
 
 
+def _checkpoint_chunks(fields: dict, arrays: dict):
+    """The bytes of json.dumps(doc, sort_keys=True), in pieces, for the
+    document holding fields and an _array_chunks entry for each array."""
+    separator = b"{"
+    for key in sorted({*fields, *arrays}):
+        yield separator + json.dumps(key).encode("ascii") + b": "
+        if key in arrays:
+            yield from _array_chunks(arrays[key])
+        else:
+            # ensure_ascii (the default) escapes every non-ASCII character
+            yield json.dumps(fields[key], sort_keys=True).encode("ascii")
+        separator = b", "
+    yield b"}"
+
+
 def save_checkpoint(model: Model, path) -> None:
     """Write a self-describing JSON checkpoint (bit-exact round trip).
 
     Each parameter array is stored as its dtype, shape and raw bytes in
-    base64.  The file is replaced whole, never left half-written.
+    base64.  The file holds exactly the bytes of json.dumps(doc,
+    sort_keys=True), streamed to disk a chunk at a time instead of built
+    whole in memory, and is replaced whole, never left half-written.
     """
-    doc = {
+    fields = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "feature_mode": model.feature_mode.value,
@@ -650,11 +683,9 @@ def save_checkpoint(model: Model, path) -> None:
         "vocab": list(model.vocab.tokens),
         "mapping": model.mapping.to_json_dict() if model.mapping else None,
         "head_kind": _head_kind(model.params),
-        "embeddings": _encode_array(model.params.embeddings),
-        "head_weights": _encode_array(model.params.head_weights),
-        "head_bias": _encode_array(model.params.head_bias),
     }
-    write_atomic(path, json.dumps(doc, sort_keys=True))
+    arrays = {name: getattr(model.params, name) for name in PARAM_NAMES}
+    write_atomic(path, _checkpoint_chunks(fields, arrays))
 
 
 def load_checkpoint(path) -> Model:

@@ -20,7 +20,9 @@ class _HalfWriter:
         raise OSError(errno.ENOSPC, "No space left on device")
 
     def writelines(self, lines):
-        self.write("".join(lines))
+        lines = list(lines)
+        empty = lines[0][:0] if lines else b""  # "" for text, b"" for bytes
+        self.write(empty.join(lines))
 
     def __enter__(self):
         return self

@@ -9,15 +9,24 @@ a full O(n*m) comparison, the model's forward/backward pass from
 scalar loss closed forms applied one pair and one token at a time, finite
 differences one parameter entry and two forward passes at a time, the
 optimizers as updates of whole dense arrays, and the synthetic corpus from a
-set difference over the whole vocabulary per pair.
+set difference over the whole vocabulary per pair.  copy_params gives
+tests that mutate parameters their own copy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
 import numpy as np
+
+
+def copy_params(params):
+    """params with a private copy of each of its arrays."""
+    return dataclasses.replace(params, embeddings=params.embeddings.copy(),
+                               head_weights=params.head_weights.copy(),
+                               head_bias=params.head_bias.copy())
 
 
 def rank_with_ties(values):
@@ -186,7 +195,7 @@ def finite_difference_per_entry(value_fn, params, step):
     """Central differences of value_fn(params) over every entry of
     (embeddings, head weights, head bias) of a copy of params, perturbing one
     entry in place for each pair of unstacked calls."""
-    params = params.copy()
+    params = copy_params(params)
     fd = []
     for arr in (params.embeddings, params.head_weights, params.head_bias):
         out = np.zeros_like(arr)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import forward_backward_per_pair, pool_per_sentence, tokenize_per_token
+from oracles import (
+    copy_params,
+    forward_backward_per_pair,
+    pool_per_sentence,
+    tokenize_per_token,
+)
 from simreg import encoder
 from simreg.data import SentencePair
 from simreg.encoder import (
@@ -642,9 +647,79 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         save_checkpoint(model, path)
         before = path.read_bytes()
-        other = dataclasses.replace(model, params=model.params.copy())
+        other = dataclasses.replace(model, params=copy_params(model.params))
         other.params.embeddings += 1.0
         with failing_writes(), pytest.raises(OSError):
+            save_checkpoint(other, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+    @pytest.mark.parametrize("classifier", [False, True],
+                             ids=["regression", "classification"])
+    @pytest.mark.parametrize("with_mapping", [False, True],
+                             ids=["no-mapping", "mapping"])
+    @pytest.mark.parametrize("chunks", [1, 2], ids=["one-chunk", "chunks"])
+    def test_bytes_equal_sorted_json_dumps(self, tmp_path, classifier, with_mapping,
+                                           chunks):
+        vocab = build_vocab(["café au lait", "a man runs"]
+                            + [f"w{i}" for i in range(40)])
+        dim = 4
+        if chunks > 1:
+            # a table of more than one chunk whose bytes do not fill the last
+            dim = encoder._B64_CHUNK // (8 * len(vocab)) + 1
+            assert (8 * dim * len(vocab)) % encoder._B64_CHUNK
+        mapping = None
+        if with_mapping:
+            mapping = build_mapping(["lo", "très", "hi"], 0.0, 1.0)
+        model = Model.initialize(vocab, dim=dim, seed=3, mapping=mapping,
+                                 n_classes=3 if classifier else None)
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+
+        def entry(array):
+            raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
+            return {"dtype": "<f8", "shape": list(array.shape),
+                    "data": base64.b64encode(raw).decode("ascii")}
+
+        doc = {
+            "format": "simreg-checkpoint",
+            "version": 2,
+            "feature_mode": model.feature_mode.value,
+            "max_tokens": model.max_tokens,
+            "vocab": list(vocab.tokens),
+            "mapping": mapping.to_json_dict() if mapping else None,
+            "head_kind": "classification" if classifier else "regression",
+            "embeddings": entry(model.params.embeddings),
+            "head_weights": entry(model.params.head_weights),
+            "head_bias": entry(model.params.head_bias),
+        }
+        assert path.read_bytes() == json.dumps(doc, sort_keys=True).encode()
+        assert b"caf\\u00e9" in path.read_bytes()
+
+    def test_failure_mid_payload_keeps_the_old_checkpoint(self, tmp_path,
+                                                          monkeypatch):
+        vocab = build_vocab([" ".join(f"w{i}" for i in range(40))])
+        dim = 2 * encoder._B64_CHUNK // (8 * len(vocab)) + 1
+        model = Model.initialize(vocab, dim=dim, seed=3)
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        other = dataclasses.replace(model, params=copy_params(model.params))
+        other.params.embeddings += 1.0
+        encode = encoder.binascii.b2a_base64
+        calls = []
+
+        def fail_second(data, *, newline):
+            calls.append(data)
+            if len(calls) == 2:
+                # the first chunk's base64 is already in the temporary file
+                (tmp,) = (p for p in tmp_path.iterdir() if p.name != "ck.json")
+                assert tmp.stat().st_size > 4 * encoder._B64_CHUNK // 3
+                raise MemoryError("out of memory")
+            return encode(data, newline=newline)
+
+        monkeypatch.setattr(encoder.binascii, "b2a_base64", fail_second)
+        with pytest.raises(MemoryError):
             save_checkpoint(other, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]

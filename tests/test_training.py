@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DenseAdam, sgd_step_dense
+from oracles import DenseAdam, copy_params, sgd_step_dense
 from simreg import encoder, training
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
@@ -64,13 +64,13 @@ def model(corpus):
 
 class TestSgdStep:
     def test_zero_gradient_is_identity(self, model):
-        params = model.params.copy()
+        params = copy_params(model.params)
         SgdOptimizer(0.5).step(params, Gradients.zeros_like(params))
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
         np.testing.assert_array_equal(params.head_weights, model.params.head_weights)
 
     def test_scalar_update(self, model):
-        params = model.params.copy()
+        params = copy_params(model.params)
         params.head_bias = np.asarray(1.0)
         grads = Gradients.zeros_like(params)
         grads.head_bias = np.asarray(2.0)
@@ -80,7 +80,7 @@ class TestSgdStep:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_no_embedding_gradient_leaves_the_table_bit_identical(self, model,
                                                                   optimizer):
-        params = model.params.copy()
+        params = copy_params(model.params)
         opt = SgdOptimizer(0.1) if optimizer == "sgd" else AdamOptimizer(0.1)
         grads = Gradients.zeros_like(params)
         grads.embeddings[:] = 1.0
@@ -93,7 +93,7 @@ class TestSgdStep:
         assert not np.array_equal(params.head_weights, head)
 
     def test_shape_mismatch_rejected(self, model):
-        params = model.params.copy()
+        params = copy_params(model.params)
         grads = Gradients.zeros_like(params)
         grads.head_weights = np.zeros(5)
         rowless = Gradients.zeros_like(params)
@@ -107,7 +107,7 @@ class TestSgdStep:
 
 class TestAdam:
     def test_head_only_freezes_embeddings_and_moments(self, model):
-        params = model.params.copy()
+        params = copy_params(model.params)
         opt = AdamOptimizer(0.01)
         grads = Gradients.zeros_like(params)
         grads.embeddings = grads.rows = None
@@ -120,7 +120,7 @@ class TestAdam:
         assert model.params.embeddings.shape not in [a.shape for a in arrays_in(opt)]
 
     def test_step_direction(self, model):
-        params = model.params.copy()
+        params = copy_params(model.params)
         before = params.head_weights.copy()
         opt = AdamOptimizer(0.01)
         grads = Gradients.zeros_like(params)
@@ -177,7 +177,7 @@ def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
     vocab = build_vocab([" ".join(WORDS)])
     params = init_params(len(vocab), int(rng.integers(2, 6)),
                          FeatureMode.UV_ABS_DIFF, seed, label_range=(0.0, 3.0))
-    expect = params.copy()
+    expect = copy_params(params)
     names = [n for n in ("embeddings", "head_weights", "head_bias")
              if stage is Stage.JOINT or n != "embeddings"]
     if optimizer == "sgd":
@@ -311,7 +311,7 @@ class TestTrain:
         result = train(model, corpus, corpus, cfg, spec, Stage.HEAD_ONLY)
 
         # oracle: pool every batch again through forward_backward
-        params = model.params.copy()
+        params = copy_params(model.params)
         opt = (AdamOptimizer(cfg.learning_rate) if optimizer == "adam"
                else SgdOptimizer(cfg.learning_rate))
         (tokens,) = training.tokenize_datasets(model.vocab, corpus)
@@ -350,7 +350,7 @@ class TestTrain:
         assert len(set(devs)) == 1  # flat history
 
     def test_input_model_never_mutated(self, model, corpus):
-        snapshot = model.params.copy()
+        snapshot = copy_params(model.params)
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.3, seed=1)
         train(model, corpus, corpus, cfg, K2, Stage.JOINT)
         np.testing.assert_array_equal(model.params.embeddings, snapshot.embeddings)
@@ -500,6 +500,32 @@ class TestTwoStage:
         given = two_stage_finetune(model, nli, corpus, corpus, cfg, joint,
                                    corpus=shared)
         for a, b in ((given.stage1, alone.stage1), (given.stage2, alone.stage2)):
+            assert a.history == b.history
+            assert_same_params(a.best_model.params, b.best_model.params)
+
+    def test_one_vocabulary_lookup_per_run(self, corpus, monkeypatch):
+        nli = make_ordinal_corpus(60, seed=6, categories=("c", "n", "e"),
+                                  shared_counts=(0, 5, 9))
+        vocab = build_vocab(pair_texts(corpus.pairs) + pair_texts(nli.pairs))
+        model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21)
+        with monkeypatch.context() as patch:
+            # the reference looks the word table up again for every dataset
+            patch.setattr(Corpus, "vocab_ids",
+                          lambda self, vocab: vocab.lookup(self.words))
+            every_dataset = two_stage_finetune(model, nli, corpus, corpus, cfg)
+        calls = []
+        lookup = encoder.Vocabulary.lookup
+
+        def counted(self, words):
+            calls.append(self)
+            return lookup(self, words)
+
+        monkeypatch.setattr(encoder.Vocabulary, "lookup", counted)
+        once = two_stage_finetune(model, nli, corpus, corpus, cfg)
+        assert calls == [vocab]
+        for a, b in ((once.stage1, every_dataset.stage1),
+                     (once.stage2, every_dataset.stage2)):
             assert a.history == b.history
             assert_same_params(a.best_model.params, b.best_model.params)
 
