@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -275,8 +274,8 @@ def cmd_train(args) -> int:
 def _sniff_categorical(text: str, mapping) -> bool:
     """A file is categorical when every first field is one of the mapping's
     categories, or else when its first field does not parse as a score."""
-    lines = io.StringIO(text, newline=None)  # the lines of a file opened as text
-    firsts = [line.split("\t", 1)[0] for line in lines if line.strip()]
+    firsts = [line.split("\t", 1)[0] for line in data_mod.tsv_lines(text)
+              if line.strip()]
     if not firsts:
         return False
     if mapping is not None and all(f in mapping.categories for f in firsts):

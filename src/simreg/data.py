@@ -108,7 +108,7 @@ def parse_tsv(
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(tsv_lines(text), start=1):
         fields = line.split("\t")
         if len(fields) < 3:
             raise DataFormatError(
@@ -136,6 +136,22 @@ def parse_tsv(
     if categories is not None:
         return Dataset(name, tuple(pairs), categories=tuple(categories))
     return Dataset(name, tuple(pairs), score_range=score_range)
+
+
+def tsv_lines(text: str) -> list[str]:
+    """The lines of a TSV file's text, without their ends.
+
+    A line ends at "\\n", "\\r\\n" or "\\r", as in a file opened as text, and
+    nowhere else: str.splitlines would also end one at characters such as
+    "\\x0c" or "\\x85" that a sentence may hold.  A final line end starts no
+    line of its own.
+    """
+    if "\r" in text:  # replace would rescan a whole text that has none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def format_score(score: float) -> str:
@@ -166,11 +182,20 @@ def write_atomic(path, content: str | Iterable[bytes]) -> None:
 
 
 def save_tsv(dataset: Dataset, path) -> None:
-    """Write a dataset back out in the canonical TSV format (atomically)."""
+    """Write a dataset back out in the canonical TSV format (atomically).
+
+    A field holding a tab or a line end cannot be written: no TSV line can
+    carry it.
+    """
     lines = []
-    for pair in dataset.pairs:
+    for number, pair in enumerate(dataset.pairs, start=1):
         first = pair.label if pair.label is not None else format_score(pair.score)
-        lines.append(f"{first}\t{pair.s1}\t{pair.s2}\n")
+        line = f"{first}\t{pair.s1}\t{pair.s2}"
+        if line.count("\t") != 2 or "\n" in line or "\r" in line:
+            raise InvalidInputError(
+                f"{dataset.name}: pair {number} has a tab or line end in a field, "
+                "which no TSV line can carry")
+        lines.append(line + "\n")
     write_atomic(path, "".join(lines))
 
 

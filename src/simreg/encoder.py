@@ -6,8 +6,8 @@ vector per the configured mode, and fed to a linear head: a single output for
 regression or K outputs for the classification baseline.  The backward pass
 is derived by hand and returns exact gradients for every parameter.
 
-Everything runs on whole batches at once.  Each distinct text is split into
-words once (``Corpus``), and a dataset becomes flat token ids with
+Everything runs on whole batches at once.  All distinct texts are split into
+words in one pass (``Corpus``), and a dataset becomes flat token ids with
 per-sentence offsets and lengths (``PairTokens``).  A whole dataset is pooled
 by ``pool``: sentences sorted by length, longest first, and each token
 position added into the sentences that reach it, so the work is one gather
@@ -37,9 +37,10 @@ import binascii
 import json
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,9 @@ from .losses import LossKind, LossSpec
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
-_WORD_RE = re.compile(r"\w+")
+# a character that is neither a word character nor whitespace: blanked out,
+# it leaves the \w+ words as the runs of non-whitespace
+_NON_WORD = re.compile(r"[^\w\s]")
 
 CHECKPOINT_FORMAT = "simreg-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -114,27 +117,31 @@ class Vocabulary:
                            count=len(words))
 
 
-def split_tokens(text: str) -> list[str]:
-    """Lowercase and split on whitespace/punctuation boundaries."""
-    return _WORD_RE.findall(text.lower())
-
-
 class Corpus:
     """Texts with each distinct text split into words once.
 
-    A text's words are kept as ids into the corpus's own word table, so
-    build_vocab and tokenize_pairs reuse the split without holding one word
-    list per text.  A text without words holds the single word "", which no
-    vocabulary holds.  The word table's ids under the vocabulary last asked
-    for (vocab_ids) are kept, so a run looks its words up once.
+    A text's words are its lowercased \\w+ runs.  All distinct texts are
+    split in one pass: joined by "\\n" into one string, lowercased, every
+    character that is neither a word character nor whitespace blanked, and
+    split back into texts and words.  The words are kept as ids into the
+    corpus's own word table, in order of first occurrence, so build_vocab and
+    tokenize_pairs reuse the split without holding one word list per text.
+    A text without words holds the single word "", which no vocabulary holds.
+    The word table's ids under the vocabulary last asked for (vocab_ids) are
+    kept, so a run looks its words up once.
     """
 
     def __init__(self, texts):
         distinct = dict.fromkeys(texts)
-        word_id: dict[str, int] = {}
+        blob = "\n".join(distinct)
+        if blob.count("\n") != len(distinct) - 1:  # a text holds a "\n" of its own
+            blob = "\n".join(text.replace("\n", " ") for text in distinct)
+        # "\n" and " " are neither cased nor case-ignorable, so lower() sees
+        # each text as it would alone (the final sigma rule included)
+        lines = _NON_WORD.sub(" ", blob.lower()).split("\n") if distinct else []
+        word_id = defaultdict(count().__next__)  # a new word takes the next id
         # ids, not words, per text: a text's list holds no strings of its own
-        ids = [[word_id.setdefault(w, len(word_id)) for w in split_tokens(text) or [""]]
-               for text in distinct]
+        ids = [list(map(word_id.__getitem__, line.split() or [""])) for line in lines]
         self.lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
         self.starts = np.cumsum(self.lengths) - self.lengths
         self.word_ids = np.fromiter(chain.from_iterable(ids), dtype=np.intp,

@@ -3,14 +3,14 @@
 These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
 formula, classification from an argmin scan over nodes, gold values and
-rounding accuracy one pair at a time, token ids one dictionary lookup per
-word, sentence means one sentence at a time, deduplication from
-a full O(n*m) comparison, the model's forward/backward pass from
-scalar loss closed forms applied one pair and one token at a time, finite
-differences one parameter entry and two forward passes at a time, the
-optimizers as updates of whole dense arrays, and the synthetic corpus from a
-set difference over the whole vocabulary per pair.  copy_params gives
-tests that mutate parameters their own copy.
+rounding accuracy one pair at a time, words one regular-expression scan per
+text, token ids one dictionary lookup per word, sentence means one sentence
+at a time, deduplication from a full O(n*m) comparison, the model's
+forward/backward pass from scalar loss closed forms applied one pair and one
+token at a time, finite differences one parameter entry and two forward
+passes at a time, the optimizers as updates of whole dense arrays, and the
+synthetic corpus from a set difference over the whole vocabulary per pair.
+copy_params gives tests that mutate parameters their own copy.
 """
 
 from __future__ import annotations
@@ -116,12 +116,17 @@ def residual_loss_scalar(x, kind, k, x0):
     return x * x, 2.0 * x
 
 
+def split_words(text):
+    """The words of one text: its lowercased \\w+ runs."""
+    return re.findall(r"\w+", text.lower())
+
+
 def tokenize_per_token(text, vocab, max_tokens=None):
     """Token ids of one sentence, one lookup per lowercased word, cut to
     max_tokens words; a text without words is the single OOV token."""
     ids = {token: i for i, token in enumerate(vocab.tokens)}
     oov = ids["<oov>"]
-    words = re.findall(r"\w+", text.lower())[:max_tokens]
+    words = split_words(text)[:max_tokens]
     return [ids.get(word, oov) for word in words] or [oov]
 
 

@@ -308,20 +308,24 @@ class TestTrain:
         config["training"]["max_tokens"] = 4
         config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd", "max_tokens": 6}
         config_path.write_text(json.dumps(config))
-        splits = Counter()
-        split_tokens = encoder.split_tokens
+        corpora = []
+        init = encoder.Corpus.__init__
 
-        def counted(text):
-            splits[text] += 1
-            return split_tokens(text)
+        def recorded(corpus, texts):
+            init(corpus, texts)
+            corpora.append(corpus)
 
-        monkeypatch.setattr(encoder, "split_tokens", counted)
+        # on the class, so every name the package imports it by is counted
+        monkeypatch.setattr(encoder.Corpus, "__init__", recorded)
         assert main(["train", "--config", str(config_path)]) == 0
-        texts = {text for key in ("train", "dev")
-                 for pair in load_tsv(config["data"][key],
-                                      categories=ORDINAL_CATEGORIES).pairs
-                 for text in (pair.s1, pair.s2)}
-        assert splits == Counter(dict.fromkeys(texts, 1))
+        texts = list({text for key in ("train", "dev")
+                      for pair in load_tsv(config["data"][key],
+                                           categories=ORDINAL_CATEGORIES).pairs
+                      for text in (pair.s1, pair.s2)})
+        # one corpus, holding each distinct text once and nothing else
+        assert len(corpora) == 1
+        rows = corpora[0].rows_of(texts).tolist()
+        assert sorted(rows) == list(range(len(corpora[0].lengths)))
 
 
 class TestEval:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -125,6 +126,33 @@ class TestLoadSave:
         again = load_tsv(path, name=TRAIN.name)
         assert again.pairs == TRAIN.pairs
         assert again.score_range == TRAIN.score_range
+
+    # str.splitlines breaks a line at each of these; a TSV line does not
+    @pytest.mark.parametrize("separator", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_round_trip_keeps_other_line_separators_in_a_sentence(self, tmp_path,
+                                                                  separator):
+        path = tmp_path / "out.tsv"
+        ds = cont("d", [(1.0, f"e{separator}f", "g"), (2.0, "h", f"{separator}i")])
+        save_tsv(ds, path)
+        assert load_tsv(path, name="d").pairs == ds.pairs
+
+    def test_lines_end_at_newline_crlf_or_cr(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"1.0\ta\tb\r\n2.0\tc\td\r3.0\te\tf\n4.0\tg\th")
+        assert [p.s1 for p in load_tsv(path).pairs] == ["a", "c", "e", "g"]
+        path.write_bytes(b"1.0\ta\tb\r\n\r\n")
+        with pytest.raises(DataFormatError, match="d.tsv:2: .* got 1"):
+            load_tsv(path)
+
+    @pytest.mark.parametrize("field", ["s1", "s2", "label"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_save_rejects_a_field_no_line_can_carry(self, tmp_path, field, char):
+        pair = SentencePair("a", "b", label="yes")
+        ds = Dataset("d", (dataclasses.replace(pair, **{field: f"x{char}y"}),),
+                     categories=("yes", f"x{char}y"))
+        with pytest.raises(InvalidInputError, match="d: pair 1 has a tab or line end"):
+            save_tsv(ds, tmp_path / "out.tsv")
+        assert not (tmp_path / "out.tsv").exists()
 
 
 class TestDedupFilter:

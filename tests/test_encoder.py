@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     copy_params,
     forward_backward_per_pair,
     pool_per_sentence,
+    split_words,
     tokenize_per_token,
 )
 from simreg import encoder
@@ -32,7 +33,6 @@ from simreg.encoder import (
     pool,
     pooling_matrix,
     save_checkpoint,
-    split_tokens,
     tokenize_pairs,
 )
 from simreg.errors import CheckpointError, InvalidInputError
@@ -90,7 +90,9 @@ class TestTokenize:
 
     def test_case_folding_and_punctuation(self, vocab):
         assert token_ids("A MAN runs!", vocab) == token_ids("a man runs", vocab)
-        assert split_tokens("Hello,world...again") == ["hello", "world", "again"]
+        corpus = Corpus(["Hello,world...again"])
+        assert [corpus.words[i] for i in corpus.word_ids] == ["hello", "world", "again"]
+        assert split_words("Hello,world...again") == ["hello", "world", "again"]
 
     def test_unknown_maps_to_oov(self, vocab):
         assert token_ids("zebra", vocab) == [vocab.oov_id]
@@ -446,6 +448,38 @@ def test_vectorized_lookup_matches_per_token_oracle(pieces, max_tokens, extra):
 
 
 EPS = np.finfo(float).eps
+
+
+# whitespace that str.split and \s agree on ("\x85", "\u2028" among it),
+# characters that lower() changes by context (final sigma) or into two
+# ("İ"), a combining mark, word characters outside ASCII, and characters that
+# are neither word characters nor whitespace
+SPLIT_ALPHABET = "ab_'09 \n\r\t\x0c\x85\u2028Σσς\u0130\u0301é🙂.,"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(SPLIT_ALPHABET, max_size=10), max_size=8),
+       st.lists(st.integers(0, 7), max_size=4))
+@example(["ΟΔΟΣ", "Σ", "aΣ\nb", "aΣ b", "aΣ\u0301", "\u0130a"], [])
+@example(["a\nb", "a b", "\n", ""], [0, 3])
+def test_corpus_splits_each_text_as_the_per_text_oracle(texts, repeats):
+    texts = texts + [texts[i] for i in repeats if i < len(texts)]
+    corpus = Corpus(texts)
+    distinct = list(dict.fromkeys(texts))
+    expect = [split_words(text) or [""] for text in distinct]
+    assert len(corpus.lengths) == len(distinct)
+    for row, words in enumerate(expect):
+        ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
+        assert [corpus.words[i] for i in ids] == words
+    # the word table in order of first occurrence
+    assert corpus.words == tuple(dict.fromkeys(w for words in expect for w in words))
+    assert corpus.rows_of(texts).tolist() == [distinct.index(t) for t in texts]
+
+
+def test_empty_corpus_holds_no_text():
+    corpus = Corpus([])
+    assert corpus.lengths.tolist() == [] and corpus.word_ids.tolist() == []
+    assert corpus.words == ()
 
 
 @settings(max_examples=80, deadline=None)
