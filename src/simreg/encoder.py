@@ -7,13 +7,16 @@ regression or K outputs for the classification baseline.  The backward pass
 is derived by hand and returns exact gradients for every parameter.
 
 Everything runs on whole batches at once.  All distinct texts are split into
-words in one pass (``Corpus``), and a dataset becomes flat token ids with
-per-sentence offsets and lengths (``PairTokens``).  A whole dataset is pooled
-by ``pool``: sentences sorted by length, longest first, and each token
-position added into the sentences that reach it, so the work is one gather
-and add per token with no padding.  A training batch is pooled by its pooling
-matrix S, one row per distinct token and one column per sentence holding
-count / length: pooled = S.T @ E[rows] forward, and one matrix product with S
+words by one split of one string (``Corpus``): joined, lowercased, blanked of
+every character that is neither a word character nor whitespace (by
+str.translate when the string is ASCII), with a "." before each text to mark
+where it starts.  A dataset becomes flat token ids with per-sentence offsets
+and lengths (``PairTokens``).  A whole dataset is pooled by ``pool``:
+sentences sorted by length, longest first, and each token position added into
+the sentences that reach it, so the work is one gather and add per token with
+no padding.  A training batch is pooled by its pooling matrix S, one row per
+distinct token and one column per sentence holding count / length, built once
+per batch: pooled = S.T @ E[rows] forward, and one matrix product with S
 carries every sentence's gradient back to the token rows.  The embedding
 gradient holds only the rows of the tokens in the batch, so its cost does not
 grow with the vocabulary.  The head and loss half of the batch core,
@@ -40,7 +43,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count
+from functools import cached_property
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +61,10 @@ OOV_TOKEN = "<oov>"
 # a character that is neither a word character nor whitespace: blanked out,
 # it leaves the \w+ words as the runs of non-whitespace
 _NON_WORD = re.compile(r"[^\w\s]")
+# the same blanking of ASCII text by str.translate: the code point's own
+# character, or " " where _NON_WORD matches it
+_ASCII_BLANK = "".join(" " if _NON_WORD.match(chr(c)) else chr(c)
+                       for c in range(128))
 
 CHECKPOINT_FORMAT = "simreg-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -121,9 +129,12 @@ class Corpus:
     """Texts with each distinct text split into words once.
 
     A text's words are its lowercased \\w+ runs.  All distinct texts are
-    split in one pass: joined by "\\n" into one string, lowercased, every
-    character that is neither a word character nor whitespace blanked, and
-    split back into texts and words.  The words are kept as ids into the
+    split by one whole-string split: joined by "\\n" into one string,
+    lowercased, every character that is neither a word character nor
+    whitespace blanked (by str.translate when the string is ASCII, by one
+    regular-expression substitution otherwise), a "." put before each text,
+    and the string split at whitespace.  Blanking leaves no ".", so the "."
+    words mark where each text starts.  The words are kept as ids into the
     corpus's own word table, in order of first occurrence, so build_vocab and
     tokenize_pairs reuse the split without holding one word list per text.
     A text without words holds the single word "", which no vocabulary holds.
@@ -138,17 +149,44 @@ class Corpus:
             blob = "\n".join(text.replace("\n", " ") for text in distinct)
         # "\n" and " " are neither cased nor case-ignorable, so lower() sees
         # each text as it would alone (the final sigma rule included)
-        lines = _NON_WORD.sub(" ", blob.lower()).split("\n") if distinct else []
-        word_id = defaultdict(count().__next__)  # a new word takes the next id
-        # ids, not words, per text: a text's list holds no strings of its own
-        ids = [list(map(word_id.__getitem__, line.split() or [""])) for line in lines]
-        self.lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.word_ids = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
-                                    count=int(self.lengths.sum()))
-        self.words = tuple(word_id)
+        blob = blob.lower()
+        # both blankings give the same string; translate is the faster
+        if blob.isascii():
+            blob = blob.translate(_ASCII_BLANK)
+        else:
+            blob = _NON_WORD.sub(" ", blob)
+        # blanking left no ".", so a "." word marks where each text opens
+        words = (". " + blob.replace("\n", " . ")).split() if distinct else []
+        # "." takes id -1, and each new word the next id from 0
+        word_id = defaultdict(count().__next__, {".": -1})
+        flat = np.fromiter(map(word_id.__getitem__, words), dtype=np.intp,
+                           count=len(words))
+        opens = flat < 0
+        self.word_ids = flat[~opens]
+        # text i starts after i "." words
+        starts = np.flatnonzero(opens) - np.arange(len(distinct))
+        self.starts = starts
+        self.lengths = np.concatenate((starts[1:], [len(self.word_ids)])) - starts
+        self.words = tuple(word_id)[1:]
+        if not self.lengths.all():
+            self._hold_empty_word()
         self._rows = dict(zip(distinct, range(len(distinct))))
         self._vocab, self._vocab_ids = None, None
+
+    def _hold_empty_word(self):
+        """Give each text without words the single word "", which enters the
+        word table where the first such text puts it in first-occurrence
+        order: after the words of the texts before that text."""
+        empty = self.lengths == 0
+        # ids run in first-occurrence order: the words before the first empty
+        # text hold ids 0 to the largest among them
+        before = self.word_ids[:self.starts[np.argmax(empty)]]
+        new = int(before.max()) + 1 if len(before) else 0
+        shifted = self.word_ids + (self.word_ids >= new)
+        self.word_ids = np.insert(shifted, self.starts[empty], new)
+        self.lengths = self.lengths + empty
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.words = (*self.words[:new], "", *self.words[new:])
 
     def rows_of(self, texts) -> np.ndarray:
         """Position of each text among the corpus's distinct texts."""
@@ -196,7 +234,8 @@ class PairTokens:
     Sentences alternate left, right: pair i is sentences 2i and 2i + 1, and
     sentence j is ids[starts[j]:][:lengths[j]], the sentences laid out one
     after another.  Every sentence has at least one token; tokenize_pairs
-    gives an empty text the OOV token.
+    gives an empty text the OOV token.  A batch's pooling matrix is built on
+    first use and kept (pooling).
     """
 
     ids: np.ndarray
@@ -213,6 +252,14 @@ class PairTokens:
 
     def __len__(self) -> int:
         return len(self.lengths) // 2
+
+    @cached_property
+    def pooling(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, S), the pooling_matrix of these sentences, read-only: every
+        forward_backward on the same batch reads the one built first."""
+        rows, S = pooling_matrix(self)
+        rows.flags.writeable = S.flags.writeable = False
+        return rows, S
 
     def take(self, index) -> "PairTokens":
         """The pairs at the given positions, in that order."""
@@ -401,7 +448,8 @@ def pooling_matrix(tokens: PairTokens) -> tuple[np.ndarray, np.ndarray]:
     matrix, whose entry (r, j) is how often rows[r] occurs in sentence j over
     sentence j's length.  So pooled = S.T @ E[rows] and the gradient of
     E[rows] is S @ d(pooled).  S is dense, distinct tokens x sentences: it
-    suits a batch; a whole dataset is pooled by pool."""
+    suits a batch; a whole dataset is pooled by pool.  A batch keeps its own
+    as PairTokens.pooling."""
     rows, inverse = np.unique(tokens.ids, return_inverse=True)
     n_sentences = len(tokens.lengths)
     sentence = np.repeat(np.arange(n_sentences), tokens.lengths)
@@ -535,16 +583,17 @@ def forward_backward(
     targets holds one entry per pair: floats for the residual losses, class
     indices for cross-entropy; the contrastive loss ignores them and treats
     each pair as anchor/positive.  Predictions outside clamp_range are
-    clamped and pass no gradient.  The batch is pooled through its
-    pooling_matrix, and the head and loss run in head_forward_backward,
-    whose input gradient is split here into the gradients of u and v.  The
-    embedding gradient covers only the rows of tokens present in the batch
-    (Gradients.rows); every other row's gradient is zero.  With
-    with_grads=False only the loss is computed and the gradients are None;
-    params may then be a stack of copies (ModelParams.stack_shape), and the
-    loss is an array with one value per copy.
+    clamped and pass no gradient.  The batch is pooled through its pooling
+    matrix (PairTokens.pooling), and the head and loss run in
+    head_forward_backward, whose input gradient is split here into the
+    gradients of u and v.  The embedding gradient covers only the rows of
+    tokens present in the batch (Gradients.rows); every other row's gradient
+    is zero.  With with_grads=False only the loss is computed and the
+    gradients are None; params may then be a stack of copies
+    (ModelParams.stack_shape), and the loss is an array with one value per
+    copy.
     """
-    rows, S = pooling_matrix(pairs)
+    rows, S = pairs.pooling
     pooled = S.T @ params.embeddings[..., rows, :]
     u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
     value, grads, d_input = head_forward_backward(

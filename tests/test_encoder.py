@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import string
 
 import numpy as np
 import pytest
@@ -474,6 +475,69 @@ def test_corpus_splits_each_text_as_the_per_text_oracle(texts, repeats):
     # the word table in order of first occurrence
     assert corpus.words == tuple(dict.fromkeys(w for words in expect for w in words))
     assert corpus.rows_of(texts).tolist() == [distinct.index(t) for t in texts]
+
+
+# every ASCII character that is neither a word character nor whitespace ("."
+# and "_" included), digits, letters, and the ASCII whitespace str.split and
+# \s agree on, the separators \x1c-\x1f among it
+ASCII_SPLIT_ALPHABET = string.punctuation + "09aZ \n\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(ASCII_SPLIT_ALPHABET, max_size=10), max_size=8),
+       st.lists(st.integers(0, 7), max_size=4))
+@example(["a.b", ". .", "", "_._", "a\nb"], [1, 2])
+def test_ascii_corpus_splits_each_text_as_the_per_text_oracle(texts, repeats):
+    texts = texts + [texts[i] for i in repeats if i < len(texts)]
+    corpus = Corpus(texts)
+    distinct = list(dict.fromkeys(texts))
+    expect = [split_words(text) or [""] for text in distinct]
+    for row, words in enumerate(expect):
+        ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
+        assert [corpus.words[i] for i in ids] == words
+    assert corpus.words == tuple(dict.fromkeys(w for words in expect for w in words))
+    # a non-ASCII text last sends the same texts through the regular expression
+    mixed = Corpus(texts + ["é"])
+    assert mixed.words[:len(corpus.words)] == corpus.words
+    assert mixed.word_ids[:len(corpus.word_ids)].tolist() == corpus.word_ids.tolist()
+    assert mixed.lengths[:-1].tolist() == corpus.lengths.tolist()
+
+
+def test_ascii_blank_table_matches_the_non_word_pattern():
+    ascii = "".join(map(chr, range(128)))
+    assert len(encoder._ASCII_BLANK) == 128
+    assert ascii.translate(encoder._ASCII_BLANK) == encoder._NON_WORD.sub(" ", ascii)
+
+
+@pytest.mark.parametrize("texts, words, word_ids, lengths", [
+    (["", "a b", "b c"], ("", "a", "b", "c"), [0, 1, 2, 2, 3], [1, 2, 2]),
+    (["a b", "?!", "b c"], ("a", "b", "", "c"), [0, 1, 2, 1, 3], [2, 1, 2]),
+    (["a b", "b c", "..."], ("a", "b", "c", ""), [0, 1, 1, 2, 3], [2, 2, 1]),
+    (["a", "", "b", "!", "a", ""], ("a", "", "b"), [0, 1, 2, 1], [1, 1, 1, 1]),
+    (["x", "", "!", "y x"], ("x", "", "y"), [0, 1, 1, 2, 0], [1, 1, 1, 2]),
+    ([""], ("",), [0], [1]),
+    (["?", ""], ("",), [0, 0], [1, 1]),
+])
+def test_text_without_words_holds_the_empty_word_where_it_first_occurs(
+        texts, words, word_ids, lengths):
+    corpus = Corpus(texts)
+    assert corpus.words == words
+    assert corpus.word_ids.tolist() == word_ids
+    assert corpus.lengths.tolist() == lengths
+    assert corpus.starts.tolist() == np.cumsum([0, *lengths[:-1]]).tolist()
+
+
+def test_cached_pooling_matrix_is_built_once_and_read_only(vocab):
+    tokens = tokenize_pairs(["a man runs", "a dog", "the cat", "a a cat"], vocab)
+    rows, S = tokens.pooling
+    assert tokens.pooling[0] is rows and tokens.pooling[1] is S
+    expect_rows, expect_S = pooling_matrix(tokens)
+    np.testing.assert_array_equal(rows, expect_rows)
+    np.testing.assert_array_equal(S, expect_S)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        S[0, 0] = 1.0
 
 
 def test_empty_corpus_holds_no_text():

@@ -7,7 +7,13 @@ import pytest
 import simreg.encoder as encoder
 from oracles import finite_difference_per_entry
 from simreg.data import SentencePair
-from simreg.encoder import FeatureMode, Model, build_vocab, forward_backward
+from simreg.encoder import (
+    FeatureMode,
+    Model,
+    build_vocab,
+    forward_backward,
+    pooling_matrix,
+)
 from simreg.gradcheck import (
     ALL_KINDS,
     ALL_MODES,
@@ -157,3 +163,23 @@ def test_memory_stays_near_the_chunk_budget():
     _, analytic = forward_backward(model.params, pairs, targets, model.feature_mode,
                                    spec)
     assert max_relative_error(analytic, fd) <= 1e-4
+
+
+def test_one_pooling_matrix_per_configuration(monkeypatch):
+    built = []
+
+    def counting(tokens):
+        built.append(tokens)
+        return pooling_matrix(tokens)
+
+    monkeypatch.setattr(encoder, "pooling_matrix", counting)
+    cached = run_gradient_checks(seeds=[0])
+    assert len(built) == len(cached)
+    # rebuilt on every forward_backward call, as without the cached property:
+    # the analytic pass and one stacked pass per parameter array
+    built.clear()
+    monkeypatch.setattr(encoder.PairTokens, "pooling",
+                        property(lambda tokens: encoder.pooling_matrix(tokens)))
+    rebuilt = run_gradient_checks(seeds=[0])
+    assert len(built) == 4 * len(rebuilt)
+    assert cached == rebuilt
