@@ -15,14 +15,16 @@ and lengths (``PairTokens``).  A whole dataset is pooled by ``pool``:
 sentences sorted by length, longest first, and each token position added into
 the sentences that reach it, so the work is one gather and add per token with
 no padding.  A training batch is pooled by its pooling matrix S, one row per
-distinct token and one column per sentence holding count / length, built once
-per batch: pooled = S.T @ E[rows] forward, and one matrix product with S
-carries every sentence's gradient back to the token rows.  The embedding
-gradient holds only the rows of the tokens in the batch, so its cost does not
-grow with the vocabulary.  The head and loss half of the batch core,
-head_forward_backward, also runs on its own on vectors pooled once, for a
-stage that freezes the encoder: it returns the head gradients and the loss
-gradient of its input, and computes no embedding gradient.
+distinct token and one column per sentence holding count / length:
+pooled = S.T @ E[rows] forward, and one matrix product with S carries every
+sentence's gradient back to the token rows.  An epoch's matrices are planned
+a window of batches at a time (PairTokens.batches): one token gather and one
+np.unique per window, one bincount per batch.  The embedding gradient holds
+only the rows of the tokens in the batch, so its cost does not grow with the
+vocabulary.  The head and loss half of the batch core, head_forward_backward,
+also runs on its own on vectors pooled once, for a stage that freezes the
+encoder: it returns the head gradients and the loss gradient of its input,
+and computes no embedding gradient.
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
@@ -75,6 +77,10 @@ _B64_CHUNK = 3 << 16
 
 # the trainable arrays of ModelParams, in the order of its fields
 PARAM_NAMES = ("embeddings", "head_weights", "head_bias")
+
+# batches PairTokens.batches plans at once: its memory stays bounded however
+# many pairs a dataset holds
+_PLAN_WINDOW = 32
 
 
 class FeatureMode(str, Enum):
@@ -229,6 +235,37 @@ def _segments(ids, starts, sources, lengths):
     return ids[offset + np.arange(lengths.sum())]
 
 
+def _pooling_plan(ids, lengths, per_batch: int):
+    """(rows, S) of each run of per_batch sentences in turn, the sentences'
+    ids laid out one after another: the batch's sorted distinct token ids and
+    its pooling matrix, whose entry (r, j) is how often rows[r] occurs in the
+    batch's sentence j over that sentence's length.  So pooled = S.T @
+    E[rows], and the gradient of E[rows] is S @ d(pooled).  S is dense,
+    distinct tokens x sentences: it suits a batch; a whole dataset is pooled
+    by pool.
+
+    One np.unique of (batch, id) keys gives every batch's rows and each
+    token's cell in its batch's S, so a batch's own work is one bincount and
+    one division.
+    """
+    # each token's batch and its sentence in that batch
+    batch, column = np.divmod(np.repeat(np.arange(len(lengths)), lengths), per_batch)
+    n_ids = int(ids.max()) + 1
+    keys, inverse = np.unique(batch * n_ids + ids, return_inverse=True)
+    # each batch's distinct ids are one run of keys, its tokens one run of ids
+    edges = np.arange(-(-len(lengths) // per_batch) + 1)
+    key_bounds = np.searchsorted(keys, edges * n_ids)
+    token_bounds = np.searchsorted(batch, edges)
+    # cells of a full batch's S; a short last batch uses its first columns
+    cell = (inverse - key_bounds[batch]) * per_batch + column
+    for b in range(len(edges) - 1):
+        rows = keys[key_bounds[b]:key_bounds[b + 1]] - b * n_ids
+        lens = lengths[b * per_batch:(b + 1) * per_batch]
+        counts = np.bincount(cell[token_bounds[b]:token_bounds[b + 1]],
+                             minlength=len(rows) * per_batch)
+        yield rows, counts.reshape(len(rows), per_batch)[:, :len(lens)] / lens
+
+
 @dataclass(frozen=True)
 class PairTokens:
     """Sentence pairs as flat token ids.
@@ -236,7 +273,8 @@ class PairTokens:
     Sentences alternate left, right: pair i is sentences 2i and 2i + 1, and
     sentence j is ids[starts[j]:][:lengths[j]], the sentences laid out one
     after another.  Every sentence has at least one token; tokenize_pairs
-    gives an empty text the OOV token.  A batch's pooling matrix is built on
+    gives an empty text the OOV token.  batches gives the pooling matrices of
+    a sequence of batches; the one of all the pairs as one batch is built on
     first use and kept (pooling).
     """
 
@@ -257,18 +295,27 @@ class PairTokens:
 
     @cached_property
     def pooling(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, S), the pooling_matrix of these sentences, read-only: every
-        forward_backward on the same batch reads the one built first."""
-        rows, S = pooling_matrix(self)
+        """(rows, S) of all these pairs as one batch (see _pooling_plan),
+        read-only: every forward_backward on the same batch reads the one
+        built first."""
+        if not len(self):
+            raise InvalidInputError("batch must be nonempty")
+        (rows, S), = _pooling_plan(self.ids, self.lengths, len(self.lengths))
         rows.flags.writeable = S.flags.writeable = False
         return rows, S
 
-    def take(self, index) -> "PairTokens":
-        """The pairs at the given positions, in that order."""
-        index = np.asarray(index)
-        sentences = np.stack([2 * index, 2 * index + 1], axis=-1).ravel()
-        lengths = self.lengths[sentences]
-        return PairTokens(_segments(self.ids, self.starts, sentences, lengths), lengths)
+    def batches(self, order, batch_size: int):
+        """(rows, S) of each consecutive batch_size pairs of order in turn (see
+        _pooling_plan), planned _PLAN_WINDOW batches at a time: one gather of
+        the window's tokens, then one _pooling_plan of them."""
+        order = np.asarray(order)
+        window = _PLAN_WINDOW * batch_size
+        for first in range(0, len(order), window):
+            pairs = order[first:first + window]
+            sentences = (2 * pairs[:, None] + (0, 1)).ravel()
+            lengths = self.lengths[sentences]
+            ids = _segments(self.ids, self.starts, sentences, lengths)
+            yield from _pooling_plan(ids, lengths, 2 * batch_size)
 
     def truncate(self, max_tokens: int) -> "PairTokens":
         """Every sentence cut to its first max_tokens tokens."""
@@ -445,21 +492,6 @@ def pool(embeddings: np.ndarray, tokens: PairTokens) -> np.ndarray:
     return pooled
 
 
-def pooling_matrix(tokens: PairTokens) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, S) of a batch: its sorted distinct token ids and its pooling
-    matrix, whose entry (r, j) is how often rows[r] occurs in sentence j over
-    sentence j's length.  So pooled = S.T @ E[rows] and the gradient of
-    E[rows] is S @ d(pooled).  S is dense, distinct tokens x sentences: it
-    suits a batch; a whole dataset is pooled by pool.  A batch keeps its own
-    as PairTokens.pooling."""
-    rows, inverse = np.unique(tokens.ids, return_inverse=True)
-    n_sentences = len(tokens.lengths)
-    sentence = np.repeat(np.arange(n_sentences), tokens.lengths)
-    counts = np.bincount(inverse * n_sentences + sentence,
-                         minlength=len(rows) * n_sentences)
-    return rows, counts.reshape(len(rows), n_sentences) / tokens.lengths
-
-
 def head(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Raw head output for features f (..., n, feature_dim): n outputs of the
     regression head or an (n, K) logit matrix, with params' stack axes
@@ -573,7 +605,7 @@ class Model:
 
 def forward_backward(
     params: ModelParams,
-    pairs: PairTokens,
+    pooling: tuple[np.ndarray, np.ndarray],
     targets,
     mode: FeatureMode,
     loss_spec: LossSpec,
@@ -582,20 +614,20 @@ def forward_backward(
 ) -> tuple[float | np.ndarray, Gradients | None]:
     """Batch-mean loss and exact analytic gradients for all parameters.
 
-    targets holds one entry per pair: floats for the residual losses, class
-    indices for cross-entropy; the contrastive loss ignores them and treats
-    each pair as anchor/positive.  Predictions outside clamp_range are
-    clamped and pass no gradient.  The batch is pooled through its pooling
-    matrix (PairTokens.pooling), and the head and loss run in
-    head_forward_backward, whose input gradient is split here into the
-    gradients of u and v.  The embedding gradient covers only the rows of
+    pooling is the batch's (rows, S), from PairTokens.batches or
+    PairTokens.pooling.  targets holds one entry per pair: floats for the
+    residual losses, class indices for cross-entropy; the contrastive loss
+    ignores them and treats each pair as anchor/positive.  Predictions
+    outside clamp_range are clamped and pass no gradient.  The head and loss
+    run in head_forward_backward, whose input gradient is split here into
+    the gradients of u and v.  The embedding gradient covers only the rows of
     tokens present in the batch (Gradients.rows); every other row's gradient
     is zero.  With with_grads=False only the loss is computed and the
     gradients are None; params may then be a stack of copies
     (ModelParams.stack_shape), and the loss is an array with one value per
     copy.
     """
-    rows, S = pairs.pooling
+    rows, S = pooling
     pooled = S.T @ params.embeddings[..., rows, :]
     u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
     value, grads, d_input = head_forward_backward(

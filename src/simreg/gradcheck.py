@@ -150,10 +150,10 @@ def check_configuration(
     """Gradient-check one randomly drawn (loss, feature-mode) configuration."""
     params, tokens, targets, spec = draw_configuration(
         seed, kind, mode, dim_max, vocab_max, batch_max)
-    _, analytic = forward_backward(params, tokens, targets, mode, spec)
+    _, analytic = forward_backward(params, tokens.pooling, targets, mode, spec)
     fd = finite_difference_grads(
-        lambda stacked: forward_backward(stacked, tokens, targets, mode, spec,
-                                         with_grads=False)[0],
+        lambda stacked: forward_backward(stacked, tokens.pooling, targets, mode,
+                                         spec, with_grads=False)[0],
         params,
     )
     n_params = sum(getattr(params, name).size for name in PARAM_NAMES)

@@ -5,9 +5,11 @@ pre-trained encoders: first only the randomly initialized head is updated
 while the encoder stays frozen, then everything is trained jointly.  The
 frozen stage pools its train and dev sentences once and runs only the head
 and loss on each batch (head_forward_backward), which returns no embedding
-gradient.  train is the only code that knows a stage is frozen: an
-optimizer updates every parameter it is given a gradient for, and only
-those, and the frozen table is shared read-only, never copied.  Every
+gradient.  The joint stage takes each epoch's pooling matrices from one plan
+of its batches (PairTokens.batches), a window of batches at a time, next to
+the epoch's shuffled targets.  train is the only code that knows a stage is
+frozen: an optimizer updates every parameter it is given a gradient for, and
+only those, and the frozen table is shared read-only, never copied.  Every
 dataset's tokens are derived inside train from the dataset itself, so
 tokens and labels cannot come from different datasets.  Given a seed, the
 whole procedure is deterministic.
@@ -263,19 +265,27 @@ def train(
     )
     optimizer = _make_optimizer(config)
     rng = np.random.default_rng(config.seed)
+    n, batch_size = len(targets), config.batch_size
     if frozen:
         # the encoder does not change in this stage: pool every sentence once
         train_u, train_v = work.embed_pairs(train_pairs)
         dev_uv = work.embed_pairs(dev_pairs)
 
-    def batch_step(idx):
+    def plan(perm):
+        """What each batch of the epoch in order perm is computed from: its
+        pairs' positions, or its pooling (rows, S)."""
+        if frozen:
+            return (perm[start:start + batch_size] for start in range(0, n, batch_size))
+        return train_pairs.batches(perm, batch_size)
+
+    def batch_step(batch, batch_targets):
         if frozen:
             value, grads, _ = head_forward_backward(
-                work.params, train_u[idx], train_v[idx], targets[idx],
+                work.params, train_u[batch], train_v[batch], batch_targets,
                 work.feature_mode, loss_spec, clamp_range)
             return value, grads
-        return forward_backward(work.params, train_pairs.take(idx), targets[idx],
-                                work.feature_mode, loss_spec, clamp_range)
+        return forward_backward(work.params, batch, batch_targets, work.feature_mode,
+                                loss_spec, clamp_range)
 
     def dev_score():
         u, v = dev_uv if frozen else work.embed_pairs(dev_pairs)
@@ -287,14 +297,14 @@ def train(
     history = [HistoryEntry(0, None, best_dev)]
 
     step = 0
-    n = len(targets)
-    batches_per_epoch = math.ceil(n / config.batch_size)
+    batches_per_epoch = math.ceil(n / batch_size)
     for _ in range(config.epochs):
         perm = rng.permutation(n)
-        for b in range(batches_per_epoch):
-            idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
+        epoch_targets = targets[perm]
+        for b, batch in enumerate(plan(perm)):
             try:
-                value, grads = batch_step(idx)
+                value, grads = batch_step(
+                    batch, epoch_targets[b * batch_size:(b + 1) * batch_size])
             except InvalidInputError as exc:
                 # diverged parameters produce non-finite predictions downstream
                 raise TrainingError(f"aborted at step {step + 1}: {exc}") from exc

@@ -4,13 +4,14 @@ These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
 formula, classification from an argmin scan over nodes, gold values and
 rounding accuracy one pair at a time, words one regular-expression scan per
-text, token ids one dictionary lookup per word, sentence means one sentence
-at a time, deduplication from a full O(n*m) comparison, the model's
-forward/backward pass from scalar loss closed forms applied one pair and one
-token at a time, finite differences one parameter entry and two forward
-passes at a time, the optimizers as updates of whole dense arrays, and the
-synthetic corpus from a set difference over the whole vocabulary per pair.
-copy_params gives tests that mutate parameters their own copy.
+text, token ids one dictionary lookup per word, a batch's tokens copied one
+sentence at a time and its pooling matrix counted one token at a time,
+sentence means one sentence at a time, deduplication from a full O(n*m)
+comparison, the model's forward/backward pass from scalar loss closed forms
+applied one pair and one token at a time, finite differences one parameter
+entry and two forward passes at a time, the optimizers as updates of whole
+dense arrays, and the synthetic corpus from a set difference over the whole
+vocabulary per pair.  copy_params gives tests that mutate parameters their own copy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 import re
 
 import numpy as np
+
+from simreg.encoder import PairTokens
 
 
 def copy_params(params):
@@ -128,6 +131,31 @@ def tokenize_per_token(text, vocab, max_tokens=None):
     oov = ids["<oov>"]
     words = split_words(text)[:max_tokens]
     return [ids.get(word, oov) for word in words] or [oov]
+
+
+def take(tokens, index):
+    """The PairTokens of the pairs of tokens at the given positions, in that
+    order, copying each sentence's ids one sentence at a time."""
+    ids, lengths = [], []
+    for i in index:
+        for j in (2 * i, 2 * i + 1):
+            start, length = tokens.starts[j], tokens.lengths[j]
+            ids.append(tokens.ids[start:start + length])
+            lengths.append(length)
+    return PairTokens(np.concatenate(ids), np.array(lengths, dtype=np.intp))
+
+
+def pooling_matrix(tokens):
+    """(rows, S) of one batch: its sorted distinct token ids, and S[r, j] =
+    count of rows[r] in sentence j / sentence j's length, counted one token
+    at a time."""
+    rows = sorted(set(tokens.ids.tolist()))
+    position = {token: r for r, token in enumerate(rows)}
+    counts = np.zeros((len(rows), len(tokens.lengths)), dtype=np.intp)
+    for j, (start, length) in enumerate(zip(tokens.starts, tokens.lengths)):
+        for token in tokens.ids[start:start + length].tolist():
+            counts[position[token], j] += 1
+    return np.array(rows, dtype=np.intp), counts / tokens.lengths
 
 
 def pool_per_sentence(embeddings, tokens):

@@ -12,7 +12,9 @@ from oracles import (
     copy_params,
     forward_backward_per_pair,
     pool_per_sentence,
+    pooling_matrix,
     split_words,
+    take,
     tokenize_per_token,
 )
 from simreg import encoder
@@ -32,7 +34,6 @@ from simreg.encoder import (
     init_params,
     load_checkpoint,
     pool,
-    pooling_matrix,
     save_checkpoint,
     tokenize_pairs,
 )
@@ -46,8 +47,8 @@ def run(model, batch, spec, clamp_range=None):
     """forward_backward on a list of (SentencePair, target)."""
     pairs = model.encode([pair for pair, _ in batch])
     targets = [target for _, target in batch]
-    return forward_backward(model.params, pairs, targets, model.feature_mode, spec,
-                            clamp_range)
+    return forward_backward(model.params, pairs.pooling, targets, model.feature_mode,
+                            spec, clamp_range)
 
 
 def loss_of(model, batch, spec):
@@ -55,8 +56,9 @@ def loss_of(model, batch, spec):
     parameter copy on a list of (SentencePair, target)."""
     pairs = model.encode([pair for pair, _ in batch])
     targets = [target for _, target in batch]
-    return lambda params: forward_backward(params, pairs, targets, model.feature_mode,
-                                           spec, with_grads=False)[0]
+    return lambda params: forward_backward(params, pairs.pooling, targets,
+                                           model.feature_mode, spec,
+                                           with_grads=False)[0]
 
 
 def score(model, pair):
@@ -111,7 +113,7 @@ class TestTokenize:
 
     def test_take_matches_tokenizing_the_chosen_pairs(self, vocab):
         texts = ["a man runs", "", "the dog", "cat cat sleeps", "zebra", "a"]
-        picked = tokenize_pairs(texts, vocab).take([2, 0, 2])
+        picked = take(tokenize_pairs(texts, vocab), [2, 0, 2])
         direct = tokenize_pairs(texts[4:6] + texts[0:2] + texts[4:6], vocab)
         for name in ("ids", "starts", "lengths"):
             np.testing.assert_array_equal(getattr(picked, name), getattr(direct, name))
@@ -382,7 +384,7 @@ class TestForwardBackward:
         assert stack.stack_shape == (2,) and stack.dim == p.dim
         pairs = model.encode([SentencePair("a man", "the dog", score=0.0)])
         with pytest.raises(InvalidInputError):
-            forward_backward(stack, pairs, [1.0], model.feature_mode,
+            forward_backward(stack, pairs.pooling, [1.0], model.feature_mode,
                              LossSpec(LossKind.MSE))
         with pytest.raises(InvalidInputError):
             ModelParams(stack.embeddings, p.head_weights, stack.head_bias)
@@ -413,8 +415,9 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
              for _ in range(2 * batch)]
 
-    value, grads = forward_backward(params, tokenize_pairs(texts, vocab), targets,
-                                    mode, spec, clamp_range)
+    tokens = tokenize_pairs(texts, vocab)
+    value, grads = forward_backward(params, tokens.pooling, targets, mode, spec,
+                                    clamp_range)
     ids = [(tokenize_per_token(a, vocab), tokenize_per_token(b, vocab))
            for a, b in zip(texts[0::2], texts[1::2])]
     expect, expect_grads = forward_backward_per_pair(
@@ -540,6 +543,34 @@ def test_cached_pooling_matrix_is_built_once_and_read_only(vocab):
         S[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("n_pairs, batch_size, max_tokens, words", [
+    (10, 3, None, WORDS),  # n not a multiple of the batch size
+    (2 * encoder._PLAN_WINDOW + 5, 2, None, WORDS),  # more batches than one window
+    (10, 10, None, WORDS),  # batch_size == n
+    (7, 12, None, WORDS),  # batch_size > n
+    (9, 4, None, ["w3"]),  # every sentence of a batch the same single token
+    (10, 3, 2, WORDS),  # sentences cut by truncate
+], ids=["ragged", "windows", "one-batch", "oversized", "one-token", "truncated"])
+def test_batches_match_the_per_batch_oracle(n_pairs, batch_size, max_tokens, words):
+    rng = np.random.default_rng(n_pairs + batch_size)
+    vocab = build_vocab([" ".join(WORDS)])
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 7))))
+             for _ in range(2 * n_pairs)]
+    tokens = tokenize_pairs(texts, vocab)
+    if max_tokens:
+        assert tokens.lengths.max() > max_tokens
+        tokens = tokens.truncate(max_tokens)
+    order = rng.permutation(n_pairs)
+    plan = list(tokens.batches(order, batch_size))
+    assert len(plan) == -(-n_pairs // batch_size)
+    for b, (rows, S) in enumerate(plan):
+        expect_rows, expect_S = pooling_matrix(
+            take(tokens, order[b * batch_size:(b + 1) * batch_size]))
+        assert rows.dtype == expect_rows.dtype
+        assert rows.tobytes() == expect_rows.tobytes()
+        assert S.shape == expect_S.shape and S.tobytes() == expect_S.tobytes()
+
+
 def test_empty_corpus_holds_no_text():
     corpus = Corpus([])
     assert corpus.lengths.tolist() == [] and corpus.word_ids.tolist() == []
@@ -594,7 +625,7 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(encoder, "head_forward_backward", spy)
-        forward_backward(params, tokens, targets, mode, _random_spec(rng, kind),
+        forward_backward(params, tokens.pooling, targets, mode, _random_spec(rng, kind),
                          with_grads=not copies)
     pooled = pool(params.embeddings, tokens)
     atol = 4 * tokens.lengths.max() * EPS * np.abs(params.embeddings).max()
@@ -617,7 +648,7 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
              for _ in range(2 * batch)]
     tokens, spec = tokenize_pairs(texts, vocab), _random_spec(rng, kind)
-    full = forward_backward(params, tokens, targets, mode, spec, (0.0, 3.0))
+    full = forward_backward(params, tokens.pooling, targets, mode, spec, (0.0, 3.0))
     rows, S = pooling_matrix(tokens)
     pooled = S.T @ params.embeddings[rows]
     u, v = pooled[0::2], pooled[1::2]
@@ -658,12 +689,12 @@ def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batc
              for _ in range(2 * batch)]
     tokens = tokenize_pairs(texts, vocab)
 
-    values, grads = forward_backward(stack, tokens, targets, mode, spec, clamp_range,
-                                     with_grads=False)
+    values, grads = forward_backward(stack, tokens.pooling, targets, mode, spec,
+                                     clamp_range, with_grads=False)
     assert grads is None and values.shape == (copies,)
     each = [forward_backward(ModelParams(stack.embeddings[i], stack.head_weights[i],
                                          stack.head_bias[i]),
-                             tokens, targets, mode, spec, clamp_range,
+                             tokens.pooling, targets, mode, spec, clamp_range,
                              with_grads=False)[0]
             for i in range(copies)]
     np.testing.assert_array_max_ulp(values, np.array(each), maxulp=4)

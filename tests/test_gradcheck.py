@@ -12,7 +12,6 @@ from simreg.encoder import (
     Model,
     build_vocab,
     forward_backward,
-    pooling_matrix,
 )
 from simreg.gradcheck import (
     ALL_KINDS,
@@ -64,8 +63,8 @@ def test_buffer_zone_gives_zero_on_both_routes():
     spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
 
     def run(params=model.params, with_grads=True):
-        return forward_backward(params, pairs, [target], model.feature_mode, spec,
-                                with_grads=with_grads)
+        return forward_backward(params, pairs.pooling, [target], model.feature_mode,
+                                spec, with_grads=with_grads)
 
     value, analytic = run()
     fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
@@ -84,7 +83,7 @@ def test_nan_analytic_entry_is_reported(name):
     pairs = model.encode([SentencePair("alpha beta", "delta epsilon", score=0.0)])
 
     def run(params=model.params, with_grads=True):
-        return forward_backward(params, pairs, [1.0], model.feature_mode,
+        return forward_backward(params, pairs.pooling, [1.0], model.feature_mode,
                                 LossSpec(LossKind.MSE), with_grads=with_grads)
 
     _, analytic = run()
@@ -97,7 +96,7 @@ def test_nan_analytic_entry_is_reported(name):
 
 def loss_fn(tokens, targets, mode, spec):
     """value_fn for finite_difference_grads on one drawn configuration."""
-    return lambda params: forward_backward(params, tokens, targets, mode, spec,
+    return lambda params: forward_backward(params, tokens.pooling, targets, mode, spec,
                                            with_grads=False)[0]
 
 
@@ -160,26 +159,27 @@ def test_memory_stays_near_the_chunk_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * FD_CHUNK_BYTES
-    _, analytic = forward_backward(model.params, pairs, targets, model.feature_mode,
-                                   spec)
+    _, analytic = forward_backward(model.params, pairs.pooling, targets,
+                                   model.feature_mode, spec)
     assert max_relative_error(analytic, fd) <= 1e-4
 
 
 def test_one_pooling_matrix_per_configuration(monkeypatch):
     built = []
+    plan = encoder._pooling_plan
 
-    def counting(tokens):
-        built.append(tokens)
-        return pooling_matrix(tokens)
+    def counting(ids, lengths, per_batch):
+        built.append(ids)
+        return plan(ids, lengths, per_batch)
 
-    monkeypatch.setattr(encoder, "pooling_matrix", counting)
+    monkeypatch.setattr(encoder, "_pooling_plan", counting)
     cached = run_gradient_checks(seeds=[0])
     assert len(built) == len(cached)
     # rebuilt on every forward_backward call, as without the cached property:
     # the analytic pass and one stacked pass per parameter array
     built.clear()
     monkeypatch.setattr(encoder.PairTokens, "pooling",
-                        property(lambda tokens: encoder.pooling_matrix(tokens)))
+                        property(encoder.PairTokens.pooling.func))
     rebuilt = run_gradient_checks(seeds=[0])
     assert len(built) == 4 * len(rebuilt)
     assert cached == rebuilt

@@ -36,7 +36,7 @@ def mse_with_prediction(prediction, target, clamp_range=None):
     model.params.head_weights[...] = 0.0
     model.params.head_bias = np.asarray(prediction)
     pairs = model.encode([SentencePair("a man", "the dog", score=0.0)])
-    value, grads = forward_backward(model.params, pairs, [target],
+    value, grads = forward_backward(model.params, pairs.pooling, [target],
                                     model.feature_mode, LossSpec(LossKind.MSE),
                                     clamp_range)
     return value, float(grads.head_bias)

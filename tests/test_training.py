@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DenseAdam, copy_params, sgd_step_dense
+from oracles import DenseAdam, copy_params, pooling_matrix, sgd_step_dense, take
 from simreg import encoder, training
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
@@ -19,7 +19,7 @@ from simreg.encoder import (
     tokenize_pairs,
 )
 from simreg.errors import InvalidInputError, TrainingError
-from simreg.evaluation import evaluate
+from simreg.evaluation import evaluate, golds
 from simreg.labelmap import build_mapping
 from simreg.losses import LossKind, LossSpec
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
@@ -156,7 +156,7 @@ def random_batch_grads(rng, params, vocab):
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 5))))
              for _ in range(2 * batch)]
     _, grads = forward_backward(
-        params, tokenize_pairs(texts, vocab), rng.uniform(0.0, 3.0, size=batch),
+        params, tokenize_pairs(texts, vocab).pooling, rng.uniform(0.0, 3.0, size=batch),
         FeatureMode.UV_ABS_DIFF, LossSpec(LossKind.MSE),
     )
     return grads
@@ -322,9 +322,9 @@ class TestTrain:
             perm = rng.permutation(len(corpus))
             for start in range(0, len(corpus), cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
-                value, grads = forward_backward(params, tokens.take(idx), targets[idx],
-                                                model.feature_mode, spec,
-                                                corpus.score_range)
+                value, grads = forward_backward(
+                    params, pooling_matrix(take(tokens, idx)), targets[idx],
+                    model.feature_mode, spec, corpus.score_range)
                 grads.embeddings = grads.rows = None  # the encoder is frozen
                 opt.step(params, grads)
                 losses.append(value)
@@ -439,6 +439,72 @@ class TestTrain:
         np.testing.assert_array_equal(
             result.best_model.params.head_weights, model.params.head_weights
         )
+
+
+SPECS = {
+    LossKind.TRANSLATED_RELU: LossSpec(LossKind.TRANSLATED_RELU, k=1.5, x0=0.2, d=1.0),
+    LossKind.SMOOTH_K2: K2,
+    LossKind.L1: LossSpec(LossKind.L1),
+    LossKind.MSE: LossSpec(LossKind.MSE),
+    LossKind.CROSS_ENTROPY: LossSpec(LossKind.CROSS_ENTROPY),
+    LossKind.INFO_NCE: LossSpec(LossKind.INFO_NCE, tau=0.5),
+}
+
+
+def oracle_train(model, dataset, cfg, spec, stage):
+    """The parameters and per-step losses of train on a categorical dataset,
+    one batch at a time: the frozen stage pools every sentence once and steps
+    on each batch's rows of u and v; the joint stage gathers each batch's
+    tokens and builds its pooling matrix on its own."""
+    mapping, mode = model.mapping, model.feature_mode
+    (tokens,) = training.tokenize_datasets(model.vocab, dataset)
+    tokens = tokens.truncate(cfg.max_tokens)
+    targets = (mapping.index([pair.label for pair in dataset.pairs])
+               if spec.kind is LossKind.CROSS_ENTROPY else golds(dataset, mapping))
+    clamp_range = (mapping.low, mapping.high)
+    u, v = model.embed_pairs(tokens)
+    params = copy_params(model.params)
+    opt = (AdamOptimizer(cfg.learning_rate) if cfg.optimizer == "adam"
+           else SgdOptimizer(cfg.learning_rate))
+    rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            if stage is Stage.HEAD_ONLY:
+                value, grads, _ = head_forward_backward(
+                    params, u[idx], v[idx], targets[idx], mode, spec, clamp_range)
+            else:
+                value, grads = forward_backward(
+                    params, pooling_matrix(take(tokens, idx)), targets[idx], mode,
+                    spec, clamp_range)
+            opt.step(params, grads)
+            losses.append(value)
+    return params, losses
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("stage", list(Stage), ids=lambda stage: stage.value)
+def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, optimizer,
+                                                      monkeypatch):
+    # every evaluation is a new best, so the best checkpoint is the last step
+    rising = iter(range(1000))
+    monkeypatch.setattr(training, "_dev_score", lambda *args: float(next(rising)))
+    # 35 batches: more than one planning window, the last one short
+    dataset = make_ordinal_corpus(69, seed=3)
+    mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+    vocab = build_vocab(pair_texts(dataset.pairs))
+    n_classes = 4 if kind is LossKind.CROSS_ENTROPY else None
+    model = Model.initialize(vocab, dim=6, seed=5, mapping=mapping, n_classes=n_classes)
+    cfg = TrainConfig(batch_size=2, epochs=2, learning_rate=0.05, seed=7,
+                      eval_every=3, max_tokens=6, optimizer=optimizer)
+    assert 69 / cfg.batch_size > encoder._PLAN_WINDOW
+    result = train(model, dataset, dataset, cfg, SPECS[kind], stage)
+    params, losses = oracle_train(model, dataset, cfg, SPECS[kind], stage)
+    assert_same_params(result.best_model.params, params)
+    assert [entry.train_loss for entry in result.history[1:]] == losses
 
 
 class TestTwoStage:
