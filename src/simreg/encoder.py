@@ -21,10 +21,13 @@ sentence's gradient back to the token rows.  An epoch's matrices are planned
 a window of batches at a time (PairTokens.batches): one token gather and one
 np.unique per window, one bincount per batch.  The embedding gradient holds
 only the rows of the tokens in the batch, so its cost does not grow with the
-vocabulary.  The head and loss half of the batch core, head_forward_backward,
-also runs on its own on vectors pooled once, for a stage that freezes the
-encoder: it returns the head gradients and the loss gradient of its input,
-and computes no embedding gradient.
+vocabulary.  The head and loss run in one core, head_loss, on the features
+the loss reads (loss_mode: the head's input, or [u | v] for InfoNCE, which
+has no head).  It returns the loss, the head gradients and the gradient of
+the raw head output, and does no more: only forward_backward turns that
+output gradient into the gradients of the features, of u and v and of the
+table.  A stage that freezes the encoder calls head_loss alone, on features
+it computed once, so it computes no feature or embedding gradient.
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
@@ -232,7 +235,8 @@ def build_vocab(texts, corpus: Corpus | None = None) -> Vocabulary:
 def _segments(ids, starts, sources, lengths):
     """Flat ids of the first lengths[j] ids of segment sources[j], for every j."""
     offset = np.repeat(starts[sources] - (np.cumsum(lengths) - lengths), lengths)
-    return ids[offset + np.arange(lengths.sum())]
+    offset += np.arange(len(offset))  # in place: two token-length arrays, not three
+    return ids[offset]
 
 
 def _pooling_plan(ids, lengths, per_batch: int):
@@ -396,7 +400,9 @@ class ModelParams:
 
     @property
     def is_classifier(self) -> bool:
-        return self.head_weights.ndim == len(self.stack_shape) + 2
+        # the K-logit head has one axis more than the regression head's
+        # vector: as many as the (vocab, dim) table
+        return self.head_weights.ndim == self.embeddings.ndim
 
     @property
     def n_classes(self) -> int:
@@ -413,7 +419,7 @@ class Gradients:
 
     rows holds sorted, unique token ids and embeddings one gradient row per
     id; every other row of the table has a zero gradient.  Both are None
-    when no embedding gradient was computed (head_forward_backward).  The
+    when no embedding gradient was computed (head_loss).  The
     head gradients have the shapes of their parameters.
     """
 
@@ -619,90 +625,104 @@ def forward_backward(
     residual losses, class indices for cross-entropy; the contrastive loss
     ignores them and treats each pair as anchor/positive.  Predictions
     outside clamp_range are clamped and pass no gradient.  The head and loss
-    run in head_forward_backward, whose input gradient is split here into
-    the gradients of u and v.  The embedding gradient covers only the rows of
-    tokens present in the batch (Gradients.rows); every other row's gradient
-    is zero.  With with_grads=False only the loss is computed and the
-    gradients are None; params may then be a stack of copies
-    (ModelParams.stack_shape), and the loss is an array with one value per
-    copy.
+    run in head_loss on the features the loss reads (loss_mode); the
+    gradient of the raw head output it returns is turned here into the
+    feature gradient and split into the gradients of u and v.  The embedding
+    gradient covers only the rows of tokens present in the batch
+    (Gradients.rows); every other row's gradient is zero.  With
+    with_grads=False only the loss is computed and the gradients are None;
+    params may then be a stack of copies (ModelParams.stack_shape), and the
+    loss is an array with one value per copy.
     """
     rows, S = pooling
     pooled = S.T @ params.embeddings[..., rows, :]
     u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
-    value, grads, d_input = head_forward_backward(
-        params, u, v, targets, mode, loss_spec, clamp_range, with_grads)
+    mode = loss_mode(mode, loss_spec.kind)
+    value, grads, d_out = head_loss(params, features(u, v, mode), targets, loss_spec,
+                                    clamp_range, with_grads)
     if grads is None:
         return value, None
     if loss_spec.kind is LossKind.INFO_NCE:
-        mode = FeatureMode.UV  # the loss reads [u | v]
+        d_features = d_out  # the loss read [u | v] itself
+    elif params.is_classifier:
+        d_features = d_out @ params.head_weights
+    else:
+        d_features = np.multiply.outer(d_out, params.head_weights)
     d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = _feature_grad(d_input, u, v, mode)
+    d_pooled[0::2], d_pooled[1::2] = _feature_grad(d_features, u, v, mode)
     grads.rows, grads.embeddings = rows, S @ d_pooled
     return value, grads
 
 
-def head_forward_backward(
+def loss_mode(mode: FeatureMode, kind: LossKind) -> FeatureMode:
+    """The features a loss of this kind reads: the model's for the head
+    losses, [u | v] (FeatureMode.UV) for InfoNCE, which has no head."""
+    return FeatureMode.UV if kind is LossKind.INFO_NCE else mode
+
+
+def head_loss(
     params: ModelParams,
-    u: np.ndarray,
-    v: np.ndarray,
+    f: np.ndarray,
     targets,
-    mode: FeatureMode,
     loss_spec: LossSpec,
     clamp_range: tuple[float, float] | None = None,
     with_grads: bool = True,
 ) -> tuple[float | np.ndarray, Gradients | None, np.ndarray | None]:
-    """The head and loss half of forward_backward, on pooled pairs.
+    """The head and loss of a batch, from the features the loss reads.
 
-    u and v (..., n, dim) are the n pairs' left and right sentence vectors;
-    the other arguments are as for forward_backward.  Returns (value, grads,
-    d_input): grads holds the head gradients, its embeddings and rows None,
-    and d_input the loss gradient of what the loss reads: the (n,
-    feature_dim) features for the head losses, [u | v] for InfoNCE, which
-    has no head.  With with_grads=False only the loss is computed, grads and
-    d_input are None, and params may be a stack of copies.
+    f (..., n, width) holds the n pairs' features(u, v, loss_mode(mode,
+    kind)); the other arguments are as for forward_backward.  Returns
+    (value, grads, d_out): grads holds the head gradients, its embeddings
+    and rows None, and d_out the loss gradient of the raw head output, (n,)
+    for the regression head and (n, K) for the classifier's logits; InfoNCE
+    has no head, so its d_out is the gradient of f itself.  d_out is all the
+    encoder's gradient needs; forward_backward turns it into the feature
+    gradient.  With with_grads=False only the loss is computed, grads and
+    d_out are None, and params may be a stack of copies.
     """
-    n = u.shape[-2]
+    n = f.shape[-2]
     if n == 0:
         raise InvalidInputError("batch must be nonempty")
     stacked = bool(params.stack_shape)
     if stacked and with_grads:
         raise InvalidInputError("gradients need one unstacked parameter set")
-    kind = loss_spec.kind
+    kind, classifier = loss_spec.kind, params.is_classifier
     if kind is LossKind.CROSS_ENTROPY:
-        if not params.is_classifier:
+        if not classifier:
             raise InvalidInputError("cross-entropy needs a classification head")
-    elif kind is not LossKind.INFO_NCE and params.is_classifier:
+    elif kind is not LossKind.INFO_NCE and classifier:
         raise InvalidInputError("residual losses need a regression head")
     if kind is LossKind.INFO_NCE:
-        value, du, dv = losses.info_nce(u, v, loss_spec.tau)
+        dim = f.shape[-1] // 2
+        value, du, dv = losses.info_nce(f[..., :dim], f[..., dim:], loss_spec.tau)
     else:
-        f = features(u, v, mode)
         out = head(params, f)
         if kind is LossKind.CROSS_ENTROPY:
             values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
         else:
-            pred = out if clamp_range is None else np.clip(out, *clamp_range)
+            pred = out if clamp_range is None else _clamp(out, *clamp_range)
             diff = pred - np.asarray(targets, dtype=float)
             values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
             # a clamped prediction passes no gradient back to the raw output
             d_out = d_x * np.sign(diff) * (pred == out)
-        value = np.sum(values, axis=-1) / n
+        value = values.sum(axis=-1) / n
     if not stacked:
         value = float(value)
     if not with_grads:
         return value, None, None
-
-    grads = Gradients(None, np.zeros_like(params.head_weights),
-                      np.zeros_like(params.head_bias), None)
     if kind is LossKind.INFO_NCE:
+        grads = Gradients(None, np.zeros_like(params.head_weights),
+                          np.zeros_like(params.head_bias), None)
         return value, grads, np.concatenate([du, dv], axis=-1)
-    d_out = d_out / n
-    grads.head_weights[...] = d_out.T @ f
-    grads.head_bias[...] = np.sum(d_out, axis=0)
-    if params.is_classifier:
-        return value, grads, d_out @ params.head_weights
-    return value, grads, np.multiply.outer(d_out, params.head_weights)
+    d_out /= n  # d_out is this call's own array
+    grads = Gradients(None, d_out.T @ f, np.asarray(d_out.sum(axis=0)), None)
+    return value, grads, d_out
+
+
+def _clamp(x: np.ndarray, low: float, high: float) -> np.ndarray:
+    """np.clip(x, low, high) bit for bit, NaN and signed zeros included,
+    without np.clip's Python-level argument handling."""
+    return np.minimum(high, np.maximum(low, x))
 
 
 def _array_chunks(array: np.ndarray):

@@ -78,7 +78,11 @@ class LossSpec:
 def _residuals(x):
     """x as a float (array); every entry must be finite and non-negative."""
     x = np.asarray(x, dtype=float)[()]
-    if not ((x >= 0.0) & (x < math.inf)).all():
+    # two reductions over all axes (None), with no temporary array: the
+    # least entry is negative for a negative entry or -inf, and NaN, which
+    # fails every comparison, for a NaN; the greatest is inf for an inf
+    if x.size and not (np.minimum.reduce(x, None) >= 0.0
+                       and np.maximum.reduce(x, None) < math.inf):
         raise InvalidInputError(f"residual must be finite and non-negative, got {x}")
     return x
 

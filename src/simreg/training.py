@@ -3,9 +3,11 @@
 Supports single-stage runs and the two-stage workflow used for contrastive
 pre-trained encoders: first only the randomly initialized head is updated
 while the encoder stays frozen, then everything is trained jointly.  The
-frozen stage pools its train and dev sentences once and runs only the head
-and loss on each batch (head_forward_backward), which returns no embedding
-gradient.  The joint stage takes each epoch's pooling matrices from one plan
+frozen stage computes every train pair's features once, and pools its dev
+sentences once, because its encoder cannot change; each step reads its
+batch's rows of those features and runs only the head and loss (head_loss),
+which computes no feature or embedding gradient.  Every loss kind takes this
+path.  The joint stage takes each epoch's pooling matrices from one plan
 of its batches (PairTokens.batches), a window of batches at a time, next to
 the epoch's shuffled targets.  train is the only code that knows a stage is
 frozen: an optimizer updates every parameter it is given a gradient for, and
@@ -29,8 +31,10 @@ from .encoder import (
     Corpus,
     Model,
     ModelParams,
+    features,
     forward_backward,
-    head_forward_backward,
+    head_loss,
+    loss_mode,
     pair_texts,
     tokenize_pairs,
 )
@@ -129,6 +133,10 @@ class AdamOptimizer:
         updates = _present(params, grads)
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
+        # the same Python floats for every parameter
+        c1, c2 = 1 - b1, 1 - b2
+        bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        lr, eps = self.lr, self.EPS
         for name, p, g in updates:
             if name not in self.state:
                 self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
@@ -142,19 +150,19 @@ class AdamOptimizer:
             m, v, a, b = self.state[name]
             # m = b1 * m + (1 - b1) * g
             np.multiply(m, b1, out=m)
-            np.multiply(g, 1 - b1, out=a)
+            np.multiply(g, c1, out=a)
             np.add(m, a, out=m)
             # v = b2 * v + (1 - b2) * g * g
             np.multiply(v, b2, out=v)
-            np.multiply(g, 1 - b2, out=a)
+            np.multiply(g, c2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
             # p -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, 1 - b1 ** self.t, out=a)
-            np.divide(v, 1 - b2 ** self.t, out=b)
+            np.divide(m, bias1, out=a)
+            np.divide(v, bias2, out=b)
             np.sqrt(b, out=b)
-            np.add(b, self.EPS, out=b)
-            np.multiply(a, self.lr, out=a)
+            np.add(b, eps, out=b)
+            np.multiply(a, lr, out=a)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
         return params
@@ -267,8 +275,10 @@ def train(
     rng = np.random.default_rng(config.seed)
     n, batch_size = len(targets), config.batch_size
     if frozen:
-        # the encoder does not change in this stage: pool every sentence once
-        train_u, train_v = work.embed_pairs(train_pairs)
+        # the encoder does not change in this stage: every train pair's
+        # features, and every dev sentence's vector, are computed once
+        train_features = features(*work.embed_pairs(train_pairs),
+                                  loss_mode(work.feature_mode, loss_spec.kind))
         dev_uv = work.embed_pairs(dev_pairs)
 
     def plan(perm):
@@ -280,9 +290,8 @@ def train(
 
     def batch_step(batch, batch_targets):
         if frozen:
-            value, grads, _ = head_forward_backward(
-                work.params, train_u[batch], train_v[batch], batch_targets,
-                work.feature_mode, loss_spec, clamp_range)
+            value, grads, _ = head_loss(work.params, train_features[batch],
+                                        batch_targets, loss_spec, clamp_range)
             return value, grads
         return forward_backward(work.params, batch, batch_targets, work.feature_mode,
                                 loss_spec, clamp_range)

@@ -8,7 +8,9 @@ text, token ids one dictionary lookup per word, a batch's tokens copied one
 sentence at a time and its pooling matrix counted one token at a time,
 sentence means one sentence at a time, deduplication from a full O(n*m)
 comparison, the model's forward/backward pass from scalar loss closed forms
-applied one pair and one token at a time, finite differences one parameter
+applied one pair and one token at a time, the head and loss of pooled pairs
+as one function of u and v that builds its own features and returns their
+gradient (head_forward_backward), finite differences one parameter
 entry and two forward passes at a time, the optimizers as updates of whole
 dense arrays, and the synthetic corpus from a set difference over the whole
 vocabulary per pair.  copy_params gives tests that mutate parameters their own copy.
@@ -22,7 +24,9 @@ import re
 
 import numpy as np
 
-from simreg.encoder import PairTokens
+from simreg import losses
+from simreg.encoder import Gradients, PairTokens, features, head
+from simreg.losses import LossKind
 
 
 def copy_params(params):
@@ -212,6 +216,38 @@ def forward_backward_per_pair(params, pairs, targets, mode, spec, clamp_range=No
             d_pooled.append((df[:dim] + df[2 * dim:] * s,
                              df[dim:2 * dim] - df[2 * dim:] * s))
     return total, (_scatter(emb, pairs, d_pooled), g_w, g_b)
+
+
+def head_forward_backward(params, u, v, targets, mode, loss_spec, clamp_range=None):
+    """(value, grads, d_input) of the head and loss on pooled pairs u and v
+    (n, dim), all from one unstacked call: the features built here, head
+    gradients written into zero arrays, and d_input the loss gradient of
+    what the loss reads, the (n, feature_dim) features for the head losses
+    and [u | v] for InfoNCE.  grads' embeddings and rows are None."""
+    n, kind = u.shape[-2], loss_spec.kind
+    if kind is LossKind.INFO_NCE:
+        value, du, dv = losses.info_nce(u, v, loss_spec.tau)
+    else:
+        f = features(u, v, mode)
+        out = head(params, f)
+        if kind is LossKind.CROSS_ENTROPY:
+            values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
+        else:
+            pred = out if clamp_range is None else np.clip(out, *clamp_range)
+            diff = pred - np.asarray(targets, dtype=float)
+            values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
+            d_out = d_x * np.sign(diff) * (pred == out)
+        value = np.sum(values, axis=-1) / n
+    grads = Gradients(None, np.zeros_like(params.head_weights),
+                      np.zeros_like(params.head_bias), None)
+    if kind is LossKind.INFO_NCE:
+        return float(value), grads, np.concatenate([du, dv], axis=-1)
+    d_out = d_out / n
+    grads.head_weights[...] = d_out.T @ f
+    grads.head_bias[...] = np.sum(d_out, axis=0)
+    if params.is_classifier:
+        return float(value), grads, d_out @ params.head_weights
+    return float(value), grads, np.multiply.outer(d_out, params.head_weights)
 
 
 def _scatter(emb, pairs, d_pooled):

@@ -1,7 +1,9 @@
 import base64
 import dataclasses
 import json
+import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     copy_params,
     forward_backward_per_pair,
+    head_forward_backward,
     pool_per_sentence,
     pooling_matrix,
     split_words,
@@ -30,9 +33,10 @@ from simreg.encoder import (
     feature_dim,
     features,
     forward_backward,
-    head_forward_backward,
+    head_loss,
     init_params,
     load_checkpoint,
+    loss_mode,
     pool,
     save_checkpoint,
     tokenize_pairs,
@@ -571,6 +575,49 @@ def test_batches_match_the_per_batch_oracle(n_pairs, batch_size, max_tokens, wor
         assert S.shape == expect_S.shape and S.tobytes() == expect_S.tobytes()
 
 
+def test_segment_gather_holds_two_token_length_arrays():
+    # 10,000 segments of 15-25 ids, about 200,000 ids in all, gathered in a
+    # shuffled order; each segment cut to at most 20 ids
+    rng = np.random.default_rng(3)
+    full = rng.integers(15, 26, size=10_000)
+    ids = rng.integers(0, 5000, size=int(full.sum()))
+    starts = np.cumsum(full) - full
+    sources = rng.permutation(len(full))
+    lengths = np.minimum(full[sources], 20)
+    expect = np.concatenate([ids[starts[s]:starts[s] + n]
+                             for s, n in zip(sources, lengths)])
+    tracemalloc.start()
+    try:
+        got = encoder._segments(ids, starts, sources, lengths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+    # the result and one index array, plus segment-length arrays; an index
+    # built as offsets + arange would make it three token-length arrays
+    assert peak < 2.5 * expect.nbytes
+
+
+CLAMP_SPECIALS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 3.0, -3.0,
+                  1e-320, -1e-320]
+
+
+@pytest.mark.parametrize("low, high", [
+    (0.0, 3.0), (-0.0, 3.0), (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0),
+    (-3.0, -0.0), (-3.0, 0.0), (1.0, 1.0), (3.0, 1.0),
+])
+def test_clamp_is_np_clip_bit_for_bit(low, high):
+    rng = np.random.default_rng(0)
+    for length in range(70):
+        x = rng.normal(0.0, 3.0, size=length + 2)
+        special = rng.random(len(x)) < 0.5
+        x[special] = rng.choice(CLAMP_SPECIALS, size=special.sum())
+        for offset in (0, 1, 2):  # every alignment and vector-loop tail
+            view = x[offset:offset + length]
+            assert (encoder._clamp(view, low, high).tobytes()
+                    == np.clip(view, low, high).tobytes())
+
+
 def test_empty_corpus_holds_no_text():
     corpus = Corpus([])
     assert corpus.lengths.tolist() == [] and corpus.word_ids.tolist() == []
@@ -619,19 +666,22 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
     tokens = tokenize_pairs(texts, vocab)
     seen = []
 
-    def spy(params, u, v, *args):
-        seen.append((u, v))
-        return head_forward_backward(params, u, v, *args)
+    def spy(params, f, *args):
+        seen.append(f)
+        return head_loss(params, f, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(encoder, "head_forward_backward", spy)
+        patch.setattr(encoder, "head_loss", spy)
         forward_backward(params, tokens.pooling, targets, mode, _random_spec(rng, kind),
                          with_grads=not copies)
     pooled = pool(params.embeddings, tokens)
     atol = 4 * tokens.lengths.max() * EPS * np.abs(params.embeddings).max()
-    (u, v), = seen
-    np.testing.assert_allclose(u, pooled[..., 0::2, :], rtol=0, atol=atol)
-    np.testing.assert_allclose(v, pooled[..., 1::2, :], rtol=0, atol=atol)
+    (f,), read = seen, loss_mode(mode, kind)
+    assert read is (FeatureMode.UV if kind is LossKind.INFO_NCE else mode)
+    # |u - v| adds the errors of u and v
+    np.testing.assert_allclose(
+        f, features(pooled[..., 0::2, :], pooled[..., 1::2, :], read), rtol=0,
+        atol=2 * atol)
 
 
 @settings(max_examples=40, deadline=None)
@@ -652,16 +702,26 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     rows, S = pooling_matrix(tokens)
     pooled = S.T @ params.embeddings[rows]
     u, v = pooled[0::2], pooled[1::2]
-    value, grads, d_input = head_forward_backward(params, u, v, targets, mode, spec,
-                                                  (0.0, 3.0))
+    read = loss_mode(mode, kind)
+    value, grads, d_out = head_loss(params, features(u, v, read), targets, spec,
+                                    (0.0, 3.0))
     assert value == full[0]
     assert grads.rows is None and grads.embeddings is None
+    # the reference computes its own features and returns their gradient
+    expect_value, expect, d_input = head_forward_backward(params, u, v, targets, mode,
+                                                          spec, (0.0, 3.0))
+    assert value == expect_value
     for name in ("head_weights", "head_bias"):
-        assert getattr(grads, name).tobytes() == getattr(full[1], name).tobytes()
-    # d_input is all the encoder's gradient needs: forward_backward's split of it
-    split = FeatureMode.UV if kind is LossKind.INFO_NCE else mode
+        got = getattr(grads, name)
+        assert got.shape == getattr(params, name).shape
+        assert got.tobytes() == getattr(full[1], name).tobytes()
+        assert got.tobytes() == getattr(expect, name).tobytes()
+    assert d_out.shape == ((batch, 2 * 4) if kind is LossKind.INFO_NCE
+                           else (batch, 3) if n_classes else (batch,))
+    # the reference's gradient of the features, split as forward_backward
+    # splits it, is the embedding gradient to the bit
     d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u, v, split)
+    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u, v, read)
     assert (S @ d_pooled).tobytes() == full[1].embeddings.tobytes()
 
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import central_difference, softmax_bruteforce
+from simreg import losses
 from simreg.data import SentencePair
 from simreg.encoder import Model, build_vocab, forward_backward
 from simreg.errors import InvalidInputError
@@ -79,6 +80,43 @@ class TestResidual:
             mse_with_prediction(float("nan"), 1.0)
         with pytest.raises(InvalidInputError):
             mse_with_prediction(1.0, float("inf"))
+
+
+BAD_RESIDUALS = {"negative": -1.0, "-inf": -math.inf, "inf": math.inf, "nan": math.nan}
+
+
+def residual_cases():
+    """(id, x) of a scalar and of a flat and a stacked array holding the bad
+    value first, in the middle and last among valid residuals."""
+    for name, bad in BAD_RESIDUALS.items():
+        yield f"{name}-scalar", bad
+        for where, at in (("first", 0), ("middle", 2), ("last", 4)):
+            x = np.array([0.5, 0.0, 1.5, 2.0, 3.0])
+            x[at] = bad
+            yield f"{name}-{where}", x
+            stacked = np.ones((2, 5))
+            stacked[1, at] = bad
+            yield f"{name}-{where}-stacked", stacked
+
+
+@pytest.mark.parametrize("x", [x for _, x in residual_cases()],
+                         ids=[name for name, _ in residual_cases()])
+def test_residual_check_rejects_every_bad_entry_anywhere(x):
+    message = f"residual must be finite and non-negative, got {np.asarray(x)[()]}"
+    with pytest.raises(InvalidInputError) as info:
+        losses._residuals(x)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x", [
+    -0.0, 0.0, 2.5, np.array([-0.0, 1.0, -0.0]), np.array([1.0, -0.0]),
+    np.zeros((2, 0)), [[0.0, 1e308], [-0.0, 5e-324]],
+], ids=["-0", "0", "scalar", "-0-first-last", "-0-last", "empty", "nested-list"])
+def test_residual_check_accepts_zeros_of_both_signs(x):
+    got = losses._residuals(x)
+    expect = np.asarray(x, dtype=float)
+    assert np.shape(got) == expect.shape
+    assert np.asarray(got).tobytes() == expect.tobytes()  # -0.0 is kept
 
 
 class TestTranslatedRelu:

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DenseAdam, copy_params, pooling_matrix, sgd_step_dense, take
+from oracles import (
+    DenseAdam,
+    copy_params,
+    head_forward_backward,
+    pooling_matrix,
+    sgd_step_dense,
+    take,
+)
 from simreg import encoder, training
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
@@ -13,7 +20,7 @@ from simreg.encoder import (
     Model,
     build_vocab,
     forward_backward,
-    head_forward_backward,
+    head_loss,
     init_params,
     pair_texts,
     tokenize_pairs,
@@ -213,8 +220,7 @@ class TestTrain:
             return call
 
         monkeypatch.setattr(training, "forward_backward", recorded(forward_backward))
-        monkeypatch.setattr(training, "head_forward_backward",
-                            recorded(head_forward_backward))
+        monkeypatch.setattr(training, "head_loss", recorded(head_loss))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
         train(model, corpus, corpus, cfg, K2, stage)
         assert len(rows) == 2
@@ -454,8 +460,9 @@ SPECS = {
 def oracle_train(model, dataset, cfg, spec, stage):
     """The parameters and per-step losses of train on a categorical dataset,
     one batch at a time: the frozen stage pools every sentence once and steps
-    on each batch's rows of u and v; the joint stage gathers each batch's
-    tokens and builds its pooling matrix on its own."""
+    on each batch's rows of u and v through the reference head and loss,
+    which builds the batch's features itself; the joint stage gathers each
+    batch's tokens and builds its pooling matrix on its own."""
     mapping, mode = model.mapping, model.feature_mode
     (tokens,) = training.tokenize_datasets(model.vocab, dataset)
     tokens = tokens.truncate(cfg.max_tokens)
@@ -484,10 +491,22 @@ def oracle_train(model, dataset, cfg, spec, stage):
     return params, losses
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-@pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
-@pytest.mark.parametrize("stage", list(Stage), ids=lambda stage: stage.value)
-def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, optimizer,
+def _oracle_cases():
+    """(stage, kind, mode, optimizer) of every case, with ids
+    stage-kind[-mode]-optimizer: the default feature mode is left out of its
+    ids."""
+    for stage in Stage:
+        for kind in LossKind:
+            for mode in FeatureMode:
+                for optimizer in ("adam", "sgd"):
+                    parts = (stage.value, kind.value,
+                             *([] if mode is FeatureMode.UV_ABS_DIFF else [mode.value]),
+                             optimizer)
+                    yield pytest.param(stage, kind, mode, optimizer, id="-".join(parts))
+
+
+@pytest.mark.parametrize("stage, kind, mode, optimizer", _oracle_cases())
+def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, mode, optimizer,
                                                       monkeypatch):
     # every evaluation is a new best, so the best checkpoint is the last step
     rising = iter(range(1000))
@@ -497,7 +516,8 @@ def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, optimizer,
     mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
     vocab = build_vocab(pair_texts(dataset.pairs))
     n_classes = 4 if kind is LossKind.CROSS_ENTROPY else None
-    model = Model.initialize(vocab, dim=6, seed=5, mapping=mapping, n_classes=n_classes)
+    model = Model.initialize(vocab, dim=6, feature_mode=mode, seed=5, mapping=mapping,
+                             n_classes=n_classes)
     cfg = TrainConfig(batch_size=2, epochs=2, learning_rate=0.05, seed=7,
                       eval_every=3, max_tokens=6, optimizer=optimizer)
     assert 69 / cfg.batch_size > encoder._PLAN_WINDOW
