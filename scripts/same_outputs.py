@@ -69,11 +69,8 @@ def commands(checkout: Path) -> list[list[str]]:
 
 
 def python_in(checkout: Path, work: Path, code: str, *args: str) -> None:
-    """Run code with checkout's src/ first on the path, in work; exit 2 if it
-    fails."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(checkout / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    """Run code on checkout's src/ alone, in work; exit 2 if it fails."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     env.pop("SIMREG_OUT", None)
     proc = subprocess.run([sys.executable, "-c", code, *args], cwd=work, env=env,
                           capture_output=True, text=True)
