@@ -7,15 +7,30 @@ Usage, from the root of the repository:
 
 Writes the quick start's synthetic corpus (make_ordinal_corpus(N, seed=11) as
 data/train.tsv and (M, seed=12) as data/dev.tsv, made by PARENT's code) into
-a work directory.  Then, for each checkout in turn, it runs in one Python
-process on that checkout's src/:
+a work directory, with scored copies for the commands that read scores:
+data/dev_scores.tsv (class c scored c), data/sts.tsv (the train pairs, class
+c scored 5c/3), data/sick.tsv (make_ordinal_corpus(M, seed=13), class c
+scored 1 + 4c/3, on SICK's [1, 5] scale) and data/test.tsv (the dev pairs
+scored, plus every third pair of data/sts.tsv as it is and every third pair
+of data/sick.tsv swapped, so the filter has pairs to remove).  Then, for
+each checkout in turn, it runs in one Python process on that checkout's
+src/:
 
     simreg train --config CHECKOUT/configs/two_stage.json --out out/two_stage
     simreg eval --checkpoint out/two_stage/checkpoint.json data/dev.tsv \
         --out out/two_stage/eval
 
-and the same for configs/demo.json under out/demo, records the sha256 of
-every file under out/ and removes out/.  Both sides write to the same
+and the same for configs/demo.json under out/demo, then
+
+    simreg sweep --config CHECKOUT/configs/demo.json --k 1,2 --x0 0.1,0.25 \
+        --out out/sweep
+    simreg ablate --config CHECKOUT/configs/demo.json --out out/ablate
+    simreg eval --checkpoint out/two_stage/checkpoint.json \
+        data/dev_scores.tsv --cosine --out out/cosine
+    simreg filter-data --train data/sts.tsv --sick-train data/sick.tsv \
+        --test data/test.tsv --out out/filter
+
+It records the sha256 of every file under out/ and removes out/.  Both sides write to the same
 relative paths, one after the other, because manifest.json records out_dir.
 Each file is printed as "same", "DIFFERS" or "only in PARENT/CHANGE", with
 its sha256.  Exits 0 when every file is the same, 1 when any is not, and 2
@@ -39,11 +54,28 @@ CONFIGS = ("two_stage", "demo")
 MAKE_DATA = """
 import sys
 from pathlib import Path
-from simreg.data import save_tsv
+from simreg.data import Dataset, SentencePair, save_tsv
 from simreg.synth import make_ordinal_corpus
+
+def scored(ds, name, low, step, swap=False):
+    pairs = [SentencePair(*((p.s2, p.s1) if swap else (p.s1, p.s2)),
+                          score=low + step * ds.categories.index(p.label))
+             for p in ds.pairs]
+    return Dataset(name, pairs, score_range=(low, 5.0))
+
 Path("data").mkdir(exist_ok=True)
-save_tsv(make_ordinal_corpus(int(sys.argv[1]), seed=11), "data/train.tsv")
-save_tsv(make_ordinal_corpus(int(sys.argv[2]), seed=12), "data/dev.tsv")
+train = make_ordinal_corpus(int(sys.argv[1]), seed=11)
+dev = make_ordinal_corpus(int(sys.argv[2]), seed=12)
+sick = make_ordinal_corpus(int(sys.argv[2]), seed=13)
+save_tsv(train, "data/train.tsv")
+save_tsv(dev, "data/dev.tsv")
+save_tsv(scored(dev, "dev_scores", 0.0, 1.0), "data/dev_scores.tsv")
+sts = scored(train, "sts", 0.0, 5.0 / 3.0)
+save_tsv(sts, "data/sts.tsv")
+save_tsv(scored(sick, "sick", 1.0, 4.0 / 3.0), "data/sick.tsv")
+test = (scored(dev, "test", 0.0, 1.0).pairs + sts.pairs[::3]
+        + scored(sick, "test", 0.0, 1.0, swap=True).pairs[::3])
+save_tsv(Dataset("test", test, score_range=(0.0, 5.0)), "data/test.tsv")
 """
 
 RUN_COMMANDS = """
@@ -65,7 +97,15 @@ def commands(checkout: Path) -> list[list[str]]:
                       "--out", out])
         argvs.append(["eval", "--checkpoint", f"{out}/checkpoint.json", "data/dev.tsv",
                       "--out", f"{out}/eval"])
-    return argvs
+    demo = str(checkout / "configs" / "demo.json")
+    return argvs + [
+        ["sweep", "--config", demo, "--k", "1,2", "--x0", "0.1,0.25", "--out", "out/sweep"],
+        ["ablate", "--config", demo, "--out", "out/ablate"],
+        ["eval", "--checkpoint", "out/two_stage/checkpoint.json", "data/dev_scores.tsv",
+         "--cosine", "--out", "out/cosine"],
+        ["filter-data", "--train", "data/sts.tsv", "--sick-train", "data/sick.tsv",
+         "--test", "data/test.tsv", "--out", "out/filter"],
+    ]
 
 
 def python_in(checkout: Path, work: Path, code: str, *args: str) -> None:

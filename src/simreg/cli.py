@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import data as data_mod
@@ -19,10 +20,10 @@ from .encoder import (
     Corpus,
     FeatureMode,
     Model,
+    Vocabulary,
     build_vocab,
     feature_dim,
     load_checkpoint,
-    pair_texts,
     save_checkpoint,
 )
 from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
@@ -153,28 +154,49 @@ def cmd_filter_data(args) -> int:
 
 # ---------------------------------------------------------------------- train
 
-def _load_config_datasets(cfg: RunConfig):
-    categories = cfg.mapping.categories if cfg.mapping is not None else None
-    train_ds, dev_ds = (
-        data_mod.load_tsv(path, score_range=cfg.score_range, categories=categories)
-        for path in (cfg.train_path, cfg.dev_path)
-    )
-    nli_ds = None
-    if cfg.nli_path is not None:
-        nli_ds = data_mod.load_tsv(cfg.nli_path, categories=cfg.nli_mapping.categories)
-    return train_ds, dev_ds, nli_ds
+@dataclass(frozen=True)
+class _RunData:
+    """What every run of one command shares: its parsed datasets, the
+    vocabulary and one Corpus of their texts.  Loss, feature mode and seed
+    change none of them."""
+
+    train: data_mod.Dataset
+    dev: data_mod.Dataset
+    nli: data_mod.Dataset | None
+    vocab: Vocabulary
+    corpus: Corpus
 
 
-def _vocab_and_corpus(vocab_sets, datasets):
-    """The vocabulary of vocab_sets and one Corpus of every text of
-    vocab_sets and datasets.
+def _load_run_data(cfg: RunConfig) -> _RunData:
+    """Read and split each distinct file of the run once, check it as each
+    of its roles reads it, and split every distinct text once.
 
-    Every distinct text is split once: the vocabulary counts the split
-    words, and training gathers each dataset's token ids from the corpus.
+    The vocabulary is that of the train and stage-1 files; a file named in
+    both counts once, which leaves the vocabulary as it would be counted
+    twice (every count doubled, the order unchanged).
     """
-    vocab_texts = [text for ds in vocab_sets for text in pair_texts(ds.pairs)]
-    corpus = Corpus(vocab_texts + [t for ds in datasets for t in pair_texts(ds.pairs)])
-    return build_vocab(vocab_texts, corpus), corpus
+    files = {}
+
+    def dataset(path, **reading):
+        key = path.resolve()
+        if key not in files:
+            files[key] = data_mod.read_tsv(path)
+        return key, files[key].dataset(**reading)
+
+    categories = cfg.mapping.categories if cfg.mapping is not None else None
+    train_file, train = dataset(cfg.train_path, score_range=cfg.score_range,
+                                categories=categories)
+    dev_file, dev = dataset(cfg.dev_path, score_range=cfg.score_range,
+                            categories=categories)
+    sources = {train_file: train}
+    nli = None
+    if cfg.nli_path is not None:
+        nli_file, nli = dataset(cfg.nli_path, categories=cfg.nli_mapping.categories)
+        sources.setdefault(nli_file, nli)
+    vocab_texts = [text for ds in sources.values() for text in ds.texts]
+    sources.setdefault(dev_file, dev)
+    corpus = Corpus(text for ds in sources.values() for text in ds.texts)
+    return _RunData(train, dev, nli, build_vocab(vocab_texts, corpus), corpus)
 
 
 def _build_model(cfg: RunConfig, vocab) -> Model:
@@ -194,34 +216,31 @@ def _build_model(cfg: RunConfig, vocab) -> Model:
     )
 
 
-def _run_training(cfg: RunConfig):
-    """Returns (best_model, best_dev, {history_name: history})."""
-    train_ds, dev_ds, nli_ds = _load_config_datasets(cfg)
-    vocab_sets = [train_ds] if nli_ds is None else [train_ds, nli_ds]
+def _run_training(cfg: RunConfig, run: _RunData):
+    """Train on the command's loaded data under this point's config.
+
+    Returns (best_model, best_dev, {history_name: history}).
+    """
     if cfg.stages == "two_stage":
-        vocab, corpus = _vocab_and_corpus(vocab_sets, [nli_ds, train_ds, dev_ds])
         result = two_stage_finetune(
-            _build_model(cfg, vocab), nli_ds, train_ds, dev_ds, cfg.training,
+            _build_model(cfg, run.vocab), run.nli, run.train, run.dev, cfg.training,
             joint_config=cfg.joint, loss_spec=cfg.loss, nli_mapping=cfg.nli_mapping,
-            corpus=corpus,
+            corpus=run.corpus,
         )
         histories = {
             "history_stage1": result.stage1.history,
             "history_stage2": result.stage2.history,
         }
         return result.best_model, result.stage2.best_dev, histories
-    train_set = train_ds
+    train_set = run.train
     if cfg.loss.kind is LossKind.INFO_NCE:
-        train_set = data_mod.positive_pairs_dataset(train_ds, cfg.positive_threshold)
+        train_set = data_mod.positive_pairs_dataset(run.train, cfg.positive_threshold)
         print(
-            f"contrastive positives: kept {len(train_set)} of {len(train_ds)} pairs "
+            f"contrastive positives: kept {len(train_set)} of {len(run.train)} pairs "
             f"at threshold {cfg.positive_threshold}"
         )
-    vocab, corpus = _vocab_and_corpus(vocab_sets, [train_set, dev_ds])
-    result = train(
-        _build_model(cfg, vocab), train_set, dev_ds, cfg.training, cfg.loss,
-        Stage.JOINT, cfg.mapping, corpus,
-    )
+    result = train(_build_model(cfg, run.vocab), train_set, run.dev, cfg.training,
+                   cfg.loss, Stage.JOINT, cfg.mapping, run.corpus)
     return result.best_model, result.best_dev, {"history": result.history}
 
 
@@ -248,7 +267,7 @@ def _manifest(cfg: RunConfig, model: Model, best_dev: float) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
-    best_model, best_dev, histories = _run_training(cfg)
+    best_model, best_dev, histories = _run_training(cfg, _load_run_data(cfg))
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -271,14 +290,16 @@ def cmd_train(args) -> int:
 
 # ----------------------------------------------------------------------- eval
 
-def _sniff_categorical(text: str, mapping) -> bool:
-    """A file is categorical when every first field is one of the mapping's
-    categories, or else when its first field does not parse as a score."""
-    firsts = [line.split("\t", 1)[0] for line in data_mod.tsv_lines(text)
-              if line.strip()]
+def _sniff_categorical(tsv: data_mod.TsvFile, mapping) -> bool:
+    """A file is categorical when every first field of a nonblank line is one
+    of the mapping's categories, or else when the first of them does not
+    parse as a score."""
+    firsts = [fields[0] for fields in tsv.rows]
+    if not all(map(str.strip, firsts)):  # a line may be blank: keep the others
+        firsts = [fields[0] for fields in tsv.rows if any(map(str.strip, fields))]
     if not firsts:
         return False
-    if mapping is not None and all(f in mapping.categories for f in firsts):
+    if mapping is not None and set(firsts) <= set(mapping.categories):
         return True
     try:
         float(firsts[0])
@@ -293,17 +314,16 @@ def cmd_eval(args) -> int:
     for path in args.datasets:
         with open(path, "rb") as fh:  # a missing file is an OSError: exit 2
             raw = fh.read()
-        # undecodable bytes are left for parse_tsv to report
-        if _sniff_categorical(raw.decode("utf-8", errors="replace"), model.mapping):
+        # undecodable bytes are read as U+FFFD here and reported by dataset()
+        tsv = data_mod.split_tsv(raw, path)
+        if _sniff_categorical(tsv, model.mapping):
             if model.mapping is None:
                 raise UsageError(
                     f"{path} looks categorical but the checkpoint has no mapping"
                 )
-            datasets.append(
-                data_mod.parse_tsv(raw, path, categories=model.mapping.categories)
-            )
+            datasets.append(tsv.dataset(categories=model.mapping.categories))
         else:
-            datasets.append(data_mod.parse_tsv(raw, path))
+            datasets.append(tsv.dataset())
     report = evaluate(model, datasets, use_cosine=args.cosine)
     print(report.format_table())
     if args.out:
@@ -375,7 +395,8 @@ def cmd_sweep(args) -> int:
             continue
         jobs.append((k, x0, dataclasses.replace(_reseeded(cfg, run_seed), loss=loss)))
 
-    rows = [(k, x0, _run_training(point_cfg)[1]) for k, x0, point_cfg in jobs]
+    run = _load_run_data(cfg) if jobs else None
+    rows = [(k, x0, _run_training(point_cfg, run)[1]) for k, x0, point_cfg in jobs]
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
 
     print(f"{'k':>8}  {'x0':>8}  {'dev_spearman':>12}")
@@ -396,9 +417,10 @@ def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
     modes = (FeatureMode.UV, FeatureMode.ABS_DIFF, FeatureMode.UV_ABS_DIFF)
 
+    run = _load_run_data(cfg)
     rows = [
         (mode, feature_dim(mode, cfg.dim),
-         _run_training(dataclasses.replace(cfg, feature_mode=mode))[1])
+         _run_training(dataclasses.replace(cfg, feature_mode=mode), run)[1])
         for mode in modes
     ]
 

@@ -330,11 +330,6 @@ class PairTokens:
         return PairTokens(_segments(self.ids, self.starts, sentences, lengths), lengths)
 
 
-def pair_texts(pairs) -> list[str]:
-    """Both sentences of every SentencePair, alternately left, right."""
-    return [text for pair in pairs for text in (pair.s1, pair.s2)]
-
-
 def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> PairTokens:
     """Tokenize sentences given alternately left, right into one flat id array.
 
@@ -579,10 +574,10 @@ class Model:
         params = init_params(len(vocab), dim, feature_mode, seed, label_range, n_classes)
         return cls(vocab, params, feature_mode, mapping)
 
-    def encode(self, pairs) -> PairTokens:
-        """Tokenize both sentences of every SentencePair once."""
-        tokens = tokenize_pairs(pair_texts(pairs), self.vocab)
-        return tokens.truncate(self.max_tokens)
+    def encode(self, texts) -> PairTokens:
+        """Tokenize sentences given alternately left, right (a dataset's
+        texts) once, cut to max_tokens."""
+        return tokenize_pairs(texts, self.vocab).truncate(self.max_tokens)
 
     def embed_pairs(self, pairs: PairTokens) -> tuple[np.ndarray, np.ndarray]:
         """Pooled sentence embeddings (u, v), one row per pair."""

@@ -122,12 +122,13 @@ def predictions_for(model, u, v, use_cosine: bool = False) -> np.ndarray:
 
 
 def golds(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:
-    """Gold value of every pair: its score, or its category's node under the
-    mapping, which must cover every category of a categorical dataset."""
+    """Gold value of every pair: its score (the dataset's own read-only
+    column), or its category's node under the mapping, which must cover
+    every category of a categorical dataset."""
     if not dataset.is_categorical:
-        return np.array([pair.score for pair in dataset.pairs], dtype=float)
+        return dataset.values
     _check_covers(mapping, dataset)
-    return encode(mapping, [pair.label for pair in dataset.pairs])
+    return encode(mapping, dataset.categories)[dataset.values]
 
 
 def _check_covers(mapping: LabelMapping | None, dataset: Dataset) -> None:
@@ -150,7 +151,7 @@ def accuracy(scores, dataset: Dataset, mapping: LabelMapping) -> float:
     _check_covers(mapping, dataset)
     if len(scores) != len(dataset):
         raise InvalidInputError(f"{len(scores)} scores for {len(dataset)} pairs")
-    labels = np.array([pair.label for pair in dataset.pairs])
+    labels = np.asarray(dataset.categories)[dataset.values]
     return int(np.count_nonzero(classify(mapping, scores) == labels)) / len(dataset)
 
 
@@ -174,8 +175,7 @@ def evaluate(
     for ds in datasets:
         active = mapping if mapping is not None else model.mapping
         gold = golds(ds, active)
-        pairs = model.encode(ds.pairs)
-        u, v = model.embed_pairs(pairs)
+        u, v = model.embed_pairs(model.encode(ds.texts))
         scores = model.head_scores(u, v)
         ranked = cosine(u, v) if use_cosine else scores
         rho = spearman(ranked, gold)

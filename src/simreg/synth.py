@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, SentencePair
+from .data import Dataset
 from .errors import InvalidInputError
 
 ORDINAL_CATEGORIES = (
@@ -48,9 +48,9 @@ def make_ordinal_corpus(
 
     rng = np.random.default_rng(seed)
     words = np.array([f"tok{i:03d}" for i in range(vocab_size)])
-    pairs = []
-    for i in range(n_pairs):
-        c = i % len(categories)
+    classes = np.arange(n_pairs) % len(categories)
+    s1, s2 = [], []
+    for c in classes.tolist():
         k = shared_counts[c]
         first = rng.choice(vocab_size, size=sentence_len, replace=False)
         shared = rng.choice(first, size=k, replace=False)
@@ -58,9 +58,6 @@ def make_ordinal_corpus(
         unused[first] = False
         rest = rng.choice(np.flatnonzero(unused), size=sentence_len - k, replace=False)
         second = rng.permutation(np.concatenate([shared, rest]))
-        pairs.append(
-            SentencePair(
-                " ".join(words[first]), " ".join(words[second]), label=categories[c]
-            )
-        )
-    return Dataset(name, tuple(pairs), categories=tuple(categories))
+        s1.append(" ".join(words[first]))
+        s2.append(" ".join(words[second]))
+    return Dataset.from_columns(name, classes, s1, s2, categories=tuple(categories))

@@ -35,7 +35,6 @@ from .encoder import (
     forward_backward,
     head_loss,
     loss_mode,
-    pair_texts,
     tokenize_pairs,
 )
 from .errors import InvalidInputError, TrainingError
@@ -200,10 +199,20 @@ def tokenize_datasets(vocab, *datasets, corpus: Corpus | None = None):
     corpus, when given, holds the datasets' texts already split; otherwise
     every distinct text of all the datasets is split once here.
     """
-    texts = [pair_texts(ds.pairs) for ds in datasets]
+    texts = [ds.texts for ds in datasets]
     if corpus is None:
         corpus = Corpus(t for group in texts for t in group)
     return [tokenize_pairs(group, vocab, corpus=corpus) for group in texts]
+
+
+def _class_targets(mapping: LabelMapping, dataset: Dataset) -> np.ndarray:
+    """Each pair's class: its label's index in the mapping.  A label the
+    mapping lacks is mapping.index's error, for the first pair holding one."""
+    used, first_row = np.unique(dataset.values, return_index=True)
+    used = used[np.argsort(first_row)]  # in the order the pairs first use them
+    classes = np.zeros(len(dataset.categories), dtype=np.intp)
+    classes[used] = mapping.index([dataset.categories[i] for i in used.tolist()])
+    return classes[dataset.values]
 
 
 def _copy_updated(params: ModelParams, updated) -> ModelParams:
@@ -252,7 +261,7 @@ def train(
     if loss_spec.kind is not LossKind.CROSS_ENTROPY:
         targets = golds(train_set, mapping)  # the contrastive loss ignores them
     elif train_set.is_categorical:
-        targets = mapping.index([pair.label for pair in train_set.pairs])
+        targets = _class_targets(mapping, train_set)
     else:
         raise InvalidInputError("cross-entropy needs categorical targets")
     # dev scores are judged as the saved model will be: through its own mapping
@@ -368,8 +377,7 @@ def two_stage_finetune(
     if loss_spec is None:
         loss_spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25, d=1.0)
     if corpus is None:
-        corpus = Corpus(text for ds in (nli_set, sts_set, dev_set)
-                        for text in pair_texts(ds.pairs))
+        corpus = Corpus(text for ds in (nli_set, sts_set, dev_set) for text in ds.texts)
     stage1 = train(
         model, nli_set, dev_set, config, loss_spec, Stage.HEAD_ONLY, nli_mapping,
         corpus,

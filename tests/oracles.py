@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's own code paths: ranks come from a
 stable sort with explicit tie grouping, Pearson from the textbook sum
-formula, classification from an argmin scan over nodes, gold values and
-rounding accuracy one pair at a time, words one regular-expression scan per
-text, token ids one dictionary lookup per word, a batch's tokens copied one
+formula, classification from an argmin scan over nodes, a TSV corpus parsed
+one line at a time, gold values and rounding accuracy one pair at a time,
+words one regular-expression scan per text, token ids one dictionary lookup
+per word, a batch's tokens copied one
 sentence at a time and its pooling matrix counted one token at a time,
 sentence means one sentence at a time, deduplication from a full O(n*m)
 comparison, the model's forward/backward pass from scalar loss closed forms
@@ -21,11 +22,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
 from simreg import losses
+from simreg.data import Dataset, SentencePair
 from simreg.encoder import Gradients, PairTokens, features, head
+from simreg.errors import DataFormatError
 from simreg.losses import LossKind
 
 
@@ -82,6 +86,50 @@ def accuracy_per_pair(scores, dataset, mapping):
     hits = sum(classify_bruteforce(mapping, s) == pair.label
                for s, pair in zip(scores, dataset.pairs, strict=True))
     return hits / len(dataset)
+
+
+def parse_tsv_per_line(raw, path, name=None, score_range=(0.0, 5.0), categories=None):
+    """A TSV corpus read one line at a time: each line split, checked and
+    made a SentencePair on its own, so the first bad line raises.  Lines end
+    at "\\n", "\\r\\n" or "\\r", and a final line end starts no line."""
+    path = Path(path)
+    name = name if name is not None else path.stem
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    pairs = []
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected at least 3 tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        first, s1, s2 = fields[0], fields[1], fields[2]
+        if categories is not None:
+            if first not in categories:
+                raise DataFormatError(f"{path}:{lineno}: unknown label {first!r}")
+            pairs.append(SentencePair(s1, s2, label=first))
+        else:
+            try:
+                score = float(first)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: score field {first!r} is not a number"
+                ) from None
+            low, high = score_range
+            if not low <= score <= high:
+                raise DataFormatError(
+                    f"{path}:{lineno}: score {score} outside [{low}, {high}]"
+                )
+            pairs.append(SentencePair(s1, s2, score=score))
+    if categories is not None:
+        return Dataset(name, tuple(pairs), categories=tuple(categories))
+    return Dataset(name, tuple(pairs), score_range=score_range)
 
 
 def dedup_bruteforce(train, tests):

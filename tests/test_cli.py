@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from simreg import cli, encoder
+from simreg import cli, data, encoder
 from simreg.cli import main
 from simreg.data import Dataset, SentencePair, load_tsv, save_tsv
 from simreg.encoder import (
@@ -328,6 +328,110 @@ class TestTrain:
         assert sorted(rows) == list(range(len(corpora[0].lengths)))
 
 
+def count_calls(monkeypatch, owner, name, key=lambda *args: None):
+    """A Counter of the calls to owner.name, by key of each call's arguments."""
+    calls = Counter()
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def split_files(monkeypatch):
+    """A Counter of the files data.split_tsv splits, by name."""
+    return count_calls(monkeypatch, data, "split_tsv", lambda raw, path: Path(path).name)
+
+
+def corpora_built(monkeypatch):
+    """A list of (corpus, number of texts it was given) of every new
+    encoder.Corpus."""
+    corpora = []
+    init = encoder.Corpus.__init__
+
+    def recorded(corpus, texts):
+        texts = list(texts)
+        init(corpus, texts)
+        corpora.append((corpus, len(texts)))
+
+    # on the class, so every name the package imports it by is counted
+    monkeypatch.setattr(encoder.Corpus, "__init__", recorded)
+    return corpora
+
+
+class TestLoadOnce:
+    def two_stage(self, corpus_files, nli_path):
+        tmp_path, config_path, config = corpus_files
+        config["stages"] = "two_stage"
+        config["data"].update(nli_train=str(nli_path),
+                              nli_categories=list(ORDINAL_CATEGORIES))
+        config_path.write_text(json.dumps(config))
+        return config_path, config
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["nli-is-train", "own-nli"])
+    def test_two_stage_splits_each_file_once(self, corpus_files, monkeypatch, shared):
+        tmp_path = corpus_files[0]
+        nli_path = tmp_path / "train.tsv"
+        if not shared:
+            nli_path = tmp_path / "nli.tsv"
+            save_tsv(make_ordinal_corpus(90, seed=33), nli_path)
+        config_path, _ = self.two_stage(corpus_files, nli_path)
+        files = split_files(monkeypatch)
+        corpora = corpora_built(monkeypatch)
+        assert main(["train", "--config", str(config_path)]) == 0
+        expect = {"train.tsv": 1, "dev.tsv": 1} | ({} if shared else {"nli.tsv": 1})
+        assert files == expect
+        # one corpus, given each file's texts once
+        pairs = 160 + 64 + (0 if shared else 90)
+        assert [n for _, n in corpora] == [2 * pairs]
+
+    def test_a_narrower_stage1_category_set_names_the_line(self, corpus_files, capsys):
+        tmp_path = corpus_files[0]
+        config_path, config = self.two_stage(corpus_files, tmp_path / "train.tsv")
+        config["data"]["nli_categories"] = list(ORDINAL_CATEGORIES[:3])
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 1
+        # make_ordinal_corpus labels line i with category (i - 1) % 4
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'train.tsv'}:4: unknown label 'highly relevant'\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [["sweep", "--k", "1,2,4", "--x0", "0.25"],
+                                      ["ablate"]], ids=["sweep", "ablate"])
+    def test_sweep_and_ablate_load_once(self, corpus_files, monkeypatch, argv):
+        tmp_path, config_path, _ = corpus_files
+        files = split_files(monkeypatch)
+        corpora = corpora_built(monkeypatch)
+        runs = count_calls(monkeypatch, cli, "train")
+        assert main([*argv, "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert sum(runs.values()) == 3
+        assert files == {"train.tsv": 1, "dev.tsv": 1}
+        assert [n for _, n in corpora] == [2 * (160 + 64)]
+
+    def test_eval_splits_each_file_once(self, tmp_path, monkeypatch):
+        ds = make_ordinal_corpus(40, seed=7)
+        vocab = build_vocab(ds.texts)
+        model = Model.initialize(vocab, dim=4,
+                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+        save_checkpoint(model, tmp_path / "ck.json")
+        save_tsv(ds, tmp_path / "graded.tsv")
+        save_tsv(cont("scored", [(float(i % 4), p.s1, p.s2)
+                                 for i, p in enumerate(ds.pairs)]), tmp_path / "scored.tsv")
+        files = split_files(monkeypatch)
+        lines = count_calls(monkeypatch, data, "tsv_lines")
+        assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+                     str(tmp_path / "graded.tsv"), str(tmp_path / "scored.tsv"),
+                     "--out", str(tmp_path / "rep")]) == 0
+        assert files == {"graded.tsv": 1, "scored.tsv": 1}
+        assert lines[None] == 2
+        rows = json.loads((tmp_path / "rep" / "report.json").read_text())["datasets"]
+        assert [r["accuracy"] is None for r in rows] == [False, True]
+
+
 class TestEval:
     def test_matches_in_process_evaluate(self, corpus_files, capsys):
         tmp_path, config_path, config = corpus_files
@@ -398,6 +502,19 @@ class TestEval:
                      str(tmp_path / "badcat.tsv")]) == 1
         assert "looks categorical but the checkpoint has no mapping" in (
             capsys.readouterr().err)
+
+    def test_blank_lines_are_not_sniffed(self, tmp_path, capsys):
+        ds = make_ordinal_corpus(20, seed=7)
+        save_checkpoint(Model.initialize(build_vocab(ds.texts), dim=4),
+                        tmp_path / "ck.json")
+        # the first nonblank line holds a score, so the file is read as scores
+        # and its blank line is the error, not the checkpoint's lack of a mapping
+        (tmp_path / "blank.tsv").write_bytes(b" \t \n1.0\ta\tb\n")
+        assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+                     str(tmp_path / "blank.tsv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'blank.tsv'}:1: expected at least 3 tab-separated "
+            "fields, got 2\n")
 
     def test_failed_report_write_keeps_the_old_report(self, corpus_files,
                                                       failing_writes):

@@ -1,17 +1,20 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dedup_bruteforce
+from oracles import dedup_bruteforce, parse_tsv_per_line
 from simreg.data import (
+    NLI_CATEGORIES,
     Dataset,
     SentencePair,
     dedup_filter,
     load_tsv,
     merge,
+    parse_tsv,
     positive_pairs_dataset,
     rescale_sick,
     rescale_sick_dataset,
@@ -155,6 +158,85 @@ class TestLoadSave:
         assert not (tmp_path / "out.tsv").exists()
 
 
+# first fields: labels, unknown labels, scores in and out of range, and
+# strings that Python's float reads ("0_5", " 4.1 ", "nan") or does not
+SCORES = ["0", "1.5", "4.1", "5", " 4.1 ", "0_5", "1e0", "-0.0"]
+OTHER_FIELDS = ["maybe", "", "nan", "inf", "-inf", "7.5", "-1", "high"]
+SENTENCES = st.text(alphabet="ab \x0c\x85\u2028é", max_size=4)
+READINGS = [{"categories": NLI_CATEGORIES}, {}, {"score_range": (1, 5)},
+            {"score_range": (-1.0, 0.5)}]
+
+
+@st.composite
+def tsv_files(draw):
+    """A reading and the bytes of a TSV file: up to 6 lines of 1 to 5
+    fields (3 most often) whose first field is mostly what the reading
+    takes, each ended by "\\n", "\\r\\n" or "\\r", the last one with
+    or without its end, and sometimes a byte that is not UTF-8 somewhere."""
+    reading = draw(st.sampled_from(READINGS))
+    good = list(reading.get("categories", SCORES))
+    firsts = st.sampled_from(good * 4 + SCORES + list(NLI_CATEGORIES) + OTHER_FIELDS)
+    lines, ends = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        n_sentences = draw(st.sampled_from([2] * 8 + [0, 1, 3, 4]))
+        fields = [draw(firsts)]
+        fields += draw(st.lists(SENTENCES, min_size=n_sentences, max_size=n_sentences))
+        lines.append("\t".join(fields))
+        ends.append(draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    raw = "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    if draw(st.sampled_from([False] * 7 + [True])):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw, reading
+
+
+def parsed(parse, raw, reading):
+    """What parse makes of raw: the dataset's name, declarations and pairs
+    (scores by repr, so -0.0 is told from 0.0), or its error message."""
+    try:
+        ds = parse(raw, "corpora/dev.tsv", **reading)
+    except DataFormatError as exc:
+        return str(exc)
+    return (ds.name, ds.score_range, ds.categories,
+            [(p.s1, p.s2, repr(p.score), p.label) for p in ds.pairs])
+
+
+class TestColumnParse:
+    @settings(max_examples=400)
+    @given(tsv_files())
+    # two bad lines, where checking one column before the other would name
+    # the second: a range error before a short line, a short line before an
+    # unknown label, a bad number before a range error
+    @example((b"7.5\ta\tb\n1.0\tc\n", {}))
+    @example((b"neutral\ta\n\nmaybe\tb\tc\n", {"categories": NLI_CATEGORIES}))
+    @example((b"1.0\ta\tb\nhigh\tc\td\r\nnan\te\tf", {}))
+    @example((b"", {}))
+    @example((b"\xff", {"categories": NLI_CATEGORIES}))
+    def test_matches_the_per_line_reader(self, file):
+        raw, reading = file
+        assert parsed(parse_tsv, raw, reading) == parsed(parse_tsv_per_line, raw, reading)
+
+    def test_columns_are_read_only_and_typed(self):
+        scored = parse_tsv(b"4.1\ta\tb\n0_5\tc\td\n", "s.tsv")
+        labelled = parse_tsv(b"neutral\ta\tb\nentailment\tc\td\n", "l.tsv",
+                             categories=NLI_CATEGORIES)
+        assert scored.values.dtype == np.float64 and scored.values.tolist() == [4.1, 5.0]
+        assert labelled.values.dtype == np.intp and labelled.values.tolist() == [1, 2]
+        for ds in (scored, labelled):
+            assert ds.s1 == ("a", "c") and ds.s2 == ("b", "d")
+            assert ds.texts == ["a", "b", "c", "d"]
+            with pytest.raises(ValueError, match="read-only"):
+                ds.values[0] = 0
+
+    def test_records_round_trip_through_columns(self):
+        assert Dataset("t", TRAIN.pairs, score_range=TRAIN.score_range).pairs == TRAIN.pairs
+        pairs = (SentencePair("a", "b", label="y"), SentencePair("c", "d", label="x"))
+        ds = Dataset("c", pairs, categories=("x", "y"))
+        assert ds.values.tolist() == [1, 0] and ds.pairs == pairs
+
+
 class TestDedupFilter:
     def test_removes_both_orientations_despite_scores(self):
         filtered, removed = dedup_filter(TRAIN, TESTS)
@@ -182,6 +264,14 @@ class TestDedupFilter:
         assert len(filtered) + len(removed) == len(TRAIN)
         again, removed_again = dedup_filter(filtered, TESTS)
         assert again.pairs == filtered.pairs and removed_again == []
+
+    def test_a_pair_in_two_test_sets_names_the_first(self):
+        train = cont("t", [(1.0, "x", "y"), (2.0, "p", "q")])
+        tests = [cont("first", [(1.0, "p", "q")]),
+                 cont("second", [(1.0, "y", "x"), (2.0, "p", "q")])]
+        _, removed = dedup_filter(train, tests)
+        assert [(r.pair.s1, r.test_name) for r in removed] == [("x", "second"),
+                                                              ("p", "first")]
 
     def test_trims_edge_whitespace_only(self):
         train = cont("t", [(1.0, "  spaced out  ", "other side"),

@@ -49,7 +49,7 @@ from simreg.losses import LossKind, LossSpec, info_nce
 
 def run(model, batch, spec, clamp_range=None):
     """forward_backward on a list of (SentencePair, target)."""
-    pairs = model.encode([pair for pair, _ in batch])
+    pairs = model.encode([text for pair, _ in batch for text in (pair.s1, pair.s2)])
     targets = [target for _, target in batch]
     return forward_backward(model.params, pairs.pooling, targets, model.feature_mode,
                             spec, clamp_range)
@@ -58,7 +58,7 @@ def run(model, batch, spec, clamp_range=None):
 def loss_of(model, batch, spec):
     """value_fn for finite_difference_grads: the loss of each stacked
     parameter copy on a list of (SentencePair, target)."""
-    pairs = model.encode([pair for pair, _ in batch])
+    pairs = model.encode([text for pair, _ in batch for text in (pair.s1, pair.s2)])
     targets = [target for _, target in batch]
     return lambda params: forward_backward(params, pairs.pooling, targets,
                                            model.feature_mode, spec,
@@ -66,7 +66,8 @@ def loss_of(model, batch, spec):
 
 
 def score(model, pair):
-    return float(model.head_scores(*model.embed_pairs(model.encode([pair])))[0])
+    pairs = model.encode([pair.s1, pair.s2])
+    return float(model.head_scores(*model.embed_pairs(pairs))[0])
 
 
 def token_ids(text, vocab, max_tokens=None):
@@ -386,7 +387,7 @@ class TestForwardBackward:
         stack = ModelParams(*(np.stack([a, a]) for a in
                               (p.embeddings, p.head_weights, p.head_bias)))
         assert stack.stack_shape == (2,) and stack.dim == p.dim
-        pairs = model.encode([SentencePair("a man", "the dog", score=0.0)])
+        pairs = model.encode(["a man", "the dog"])
         with pytest.raises(InvalidInputError):
             forward_backward(stack, pairs.pooling, [1.0], model.feature_mode,
                              LossSpec(LossKind.MSE))

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from simreg.labelmap import build_mapping
 
 
 class StubModel:
-    """Duck-typed model whose score is any function of the pair."""
+    """Duck-typed model whose score is any function of the pair's sentences."""
 
     def __init__(self, fn, mapping=None):
         self.fn = fn
         self.mapping = mapping
 
-    def encode(self, pairs):
-        return pairs
+    def encode(self, texts):
+        """The pairs of texts given alternately left, right, as s1 and s2."""
+        return [SimpleNamespace(s1=s1, s2=s2) for s1, s2 in zip(texts[0::2], texts[1::2])]
 
     def scores(self, pairs):
         return np.array([self.fn(pair) for pair in pairs])
@@ -156,6 +158,12 @@ def categorical_ds(name, labels, cats=("low", "mid", "high")):
     return Dataset(name, pairs, categories=cats)
 
 
+def by_label(ds, score_of):
+    """A StubModel function scoring each pair of ds by its label."""
+    label_of = {p.s1: p.label for p in ds.pairs}
+    return lambda p: score_of[label_of[p.s1]]
+
+
 class TestAccuracy:
     MAPPING = build_mapping(["low", "mid", "high"], 0.0, 1.0)
 
@@ -243,9 +251,7 @@ class TestEvaluate:
     def test_categorical_dataset_gets_accuracy(self):
         ds = categorical_ds("c", ["low", "mid", "high"] * 3)
         mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
-        model = StubModel(
-            lambda p: {"low": 0.1, "mid": 0.9, "high": 2.2}[p.label], mapping
-        )
+        model = StubModel(by_label(ds, {"low": 0.1, "mid": 0.9, "high": 2.2}), mapping)
         report = evaluate(model, [ds])
         assert report.per_dataset[0].accuracy == 1.0
         assert report.per_dataset[0].spearman > 0.8
@@ -255,8 +261,7 @@ class TestEvaluate:
     def test_gold_values_computed_once_per_dataset(self, monkeypatch):
         ds = categorical_ds("c", ["low", "mid", "high"] * 3)
         mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
-        model = StubModel(lambda p: {"low": 0.1, "mid": 0.9, "high": 2.2}[p.label],
-                          mapping)
+        model = StubModel(by_label(ds, {"low": 0.1, "mid": 0.9, "high": 2.2}), mapping)
         calls = []
         real = evaluation.encode
         monkeypatch.setattr(evaluation, "encode",
@@ -287,9 +292,7 @@ class TestEvaluate:
     def test_table_adds_accuracy_row_for_categorical(self):
         ds = categorical_ds("c", ["low", "mid", "high"] * 3)
         mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
-        model = StubModel(
-            lambda p: {"low": 0.1, "mid": 0.9, "high": 2.2}[p.label], mapping
-        )
+        model = StubModel(by_label(ds, {"low": 0.1, "mid": 0.9, "high": 2.2}), mapping)
         lines = evaluate(model, [ds]).format_table().splitlines()
         assert len(lines) == 3
         assert lines[2].startswith("accuracy")
@@ -308,9 +311,9 @@ class TestEvaluate:
                  for t in (p.s1, p.s2)]
         model = Model.initialize(build_vocab(texts), dim=4, seed=2, mapping=cats)
         expected = [
-            (spearman(cosine(*model.embed_pairs(model.encode(ds.pairs))),
+            (spearman(cosine(*model.embed_pairs(model.encode(ds.texts))),
                       evaluation.golds(ds, cats)),
-             accuracy(model.head_scores(*model.embed_pairs(model.encode(ds.pairs))),
+             accuracy(model.head_scores(*model.embed_pairs(model.encode(ds.texts))),
                       ds, cats)
              if ds.is_categorical else None)
             for ds in (categorical, continuous)]

@@ -6,7 +6,6 @@ import pytest
 
 import simreg.encoder as encoder
 from oracles import finite_difference_per_entry
-from simreg.data import SentencePair
 from simreg.encoder import (
     FeatureMode,
     Model,
@@ -57,8 +56,7 @@ def test_injected_sign_bug_is_caught(monkeypatch):
 def test_buffer_zone_gives_zero_on_both_routes():
     vocab = build_vocab(["alpha beta gamma", "delta epsilon"])
     model = Model.initialize(vocab, dim=4, seed=8, label_range=(0.0, 3.0))
-    pair = SentencePair("alpha beta", "delta epsilon", score=0.0)
-    pairs = model.encode([pair])
+    pairs = model.encode(["alpha beta", "delta epsilon"])
     target = model.head_scores(*model.embed_pairs(pairs))[0] + 0.05  # in the buffer
     spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
 
@@ -80,7 +78,7 @@ def test_buffer_zone_gives_zero_on_both_routes():
 def test_nan_analytic_entry_is_reported(name):
     vocab = build_vocab(["alpha beta gamma", "delta epsilon"])
     model = Model.initialize(vocab, dim=4, seed=8, label_range=(0.0, 3.0))
-    pairs = model.encode([SentencePair("alpha beta", "delta epsilon", score=0.0)])
+    pairs = model.encode(["alpha beta", "delta epsilon"])
 
     def run(params=model.params, with_grads=True):
         return forward_backward(params, pairs.pooling, [1.0], model.feature_mode,
@@ -147,8 +145,8 @@ def test_memory_stays_near_the_chunk_budget():
     table = model.params.embeddings
     # unchunked: one +step and one -step copy of the whole table per entry
     assert 2 * table.size * table.nbytes > 40e6
-    pairs = model.encode([SentencePair(" ".join(words[i:i + 5]), words[i + 50], 0.0)
-                          for i in range(0, 40, 10)])
+    pairs = model.encode([text for i in range(0, 40, 10)
+                          for text in (" ".join(words[i:i + 5]), words[i + 50])])
     targets = [0.5, 1.0, 2.0, 2.5]
     spec = LossSpec(LossKind.MSE)
     value_fn = loss_fn(pairs, targets, model.feature_mode, spec)

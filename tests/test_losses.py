@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import central_difference, softmax_bruteforce
 from simreg import losses
-from simreg.data import SentencePair
 from simreg.encoder import Model, build_vocab, forward_backward
 from simreg.errors import InvalidInputError
 from simreg.labelmap import build_mapping
@@ -36,7 +35,7 @@ def mse_with_prediction(prediction, target, clamp_range=None):
                              label_range=(0.0, 3.0))
     model.params.head_weights[...] = 0.0
     model.params.head_bias = np.asarray(prediction)
-    pairs = model.encode([SentencePair("a man", "the dog", score=0.0)])
+    pairs = model.encode(["a man", "the dog"])
     value, grads = forward_backward(model.params, pairs.pooling, [target],
                                     model.feature_mode, LossSpec(LossKind.MSE),
                                     clamp_range)

@@ -13,7 +13,9 @@ OUTPUTS = {f"{config}/{name}" for config in ("demo", "two_stage")
            for name in ("checkpoint.json", "manifest.json", "mapping.json",
                         "eval/report.json", "eval/report.txt")}
 OUTPUTS |= {"demo/history.csv", "two_stage/history_stage1.csv",
-            "two_stage/history_stage2.csv"}
+            "two_stage/history_stage2.csv", "sweep/sweep.csv", "ablate/ablate.csv",
+            "cosine/report.json", "cosine/report.txt", "filter/filtered.tsv",
+            "filter/removed.jsonl"}
 
 
 def statuses(text):

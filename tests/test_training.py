@@ -22,7 +22,6 @@ from simreg.encoder import (
     forward_backward,
     head_loss,
     init_params,
-    pair_texts,
     tokenize_pairs,
 )
 from simreg.errors import InvalidInputError, TrainingError
@@ -266,7 +265,7 @@ class TestTrain:
         cfg = TrainConfig(batch_size=3, epochs=2, learning_rate=0.1, seed=4,
                           eval_every=2, max_tokens=3, optimizer="adam")
         # another dataset's texts come first, so every word id differs
-        shared = Corpus(pair_texts(other.pairs) + pair_texts(corpus.pairs))
+        shared = Corpus(other.texts + corpus.texts)
         alone = train(model, corpus, corpus, cfg, K2, stage)
         given = train(model, corpus, corpus, cfg, K2, stage, corpus=shared)
         assert given.history == alone.history
@@ -279,7 +278,7 @@ class TestTrain:
         with pytest.raises(InvalidInputError,
                            match="text not in the corpus: 'green frog leaps'"):
             train(model, corpus, dev, cfg, K2,
-                  corpus=Corpus(pair_texts(corpus.pairs)))
+                  corpus=Corpus(corpus.texts))
 
     def test_head_only_shares_the_input_table_read_only(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
@@ -432,6 +431,19 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="categorical targets"):
             train(model, corpus, corpus, cfg, LossSpec(LossKind.CROSS_ENTROPY))
 
+    def test_cross_entropy_names_the_first_pair_of_an_unknown_class(self):
+        # "c" is the first label in pair order that the mapping lacks, "b"
+        # the first in category order
+        pairs = [SentencePair(f"w{i}", f"v{i}", label=label)
+                 for i, label in enumerate(["a", "c", "b", "a"])]
+        ds = Dataset("d", pairs, categories=("a", "b", "c"))
+        mapping = build_mapping(("a", "z"), 0.0, 1.0)
+        model = Model.initialize(build_vocab(ds.texts), dim=4, seed=0, n_classes=2,
+                                 mapping=mapping)
+        cfg = TrainConfig(batch_size=2, epochs=1, learning_rate=0.05, seed=0)
+        with pytest.raises(InvalidInputError, match="unknown category: 'c'"):
+            train(model, ds, ds, cfg, LossSpec(LossKind.CROSS_ENTROPY))
+
     def test_contrastive_training_runs(self, corpus):
         vocab = build_vocab([s for p in corpus.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=8, seed=2, label_range=(0.0, 3.0))
@@ -514,7 +526,7 @@ def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, mode, optimiz
     # 35 batches: more than one planning window, the last one short
     dataset = make_ordinal_corpus(69, seed=3)
     mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
-    vocab = build_vocab(pair_texts(dataset.pairs))
+    vocab = build_vocab(dataset.texts)
     n_classes = 4 if kind is LossKind.CROSS_ENTROPY else None
     model = Model.initialize(vocab, dim=6, feature_mode=mode, seed=5, mapping=mapping,
                              n_classes=n_classes)
@@ -574,14 +586,14 @@ class TestTwoStage:
         nli = make_ordinal_corpus(60, seed=6, categories=("c", "n", "e"),
                                   shared_counts=(0, 5, 9))
         other = make_ordinal_corpus(30, seed=5)
-        vocab = build_vocab(pair_texts(corpus.pairs) + pair_texts(nli.pairs))
+        vocab = build_vocab(corpus.texts + nli.texts)
         model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21,
                           eval_every=3, max_tokens=4)
         joint = TrainConfig(batch_size=4, epochs=2, learning_rate=0.05, seed=21,
                             eval_every=2, max_tokens=3, optimizer="adam")
-        shared = Corpus(pair_texts(other.pairs) + pair_texts(nli.pairs)
-                        + pair_texts(corpus.pairs))
+        shared = Corpus(other.texts + nli.texts
+                        + corpus.texts)
         alone = two_stage_finetune(model, nli, corpus, corpus, cfg, joint)
         given = two_stage_finetune(model, nli, corpus, corpus, cfg, joint,
                                    corpus=shared)
@@ -592,7 +604,7 @@ class TestTwoStage:
     def test_one_vocabulary_lookup_per_run(self, corpus, monkeypatch):
         nli = make_ordinal_corpus(60, seed=6, categories=("c", "n", "e"),
                                   shared_counts=(0, 5, 9))
-        vocab = build_vocab(pair_texts(corpus.pairs) + pair_texts(nli.pairs))
+        vocab = build_vocab(corpus.texts + nli.texts)
         model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21)
         with monkeypatch.context() as patch:
