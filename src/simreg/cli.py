@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args leaves a parser as it was: build it once
 def build_parser() -> _Parser:
     parser = _Parser(prog="simreg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,10 +314,8 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     datasets = []
     for path in args.datasets:
-        with open(path, "rb") as fh:  # a missing file is an OSError: exit 2
-            raw = fh.read()
         # undecodable bytes are read as U+FFFD here and reported by dataset()
-        tsv = data_mod.split_tsv(raw, path)
+        tsv = data_mod.read_tsv(path)
         if _sniff_categorical(tsv, model.mapping):
             if model.mapping is None:
                 raise UsageError(

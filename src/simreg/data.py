@@ -253,11 +253,9 @@ def split_tsv(raw: bytes, path) -> TsvFile:
 
 
 def read_tsv(path) -> TsvFile:
-    """Read a TSV file and split it (see split_tsv)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"no such data file: {path}")
-    return split_tsv(path.read_bytes(), path)
+    """Read a TSV file and split it (see split_tsv).  A file that cannot be
+    read, missing or a directory, is the OSError of reading it."""
+    return split_tsv(Path(path).read_bytes(), path)
 
 
 def load_tsv(
@@ -268,18 +266,6 @@ def load_tsv(
 ) -> Dataset:
     """Read and parse a TSV corpus (see TsvFile.dataset)."""
     return read_tsv(path).dataset(name, score_range, categories)
-
-
-def parse_tsv(
-    raw: bytes,
-    path,
-    name: str | None = None,
-    score_range: tuple[float, float] = (0.0, 5.0),
-    categories: tuple[str, ...] | None = None,
-) -> Dataset:
-    """Parse the bytes of a TSV corpus read from path (see split_tsv and
-    TsvFile.dataset)."""
-    return split_tsv(raw, path).dataset(name, score_range, categories)
 
 
 def tsv_lines(text: str) -> list[str]:

@@ -91,19 +91,23 @@ class TwoStageResult:
 
 
 def _present(params, grads):
-    """(field name, parameter, gradient) of every parameter with a gradient,
-    after checking that each of those gradients has its expected shape: the
-    embedding gradient one row of the table's width per id in grads.rows."""
+    """(field name, parameter, gradient, at) of every parameter with a
+    gradient, where p[at] are the entries its gradient covers: grads.rows of
+    the table, the whole array (at ()) of a head parameter.  Every gradient
+    is checked first to have the shape of p[at], so a bad one changes
+    nothing."""
     updates = []
     for name in PARAM_NAMES:
         p, g = getattr(params, name), getattr(grads, name)
         if g is None:
             continue
-        expected = ((*np.shape(grads.rows), p.shape[1]) if name == "embeddings"
-                    else p.shape)
+        if name == "embeddings":
+            at, expected = grads.rows, (*np.shape(grads.rows), p.shape[1])
+        else:
+            at, expected = (), p.shape
         if g.shape != expected:
             raise InvalidInputError(f"{name} gradient shape {g.shape} != {expected}")
-        updates.append((name, p, g))
+        updates.append((name, p, g, at))
     return updates
 
 
@@ -112,10 +116,13 @@ class AdamOptimizer:
 
     A parameter's moments and scratch buffers are made at its first
     gradient, so a parameter that never gets one costs nothing.  The
-    moments cover the whole embedding table, so rows a batch does not touch
-    still move by their momentum.  Each step works in place in those
-    buffers, with the same floating-point operations in the same order as
-    the textbook formulas; t counts the optimizer's steps.
+    moments cover the whole parameter and decay everywhere, so table rows a
+    batch does not touch still move by their momentum; only the entries
+    the gradient covers take its terms, and no table-sized gradient is
+    built.  An uncovered entry's b1*m equals the textbook b1*m + (1-b1)*0,
+    as a moment starting at +0.0 never becomes -0.0, so each step gives
+    the textbook formulas' floating-point results, worked in place; t
+    counts the optimizer's steps.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -124,9 +131,6 @@ class AdamOptimizer:
         self.lr = learning_rate
         self.t = 0
         self.state = {}  # name -> (m, v, scratch, scratch)
-        # the dense embedding gradient, nonzero only on the rows of _rows
-        self._dense = None
-        self._rows = np.zeros(0, dtype=np.intp)
 
     def step(self, params, grads):
         updates = _present(params, grads)
@@ -136,26 +140,16 @@ class AdamOptimizer:
         c1, c2 = 1 - b1, 1 - b2
         bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         lr, eps = self.lr, self.EPS
-        for name, p, g in updates:
+        for name, p, g, at in updates:
             if name not in self.state:
                 self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
-                if name == "embeddings":
-                    self._dense = np.zeros_like(p)
-            if name == "embeddings":
-                g = self._dense
-                g[self._rows] = 0.0
-                g[grads.rows] = grads.embeddings
-                self._rows = grads.rows
             m, v, a, b = self.state[name]
             # m = b1 * m + (1 - b1) * g
             np.multiply(m, b1, out=m)
-            np.multiply(g, c1, out=a)
-            np.add(m, a, out=m)
+            m[at] += g * c1
             # v = b2 * v + (1 - b2) * g * g
             np.multiply(v, b2, out=v)
-            np.multiply(g, c2, out=a)
-            np.multiply(a, g, out=a)
-            np.add(v, a, out=v)
+            v[at] += g * c2 * g
             # p -= lr * m_hat / (sqrt(v_hat) + eps)
             np.divide(m, bias1, out=a)
             np.divide(v, bias2, out=b)
@@ -168,17 +162,16 @@ class AdamOptimizer:
 
 
 class SgdOptimizer:
+    """p <- p - lr*g on the entries each gradient covers (see _present);
+    every other entry, and every parameter without a gradient, is
+    untouched."""
+
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
 
     def step(self, params, grads):
-        """p <- p - lr*g for every parameter with a gradient; the others are
-        untouched.  Only the embedding rows in grads.rows are updated."""
-        for name, p, g in _present(params, grads):
-            if name == "embeddings":
-                p[grads.rows] -= self.lr * g
-            else:
-                p -= self.lr * g
+        for _, p, g, at in _present(params, grads):
+            p[at] -= self.lr * g
         return params
 
 

@@ -1,7 +1,9 @@
 import builtins
+import errno
 import io
 import json
 import math
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -666,6 +668,37 @@ class TestAblate:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_parser_is_built_once_and_keeps_no_parse(self):
+        assert cli.build_parser() is cli.build_parser()
+        rest = ["--test", "t.tsv", "--out", "out"]
+        first = cli.build_parser().parse_args(["filter-data", "--train", "a.tsv", *rest])
+        second = cli.build_parser().parse_args(["filter-data", "--sick-train", "b.tsv",
+                                                *rest])
+        assert first.train == ["a.tsv"] and second.train == []
+        assert second.sick_train == ["b.tsv"] and first.sick_train == []
+
+    @pytest.mark.parametrize("command", ["filter-data", "eval"])
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    def test_unreadable_data_file_exits_2_with_the_os_error(self, tmp_path, capsys,
+                                                            command, unreadable):
+        path = tmp_path / "corpus.tsv"
+        if unreadable == "directory":
+            path.mkdir()
+        if command == "eval":
+            ds = make_ordinal_corpus(20, seed=7)
+            save_checkpoint(Model.initialize(build_vocab(ds.texts), dim=4),
+                            tmp_path / "ck.json")
+            argv = ["eval", "--checkpoint", str(tmp_path / "ck.json"), str(path)]
+        else:
+            save_tsv(cont("q", [(1.0, "other", "thing")]), tmp_path / "test.tsv")
+            argv = ["filter-data", "--train", str(path), "--test",
+                    str(tmp_path / "test.tsv"), "--out", str(tmp_path / "out")]
+        code = errno.ENOENT if unreadable == "missing" else errno.EISDIR
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_flag(self, capsys):
         assert main(["train"]) == 1

@@ -14,11 +14,11 @@ from simreg.data import (
     dedup_filter,
     load_tsv,
     merge,
-    parse_tsv,
     positive_pairs_dataset,
     rescale_sick,
     rescale_sick_dataset,
     save_tsv,
+    split_tsv,
     write_removal_audit,
 )
 from simreg.errors import DataFormatError, InvalidInputError
@@ -90,7 +90,7 @@ class TestLoadSave:
             load_tsv(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(FileNotFoundError):
             load_tsv(tmp_path / "absent.tsv")
 
     def test_non_utf8_rejected(self, tmp_path):
@@ -192,6 +192,10 @@ def tsv_files(draw):
     return raw, reading
 
 
+def split_then_parse(raw, path, **reading):
+    return split_tsv(raw, path).dataset(**reading)
+
+
 def parsed(parse, raw, reading):
     """What parse makes of raw: the dataset's name, declarations and pairs
     (scores by repr, so -0.0 is told from 0.0), or its error message."""
@@ -216,12 +220,13 @@ class TestColumnParse:
     @example((b"\xff", {"categories": NLI_CATEGORIES}))
     def test_matches_the_per_line_reader(self, file):
         raw, reading = file
-        assert parsed(parse_tsv, raw, reading) == parsed(parse_tsv_per_line, raw, reading)
+        assert (parsed(split_then_parse, raw, reading)
+                == parsed(parse_tsv_per_line, raw, reading))
 
     def test_columns_are_read_only_and_typed(self):
-        scored = parse_tsv(b"4.1\ta\tb\n0_5\tc\td\n", "s.tsv")
-        labelled = parse_tsv(b"neutral\ta\tb\nentailment\tc\td\n", "l.tsv",
-                             categories=NLI_CATEGORIES)
+        scored = split_tsv(b"4.1\ta\tb\n0_5\tc\td\n", "s.tsv").dataset()
+        labelled = split_tsv(b"neutral\ta\tb\nentailment\tc\td\n", "l.tsv").dataset(
+            categories=NLI_CATEGORIES)
         assert scored.values.dtype == np.float64 and scored.values.tolist() == [4.1, 5.0]
         assert labelled.values.dtype == np.intp and labelled.values.tolist() == [1, 2]
         for ds in (scored, labelled):

@@ -134,6 +134,15 @@ class TestAdam:
         opt.step(params, grads)
         assert np.all(params.head_weights < before)
 
+    def test_joint_step_holds_only_the_moments_and_scratch_of_the_table(self,
+                                                                        model):
+        params = copy_params(model.params)
+        opt = AdamOptimizer(0.01)
+        opt.step(params, Gradients.zeros_like(params))
+        shapes = [a.shape for a in arrays_in(opt)]
+        # m, v and two scratch buffers: no table-sized gradient
+        assert shapes.count(params.embeddings.shape) == 4
+
 
 def assert_same_params(a, b):
     for name in encoder.PARAM_NAMES:
@@ -183,15 +192,17 @@ def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
     vocab = build_vocab([" ".join(WORDS)])
     params = init_params(len(vocab), int(rng.integers(2, 6)),
                          FeatureMode.UV_ABS_DIFF, seed, label_range=(0.0, 3.0))
-    expect = copy_params(params)
+    expect, start = copy_params(params), copy_params(params)
     names = [n for n in ("embeddings", "head_weights", "head_bias")
              if stage is Stage.JOINT or n != "embeddings"]
     if optimizer == "sgd":
         opt = SgdOptimizer(lr)
     else:
         opt, oracle = AdamOptimizer(lr), DenseAdam(expect, lr)
-    for _ in range(3):
-        grads = random_batch_grads(rng, params, vocab)
+    # long runs leave rows untouched for many steps before they come back;
+    # every gradient is taken at the start, so a large lr cannot diverge
+    for _ in range(int(rng.integers(1, 41))):
+        grads = random_batch_grads(rng, start, vocab)
         dense = densified(grads, len(vocab))
         if stage is Stage.HEAD_ONLY:  # the frozen stage computes no table gradient
             grads.embeddings = grads.rows = None
@@ -202,6 +213,28 @@ def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
             oracle.step(expect, dense, names)
     for name in ("embeddings", "head_weights", "head_bias"):
         assert getattr(params, name).tobytes() == getattr(expect, name).tobytes()
+
+
+def test_adam_on_a_row_untouched_for_long_runs_matches_dense_oracle():
+    vocab = build_vocab([" ".join(WORDS)])
+    params = init_params(len(vocab), 4, FeatureMode.UV_ABS_DIFF, 3,
+                         label_range=(0.0, 3.0))
+    expect = copy_params(params)
+    opt, oracle = AdamOptimizer(0.05), DenseAdam(expect, 0.05)
+    rng = np.random.default_rng(7)
+    rare, edge = 5, np.array([-0.0, 5e-324, -5e-324, 1e-300])
+    for step in range(1, 61):
+        rows = np.array([0, 2, rare] if step in (1, 30) else [0, 2])
+        embeddings = rng.normal(size=(len(rows), 4))
+        if step in (1, 30):
+            embeddings[-1] = edge if step == 1 else -edge
+        grads = Gradients(embeddings, rng.normal(size=params.head_weights.shape),
+                          np.asarray(edge[step % 4]), rows)
+        oracle.step(expect, densified(grads, len(vocab)), encoder.PARAM_NAMES)
+        opt.step(params, grads)
+    assert_same_params(params, expect)
+    moments = [a for m, v, _, _ in opt.state.values() for a in (m, v)]
+    assert not any(np.any((a == 0) & np.signbit(a)) for a in moments)
 
 
 class TestTrain:
