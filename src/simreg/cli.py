@@ -360,19 +360,38 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------- sweep
+# ----------------------------------------------------------- sweep and ablate
+
+def _compare(cfg: RunConfig, name: str, columns: tuple[str, ...],
+             points: list[tuple[tuple, RunConfig]]) -> None:
+    """Train each (cells, point_config) of points on cfg's data, loaded once,
+    then print and write `<name>.csv`: one row per point, its cells and then
+    its best dev Spearman, best first; ties keep the points' order.
+
+    A point's config is cfg with its loss or feature mode replaced, so every
+    point trains at cfg's seed and rows differ by their cells alone.
+    """
+    run = _load_run_data(cfg) if points else None
+    rows = [(*cells, _run_training(point_cfg, run)[1]) for cells, point_cfg in points]
+    rows.sort(key=lambda row: -row[-1])
+
+    header = (*columns, "dev_spearman")
+    shown = [header, *((*map(str, row[:-1]), f"{row[-1]:.4f}") for row in rows)]
+    for line in shown:
+        print("  ".join(f"{cell:>12}" for cell in line))
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    # str(float) is its repr: the CSV keeps every bit of each value
+    text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    data_mod.write_atomic(out / f"{name}.csv", text)
+    print(f"{name} table -> {out / f'{name}.csv'}")
+
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise UsageError(f"bad {flag} list: {text!r}") from exc
-
-
-def _reseeded(cfg: RunConfig, seed: int) -> RunConfig:
-    training = dataclasses.replace(cfg.training, seed=seed)
-    joint = dataclasses.replace(cfg.joint, seed=seed)
-    return dataclasses.replace(cfg, seed=seed, training=training, joint=joint)
 
 
 def cmd_sweep(args) -> int:
@@ -384,55 +403,24 @@ def cmd_sweep(args) -> int:
     if cfg.loss.kind not in (LossKind.TRANSLATED_RELU, LossKind.SMOOTH_K2):
         raise UsageError("sweep applies to the buffered losses (k and x0)")
 
-    jobs = []
-    for index, (k, x0) in enumerate((k, x0) for k in ks for x0 in x0s):
-        run_seed = cfg.seed + index
+    points = []
+    for k, x0 in ((k, x0) for k in ks for x0 in x0s):
         try:
             loss = LossSpec(cfg.loss.kind, k=k, x0=x0, d=cfg.loss.d)
             check_buffer_fits(loss, cfg.mapping, cfg.nli_mapping)
         except (InvalidInputError, ConfigError) as exc:
             print(f"warning: skipping k={k} x0={x0}: {exc}", file=sys.stderr)
             continue
-        jobs.append((k, x0, dataclasses.replace(_reseeded(cfg, run_seed), loss=loss)))
-
-    run = _load_run_data(cfg) if jobs else None
-    rows = [(k, x0, _run_training(point_cfg, run)[1]) for k, x0, point_cfg in jobs]
-    rows.sort(key=lambda r: (-r[2], r[0], r[1]))
-
-    print(f"{'k':>8}  {'x0':>8}  {'dev_spearman':>12}")
-    for k, x0, dev in rows:
-        print(f"{k:>8g}  {x0:>8g}  {dev:>12.4f}")
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["k,x0,dev_spearman\n"]
-    lines += [f"{k},{x0},{repr(dev)}\n" for k, x0, dev in rows]
-    data_mod.write_atomic(out / "sweep.csv", "".join(lines))
-    print(f"sweep table -> {out / 'sweep.csv'}")
+        points.append(((k, x0), dataclasses.replace(cfg, loss=loss)))
+    _compare(cfg, "sweep", ("k", "x0"), points)
     return 0
 
 
-# --------------------------------------------------------------------- ablate
-
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
-    modes = (FeatureMode.UV, FeatureMode.ABS_DIFF, FeatureMode.UV_ABS_DIFF)
-
-    run = _load_run_data(cfg)
-    rows = [
-        (mode, feature_dim(mode, cfg.dim),
-         _run_training(dataclasses.replace(cfg, feature_mode=mode), run)[1])
-        for mode in modes
-    ]
-
-    print(f"{'features':>12}  {'head_params':>11}  {'dev_spearman':>12}")
-    for mode, n_weights, dev in rows:
-        print(f"{mode.value:>12}  {n_weights:>11}  {dev:>12.4f}")
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["features,head_params,dev_spearman\n"]
-    lines += [f"{mode.value},{n},{repr(dev)}\n" for mode, n, dev in rows]
-    data_mod.write_atomic(out / "ablate.csv", "".join(lines))
-    print(f"ablation table -> {out / 'ablate.csv'}")
+    points = [((mode.value, feature_dim(mode, cfg.dim)),
+               dataclasses.replace(cfg, feature_mode=mode)) for mode in FeatureMode]
+    _compare(cfg, "ablate", ("features", "head_params"), points)
     return 0
 
 

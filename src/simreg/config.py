@@ -158,7 +158,7 @@ def _mapping(where: str, categories, start: float, interval: float) -> LabelMapp
 
 
 def _existing(name: str) -> Path:
-    if not Path(name).exists():
+    if not Path(name).is_file():
         raise ConfigError(f"data file not found: {name}")
     return Path(name)
 
@@ -182,12 +182,10 @@ def load_run_config(path, seed_override: int | None = None,
     variable, then the config file's out_dir.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     top = _section("", doc)

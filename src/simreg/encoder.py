@@ -795,11 +795,9 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         if doc["format"] != CHECKPOINT_FORMAT:

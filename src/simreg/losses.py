@@ -48,7 +48,7 @@ class LossSpec:
 
     k is the slope/curvature coefficient, x0 the buffer-zone threshold, d the
     interval between mapped label nodes (x0 may not exceed d/2), and tau the
-    temperature for the contrastive loss.
+    temperature for the contrastive loss. Every value given must be finite.
     """
 
     kind: LossKind
@@ -61,7 +61,10 @@ class LossSpec:
         for name in ("k", "x0", "d", "tau"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, float(value))
+                value = float(value)
+                if not math.isfinite(value):
+                    raise InvalidInputError(f"{name} must be finite, got {value}")
+                object.__setattr__(self, name, value)
         if self.k <= 0:
             raise InvalidInputError(f"k must be positive, got {self.k}")
         if self.d <= 0:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -625,17 +626,28 @@ class TestGradcheck:
 
 
 class TestSweep:
-    def test_single_point_equals_train(self, corpus_files, capsys):
-        tmp_path, config_path, _ = corpus_files
-        assert main(["train", "--config", str(config_path),
-                     "--out", str(tmp_path / "solo")]) == 0
-        manifest = json.loads((tmp_path / "solo" / "manifest.json").read_text())
-        assert main(["sweep", "--config", str(config_path), "--k", "2",
-                     "--x0", "0.25", "--out", str(tmp_path / "sweep1")]) == 0
-        rows = (tmp_path / "sweep1" / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 2  # header + one point
-        k, x0, dev = rows[1].split(",")
-        assert float(dev) == pytest.approx(manifest["best_dev_spearman"], abs=1e-12)
+    def test_single_point_equals_train(self, corpus_files):
+        """A one-point and a two-point grid: every row equals `simreg train`
+        of its point at the config's seed, bit for bit."""
+        tmp_path, config_path, config = corpus_files
+        point_path = tmp_path / "point.json"
+        for ks in ("2", "1,2"):
+            out = tmp_path / f"sweep-{ks}"
+            assert main(["sweep", "--config", str(config_path), "--k", ks,
+                         "--x0", "0.25", "--out", str(out)]) == 0
+            rows = (out / "sweep.csv").read_text().splitlines()[1:]
+            assert sorted(float(r.split(",")[0]) for r in rows) == [
+                float(k) for k in ks.split(",")]
+            for row in rows:
+                k, x0, dev = row.split(",")
+                loss = dict(config["loss"], k=float(k), x0=float(x0))
+                point_path.write_text(json.dumps(dict(config, loss=loss)))
+                solo = tmp_path / f"train-{ks}-{k}"
+                assert main(["train", "--config", str(point_path),
+                             "--out", str(solo)]) == 0
+                manifest = json.loads((solo / "manifest.json").read_text())
+                assert manifest["seed"] == config["seed"]
+                assert float(dev) == manifest["best_dev_spearman"]
 
     def test_grid_size(self, corpus_files):
         tmp_path, config_path, _ = corpus_files
@@ -653,6 +665,16 @@ class TestSweep:
         rows = (tmp_path / "sweepbad" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 1
 
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_is_skipped_with_warning(self, corpus_files, capsys, k):
+        tmp_path, config_path, _ = corpus_files
+        assert main(["sweep", "--config", str(config_path), "--k", f"{k},2",
+                     "--x0", "0.25", "--out", str(tmp_path / "sweepk")]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: skipping k={k} x0=0.25: k must be finite, got {k}\n")
+        rows = (tmp_path / "sweepk" / "sweep.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows] == [["k", "x0"], ["2.0", "0.25"]]
+
 
 class TestAblate:
     def test_three_rows_with_head_counts(self, corpus_files, capsys):
@@ -663,6 +685,37 @@ class TestAblate:
         assert len(rows) == 1 + 3
         counts = {r.split(",")[0]: int(r.split(",")[1]) for r in rows[1:]}
         assert counts == {"uv": 16, "absdiff": 8, "uv_absdiff": 24}  # dim=8
+
+    def test_each_mode_equals_train_best_first(self, corpus_files):
+        tmp_path, config_path, config = corpus_files
+        assert main(["ablate", "--config", str(config_path),
+                     "--out", str(tmp_path / "ablate")]) == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "ablate" / "ablate.csv").read_text().splitlines()[1:]]
+        devs = [float(dev) for _, _, dev in rows]
+        assert devs == sorted(devs, reverse=True)
+        for mode, _, dev in rows:
+            encoder_section = dict(config["encoder"], feature_mode=mode)
+            config_path.write_text(json.dumps(dict(config, encoder=encoder_section)))
+            assert main(["train", "--config", str(config_path),
+                         "--out", str(tmp_path / mode)]) == 0
+            manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
+            assert float(dev) == manifest["best_dev_spearman"]
+
+
+def test_compare_rows_best_first_ties_in_point_order(tmp_path, monkeypatch, capsys):
+    devs = {"c": 0.5, "b": 0.9, "a": 0.5, "d": 0.9, "e": 0.1 + 0.2}
+    monkeypatch.setattr(cli, "_load_run_data", lambda cfg: "run")
+    monkeypatch.setattr(cli, "_run_training",
+                        lambda point, run: (None, devs[point], {}))
+    cfg = types.SimpleNamespace(out_dir=tmp_path / "out")
+    cli._compare(cfg, "table", ("name", "n"), [((p, i), p) for i, p in enumerate(devs)])
+    assert (tmp_path / "out" / "table.csv").read_text() == (
+        "name,n,dev_spearman\n"
+        "b,1,0.9\nd,3,0.9\nc,0,0.5\na,2,0.5\ne,4,0.30000000000000004\n")
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "        name             n  dev_spearman",
+        "           b             1        0.9000"]
 
 
 class TestUsage:
@@ -699,6 +752,26 @@ class TestUsage:
         assert capsys.readouterr().err == (
             f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["config-not-utf8", "checkpoint-not-utf8",
+                                      "config-is-directory", "data-is-directory"])
+    def test_unreadable_config_or_checkpoint_exits_1(self, corpus_files, capsys, case):
+        tmp_path, config_path, config = corpus_files
+        not_utf8 = tmp_path / "bad.json"
+        not_utf8.write_bytes(b"\xff\xfe{}")
+        dev = config["data"]["dev"]
+        config["data"]["train"] = str(tmp_path)
+        config_path.write_text(json.dumps(config))
+        argv = {
+            "config-not-utf8": ["train", "--config", str(not_utf8)],
+            "checkpoint-not-utf8": ["eval", "--checkpoint", str(not_utf8), dev],
+            "config-is-directory": ["train", "--config", str(tmp_path)],
+            "data-is-directory": ["train", "--config", str(config_path)],
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_missing_required_flag(self, capsys):
         assert main(["train"]) == 1

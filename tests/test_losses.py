@@ -69,6 +69,13 @@ class TestLossSpec:
             LossSpec(LossKind.INFO_NCE, tau=0.0)
         assert LossSpec(LossKind.INFO_NCE, tau=0.05).tau == 0.05
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["k", "x0", "d", "tau"])
+    def test_rejects_non_finite_values(self, name, value):
+        kind = LossKind.INFO_NCE if name == "tau" else LossKind.SMOOTH_K2
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            LossSpec(kind, **{name: value})
+
     def test_x0_equal_to_half_interval_allowed(self):
         assert LossSpec(LossKind.SMOOTH_K2, x0=0.5, d=1.0).x0 == 0.5
 
