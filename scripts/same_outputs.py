@@ -30,8 +30,11 @@ and the same for configs/demo.json under out/demo, then
     simreg filter-data --train data/sts.tsv --sick-train data/sick.tsv \
         --test data/test.tsv --out out/filter
 
-It records the sha256 of every file under out/ and removes out/.  Both sides write to the same
-relative paths, one after the other, because manifest.json records out_dir.
+and last writes out/gradcheck.txt: the repr of each (label, max_rel_error,
+n_params) of run_gradient_checks(seeds=range(4)), one a line, so the
+gradient check is compared bit for bit too.  It records the sha256 of every
+file under out/ and removes out/.  Both sides write to the same relative
+paths, one after the other, because manifest.json records out_dir.
 Each file is printed as "same", "DIFFERS" or "only in PARENT/CHANGE", with
 its sha256.  Exits 0 when every file is the same, 1 when any is not, and 2
 when a command fails.
@@ -80,11 +83,15 @@ save_tsv(Dataset("test", test, score_range=(0.0, 5.0)), "data/test.tsv")
 
 RUN_COMMANDS = """
 import json, sys
+from pathlib import Path
 from simreg.cli import main
+from simreg.gradcheck import run_gradient_checks
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
     if code:
         sys.exit(f"simreg {' '.join(argv)} exited with {code}")
+rows = [(r.label, r.max_rel_error, r.n_params) for r in run_gradient_checks(range(4))]
+Path("out/gradcheck.txt").write_text("".join(f"{row!r}\\n" for row in rows))
 """
 
 

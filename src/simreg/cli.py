@@ -371,7 +371,7 @@ def _compare(cfg: RunConfig, name: str, columns: tuple[str, ...],
     A point's config is cfg with its loss or feature mode replaced, so every
     point trains at cfg's seed and rows differ by their cells alone.
     """
-    run = _load_run_data(cfg) if points else None
+    run = _load_run_data(cfg)
     rows = [(*cells, _run_training(point_cfg, run)[1]) for cells, point_cfg in points]
     rows.sort(key=lambda row: -row[-1])
 
@@ -412,6 +412,8 @@ def cmd_sweep(args) -> int:
             print(f"warning: skipping k={k} x0={x0}: {exc}", file=sys.stderr)
             continue
         points.append(((k, x0), dataclasses.replace(cfg, loss=loss)))
+    if not points:
+        raise UsageError("every sweep point was skipped; nothing to train")
     _compare(cfg, "sweep", ("k", "x0"), points)
     return 0
 

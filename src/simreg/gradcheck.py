@@ -3,16 +3,17 @@
 Builds small random models and compares the hand-derived backward pass
 against central differences over every entry of every parameter array, the
 embedding rows of tokens absent from the batch included, for every loss kind
-and feature mode.  Sampled configurations are redrawn when the forward pass
-lands too close to a non-smooth point (the loss knot at x0, the kink of
-|u - v| at equal coordinates, the kink of the absolute error at zero), where
-comparing slopes is meaningless.
+and feature mode.  A configuration's sentences are drawn straight as token
+ids over a vocabulary of its words.  Sampled configurations are redrawn when
+the forward pass lands too close to a non-smooth point (the loss knot at x0,
+the kink of |u - v| at equal coordinates, the kink of the absolute error at
+zero), where comparing slopes is meaningless.
 
-The central differences run on the batched core's parameter-stack axis: all
-+step and -step copies of one parameter array go through one value-only
-forward pass, in chunks of at most FD_CHUNK_BYTES of perturbed copies, so
-memory stays bounded however large the table.  The caller's parameters are
-never written.
+The central differences run on the batched core's parameter-stack axis: the
+three parameter arrays are laid out as one flat vector, and all +step and
+-step copies of its entries go through one value-only forward pass, in
+chunks of at most FD_CHUNK_BYTES of perturbed copies, so memory stays
+bounded however large the table.  The caller's parameters are never written.
 """
 
 from __future__ import annotations
@@ -22,17 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
+    OOV_TOKEN,
+    PAD_TOKEN,
     PARAM_NAMES,
     FeatureMode,
     Gradients,
     ModelParams,
-    build_vocab,
+    PairTokens,
+    Vocabulary,
     features,
     forward_backward,
     head,
     init_params,
     pool,
-    tokenize_pairs,
 )
 from .errors import InvalidInputError, TrainingError
 from .losses import LossKind, LossSpec
@@ -65,41 +68,34 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
     with steps of DEFAULT_STEP.
 
     value_fn takes ModelParams stacked along one leading axis of P copies and
-    returns their P loss values.  Each call gets the perturbed copies of a
-    run of entries of one parameter array (_perturbed_copies), at most
-    FD_CHUNK_BYTES of them.
+    returns their P loss values.  The three arrays are laid out as one flat
+    vector; each call gets the +step copies, then the -step copies, of a run
+    of its entries, at most FD_CHUNK_BYTES of them, split back into the three
+    arrays as views.
     """
-    fd = Gradients.zeros_like(params)
-    for name in PARAM_NAMES:
-        arr = getattr(params, name)
-        out = getattr(fd, name).reshape(-1)  # a view: fd is contiguous
-        per_call = max(1, FD_CHUNK_BYTES // (2 * arr.nbytes))
-        for lo in range(0, arr.size, per_call):
-            entries = np.arange(lo, min(lo + per_call, arr.size))
-            values = value_fn(_perturbed_copies(params, name, entries))
-            up, down = np.reshape(values, (2, len(entries)))
-            out[entries] = (up - down) / (2.0 * DEFAULT_STEP)
-    return fd
+    arrays = [getattr(params, name) for name in PARAM_NAMES]
+    flat = np.concatenate([arr.reshape(-1) for arr in arrays])
+    bounds = np.cumsum([0] + [arr.size for arr in arrays])
 
+    def split(vectors):
+        """The three arrays' views of flat vectors along the last axis."""
+        return [vectors[..., a:b].reshape(vectors.shape[:-1] + arr.shape)
+                for a, b, arr in zip(bounds, bounds[1:], arrays)]
 
-def _perturbed_copies(params: ModelParams, name: str,
-                      entries: np.ndarray) -> ModelParams:
-    """2k stacked copies of params for k flat entries of the named array.
-
-    Copy i holds entries[i] moved up by DEFAULT_STEP and copy k + i the same
-    entry moved down; the other two arrays are read-only broadcast views.
-    """
-    k = len(entries)
-    arrays = {}
-    for other in PARAM_NAMES:
-        arr = getattr(params, other)
-        arrays[other] = np.broadcast_to(arr, (2 * k,) + arr.shape)
-    arr = getattr(params, name)
-    stack = np.repeat(arr.reshape(1, -1), 2 * k, axis=0)
-    stack[np.arange(k), entries] += DEFAULT_STEP
-    stack[np.arange(k, 2 * k), entries] -= DEFAULT_STEP
-    arrays[name] = stack.reshape((2 * k,) + arr.shape)
-    return ModelParams(**arrays)
+    fd = np.empty_like(flat)
+    per_call = max(1, FD_CHUNK_BYTES // (2 * flat.nbytes))
+    for lo in range(0, flat.size, per_call):
+        entries = np.arange(lo, min(lo + per_call, flat.size))
+        k = len(entries)
+        stack = np.repeat(flat.reshape(1, -1), 2 * k, axis=0)
+        stack[np.arange(k), entries] += DEFAULT_STEP
+        stack[np.arange(k, 2 * k), entries] -= DEFAULT_STEP
+        stacked = ModelParams(*split(stack))
+        values = value_fn(stacked)
+        del stack, stacked  # free this chunk before the next is built
+        up, down = np.reshape(values, (2, k))
+        fd[entries] = (up - down) / (2.0 * DEFAULT_STEP)
+    return Gradients(*split(fd), rows=np.arange(params.vocab_size))
 
 
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
@@ -119,10 +115,12 @@ def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
     return float(np.max(errors))
 
 
-def _random_sentences(rng, words, batch):
-    """A random batch of pairs, sentences alternately left and right."""
-    return [" ".join(rng.choice(words, size=int(rng.integers(1, 6))))
-            for _ in range(2 * batch)]
+def _random_tokens(rng, word_ids, batch):
+    """A random batch of pairs, sentences alternately left and right, of one
+    to five words each."""
+    picks = [word_ids[rng.choice(len(word_ids), size=int(rng.integers(1, 6)))]
+             for _ in range(2 * batch)]
+    return PairTokens(np.concatenate(picks), np.array([len(p) for p in picks]))
 
 
 def _too_close_to_kink(params, pairs, targets, mode, spec):
@@ -169,19 +167,20 @@ def draw_configuration(seed: int, kind: LossKind, mode: FeatureMode,
     n_words = int(rng.integers(5, vocab_max - 1))
     batch = int(rng.integers(2, batch_max + 1))
     words = [f"w{i}" for i in range(n_words)]
-    vocab = build_vocab([" ".join(words)])
+    # what build_vocab gives these words: each counts once, ties alphabetical
+    vocab = Vocabulary((PAD_TOKEN, OOV_TOKEN, *sorted(words)))
+    word_ids = vocab.lookup(words)
     n_classes = int(rng.integers(3, 6)) if kind is LossKind.CROSS_ENTROPY else None
     params = init_params(len(vocab), dim, mode, int(rng.integers(0, 2**31)),
                          label_range=(0.0, 3.0), n_classes=n_classes)
     spec = _random_spec(rng, kind)
 
     for _ in range(200):
-        texts = _random_sentences(rng, words, batch)
+        tokens = _random_tokens(rng, word_ids, batch)
         if kind is LossKind.CROSS_ENTROPY:
             targets = rng.integers(0, n_classes, size=batch)
         else:
             targets = rng.uniform(0.0, 3.0, size=batch)
-        tokens = tokenize_pairs(texts, vocab)
         if not _too_close_to_kink(params, tokens, targets, mode, spec):
             break
     else:

@@ -12,9 +12,11 @@ comparison, the model's forward/backward pass from scalar loss closed forms
 applied one pair and one token at a time, the head and loss of pooled pairs
 as one function of u and v that builds its own features and returns their
 gradient (head_forward_backward), finite differences one parameter
-entry and two forward passes at a time, the optimizers as updates of whole
-dense arrays, and the synthetic corpus from a set difference over the whole
-vocabulary per pair.  copy_params gives tests that mutate parameters their own copy.
+entry and two forward passes at a time, the gradient check's configurations
+drawn as text and tokenized (draw_configuration_via_text), the optimizers
+as updates of whole dense arrays, and the synthetic corpus from a set
+difference over the whole vocabulary per pair.  copy_params gives tests that
+mutate parameters their own copy.
 """
 
 from __future__ import annotations
@@ -28,8 +30,17 @@ import numpy as np
 
 from simreg import losses
 from simreg.data import Dataset, SentencePair
-from simreg.encoder import Gradients, PairTokens, features, head
-from simreg.errors import DataFormatError
+from simreg.encoder import (
+    Gradients,
+    PairTokens,
+    build_vocab,
+    features,
+    head,
+    init_params,
+    tokenize_pairs,
+)
+from simreg.errors import DataFormatError, TrainingError
+from simreg.gradcheck import ALL_KINDS, ALL_MODES, _random_spec, _too_close_to_kink
 from simreg.losses import LossKind
 
 
@@ -328,6 +339,34 @@ def finite_difference_per_entry(value_fn, params, step):
             out[ix] = (up - down) / (2.0 * step)
         fd.append(out)
     return fd
+
+
+def draw_configuration_via_text(seed, kind, mode, dim_max=8, vocab_max=30,
+                                batch_max=4):
+    """gradcheck.draw_configuration's draws made as text: each attempt's
+    sentences drawn as words, joined into strings and tokenized against
+    build_vocab of the configuration's words."""
+    rng = np.random.default_rng([seed, ALL_KINDS.index(kind), ALL_MODES.index(mode)])
+    dim = int(rng.integers(2, dim_max + 1))
+    n_words = int(rng.integers(5, vocab_max - 1))
+    batch = int(rng.integers(2, batch_max + 1))
+    words = [f"w{i}" for i in range(n_words)]
+    vocab = build_vocab([" ".join(words)])
+    n_classes = int(rng.integers(3, 6)) if kind is LossKind.CROSS_ENTROPY else None
+    params = init_params(len(vocab), dim, mode, int(rng.integers(0, 2**31)),
+                         label_range=(0.0, 3.0), n_classes=n_classes)
+    spec = _random_spec(rng, kind)
+    for _ in range(200):
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+                 for _ in range(2 * batch)]
+        if kind is LossKind.CROSS_ENTROPY:
+            targets = rng.integers(0, n_classes, size=batch)
+        else:
+            targets = rng.uniform(0.0, 3.0, size=batch)
+        tokens = tokenize_pairs(texts, vocab)
+        if not _too_close_to_kink(params, tokens, targets, mode, spec):
+            return params, tokens, targets, spec
+    raise TrainingError("could not sample a configuration away from kinks")
 
 
 def sgd_step_dense(params, grads, lr, names):

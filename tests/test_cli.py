@@ -665,6 +665,16 @@ class TestSweep:
         rows = (tmp_path / "sweepbad" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 1
 
+    def test_every_point_skipped_is_an_error(self, corpus_files, capsys):
+        tmp_path, config_path, _ = corpus_files
+        out = tmp_path / "sweepnone"
+        assert main(["sweep", "--config", str(config_path), "--k", "2",
+                     "--x0", "0.75", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: every sweep point was skipped; nothing to train"]
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("k", ["nan", "inf"])
     def test_non_finite_k_is_skipped_with_warning(self, corpus_files, capsys, k):
         tmp_path, config_path, _ = corpus_files

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import simreg.encoder as encoder
-from oracles import finite_difference_per_entry
+import simreg.gradcheck as gradcheck
+from oracles import draw_configuration_via_text, finite_difference_per_entry
 from simreg.encoder import (
     FeatureMode,
     Model,
@@ -112,6 +113,49 @@ def test_stacked_differences_match_per_entry_oracle(seed):
                                            err_msg=f"{kind.value} {mode.value}")
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_token_draws_equal_text_draws(seed):
+    for kind in ALL_KINDS:
+        for mode in ALL_MODES:
+            params, tokens, targets, spec = draw_configuration(seed, kind, mode)
+            want_params, want_tokens, want_targets, want_spec = (
+                draw_configuration_via_text(seed, kind, mode))
+            assert snapshot(params) == snapshot(want_params)
+            for got, want in ((tokens.ids, want_tokens.ids),
+                              (tokens.lengths, want_tokens.lengths),
+                              (targets, want_targets)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert spec == want_spec
+
+
+@pytest.mark.parametrize("kind", [LossKind.SMOOTH_K2, LossKind.CROSS_ENTROPY])
+def test_chunks_straddling_arrays_match_per_entry_oracle(monkeypatch, kind):
+    params, tokens, targets, spec = draw_configuration(1, kind, FeatureMode.UV_ABS_DIFF)
+    n_embed = params.embeddings.size
+    n = n_embed + params.head_weights.size + params.head_bias.size
+    # entries per chunk such that one chunk holds the last embedding entries
+    # and the first head-weight entries, and the last chunk a single entry
+    per_call = next(k for k in range(2, n) if n_embed % k and n % k == 1)
+    # a copy of all n float64 entries is 8 * n bytes
+    monkeypatch.setattr(gradcheck, "FD_CHUNK_BYTES", 2 * 8 * n * per_call)
+    value_fn = loss_fn(tokens, targets, FeatureMode.UV_ABS_DIFF, spec)
+    calls = []
+
+    def counting(stacked):
+        calls.append(stacked.stack_shape[0] // 2)
+        return value_fn(stacked)
+
+    before = snapshot(params)
+    fd = finite_difference_grads(counting, params)
+    assert snapshot(params) == before
+    assert calls == [per_call] * (n // per_call) + [1]
+    expected = finite_difference_per_entry(value_fn, params, DEFAULT_STEP)
+    for got, want in zip((fd.embeddings, fd.head_weights, fd.head_bias), expected,
+                         strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 def snapshot(params):
     return [a.tobytes() for a in (params.embeddings, params.head_weights,
                                   params.head_bias)]
@@ -174,10 +218,10 @@ def test_one_pooling_matrix_per_configuration(monkeypatch):
     cached = run_gradient_checks(seeds=[0])
     assert len(built) == len(cached)
     # rebuilt on every forward_backward call, as without the cached property:
-    # the analytic pass and one stacked pass per parameter array
+    # the analytic pass and one stacked pass over all three parameter arrays
     built.clear()
     monkeypatch.setattr(encoder.PairTokens, "pooling",
                         property(encoder.PairTokens.pooling.func))
     rebuilt = run_gradient_checks(seeds=[0])
-    assert len(built) == 4 * len(rebuilt)
+    assert len(built) == 2 * len(rebuilt)
     assert cached == rebuilt

@@ -15,7 +15,7 @@ OUTPUTS = {f"{config}/{name}" for config in ("demo", "two_stage")
 OUTPUTS |= {"demo/history.csv", "two_stage/history_stage1.csv",
             "two_stage/history_stage2.csv", "sweep/sweep.csv", "ablate/ablate.csv",
             "cosine/report.json", "cosine/report.txt", "filter/filtered.tsv",
-            "filter/removed.jsonl"}
+            "filter/removed.jsonl", "gradcheck.txt"}
 
 
 def statuses(text):
