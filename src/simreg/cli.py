@@ -1,5 +1,8 @@
 """Command-line surface: filter-data, train, eval, gradcheck, sweep, ablate.
 
+Each run of a config goes through training.load_run_data and training.run;
+this module parses arguments, prints and writes the output files.
+
 Exit codes: 0 on success, 1 for validation problems (bad config, bad data,
 failed gradient check), 2 for runtime failures.
 """
@@ -12,26 +15,16 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import data as data_mod
+from . import training
 from .config import RunConfig, check_buffer_fits, load_run_config
-from .encoder import (
-    Corpus,
-    FeatureMode,
-    Model,
-    Vocabulary,
-    build_vocab,
-    feature_dim,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .encoder import FeatureMode, Model, feature_dim, load_checkpoint, save_checkpoint
 from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
 from .evaluation import evaluate
 from .gradcheck import DEFAULT_TOLERANCE, run_gradient_checks
 from .losses import LossKind, LossSpec
-from .training import Stage, train, two_stage_finetune, write_history_csv
 
 
 class UsageError(Exception):
@@ -128,17 +121,13 @@ def cmd_filter_data(args) -> int:
     filtered_parts = []
     removed_all = []
     total_in = 0
-    for path in args.train:
-        ds = data_mod.load_tsv(path)
+    # SICK files score on [1, 5] and are rescaled to [0, 5] once filtered
+    for path, sick in [*((p, False) for p in args.train),
+                       *((p, True) for p in args.sick_train)]:
+        ds = data_mod.load_tsv(path, score_range=(1.0 if sick else 0.0, 5.0))
         total_in += len(ds)
         kept, removed = data_mod.dedup_filter(ds, tests)
-        filtered_parts.append(kept)
-        removed_all.extend(removed)
-    for path in args.sick_train:
-        ds = data_mod.load_tsv(path, score_range=(1.0, 5.0))
-        total_in += len(ds)
-        kept, removed = data_mod.dedup_filter(ds, tests)
-        filtered_parts.append(data_mod.rescale_sick_dataset(kept))
+        filtered_parts.append(data_mod.rescale_sick_dataset(kept) if sick else kept)
         removed_all.extend(removed)
     merged = data_mod.merge(filtered_parts)
 
@@ -155,96 +144,6 @@ def cmd_filter_data(args) -> int:
 
 
 # ---------------------------------------------------------------------- train
-
-@dataclass(frozen=True)
-class _RunData:
-    """What every run of one command shares: its parsed datasets, the
-    vocabulary and one Corpus of their texts.  Loss, feature mode and seed
-    change none of them."""
-
-    train: data_mod.Dataset
-    dev: data_mod.Dataset
-    nli: data_mod.Dataset | None
-    vocab: Vocabulary
-    corpus: Corpus
-
-
-def _load_run_data(cfg: RunConfig) -> _RunData:
-    """Read and split each distinct file of the run once, check it as each
-    of its roles reads it, and split every distinct text once.
-
-    The vocabulary is that of the train and stage-1 files; a file named in
-    both counts once, which leaves the vocabulary as it would be counted
-    twice (every count doubled, the order unchanged).
-    """
-    files = {}
-
-    def dataset(path, **reading):
-        key = path.resolve()
-        if key not in files:
-            files[key] = data_mod.read_tsv(path)
-        return key, files[key].dataset(**reading)
-
-    categories = cfg.mapping.categories if cfg.mapping is not None else None
-    train_file, train = dataset(cfg.train_path, score_range=cfg.score_range,
-                                categories=categories)
-    dev_file, dev = dataset(cfg.dev_path, score_range=cfg.score_range,
-                            categories=categories)
-    sources = {train_file: train}
-    nli = None
-    if cfg.nli_path is not None:
-        nli_file, nli = dataset(cfg.nli_path, categories=cfg.nli_mapping.categories)
-        sources.setdefault(nli_file, nli)
-    vocab_texts = [text for ds in sources.values() for text in ds.texts]
-    sources.setdefault(dev_file, dev)
-    corpus = Corpus(text for ds in sources.values() for text in ds.texts)
-    return _RunData(train, dev, nli, build_vocab(vocab_texts, corpus), corpus)
-
-
-def _build_model(cfg: RunConfig, vocab) -> Model:
-    n_classes = None
-    if cfg.loss.kind is LossKind.CROSS_ENTROPY:
-        if cfg.mapping is None:
-            raise UsageError("cross-entropy training needs data.categories")
-        n_classes = len(cfg.mapping.categories)
-    return Model.initialize(
-        vocab,
-        dim=cfg.dim,
-        feature_mode=cfg.feature_mode,
-        seed=cfg.seed,
-        label_range=cfg.score_range,  # a mapping, when given, sets the range
-        mapping=cfg.mapping,
-        n_classes=n_classes,
-    )
-
-
-def _run_training(cfg: RunConfig, run: _RunData):
-    """Train on the command's loaded data under this point's config.
-
-    Returns (best_model, best_dev, {history_name: history}).
-    """
-    if cfg.stages == "two_stage":
-        result = two_stage_finetune(
-            _build_model(cfg, run.vocab), run.nli, run.train, run.dev, cfg.training,
-            joint_config=cfg.joint, loss_spec=cfg.loss, nli_mapping=cfg.nli_mapping,
-            corpus=run.corpus,
-        )
-        histories = {
-            "history_stage1": result.stage1.history,
-            "history_stage2": result.stage2.history,
-        }
-        return result.best_model, result.stage2.best_dev, histories
-    train_set = run.train
-    if cfg.loss.kind is LossKind.INFO_NCE:
-        train_set = data_mod.positive_pairs_dataset(run.train, cfg.positive_threshold)
-        print(
-            f"contrastive positives: kept {len(train_set)} of {len(run.train)} pairs "
-            f"at threshold {cfg.positive_threshold}"
-        )
-    result = train(_build_model(cfg, run.vocab), train_set, run.dev, cfg.training,
-                   cfg.loss, Stage.JOINT, cfg.mapping, run.corpus)
-    return result.best_model, result.best_dev, {"history": result.history}
-
 
 def _manifest(cfg: RunConfig, model: Model, best_dev: float) -> dict:
     return {
@@ -269,13 +168,17 @@ def _manifest(cfg: RunConfig, model: Model, best_dev: float) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
-    best_model, best_dev, histories = _run_training(cfg, _load_run_data(cfg))
+    data = training.load_run_data(cfg)
+    if data.positives is not None:
+        print(f"contrastive positives: kept {len(data.positives)} of {len(data.train)} "
+              f"pairs at threshold {cfg.positive_threshold}")
+    best_model, best_dev, histories = training.run(cfg, data)
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(best_model, out / "checkpoint.json")
     for name, history in histories.items():
-        write_history_csv(history, out / f"{name}.csv")
+        training.write_history_csv(history, out / f"{name}.csv")
     if best_model.mapping is not None:
         data_mod.write_atomic(
             out / "mapping.json",
@@ -371,8 +274,8 @@ def _compare(cfg: RunConfig, name: str, columns: tuple[str, ...],
     A point's config is cfg with its loss or feature mode replaced, so every
     point trains at cfg's seed and rows differ by their cells alone.
     """
-    run = _load_run_data(cfg)
-    rows = [(*cells, _run_training(point_cfg, run)[1]) for cells, point_cfg in points]
+    data = training.load_run_data(cfg)
+    rows = [(*cells, training.run(point_cfg, data)[1]) for cells, point_cfg in points]
     rows.sort(key=lambda row: -row[-1])
 
     header = (*columns, "dev_spearman")
@@ -420,6 +323,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
+    if cfg.loss.kind is LossKind.INFO_NCE:
+        raise UsageError("ablate compares feature modes, but loss.kind info_nce "
+                         "reads [u | v] in every mode")
     points = [((mode.value, feature_dim(mode, cfg.dim)),
                dataclasses.replace(cfg, feature_mode=mode)) for mode in FeatureMode]
     _compare(cfg, "ablate", ("features", "head_params"), points)

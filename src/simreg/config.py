@@ -210,6 +210,11 @@ def load_run_config(path, seed_override: int | None = None,
     if data["categories"] is not None:
         mapping = _mapping("data.categories", data["categories"],
                            data["mapping_start"], data["mapping_interval"])
+    if loss.kind is LossKind.CROSS_ENTROPY and mapping is None:
+        raise ConfigError("loss.kind cross_entropy needs data.categories")
+    if loss.kind is LossKind.INFO_NCE and mapping is not None:
+        raise ConfigError("loss.kind info_nce needs continuous scores, "
+                          "but data.categories is set")
     score_range = data["score_range"]
     if len(score_range) != 2 or score_range[0] >= score_range[1]:
         raise ConfigError(f"invalid data.score_range: {list(score_range)}")

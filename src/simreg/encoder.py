@@ -423,16 +423,6 @@ class Gradients:
     head_bias: np.ndarray
     rows: np.ndarray | None
 
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "Gradients":
-        """Zero gradients covering the whole embedding table."""
-        return cls(
-            np.zeros_like(params.embeddings),
-            np.zeros_like(params.head_weights),
-            np.zeros_like(params.head_bias),
-            np.arange(params.vocab_size),
-        )
-
     def dense_embeddings(self, vocab_size: int) -> np.ndarray:
         """The (vocab_size, dim) embedding gradient, zero on untouched rows."""
         dense = np.zeros((vocab_size, self.embeddings.shape[1]))

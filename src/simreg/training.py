@@ -15,22 +15,28 @@ only those, and the frozen table is shared read-only, never copied.  Every
 dataset's tokens are derived inside train from the dataset itself, so
 tokens and labels cannot come from different datasets.  Given a seed, the
 whole procedure is deterministic.
+
+A validated run configuration runs through load_run_data, which reads its
+files once, and run, which trains its model, one stage or two, on them.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, write_atomic
+from .data import Dataset, positive_pairs_dataset, read_tsv, write_atomic
 from .encoder import (
     PARAM_NAMES,
     Corpus,
     Model,
     ModelParams,
+    Vocabulary,
+    build_vocab,
     features,
     forward_backward,
     head_loss,
@@ -41,6 +47,9 @@ from .errors import InvalidInputError, TrainingError
 from .evaluation import golds, predictions_for, spearman
 from .labelmap import LabelMapping, build_mapping
 from .losses import LossKind, LossSpec
+
+if typing.TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 
 @dataclass(frozen=True)
@@ -380,6 +389,84 @@ def two_stage_finetune(
         Stage.JOINT, corpus=corpus,
     )
     return TwoStageResult(stage2.best_model, stage1, stage2)
+
+
+@dataclass(frozen=True)
+class RunData:
+    """What every run of one command shares: its parsed datasets, the
+    vocabulary and one Corpus of their texts.  Feature mode, seed and a
+    loss's hyperparameters change none of them.  positives, the train pairs
+    scoring at least data.positive_threshold, is set for an InfoNCE config,
+    which trains on it."""
+
+    train: Dataset
+    dev: Dataset
+    nli: Dataset | None
+    positives: Dataset | None
+    vocab: Vocabulary
+    corpus: Corpus
+
+
+def load_run_data(cfg: RunConfig) -> RunData:
+    """Read and split each distinct file of the run once, check it as each
+    of its roles reads it, and split every distinct text once.
+
+    The vocabulary is that of the train and stage-1 files; a file named in
+    both counts once, which leaves the vocabulary as it would be counted
+    twice (every count doubled, the order unchanged).
+    """
+    files = {}
+
+    def dataset(path, **reading):
+        key = path.resolve()
+        if key not in files:
+            files[key] = read_tsv(path)
+        return key, files[key].dataset(**reading)
+
+    categories = cfg.mapping.categories if cfg.mapping is not None else None
+    train_file, train_set = dataset(cfg.train_path, score_range=cfg.score_range,
+                                    categories=categories)
+    dev_file, dev_set = dataset(cfg.dev_path, score_range=cfg.score_range,
+                                categories=categories)
+    sources = {train_file: train_set}
+    nli = None
+    if cfg.nli_path is not None:
+        nli_file, nli = dataset(cfg.nli_path, categories=cfg.nli_mapping.categories)
+        sources.setdefault(nli_file, nli)
+    vocab_texts = [text for ds in sources.values() for text in ds.texts]
+    sources.setdefault(dev_file, dev_set)
+    corpus = Corpus(text for ds in sources.values() for text in ds.texts)
+    positives = None
+    if cfg.loss.kind is LossKind.INFO_NCE:
+        positives = positive_pairs_dataset(train_set, cfg.positive_threshold)
+    return RunData(train_set, dev_set, nli, positives,
+                   build_vocab(vocab_texts, corpus), corpus)
+
+
+def run(cfg: RunConfig, data: RunData):
+    """Train cfg's model on data, the one or two stages cfg names.
+
+    Returns (best_model, best_dev, {history_name: history}).
+    """
+    n_classes = None
+    if cfg.loss.kind is LossKind.CROSS_ENTROPY:  # the config gives it a mapping
+        n_classes = len(cfg.mapping.categories)
+    # a mapping, when given, sets the label range
+    model = Model.initialize(data.vocab, cfg.dim, cfg.feature_mode, cfg.seed,
+                             cfg.score_range, cfg.mapping, n_classes)
+    if cfg.stages == "two_stage":
+        result = two_stage_finetune(
+            model, data.nli, data.train, data.dev, cfg.training,
+            joint_config=cfg.joint, loss_spec=cfg.loss, nli_mapping=cfg.nli_mapping,
+            corpus=data.corpus,
+        )
+        histories = {"history_stage1": result.stage1.history,
+                     "history_stage2": result.stage2.history}
+        return result.best_model, result.stage2.best_dev, histories
+    train_set = data.train if data.positives is None else data.positives
+    result = train(model, train_set, data.dev, cfg.training, cfg.loss, Stage.JOINT,
+                   cfg.mapping, data.corpus)
+    return result.best_model, result.best_dev, {"history": result.history}
 
 
 def write_history_csv(history, path) -> None:

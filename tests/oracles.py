@@ -16,7 +16,8 @@ entry and two forward passes at a time, the gradient check's configurations
 drawn as text and tokenized (draw_configuration_via_text), the optimizers
 as updates of whole dense arrays, and the synthetic corpus from a set
 difference over the whole vocabulary per pair.  copy_params gives tests that
-mutate parameters their own copy.
+mutate parameters their own copy, and zero_gradients a zero gradient of
+every parameter entry for the optimizers to step on.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ def copy_params(params):
     return dataclasses.replace(params, embeddings=params.embeddings.copy(),
                                head_weights=params.head_weights.copy(),
                                head_bias=params.head_bias.copy())
+
+
+def zero_gradients(params):
+    """Zero gradients covering the whole embedding table."""
+    return Gradients(np.zeros_like(params.embeddings), np.zeros_like(params.head_weights),
+                     np.zeros_like(params.head_bias), np.arange(params.vocab_size))
 
 
 def rank_with_ties(values):

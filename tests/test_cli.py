@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from simreg import cli, data, encoder
+from simreg import cli, data, encoder, training
 from simreg.cli import main
+from simreg.config import load_run_config
 from simreg.data import Dataset, SentencePair, load_tsv, save_tsv
 from simreg.encoder import (
     FeatureMode,
@@ -330,6 +331,29 @@ class TestTrain:
         rows = corpora[0].rows_of(texts).tolist()
         assert sorted(rows) == list(range(len(corpora[0].lengths)))
 
+    @pytest.mark.parametrize("stages", ["single", "two_stage"])
+    def test_library_run_equals_train(self, corpus_files, stages):
+        # the run path without argv trains the model simreg train saves
+        tmp_path, config_path, config = corpus_files
+        if stages == "two_stage":
+            config["stages"] = "two_stage"
+            config["data"].update(nli_train=config["data"]["train"],
+                                  nli_categories=list(ORDINAL_CATEGORIES))
+            config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd"}
+            config_path.write_text(json.dumps(config))
+        cfg = load_run_config(config_path)
+        best_model, best_dev, histories = training.run(cfg, training.load_run_data(cfg))
+        assert main(["train", "--config", str(config_path)]) == 0
+        out = tmp_path / "run"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert best_dev == manifest["best_dev_spearman"]
+        saved = load_checkpoint(out / "checkpoint.json")
+        for name in encoder.PARAM_NAMES:
+            assert (getattr(best_model.params, name).tobytes()
+                    == getattr(saved.params, name).tobytes()), name
+        assert {f"{name}.csv" for name in histories} == {
+            path.name for path in out.glob("history*.csv")}
+
 
 def count_calls(monkeypatch, owner, name, key=lambda *args: None):
     """A Counter of the calls to owner.name, by key of each call's arguments."""
@@ -408,7 +432,7 @@ class TestLoadOnce:
         tmp_path, config_path, _ = corpus_files
         files = split_files(monkeypatch)
         corpora = corpora_built(monkeypatch)
-        runs = count_calls(monkeypatch, cli, "train")
+        runs = count_calls(monkeypatch, training, "train")
         assert main([*argv, "--config", str(config_path),
                      "--out", str(tmp_path / "out")]) == 0
         assert sum(runs.values()) == 3
@@ -712,12 +736,25 @@ class TestAblate:
             manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
             assert float(dev) == manifest["best_dev_spearman"]
 
+    def test_info_nce_is_a_usage_error(self, corpus_files, monkeypatch, capsys):
+        # InfoNCE reads [u | v] and ranks by cosine whatever the feature mode
+        tmp_path, config_path, config = corpus_files
+        config["loss"] = {"kind": "info_nce", "tau": 0.1}
+        config["data"]["categories"] = None
+        config_path.write_text(json.dumps(config))
+        files = split_files(monkeypatch)
+        assert main(["ablate", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "info_nce" in err
+        assert not files
+        assert not (tmp_path / "run" / "ablate.csv").exists()
+
 
 def test_compare_rows_best_first_ties_in_point_order(tmp_path, monkeypatch, capsys):
     devs = {"c": 0.5, "b": 0.9, "a": 0.5, "d": 0.9, "e": 0.1 + 0.2}
-    monkeypatch.setattr(cli, "_load_run_data", lambda cfg: "run")
-    monkeypatch.setattr(cli, "_run_training",
-                        lambda point, run: (None, devs[point], {}))
+    monkeypatch.setattr(training, "load_run_data", lambda cfg: "data")
+    monkeypatch.setattr(training, "run", lambda point, data: (None, devs[point], {}))
     cfg = types.SimpleNamespace(out_dir=tmp_path / "out")
     cli._compare(cfg, "table", ("name", "n"), [((p, i), p) for i, p in enumerate(devs)])
     assert (tmp_path / "out" / "table.csv").read_text() == (

@@ -95,7 +95,7 @@ def test_wrong_type_is_a_clean_error(minimal, tmp_path, monkeypatch, capsys,
     def no_reading(*args, **kwargs):
         raise AssertionError("data read before the config was validated")
 
-    monkeypatch.setattr(data_mod, "load_tsv", no_reading)
+    monkeypatch.setattr(data_mod, "split_tsv", no_reading)
     _set(minimal, where, value)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(minimal))
@@ -113,6 +113,25 @@ def test_negative_seed_is_a_clean_error(minimal, tmp_path, capsys, in_file, flag
     config_path.write_text(json.dumps(minimal))
     assert main(["train", "--config", str(config_path), *flag]) == 1
     assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("loss, categories", [
+    ({"kind": "cross_entropy"}, None),
+    ({"kind": "info_nce", "tau": 0.1}, ["low", "high"]),
+], ids=["cross_entropy-without-categories", "info_nce-with-categories"])
+def test_loss_contradicting_the_labels_is_a_config_error(minimal, tmp_path, capsys,
+                                                        loss, categories):
+    # a malformed train file: read first, its error would hide the config's
+    (tmp_path / "train.tsv").write_text("only one field\n")
+    minimal["loss"] = loss
+    minimal["data"]["categories"] = categories
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(minimal))
+    assert main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "loss.kind" in err and "data.categories" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -10,6 +10,7 @@ from oracles import (
     pooling_matrix,
     sgd_step_dense,
     take,
+    zero_gradients,
 )
 from simreg import encoder, training
 from simreg.data import Dataset, SentencePair
@@ -71,14 +72,14 @@ def model(corpus):
 class TestSgdStep:
     def test_zero_gradient_is_identity(self, model):
         params = copy_params(model.params)
-        SgdOptimizer(0.5).step(params, Gradients.zeros_like(params))
+        SgdOptimizer(0.5).step(params, zero_gradients(params))
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
         np.testing.assert_array_equal(params.head_weights, model.params.head_weights)
 
     def test_scalar_update(self, model):
         params = copy_params(model.params)
         params.head_bias = np.asarray(1.0)
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         grads.head_bias = np.asarray(2.0)
         SgdOptimizer(0.1).step(params, grads)
         assert float(params.head_bias) == pytest.approx(0.8)
@@ -88,7 +89,7 @@ class TestSgdStep:
                                                                   optimizer):
         params = copy_params(model.params)
         opt = SgdOptimizer(0.1) if optimizer == "sgd" else AdamOptimizer(0.1)
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         grads.embeddings[:] = 1.0
         grads.head_weights[:] = 1.0
         opt.step(params, grads)  # Adam's table moments are nonzero from here on
@@ -100,9 +101,9 @@ class TestSgdStep:
 
     def test_shape_mismatch_rejected(self, model):
         params = copy_params(model.params)
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         grads.head_weights = np.zeros(5)
-        rowless = Gradients.zeros_like(params)
+        rowless = zero_gradients(params)
         rowless.rows = None  # an embedding gradient without its rows
         for optimizer in (SgdOptimizer(0.1), AdamOptimizer(0.1)):
             for bad in (grads, rowless):
@@ -115,7 +116,7 @@ class TestAdam:
     def test_head_only_freezes_embeddings_and_moments(self, model):
         params = copy_params(model.params)
         opt = AdamOptimizer(0.01)
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         grads.embeddings = grads.rows = None
         grads.head_weights[:] = 1.0
         opt.step(params, grads)
@@ -129,7 +130,7 @@ class TestAdam:
         params = copy_params(model.params)
         before = params.head_weights.copy()
         opt = AdamOptimizer(0.01)
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         grads.head_weights[:] = 1.0
         opt.step(params, grads)
         assert np.all(params.head_weights < before)
@@ -138,7 +139,7 @@ class TestAdam:
                                                                         model):
         params = copy_params(model.params)
         opt = AdamOptimizer(0.01)
-        opt.step(params, Gradients.zeros_like(params))
+        opt.step(params, zero_gradients(params))
         shapes = [a.shape for a in arrays_in(opt)]
         # m, v and two scratch buffers: no table-sized gradient
         assert shapes.count(params.embeddings.shape) == 4
