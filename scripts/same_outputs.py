@@ -31,10 +31,11 @@ and the same for configs/demo.json under out/demo, then
         --test data/test.tsv --out out/filter
 
 and last writes out/gradcheck.txt: the repr of each (label, max_rel_error,
-n_params) of run_gradient_checks(seeds=range(4)), one a line, so the
-gradient check is compared bit for bit too.  It records the sha256 of every
-file under out/ and removes out/.  Both sides write to the same relative
-paths, one after the other, because manifest.json records out_dir.
+n_params) of run_gradient_checks(seeds=range(20)), the seeds simreg
+gradcheck checks by default, one a line, so the gradient check is compared
+bit for bit too.  It records the sha256 of every file under out/ and removes
+out/.  Both sides write to the same relative paths, one after the other,
+because manifest.json records out_dir.
 Each file is printed as "same", "DIFFERS" or "only in PARENT/CHANGE", with
 its sha256.  Exits 0 when every file is the same, 1 when any is not, and 2
 when a command fails.
@@ -90,7 +91,7 @@ for argv in json.loads(sys.argv[1]):
     code = main(argv)
     if code:
         sys.exit(f"simreg {' '.join(argv)} exited with {code}")
-rows = [(r.label, r.max_rel_error, r.n_params) for r in run_gradient_checks(range(4))]
+rows = [(r.label, r.max_rel_error, r.n_params) for r in run_gradient_checks(range(20))]
 Path("out/gradcheck.txt").write_text("".join(f"{row!r}\\n" for row in rows))
 """
 

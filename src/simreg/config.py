@@ -12,7 +12,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -96,6 +96,12 @@ class RunConfig:
     positive_threshold: float
     raw: dict
 
+    def __post_init__(self):
+        # the run's seed is held once: both stages shuffle at seed, also in a
+        # dataclasses.replace(cfg, seed=s)
+        for name in ("training", "joint"):
+            object.__setattr__(self, name, replace(getattr(self, name), seed=self.seed))
+
 
 def _typed(where: str, value, kind):
     """value read as the declared kind; anything else is a ConfigError."""
@@ -139,13 +145,14 @@ def _section(name: str, doc, schema: dict | None = None) -> dict:
     return checked
 
 
-def _train_config(name: str, doc: dict, seed: int, base: TrainConfig | None = None):
-    """A TrainConfig from one training section; base fills keys it omits."""
+def _train_config(name: str, doc: dict, base: TrainConfig | None = None):
+    """A TrainConfig from one training section; base fills keys it omits.  Its
+    seed is set by RunConfig."""
     schema = SCHEMA["training"]
     if base is not None:
         schema = {key: (kind, getattr(base, key)) for key, (kind, _) in schema.items()}
     try:
-        return TrainConfig(seed=seed, **_section(name, doc, schema))
+        return TrainConfig(**_section(name, doc, schema))
     except InvalidInputError as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
@@ -203,8 +210,8 @@ def load_run_config(path, seed_override: int | None = None,
         loss = LossSpec(**_section("loss", top["loss"]))
     except InvalidInputError as exc:
         raise ConfigError(f"invalid loss: {exc}") from exc
-    training = _train_config("training", top["training"], seed)
-    joint = _train_config("joint", top["joint"], seed, base=training)
+    training = _train_config("training", top["training"])
+    joint = _train_config("joint", top["joint"], base=training)
 
     mapping = None
     if data["categories"] is not None:

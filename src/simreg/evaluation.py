@@ -166,7 +166,9 @@ def evaluate(
     Categorical datasets are ranked against their mapped node values and also
     get a rounding-classification accuracy from the head scores, also when
     use_cosine ranks by embedding cosine.  Each dataset is pooled once; the
-    head scores and the cosine share its (u, v).
+    head scores and the cosine share its (u, v).  A dataset whose Spearman
+    coefficient or accuracy is undefined (fewer than two pairs, constant
+    predictions or golds) raises an error that starts with its name.
     """
     datasets = list(datasets)
     if not datasets:
@@ -178,8 +180,11 @@ def evaluate(
         u, v = model.embed_pairs(model.encode(ds.texts))
         scores = model.head_scores(u, v)
         ranked = cosine(u, v) if use_cosine else scores
-        rho = spearman(ranked, gold)
-        acc = accuracy(scores, ds, active) if ds.is_categorical else None
+        try:
+            rho = spearman(ranked, gold)
+            acc = accuracy(scores, ds, active) if ds.is_categorical else None
+        except (InvalidInputError, DegenerateInputError) as exc:
+            raise type(exc)(f"{ds.name}: {exc}") from exc
         rows.append(DatasetReport(ds.name, rho, acc, len(ds)))
     average = sum(r.spearman for r in rows) / len(rows)
     return EvalReport(tuple(rows), average)

@@ -4,10 +4,12 @@ Builds small random models and compares the hand-derived backward pass
 against central differences over every entry of every parameter array, the
 embedding rows of tokens absent from the batch included, for every loss kind
 and feature mode.  A configuration's sentences are drawn straight as token
-ids over a vocabulary of its words.  Sampled configurations are redrawn when
-the forward pass lands too close to a non-smooth point (the loss knot at x0,
-the kink of |u - v| at equal coordinates, the kink of the absolute error at
-zero), where comparing slopes is meaningless.
+ids over a vocabulary of its words (Generator.integers).  Sampled
+configurations are redrawn when the forward pass lands too close to a
+non-smooth point (the loss knot at x0, the kink of |u - v| at equal
+coordinates, the kink of the absolute error at zero), where comparing slopes
+is meaningless.  Each drawn batch is screened on its own pooling matrix
+(PairTokens.pooling), which the analytic and the stacked passes then reuse.
 
 The central differences run on the batched core's parameter-stack axis: the
 three parameter arrays are laid out as one flat vector, and all +step and
@@ -35,7 +37,6 @@ from .encoder import (
     forward_backward,
     head,
     init_params,
-    pool,
 )
 from .errors import InvalidInputError, TrainingError
 from .losses import LossKind, LossSpec
@@ -100,31 +101,29 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
 
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
     """Worst entry-wise relative error of analytic against the whole-table
-    finite-difference gradient fd; analytic's embedding gradient is compared
+    finite-difference gradient fd, both laid out as one flat vector in
+    finite_difference_grads' order; analytic's embedding gradient is compared
     densified, so rows it leaves out are checked to be zero.  A NaN entry
     makes the result NaN."""
-    vocab_size = len(fd.embeddings)
-    errors = []
-    for a, f in (
-        (analytic.dense_embeddings(vocab_size), fd.embeddings),
-        (analytic.head_weights, fd.head_weights),
-        (np.atleast_1d(analytic.head_bias), np.atleast_1d(fd.head_bias)),
-    ):
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
-        errors.append(np.max(np.abs(a - f) / denom))
-    return float(np.max(errors))
+    dense = analytic.dense_embeddings(len(fd.embeddings))
+    a = np.concatenate([np.ravel(x) for x in (dense, analytic.head_weights,
+                                              analytic.head_bias)])
+    f = np.concatenate([np.ravel(getattr(fd, name)) for name in PARAM_NAMES])
+    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
+    return float(np.max(np.abs(a - f) / denom))
 
 
 def _random_tokens(rng, word_ids, batch):
     """A random batch of pairs, sentences alternately left and right, of one
     to five words each."""
-    picks = [word_ids[rng.choice(len(word_ids), size=int(rng.integers(1, 6)))]
+    picks = [word_ids[rng.integers(0, len(word_ids), size=int(rng.integers(1, 6)))]
              for _ in range(2 * batch)]
     return PairTokens(np.concatenate(picks), np.array([len(p) for p in picks]))
 
 
 def _too_close_to_kink(params, pairs, targets, mode, spec):
-    pooled = pool(params.embeddings, pairs)
+    rows, S = pairs.pooling  # the matrix the checked forward passes read
+    pooled = S.T @ params.embeddings[rows]
     u, v = pooled[0::2], pooled[1::2]
     if mode is not FeatureMode.UV and np.min(np.abs(u - v)) < ABS_MARGIN:
         return True

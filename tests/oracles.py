@@ -12,10 +12,11 @@ comparison, the model's forward/backward pass from scalar loss closed forms
 applied one pair and one token at a time, the head and loss of pooled pairs
 as one function of u and v that builds its own features and returns their
 gradient (head_forward_backward), finite differences one parameter
-entry and two forward passes at a time, the gradient check's configurations
-drawn as text and tokenized (draw_configuration_via_text), the optimizers
-as updates of whole dense arrays, and the synthetic corpus from a set
-difference over the whole vocabulary per pair.  copy_params gives tests that
+entry and two forward passes at a time, the gradient check's relative error
+one parameter array at a time (max_relative_error_per_array), its
+configurations drawn as text and tokenized (draw_configuration_via_text), the
+optimizers as updates of whole dense arrays, and the synthetic corpus from a
+set difference over the whole vocabulary per pair.  copy_params gives tests that
 mutate parameters their own copy, and zero_gradients a zero gradient of
 every parameter entry for the optimizers to step on.
 """
@@ -346,6 +347,21 @@ def finite_difference_per_entry(value_fn, params, step):
             out[ix] = (up - down) / (2.0 * step)
         fd.append(out)
     return fd
+
+
+def max_relative_error_per_array(analytic, fd):
+    """gradcheck.max_relative_error taken over each parameter array on its
+    own, then the max of the three maxes."""
+    vocab_size = len(fd.embeddings)
+    errors = []
+    for a, f in (
+        (analytic.dense_embeddings(vocab_size), fd.embeddings),
+        (analytic.head_weights, fd.head_weights),
+        (np.atleast_1d(analytic.head_bias), np.atleast_1d(fd.head_bias)),
+    ):
+        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
+        errors.append(np.max(np.abs(a - f) / denom))
+    return float(np.max(errors))
 
 
 def draw_configuration_via_text(seed, kind, mode, dim_max=8, vocab_max=30,

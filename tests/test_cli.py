@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import errno
 import io
 import json
@@ -335,12 +336,7 @@ class TestTrain:
     def test_library_run_equals_train(self, corpus_files, stages):
         # the run path without argv trains the model simreg train saves
         tmp_path, config_path, config = corpus_files
-        if stages == "two_stage":
-            config["stages"] = "two_stage"
-            config["data"].update(nli_train=config["data"]["train"],
-                                  nli_categories=list(ORDINAL_CATEGORIES))
-            config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd"}
-            config_path.write_text(json.dumps(config))
+        staged(config_path, config, stages)
         cfg = load_run_config(config_path)
         best_model, best_dev, histories = training.run(cfg, training.load_run_data(cfg))
         assert main(["train", "--config", str(config_path)]) == 0
@@ -353,6 +349,33 @@ class TestTrain:
                     == getattr(saved.params, name).tobytes()), name
         assert {f"{name}.csv" for name in histories} == {
             path.name for path in out.glob("history*.csv")}
+
+    @pytest.mark.parametrize("stages", ["single", "two_stage"])
+    def test_replaced_seed_is_the_seed_flag_run(self, corpus_files, stages):
+        # both stages shuffle at the replaced seed, as at --seed
+        tmp_path, config_path, config = corpus_files
+        staged(config_path, config, stages)
+        cfg = dataclasses.replace(load_run_config(config_path), seed=6)
+        _, best_dev, histories = training.run(cfg, training.load_run_data(cfg))
+        assert main(["train", "--config", str(config_path), "--seed", "6"]) == 0
+        out = tmp_path / "run"
+        assert best_dev == json.loads((out / "manifest.json").read_text())[
+            "best_dev_spearman"]
+        for name, history in histories.items():
+            training.write_history_csv(history, tmp_path / f"{name}.csv")
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (out / f"{name}.csv").read_bytes()), name
+
+
+def staged(config_path, config, stages):
+    """Rewrite config as a two-stage run on its own train file when stages
+    says so."""
+    if stages == "two_stage":
+        config["stages"] = "two_stage"
+        config["data"].update(nli_train=config["data"]["train"],
+                              nli_categories=list(ORDINAL_CATEGORIES))
+        config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd"}
+        config_path.write_text(json.dumps(config))
 
 
 def count_calls(monkeypatch, owner, name, key=lambda *args: None):
@@ -508,6 +531,25 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
                      str(tmp_path / "graded.tsv"), str(tmp_path / "scored.tsv")]) == 0
         assert opened["graded.tsv"] == 1 and opened["scored.tsv"] == 1
+
+    @pytest.mark.parametrize("kept", ["none", "one", "constant"])
+    def test_undefined_score_names_its_file(self, tmp_path, capsys, kept):
+        ds = make_ordinal_corpus(20, seed=7)
+        vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=4,
+                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+        save_checkpoint(model, tmp_path / "ck.json")
+        save_tsv(ds, tmp_path / "good.tsv")
+        lines = (tmp_path / "good.tsv").read_text().splitlines(keepends=True)
+        bad = {"none": "", "one": lines[0],
+               # one text pair under every label: every prediction is the same
+               "constant": "".join(f"{c}\tsame words\tsame words\n"
+                                   for c in ORDINAL_CATEGORIES)}[kept]
+        (tmp_path / "bad.tsv").write_text(bad)
+        assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+                     str(tmp_path / "good.tsv"), str(tmp_path / "bad.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad: ") and err.count("\n") == 1
 
     def test_unreadable_files_keep_their_errors(self, tmp_path, capsys):
         ds = make_ordinal_corpus(20, seed=7)

@@ -3,12 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simreg.encoder as encoder
 import simreg.gradcheck as gradcheck
-from oracles import draw_configuration_via_text, finite_difference_per_entry
+from oracles import (
+    draw_configuration_via_text,
+    finite_difference_per_entry,
+    max_relative_error_per_array,
+)
 from simreg.encoder import (
     FeatureMode,
+    Gradients,
     Model,
     build_vocab,
     forward_backward,
@@ -91,6 +98,40 @@ def test_nan_analytic_entry_is_reported(name):
     grad = getattr(analytic, name)
     grad[(0,) * grad.ndim] = np.nan
     assert math.isnan(max_relative_error(analytic, fd))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 5),
+       st.sampled_from([None, 2, 5]), st.sampled_from([None, *range(6)]))
+def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, nan_in):
+    rng = np.random.default_rng(seed)
+    rows = np.flatnonzero(rng.random(vocab_size) < 0.5)  # maybe none present
+    weights_shape = (width,) if n_classes is None else (n_classes, width)
+    bias_shape = () if n_classes is None else (n_classes,)
+
+    def draw(shape):
+        """Entries on scales either side of the denominator's floor of 1."""
+        scale = 10.0 ** rng.uniform(-3, 3, size=shape)
+        return np.asarray(rng.normal(size=shape) * scale)
+
+    analytic = Gradients(draw((len(rows), width)), draw(weights_shape),
+                         draw(bias_shape), rows)
+    fd = Gradients(*(np.asarray(a + draw(np.shape(a)) * 1e-3 * rng.integers(0, 2))
+                     for a in (analytic.dense_embeddings(vocab_size),
+                               analytic.head_weights, analytic.head_bias)),
+                   rows=np.arange(vocab_size))
+    arrays = [analytic.embeddings, analytic.head_weights, analytic.head_bias,
+              fd.embeddings, fd.head_weights, fd.head_bias]
+    has_nan = nan_in is not None and arrays[nan_in].size > 0
+    if has_nan:
+        flat = arrays[nan_in].reshape(-1)  # a view: each array is its own buffer
+        flat[rng.integers(flat.size)] = np.nan
+    got = max_relative_error(analytic, fd)
+    want = max_relative_error_per_array(analytic, fd)
+    assert type(got) is float
+    assert math.isnan(got) == math.isnan(want) == has_nan
+    if not has_nan:
+        assert got == want
 
 
 def loss_fn(tokens, targets, mode, spec):
@@ -206,22 +247,30 @@ def test_memory_stays_near_the_chunk_budget():
     assert max_relative_error(analytic, fd) <= 1e-4
 
 
-def test_one_pooling_matrix_per_configuration(monkeypatch):
-    built = []
-    plan = encoder._pooling_plan
+def test_one_pooling_matrix_per_drawn_batch(monkeypatch):
+    built, drawn = [], []
+    plan, draw = encoder._pooling_plan, gradcheck._random_tokens
 
     def counting(ids, lengths, per_batch):
         built.append(ids)
         return plan(ids, lengths, per_batch)
 
+    def counting_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
     monkeypatch.setattr(encoder, "_pooling_plan", counting)
+    monkeypatch.setattr(gradcheck, "_random_tokens", counting_draw)
     cached = run_gradient_checks(seeds=[0])
-    assert len(built) == len(cached)
-    # rebuilt on every forward_backward call, as without the cached property:
-    # the analytic pass and one stacked pass over all three parameter arrays
+    # the kink screening, the analytic pass and the stacked pass share one
+    assert len(built) == len(drawn) > len(cached)
+    # rebuilt on every use, as without the cached property: the screening of
+    # each draw, then the analytic pass and one stacked pass over all three
+    # parameter arrays of each accepted draw
     built.clear()
+    drawn.clear()
     monkeypatch.setattr(encoder.PairTokens, "pooling",
                         property(encoder.PairTokens.pooling.func))
     rebuilt = run_gradient_checks(seeds=[0])
-    assert len(built) == 2 * len(rebuilt)
+    assert len(built) == len(drawn) + 2 * len(rebuilt)
     assert cached == rebuilt
