@@ -12,7 +12,9 @@ data/dev_scores.tsv (class c scored c), data/sts.tsv (the train pairs, class
 c scored 5c/3), data/sick.tsv (make_ordinal_corpus(M, seed=13), class c
 scored 1 + 4c/3, on SICK's [1, 5] scale) and data/test.tsv (the dev pairs
 scored, plus every third pair of data/sts.tsv as it is and every third pair
-of data/sick.tsv swapped, so the filter has pairs to remove).  Then, for
+of data/sick.tsv swapped, so the filter has pairs to remove), and
+data/info_nce.json, a contrastive run config: InfoNCE with Adam, trained on
+data/sts.tsv's positives and selected on data/dev_scores.tsv.  Then, for
 each checkout in turn, it runs in one Python process on that checkout's
 src/:
 
@@ -29,6 +31,9 @@ and the same for configs/demo.json under out/demo, then
         data/dev_scores.tsv --cosine --out out/cosine
     simreg filter-data --train data/sts.tsv --sick-train data/sick.tsv \
         --test data/test.tsv --out out/filter
+    simreg train --config data/info_nce.json --out out/info_nce
+    simreg eval --checkpoint out/info_nce/checkpoint.json \
+        data/dev_scores.tsv --cosine --out out/info_nce/eval
 
 and last writes out/gradcheck.txt: the repr of each (label, max_rel_error,
 n_params) of run_gradient_checks(seeds=range(20)), the seeds simreg
@@ -56,6 +61,7 @@ from pathlib import Path
 CONFIGS = ("two_stage", "demo")
 
 MAKE_DATA = """
+import json
 import sys
 from pathlib import Path
 from simreg.data import Dataset, SentencePair, save_tsv
@@ -80,6 +86,14 @@ save_tsv(scored(sick, "sick", 1.0, 4.0 / 3.0), "data/sick.tsv")
 test = (scored(dev, "test", 0.0, 1.0).pairs + sts.pairs[::3]
         + scored(sick, "test", 0.0, 1.0, swap=True).pairs[::3])
 save_tsv(Dataset("test", test, score_range=(0.0, 5.0)), "data/test.tsv")
+Path("data/info_nce.json").write_text(json.dumps({
+    "seed": 0,
+    "encoder": {"dim": 32},
+    "loss": {"kind": "info_nce", "tau": 0.05},
+    "data": {"train": "data/sts.tsv", "dev": "data/dev_scores.tsv"},
+    "training": {"batch_size": 64, "epochs": 2, "learning_rate": 0.01,
+                 "optimizer": "adam", "eval_every": 4},
+}))
 """
 
 RUN_COMMANDS = """
@@ -113,6 +127,9 @@ def commands(checkout: Path) -> list[list[str]]:
          "--cosine", "--out", "out/cosine"],
         ["filter-data", "--train", "data/sts.tsv", "--sick-train", "data/sick.tsv",
          "--test", "data/test.tsv", "--out", "out/filter"],
+        ["train", "--config", "data/info_nce.json", "--out", "out/info_nce"],
+        ["eval", "--checkpoint", "out/info_nce/checkpoint.json", "data/dev_scores.tsv",
+         "--cosine", "--out", "out/info_nce/eval"],
     ]
 
 

@@ -215,8 +215,11 @@ def _sniff_categorical(tsv: data_mod.TsvFile, mapping) -> bool:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
+    # a file is named by its stem, or by its path as given where stems collide
+    stems = [Path(path).stem for path in args.datasets]
     datasets = []
-    for path in args.datasets:
+    for path, stem in zip(args.datasets, stems):
+        name = stem if stems.count(stem) == 1 else path
         # undecodable bytes are read as U+FFFD here and reported by dataset()
         tsv = data_mod.read_tsv(path)
         if _sniff_categorical(tsv, model.mapping):
@@ -224,9 +227,9 @@ def cmd_eval(args) -> int:
                 raise UsageError(
                     f"{path} looks categorical but the checkpoint has no mapping"
                 )
-            datasets.append(tsv.dataset(categories=model.mapping.categories))
+            datasets.append(tsv.dataset(name, categories=model.mapping.categories))
         else:
-            datasets.append(tsv.dataset())
+            datasets.append(tsv.dataset(name))
     report = evaluate(model, datasets, use_cosine=args.cosine)
     print(report.format_table())
     if args.out:

@@ -21,13 +21,15 @@ sentence's gradient back to the token rows.  An epoch's matrices are planned
 a window of batches at a time (PairTokens.batches): one token gather and one
 np.unique per window, one bincount per batch.  The embedding gradient holds
 only the rows of the tokens in the batch, so its cost does not grow with the
-vocabulary.  The head and loss run in one core, head_loss, on the features
-the loss reads (loss_mode: the head's input, or [u | v] for InfoNCE, which
-has no head).  It returns the loss, the head gradients and the gradient of
-the raw head output, and does no more: only forward_backward turns that
-output gradient into the gradients of the features, of u and v and of the
-table.  A stage that freezes the encoder calls head_loss alone, on features
-it computed once, so it computes no feature or embedding gradient.
+vocabulary.  The head and loss of the regression and K-logit heads run in
+one core, head_loss, on the head's features.  It returns the loss, the head
+gradients and the gradient of the raw head output, and does no more: only
+forward_backward turns that output gradient into the gradients of the
+features, of u and v and of the table.  A stage that freezes the encoder
+calls head_loss alone, on features it computed once, so it computes no
+feature or embedding gradient.  The contrastive baseline, InfoNCE, has no
+head: forward_backward computes it on u and v themselves, and its Gradients
+hold no head gradient (None).
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
@@ -414,20 +416,16 @@ class Gradients:
 
     rows holds sorted, unique token ids and embeddings one gradient row per
     id; every other row of the table has a zero gradient.  Both are None
-    when no embedding gradient was computed (head_loss).  The
-    head gradients have the shapes of their parameters.
+    when no embedding gradient was computed (head_loss).  The head
+    gradients have the shapes of their parameters, and are None when the
+    loss has no head (InfoNCE).  None means no gradient: an optimizer leaves
+    that parameter untouched.
     """
 
     embeddings: np.ndarray | None
-    head_weights: np.ndarray
-    head_bias: np.ndarray
+    head_weights: np.ndarray | None
+    head_bias: np.ndarray | None
     rows: np.ndarray | None
-
-    def dense_embeddings(self, vocab_size: int) -> np.ndarray:
-        """The (vocab_size, dim) embedding gradient, zero on untouched rows."""
-        dense = np.zeros((vocab_size, self.embeddings.shape[1]))
-        dense[self.rows] = self.embeddings
-        return dense
 
 
 def init_params(
@@ -609,40 +607,38 @@ def forward_backward(
     PairTokens.pooling.  targets holds one entry per pair: floats for the
     residual losses, class indices for cross-entropy; the contrastive loss
     ignores them and treats each pair as anchor/positive.  Predictions
-    outside clamp_range are clamped and pass no gradient.  The head and loss
-    run in head_loss on the features the loss reads (loss_mode); the
-    gradient of the raw head output it returns is turned here into the
-    feature gradient and split into the gradients of u and v.  The embedding
-    gradient covers only the rows of tokens present in the batch
-    (Gradients.rows); every other row's gradient is zero.  With
-    with_grads=False only the loss is computed and the gradients are None;
-    params may then be a stack of copies (ModelParams.stack_shape), and the
-    loss is an array with one value per copy.
+    outside clamp_range are clamped and pass no gradient.  The head losses
+    run in head_loss on the features; the gradient of the raw head output it
+    returns is turned here into the feature gradient and split into the
+    gradients of u and v.  InfoNCE reads u and v themselves and has no head,
+    so its head gradients are None.  The embedding gradient covers only the
+    rows of tokens present in the batch (Gradients.rows); every other row's
+    gradient is zero.  With with_grads=False only the loss is computed and
+    the gradients are None; params may then be a stack of copies
+    (ModelParams.stack_shape), and the loss is an array with one value per
+    copy.
     """
+    if params.stack_shape and with_grads:
+        raise InvalidInputError("gradients need one unstacked parameter set")
     rows, S = pooling
     pooled = S.T @ params.embeddings[..., rows, :]
     u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
-    mode = loss_mode(mode, loss_spec.kind)
-    value, grads, d_out = head_loss(params, features(u, v, mode), targets, loss_spec,
-                                    clamp_range, with_grads)
+    if loss_spec.kind is LossKind.INFO_NCE:
+        value, du, dv = losses.info_nce(u, v, loss_spec.tau)
+        grads = Gradients(None, None, None, None) if with_grads else None
+    else:
+        value, grads, d_out = head_loss(params, features(u, v, mode), targets,
+                                        loss_spec, clamp_range, with_grads)
+        if grads is not None:
+            w = params.head_weights
+            d_features = d_out @ w if params.is_classifier else np.multiply.outer(d_out, w)
+            du, dv = _feature_grad(d_features, u, v, mode)
     if grads is None:
         return value, None
-    if loss_spec.kind is LossKind.INFO_NCE:
-        d_features = d_out  # the loss read [u | v] itself
-    elif params.is_classifier:
-        d_features = d_out @ params.head_weights
-    else:
-        d_features = np.multiply.outer(d_out, params.head_weights)
     d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = _feature_grad(d_features, u, v, mode)
+    d_pooled[0::2], d_pooled[1::2] = du, dv
     grads.rows, grads.embeddings = rows, S @ d_pooled
     return value, grads
-
-
-def loss_mode(mode: FeatureMode, kind: LossKind) -> FeatureMode:
-    """The features a loss of this kind reads: the model's for the head
-    losses, [u | v] (FeatureMode.UV) for InfoNCE, which has no head."""
-    return FeatureMode.UV if kind is LossKind.INFO_NCE else mode
 
 
 def head_loss(
@@ -653,14 +649,14 @@ def head_loss(
     clamp_range: tuple[float, float] | None = None,
     with_grads: bool = True,
 ) -> tuple[float | np.ndarray, Gradients | None, np.ndarray | None]:
-    """The head and loss of a batch, from the features the loss reads.
+    """The head and loss of a batch, from the head's features.
 
-    f (..., n, width) holds the n pairs' features(u, v, loss_mode(mode,
-    kind)); the other arguments are as for forward_backward.  Returns
-    (value, grads, d_out): grads holds the head gradients, its embeddings
-    and rows None, and d_out the loss gradient of the raw head output, (n,)
-    for the regression head and (n, K) for the classifier's logits; InfoNCE
-    has no head, so its d_out is the gradient of f itself.  d_out is all the
+    f (..., n, feature_dim) holds the n pairs' features(u, v, mode); the
+    other arguments are as for forward_backward, and the loss is a residual
+    loss (regression head) or cross-entropy (K-logit head).  Returns (value,
+    grads, d_out): grads holds the head gradients, its embeddings and rows
+    None, and d_out the loss gradient of the raw head output, (n,) for the
+    regression head and (n, K) for the classifier's logits.  d_out is all the
     encoder's gradient needs; forward_backward turns it into the feature
     gradient.  With with_grads=False only the loss is computed, grads and
     d_out are None, and params may be a stack of copies.
@@ -671,34 +667,24 @@ def head_loss(
     stacked = bool(params.stack_shape)
     if stacked and with_grads:
         raise InvalidInputError("gradients need one unstacked parameter set")
-    kind, classifier = loss_spec.kind, params.is_classifier
-    if kind is LossKind.CROSS_ENTROPY:
-        if not classifier:
+    out = head(params, f)
+    if loss_spec.kind is LossKind.CROSS_ENTROPY:
+        if not params.is_classifier:
             raise InvalidInputError("cross-entropy needs a classification head")
-    elif kind is not LossKind.INFO_NCE and classifier:
-        raise InvalidInputError("residual losses need a regression head")
-    if kind is LossKind.INFO_NCE:
-        dim = f.shape[-1] // 2
-        value, du, dv = losses.info_nce(f[..., :dim], f[..., dim:], loss_spec.tau)
+        values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
     else:
-        out = head(params, f)
-        if kind is LossKind.CROSS_ENTROPY:
-            values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
-        else:
-            pred = out if clamp_range is None else _clamp(out, *clamp_range)
-            diff = pred - np.asarray(targets, dtype=float)
-            values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
-            # a clamped prediction passes no gradient back to the raw output
-            d_out = d_x * np.sign(diff) * (pred == out)
-        value = values.sum(axis=-1) / n
+        if params.is_classifier:
+            raise InvalidInputError("residual losses need a regression head")
+        pred = out if clamp_range is None else _clamp(out, *clamp_range)
+        diff = pred - np.asarray(targets, dtype=float)
+        values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
+        # a clamped prediction passes no gradient back to the raw output
+        d_out = d_x * np.sign(diff) * (pred == out)
+    value = values.sum(axis=-1) / n
     if not stacked:
         value = float(value)
     if not with_grads:
         return value, None, None
-    if kind is LossKind.INFO_NCE:
-        grads = Gradients(None, np.zeros_like(params.head_weights),
-                          np.zeros_like(params.head_bias), None)
-        return value, grads, np.concatenate([du, dv], axis=-1)
     d_out /= n  # d_out is this call's own array
     grads = Gradients(None, d_out.T @ f, np.asarray(d_out.sum(axis=0)), None)
     return value, grads, d_out

@@ -10,6 +10,8 @@ non-smooth point (the loss knot at x0, the kink of |u - v| at equal
 coordinates, the kink of the absolute error at zero), where comparing slopes
 is meaningless.  Each drawn batch is screened on its own pooling matrix
 (PairTokens.pooling), which the analytic and the stacked passes then reuse.
+InfoNCE has no head: its analytic head gradients are None and are compared
+as zeros, which checks that its finite-difference head gradient is zero.
 
 The central differences run on the batched core's parameter-stack axis: the
 three parameter arrays are laid out as one flat vector, and all +step and
@@ -102,13 +104,19 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
     """Worst entry-wise relative error of analytic against the whole-table
     finite-difference gradient fd, both laid out as one flat vector in
-    finite_difference_grads' order; analytic's embedding gradient is compared
-    densified, so rows it leaves out are checked to be zero.  A NaN entry
-    makes the result NaN."""
-    dense = analytic.dense_embeddings(len(fd.embeddings))
-    a = np.concatenate([np.ravel(x) for x in (dense, analytic.head_weights,
-                                              analytic.head_bias)])
-    f = np.concatenate([np.ravel(getattr(fd, name)) for name in PARAM_NAMES])
+    finite_difference_grads' order.  analytic's embedding gradient is
+    compared densified, so rows it leaves out are checked to be zero, and a
+    gradient it does not have (None, as InfoNCE's head gradients) is
+    compared as zeros.  A NaN entry makes the result NaN."""
+    arrays = [getattr(fd, name) for name in PARAM_NAMES]
+    f = np.concatenate([np.ravel(x) for x in arrays])
+    a = np.zeros_like(f)
+    end = 0
+    for name, x in zip(PARAM_NAMES, arrays):
+        start, end = end, end + np.size(x)
+        g, at = getattr(analytic, name), analytic.rows if name == "embeddings" else ()
+        if g is not None:  # written through a view of a's run of x's entries
+            a[start:end].reshape(np.shape(x))[at] = g
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
     return float(np.max(np.abs(a - f) / denom))
 

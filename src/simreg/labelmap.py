@@ -17,33 +17,38 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-SPACING_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LabelMapping:
-    """Bidirectional map between category names and numeric nodes."""
+    """Bidirectional map between category names and numeric nodes.
+
+    Holds what defines the mapping, the categories, start and interval d,
+    and derives the nodes start + i*d from them, so a mapping written as
+    JSON reads back with the very nodes it was trained with.
+    """
 
     categories: tuple[str, ...]
-    nodes: tuple[float, ...]
-    d: float = field(init=False)
+    start: float
+    d: float
+    nodes: tuple[float, ...] = field(init=False, compare=False)
     _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.categories) < 2:
+        cats, start, d = tuple(self.categories), float(self.start), float(self.d)
+        if len(cats) < 2:
             raise InvalidInputError("a mapping needs at least 2 categories")
-        if len(self.categories) != len(self.nodes):
-            raise InvalidInputError("categories and nodes must align")
-        if len(set(self.categories)) != len(self.categories):
+        if len(set(cats)) != len(cats):
             raise InvalidInputError("category names must be unique")
-        gaps = [b - a for a, b in zip(self.nodes, self.nodes[1:])]
-        if gaps[0] <= 0:
-            raise InvalidInputError("nodes must be strictly increasing")
-        if any(abs(g - gaps[0]) > SPACING_TOL for g in gaps):
-            raise InvalidInputError("nodes must be evenly spaced")
-        object.__setattr__(self, "d", gaps[0])
-        object.__setattr__(self, "_positions",
-                           {c: i for i, c in enumerate(self.categories)})
+        if d <= 0:
+            raise InvalidInputError(f"interval must be positive, got {d}")
+        if not (math.isfinite(start) and math.isfinite(d)):
+            raise InvalidInputError(
+                f"start and interval must be finite, got {start}, {d}")
+        object.__setattr__(self, "categories", cats)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "nodes", tuple(start + i * d for i in range(len(cats))))
+        object.__setattr__(self, "_positions", {c: i for i, c in enumerate(cats)})
 
     @property
     def low(self) -> float:
@@ -65,7 +70,7 @@ class LabelMapping:
     def to_json_dict(self) -> dict:
         return {
             "categories": list(self.categories),
-            "start": self.nodes[0],
+            "start": self.start,
             "interval": self.d,
         }
 
@@ -76,14 +81,7 @@ class LabelMapping:
 
 def build_mapping(categories, start: float, d: float) -> LabelMapping:
     """Create a mapping with nodes ``start + i*d``, ascending similarity order."""
-    if d <= 0:
-        raise InvalidInputError(f"interval must be positive, got {d}")
-    cats = tuple(categories)
-    start, d = float(start), float(d)
-    if not (math.isfinite(start) and math.isfinite(d)):
-        raise InvalidInputError(f"start and interval must be finite, got {start}, {d}")
-    nodes = tuple(start + i * d for i in range(len(cats)))
-    return LabelMapping(cats, nodes)
+    return LabelMapping(categories, start, d)
 
 
 def encode(mapping: LabelMapping, category):

@@ -6,15 +6,16 @@ while the encoder stays frozen, then everything is trained jointly.  The
 frozen stage computes every train pair's features once, and pools its dev
 sentences once, because its encoder cannot change; each step reads its
 batch's rows of those features and runs only the head and loss (head_loss),
-which computes no feature or embedding gradient.  Every loss kind takes this
-path.  The joint stage takes each epoch's pooling matrices from one plan
-of its batches (PairTokens.batches), a window of batches at a time, next to
-the epoch's shuffled targets.  train is the only code that knows a stage is
-frozen: an optimizer updates every parameter it is given a gradient for, and
-only those, and the frozen table is shared read-only, never copied.  Every
-dataset's tokens are derived inside train from the dataset itself, so
-tokens and labels cannot come from different datasets.  Given a seed, the
-whole procedure is deterministic.
+which computes no feature or embedding gradient.  Every head loss takes this
+path; InfoNCE has no head, so a frozen InfoNCE stage would train nothing and
+is rejected.  The joint stage takes each epoch's pooling matrices from one
+plan of its batches (PairTokens.batches), a window of batches at a time,
+next to the epoch's shuffled targets.  train is the only code that knows a
+stage is frozen: an optimizer updates every parameter it is given a gradient
+for, and only those (InfoNCE gives the head none), and the frozen table is
+shared read-only, never copied.  Every dataset's tokens are derived inside
+train from the dataset itself, so tokens and labels cannot come from
+different datasets.  Given a seed, the whole procedure is deterministic.
 
 A validated run configuration runs through load_run_data, which reads its
 files once, and run, which trains its model, one stage or two, on them.
@@ -40,7 +41,6 @@ from .encoder import (
     features,
     forward_backward,
     head_loss,
-    loss_mode,
     tokenize_pairs,
 )
 from .errors import InvalidInputError, TrainingError
@@ -253,10 +253,14 @@ def train(
     texts already split (see tokenize_datasets), and a text it lacks is an
     InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
     embedding gradient is computed, and the returned model reads the input
-    model's table through a read-only view instead of a copy.
+    model's table through a read-only view instead of a copy.  A frozen
+    InfoNCE stage is an InvalidInputError, as InfoNCE trains no head.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
+    frozen = stage is Stage.HEAD_ONLY
+    if frozen and loss_spec.kind is LossKind.INFO_NCE:
+        raise InvalidInputError("info_nce has no head to train with the encoder frozen")
     mapping = mapping if mapping is not None else model.mapping
     if mapping is None and train_set.is_categorical:
         mapping = build_mapping(train_set.categories, 0.0, 1.0)
@@ -274,7 +278,6 @@ def train(
                        else train_set.score_range)
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
-    frozen = stage is Stage.HEAD_ONLY
     updated = [name for name in PARAM_NAMES if not (frozen and name == "embeddings")]
     work = Model(model.vocab, _copy_updated(model.params, updated), model.feature_mode,
                  model.mapping, config.max_tokens)
@@ -288,8 +291,7 @@ def train(
     if frozen:
         # the encoder does not change in this stage: every train pair's
         # features, and every dev sentence's vector, are computed once
-        train_features = features(*work.embed_pairs(train_pairs),
-                                  loss_mode(work.feature_mode, loss_spec.kind))
+        train_features = features(*work.embed_pairs(train_pairs), work.feature_mode)
         dev_uv = work.embed_pairs(dev_pairs)
 
     def plan(perm):

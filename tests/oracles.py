@@ -17,8 +17,9 @@ one parameter array at a time (max_relative_error_per_array), its
 configurations drawn as text and tokenized (draw_configuration_via_text), the
 optimizers as updates of whole dense arrays, and the synthetic corpus from a
 set difference over the whole vocabulary per pair.  copy_params gives tests that
-mutate parameters their own copy, and zero_gradients a zero gradient of
-every parameter entry for the optimizers to step on.
+mutate parameters their own copy, zero_gradients a zero gradient of
+every parameter entry for the optimizers to step on, and dense_embeddings a
+row-sparse embedding gradient as the whole table's.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def zero_gradients(params):
     """Zero gradients covering the whole embedding table."""
     return Gradients(np.zeros_like(params.embeddings), np.zeros_like(params.head_weights),
                      np.zeros_like(params.head_bias), np.arange(params.vocab_size))
+
+
+def dense_embeddings(grads, vocab_size):
+    """The (vocab_size, dim) embedding gradient, zero on untouched rows."""
+    dense = np.zeros((vocab_size, grads.embeddings.shape[1]))
+    dense[grads.rows] = grads.embeddings
+    return dense
 
 
 def rank_with_ties(values):
@@ -289,26 +297,20 @@ def head_forward_backward(params, u, v, targets, mode, loss_spec, clamp_range=No
     """(value, grads, d_input) of the head and loss on pooled pairs u and v
     (n, dim), all from one unstacked call: the features built here, head
     gradients written into zero arrays, and d_input the loss gradient of
-    what the loss reads, the (n, feature_dim) features for the head losses
-    and [u | v] for InfoNCE.  grads' embeddings and rows are None."""
-    n, kind = u.shape[-2], loss_spec.kind
-    if kind is LossKind.INFO_NCE:
-        value, du, dv = losses.info_nce(u, v, loss_spec.tau)
+    the (n, feature_dim) features.  grads' embeddings and rows are None."""
+    n = u.shape[-2]
+    f = features(u, v, mode)
+    out = head(params, f)
+    if loss_spec.kind is LossKind.CROSS_ENTROPY:
+        values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
     else:
-        f = features(u, v, mode)
-        out = head(params, f)
-        if kind is LossKind.CROSS_ENTROPY:
-            values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
-        else:
-            pred = out if clamp_range is None else np.clip(out, *clamp_range)
-            diff = pred - np.asarray(targets, dtype=float)
-            values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
-            d_out = d_x * np.sign(diff) * (pred == out)
-        value = np.sum(values, axis=-1) / n
+        pred = out if clamp_range is None else np.clip(out, *clamp_range)
+        diff = pred - np.asarray(targets, dtype=float)
+        values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
+        d_out = d_x * np.sign(diff) * (pred == out)
+    value = np.sum(values, axis=-1) / n
     grads = Gradients(None, np.zeros_like(params.head_weights),
                       np.zeros_like(params.head_bias), None)
-    if kind is LossKind.INFO_NCE:
-        return float(value), grads, np.concatenate([du, dv], axis=-1)
     d_out = d_out / n
     grads.head_weights[...] = d_out.T @ f
     grads.head_bias[...] = np.sum(d_out, axis=0)
@@ -351,14 +353,16 @@ def finite_difference_per_entry(value_fn, params, step):
 
 def max_relative_error_per_array(analytic, fd):
     """gradcheck.max_relative_error taken over each parameter array on its
-    own, then the max of the three maxes."""
-    vocab_size = len(fd.embeddings)
+    own, then the max of the three maxes; a head gradient analytic does not
+    have (None) is taken as zeros."""
     errors = []
     for a, f in (
-        (analytic.dense_embeddings(vocab_size), fd.embeddings),
+        (dense_embeddings(analytic, len(fd.embeddings)), fd.embeddings),
         (analytic.head_weights, fd.head_weights),
-        (np.atleast_1d(analytic.head_bias), np.atleast_1d(fd.head_bias)),
+        (analytic.head_bias, fd.head_bias),
     ):
+        f = np.atleast_1d(f)
+        a = np.zeros_like(f) if a is None else np.atleast_1d(a)
         denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
         errors.append(np.max(np.abs(a - f) / denom))
     return float(np.max(errors))

@@ -209,6 +209,20 @@ class TestTrain:
         config_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_path)]) == 1
 
+    def test_mapping_reloads_with_the_trained_nodes(self, corpus_files):
+        tmp_path, config_path, config = corpus_files
+        config["data"].update(mapping_start=1, mapping_interval=0.1)
+        config["loss"] = {"kind": "mse"}
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 0
+        doc = json.loads((tmp_path / "run" / "mapping.json").read_text())
+        assert doc == {"categories": list(ORDINAL_CATEGORIES), "start": 1.0,
+                       "interval": 0.1}
+        trained = build_mapping(ORDINAL_CATEGORIES, 1.0, 0.1)
+        assert trained.nodes == (1.0, 1.1, 1.2, 1.3)
+        model = load_checkpoint(tmp_path / "run" / "checkpoint.json")
+        assert model.mapping == trained and model.mapping.nodes == trained.nodes
+
     def test_rerun_is_byte_identical(self, corpus_files):
         tmp_path, config_path, _ = corpus_files
         assert main(["train", "--config", str(config_path),
@@ -550,6 +564,24 @@ class TestEval:
                      str(tmp_path / "good.tsv"), str(tmp_path / "bad.tsv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad: ") and err.count("\n") == 1
+
+    def test_files_sharing_a_stem_are_named_by_path(self, tmp_path, monkeypatch, capsys):
+        ds = make_ordinal_corpus(20, seed=7)
+        vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=4,
+                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+        save_checkpoint(model, tmp_path / "ck.json")
+        for directory in ("a", "b"):
+            (tmp_path / directory).mkdir()
+            save_tsv(ds, tmp_path / directory / "dev.tsv")
+        save_tsv(ds, tmp_path / "test.tsv")
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--checkpoint", "ck.json", "a/dev.tsv", "b/dev.tsv",
+                     "test.tsv", "--out", "rep"]) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert [d["name"] for d in report["datasets"]] == ["a/dev.tsv", "b/dev.tsv",
+                                                           "test"]
+        assert "a/dev.tsv" in capsys.readouterr().out
 
     def test_unreadable_files_keep_their_errors(self, tmp_path, capsys):
         ds = make_ordinal_corpus(20, seed=7)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     copy_params,
+    dense_embeddings,
     forward_backward_per_pair,
     head_forward_backward,
     pool_per_sentence,
@@ -36,7 +37,6 @@ from simreg.encoder import (
     head_loss,
     init_params,
     load_checkpoint,
-    loss_mode,
     pool,
     save_checkpoint,
     tokenize_pairs,
@@ -293,7 +293,7 @@ class TestForwardBackward:
         spec = LossSpec(LossKind.MSE)
         _, grads = run(model, [(pair, 3.0)], spec)
         used = set(token_ids(pair.s1, model.vocab) + token_ids(pair.s2, model.vocab))
-        dense = grads.dense_embeddings(model.params.vocab_size)
+        dense = dense_embeddings(grads, model.params.vocab_size)
         for row in range(model.params.vocab_size):
             if row not in used:
                 assert not dense[row].any()
@@ -302,7 +302,7 @@ class TestForwardBackward:
         pair = SentencePair("man man man", "the dog", score=0.0)
         _, grads = run(model, [(pair, 3.0)], LossSpec(LossKind.MSE))
         man = model.vocab.tokens.index("man")
-        assert grads.dense_embeddings(model.params.vocab_size)[man].any()
+        assert dense_embeddings(grads, model.params.vocab_size)[man].any()
 
     def test_gradient_rows_are_the_batch_token_set(self, model):
         batch = [
@@ -430,8 +430,11 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
         contrastive=lambda a, p: info_nce(a, p, spec.tau),
     )
     assert abs(value - expect) <= 1e-12
-    dense = grads.dense_embeddings(len(vocab))
-    for got, want in zip((dense, grads.head_weights, grads.head_bias), expect_grads):
+    heads = (grads.head_weights, grads.head_bias)
+    if kind is LossKind.INFO_NCE:  # no head, so no head gradient
+        assert all(g is None for g in heads)
+        heads = tuple(np.zeros_like(a) for a in expect_grads[1:])
+    for got, want in zip((dense_embeddings(grads, len(vocab)), *heads), expect_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -666,27 +669,38 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
              for _ in range(2 * batch)]
     tokens = tokenize_pairs(texts, vocab)
     seen = []
+    # the head losses read the features, InfoNCE reads u and v themselves
+    if kind is LossKind.INFO_NCE:
+        owner, core, read = encoder.losses, "info_nce", FeatureMode.UV
 
-    def spy(params, f, *args):
-        seen.append(f)
-        return head_loss(params, f, *args)
+        def spy(u, v, *args):
+            seen.append(features(u, v, read))
+            return info_nce(u, v, *args)
+    else:
+        owner, core, read = encoder, "head_loss", mode
+
+        def spy(params, f, *args):
+            seen.append(f)
+            return head_loss(params, f, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(encoder, "head_loss", spy)
+        patch.setattr(owner, core, spy)
         forward_backward(params, tokens.pooling, targets, mode, _random_spec(rng, kind),
                          with_grads=not copies)
     pooled = pool(params.embeddings, tokens)
     atol = 4 * tokens.lengths.max() * EPS * np.abs(params.embeddings).max()
-    (f,), read = seen, loss_mode(mode, kind)
-    assert read is (FeatureMode.UV if kind is LossKind.INFO_NCE else mode)
+    (f,) = seen
     # |u - v| adds the errors of u and v
     np.testing.assert_allclose(
         f, features(pooled[..., 0::2, :], pooled[..., 1::2, :], read), rtol=0,
         atol=2 * atol)
 
 
+HEAD_KINDS = [kind for kind in LossKind if kind is not LossKind.INFO_NCE]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(list(LossKind)),
+@given(st.integers(0, 2**32 - 1), st.sampled_from(HEAD_KINDS),
        st.sampled_from(list(FeatureMode)))
 def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     rng = np.random.default_rng(seed)
@@ -703,8 +717,7 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     rows, S = pooling_matrix(tokens)
     pooled = S.T @ params.embeddings[rows]
     u, v = pooled[0::2], pooled[1::2]
-    read = loss_mode(mode, kind)
-    value, grads, d_out = head_loss(params, features(u, v, read), targets, spec,
+    value, grads, d_out = head_loss(params, features(u, v, mode), targets, spec,
                                     (0.0, 3.0))
     assert value == full[0]
     assert grads.rows is None and grads.embeddings is None
@@ -717,13 +730,42 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
         assert got.shape == getattr(params, name).shape
         assert got.tobytes() == getattr(full[1], name).tobytes()
         assert got.tobytes() == getattr(expect, name).tobytes()
-    assert d_out.shape == ((batch, 2 * 4) if kind is LossKind.INFO_NCE
-                           else (batch, 3) if n_classes else (batch,))
+    assert d_out.shape == ((batch, 3) if n_classes else (batch,))
     # the reference's gradient of the features, split as forward_backward
     # splits it, is the embedding gradient to the bit
     d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u, v, read)
+    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u, v, mode)
     assert (S @ d_pooled).tobytes() == full[1].embeddings.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(FeatureMode)),
+       st.integers(1, 5), st.booleans())
+def test_info_nce_has_no_head_gradient(seed, mode, batch, classifier):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab([" ".join(WORDS)])
+    params = init_params(len(vocab), 4, mode, seed, n_classes=3 if classifier else None)
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
+             for _ in range(2 * batch)]
+    tokens, spec = tokenize_pairs(texts, vocab), _random_spec(rng, LossKind.INFO_NCE)
+    value, grads = forward_backward(params, tokens.pooling, None, mode, spec)
+    assert grads.head_weights is None and grads.head_bias is None
+    # the loss of u and v themselves, whatever the feature mode and head
+    rows, S = pooling_matrix(tokens)
+    pooled = S.T @ params.embeddings[rows]
+    expect, du, dv = info_nce(pooled[0::2], pooled[1::2], spec.tau)
+    assert value == expect
+    d_pooled = np.empty_like(pooled)
+    d_pooled[0::2], d_pooled[1::2] = du, dv
+    assert grads.rows.tobytes() == rows.tobytes()
+    assert grads.embeddings.tobytes() == (S @ d_pooled).tobytes()
+
+
+def test_head_loss_serves_only_the_head_losses():
+    params = init_params(6, 2, FeatureMode.UV, 0)
+    f = features(np.ones((2, 2)), np.zeros((2, 2)), FeatureMode.UV)
+    with pytest.raises(InvalidInputError, match="info_nce"):
+        head_loss(params, f, [0.0, 1.0], LossSpec(LossKind.INFO_NCE, tau=0.5))
 
 
 @settings(max_examples=80, deadline=None)

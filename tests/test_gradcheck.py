@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import simreg.encoder as encoder
 import simreg.gradcheck as gradcheck
 from oracles import (
+    dense_embeddings,
     draw_configuration_via_text,
     finite_difference_per_entry,
     max_relative_error_per_array,
@@ -24,6 +25,7 @@ from simreg.gradcheck import (
     ALL_KINDS,
     ALL_MODES,
     DEFAULT_STEP,
+    DEFAULT_TOLERANCE,
     FD_CHUNK_BYTES,
     check_configuration,
     draw_configuration,
@@ -76,7 +78,7 @@ def test_buffer_zone_gives_zero_on_both_routes():
     fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
     assert value == 0.0
     for grads in (analytic, fd):
-        assert not grads.dense_embeddings(model.params.vocab_size).any()
+        assert not dense_embeddings(grads, model.params.vocab_size).any()
         assert not grads.head_weights.any()
         assert not np.atleast_1d(grads.head_bias).any()
     assert max_relative_error(analytic, fd) == 0.0
@@ -102,8 +104,10 @@ def test_nan_analytic_entry_is_reported(name):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 5),
-       st.sampled_from([None, 2, 5]), st.sampled_from([None, *range(6)]))
-def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, nan_in):
+       st.sampled_from([None, 2, 5]), st.sampled_from([None, *range(6)]),
+       st.booleans())
+def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, nan_in,
+                                            headless):
     rng = np.random.default_rng(seed)
     rows = np.flatnonzero(rng.random(vocab_size) < 0.5)  # maybe none present
     weights_shape = (width,) if n_classes is None else (n_classes, width)
@@ -117,11 +121,14 @@ def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, 
     analytic = Gradients(draw((len(rows), width)), draw(weights_shape),
                          draw(bias_shape), rows)
     fd = Gradients(*(np.asarray(a + draw(np.shape(a)) * 1e-3 * rng.integers(0, 2))
-                     for a in (analytic.dense_embeddings(vocab_size),
+                     for a in (dense_embeddings(analytic, vocab_size),
                                analytic.head_weights, analytic.head_bias)),
                    rows=np.arange(vocab_size))
     arrays = [analytic.embeddings, analytic.head_weights, analytic.head_bias,
               fd.embeddings, fd.head_weights, fd.head_bias]
+    if headless:  # no head gradient, as InfoNCE's: compared as zeros
+        analytic.head_weights = analytic.head_bias = None
+        arrays[1:3] = [np.empty(0), np.empty(0)]
     has_nan = nan_in is not None and arrays[nan_in].size > 0
     if has_nan:
         flat = arrays[nan_in].reshape(-1)  # a view: each array is its own buffer
@@ -132,6 +139,22 @@ def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, 
     assert math.isnan(got) == math.isnan(want) == has_nan
     if not has_nan:
         assert got == want
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+def test_info_nce_head_has_no_gradient_and_a_zero_difference(mode):
+    params, tokens, targets, spec = draw_configuration(0, LossKind.INFO_NCE, mode)
+    _, analytic = forward_backward(params, tokens.pooling, targets, mode, spec)
+    fd = finite_difference_grads(loss_fn(tokens, targets, mode, spec), params)
+    assert analytic.head_weights is None and analytic.head_bias is None
+    # the loss does not read the head, so each difference is exactly zero
+    assert not fd.head_weights.any() and not fd.head_bias.any()
+    error = max_relative_error(analytic, fd)
+    assert error == check_configuration(0, LossKind.INFO_NCE, mode).max_rel_error
+    assert error < DEFAULT_TOLERANCE
+    # a nonzero head difference is seen against the missing head gradient
+    fd.head_bias = fd.head_bias + 1.0
+    assert max_relative_error(analytic, fd) >= 0.5
 
 
 def loss_fn(tokens, targets, mode, spec):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import classify_bruteforce
@@ -63,13 +63,18 @@ class TestBuildMapping:
             LabelMapping.from_json_dict(
                 {"categories": ["a", "b"], "start": start, "interval": d})
 
-    def test_uneven_spacing_rejected(self):
-        with pytest.raises(InvalidInputError):
-            LabelMapping(("a", "b", "c"), (0.0, 1.0, 2.5))
-
     def test_decreasing_nodes_rejected(self):
-        with pytest.raises(InvalidInputError):
-            LabelMapping(("a", "b"), (1.0, 0.0))
+        with pytest.raises(InvalidInputError, match="positive"):
+            LabelMapping(("a", "b"), 1.0, -1.0)
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(InvalidInputError, match="unique"):
+            LabelMapping(("a", "b", "a"), 0.0, 1.0)
+
+    def test_nodes_are_derived_from_start_and_interval(self):
+        mapping = LabelMapping(("a", "b", "c"), 1, 0.1)
+        assert (mapping.start, mapping.d) == (1.0, 0.1)
+        assert mapping.nodes == (1.0, 1.0 + 0.1, 1.0 + 2 * 0.1)
 
 
 class TestEncodeDecode:
@@ -171,3 +176,12 @@ class TestSerialization:
         doc = json.loads(json.dumps(TWO.to_json_dict()))
         again = LabelMapping.from_json_dict(doc)
         assert again == TWO
+
+    @given(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0), st.integers(2, 6))
+    @example(1.0, 0.1, 4)
+    def test_json_round_trip_keeps_the_nodes(self, start, interval, n):
+        mapping = build_mapping([f"c{i}" for i in range(n)], start, interval)
+        doc = json.loads(json.dumps(mapping.to_json_dict()))
+        assert (doc["start"], doc["interval"]) == (start, interval)
+        again = LabelMapping.from_json_dict(doc)
+        assert again == mapping and again.nodes == mapping.nodes

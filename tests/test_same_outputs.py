@@ -16,6 +16,9 @@ OUTPUTS |= {"demo/history.csv", "two_stage/history_stage1.csv",
             "two_stage/history_stage2.csv", "sweep/sweep.csv", "ablate/ablate.csv",
             "cosine/report.json", "cosine/report.txt", "filter/filtered.tsv",
             "filter/removed.jsonl", "gradcheck.txt"}
+OUTPUTS |= {f"info_nce/{name}" for name in ("checkpoint.json", "history.csv",
+                                            "manifest.json", "eval/report.json",
+                                            "eval/report.txt")}
 
 
 def statuses(text):
@@ -45,7 +48,8 @@ def test_a_crafted_difference_is_reported(tmp_path, capsys):
     assert same_outputs.main([str(ROOT), str(change), *TINY,
                               "--work", str(tmp_path / "work")]) == 1
     expect = dict.fromkeys(OUTPUTS, "same")
-    expect["demo/manifest.json"] = expect["two_stage/manifest.json"] = "DIFFERS"
+    for config in ("demo", "two_stage", "info_nce"):
+        expect[f"{config}/manifest.json"] = "DIFFERS"
     assert statuses(capsys.readouterr().out) == expect
 
 

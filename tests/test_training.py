@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -478,6 +480,34 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="unknown category: 'c'"):
             train(model, ds, ds, cfg, LossSpec(LossKind.CROSS_ENTROPY))
 
+    def test_head_only_info_nce_is_rejected(self, model, corpus, monkeypatch):
+        steps = []
+        monkeypatch.setattr(training, "head_loss",
+                            lambda *args: steps.append(args) or head_loss(*args))
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
+        spec = LossSpec(LossKind.INFO_NCE, tau=0.5)
+        for optimizer in ("sgd", "adam"):
+            with pytest.raises(InvalidInputError, match="info_nce has no head"):
+                train(model, corpus, corpus, dataclasses.replace(cfg, optimizer=optimizer),
+                      spec, Stage.HEAD_ONLY)
+        assert steps == []
+
+    def test_joint_info_nce_adam_holds_moments_of_the_table_only(self, model, corpus,
+                                                                 monkeypatch):
+        made = []
+
+        class Recorded(AdamOptimizer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(training, "AdamOptimizer", Recorded)
+        cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.05, seed=2,
+                          optimizer="adam")
+        train(model, corpus, corpus, cfg, LossSpec(LossKind.INFO_NCE, tau=0.5))
+        (optimizer,) = made
+        assert optimizer.t == 4 and list(optimizer.state) == ["embeddings"]
+
     def test_contrastive_training_runs(self, corpus):
         vocab = build_vocab([s for p in corpus.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=8, seed=2, label_range=(0.0, 3.0))
@@ -543,6 +573,8 @@ def _oracle_cases():
     ids."""
     for stage in Stage:
         for kind in LossKind:
+            if stage is Stage.HEAD_ONLY and kind is LossKind.INFO_NCE:
+                continue  # no head to train: TestTrain::test_head_only_info_nce_is_rejected
             for mode in FeatureMode:
                 for optimizer in ("adam", "sgd"):
                     parts = (stage.value, kind.value,
@@ -571,6 +603,30 @@ def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, mode, optimiz
     params, losses = oracle_train(model, dataset, cfg, SPECS[kind], stage)
     assert_same_params(result.best_model.params, params)
     assert [entry.train_loss for entry in result.history[1:]] == losses
+
+
+@pytest.mark.parametrize("baseline, buffered", [
+    (LossSpec(LossKind.L1), LossSpec(LossKind.TRANSLATED_RELU, k=1.0, x0=0.0)),
+    (LossSpec(LossKind.MSE), LossSpec(LossKind.SMOOTH_K2, k=1.0, x0=0.0)),
+], ids=["l1", "mse"])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("clamp", [True, False], ids=["clamped", "unclamped"])
+def test_baselines_are_the_buffered_losses_at_k1_x0_0(baseline, buffered, optimizer,
+                                                      clamp):
+    """L1 is translated_relu and MSE smooth_k2 at k = 1, x0 = 0, to the byte:
+    the same best model and the same history."""
+    train_set = make_ordinal_corpus(40, seed=3)
+    dev_set = make_ordinal_corpus(20, seed=4)
+    mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+    model = Model.initialize(build_vocab(train_set.texts + dev_set.texts), dim=6,
+                             seed=5, mapping=mapping)
+    cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.05, seed=7, eval_every=3,
+                      clamp_predictions=clamp, optimizer=optimizer)
+    expect, got = (train(model, train_set, dev_set, cfg, spec)
+                   for spec in (baseline, buffered))
+    assert_same_params(got.best_model.params, expect.best_model.params)
+    assert got.history == expect.history
+    assert got.best_dev == expect.best_dev
 
 
 class TestTwoStage:
