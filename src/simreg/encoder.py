@@ -347,14 +347,61 @@ def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> Pa
     return PairTokens(corpus.vocab_ids(vocab)[word_ids], lengths)
 
 
+# ModelParams' and Gradients' two views of their flat head
+_HEAD_PARTS = ("head_weights", "head_bias")
+
+
+class _FlatHead:
+    """The head held as one flat array per parameter copy, head: the
+    weights, then the bias, along its last axis.  head_weights and
+    head_bias are views of it.  Assigning either of them a new array joins
+    both into a new head and rebinds the views, so the three always agree.
+    """
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name in _HEAD_PARTS and hasattr(self, "head"):  # not while __init__ runs
+            self._join_head()
+
+    def _hold(self, head, weights_shape):
+        """Take head as the flat head, with weights of weights_shape per copy,
+        and rebind head_weights and head_bias to its views."""
+        if len(weights_shape) == 1:  # regression: a vector, then a 0-d bias
+            n = weights_shape[0]
+            weights, bias = head[..., :n], head[..., n]
+        else:  # K-logit: the (K, feature_dim) matrix, then the K-vector
+            n = math.prod(weights_shape)
+            # splitting the last axis is always a view, never a copy
+            weights = head[..., :n].reshape(head.shape[:-1] + weights_shape)
+            bias = head[..., n:]
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "head_weights", weights)
+        object.__setattr__(self, "head_bias", bias)
+
+    def _join(self, weights, bias, lead):
+        """Hold a new flat head of weights then bias, with lead copy axes."""
+        weights, bias = np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
+        if weights.shape[:-1] != bias.shape or weights.ndim <= len(lead):
+            raise InvalidInputError(f"head weights of shape {weights.shape} and bias "
+                                    f"of shape {bias.shape} do not make one head")
+        head = np.concatenate((weights.reshape(lead + (-1,)), bias.reshape(lead + (-1,))),
+                              axis=-1)
+        self._hold(head, weights.shape[len(lead):])
+
+
 @dataclass
-class ModelParams:
+class ModelParams(_FlatHead):
     """The complete trainable state.
 
     head_weights is a vector of length feature_dim for the regression head or
     a (K, feature_dim) matrix for the K-logit classification head; head_bias
     is a 0-d array (regression) or a K-vector.  A stack of parameter copies
     puts the same leading axes (stack_shape) in front of all three arrays.
+    The head is held as one flat array per copy, head (stack_shape + (weights
+    + bias entries,)): the weights, then the bias.  head_weights and
+    head_bias are views of it, which the constructor makes from whatever
+    arrays it is given (a copy of them joined); assigning either one joins
+    a new head.  of_head instead takes a flat head as it is.
     """
 
     embeddings: np.ndarray
@@ -363,16 +410,32 @@ class ModelParams:
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=float)
-        self.head_weights = np.asarray(self.head_weights, dtype=float)
-        self.head_bias = np.asarray(self.head_bias, dtype=float)
         if self.embeddings.ndim < 2:
             raise InvalidInputError("embeddings must be a (vocab, dim) matrix")
+        self._join_head()
+
+    @classmethod
+    def of_head(cls, embeddings: np.ndarray, head: np.ndarray,
+                weights_shape: tuple[int, ...]) -> "ModelParams":
+        """Parameters holding embeddings and the flat head themselves, not
+        copies; weights_shape is one copy's head_weights shape."""
+        params = cls.__new__(cls)
+        object.__setattr__(params, "embeddings", embeddings)
+        params._hold(head, weights_shape)
+        params._check_head(params.head_weights.shape, params.head_bias.shape)
+        return params
+
+    def _join_head(self):
+        self._check_head(np.shape(self.head_weights), np.shape(self.head_bias))
+        self._join(self.head_weights, self.head_bias, self.stack_shape)
+
+    def _check_head(self, weights, bias):
+        """Reject head parts of shapes weights and bias that are not this
+        table's regression or K-logit head."""
         stack = self.stack_shape
-        weights = self.head_weights.shape[len(stack):]
-        bias = self.head_bias.shape[len(stack):]
-        if (self.head_weights.shape[:len(stack)] != stack
-                or self.head_bias.shape[:len(stack)] != stack):
+        if weights[:len(stack)] != stack or bias[:len(stack)] != stack:
             raise InvalidInputError("stacked parameters need one leading shape")
+        weights, bias = weights[len(stack):], bias[len(stack):]
         if len(weights) == 1:
             if bias != ():
                 raise InvalidInputError("regression head needs a scalar bias")
@@ -411,21 +474,45 @@ class ModelParams:
 
 
 @dataclass
-class Gradients:
+class Gradients(_FlatHead):
     """Gradients of the parameters, the embedding table's row-sparse.
 
     rows holds sorted, unique token ids and embeddings one gradient row per
     id; every other row of the table has a zero gradient.  Both are None
-    when no embedding gradient was computed (head_loss).  The head
-    gradients have the shapes of their parameters, and are None when the
-    loss has no head (InfoNCE).  None means no gradient: an optimizer leaves
-    that parameter untouched.
+    when no embedding gradient was computed (head_loss).  The head gradient
+    is one flat array, head, laid out as ModelParams.head, with head_weights
+    and head_bias its views in the shapes of their parameters; the
+    constructor joins the parts it is given, and of_head takes a flat head
+    as it is.  head is None while either part is: the loss has no head
+    (InfoNCE), whose parts are None too.  None means no gradient: an
+    optimizer leaves that parameter untouched.
     """
 
     embeddings: np.ndarray | None
     head_weights: np.ndarray | None
     head_bias: np.ndarray | None
     rows: np.ndarray | None
+
+    def __post_init__(self):
+        self._join_head()
+
+    @classmethod
+    def of_head(cls, head: np.ndarray, weights_shape: tuple[int, ...],
+                embeddings: np.ndarray | None = None,
+                rows: np.ndarray | None = None) -> "Gradients":
+        """Gradients holding the flat head gradient head itself, weights of
+        weights_shape then the bias, and the given table gradient."""
+        grads = cls.__new__(cls)
+        object.__setattr__(grads, "embeddings", embeddings)
+        object.__setattr__(grads, "rows", rows)
+        grads._hold(head, weights_shape)
+        return grads
+
+    def _join_head(self):
+        if self.head_weights is None or self.head_bias is None:
+            object.__setattr__(self, "head", None)
+        else:
+            self._join(self.head_weights, self.head_bias, ())
 
 
 def init_params(
@@ -495,26 +582,33 @@ def features(u: np.ndarray, v: np.ndarray, mode: FeatureMode) -> np.ndarray:
     """Combine the two sentence embeddings (last axis) for the head."""
     if u.shape != v.shape:
         raise InvalidInputError(f"embedding shape mismatch: {u.shape} vs {v.shape}")
+    return _features(u, v, None if mode is FeatureMode.UV else u - v, mode)
+
+
+def _features(u: np.ndarray, v: np.ndarray, diff: np.ndarray | None,
+              mode: FeatureMode) -> np.ndarray:
+    """features(u, v, mode) given diff = u - v, which UV does not read."""
     if mode is FeatureMode.UV:
         return np.concatenate([u, v], axis=-1)
     if mode is FeatureMode.ABS_DIFF:
-        return np.abs(u - v)
-    return np.concatenate([u, v, np.abs(u - v)], axis=-1)
+        return np.abs(diff)
+    return np.concatenate([u, v, np.abs(diff)], axis=-1)
 
 
-def _feature_grad(df: np.ndarray, u: np.ndarray, v: np.ndarray, mode: FeatureMode):
-    """Split a feature gradient (last axis) into (du, dv).
+def _feature_grad(df: np.ndarray, diff: np.ndarray | None, mode: FeatureMode):
+    """Split a feature gradient (last axis) into (du, dv), given diff = u - v
+    (which UV does not read).
 
     The |u - v| branch back-propagates sign(u - v) element-wise, with the
     standard subgradient 0 wherever u equals v.
     """
-    dim = u.shape[-1]
     if mode is FeatureMode.UV:
+        dim = df.shape[-1] // 2
         return df[..., :dim], df[..., dim:]
+    s = np.sign(diff)
     if mode is FeatureMode.ABS_DIFF:
-        s = np.sign(u - v)
         return df * s, -df * s
-    s = np.sign(u - v)
+    dim = diff.shape[-1]
     tail = df[..., 2 * dim:] * s
     return df[..., :dim] + tail, df[..., dim:2 * dim] - tail
 
@@ -627,12 +721,14 @@ def forward_backward(
         value, du, dv = losses.info_nce(u, v, loss_spec.tau)
         grads = Gradients(None, None, None, None) if with_grads else None
     else:
-        value, grads, d_out = head_loss(params, features(u, v, mode), targets,
+        # u - v feeds both |u - v| and its gradient's sign
+        diff = None if mode is FeatureMode.UV else u - v
+        value, grads, d_out = head_loss(params, _features(u, v, diff, mode), targets,
                                         loss_spec, clamp_range, with_grads)
         if grads is not None:
             w = params.head_weights
             d_features = d_out @ w if params.is_classifier else np.multiply.outer(d_out, w)
-            du, dv = _feature_grad(d_features, u, v, mode)
+            du, dv = _feature_grad(d_features, diff, mode)
     if grads is None:
         return value, None
     d_pooled = np.empty_like(pooled)
@@ -676,17 +772,19 @@ def head_loss(
         if params.is_classifier:
             raise InvalidInputError("residual losses need a regression head")
         pred = out if clamp_range is None else _clamp(out, *clamp_range)
-        diff = pred - np.asarray(targets, dtype=float)
+        diff = pred - targets
         values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
         # a clamped prediction passes no gradient back to the raw output
         d_out = d_x * np.sign(diff) * (pred == out)
-    value = values.sum(axis=-1) / n
+    value = np.add.reduce(values, axis=-1) / n
     if not stacked:
         value = float(value)
     if not with_grads:
         return value, None, None
     d_out /= n  # d_out is this call's own array
-    grads = Gradients(None, d_out.T @ f, np.asarray(d_out.sum(axis=0)), None)
+    grads = Gradients.of_head(np.empty_like(params.head), params.head_weights.shape)
+    np.matmul(d_out.T, f, out=grads.head_weights)
+    np.add.reduce(d_out, axis=0, out=grads.head_bias)
     return value, grads, d_out
 
 

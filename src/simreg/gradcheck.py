@@ -14,10 +14,12 @@ InfoNCE has no head: its analytic head gradients are None and are compared
 as zeros, which checks that its finite-difference head gradient is zero.
 
 The central differences run on the batched core's parameter-stack axis: the
-three parameter arrays are laid out as one flat vector, and all +step and
--step copies of its entries go through one value-only forward pass, in
-chunks of at most FD_CHUNK_BYTES of perturbed copies, so memory stays
-bounded however large the table.  The caller's parameters are never written.
+table and the flat head (ModelParams.head) are laid out as one flat vector,
+and all +step and -step copies of its entries go through one value-only
+forward pass, in chunks of at most FD_CHUNK_BYTES of perturbed copies, so
+memory stays bounded however large the table.  Each chunk's stacked table
+and head are views of its block of copies.  The caller's parameters are
+never written.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .encoder import (
     OOV_TOKEN,
     PAD_TOKEN,
-    PARAM_NAMES,
     FeatureMode,
     Gradients,
     ModelParams,
@@ -71,19 +72,19 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
     with steps of DEFAULT_STEP.
 
     value_fn takes ModelParams stacked along one leading axis of P copies and
-    returns their P loss values.  The three arrays are laid out as one flat
-    vector; each call gets the +step copies, then the -step copies, of a run
-    of its entries, at most FD_CHUNK_BYTES of them, split back into the three
-    arrays as views.
+    returns their P loss values.  The table and the flat head are laid out
+    as one flat vector, table first; each call gets the +step copies, then
+    the -step copies, of a run of its entries, at most FD_CHUNK_BYTES of
+    them, split back into the table and the head as views.
     """
-    arrays = [getattr(params, name) for name in PARAM_NAMES]
-    flat = np.concatenate([arr.reshape(-1) for arr in arrays])
-    bounds = np.cumsum([0] + [arr.size for arr in arrays])
+    table, weights_shape = params.embeddings, params.head_weights.shape
+    flat = np.concatenate([table.reshape(-1), params.head])
 
     def split(vectors):
-        """The three arrays' views of flat vectors along the last axis."""
-        return [vectors[..., a:b].reshape(vectors.shape[:-1] + arr.shape)
-                for a, b, arr in zip(bounds, bounds[1:], arrays)]
+        """The table's and the head's views of flat vectors (last axis)."""
+        lead = vectors.shape[:-1]
+        return (vectors[..., :table.size].reshape(lead + table.shape),
+                vectors[..., table.size:])
 
     fd = np.empty_like(flat)
     per_call = max(1, FD_CHUNK_BYTES // (2 * flat.nbytes))
@@ -93,30 +94,30 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
         stack = np.repeat(flat.reshape(1, -1), 2 * k, axis=0)
         stack[np.arange(k), entries] += DEFAULT_STEP
         stack[np.arange(k, 2 * k), entries] -= DEFAULT_STEP
-        stacked = ModelParams(*split(stack))
+        stacked = ModelParams.of_head(*split(stack), weights_shape)
         values = value_fn(stacked)
         del stack, stacked  # free this chunk before the next is built
         up, down = np.reshape(values, (2, k))
         fd[entries] = (up - down) / (2.0 * DEFAULT_STEP)
-    return Gradients(*split(fd), rows=np.arange(params.vocab_size))
+    embeddings, head = split(fd)
+    return Gradients.of_head(head, weights_shape, embeddings, np.arange(params.vocab_size))
 
 
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
     """Worst entry-wise relative error of analytic against the whole-table
     finite-difference gradient fd, both laid out as one flat vector in
-    finite_difference_grads' order.  analytic's embedding gradient is
-    compared densified, so rows it leaves out are checked to be zero, and a
-    gradient it does not have (None, as InfoNCE's head gradients) is
-    compared as zeros.  A NaN entry makes the result NaN."""
-    arrays = [getattr(fd, name) for name in PARAM_NAMES]
-    f = np.concatenate([np.ravel(x) for x in arrays])
+    finite_difference_grads' order: the table, then the flat head.
+    analytic's embedding gradient is compared densified, so rows it leaves
+    out are checked to be zero, and a gradient it does not have (None, as
+    InfoNCE's head gradient) is compared as zeros.  A NaN entry makes the
+    result NaN."""
+    table = fd.embeddings
+    f = np.concatenate([table.reshape(-1), fd.head])
     a = np.zeros_like(f)
-    end = 0
-    for name, x in zip(PARAM_NAMES, arrays):
-        start, end = end, end + np.size(x)
-        g, at = getattr(analytic, name), analytic.rows if name == "embeddings" else ()
-        if g is not None:  # written through a view of a's run of x's entries
-            a[start:end].reshape(np.shape(x))[at] = g
+    if analytic.embeddings is not None:  # written through a view of a's table
+        a[:table.size].reshape(table.shape)[analytic.rows] = analytic.embeddings
+    if analytic.head is not None:
+        a[table.size:] = analytic.head
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
     return float(np.max(np.abs(a - f) / denom))
 
@@ -161,7 +162,7 @@ def check_configuration(
                                          spec, with_grads=False)[0],
         params,
     )
-    n_params = sum(getattr(params, name).size for name in PARAM_NAMES)
+    n_params = params.embeddings.size + params.head.size
     return GradCheckResult(seed, kind, mode, max_relative_error(analytic, fd), n_params)
 
 

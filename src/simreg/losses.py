@@ -78,9 +78,14 @@ class LossSpec:
                 raise InvalidInputError("info_nce requires tau > 0")
 
 
+_FLOAT = np.dtype(float)
+
+
 def _residuals(x):
-    """x as a float (array); every entry must be finite and non-negative."""
-    x = np.asarray(x, dtype=float)[()]
+    """x as a float (array); every entry must be finite and non-negative.
+    A float array of at least one axis is taken as it is."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or not x.ndim:
+        x = np.asarray(x, dtype=float)[()]
     # two reductions over all axes (None), with no temporary array: the
     # least entry is negative for a negative entry or -inf, and NaN, which
     # fails every comparison, for a NaN; the greatest is inf for an inf

@@ -27,12 +27,12 @@ import math
 import typing
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, positive_pairs_dataset, read_tsv, write_atomic
 from .encoder import (
-    PARAM_NAMES,
     Corpus,
     Model,
     ModelParams,
@@ -78,8 +78,7 @@ class Stage(Enum):
     JOINT = "joint"
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     step: int
     train_loss: float | None
     dev_spearman: float | None
@@ -99,24 +98,32 @@ class TwoStageResult:
     stage2: TrainResult
 
 
+# the arrays an optimizer updates: the table, then the flat head
+# (ModelParams.head, the head weights and bias in one array)
+TRAINED = ("embeddings", "head")
+
+
 def _present(params, grads):
-    """(field name, parameter, gradient, at) of every parameter with a
-    gradient, where p[at] are the entries its gradient covers: grads.rows of
-    the table, the whole array (at ()) of a head parameter.  Every gradient
-    is checked first to have the shape of p[at], so a bad one changes
+    """(name, parameter, gradient, at) of each of TRAINED with a gradient,
+    where at are the entries its gradient covers: grads.rows of the table,
+    and None, the whole array, for the head.  Every gradient is checked
+    first to have the shape of those entries, so a bad one changes
     nothing."""
     updates = []
-    for name in PARAM_NAMES:
-        p, g = getattr(params, name), getattr(grads, name)
-        if g is None:
-            continue
-        if name == "embeddings":
-            at, expected = grads.rows, (*np.shape(grads.rows), p.shape[1])
-        else:
-            at, expected = (), p.shape
+    if grads.embeddings is not None:
+        p, g, rows = params.embeddings, grads.embeddings, grads.rows
+        expected = (*np.shape(rows), p.shape[1])
         if g.shape != expected:
-            raise InvalidInputError(f"{name} gradient shape {g.shape} != {expected}")
-        updates.append((name, p, g, at))
+            raise InvalidInputError(f"embeddings gradient shape {g.shape} != {expected}")
+        updates.append(("embeddings", p, g, rows))
+    if grads.head is not None:
+        p, g = params.head, grads.head
+        if g.shape != p.shape or grads.head_weights.shape != params.head_weights.shape:
+            raise InvalidInputError(
+                f"head gradient of weights {grads.head_weights.shape} and bias "
+                f"{grads.head_bias.shape} != {params.head_weights.shape} and "
+                f"{params.head_bias.shape}")
+        updates.append(("head", p, g, None))
     return updates
 
 
@@ -124,14 +131,16 @@ class AdamOptimizer:
     """Adaptive-moment updates with the textbook BETA1, BETA2 and EPS.
 
     A parameter's moments and scratch buffers are made at its first
-    gradient, so a parameter that never gets one costs nothing.  The
-    moments cover the whole parameter and decay everywhere, so table rows a
-    batch does not touch still move by their momentum; only the entries
-    the gradient covers take its terms, and no table-sized gradient is
-    built.  An uncovered entry's b1*m equals the textbook b1*m + (1-b1)*0,
-    as a moment starting at +0.0 never becomes -0.0, so each step gives
-    the textbook formulas' floating-point results, worked in place; t
-    counts the optimizer's steps.
+    gradient, so a parameter that never gets one costs nothing; state maps
+    each of TRAINED that has them to (m, v, scratch, scratch), and the head
+    weights and bias share the flat head's.  The moments cover the whole
+    parameter and decay everywhere, so table rows a batch does not touch
+    still move by their momentum; only the entries the gradient covers take
+    its terms, and no table-sized gradient is built.  An uncovered entry's
+    b1*m equals the textbook b1*m + (1-b1)*0, as a moment starting at +0.0
+    never becomes -0.0, so each step gives the textbook formulas'
+    floating-point results, worked in place; t counts the optimizer's
+    steps.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -139,7 +148,7 @@ class AdamOptimizer:
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self.state = {}  # name -> (m, v, scratch, scratch)
+        self.state = {}
 
     def step(self, params, grads):
         updates = _present(params, grads)
@@ -150,15 +159,19 @@ class AdamOptimizer:
         bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         lr, eps = self.lr, self.EPS
         for name, p, g, at in updates:
-            if name not in self.state:
-                self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
-            m, v, a, b = self.state[name]
-            # m = b1 * m + (1 - b1) * g
+            state = self.state.get(name)
+            if state is None:
+                state = self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
+            m, v, a, b = state
+            # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
             np.multiply(m, b1, out=m)
-            m[at] += g * c1
-            # v = b2 * v + (1 - b2) * g * g
             np.multiply(v, b2, out=v)
-            v[at] += g * c2 * g
+            if at is None:
+                m += g * c1
+                v += g * c2 * g
+            else:
+                m[at] += g * c1
+                v[at] += g * c2 * g
             # p -= lr * m_hat / (sqrt(v_hat) + eps)
             np.divide(m, bias1, out=a)
             np.divide(v, bias2, out=b)
@@ -180,7 +193,10 @@ class SgdOptimizer:
 
     def step(self, params, grads):
         for _, p, g, at in _present(params, grads):
-            p[at] -= self.lr * g
+            if at is None:
+                p -= self.lr * g
+            else:
+                p[at] -= self.lr * g
         return params
 
 
@@ -218,18 +234,18 @@ def _class_targets(mapping: LabelMapping, dataset: Dataset) -> np.ndarray:
 
 
 def _copy_updated(params: ModelParams, updated) -> ModelParams:
-    """params with a private copy of each array named in updated and a
+    """params with a private copy of each of TRAINED named in updated and a
     read-only view of the others, which numpy then refuses to write."""
-    arrays = {}
-    for name in PARAM_NAMES:
+    arrays = []
+    for name in TRAINED:
         array = getattr(params, name)
         if name in updated:
             array = array.copy()
         else:
             array = array.view()
             array.flags.writeable = False
-        arrays[name] = array
-    return ModelParams(**arrays)
+        arrays.append(array)
+    return ModelParams.of_head(*arrays, params.head_weights.shape)
 
 
 def train(
@@ -278,7 +294,7 @@ def train(
                        else train_set.score_range)
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
-    updated = [name for name in PARAM_NAMES if not (frozen and name == "embeddings")]
+    updated = ("head",) if frozen else TRAINED
     work = Model(model.vocab, _copy_updated(model.params, updated), model.feature_mode,
                  model.mapping, config.max_tokens)
     train_pairs, dev_pairs = (

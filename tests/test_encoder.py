@@ -26,6 +26,7 @@ from simreg.data import SentencePair
 from simreg.encoder import (
     Corpus,
     FeatureMode,
+    Gradients,
     Model,
     ModelParams,
     PairTokens,
@@ -734,7 +735,7 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     # the reference's gradient of the features, split as forward_backward
     # splits it, is the embedding gradient to the bit
     d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u, v, mode)
+    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u - v, mode)
     assert (S @ d_pooled).tobytes() == full[1].embeddings.tobytes()
 
 
@@ -803,6 +804,69 @@ def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batc
     np.testing.assert_array_max_ulp(values, np.array(each), maxulp=4)
     if kind is LossKind.INFO_NCE and batch == 1:
         assert not values.any()
+
+
+@pytest.mark.parametrize("n_classes", [None, 3], ids=["regression", "k_logit"])
+def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
+    def assert_views(holder):
+        """head_weights and head_bias read and write holder.head itself,
+        the weights then the bias along its last axis."""
+        flat = holder.head.reshape(-1, holder.head.shape[-1])
+        weights = holder.head_weights.reshape(len(flat), -1)
+        bias = holder.head_bias.reshape(len(flat), -1)
+        assert np.shares_memory(holder.head_weights, holder.head)
+        assert np.shares_memory(holder.head_bias, holder.head)
+        assert flat.tobytes() == np.concatenate((weights, bias), axis=1).tobytes()
+
+    mode, dim = FeatureMode.UV_ABS_DIFF, 3
+    vocab = build_vocab(["a b c"])
+    params = init_params(len(vocab), dim, mode, 0, n_classes=n_classes)
+    assert params.head.shape == (params.head_weights.size + params.head_bias.size,)
+    assert_views(params)
+    # any constructor's arrays, and an assigned part, join into a new head
+    for made in (ModelParams(params.embeddings, params.head_weights.tolist(),
+                             params.head_bias.tolist()),
+                 dataclasses.replace(params, head_bias=params.head_bias + 1.0),
+                 copy_params(params)):
+        assert_views(made)
+        assert not np.shares_memory(made.head, params.head)
+    params.head_bias = params.head_bias + 1.0
+    assert_views(params)
+    # stacked copies: built from stacked arrays, and gradcheck's views of
+    # one block of flat parameter vectors
+    stacks = [ModelParams(*(np.stack([a, a]) for a in (params.embeddings,
+                                                       params.head_weights,
+                                                       params.head_bias)))]
+    finite_difference_grads(
+        lambda stacked: stacks.append(stacked) or np.zeros(stacked.stack_shape), params)
+    for stacked in stacks:
+        assert stacked.stack_shape[0] >= 2
+        assert_views(stacked)
+    assert np.shares_memory(stacks[1].head, stacks[1].embeddings.base)
+
+    tokens = tokenize_pairs(["a b", "c", "b", "a c"], vocab)
+    if n_classes is None:
+        spec, targets = LossSpec(LossKind.MSE), [0.5, 2.0]
+    else:
+        spec, targets = LossSpec(LossKind.CROSS_ENTROPY), [0, 2]
+    _, grads = forward_backward(params, tokens.pooling, targets, mode, spec)
+    fd = finite_difference_grads(
+        lambda p: forward_backward(p, tokens.pooling, targets, mode, spec,
+                                   with_grads=False)[0], params)
+    made = Gradients(None, grads.head_weights.copy(), grads.head_bias.copy(), None)
+    for g in (grads, fd, made):
+        assert g.head.shape == params.head.shape
+        assert_views(g)
+    assert made.head.tobytes() == grads.head.tobytes()
+
+    model = Model(vocab, params, mode)
+    save_checkpoint(model, tmp_path / "ck.json")
+    again = load_checkpoint(tmp_path / "ck.json").params
+    assert_views(again)
+    for name in ("embeddings", "head_weights", "head_bias", "head"):
+        got, want = getattr(again, name), getattr(params, name)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:

@@ -52,8 +52,8 @@ def test_injected_sign_bug_is_caught(monkeypatch):
     # flip the sign propagated through the |u - v| branch
     original = encoder._feature_grad
 
-    def broken(df, u, v, mode):
-        du, dv = original(df, u, v, mode)
+    def broken(df, diff, mode):
+        du, dv = original(df, diff, mode)
         if mode is not FeatureMode.UV:
             return dv, du  # swapped: wrong direction through |u - v|
         return du, dv

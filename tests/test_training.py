@@ -105,13 +105,23 @@ class TestSgdStep:
         params = copy_params(model.params)
         grads = zero_gradients(params)
         grads.head_weights = np.zeros(5)
+        # the table's gradient is good, so a partial update would show
+        grads.embeddings[:] = 1.0
         rowless = zero_gradients(params)
         rowless.rows = None  # an embedding gradient without its rows
-        for optimizer in (SgdOptimizer(0.1), AdamOptimizer(0.1)):
+        adam = AdamOptimizer(0.1)
+        first = zero_gradients(params)
+        first.embeddings[:] = first.head[:] = 1.0
+        adam.step(params, first)  # moments to change
+        snapshot = [a.tobytes() for a in (params.embeddings, params.head,
+                                          *arrays_in(adam.state))]
+        for optimizer in (SgdOptimizer(0.1), adam):
             for bad in (grads, rowless):
                 with pytest.raises(InvalidInputError):
                     optimizer.step(params, bad)
-        np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
+        assert adam.t == 1
+        assert snapshot == [a.tobytes() for a in (params.embeddings, params.head,
+                                                  *arrays_in(adam.state))]
 
 
 class TestAdam:
@@ -294,6 +304,8 @@ class TestTrain:
         frozen, joint = ([a.shape for a in arrays_in(opt)] for opt in made)
         assert frozen and table not in frozen
         assert table in joint  # the joint stage's moments cover the table
+        # one set of moments for the flat head, one for the table
+        assert [list(opt.state) for opt in made] == [["head"], ["embeddings", "head"]]
 
     @pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
     def test_corpus_with_other_texts_changes_nothing(self, model, corpus, stage):
