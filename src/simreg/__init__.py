@@ -3,7 +3,7 @@
 from .data import Dataset, SentencePair
 from .encoder import FeatureMode, Model, ModelParams, Vocabulary, build_vocab
 from .evaluation import EvalReport, evaluate, spearman
-from .labelmap import LabelMapping, build_mapping, classify
+from .labelmap import LabelMapping, classify
 from .losses import LossKind, LossSpec
 from .training import Stage, TrainConfig, train, two_stage_finetune
 
@@ -20,7 +20,6 @@ __all__ = [
     "Stage",
     "TrainConfig",
     "Vocabulary",
-    "build_mapping",
     "build_vocab",
     "classify",
     "evaluate",

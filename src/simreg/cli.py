@@ -4,7 +4,9 @@ Each run of a config goes through training.load_run_data and training.run;
 this module parses arguments, prints and writes the output files.
 
 Exit codes: 0 on success, 1 for validation problems (bad config, bad data,
-failed gradient check), 2 for runtime failures.
+failed gradient check), 2 for runtime failures: aborted training, I/O errors
+and running out of memory (an array too large to allocate).  Every failure
+prints one "error:" line to stderr.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ def main(argv=None) -> int:
     except (UsageError, SimregError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, TrainingError) else 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from .data import NLI_CATEGORIES
 from .encoder import FeatureMode
 from .errors import ConfigError, InvalidInputError
-from .labelmap import LabelMapping, build_mapping
+from .labelmap import LabelMapping
 from .losses import REGRESSION_KINDS, LossKind, LossSpec
 from .training import TrainConfig
 
@@ -159,7 +159,7 @@ def _train_config(name: str, doc: dict, base: TrainConfig | None = None):
 
 def _mapping(where: str, categories, start: float, interval: float) -> LabelMapping:
     try:
-        return build_mapping(categories, start, interval)
+        return LabelMapping(categories, start, interval)
     except InvalidInputError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 

@@ -4,7 +4,11 @@ Both sentences of a pair run through the same embedding table (one shared
 parameter set), are mean-pooled into vectors u and v, combined into a feature
 vector per the configured mode, and fed to a linear head: a single output for
 regression or K outputs for the classification baseline.  The backward pass
-is derived by hand and returns exact gradients for every parameter.
+is derived by hand and returns exact gradients for every parameter.  The
+head is stored as one flat array per parameter copy, ModelParams.head: the
+weights, then the bias, as head_parts lays them out.  head_weights and
+head_bias are read-only views of it, and the head gradient, Gradients.head,
+has the same layout, so an optimizer updates the whole head as one array.
 
 Everything runs on whole batches at once.  All distinct texts are split into
 words by one split of one string (``Corpus``): joined, lowercased, blanked of
@@ -347,103 +351,60 @@ def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> Pa
     return PairTokens(corpus.vocab_ids(vocab)[word_ids], lengths)
 
 
-# ModelParams' and Gradients' two views of their flat head
-_HEAD_PARTS = ("head_weights", "head_bias")
+def head_parts(head: np.ndarray, weights_shape: tuple[int, ...]):
+    """(weights, bias): the views of a flat head, whose last axis holds one
+    copy's weights of weights_shape, then its bias.  The regression head's
+    weights are a vector and its bias 0-d; the K-logit head's are a (K,
+    feature_dim) matrix and a K-vector."""
+    n = math.prod(weights_shape)
+    if len(weights_shape) == 1:
+        return head[..., :n], head[..., n]  # the Ellipsis keeps a 0-d view
+    # splitting the last axis is always a view, never a copy
+    return head[..., :n].reshape(head.shape[:-1] + weights_shape), head[..., n:]
 
 
-class _FlatHead:
-    """The head held as one flat array per parameter copy, head: the
-    weights, then the bias, along its last axis.  head_weights and
-    head_bias are views of it.  Assigning either of them a new array joins
-    both into a new head and rebinds the views, so the three always agree.
-    """
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name in _HEAD_PARTS and hasattr(self, "head"):  # not while __init__ runs
-            self._join_head()
-
-    def _hold(self, head, weights_shape):
-        """Take head as the flat head, with weights of weights_shape per copy,
-        and rebind head_weights and head_bias to its views."""
-        if len(weights_shape) == 1:  # regression: a vector, then a 0-d bias
-            n = weights_shape[0]
-            weights, bias = head[..., :n], head[..., n]
-        else:  # K-logit: the (K, feature_dim) matrix, then the K-vector
-            n = math.prod(weights_shape)
-            # splitting the last axis is always a view, never a copy
-            weights = head[..., :n].reshape(head.shape[:-1] + weights_shape)
-            bias = head[..., n:]
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "head_weights", weights)
-        object.__setattr__(self, "head_bias", bias)
-
-    def _join(self, weights, bias, lead):
-        """Hold a new flat head of weights then bias, with lead copy axes."""
-        weights, bias = np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
-        if weights.shape[:-1] != bias.shape or weights.ndim <= len(lead):
-            raise InvalidInputError(f"head weights of shape {weights.shape} and bias "
-                                    f"of shape {bias.shape} do not make one head")
-        head = np.concatenate((weights.reshape(lead + (-1,)), bias.reshape(lead + (-1,))),
-                              axis=-1)
-        self._hold(head, weights.shape[len(lead):])
+def _head_view(part: int) -> cached_property:
+    """head_parts' view number part (0 the weights, 1 the bias) of an
+    instance's head, made on first read; None while head is."""
+    return cached_property(lambda self: None if self.head is None
+                           else head_parts(self.head, self.weights_shape)[part])
 
 
-@dataclass
-class ModelParams(_FlatHead):
+@dataclass(frozen=True)
+class ModelParams:
     """The complete trainable state.
 
-    head_weights is a vector of length feature_dim for the regression head or
-    a (K, feature_dim) matrix for the K-logit classification head; head_bias
-    is a 0-d array (regression) or a K-vector.  A stack of parameter copies
-    puts the same leading axes (stack_shape) in front of all three arrays.
-    The head is held as one flat array per copy, head (stack_shape + (weights
-    + bias entries,)): the weights, then the bias.  head_weights and
-    head_bias are views of it, which the constructor makes from whatever
-    arrays it is given (a copy of them joined); assigning either one joins
-    a new head.  of_head instead takes a flat head as it is.
+    embeddings is the (vocab, dim) table.  head is the head as one flat
+    array: the weights, then the bias (head_parts).  weights_shape is one
+    copy's weights shape, (feature_dim,) for the regression head or (K,
+    feature_dim) for the K-logit classification head, whose bias is 0-d or
+    a K-vector.  A stack of parameter copies puts the same leading axes
+    (stack_shape) in front of embeddings and head.  The arrays are held as
+    given, not copied.  head_weights and head_bias are read-only
+    attributes, each a view of head made once, so a write through either
+    one is a write to head.
     """
 
     embeddings: np.ndarray
-    head_weights: np.ndarray
-    head_bias: np.ndarray
+    head: np.ndarray
+    weights_shape: tuple[int, ...]
+
+    head_weights = _head_view(0)
+    head_bias = _head_view(1)
 
     def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=float)
+        """Reject a head that is not one regression or K-logit head per copy
+        of this table."""
         if self.embeddings.ndim < 2:
             raise InvalidInputError("embeddings must be a (vocab, dim) matrix")
-        self._join_head()
-
-    @classmethod
-    def of_head(cls, embeddings: np.ndarray, head: np.ndarray,
-                weights_shape: tuple[int, ...]) -> "ModelParams":
-        """Parameters holding embeddings and the flat head themselves, not
-        copies; weights_shape is one copy's head_weights shape."""
-        params = cls.__new__(cls)
-        object.__setattr__(params, "embeddings", embeddings)
-        params._hold(head, weights_shape)
-        params._check_head(params.head_weights.shape, params.head_bias.shape)
-        return params
-
-    def _join_head(self):
-        self._check_head(np.shape(self.head_weights), np.shape(self.head_bias))
-        self._join(self.head_weights, self.head_bias, self.stack_shape)
-
-    def _check_head(self, weights, bias):
-        """Reject head parts of shapes weights and bias that are not this
-        table's regression or K-logit head."""
-        stack = self.stack_shape
-        if weights[:len(stack)] != stack or bias[:len(stack)] != stack:
-            raise InvalidInputError("stacked parameters need one leading shape")
-        weights, bias = weights[len(stack):], bias[len(stack):]
-        if len(weights) == 1:
-            if bias != ():
-                raise InvalidInputError("regression head needs a scalar bias")
-        elif len(weights) == 2:
-            if bias != weights[:1]:
-                raise InvalidInputError("classification head needs a K-vector bias")
-        else:
-            raise InvalidInputError("head_weights must be 1- or 2-dimensional")
+        shape = self.weights_shape
+        if len(shape) not in (1, 2):
+            raise InvalidInputError("head weights must be 1- or 2-dimensional")
+        size = math.prod(shape) + (shape[0] if len(shape) == 2 else 1)
+        if self.head.shape != self.stack_shape + (size,):
+            raise InvalidInputError(
+                f"a head of shape {self.head.shape} does not hold weights of shape "
+                f"{shape} and their bias for each of {self.stack_shape} copies")
 
     @property
     def stack_shape(self) -> tuple[int, ...]:
@@ -460,59 +421,37 @@ class ModelParams(_FlatHead):
 
     @property
     def is_classifier(self) -> bool:
-        # the K-logit head has one axis more than the regression head's
-        # vector: as many as the (vocab, dim) table
-        return self.head_weights.ndim == self.embeddings.ndim
+        return len(self.weights_shape) == 2
 
     @property
     def n_classes(self) -> int:
-        return self.head_weights.shape[-2] if self.is_classifier else 1
+        return self.weights_shape[0] if self.is_classifier else 1
 
     @property
     def head_weight_count(self) -> int:
-        return int(self.head_weights.size)
+        return math.prod(self.weights_shape)
 
 
-@dataclass
-class Gradients(_FlatHead):
+@dataclass(frozen=True)
+class Gradients:
     """Gradients of the parameters, the embedding table's row-sparse.
 
     rows holds sorted, unique token ids and embeddings one gradient row per
     id; every other row of the table has a zero gradient.  Both are None
-    when no embedding gradient was computed (head_loss).  The head gradient
-    is one flat array, head, laid out as ModelParams.head, with head_weights
-    and head_bias its views in the shapes of their parameters; the
-    constructor joins the parts it is given, and of_head takes a flat head
-    as it is.  head is None while either part is: the loss has no head
-    (InfoNCE), whose parts are None too.  None means no gradient: an
-    optimizer leaves that parameter untouched.
+    when no embedding gradient was computed (head_loss).  head is the head
+    gradient as one flat array laid out as ModelParams.head, for weights of
+    weights_shape, with the read-only views head_weights and head_bias; it
+    is None when the loss has no head (InfoNCE), and so are its views.
+    None means no gradient: an optimizer leaves that parameter untouched.
     """
 
     embeddings: np.ndarray | None
-    head_weights: np.ndarray | None
-    head_bias: np.ndarray | None
     rows: np.ndarray | None
+    head: np.ndarray | None
+    weights_shape: tuple[int, ...] | None
 
-    def __post_init__(self):
-        self._join_head()
-
-    @classmethod
-    def of_head(cls, head: np.ndarray, weights_shape: tuple[int, ...],
-                embeddings: np.ndarray | None = None,
-                rows: np.ndarray | None = None) -> "Gradients":
-        """Gradients holding the flat head gradient head itself, weights of
-        weights_shape then the bias, and the given table gradient."""
-        grads = cls.__new__(cls)
-        object.__setattr__(grads, "embeddings", embeddings)
-        object.__setattr__(grads, "rows", rows)
-        grads._hold(head, weights_shape)
-        return grads
-
-    def _join_head(self):
-        if self.head_weights is None or self.head_bias is None:
-            object.__setattr__(self, "head", None)
-        else:
-            self._join(self.head_weights, self.head_bias, ())
+    head_weights = _head_view(0)
+    head_bias = _head_view(1)
 
 
 def init_params(
@@ -534,14 +473,13 @@ def init_params(
     f = feature_dim(mode, dim)
     scale = f ** -0.5
     if n_classes is None:
-        weights = rng.uniform(-scale, scale, size=f)
-        bias = np.asarray((label_range[0] + label_range[1]) / 2.0)
+        shape, bias = (f,), [(label_range[0] + label_range[1]) / 2.0]
     else:
         if n_classes < 2:
             raise InvalidInputError("classification head needs at least 2 classes")
-        weights = rng.uniform(-scale, scale, size=(n_classes, f))
-        bias = np.zeros(n_classes)
-    return ModelParams(emb, weights, bias)
+        shape, bias = (n_classes, f), np.zeros(n_classes)
+    weights = rng.uniform(-scale, scale, size=math.prod(shape))
+    return ModelParams(emb, np.concatenate((weights, bias)), shape)
 
 
 def pool(embeddings: np.ndarray, tokens: PairTokens) -> np.ndarray:
@@ -625,7 +563,7 @@ class Model:
 
     def __post_init__(self):
         expected = feature_dim(self.feature_mode, self.params.dim)
-        got = self.params.head_weights.shape[-1]
+        got = self.params.weights_shape[-1]
         if got != expected:
             raise InvalidInputError(
                 f"head expects {expected} features for mode "
@@ -719,22 +657,22 @@ def forward_backward(
     u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
     if loss_spec.kind is LossKind.INFO_NCE:
         value, du, dv = losses.info_nce(u, v, loss_spec.tau)
-        grads = Gradients(None, None, None, None) if with_grads else None
+        d_head = None
     else:
         # u - v feeds both |u - v| and its gradient's sign
         diff = None if mode is FeatureMode.UV else u - v
         value, grads, d_out = head_loss(params, _features(u, v, diff, mode), targets,
                                         loss_spec, clamp_range, with_grads)
-        if grads is not None:
+        if with_grads:
             w = params.head_weights
             d_features = d_out @ w if params.is_classifier else np.multiply.outer(d_out, w)
             du, dv = _feature_grad(d_features, diff, mode)
-    if grads is None:
+            d_head = grads.head
+    if not with_grads:
         return value, None
     d_pooled = np.empty_like(pooled)
     d_pooled[0::2], d_pooled[1::2] = du, dv
-    grads.rows, grads.embeddings = rows, S @ d_pooled
-    return value, grads
+    return value, Gradients(S @ d_pooled, rows, d_head, params.weights_shape)
 
 
 def head_loss(
@@ -782,10 +720,11 @@ def head_loss(
     if not with_grads:
         return value, None, None
     d_out /= n  # d_out is this call's own array
-    grads = Gradients.of_head(np.empty_like(params.head), params.head_weights.shape)
-    np.matmul(d_out.T, f, out=grads.head_weights)
-    np.add.reduce(d_out, axis=0, out=grads.head_bias)
-    return value, grads, d_out
+    d_head = np.empty_like(params.head)
+    d_weights, d_bias = head_parts(d_head, params.weights_shape)
+    np.matmul(d_out.T, f, out=d_weights)
+    np.add.reduce(d_out, axis=0, out=d_bias)
+    return value, Gradients(None, None, d_head, params.weights_shape), d_out
 
 
 def _clamp(x: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -882,7 +821,12 @@ def load_checkpoint(path) -> Model:
         mapping = (
             LabelMapping.from_json_dict(doc["mapping"]) if doc["mapping"] else None
         )
-        params = ModelParams(*(_decode_array(doc[name], name) for name in PARAM_NAMES))
+        embeddings, weights, bias = (_decode_array(doc[name], name)
+                                     for name in PARAM_NAMES)
+        params = ModelParams(embeddings, np.append(weights, bias), weights.shape)
+        if params.head_bias.shape != bias.shape:
+            raise CheckpointError(f"head_bias of shape {bias.shape} does not fit "
+                                  f"head_weights of shape {weights.shape}")
         if doc["head_kind"] != _head_kind(params):
             raise CheckpointError(
                 f"head_kind {doc['head_kind']!r} does not match the head weights")

@@ -77,7 +77,7 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
     the -step copies, of a run of its entries, at most FD_CHUNK_BYTES of
     them, split back into the table and the head as views.
     """
-    table, weights_shape = params.embeddings, params.head_weights.shape
+    table, weights_shape = params.embeddings, params.weights_shape
     flat = np.concatenate([table.reshape(-1), params.head])
 
     def split(vectors):
@@ -94,13 +94,13 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
         stack = np.repeat(flat.reshape(1, -1), 2 * k, axis=0)
         stack[np.arange(k), entries] += DEFAULT_STEP
         stack[np.arange(k, 2 * k), entries] -= DEFAULT_STEP
-        stacked = ModelParams.of_head(*split(stack), weights_shape)
+        stacked = ModelParams(*split(stack), weights_shape)
         values = value_fn(stacked)
         del stack, stacked  # free this chunk before the next is built
         up, down = np.reshape(values, (2, k))
         fd[entries] = (up - down) / (2.0 * DEFAULT_STEP)
     embeddings, head = split(fd)
-    return Gradients.of_head(head, weights_shape, embeddings, np.arange(params.vocab_size))
+    return Gradients(embeddings, np.arange(params.vocab_size), head, weights_shape)
 
 
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:

@@ -76,12 +76,7 @@ class LabelMapping:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LabelMapping":
-        return build_mapping(doc["categories"], doc["start"], doc["interval"])
-
-
-def build_mapping(categories, start: float, d: float) -> LabelMapping:
-    """Create a mapping with nodes ``start + i*d``, ascending similarity order."""
-    return LabelMapping(categories, start, d)
+        return cls(doc["categories"], doc["start"], doc["interval"])
 
 
 def encode(mapping: LabelMapping, category):

@@ -82,8 +82,9 @@ _FLOAT = np.dtype(float)
 
 
 def _residuals(x):
-    """x as a float (array); every entry must be finite and non-negative.
-    A float array of at least one axis is taken as it is."""
+    """x as a float (array); every entry must be finite and non-negative,
+    else the error names how many are not and the first of them.  A float
+    array of at least one axis is taken as it is."""
     if type(x) is not np.ndarray or x.dtype is not _FLOAT or not x.ndim:
         x = np.asarray(x, dtype=float)[()]
     # two reductions over all axes (None), with no temporary array: the
@@ -91,7 +92,10 @@ def _residuals(x):
     # fails every comparison, for a NaN; the greatest is inf for an inf
     if x.size and not (np.minimum.reduce(x, None) >= 0.0
                        and np.maximum.reduce(x, None) < math.inf):
-        raise InvalidInputError(f"residual must be finite and non-negative, got {x}")
+        flat = np.ravel(x)
+        bad = flat[~((flat >= 0.0) & (flat < math.inf))]
+        raise InvalidInputError(f"residual must be finite and non-negative, got "
+                                f"{bad.size} bad of {flat.size} entries, the first {bad[0]}")
     return x
 
 

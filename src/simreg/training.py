@@ -45,7 +45,7 @@ from .encoder import (
 )
 from .errors import InvalidInputError, TrainingError
 from .evaluation import golds, predictions_for, spearman
-from .labelmap import LabelMapping, build_mapping
+from .labelmap import LabelMapping
 from .losses import LossKind, LossSpec
 
 if typing.TYPE_CHECKING:  # config imports this module
@@ -118,11 +118,10 @@ def _present(params, grads):
         updates.append(("embeddings", p, g, rows))
     if grads.head is not None:
         p, g = params.head, grads.head
-        if g.shape != p.shape or grads.head_weights.shape != params.head_weights.shape:
+        if g.shape != p.shape or grads.weights_shape != params.weights_shape:
             raise InvalidInputError(
-                f"head gradient of weights {grads.head_weights.shape} and bias "
-                f"{grads.head_bias.shape} != {params.head_weights.shape} and "
-                f"{params.head_bias.shape}")
+                f"head gradient of shape {g.shape} for weights of shape "
+                f"{grads.weights_shape} != {p.shape} for {params.weights_shape}")
         updates.append(("head", p, g, None))
     return updates
 
@@ -245,7 +244,7 @@ def _copy_updated(params: ModelParams, updated) -> ModelParams:
             array = array.view()
             array.flags.writeable = False
         arrays.append(array)
-    return ModelParams.of_head(*arrays, params.head_weights.shape)
+    return ModelParams(*arrays, params.weights_shape)
 
 
 def train(
@@ -279,7 +278,7 @@ def train(
         raise InvalidInputError("info_nce has no head to train with the encoder frozen")
     mapping = mapping if mapping is not None else model.mapping
     if mapping is None and train_set.is_categorical:
-        mapping = build_mapping(train_set.categories, 0.0, 1.0)
+        mapping = LabelMapping(train_set.categories, 0.0, 1.0)
     if loss_spec.kind is not LossKind.CROSS_ENTROPY:
         targets = golds(train_set, mapping)  # the contrastive loss ignores them
     elif train_set.is_categorical:
@@ -336,34 +335,38 @@ def train(
 
     step = 0
     batches_per_epoch = math.ceil(n / batch_size)
-    for _ in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_targets = targets[perm]
-        for b, batch in enumerate(plan(perm)):
-            try:
-                value, grads = batch_step(
-                    batch, epoch_targets[b * batch_size:(b + 1) * batch_size])
-            except InvalidInputError as exc:
-                # diverged parameters produce non-finite predictions downstream
-                raise TrainingError(f"aborted at step {step + 1}: {exc}") from exc
-            if not math.isfinite(value):
-                raise TrainingError(f"non-finite training loss at step {step + 1}")
-            optimizer.step(work.params, grads)
-            step += 1
-            dev = None
-            if step % config.eval_every == 0 or b == batches_per_epoch - 1:
+    # diverging parameters overflow to inf and NaN, which the checks below
+    # turn into one TrainingError; numpy's warnings on the way say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            perm = rng.permutation(n)
+            epoch_targets = targets[perm]
+            for b, batch in enumerate(plan(perm)):
                 try:
-                    dev = dev_score()
+                    value, grads = batch_step(
+                        batch, epoch_targets[b * batch_size:(b + 1) * batch_size])
                 except InvalidInputError as exc:
-                    # finite loss but runaway parameters: treat as divergence
-                    raise TrainingError(
-                        f"dev evaluation failed at step {step}: {exc}"
-                    ) from exc
-                if dev > best_dev:
-                    best_dev = dev
-                    for name in updated:
-                        np.copyto(getattr(best_params, name), getattr(work.params, name))
-            history.append(HistoryEntry(step, value, dev))
+                    # diverged parameters produce non-finite predictions downstream
+                    raise TrainingError(f"aborted at step {step + 1}: {exc}") from exc
+                if not math.isfinite(value):
+                    raise TrainingError(f"non-finite training loss at step {step + 1}")
+                optimizer.step(work.params, grads)
+                step += 1
+                dev = None
+                if step % config.eval_every == 0 or b == batches_per_epoch - 1:
+                    try:
+                        dev = dev_score()
+                    except InvalidInputError as exc:
+                        # finite loss but runaway parameters: treat as divergence
+                        raise TrainingError(
+                            f"dev evaluation failed at step {step}: {exc}"
+                        ) from exc
+                    if dev > best_dev:
+                        best_dev = dev
+                        for name in updated:
+                            np.copyto(getattr(best_params, name),
+                                      getattr(work.params, name))
+                history.append(HistoryEntry(step, value, dev))
 
     best_model = Model(
         work.vocab, best_params, work.feature_mode, work.mapping, work.max_tokens

@@ -16,7 +16,9 @@ entry and two forward passes at a time, the gradient check's relative error
 one parameter array at a time (max_relative_error_per_array), its
 configurations drawn as text and tokenized (draw_configuration_via_text), the
 optimizers as updates of whole dense arrays, and the synthetic corpus from a
-set difference over the whole vocabulary per pair.  copy_params gives tests that
+set difference over the whole vocabulary per pair.  params_of builds
+parameters from the head's weights and bias as separate arrays, join_head
+joins such parts into one flat head, copy_params gives tests that
 mutate parameters their own copy, zero_gradients a zero gradient of
 every parameter entry for the optimizers to step on, and dense_embeddings a
 row-sparse embedding gradient as the whole table's.
@@ -35,6 +37,7 @@ from simreg import losses
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
     Gradients,
+    ModelParams,
     PairTokens,
     build_vocab,
     features,
@@ -47,17 +50,35 @@ from simreg.gradcheck import ALL_KINDS, ALL_MODES, _random_spec, _too_close_to_k
 from simreg.losses import LossKind
 
 
+def join_head(weights, bias, lead=()):
+    """(head, weights_shape): a new flat head holding weights, then bias,
+    along its last axis after the lead stack axes, and one copy's weights
+    shape, as ModelParams and Gradients take them."""
+    weights, bias = np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
+    head = np.concatenate((weights.reshape(lead + (-1,)), bias.reshape(lead + (-1,))),
+                          axis=-1)
+    return head, weights.shape[len(lead):]
+
+
+def params_of(embeddings, weights, bias):
+    """ModelParams of the table embeddings, whose leading axes are the
+    stack, and a new flat head joined from the weights and bias."""
+    embeddings = np.asarray(embeddings, dtype=float)
+    params = ModelParams(embeddings, *join_head(weights, bias, embeddings.shape[:-2]))
+    assert params.head_bias.shape == np.shape(bias)
+    return params
+
+
 def copy_params(params):
     """params with a private copy of each of its arrays."""
     return dataclasses.replace(params, embeddings=params.embeddings.copy(),
-                               head_weights=params.head_weights.copy(),
-                               head_bias=params.head_bias.copy())
+                               head=params.head.copy())
 
 
 def zero_gradients(params):
     """Zero gradients covering the whole embedding table."""
-    return Gradients(np.zeros_like(params.embeddings), np.zeros_like(params.head_weights),
-                     np.zeros_like(params.head_bias), np.arange(params.vocab_size))
+    return Gradients(np.zeros_like(params.embeddings), np.arange(params.vocab_size),
+                     np.zeros_like(params.head), params.weights_shape)
 
 
 def dense_embeddings(grads, vocab_size):
@@ -309,8 +330,7 @@ def head_forward_backward(params, u, v, targets, mode, loss_spec, clamp_range=No
         values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
         d_out = d_x * np.sign(diff) * (pred == out)
     value = np.sum(values, axis=-1) / n
-    grads = Gradients(None, np.zeros_like(params.head_weights),
-                      np.zeros_like(params.head_bias), None)
+    grads = Gradients(None, None, np.zeros_like(params.head), params.weights_shape)
     d_out = d_out / n
     grads.head_weights[...] = d_out.T @ f
     grads.head_bias[...] = np.sum(d_out, axis=0)

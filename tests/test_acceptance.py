@@ -14,7 +14,7 @@ from simreg.data import Dataset, SentencePair, dedup_filter, save_tsv
 from simreg.encoder import FeatureMode, Model, build_vocab, init_params
 from simreg.evaluation import evaluate, spearman
 from simreg.gradcheck import run_gradient_checks
-from simreg.labelmap import build_mapping, classify
+from simreg.labelmap import LabelMapping, classify
 from simreg.losses import (
     LossKind,
     LossSpec,
@@ -27,7 +27,7 @@ from simreg.losses import (
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
 from simreg.training import TrainConfig, two_stage_finetune
 
-FOUR = build_mapping(
+FOUR = LabelMapping(
     ["irrelevant", "slightly relevant", "moderately relevant", "highly relevant"],
     0.0,
     1.0,
@@ -176,7 +176,7 @@ def test_criterion_08_end_to_end_synthetic_regression():
     start = time.perf_counter()
     train_ds = make_ordinal_corpus(2000, seed=11, name="synth-train")
     dev_ds = make_ordinal_corpus(400, seed=12, name="synth-dev")
-    mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+    mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
     vocab = build_vocab([s for p in train_ds.pairs for s in (p.s1, p.s2)])
     model = Model.initialize(vocab, dim=32, seed=0, mapping=mapping)
     loss = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25, d=1.0)

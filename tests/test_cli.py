@@ -24,7 +24,7 @@ from simreg.encoder import (
 )
 from simreg.evaluation import evaluate
 from simreg.gradcheck import GradCheckResult
-from simreg.labelmap import build_mapping
+from simreg.labelmap import LabelMapping
 from simreg.losses import LossKind
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
 
@@ -218,7 +218,7 @@ class TestTrain:
         doc = json.loads((tmp_path / "run" / "mapping.json").read_text())
         assert doc == {"categories": list(ORDINAL_CATEGORIES), "start": 1.0,
                        "interval": 0.1}
-        trained = build_mapping(ORDINAL_CATEGORIES, 1.0, 0.1)
+        trained = LabelMapping(ORDINAL_CATEGORIES, 1.0, 0.1)
         assert trained.nodes == (1.0, 1.1, 1.2, 1.3)
         model = load_checkpoint(tmp_path / "run" / "checkpoint.json")
         assert model.mapping == trained and model.mapping.nodes == trained.nodes
@@ -233,6 +233,20 @@ class TestTrain:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 909. GiB for an array with shape (1000000000, 122) and "
+        "data type float64", ""], ids=["numpy", "bare"])
+    def test_memory_error_is_one_runtime_error_line(self, corpus_files, capsys,
+                                                    monkeypatch, message):
+        _, config_path, _ = corpus_files
+
+        def refuse(*args, **kwargs):  # as numpy refuses a too large array
+            raise MemoryError(message)
+
+        monkeypatch.setattr(encoder, "init_params", refuse)
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
 
     def test_out_dir_env_override(self, corpus_files, monkeypatch):
         tmp_path, config_path, _ = corpus_files
@@ -480,7 +494,7 @@ class TestLoadOnce:
         ds = make_ordinal_corpus(40, seed=7)
         vocab = build_vocab(ds.texts)
         model = Model.initialize(vocab, dim=4,
-                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+                                 mapping=LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0))
         save_checkpoint(model, tmp_path / "ck.json")
         save_tsv(ds, tmp_path / "graded.tsv")
         save_tsv(cont("scored", [(float(i % 4), p.s1, p.s2)
@@ -516,7 +530,7 @@ class TestEval:
         labels = ("1", "2", "3", "4")
         ds = make_ordinal_corpus(40, seed=7, categories=labels)
         vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
-        model = Model.initialize(vocab, dim=4, mapping=build_mapping(labels, 0.0, 1.0))
+        model = Model.initialize(vocab, dim=4, mapping=LabelMapping(labels, 0.0, 1.0))
         save_checkpoint(model, tmp_path / "ck.json")
         save_tsv(ds, tmp_path / "graded.tsv")
         assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
@@ -528,7 +542,7 @@ class TestEval:
         ds = make_ordinal_corpus(40, seed=7)
         vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=4,
-                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+                                 mapping=LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0))
         save_checkpoint(model, tmp_path / "ck.json")
         save_tsv(ds, tmp_path / "graded.tsv")
         save_tsv(cont("scored", [(float(i % 4), p.s1, p.s2)
@@ -551,7 +565,7 @@ class TestEval:
         ds = make_ordinal_corpus(20, seed=7)
         vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=4,
-                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+                                 mapping=LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0))
         save_checkpoint(model, tmp_path / "ck.json")
         save_tsv(ds, tmp_path / "good.tsv")
         lines = (tmp_path / "good.tsv").read_text().splitlines(keepends=True)
@@ -569,7 +583,7 @@ class TestEval:
         ds = make_ordinal_corpus(20, seed=7)
         vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=4,
-                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+                                 mapping=LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0))
         save_checkpoint(model, tmp_path / "ck.json")
         for directory in ("a", "b"):
             (tmp_path / directory).mkdir()
@@ -669,7 +683,7 @@ class TestEval:
         ds = make_ordinal_corpus(40, seed=7)
         vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=4, n_classes=4,
-                                 mapping=build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+                                 mapping=LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0))
         checkpoint = tmp_path / "ck.json"
         save_checkpoint(model, checkpoint)
         doc = json.loads(checkpoint.read_text())

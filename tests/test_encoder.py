@@ -15,6 +15,7 @@ from oracles import (
     dense_embeddings,
     forward_backward_per_pair,
     head_forward_backward,
+    params_of,
     pool_per_sentence,
     pooling_matrix,
     split_words,
@@ -26,7 +27,6 @@ from simreg.data import SentencePair
 from simreg.encoder import (
     Corpus,
     FeatureMode,
-    Gradients,
     Model,
     ModelParams,
     PairTokens,
@@ -44,8 +44,9 @@ from simreg.encoder import (
 )
 from simreg.errors import CheckpointError, InvalidInputError
 from simreg.gradcheck import _random_spec, finite_difference_grads, max_relative_error
-from simreg.labelmap import build_mapping
+from simreg.labelmap import LabelMapping
 from simreg.losses import LossKind, LossSpec, info_nce
+from simreg.training import _copy_updated
 
 
 def run(model, batch, spec, clamp_range=None):
@@ -234,7 +235,7 @@ class TestPredict:
         assert score(m, a) == pytest.approx(score(m, b), rel=1e-12)
 
     def test_classifier_predicts_expected_node_value(self, vocab):
-        mapping = build_mapping(["lo", "mid", "hi"], 0.0, 1.0)
+        mapping = LabelMapping(["lo", "mid", "hi"], 0.0, 1.0)
         m = Model.initialize(vocab, dim=4, seed=7, n_classes=3, mapping=mapping)
         pair = SentencePair("a man runs", "the dog swims", score=1.0)
         u = m.params.embeddings[token_ids(pair.s1, vocab)].mean(axis=0)
@@ -352,19 +353,19 @@ class TestForwardBackward:
     def test_clamped_overshoot_blocks_gradient(self, vocab):
         m = Model.initialize(vocab, dim=4, seed=3, label_range=(0.0, 3.0))
         pair = SentencePair("a man", "the dog", score=0.0)
-        m.params.head_bias = np.asarray(3.8)  # raw prediction past the top node
+        m.params.head_bias[...] = 3.8  # raw prediction past the top node
         spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
         value, grads = run(m, [(pair, 3.0)], spec, clamp_range=(0.0, 3.0))
         assert value == 0.0  # clamped to 3.0, residual 0 within buffer
         assert not grads.head_bias.any() and not grads.embeddings.any()
         offset = score(m, pair) - 3.8  # the raw prediction without the bias
         # undershoot: clamped up to 0.0, so the residual 1.0 costs but sends nothing
-        m.params.head_bias = np.asarray(-0.4 - offset)
+        m.params.head_bias[...] = -0.4 - offset
         value, grads = run(m, [(pair, 1.0)], spec, clamp_range=(0.0, 3.0))
         assert value == pytest.approx(2.0 * 0.75 ** 2)
         assert not grads.head_bias.any() and not grads.embeddings.any()
         # in range: the prediction 1.5 is not clamped and its gradient flows
-        m.params.head_bias = np.asarray(1.5 - offset)
+        m.params.head_bias[...] = 1.5 - offset
         value, grads = run(m, [(pair, 0.0)], spec, clamp_range=(0.0, 3.0))
         assert value == pytest.approx(2.0 * 1.25 ** 2)
         assert float(grads.head_bias) == pytest.approx(2.0 * 2.0 * 1.25)
@@ -385,15 +386,15 @@ class TestForwardBackward:
 
     def test_stacked_params_give_values_only(self, model):
         p = model.params
-        stack = ModelParams(*(np.stack([a, a]) for a in
-                              (p.embeddings, p.head_weights, p.head_bias)))
+        stack = params_of(*(np.stack([a, a]) for a in
+                            (p.embeddings, p.head_weights, p.head_bias)))
         assert stack.stack_shape == (2,) and stack.dim == p.dim
         pairs = model.encode(["a man", "the dog"])
         with pytest.raises(InvalidInputError):
             forward_backward(stack, pairs.pooling, [1.0], model.feature_mode,
                              LossSpec(LossKind.MSE))
         with pytest.raises(InvalidInputError):
-            ModelParams(stack.embeddings, p.head_weights, stack.head_bias)
+            ModelParams(stack.embeddings, p.head, p.weights_shape)
         with pytest.raises(InvalidInputError):
             Model(model.vocab, stack, model.feature_mode)
 
@@ -412,7 +413,7 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
     params = init_params(len(vocab), int(rng.integers(2, 6)), mode, seed,
                          n_classes=n_classes)
     if n_classes is None:
-        params.head_bias = np.asarray(rng.uniform(-1.0, 4.0))  # some get clamped
+        params.head_bias[...] = rng.uniform(-1.0, 4.0)  # some get clamped
         targets = rng.uniform(0.0, 3.0, size=batch)
     else:
         targets = rng.integers(0, n_classes, size=batch)
@@ -661,9 +662,9 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
     n_classes = 3 if kind is LossKind.CROSS_ENTROPY else None
     params = init_params(len(vocab), 4, mode, seed, n_classes=n_classes)
     if copies:  # the value path of a stack of parameter copies
-        params = ModelParams(*(a + rng.normal(0.0, 0.05, size=(copies,) + a.shape)
-                               for a in (params.embeddings, params.head_weights,
-                                         params.head_bias)))
+        params = params_of(*(a + rng.normal(0.0, 0.05, size=(copies,) + a.shape)
+                             for a in (params.embeddings, params.head_weights,
+                                       params.head_bias)))
     targets = (rng.integers(0, 3, size=batch) if n_classes
                else rng.uniform(0.0, 3.0, size=batch))
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 9))))
@@ -781,12 +782,12 @@ def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batc
     base = init_params(len(vocab), int(rng.integers(2, 6)), mode, seed,
                        n_classes=n_classes)
     if n_classes is None:
-        base.head_bias = np.asarray(rng.uniform(-1.0, 4.0))  # some get clamped
+        base.head_bias[...] = rng.uniform(-1.0, 4.0)  # some get clamped
         targets = rng.uniform(0.0, 3.0, size=batch)
     else:
         targets = rng.integers(0, n_classes, size=batch)
-    stack = ModelParams(*(a + rng.normal(0.0, 0.05, size=(copies,) + a.shape)
-                          for a in (base.embeddings, base.head_weights, base.head_bias)))
+    stack = params_of(*(a + rng.normal(0.0, 0.05, size=(copies,) + a.shape)
+                        for a in (base.embeddings, base.head_weights, base.head_bias)))
     spec = _random_spec(rng, kind)
     clamp_range = (0.0, 3.0) if clamp else None
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
@@ -796,8 +797,8 @@ def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batc
     values, grads = forward_backward(stack, tokens.pooling, targets, mode, spec,
                                      clamp_range, with_grads=False)
     assert grads is None and values.shape == (copies,)
-    each = [forward_backward(ModelParams(stack.embeddings[i], stack.head_weights[i],
-                                         stack.head_bias[i]),
+    each = [forward_backward(ModelParams(stack.embeddings[i], stack.head[i],
+                                         stack.weights_shape),
                              tokens.pooling, targets, mode, spec, clamp_range,
                              with_grads=False)[0]
             for i in range(copies)]
@@ -810,33 +811,43 @@ def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batc
 def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
     def assert_views(holder):
         """head_weights and head_bias read and write holder.head itself,
-        the weights then the bias along its last axis."""
+        the weights then the bias along its last axis, and are made once
+        and cannot be rebound."""
         flat = holder.head.reshape(-1, holder.head.shape[-1])
         weights = holder.head_weights.reshape(len(flat), -1)
         bias = holder.head_bias.reshape(len(flat), -1)
         assert np.shares_memory(holder.head_weights, holder.head)
         assert np.shares_memory(holder.head_bias, holder.head)
         assert flat.tobytes() == np.concatenate((weights, bias), axis=1).tobytes()
+        for name in ("head_weights", "head_bias"):
+            assert getattr(holder, name) is getattr(holder, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(holder, name, getattr(holder, name).copy())
+            with pytest.raises(TypeError):
+                dataclasses.replace(holder, **{name: getattr(holder, name).copy()})
 
     mode, dim = FeatureMode.UV_ABS_DIFF, 3
     vocab = build_vocab(["a b c"])
     params = init_params(len(vocab), dim, mode, 0, n_classes=n_classes)
     assert params.head.shape == (params.head_weights.size + params.head_bias.size,)
     assert_views(params)
-    # any constructor's arrays, and an assigned part, join into a new head
-    for made in (ModelParams(params.embeddings, params.head_weights.tolist(),
-                             params.head_bias.tolist()),
-                 dataclasses.replace(params, head_bias=params.head_bias + 1.0),
-                 copy_params(params)):
+    # a write through a view is a write to the flat head
+    bias = params.head[params.head_weights.size:].copy()
+    params.head_bias[...] += 1.0
+    assert params.head[params.head_weights.size:].tobytes() == (bias + 1.0).tobytes()
+    # copies of the head, and training's copy or read-only view of it
+    for made, shared in ((copy_params(params), False),
+                         (_copy_updated(params, ("head",)), False),
+                         (_copy_updated(params, ()), True)):
         assert_views(made)
-        assert not np.shares_memory(made.head, params.head)
-    params.head_bias = params.head_bias + 1.0
-    assert_views(params)
+        assert np.shares_memory(made.head, params.head) == shared
+    with pytest.raises(ValueError, match="read-only"):
+        _copy_updated(params, ()).head_bias[...] = 0.0
     # stacked copies: built from stacked arrays, and gradcheck's views of
     # one block of flat parameter vectors
-    stacks = [ModelParams(*(np.stack([a, a]) for a in (params.embeddings,
-                                                       params.head_weights,
-                                                       params.head_bias)))]
+    stacks = [params_of(*(np.stack([a, a]) for a in (params.embeddings,
+                                                     params.head_weights,
+                                                     params.head_bias)))]
     finite_difference_grads(
         lambda stacked: stacks.append(stacked) or np.zeros(stacked.stack_shape), params)
     for stacked in stacks:
@@ -853,11 +864,12 @@ def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
     fd = finite_difference_grads(
         lambda p: forward_backward(p, tokens.pooling, targets, mode, spec,
                                    with_grads=False)[0], params)
-    made = Gradients(None, grads.head_weights.copy(), grads.head_bias.copy(), None)
-    for g in (grads, fd, made):
-        assert g.head.shape == params.head.shape
+    rows, S = tokens.pooling
+    _, head_grads, _ = head_loss(params, features(*np.split(S.T @ params.embeddings[rows],
+                                                            2), mode), targets, spec)
+    for g in (grads, fd, head_grads):
+        assert g.head.shape == params.head.shape and g.weights_shape == params.weights_shape
         assert_views(g)
-    assert made.head.tobytes() == grads.head.tobytes()
 
     model = Model(vocab, params, mode)
     save_checkpoint(model, tmp_path / "ck.json")
@@ -871,7 +883,7 @@ def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, model, tmp_path):
-        model.mapping = build_mapping(["lo", "mid", "hi"], 0.0, 1.0)
+        model.mapping = LabelMapping(["lo", "mid", "hi"], 0.0, 1.0)
         path = tmp_path / "ck.json"
         save_checkpoint(model, path)
         again = load_checkpoint(path)
@@ -909,6 +921,7 @@ class TestCheckpoint:
         lambda doc: doc["embeddings"].update(dtype="<f4"),
         lambda doc: doc["head_weights"]["shape"].append(2),
         lambda doc: doc["head_weights"].update(shape=[1.5]),
+        lambda doc: doc["head_bias"]["shape"].append(1),
         lambda doc: doc.update(embeddings=[[0.0, 1.0]]),
         lambda doc: doc.update(version=1),
         lambda doc: doc.update(head_kind="classification"),
@@ -918,7 +931,7 @@ class TestCheckpoint:
         lambda doc: [doc[name]["shape"].insert(0, 1)
                      for name in ("embeddings", "head_weights", "head_bias")],
     ], ids=["bad-base64", "wrong-dtype", "bytes-not-shape", "float-shape",
-            "list-payload", "version-1", "head-kind-mismatch", "head-kind-unknown",
+            "bias-shape", "list-payload", "version-1", "head-kind-mismatch", "head-kind-unknown",
             "max-tokens-negative", "max-tokens-float", "stacked-arrays"])
     def test_corrupt_arrays_rejected(self, model, tmp_path, corrupt):
         path = tmp_path / "ck.json"
@@ -944,7 +957,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         before = path.read_bytes()
         other = dataclasses.replace(model, params=copy_params(model.params))
-        other.params.embeddings += 1.0
+        other.params.embeddings[...] += 1.0
         with failing_writes(), pytest.raises(OSError):
             save_checkpoint(other, path)
         assert path.read_bytes() == before
@@ -966,7 +979,7 @@ class TestCheckpoint:
             assert (8 * dim * len(vocab)) % encoder._B64_CHUNK
         mapping = None
         if with_mapping:
-            mapping = build_mapping(["lo", "très", "hi"], 0.0, 1.0)
+            mapping = LabelMapping(["lo", "très", "hi"], 0.0, 1.0)
         model = Model.initialize(vocab, dim=dim, seed=3, mapping=mapping,
                                  n_classes=3 if classifier else None)
         path = tmp_path / "ck.json"
@@ -1001,7 +1014,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         before = path.read_bytes()
         other = dataclasses.replace(model, params=copy_params(model.params))
-        other.params.embeddings += 1.0
+        other.params.embeddings[...] += 1.0
         encode = encoder.binascii.b2a_base64
         calls = []
 

@@ -13,7 +13,7 @@ from simreg import encoder, evaluation
 from simreg.encoder import Model, build_vocab
 from simreg.errors import DegenerateInputError, InvalidInputError
 from simreg.evaluation import accuracy, cosine, evaluate, spearman
-from simreg.labelmap import build_mapping
+from simreg.labelmap import LabelMapping
 
 
 class StubModel:
@@ -165,7 +165,7 @@ def by_label(ds, score_of):
 
 
 class TestAccuracy:
-    MAPPING = build_mapping(["low", "mid", "high"], 0.0, 1.0)
+    MAPPING = LabelMapping(["low", "mid", "high"], 0.0, 1.0)
 
     def test_exact_node_predictions_score_one(self):
         ds = categorical_ds("d", ["low", "high", "mid"])
@@ -195,7 +195,7 @@ class TestAccuracy:
 def test_evaluate_and_accuracy_match_per_pair_oracle():
     rng = np.random.default_rng(29)
     cats = ("low", "mid", "high", "top")
-    mapping = build_mapping(cats, -1.0, 0.5)
+    mapping = LabelMapping(cats, -1.0, 0.5)
     datasets = [categorical_ds(f"c{i}", [str(c) for c in rng.choice(cats, size=40)],
                                cats) for i in range(3)]
     datasets.append(Dataset("cont", tuple(
@@ -250,7 +250,7 @@ class TestEvaluate:
 
     def test_categorical_dataset_gets_accuracy(self):
         ds = categorical_ds("c", ["low", "mid", "high"] * 3)
-        mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
+        mapping = LabelMapping(["low", "mid", "high"], 0.0, 1.0)
         model = StubModel(by_label(ds, {"low": 0.1, "mid": 0.9, "high": 2.2}), mapping)
         report = evaluate(model, [ds])
         assert report.per_dataset[0].accuracy == 1.0
@@ -260,7 +260,7 @@ class TestEvaluate:
 
     def test_gold_values_computed_once_per_dataset(self, monkeypatch):
         ds = categorical_ds("c", ["low", "mid", "high"] * 3)
-        mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
+        mapping = LabelMapping(["low", "mid", "high"], 0.0, 1.0)
         model = StubModel(by_label(ds, {"low": 0.1, "mid": 0.9, "high": 2.2}), mapping)
         calls = []
         real = evaluation.encode
@@ -291,7 +291,7 @@ class TestEvaluate:
 
     def test_table_adds_accuracy_row_for_categorical(self):
         ds = categorical_ds("c", ["low", "mid", "high"] * 3)
-        mapping = build_mapping(["low", "mid", "high"], 0.0, 1.0)
+        mapping = LabelMapping(["low", "mid", "high"], 0.0, 1.0)
         model = StubModel(by_label(ds, {"low": 0.1, "mid": 0.9, "high": 2.2}), mapping)
         lines = evaluate(model, [ds]).format_table().splitlines()
         assert len(lines) == 3
@@ -304,7 +304,7 @@ class TestEvaluate:
         assert -1.0 <= report.average <= 1.0
 
     def test_cosine_eval_pools_each_dataset_once(self, monkeypatch):
-        cats = build_mapping(["low", "mid", "high"], 0.0, 1.0)
+        cats = LabelMapping(["low", "mid", "high"], 0.0, 1.0)
         categorical = categorical_ds("c", ["low", "mid", "high", "mid"])
         continuous = self.make_ds("s", [0.0, 1.0, 2.0, 3.0])
         texts = [t for ds in (categorical, continuous) for p in ds.pairs

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from oracles import (
     dense_embeddings,
     draw_configuration_via_text,
     finite_difference_per_entry,
+    join_head,
     max_relative_error_per_array,
 )
 from simreg.encoder import (
@@ -118,16 +120,17 @@ def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, 
         scale = 10.0 ** rng.uniform(-3, 3, size=shape)
         return np.asarray(rng.normal(size=shape) * scale)
 
-    analytic = Gradients(draw((len(rows), width)), draw(weights_shape),
-                         draw(bias_shape), rows)
-    fd = Gradients(*(np.asarray(a + draw(np.shape(a)) * 1e-3 * rng.integers(0, 2))
-                     for a in (dense_embeddings(analytic, vocab_size),
-                               analytic.head_weights, analytic.head_bias)),
-                   rows=np.arange(vocab_size))
+    analytic = Gradients(draw((len(rows), width)), rows,
+                         *join_head(draw(weights_shape), draw(bias_shape)))
+    fd_table, fd_weights, fd_bias = (
+        np.asarray(a + draw(np.shape(a)) * 1e-3 * rng.integers(0, 2))
+        for a in (dense_embeddings(analytic, vocab_size), analytic.head_weights,
+                  analytic.head_bias))
+    fd = Gradients(fd_table, np.arange(vocab_size), *join_head(fd_weights, fd_bias))
     arrays = [analytic.embeddings, analytic.head_weights, analytic.head_bias,
               fd.embeddings, fd.head_weights, fd.head_bias]
     if headless:  # no head gradient, as InfoNCE's: compared as zeros
-        analytic.head_weights = analytic.head_bias = None
+        analytic = dataclasses.replace(analytic, head=None, weights_shape=None)
         arrays[1:3] = [np.empty(0), np.empty(0)]
     has_nan = nan_in is not None and arrays[nan_in].size > 0
     if has_nan:
@@ -153,7 +156,7 @@ def test_info_nce_head_has_no_gradient_and_a_zero_difference(mode):
     assert error == check_configuration(0, LossKind.INFO_NCE, mode).max_rel_error
     assert error < DEFAULT_TOLERANCE
     # a nonzero head difference is seen against the missing head gradient
-    fd.head_bias = fd.head_bias + 1.0
+    fd.head_bias[...] += 1.0
     assert max_relative_error(analytic, fd) >= 0.5
 
 

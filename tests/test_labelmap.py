@@ -9,18 +9,17 @@ from oracles import classify_bruteforce
 from simreg.errors import InvalidInputError
 from simreg.labelmap import (
     LabelMapping,
-    build_mapping,
     classify,
     encode,
 )
 
-FOUR = build_mapping(
+FOUR = LabelMapping(
     ["irrelevant", "slightly relevant", "moderately relevant", "highly relevant"],
     0.0,
     1.0,
 )
-NLI = build_mapping(["contradiction", "neutral", "entailment"], 0.0, 1.0)
-TWO = build_mapping(["low", "high"], 0.0, 0.5)
+NLI = LabelMapping(["contradiction", "neutral", "entailment"], 0.0, 1.0)
+TWO = LabelMapping(["low", "high"], 0.0, 0.5)
 
 
 class TestBuildMapping:
@@ -36,7 +35,7 @@ class TestBuildMapping:
         assert TWO.d == 0.5
 
     def test_integer_start_and_interval_give_float_nodes(self):
-        mapping = build_mapping(["a", "b", "c"], 0, 1)
+        mapping = LabelMapping(["a", "b", "c"], 0, 1)
         assert [type(n) for n in mapping.nodes] == [float] * 3
         assert type(mapping.d) is float
         assert type(encode(mapping, "a")) is float
@@ -44,13 +43,13 @@ class TestBuildMapping:
 
     def test_needs_two_categories(self):
         with pytest.raises(InvalidInputError):
-            build_mapping(["only"], 0.0, 1.0)
+            LabelMapping(["only"], 0.0, 1.0)
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(InvalidInputError):
-            build_mapping(["a", "b"], 0.0, 0.0)
+            LabelMapping(["a", "b"], 0.0, 0.0)
         with pytest.raises(InvalidInputError):
-            build_mapping(["a", "b"], 0.0, -1.0)
+            LabelMapping(["a", "b"], 0.0, -1.0)
 
     @pytest.mark.parametrize("start, d", [
         (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
@@ -58,7 +57,7 @@ class TestBuildMapping:
     ])
     def test_rejects_non_finite_start_or_interval(self, start, d):
         with pytest.raises(InvalidInputError, match="finite"):
-            build_mapping(["a", "b"], start, d)
+            LabelMapping(["a", "b"], start, d)
         with pytest.raises(InvalidInputError, match="finite"):
             LabelMapping.from_json_dict(
                 {"categories": ["a", "b"], "start": start, "interval": d})
@@ -180,7 +179,7 @@ class TestSerialization:
     @given(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0), st.integers(2, 6))
     @example(1.0, 0.1, 4)
     def test_json_round_trip_keeps_the_nodes(self, start, interval, n):
-        mapping = build_mapping([f"c{i}" for i in range(n)], start, interval)
+        mapping = LabelMapping([f"c{i}" for i in range(n)], start, interval)
         doc = json.loads(json.dumps(mapping.to_json_dict()))
         assert (doc["start"], doc["interval"]) == (start, interval)
         again = LabelMapping.from_json_dict(doc)

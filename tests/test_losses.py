@@ -9,7 +9,7 @@ from oracles import central_difference, softmax_bruteforce
 from simreg import losses
 from simreg.encoder import Model, build_vocab, forward_backward
 from simreg.errors import InvalidInputError
-from simreg.labelmap import build_mapping
+from simreg.labelmap import LabelMapping
 from simreg.losses import (
     LossKind,
     LossSpec,
@@ -22,7 +22,7 @@ from simreg.losses import (
 )
 
 
-FOUR_CLASS = build_mapping(["irrelevant", "slight", "moderate", "high"], 0.0, 1.0)
+FOUR_CLASS = LabelMapping(["irrelevant", "slight", "moderate", "high"], 0.0, 1.0)
 
 
 def mse_with_prediction(prediction, target, clamp_range=None):
@@ -34,7 +34,7 @@ def mse_with_prediction(prediction, target, clamp_range=None):
     model = Model.initialize(build_vocab(["a man", "the dog"]), dim=4, seed=0,
                              label_range=(0.0, 3.0))
     model.params.head_weights[...] = 0.0
-    model.params.head_bias = np.asarray(prediction)
+    model.params.head_bias[...] = prediction
     pairs = model.encode(["a man", "the dog"])
     value, grads = forward_backward(model.params, pairs.pooling, [target],
                                     model.feature_mode, LossSpec(LossKind.MSE),
@@ -108,7 +108,9 @@ def residual_cases():
 @pytest.mark.parametrize("x", [x for _, x in residual_cases()],
                          ids=[name for name, _ in residual_cases()])
 def test_residual_check_rejects_every_bad_entry_anywhere(x):
-    message = f"residual must be finite and non-negative, got {np.asarray(x)[()]}"
+    first = next(v for v in np.ravel(x) if not 0.0 <= v < math.inf)
+    message = (f"residual must be finite and non-negative, got 1 bad of {np.size(x)} "
+               f"entries, the first {first}")
     with pytest.raises(InvalidInputError) as info:
         losses._residuals(x)
     assert str(info.value) == message

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     DenseAdam,
     copy_params,
     head_forward_backward,
+    join_head,
     pooling_matrix,
     sgd_step_dense,
     take,
@@ -29,7 +31,7 @@ from simreg.encoder import (
 )
 from simreg.errors import InvalidInputError, TrainingError
 from simreg.evaluation import evaluate, golds
-from simreg.labelmap import build_mapping
+from simreg.labelmap import LabelMapping
 from simreg.losses import LossKind, LossSpec
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
 from simreg.training import (
@@ -80,9 +82,9 @@ class TestSgdStep:
 
     def test_scalar_update(self, model):
         params = copy_params(model.params)
-        params.head_bias = np.asarray(1.0)
+        params.head_bias[...] = 1.0
         grads = zero_gradients(params)
-        grads.head_bias = np.asarray(2.0)
+        grads.head_bias[...] = 2.0
         SgdOptimizer(0.1).step(params, grads)
         assert float(params.head_bias) == pytest.approx(0.8)
 
@@ -96,19 +98,20 @@ class TestSgdStep:
         grads.head_weights[:] = 1.0
         opt.step(params, grads)  # Adam's table moments are nonzero from here on
         table, head = params.embeddings.copy(), params.head_weights.copy()
-        grads.embeddings = grads.rows = None
+        grads = dataclasses.replace(grads, embeddings=None, rows=None)
         opt.step(params, grads)
         assert params.embeddings.tobytes() == table.tobytes()
         assert not np.array_equal(params.head_weights, head)
 
     def test_shape_mismatch_rejected(self, model):
         params = copy_params(model.params)
-        grads = zero_gradients(params)
-        grads.head_weights = np.zeros(5)
+        # a head of weights for 5 features
+        grads = dataclasses.replace(zero_gradients(params), head=np.zeros(6),
+                                    weights_shape=(5,))
         # the table's gradient is good, so a partial update would show
         grads.embeddings[:] = 1.0
-        rowless = zero_gradients(params)
-        rowless.rows = None  # an embedding gradient without its rows
+        # an embedding gradient without its rows
+        rowless = dataclasses.replace(zero_gradients(params), rows=None)
         adam = AdamOptimizer(0.1)
         first = zero_gradients(params)
         first.embeddings[:] = first.head[:] = 1.0
@@ -128,8 +131,7 @@ class TestAdam:
     def test_head_only_freezes_embeddings_and_moments(self, model):
         params = copy_params(model.params)
         opt = AdamOptimizer(0.01)
-        grads = zero_gradients(params)
-        grads.embeddings = grads.rows = None
+        grads = dataclasses.replace(zero_gradients(params), embeddings=None, rows=None)
         grads.head_weights[:] = 1.0
         opt.step(params, grads)
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
@@ -218,7 +220,7 @@ def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
         grads = random_batch_grads(rng, start, vocab)
         dense = densified(grads, len(vocab))
         if stage is Stage.HEAD_ONLY:  # the frozen stage computes no table gradient
-            grads.embeddings = grads.rows = None
+            grads = dataclasses.replace(grads, embeddings=None, rows=None)
         opt.step(params, grads)
         if optimizer == "sgd":
             sgd_step_dense(expect, dense, lr, names)
@@ -241,8 +243,8 @@ def test_adam_on_a_row_untouched_for_long_runs_matches_dense_oracle():
         embeddings = rng.normal(size=(len(rows), 4))
         if step in (1, 30):
             embeddings[-1] = edge if step == 1 else -edge
-        grads = Gradients(embeddings, rng.normal(size=params.head_weights.shape),
-                          np.asarray(edge[step % 4]), rows)
+        grads = Gradients(embeddings, rows, *join_head(
+            rng.normal(size=params.head_weights.shape), edge[step % 4]))
         oracle.step(expect, densified(grads, len(vocab)), encoder.PARAM_NAMES)
         opt.step(params, grads)
     assert_same_params(params, expect)
@@ -378,7 +380,8 @@ class TestTrain:
                 value, grads = forward_backward(
                     params, pooling_matrix(take(tokens, idx)), targets[idx],
                     model.feature_mode, spec, corpus.score_range)
-                grads.embeddings = grads.rows = None  # the encoder is frozen
+                # the encoder is frozen
+                grads = dataclasses.replace(grads, embeddings=None, rows=None)
                 opt.step(params, grads)
                 losses.append(value)
         best = result.best_model.params
@@ -433,12 +436,15 @@ class TestTrain:
         devs = [e.dev_spearman for e in result.history if e.dev_spearman is not None]
         assert result.best_dev == max(devs)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
     def test_divergence_aborts_with_training_error(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=50, learning_rate=1e12, seed=1,
                           eval_every=10**9, clamp_predictions=False)
-        with pytest.raises(TrainingError):
-            train(model, corpus, corpus, cfg, LossSpec(LossKind.MSE), Stage.JOINT)
+        # the overflow on the way is silent: the error says what went wrong
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError):
+                train(model, corpus, corpus, cfg, LossSpec(LossKind.MSE), Stage.JOINT)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_empty_dataset_rejected(self, model, corpus):
         empty = Dataset("none", (), score_range=(0.0, 3.0))
@@ -450,7 +456,7 @@ class TestTrain:
 
     def test_categorical_corpus_with_mapping(self):
         train_ds = make_ordinal_corpus(80, seed=4)
-        mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+        mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
         vocab = build_vocab([s for p in train_ds.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=8, seed=0, mapping=mapping)
         cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.05, seed=0)
@@ -459,7 +465,7 @@ class TestTrain:
 
     def test_mapping_missing_a_category_rejected(self):
         train_ds = make_ordinal_corpus(40, seed=4)
-        partial = build_mapping(ORDINAL_CATEGORIES[:3], 0.0, 1.0)
+        partial = LabelMapping(ORDINAL_CATEGORIES[:3], 0.0, 1.0)
         vocab = build_vocab([s for p in train_ds.pairs for s in (p.s1, p.s2)])
         model = Model.initialize(vocab, dim=8, seed=0)
         cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.05, seed=0)
@@ -470,7 +476,7 @@ class TestTrain:
             train(model, train_ds, train_ds, cfg, K2, Stage.JOINT)
 
     @pytest.mark.parametrize("mapping", [
-        None, build_mapping(("a", "b", "c", "d"), 0.0, 1.0),  # a node for every score
+        None, LabelMapping(("a", "b", "c", "d"), 0.0, 1.0),  # a node for every score
     ], ids=["no-mapping", "scores-on-nodes"])
     def test_cross_entropy_needs_categorical_targets(self, corpus, mapping):
         vocab = build_vocab([s for p in corpus.pairs for s in (p.s1, p.s2)])
@@ -485,7 +491,7 @@ class TestTrain:
         pairs = [SentencePair(f"w{i}", f"v{i}", label=label)
                  for i, label in enumerate(["a", "c", "b", "a"])]
         ds = Dataset("d", pairs, categories=("a", "b", "c"))
-        mapping = build_mapping(("a", "z"), 0.0, 1.0)
+        mapping = LabelMapping(("a", "z"), 0.0, 1.0)
         model = Model.initialize(build_vocab(ds.texts), dim=4, seed=0, n_classes=2,
                                  mapping=mapping)
         cfg = TrainConfig(batch_size=2, epochs=1, learning_rate=0.05, seed=0)
@@ -603,7 +609,7 @@ def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, mode, optimiz
     monkeypatch.setattr(training, "_dev_score", lambda *args: float(next(rising)))
     # 35 batches: more than one planning window, the last one short
     dataset = make_ordinal_corpus(69, seed=3)
-    mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+    mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
     vocab = build_vocab(dataset.texts)
     n_classes = 4 if kind is LossKind.CROSS_ENTROPY else None
     model = Model.initialize(vocab, dim=6, feature_mode=mode, seed=5, mapping=mapping,
@@ -629,7 +635,7 @@ def test_baselines_are_the_buffered_losses_at_k1_x0_0(baseline, buffered, optimi
     the same best model and the same history."""
     train_set = make_ordinal_corpus(40, seed=3)
     dev_set = make_ordinal_corpus(20, seed=4)
-    mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+    mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
     model = Model.initialize(build_vocab(train_set.texts + dev_set.texts), dim=6,
                              seed=5, mapping=mapping)
     cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.05, seed=7, eval_every=3,
@@ -676,11 +682,11 @@ class TestTwoStage:
         sts = make_ordinal_corpus(48, seed=7)
         vocab = build_vocab([s for ds in (nli, sts) for p in ds.pairs
                              for s in (p.s1, p.s2)])
-        mapping = build_mapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+        mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
         model = Model.initialize(vocab, dim=8, seed=21, mapping=mapping)
         cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.1, seed=21)
         result = two_stage_finetune(model, nli, sts, sts, cfg,
-                                    nli_mapping=build_mapping(("c", "n", "e"), 0, 1))
+                                    nli_mapping=LabelMapping(("c", "n", "e"), 0, 1))
         initial = evaluate(model, [sts]).average
         assert result.stage1.history[0].dev_spearman == pytest.approx(initial, abs=1e-12)
 
