@@ -14,7 +14,12 @@ scored 1 + 4c/3, on SICK's [1, 5] scale) and data/test.tsv (the dev pairs
 scored, plus every third pair of data/sts.tsv as it is and every third pair
 of data/sick.tsv swapped, so the filter has pairs to remove), and
 data/info_nce.json, a contrastive run config: InfoNCE with Adam, trained on
-data/sts.tsv's positives and selected on data/dev_scores.tsv.  Then, for
+data/sts.tsv's positives and selected on data/dev_scores.tsv.  Three more
+one-stage run configs train on data/train.tsv and select on data/dev.tsv,
+so that every loss branch of the training step is compared:
+data/translated_relu.json (SGD, evaluated every 25 steps: the benchmark's
+large_vocab run, small), data/mse.json (Adam, absdiff features) and
+data/cross_entropy.json (SGD, uv features).  Then, for
 each checkout in turn, it runs in one Python process on that checkout's
 src/:
 
@@ -34,6 +39,12 @@ and the same for configs/demo.json under out/demo, then
     simreg train --config data/info_nce.json --out out/info_nce
     simreg eval --checkpoint out/info_nce/checkpoint.json \
         data/dev_scores.tsv --cosine --out out/info_nce/eval
+
+and, for NAME each of translated_relu, mse and cross_entropy,
+
+    simreg train --config data/NAME.json --out out/NAME
+    simreg eval --checkpoint out/NAME/checkpoint.json data/dev.tsv \
+        --out out/NAME/eval
 
 and last writes out/gradcheck.txt: the repr of each (label, max_rel_error,
 n_params) of run_gradient_checks(seeds=range(20)), the seeds simreg
@@ -59,6 +70,8 @@ import tempfile
 from pathlib import Path
 
 CONFIGS = ("two_stage", "demo")
+# run configs MAKE_DATA writes as data/NAME.json, each trained and evaluated
+DATA_CONFIGS = ("translated_relu", "mse", "cross_entropy")
 
 MAKE_DATA = """
 import json
@@ -94,6 +107,26 @@ Path("data/info_nce.json").write_text(json.dumps({
     "training": {"batch_size": 64, "epochs": 2, "learning_rate": 0.01,
                  "optimizer": "adam", "eval_every": 4},
 }))
+
+def run_config(name, loss, encoder, training):
+    Path(f"data/{name}.json").write_text(json.dumps({
+        "seed": 0, "encoder": encoder, "loss": loss,
+        "data": {"train": "data/train.tsv", "dev": "data/dev.tsv",
+                 "categories": list(train.categories)},
+        "training": training,
+    }))
+
+# the benchmark's large_vocab run at the quick start's size
+run_config("translated_relu", {"kind": "translated_relu", "k": 1.0, "x0": 0.25, "d": 1.0},
+           {"dim": 16, "feature_mode": "uv_absdiff"},
+           {"batch_size": 16, "epochs": 1, "learning_rate": 2.0, "optimizer": "sgd",
+            "eval_every": 25})
+run_config("mse", {"kind": "mse"}, {"dim": 16, "feature_mode": "absdiff"},
+           {"batch_size": 16, "epochs": 2, "learning_rate": 0.05, "optimizer": "adam",
+            "eval_every": 20})
+run_config("cross_entropy", {"kind": "cross_entropy"}, {"dim": 16, "feature_mode": "uv"},
+           {"batch_size": 16, "epochs": 2, "learning_rate": 0.05, "optimizer": "sgd",
+            "eval_every": 20})
 """
 
 RUN_COMMANDS = """
@@ -130,7 +163,11 @@ def commands(checkout: Path) -> list[list[str]]:
         ["train", "--config", "data/info_nce.json", "--out", "out/info_nce"],
         ["eval", "--checkpoint", "out/info_nce/checkpoint.json", "data/dev_scores.tsv",
          "--cosine", "--out", "out/info_nce/eval"],
-    ]
+    ] + [argv for name in DATA_CONFIGS for argv in (
+        ["train", "--config", f"data/{name}.json", "--out", f"out/{name}"],
+        ["eval", "--checkpoint", f"out/{name}/checkpoint.json", "data/dev.tsv",
+         "--out", f"out/{name}/eval"],
+    )]
 
 
 def python_in(checkout: Path, work: Path, code: str, *args: str) -> None:

@@ -179,6 +179,7 @@ def cmd_train(args) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(best_model, out / "checkpoint.json")
+    written = {f"{name}.csv" for name in histories}
     for name, history in histories.items():
         training.write_history_csv(history, out / f"{name}.csv")
     if best_model.mapping is not None:
@@ -186,10 +187,15 @@ def cmd_train(args) -> int:
             out / "mapping.json",
             json.dumps(best_model.mapping.to_json_dict(), sort_keys=True),
         )
+        written.add("mapping.json")
     data_mod.write_atomic(
         out / "manifest.json",
         json.dumps(_manifest(cfg, best_model, best_dev), sort_keys=True, indent=2),
     )
+    # what only some runs write: an earlier run's would pass for this run's
+    for name in {"history.csv", "history_stage1.csv", "history_stage2.csv",
+                 "mapping.json"} - written:
+        (out / name).unlink(missing_ok=True)
     print(f"best dev spearman: {best_dev:.4f}")
     print(f"checkpoint -> {out / 'checkpoint.json'}")
     return 0

@@ -33,7 +33,11 @@ features, of u and v and of the table.  A stage that freezes the encoder
 calls head_loss alone, on features it computed once, so it computes no
 feature or embedding gradient.  The contrastive baseline, InfoNCE, has no
 head: forward_backward computes it on u and v themselves, and its Gradients
-hold no head gradient (None).
+hold no head gradient (None).  Both run as steps that prepare_forward_backward
+and prepare_head_loss make with every dispatch and check that does not read
+the batch done once: a training stage calls one step batch after batch, and
+forward_backward and head_loss prepare one per call, so the gradient check
+checks the code that trains.
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
@@ -510,45 +514,57 @@ def head(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Raw head output for features f (..., n, feature_dim): n outputs of the
     regression head or an (n, K) logit matrix, with params' stack axes
     broadcast against f's leading axes."""
+    return _head_output(params)(f)
+
+
+def _head_output(params: ModelParams):
+    """f -> head(params, f), reading params' head through views taken once."""
     w, b = params.head_weights, params.head_bias
     if params.is_classifier:
-        return f @ np.swapaxes(w, -1, -2) + b[..., None, :]
-    return (f @ w[..., None])[..., 0] + b[..., None]
+        w_t, b_row = np.swapaxes(w, -1, -2), b[..., None, :]
+        return lambda f: f @ w_t + b_row
+    w_col, b_col = w[..., None], b[..., None]
+    return lambda f: (f @ w_col)[..., 0] + b_col
 
 
 def features(u: np.ndarray, v: np.ndarray, mode: FeatureMode) -> np.ndarray:
     """Combine the two sentence embeddings (last axis) for the head."""
     if u.shape != v.shape:
         raise InvalidInputError(f"embedding shape mismatch: {u.shape} vs {v.shape}")
-    return _features(u, v, None if mode is FeatureMode.UV else u - v, mode)
+    return _FEATURE_MAPS[mode][0](u, v, None if mode is FeatureMode.UV else u - v)
 
 
-def _features(u: np.ndarray, v: np.ndarray, diff: np.ndarray | None,
-              mode: FeatureMode) -> np.ndarray:
-    """features(u, v, mode) given diff = u - v, which UV does not read."""
-    if mode is FeatureMode.UV:
-        return np.concatenate([u, v], axis=-1)
-    if mode is FeatureMode.ABS_DIFF:
-        return np.abs(diff)
-    return np.concatenate([u, v, np.abs(diff)], axis=-1)
+def _uv_grad(df, diff, out):
+    dim = df.shape[-1] // 2
+    out[0::2], out[1::2] = df[..., :dim], df[..., dim:]
 
 
-def _feature_grad(df: np.ndarray, diff: np.ndarray | None, mode: FeatureMode):
-    """Split a feature gradient (last axis) into (du, dv), given diff = u - v
-    (which UV does not read).
-
-    The |u - v| branch back-propagates sign(u - v) element-wise, with the
-    standard subgradient 0 wherever u equals v.
-    """
-    if mode is FeatureMode.UV:
-        dim = df.shape[-1] // 2
-        return df[..., :dim], df[..., dim:]
+def _absdiff_grad(df, diff, out):
     s = np.sign(diff)
-    if mode is FeatureMode.ABS_DIFF:
-        return df * s, -df * s
+    np.multiply(df, s, out=out[0::2])
+    np.multiply(-df, s, out=out[1::2])
+
+
+def _uv_absdiff_grad(df, diff, out):
+    s = np.sign(diff)
     dim = diff.shape[-1]
     tail = df[..., 2 * dim:] * s
-    return df[..., :dim] + tail, df[..., dim:2 * dim] - tail
+    np.add(df[..., :dim], tail, out=out[0::2])
+    np.subtract(df[..., dim:2 * dim], tail, out=out[1::2])
+
+
+# each mode's (combine, split), given diff = u - v (None for UV, which reads
+# none): combine(u, v, diff) gives the features, and split(df, diff, out)
+# writes a feature gradient's du and dv to out's rows 0::2 and 1::2; the
+# |u - v| branch back-propagates sign(u - v), with the standard subgradient 0
+# wherever u equals v
+_FEATURE_MAPS = {
+    FeatureMode.UV: (lambda u, v, diff: np.concatenate([u, v], axis=-1), _uv_grad),
+    FeatureMode.ABS_DIFF: (lambda u, v, diff: np.abs(diff), _absdiff_grad),
+    FeatureMode.UV_ABS_DIFF: (
+        lambda u, v, diff: np.concatenate([u, v, np.abs(diff)], axis=-1),
+        _uv_absdiff_grad),
+}
 
 
 @dataclass
@@ -648,31 +664,54 @@ def forward_backward(
     gradient is zero.  With with_grads=False only the loss is computed and
     the gradients are None; params may then be a stack of copies
     (ModelParams.stack_shape), and the loss is an array with one value per
-    copy.
+    copy.  This is prepare_forward_backward's step, prepared for one call.
+    """
+    return prepare_forward_backward(params, mode, loss_spec, clamp_range,
+                                    with_grads)(pooling, targets)
+
+
+def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: LossSpec,
+                             clamp_range: tuple[float, float] | None = None,
+                             with_grads: bool = True):
+    """step(pooling, targets) giving forward_backward(params, pooling,
+    targets, mode, loss_spec, clamp_range, with_grads), every dispatch and
+    every check that does not read the batch made here, once.  The step
+    reads params' arrays through views taken here, so it sees every in-place
+    update of them (an optimizer's) and serves batch after batch.
     """
     if params.stack_shape and with_grads:
         raise InvalidInputError("gradients need one unstacked parameter set")
-    rows, S = pooling
-    pooled = S.T @ params.embeddings[..., rows, :]
-    u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
+    table, weights_shape = params.embeddings, params.weights_shape
     if loss_spec.kind is LossKind.INFO_NCE:
-        value, du, dv = losses.info_nce(u, v, loss_spec.tau)
-        d_head = None
-    else:
-        # u - v feeds both |u - v| and its gradient's sign
-        diff = None if mode is FeatureMode.UV else u - v
-        value, grads, d_out = head_loss(params, _features(u, v, diff, mode), targets,
-                                        loss_spec, clamp_range, with_grads)
-        if with_grads:
-            w = params.head_weights
-            d_features = d_out @ w if params.is_classifier else np.multiply.outer(d_out, w)
-            du, dv = _feature_grad(d_features, diff, mode)
-            d_head = grads.head
-    if not with_grads:
-        return value, None
-    d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = du, dv
-    return value, Gradients(S @ d_pooled, rows, d_head, params.weights_shape)
+        tau = loss_spec.tau
+
+        def step(pooling, targets):
+            rows, S = pooling
+            pooled = S.T @ table[..., rows, :]
+            value, du, dv = losses.info_nce(pooled[..., 0::2, :], pooled[..., 1::2, :], tau)
+            if not with_grads:
+                return value, None
+            d_pooled = np.empty(pooled.shape)
+            d_pooled[0::2], d_pooled[1::2] = du, dv
+            return value, Gradients(S @ d_pooled, rows, None, weights_shape)
+        return step
+    head_step = _head_step(params, loss_spec, clamp_range, with_grads, flat=True)
+    combine, split = _FEATURE_MAPS[mode]
+    w, classifier = params.head_weights, params.is_classifier
+    uv = mode is FeatureMode.UV
+
+    def step(pooling, targets):
+        rows, S = pooling
+        pooled = S.T @ table[..., rows, :]
+        u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
+        diff = None if uv else u - v  # feeds |u - v| and its gradient's sign
+        value, d_head, d_out = head_step(combine(u, v, diff), targets)
+        if not with_grads:
+            return value, None
+        d_pooled = np.empty(pooled.shape)
+        split(d_out @ w if classifier else np.multiply.outer(d_out, w), diff, d_pooled)
+        return value, Gradients(S @ d_pooled, rows, d_head, weights_shape)
+    return step
 
 
 def head_loss(
@@ -693,38 +732,65 @@ def head_loss(
     regression head and (n, K) for the classifier's logits.  d_out is all the
     encoder's gradient needs; forward_backward turns it into the feature
     gradient.  With with_grads=False only the loss is computed, grads and
-    d_out are None, and params may be a stack of copies.
+    d_out are None, and params may be a stack of copies.  This is
+    prepare_head_loss's step, prepared for one call.
     """
-    n = f.shape[-2]
-    if n == 0:
-        raise InvalidInputError("batch must be nonempty")
+    return prepare_head_loss(params, loss_spec, clamp_range, with_grads)(f, targets)
+
+
+def prepare_head_loss(params: ModelParams, loss_spec: LossSpec,
+                      clamp_range: tuple[float, float] | None = None,
+                      with_grads: bool = True):
+    """step(f, targets) giving head_loss(params, f, targets, loss_spec,
+    clamp_range, with_grads), prepared as prepare_forward_backward is."""
+    return _head_step(params, loss_spec, clamp_range, with_grads)
+
+
+def _head_step(params, loss_spec, clamp_range, with_grads, flat=False):
+    """prepare_head_loss's step; with flat, its gradient is the flat head
+    gradient alone, not Gradients."""
     stacked = bool(params.stack_shape)
     if stacked and with_grads:
         raise InvalidInputError("gradients need one unstacked parameter set")
-    out = head(params, f)
+    output = _head_output(params)
     if loss_spec.kind is LossKind.CROSS_ENTROPY:
         if not params.is_classifier:
             raise InvalidInputError("cross-entropy needs a classification head")
-        values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
+
+        def loss(f, targets):
+            return losses.cross_entropy(output(f), np.asarray(targets, dtype=int))
     else:
         if params.is_classifier:
             raise InvalidInputError("residual losses need a regression head")
-        pred = out if clamp_range is None else _clamp(out, *clamp_range)
-        diff = pred - targets
-        values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
-        # a clamped prediction passes no gradient back to the raw output
-        d_out = d_x * np.sign(diff) * (pred == out)
-    value = np.add.reduce(values, axis=-1) / n
-    if not stacked:
-        value = float(value)
-    if not with_grads:
-        return value, None, None
-    d_out /= n  # d_out is this call's own array
-    d_head = np.empty_like(params.head)
-    d_weights, d_bias = head_parts(d_head, params.weights_shape)
-    np.matmul(d_out.T, f, out=d_weights)
-    np.add.reduce(d_out, axis=0, out=d_bias)
-    return value, Gradients(None, None, d_head, params.weights_shape), d_out
+        residual_loss = losses.residual_loss(loss_spec)
+        low, high = clamp_range if clamp_range is not None else (None, None)
+
+        def loss(f, targets):
+            out = output(f)
+            pred = out if low is None else _clamp(out, low, high)
+            diff = pred - targets
+            values, d_x = residual_loss(np.abs(diff))
+            # a clamped prediction passes no gradient back to the raw output
+            return values, d_x * np.sign(diff) * (pred == out)
+    head, weights_shape = params.head, params.weights_shape
+
+    def step(f, targets):
+        n = f.shape[-2]
+        if n == 0:
+            raise InvalidInputError("batch must be nonempty")
+        values, d_out = loss(f, targets)
+        value = np.add.reduce(values, axis=-1) / n
+        if not stacked:
+            value = float(value)
+        if not with_grads:
+            return value, None, None
+        d_out /= n  # d_out is this step's own array
+        d_head = np.empty(head.shape)
+        d_weights, d_bias = head_parts(d_head, weights_shape)
+        np.matmul(d_out.T, f, out=d_weights)
+        np.add.reduce(d_out, axis=0, out=d_bias)
+        return value, d_head if flat else Gradients(None, None, d_head, weights_shape), d_out
+    return step
 
 
 def _clamp(x: np.ndarray, low: float, high: float) -> np.ndarray:

@@ -14,7 +14,8 @@ or past the threshold:
 Derivatives are taken with respect to the residual x; at the knot x = x0 the
 right-sided derivative is used (k for translated_relu, 0 for smooth_k2).
 Per-sample losses are averaged, not summed, over a batch so that k keeps the
-same meaning regardless of batch size.
+same meaning regardless of batch size.  residual_loss binds a residual loss to
+its spec once, for a training step that applies it to batch after batch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -123,17 +125,23 @@ def mse_loss(x):
     return x * x, 2.0 * x
 
 
+def residual_loss(spec: LossSpec):
+    """The residual-based loss the spec names, bound to it once:
+    residual_loss(spec)(x) is regression_loss(x, spec)."""
+    if spec.kind is LossKind.TRANSLATED_RELU:
+        return partial(translated_relu, spec=spec)
+    if spec.kind is LossKind.SMOOTH_K2:
+        return partial(smooth_k2, spec=spec)
+    if spec.kind is LossKind.L1:
+        return l1_loss
+    if spec.kind is LossKind.MSE:
+        return mse_loss
+    raise InvalidInputError(f"{spec.kind.value} is not a residual-based loss")
+
+
 def regression_loss(x, spec: LossSpec):
     """Dispatch to the residual-based loss named by the spec."""
-    if spec.kind is LossKind.TRANSLATED_RELU:
-        return translated_relu(x, spec)
-    if spec.kind is LossKind.SMOOTH_K2:
-        return smooth_k2(x, spec)
-    if spec.kind is LossKind.L1:
-        return l1_loss(x)
-    if spec.kind is LossKind.MSE:
-        return mse_loss(x)
-    raise InvalidInputError(f"{spec.kind.value} is not a residual-based loss")
+    return residual_loss(spec)(x)
 
 
 def cross_entropy(logits, class_index):

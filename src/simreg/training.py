@@ -5,17 +5,22 @@ pre-trained encoders: first only the randomly initialized head is updated
 while the encoder stays frozen, then everything is trained jointly.  The
 frozen stage computes every train pair's features once, and pools its dev
 sentences once, because its encoder cannot change; each step reads its
-batch's rows of those features and runs only the head and loss (head_loss),
-which computes no feature or embedding gradient.  Every head loss takes this
-path; InfoNCE has no head, so a frozen InfoNCE stage would train nothing and
-is rejected.  The joint stage takes each epoch's pooling matrices from one
-plan of its batches (PairTokens.batches), a window of batches at a time,
-next to the epoch's shuffled targets.  train is the only code that knows a
-stage is frozen: an optimizer updates every parameter it is given a gradient
-for, and only those (InfoNCE gives the head none), and the frozen table is
-shared read-only, never copied.  Every dataset's tokens are derived inside
-train from the dataset itself, so tokens and labels cannot come from
-different datasets.  Given a seed, the whole procedure is deterministic.
+batch's rows of those features and runs only the head and loss (head_loss's
+step), which computes no feature or embedding gradient.  Every head loss
+takes this path; InfoNCE has no head, so a frozen InfoNCE stage would train
+nothing and is rejected.  The joint stage takes each epoch's pooling
+matrices from one plan of its batches (PairTokens.batches), a window of
+batches at a time, next to the epoch's shuffled targets.  Each stage
+prepares its step (prepare_head_loss or prepare_forward_backward) and its
+optimizer's update (updater) once, so a step runs only its arithmetic: the
+gradients a prepared step makes have the shapes the update expects, which
+optimizer.step checks for gradients from elsewhere.  train is the only code
+that knows a stage is frozen: an optimizer updates every parameter it is
+given a gradient for, and only those (InfoNCE gives the head none), and the
+frozen table is shared read-only, never copied.  Every dataset's tokens are
+derived inside train from the dataset itself, so tokens and labels cannot
+come from different datasets.  Given a seed, the whole procedure is
+deterministic.
 
 A validated run configuration runs through load_run_data, which reads its
 files once, and run, which trains its model, one stage or two, on them.
@@ -39,8 +44,8 @@ from .encoder import (
     Vocabulary,
     build_vocab,
     features,
-    forward_backward,
-    head_loss,
+    prepare_forward_backward,
+    prepare_head_loss,
     tokenize_pairs,
 )
 from .errors import InvalidInputError, TrainingError
@@ -104,42 +109,40 @@ TRAINED = ("embeddings", "head")
 
 
 def _present(params, grads):
-    """(name, parameter, gradient, at) of each of TRAINED with a gradient,
-    where at are the entries its gradient covers: grads.rows of the table,
-    and None, the whole array, for the head.  Every gradient is checked
-    first to have the shape of those entries, so a bad one changes
-    nothing."""
-    updates = []
+    """The names of TRAINED that grads holds a gradient of, each gradient
+    checked first to have the shape of the entries it covers (see
+    AdamOptimizer.updater), so a bad one changes nothing."""
+    names = []
     if grads.embeddings is not None:
         p, g, rows = params.embeddings, grads.embeddings, grads.rows
         expected = (*np.shape(rows), p.shape[1])
         if g.shape != expected:
             raise InvalidInputError(f"embeddings gradient shape {g.shape} != {expected}")
-        updates.append(("embeddings", p, g, rows))
+        names.append("embeddings")
     if grads.head is not None:
         p, g = params.head, grads.head
         if g.shape != p.shape or grads.weights_shape != params.weights_shape:
             raise InvalidInputError(
                 f"head gradient of shape {g.shape} for weights of shape "
                 f"{grads.weights_shape} != {p.shape} for {params.weights_shape}")
-        updates.append(("head", p, g, None))
-    return updates
+        names.append("head")
+    return names
 
 
 class AdamOptimizer:
     """Adaptive-moment updates with the textbook BETA1, BETA2 and EPS.
 
-    A parameter's moments and scratch buffers are made at its first
-    gradient, so a parameter that never gets one costs nothing; state maps
-    each of TRAINED that has them to (m, v, scratch, scratch), and the head
-    weights and bias share the flat head's.  The moments cover the whole
-    parameter and decay everywhere, so table rows a batch does not touch
-    still move by their momentum; only the entries the gradient covers take
-    its terms, and no table-sized gradient is built.  An uncovered entry's
-    b1*m equals the textbook b1*m + (1-b1)*0, as a moment starting at +0.0
-    never becomes -0.0, so each step gives the textbook formulas'
-    floating-point results, worked in place; t counts the optimizer's
-    steps.
+    A parameter's moments and scratch buffers are made when an updater is
+    first prepared for it, so a parameter that never gets a gradient costs
+    nothing; state maps each of TRAINED that has them to (m, v, scratch,
+    scratch), and the head weights and bias share the flat head's.  The
+    moments cover the whole parameter and decay everywhere, so table rows a
+    batch does not touch still move by their momentum; only the entries the
+    gradient covers take its terms, and no table-sized gradient is built.
+    An uncovered entry's b1*m equals the textbook b1*m + (1-b1)*0, as a
+    moment starting at +0.0 never becomes -0.0, so each step gives the
+    textbook formulas' floating-point results, worked in place; t counts
+    the optimizer's steps.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -150,53 +153,73 @@ class AdamOptimizer:
         self.state = {}
 
     def step(self, params, grads):
-        updates = _present(params, grads)
-        self.t += 1
+        self.updater(params, _present(params, grads))(grads)
+        return params
+
+    def updater(self, params, names):
+        """update(grads): one step of params' arrays names (of TRAINED) by
+        grads' gradients of them, unchecked (step checks them); the table's
+        gradient covers grads.rows, the head's the whole head."""
+        for name in names:
+            if name not in self.state:
+                self.state[name] = tuple(np.zeros_like(getattr(params, name))
+                                         for _ in range(4))
+        parts = [(name == "embeddings", getattr(params, name), *self.state[name])
+                 for name in names]
         b1, b2 = self.BETA1, self.BETA2
         # the same Python floats for every parameter
         c1, c2 = 1 - b1, 1 - b2
-        bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         lr, eps = self.lr, self.EPS
-        for name, p, g, at in updates:
-            state = self.state.get(name)
-            if state is None:
-                state = self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
-            m, v, a, b = state
-            # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
-            np.multiply(m, b1, out=m)
-            np.multiply(v, b2, out=v)
-            if at is None:
-                m += g * c1
-                v += g * c2 * g
-            else:
-                m[at] += g * c1
-                v[at] += g * c2 * g
-            # p -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, bias1, out=a)
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, eps, out=b)
-            np.multiply(a, lr, out=a)
-            np.divide(a, b, out=a)
-            np.subtract(p, a, out=p)
-        return params
+
+        def update(grads):
+            self.t += 1
+            bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+            for table, p, m, v, a, b in parts:
+                # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
+                np.multiply(m, b1, out=m)
+                np.multiply(v, b2, out=v)
+                if table:
+                    g, at = grads.embeddings, grads.rows
+                    m[at] += g * c1
+                    v[at] += g * c2 * g
+                else:
+                    g = grads.head
+                    m += g * c1
+                    v += g * c2 * g
+                # p -= lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(m, bias1, out=a)
+                np.divide(v, bias2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.multiply(a, lr, out=a)
+                np.divide(a, b, out=a)
+                np.subtract(p, a, out=p)
+        return update
 
 
 class SgdOptimizer:
-    """p <- p - lr*g on the entries each gradient covers (see _present);
-    every other entry, and every parameter without a gradient, is
-    untouched."""
+    """p <- p - lr*g on the entries each gradient covers (see
+    AdamOptimizer.updater); every other entry, and every parameter without
+    a gradient, is untouched."""
 
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
 
     def step(self, params, grads):
-        for _, p, g, at in _present(params, grads):
-            if at is None:
-                p -= self.lr * g
-            else:
-                p[at] -= self.lr * g
+        self.updater(params, _present(params, grads))(grads)
         return params
+
+    def updater(self, params, names):
+        """update(grads), as AdamOptimizer.updater."""
+        lr, table, head = self.lr, params.embeddings, params.head
+        steps_table, steps_head = "embeddings" in names, "head" in names
+
+        def update(grads):
+            if steps_table:
+                table[grads.rows] -= lr * grads.embeddings
+            if steps_head:
+                np.subtract(head, lr * grads.head, out=head)
+        return update
 
 
 def _make_optimizer(config: TrainConfig):
@@ -316,13 +339,17 @@ def train(
             return (perm[start:start + batch_size] for start in range(0, n, batch_size))
         return train_pairs.batches(perm, batch_size)
 
-    def batch_step(batch, batch_targets):
-        if frozen:
-            value, grads, _ = head_loss(work.params, train_features[batch],
-                                        batch_targets, loss_spec, clamp_range)
-            return value, grads
-        return forward_backward(work.params, batch, batch_targets, work.feature_mode,
-                                loss_spec, clamp_range)
+    # each step's dispatch and checks, made once for the stage
+    if frozen:
+        head_step = prepare_head_loss(work.params, loss_spec, clamp_range)
+
+        def batch_step(batch, batch_targets):
+            return head_step(train_features[batch], batch_targets)[:2]
+    else:
+        batch_step = prepare_forward_backward(work.params, work.feature_mode, loss_spec,
+                                              clamp_range)
+    # the arrays this stage's gradients cover: InfoNCE gives the head none
+    update = optimizer.updater(work.params, ("embeddings",) if use_cosine else updated)
 
     def dev_score():
         u, v = dev_uv if frozen else work.embed_pairs(dev_pairs)
@@ -350,7 +377,7 @@ def train(
                     raise TrainingError(f"aborted at step {step + 1}: {exc}") from exc
                 if not math.isfinite(value):
                     raise TrainingError(f"non-finite training loss at step {step + 1}")
-                optimizer.step(work.params, grads)
+                update(grads)
                 step += 1
                 dev = None
                 if step % config.eval_every == 0 or b == batches_per_epoch - 1:

@@ -66,6 +66,53 @@ def corpus_files(tmp_path):
     return tmp_path, config_path, config
 
 
+def two_stage(tmp_path, config_path, config):
+    """Make corpus_files' config a two-stage run on a new NLI file."""
+    nli = make_ordinal_corpus(90, seed=33, categories=("contradiction", "neutral",
+                                                       "entailment"),
+                              shared_counts=(0, 5, 9), name="nli")
+    nli_path = tmp_path / "nli.tsv"
+    save_tsv(nli, nli_path)
+    config["stages"] = "two_stage"
+    config["data"]["nli_train"] = str(nli_path)
+    config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd"}
+    config_path.write_text(json.dumps(config))
+
+
+def contrastive_config(tmp_path) -> Path:
+    """An InfoNCE run config on new scored train and dev files, training into
+    tmp_path/nce."""
+    for name, n, seed in (("train", 120, 51), ("dev", 48, 52)):
+        # category i of the ordinal corpus scores i on [0, 3]
+        scored = tuple(
+            SentencePair(p.s1, p.s2, score=float(ORDINAL_CATEGORIES.index(p.label)))
+            for p in make_ordinal_corpus(n, seed=seed).pairs
+        )
+        save_tsv(Dataset(name, scored, score_range=(0.0, 3.0)),
+                 tmp_path / f"{name}_scores.tsv")
+    config = {
+        "out_dir": str(tmp_path / "nce"),
+        "seed": 2,
+        "encoder": {"dim": 8},
+        "loss": {"kind": "info_nce", "tau": 0.1},
+        "data": {
+            "train": str(tmp_path / "train_scores.tsv"),
+            "dev": str(tmp_path / "dev_scores.tsv"),
+            "score_range": [0.0, 3.0],
+            "positive_threshold": 2.5,
+        },
+        "training": {"batch_size": 8, "epochs": 1, "learning_rate": 0.05,
+                     "eval_every": 5},
+    }
+    config_path = tmp_path / "nce.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
+def names_in(directory) -> set:
+    return {path.name for path in directory.iterdir()}
+
+
 class TestFilterData:
     def overlap_fixture(self, tmp_path):
         train = cont(
@@ -264,35 +311,12 @@ class TestTrain:
         assert manifest["head_weight_count"] == 3 * 8 * 4  # dim 8, four classes
 
     def test_contrastive_baseline(self, tmp_path, capsys):
-        for name, n, seed in (("train", 120, 51), ("dev", 48, 52)):
-            # category i of the ordinal corpus scores i on [0, 3]
-            scored = tuple(
-                SentencePair(p.s1, p.s2, score=float(ORDINAL_CATEGORIES.index(p.label)))
-                for p in make_ordinal_corpus(n, seed=seed).pairs
-            )
-            save_tsv(Dataset(name, scored, score_range=(0.0, 3.0)),
-                     tmp_path / f"{name}.tsv")
-        config = {
-            "out_dir": str(tmp_path / "nce"),
-            "seed": 2,
-            "encoder": {"dim": 8},
-            "loss": {"kind": "info_nce", "tau": 0.1},
-            "data": {
-                "train": str(tmp_path / "train.tsv"),
-                "dev": str(tmp_path / "dev.tsv"),
-                "score_range": [0.0, 3.0],
-                "positive_threshold": 2.5,
-            },
-            "training": {"batch_size": 8, "epochs": 1, "learning_rate": 0.05,
-                         "eval_every": 5},
-        }
-        config_path = tmp_path / "nce.json"
-        config_path.write_text(json.dumps(config))
+        config_path = contrastive_config(tmp_path)
         assert main(["train", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert "contrastive positives: kept" in out
         code = main(["eval", "--checkpoint", str(tmp_path / "nce" / "checkpoint.json"),
-                     str(tmp_path / "dev.tsv"), "--cosine"])
+                     str(tmp_path / "dev_scores.tsv"), "--cosine"])
         assert code == 0
 
     def test_single_stage_ignores_nli_train(self, corpus_files):
@@ -315,19 +339,36 @@ class TestTrain:
 
     def test_two_stage_config(self, corpus_files):
         tmp_path, config_path, config = corpus_files
-        nli = make_ordinal_corpus(90, seed=33, categories=("contradiction", "neutral",
-                                                           "entailment"),
-                                  shared_counts=(0, 5, 9), name="nli")
-        nli_path = tmp_path / "nli.tsv"
-        save_tsv(nli, nli_path)
-        config["stages"] = "two_stage"
-        config["data"]["nli_train"] = str(nli_path)
-        config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd"}
-        config_path.write_text(json.dumps(config))
+        two_stage(tmp_path, config_path, config)
         assert main(["train", "--config", str(config_path)]) == 0
         out = tmp_path / "run"
         assert (out / "history_stage1.csv").exists()
         assert (out / "history_stage2.csv").exists()
+
+    def test_rerun_leaves_no_earlier_output(self, corpus_files):
+        """A one-stage run after a two-stage run into one directory keeps no
+        stage histories, and an InfoNCE run after it no mapping; a file
+        simreg train never writes is left alone."""
+        tmp_path, config_path, config = corpus_files
+        out = tmp_path / "shared"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        one_stage = config_path.read_text()
+        two_stage(tmp_path, config_path, config)
+        train = ["train", "--config", str(config_path), "--out", str(out)]
+        assert main(train) == 0
+        assert {"history_stage1.csv", "history_stage2.csv"} <= names_in(out)
+        config_path.write_text(one_stage)
+        assert main(train) == 0
+        assert names_in(out) == {"checkpoint.json", "history.csv", "manifest.json",
+                                 "mapping.json", "notes.txt"}
+        history = (out / "history.csv").read_bytes()
+        assert main(["train", "--config", str(contrastive_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        assert names_in(out) == {"checkpoint.json", "history.csv", "manifest.json",
+                                 "notes.txt"}
+        assert (out / "history.csv").read_bytes() != history
+        assert (out / "notes.txt").read_text() == "mine"
 
     def test_two_stage_splits_each_distinct_text_once(self, corpus_files,
                                                       monkeypatch):

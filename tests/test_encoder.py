@@ -39,14 +39,21 @@ from simreg.encoder import (
     init_params,
     load_checkpoint,
     pool,
+    prepare_forward_backward,
+    prepare_head_loss,
     save_checkpoint,
     tokenize_pairs,
 )
 from simreg.errors import CheckpointError, InvalidInputError
-from simreg.gradcheck import _random_spec, finite_difference_grads, max_relative_error
+from simreg.gradcheck import (
+    ALL_KINDS,
+    _random_spec,
+    finite_difference_grads,
+    max_relative_error,
+)
 from simreg.labelmap import LabelMapping
 from simreg.losses import LossKind, LossSpec, info_nce
-from simreg.training import _copy_updated
+from simreg.training import AdamOptimizer, SgdOptimizer, _copy_updated
 
 
 def run(model, batch, spec, clamp_range=None):
@@ -679,11 +686,12 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
             seen.append(features(u, v, read))
             return info_nce(u, v, *args)
     else:
-        owner, core, read = encoder, "head_loss", mode
+        owner, core, read = encoder, "_head_step", mode
+        prepare = encoder._head_step
 
-        def spy(params, f, *args):
-            seen.append(f)
-            return head_loss(params, f, *args)
+        def spy(*args, **kwargs):  # the prepared head step, recording its features
+            step = prepare(*args, **kwargs)
+            return lambda f, targets: seen.append(f) or step(f, targets)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(owner, core, spy)
@@ -736,7 +744,7 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     # the reference's gradient of the features, split as forward_backward
     # splits it, is the embedding gradient to the bit
     d_pooled = np.empty_like(pooled)
-    d_pooled[0::2], d_pooled[1::2] = encoder._feature_grad(d_input, u - v, mode)
+    encoder._FEATURE_MAPS[mode][1](d_input, u - v, d_pooled)
     assert (S @ d_pooled).tobytes() == full[1].embeddings.tobytes()
 
 
@@ -768,6 +776,99 @@ def test_head_loss_serves_only_the_head_losses():
     f = features(np.ones((2, 2)), np.zeros((2, 2)), FeatureMode.UV)
     with pytest.raises(InvalidInputError, match="info_nce"):
         head_loss(params, f, [0.0, 1.0], LossSpec(LossKind.INFO_NCE, tau=0.5))
+
+
+def _step_cases():
+    """(kind, n_classes, mode, optimizer) of every loss kind with its head, the
+    K-logit head for cross-entropy and both heads for InfoNCE, which reads
+    none, by feature mode and optimizer."""
+    heads = [(kind, 3 if kind is LossKind.CROSS_ENTROPY else None)
+             for kind in LossKind] + [(LossKind.INFO_NCE, 3)]
+    for kind, n_classes in heads:
+        for mode in FeatureMode:
+            for optimizer in ("sgd", "adam"):
+                head = "klogit" if n_classes else "regression"
+                yield pytest.param(kind, n_classes, mode, optimizer,
+                                   id=f"{kind.value}-{head}-{mode.value}-{optimizer}")
+
+
+def _same_gradients(got, expect):
+    for name in ("embeddings", "rows", "head"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert (a is None) == (b is None)
+        assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes())
+    assert got.weights_shape == expect.weights_shape
+
+
+@pytest.mark.parametrize("kind, n_classes, mode, optimizer", _step_cases())
+def test_a_prepared_step_holds_no_stale_state(kind, n_classes, mode, optimizer):
+    """One prepared step serves batch after batch while an optimizer updates
+    the parameters in place: at each step it gives, bit for bit, what a
+    fresh forward_backward or head_loss gives on the parameters as they are
+    then."""
+    rng = np.random.default_rng([ALL_KINDS.index(kind), n_classes or 0,
+                                 list(FeatureMode).index(mode)])
+    vocab = build_vocab([" ".join(WORDS)])
+    params = init_params(len(vocab), 4, mode, 3, label_range=(0.0, 3.0),
+                         n_classes=n_classes)
+    spec, clamp = _random_spec(rng, kind), (0.0, 3.0)
+    joint = prepare_forward_backward(params, mode, spec, clamp)
+    head = None if kind is LossKind.INFO_NCE else prepare_head_loss(params, spec, clamp)
+    opt = SgdOptimizer(0.5) if optimizer == "sgd" else AdamOptimizer(0.05)
+    names = ("embeddings",) if head is None else ("embeddings", "head")
+    update = opt.updater(params, names)
+    start = copy_params(params)
+    for _ in range(4):
+        batch = int(rng.integers(2, 6))
+        texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 6))))
+                 for _ in range(2 * batch)]
+        tokens = tokenize_pairs(texts, vocab)
+        targets = (rng.integers(0, n_classes, size=batch) if n_classes
+                   else rng.uniform(0.0, 3.0, size=batch))
+        value, grads = joint(tokens.pooling, targets)
+        expect_value, expect = forward_backward(params, tokens.pooling, targets, mode,
+                                                spec, clamp)
+        assert np.float64(value).tobytes() == np.float64(expect_value).tobytes()
+        _same_gradients(grads, expect)
+        if head is not None:
+            pooled = pool(params.embeddings, tokens)
+            f = features(pooled[0::2], pooled[1::2], mode)
+            got, expect = head(f, targets), head_loss(params, f, targets, spec, clamp)
+            assert got[0] == expect[0] and got[2].tobytes() == expect[2].tobytes()
+            _same_gradients(got[1], expect[1])
+        update(grads)
+    # every array the steps read has moved
+    assert not np.array_equal(params.embeddings, start.embeddings)
+    if head is not None:
+        assert not np.array_equal(params.head_weights, start.head_weights)
+        assert not np.array_equal(params.head_bias, start.head_bias)
+
+
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("mode", list(FeatureMode), ids=lambda mode: mode.value)
+def test_a_prepared_stacked_value_step_holds_no_stale_state(kind, mode):
+    """The stacked value-only step the gradient check runs reads its stack's
+    arrays as they are at each call."""
+    rng = np.random.default_rng([ALL_KINDS.index(kind), list(FeatureMode).index(mode)])
+    vocab = build_vocab([" ".join(WORDS)])
+    n_classes = 3 if kind is LossKind.CROSS_ENTROPY else None
+    base = init_params(len(vocab), 4, mode, 5, label_range=(0.0, 3.0),
+                       n_classes=n_classes)
+    stack = params_of(*(a + rng.normal(0.0, 0.05, size=(3,) + a.shape)
+                        for a in (base.embeddings, base.head_weights, base.head_bias)))
+    spec, clamp = _random_spec(rng, kind), (0.0, 3.0)
+    step = prepare_forward_backward(stack, mode, spec, clamp, with_grads=False)
+    texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 6)))) for _ in range(6)]
+    tokens = tokenize_pairs(texts, vocab)
+    targets = (rng.integers(0, 3, size=3) if n_classes
+               else rng.uniform(0.0, 3.0, size=3))
+    for _ in range(3):
+        values, grads = step(tokens.pooling, targets)
+        expect = forward_backward(stack, tokens.pooling, targets, mode, spec, clamp,
+                                  with_grads=False)[0]
+        assert grads is None and values.tobytes() == expect.tobytes()
+        stack.embeddings[...] += rng.normal(0.0, 0.05, size=stack.embeddings.shape)
+        stack.head[...] += rng.normal(0.0, 0.5, size=stack.head.shape)
 
 
 @settings(max_examples=80, deadline=None)

@@ -52,16 +52,15 @@ def test_results_are_reproducible():
 
 def test_injected_sign_bug_is_caught(monkeypatch):
     # flip the sign propagated through the |u - v| branch
-    original = encoder._feature_grad
+    mode = FeatureMode.UV_ABS_DIFF
+    combine, split = encoder._FEATURE_MAPS[mode]
 
-    def broken(df, diff, mode):
-        du, dv = original(df, diff, mode)
-        if mode is not FeatureMode.UV:
-            return dv, du  # swapped: wrong direction through |u - v|
-        return du, dv
+    def broken(df, diff, out):
+        split(df, diff, out)
+        out[0::2], out[1::2] = out[1::2].copy(), out[0::2].copy()  # swapped
 
-    monkeypatch.setattr(encoder, "_feature_grad", broken)
-    result = check_configuration(0, LossKind.MSE, FeatureMode.UV_ABS_DIFF)
+    monkeypatch.setitem(encoder._FEATURE_MAPS, mode, (combine, broken))
+    result = check_configuration(0, LossKind.MSE, mode)
     assert result.max_rel_error > 1e-4
 
 

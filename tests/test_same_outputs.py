@@ -19,6 +19,9 @@ OUTPUTS |= {"demo/history.csv", "two_stage/history_stage1.csv",
 OUTPUTS |= {f"info_nce/{name}" for name in ("checkpoint.json", "history.csv",
                                             "manifest.json", "eval/report.json",
                                             "eval/report.txt")}
+OUTPUTS |= {f"{config}/{name}" for config in ("translated_relu", "mse", "cross_entropy")
+            for name in ("checkpoint.json", "history.csv", "manifest.json", "mapping.json",
+                         "eval/report.json", "eval/report.txt")}
 
 
 def statuses(text):
@@ -48,7 +51,8 @@ def test_a_crafted_difference_is_reported(tmp_path, capsys):
     assert same_outputs.main([str(ROOT), str(change), *TINY,
                               "--work", str(tmp_path / "work")]) == 1
     expect = dict.fromkeys(OUTPUTS, "same")
-    for config in ("demo", "two_stage", "info_nce"):
+    for config in ("demo", "two_stage", "info_nce", "translated_relu", "mse",
+                   "cross_entropy"):
         expect[f"{config}/manifest.json"] = "DIFFERS"
     assert statuses(capsys.readouterr().out) == expect
 

@@ -25,7 +25,6 @@ from simreg.encoder import (
     Model,
     build_vocab,
     forward_backward,
-    head_loss,
     init_params,
     tokenize_pairs,
 )
@@ -258,16 +257,20 @@ class TestTrain:
                                                              stage, monkeypatch):
         rows = []
 
-        def recorded(batch_core):
-            def call(*args, **kwargs):
-                value, grads, *rest = batch_core(*args, **kwargs)
-                rows.append(grads.rows)
-                assert (grads.rows is None) == (grads.embeddings is None)
-                return (value, grads, *rest)
-            return call
+        def recorded(prepare):
+            def prepared(*args, **kwargs):
+                step = prepare(*args, **kwargs)
 
-        monkeypatch.setattr(training, "forward_backward", recorded(forward_backward))
-        monkeypatch.setattr(training, "head_loss", recorded(head_loss))
+                def call(*batch):
+                    value, grads, *rest = step(*batch)
+                    rows.append(grads.rows)
+                    assert (grads.rows is None) == (grads.embeddings is None)
+                    return (value, grads, *rest)
+                return call
+            return prepared
+
+        for name in ("prepare_forward_backward", "prepare_head_loss"):
+            monkeypatch.setattr(training, name, recorded(getattr(training, name)))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
         train(model, corpus, corpus, cfg, K2, stage)
         assert len(rows) == 2
@@ -279,9 +282,9 @@ class TestTrain:
     def test_head_only_computes_no_encoder_gradient(self, model, corpus,
                                                     monkeypatch):
         calls = []
-        split = encoder._feature_grad
-        monkeypatch.setattr(encoder, "_feature_grad",
-                            lambda *args: calls.append(args) or split(*args))
+        for mode, (combine, split) in list(encoder._FEATURE_MAPS.items()):
+            counted = lambda *args, split=split: calls.append(args) or split(*args)
+            monkeypatch.setitem(encoder._FEATURE_MAPS, mode, (combine, counted))
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
         train(model, corpus, corpus, cfg, K2, Stage.HEAD_ONLY)
         assert calls == []
@@ -463,6 +466,20 @@ class TestTrain:
         result = train(model, train_ds, train_ds, cfg, K2, Stage.JOINT, mapping)
         assert len(result.history) >= 2
 
+    @pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
+    def test_a_head_the_loss_cannot_use_is_rejected_before_any_step(self, stage,
+                                                                     monkeypatch):
+        # a regression head for cross-entropy: an input error, not a divergence
+        train_ds = make_ordinal_corpus(40, seed=4)
+        mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+        model = Model.initialize(build_vocab(train_ds.texts), dim=4, seed=0,
+                                 mapping=mapping)
+        monkeypatch.setattr(training, "_dev_score", pytest.fail)
+        cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.05, seed=0)
+        with pytest.raises(InvalidInputError, match="needs a classification head"):
+            train(model, train_ds, train_ds, cfg, LossSpec(LossKind.CROSS_ENTROPY),
+                  stage, mapping)
+
     def test_mapping_missing_a_category_rejected(self):
         train_ds = make_ordinal_corpus(40, seed=4)
         partial = LabelMapping(ORDINAL_CATEGORIES[:3], 0.0, 1.0)
@@ -500,8 +517,9 @@ class TestTrain:
 
     def test_head_only_info_nce_is_rejected(self, model, corpus, monkeypatch):
         steps = []
-        monkeypatch.setattr(training, "head_loss",
-                            lambda *args: steps.append(args) or head_loss(*args))
+        prepare = training.prepare_head_loss
+        monkeypatch.setattr(training, "prepare_head_loss",
+                            lambda *args: steps.append(args) or prepare(*args))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
         spec = LossSpec(LossKind.INFO_NCE, tau=0.5)
         for optimizer in ("sgd", "adam"):
