@@ -26,17 +26,17 @@ a window of batches at a time (PairTokens.batches): one token gather and one
 np.unique per window, one bincount per batch.  The embedding gradient holds
 only the rows of the tokens in the batch, so its cost does not grow with the
 vocabulary.  The head and loss of the regression and K-logit heads run in
-one core, head_loss, on the head's features.  It returns the loss, the head
-gradients and the gradient of the raw head output, and does no more: only
-forward_backward turns that output gradient into the gradients of the
-features, of u and v and of the table.  A stage that freezes the encoder
-calls head_loss alone, on features it computed once, so it computes no
-feature or embedding gradient.  The contrastive baseline, InfoNCE, has no
-head: forward_backward computes it on u and v themselves, and its Gradients
-hold no head gradient (None).  Both run as steps that prepare_forward_backward
-and prepare_head_loss make with every dispatch and check that does not read
-the batch done once: a training stage calls one step batch after batch, and
-forward_backward and head_loss prepare one per call, so the gradient check
+one step, prepare_head_loss's, on the head's features.  It returns the loss,
+the flat head gradient and the gradient of the raw head output, and does no
+more: only the joint step, prepare_forward_backward's, turns that output
+gradient into the gradients of the features, of u and v and of the table.
+A stage that freezes the encoder runs the head step alone, on features it
+computed once, so it computes no feature or embedding gradient.  The
+contrastive baseline, InfoNCE, has no head: the joint step computes it on u
+and v themselves, and its Gradients hold no head gradient (None).  Both
+steps are prepared with every dispatch and check that does not read the
+batch done once, so a training stage calls one step batch after batch;
+forward_backward prepares a joint step per call, so the gradient check
 checks the code that trains.
 
 The value path (pooling, features, head and every loss) also broadcasts over
@@ -367,13 +367,6 @@ def head_parts(head: np.ndarray, weights_shape: tuple[int, ...]):
     return head[..., :n].reshape(head.shape[:-1] + weights_shape), head[..., n:]
 
 
-def _head_view(part: int) -> cached_property:
-    """head_parts' view number part (0 the weights, 1 the bias) of an
-    instance's head, made on first read; None while head is."""
-    return cached_property(lambda self: None if self.head is None
-                           else head_parts(self.head, self.weights_shape)[part])
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """The complete trainable state.
@@ -393,8 +386,8 @@ class ModelParams:
     head: np.ndarray
     weights_shape: tuple[int, ...]
 
-    head_weights = _head_view(0)
-    head_bias = _head_view(1)
+    head_weights = cached_property(lambda self: head_parts(self.head, self.weights_shape)[0])
+    head_bias = cached_property(lambda self: head_parts(self.head, self.weights_shape)[1])
 
     def __post_init__(self):
         """Reject a head that is not one regression or K-logit head per copy
@@ -442,20 +435,14 @@ class Gradients:
 
     rows holds sorted, unique token ids and embeddings one gradient row per
     id; every other row of the table has a zero gradient.  Both are None
-    when no embedding gradient was computed (head_loss).  head is the head
-    gradient as one flat array laid out as ModelParams.head, for weights of
-    weights_shape, with the read-only views head_weights and head_bias; it
-    is None when the loss has no head (InfoNCE), and so are its views.
-    None means no gradient: an optimizer leaves that parameter untouched.
+    when no embedding gradient was computed (a frozen encoder).  head is the
+    head gradient as one flat array laid out as ModelParams.head
+    (head_parts); it is None when the loss has no head (InfoNCE).
     """
 
     embeddings: np.ndarray | None
     rows: np.ndarray | None
     head: np.ndarray | None
-    weights_shape: tuple[int, ...] | None
-
-    head_weights = _head_view(0)
-    head_bias = _head_view(1)
 
 
 def init_params(
@@ -655,16 +642,14 @@ def forward_backward(
     PairTokens.pooling.  targets holds one entry per pair: floats for the
     residual losses, class indices for cross-entropy; the contrastive loss
     ignores them and treats each pair as anchor/positive.  Predictions
-    outside clamp_range are clamped and pass no gradient.  The head losses
-    run in head_loss on the features; the gradient of the raw head output it
-    returns is turned here into the feature gradient and split into the
-    gradients of u and v.  InfoNCE reads u and v themselves and has no head,
-    so its head gradients are None.  The embedding gradient covers only the
-    rows of tokens present in the batch (Gradients.rows); every other row's
-    gradient is zero.  With with_grads=False only the loss is computed and
-    the gradients are None; params may then be a stack of copies
-    (ModelParams.stack_shape), and the loss is an array with one value per
-    copy.  This is prepare_forward_backward's step, prepared for one call.
+    outside clamp_range are clamped and pass no gradient.  InfoNCE reads u
+    and v themselves and has no head, so its head gradient is None.  The
+    embedding gradient covers only the rows of tokens present in the batch
+    (Gradients.rows); every other row's gradient is zero.  With
+    with_grads=False only the loss is computed and the gradients are None;
+    params may then be a stack of copies (ModelParams.stack_shape), and the
+    loss is an array with one value per copy.  This is
+    prepare_forward_backward's step, prepared for one call.
     """
     return prepare_forward_backward(params, mode, loss_spec, clamp_range,
                                     with_grads)(pooling, targets)
@@ -681,11 +666,11 @@ def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: 
     """
     if params.stack_shape and with_grads:
         raise InvalidInputError("gradients need one unstacked parameter set")
-    table, weights_shape = params.embeddings, params.weights_shape
+    table = params.embeddings
     if loss_spec.kind is LossKind.INFO_NCE:
         tau = loss_spec.tau
 
-        def step(pooling, targets):
+        def info_nce_step(pooling, targets):
             rows, S = pooling
             pooled = S.T @ table[..., rows, :]
             value, du, dv = losses.info_nce(pooled[..., 0::2, :], pooled[..., 1::2, :], tau)
@@ -693,14 +678,14 @@ def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: 
                 return value, None
             d_pooled = np.empty(pooled.shape)
             d_pooled[0::2], d_pooled[1::2] = du, dv
-            return value, Gradients(S @ d_pooled, rows, None, weights_shape)
-        return step
-    head_step = _head_step(params, loss_spec, clamp_range, with_grads, flat=True)
+            return value, Gradients(S @ d_pooled, rows, None)
+        return info_nce_step
+    head_step = prepare_head_loss(params, loss_spec, clamp_range, with_grads)
     combine, split = _FEATURE_MAPS[mode]
     w, classifier = params.head_weights, params.is_classifier
     uv = mode is FeatureMode.UV
 
-    def step(pooling, targets):
+    def joint_step(pooling, targets):
         rows, S = pooling
         pooled = S.T @ table[..., rows, :]
         u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
@@ -710,45 +695,26 @@ def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: 
             return value, None
         d_pooled = np.empty(pooled.shape)
         split(d_out @ w if classifier else np.multiply.outer(d_out, w), diff, d_pooled)
-        return value, Gradients(S @ d_pooled, rows, d_head, weights_shape)
-    return step
-
-
-def head_loss(
-    params: ModelParams,
-    f: np.ndarray,
-    targets,
-    loss_spec: LossSpec,
-    clamp_range: tuple[float, float] | None = None,
-    with_grads: bool = True,
-) -> tuple[float | np.ndarray, Gradients | None, np.ndarray | None]:
-    """The head and loss of a batch, from the head's features.
-
-    f (..., n, feature_dim) holds the n pairs' features(u, v, mode); the
-    other arguments are as for forward_backward, and the loss is a residual
-    loss (regression head) or cross-entropy (K-logit head).  Returns (value,
-    grads, d_out): grads holds the head gradients, its embeddings and rows
-    None, and d_out the loss gradient of the raw head output, (n,) for the
-    regression head and (n, K) for the classifier's logits.  d_out is all the
-    encoder's gradient needs; forward_backward turns it into the feature
-    gradient.  With with_grads=False only the loss is computed, grads and
-    d_out are None, and params may be a stack of copies.  This is
-    prepare_head_loss's step, prepared for one call.
-    """
-    return prepare_head_loss(params, loss_spec, clamp_range, with_grads)(f, targets)
+        return value, Gradients(S @ d_pooled, rows, d_head)
+    return joint_step
 
 
 def prepare_head_loss(params: ModelParams, loss_spec: LossSpec,
                       clamp_range: tuple[float, float] | None = None,
                       with_grads: bool = True):
-    """step(f, targets) giving head_loss(params, f, targets, loss_spec,
-    clamp_range, with_grads), prepared as prepare_forward_backward is."""
-    return _head_step(params, loss_spec, clamp_range, with_grads)
+    """step(f, targets): the head and loss of a batch, from the head's
+    features, prepared as prepare_forward_backward is.
 
-
-def _head_step(params, loss_spec, clamp_range, with_grads, flat=False):
-    """prepare_head_loss's step; with flat, its gradient is the flat head
-    gradient alone, not Gradients."""
+    f (..., n, feature_dim) holds the n pairs' features(u, v, mode); the
+    other arguments are as for forward_backward, and the loss is a residual
+    loss (regression head) or cross-entropy (K-logit head).  The step
+    returns (value, d_head, d_out): d_head is the flat head gradient, laid
+    out as params.head, and d_out the loss gradient of the raw head output,
+    (n,) for the regression head and (n, K) for the classifier's logits.
+    d_out is all the encoder's gradient needs; the joint step turns it into
+    the feature gradient.  With with_grads=False only the loss is computed,
+    d_head and d_out are None, and params may be a stack of copies.
+    """
     stacked = bool(params.stack_shape)
     if stacked and with_grads:
         raise InvalidInputError("gradients need one unstacked parameter set")
@@ -774,7 +740,7 @@ def _head_step(params, loss_spec, clamp_range, with_grads, flat=False):
             return values, d_x * np.sign(diff) * (pred == out)
     head, weights_shape = params.head, params.weights_shape
 
-    def step(f, targets):
+    def head_step(f, targets):
         n = f.shape[-2]
         if n == 0:
             raise InvalidInputError("batch must be nonempty")
@@ -789,8 +755,8 @@ def _head_step(params, loss_spec, clamp_range, with_grads, flat=False):
         d_weights, d_bias = head_parts(d_head, weights_shape)
         np.matmul(d_out.T, f, out=d_weights)
         np.add.reduce(d_out, axis=0, out=d_bias)
-        return value, d_head if flat else Gradients(None, None, d_head, weights_shape), d_out
-    return step
+        return value, d_head, d_out
+    return head_step
 
 
 def _clamp(x: np.ndarray, low: float, high: float) -> np.ndarray:

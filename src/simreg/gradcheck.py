@@ -100,7 +100,7 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
         up, down = np.reshape(values, (2, k))
         fd[entries] = (up - down) / (2.0 * DEFAULT_STEP)
     embeddings, head = split(fd)
-    return Gradients(embeddings, np.arange(params.vocab_size), head, weights_shape)
+    return Gradients(embeddings, np.arange(params.vocab_size), head)
 
 
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
@@ -203,14 +203,20 @@ def run_gradient_checks(
     batch_max: int = 4,
 ) -> list[GradCheckResult]:
     """The full sweep: every seed x loss kind x feature mode (ALL_KINDS x
-    ALL_MODES)."""
-    seeds = tuple(seeds)
+    ALL_MODES).  Each size lies between its sampling minimum and 2**63 - 1,
+    the most that Generator.integers' int64 draws take, and the seeds number
+    fewer than 2**63."""
+    try:
+        seeds = tuple(seeds)
+    except OverflowError:  # a range of 2**63 or more has no length
+        raise InvalidInputError("gradient check takes fewer than 2**63 seeds") from None
     if not seeds:
         raise InvalidInputError("gradient check needs at least one seed")
     for name, value, least in (("dim_max", dim_max, 2), ("vocab_max", vocab_max, 7),
                                ("batch_max", batch_max, 2)):
-        if value < least:
-            raise InvalidInputError(f"{name} must be at least {least}, got {value}")
+        if not least <= value < 2**63:
+            raise InvalidInputError(
+                f"{name} must be at least {least} and below 2**63, got {value}")
     return [
         check_configuration(seed, kind, mode, dim_max, vocab_max, batch_max)
         for seed in seeds

@@ -15,7 +15,7 @@ Derivatives are taken with respect to the residual x; at the knot x = x0 the
 right-sided derivative is used (k for translated_relu, 0 for smooth_k2).
 Per-sample losses are averaged, not summed, over a batch so that k keeps the
 same meaning regardless of batch size.  residual_loss binds a residual loss to
-its spec once, for a training step that applies it to batch after batch.
+its spec once, for a prepared step that applies it to batch after batch.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def mse_loss(x):
 
 def residual_loss(spec: LossSpec):
     """The residual-based loss the spec names, bound to it once:
-    residual_loss(spec)(x) is regression_loss(x, spec)."""
+    residual_loss(spec)(x) gives the values and derivatives at residuals x."""
     if spec.kind is LossKind.TRANSLATED_RELU:
         return partial(translated_relu, spec=spec)
     if spec.kind is LossKind.SMOOTH_K2:
@@ -137,11 +137,6 @@ def residual_loss(spec: LossSpec):
     if spec.kind is LossKind.MSE:
         return mse_loss
     raise InvalidInputError(f"{spec.kind.value} is not a residual-based loss")
-
-
-def regression_loss(x, spec: LossSpec):
-    """Dispatch to the residual-based loss named by the spec."""
-    return residual_loss(spec)(x)
 
 
 def cross_entropy(logits, class_index):

@@ -5,22 +5,19 @@ pre-trained encoders: first only the randomly initialized head is updated
 while the encoder stays frozen, then everything is trained jointly.  The
 frozen stage computes every train pair's features once, and pools its dev
 sentences once, because its encoder cannot change; each step reads its
-batch's rows of those features and runs only the head and loss (head_loss's
-step), which computes no feature or embedding gradient.  Every head loss
-takes this path; InfoNCE has no head, so a frozen InfoNCE stage would train
-nothing and is rejected.  The joint stage takes each epoch's pooling
-matrices from one plan of its batches (PairTokens.batches), a window of
-batches at a time, next to the epoch's shuffled targets.  Each stage
-prepares its step (prepare_head_loss or prepare_forward_backward) and its
-optimizer's update (updater) once, so a step runs only its arithmetic: the
-gradients a prepared step makes have the shapes the update expects, which
-optimizer.step checks for gradients from elsewhere.  train is the only code
-that knows a stage is frozen: an optimizer updates every parameter it is
-given a gradient for, and only those (InfoNCE gives the head none), and the
-frozen table is shared read-only, never copied.  Every dataset's tokens are
-derived inside train from the dataset itself, so tokens and labels cannot
-come from different datasets.  Given a seed, the whole procedure is
-deterministic.
+batch's rows of those features and runs only the head and loss (the step
+prepare_head_loss makes), which computes no feature or embedding gradient.
+Every head loss takes this path; InfoNCE has no head, so a frozen InfoNCE
+stage would train nothing and is rejected.  The joint stage takes each
+epoch's pooling matrices from one plan of its batches (PairTokens.batches),
+a window of batches at a time, next to the epoch's shuffled targets.  Each
+stage prepares its step (prepare_head_loss or prepare_forward_backward) and
+its optimizer's update (updater) once, so a step runs only its arithmetic.
+train is the only code that knows a stage is frozen: an optimizer updates
+the arrays its updater is prepared for, and the frozen table is shared
+read-only, never copied.  Every dataset's tokens are derived inside train
+from the dataset itself, so tokens and labels cannot come from different
+datasets.  Given a seed, the whole procedure is deterministic.
 
 A validated run configuration runs through load_run_data, which reads its
 files once, and run, which trains its model, one stage or two, on them.
@@ -39,6 +36,7 @@ import numpy as np
 from .data import Dataset, positive_pairs_dataset, read_tsv, write_atomic
 from .encoder import (
     Corpus,
+    Gradients,
     Model,
     ModelParams,
     Vocabulary,
@@ -48,7 +46,7 @@ from .encoder import (
     prepare_head_loss,
     tokenize_pairs,
 )
-from .errors import InvalidInputError, TrainingError
+from .errors import DegenerateInputError, InvalidInputError, TrainingError
 from .evaluation import golds, predictions_for, spearman
 from .labelmap import LabelMapping
 from .losses import LossKind, LossSpec
@@ -108,27 +106,6 @@ class TwoStageResult:
 TRAINED = ("embeddings", "head")
 
 
-def _present(params, grads):
-    """The names of TRAINED that grads holds a gradient of, each gradient
-    checked first to have the shape of the entries it covers (see
-    AdamOptimizer.updater), so a bad one changes nothing."""
-    names = []
-    if grads.embeddings is not None:
-        p, g, rows = params.embeddings, grads.embeddings, grads.rows
-        expected = (*np.shape(rows), p.shape[1])
-        if g.shape != expected:
-            raise InvalidInputError(f"embeddings gradient shape {g.shape} != {expected}")
-        names.append("embeddings")
-    if grads.head is not None:
-        p, g = params.head, grads.head
-        if g.shape != p.shape or grads.weights_shape != params.weights_shape:
-            raise InvalidInputError(
-                f"head gradient of shape {g.shape} for weights of shape "
-                f"{grads.weights_shape} != {p.shape} for {params.weights_shape}")
-        names.append("head")
-    return names
-
-
 class AdamOptimizer:
     """Adaptive-moment updates with the textbook BETA1, BETA2 and EPS.
 
@@ -152,13 +129,9 @@ class AdamOptimizer:
         self.t = 0
         self.state = {}
 
-    def step(self, params, grads):
-        self.updater(params, _present(params, grads))(grads)
-        return params
-
     def updater(self, params, names):
         """update(grads): one step of params' arrays names (of TRAINED) by
-        grads' gradients of them, unchecked (step checks them); the table's
+        grads' gradients of them, as a prepared step makes them: the table's
         gradient covers grads.rows, the head's the whole head."""
         for name in names:
             if name not in self.state:
@@ -204,10 +177,6 @@ class SgdOptimizer:
 
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
-
-    def step(self, params, grads):
-        self.updater(params, _present(params, grads))(grads)
-        return params
 
     def updater(self, params, names):
         """update(grads), as AdamOptimizer.updater."""
@@ -344,7 +313,8 @@ def train(
         head_step = prepare_head_loss(work.params, loss_spec, clamp_range)
 
         def batch_step(batch, batch_targets):
-            return head_step(train_features[batch], batch_targets)[:2]
+            value, d_head, _ = head_step(train_features[batch], batch_targets)
+            return value, Gradients(None, None, d_head)
     else:
         batch_step = prepare_forward_backward(work.params, work.feature_mode, loss_spec,
                                               clamp_range)
@@ -353,7 +323,10 @@ def train(
 
     def dev_score():
         u, v = dev_uv if frozen else work.embed_pairs(dev_pairs)
-        return _dev_score(work, u, v, dev_golds, use_cosine)
+        try:
+            return _dev_score(work, u, v, dev_golds, use_cosine)
+        except (InvalidInputError, DegenerateInputError) as exc:
+            raise type(exc)(f"{dev_set.name}: {exc}") from exc  # as evaluate names it
 
     best_dev = dev_score()
     # one buffer for the best parameters, overwritten at each improvement

@@ -42,6 +42,7 @@ from simreg.encoder import (
     build_vocab,
     features,
     head,
+    head_parts,
     init_params,
     tokenize_pairs,
 )
@@ -53,7 +54,7 @@ from simreg.losses import LossKind
 def join_head(weights, bias, lead=()):
     """(head, weights_shape): a new flat head holding weights, then bias,
     along its last axis after the lead stack axes, and one copy's weights
-    shape, as ModelParams and Gradients take them."""
+    shape, as ModelParams takes them."""
     weights, bias = np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
     head = np.concatenate((weights.reshape(lead + (-1,)), bias.reshape(lead + (-1,))),
                           axis=-1)
@@ -78,7 +79,7 @@ def copy_params(params):
 def zero_gradients(params):
     """Zero gradients covering the whole embedding table."""
     return Gradients(np.zeros_like(params.embeddings), np.arange(params.vocab_size),
-                     np.zeros_like(params.head), params.weights_shape)
+                     np.zeros_like(params.head))
 
 
 def dense_embeddings(grads, vocab_size):
@@ -327,13 +328,14 @@ def head_forward_backward(params, u, v, targets, mode, loss_spec, clamp_range=No
     else:
         pred = out if clamp_range is None else np.clip(out, *clamp_range)
         diff = pred - np.asarray(targets, dtype=float)
-        values, d_x = losses.regression_loss(np.abs(diff), loss_spec)
+        values, d_x = losses.residual_loss(loss_spec)(np.abs(diff))
         d_out = d_x * np.sign(diff) * (pred == out)
     value = np.sum(values, axis=-1) / n
-    grads = Gradients(None, None, np.zeros_like(params.head), params.weights_shape)
+    grads = Gradients(None, None, np.zeros_like(params.head))
     d_out = d_out / n
-    grads.head_weights[...] = d_out.T @ f
-    grads.head_bias[...] = np.sum(d_out, axis=0)
+    d_weights, d_bias = head_parts(grads.head, params.weights_shape)
+    d_weights[...] = d_out.T @ f
+    d_bias[...] = np.sum(d_out, axis=0)
     if params.is_classifier:
         return float(value), grads, d_out @ params.head_weights
     return float(value), grads, np.multiply.outer(d_out, params.head_weights)
@@ -371,15 +373,17 @@ def finite_difference_per_entry(value_fn, params, step):
     return fd
 
 
-def max_relative_error_per_array(analytic, fd):
+def max_relative_error_per_array(analytic, fd, weights_shape):
     """gradcheck.max_relative_error taken over each parameter array on its
-    own, then the max of the three maxes; a head gradient analytic does not
-    have (None) is taken as zeros."""
+    own, the head's weights and bias (of weights of weights_shape) apart,
+    then the max of the three maxes; a head gradient analytic does not have
+    (None) is taken as zeros."""
     errors = []
+    heads = (None, None) if analytic.head is None else head_parts(analytic.head,
+                                                                  weights_shape)
     for a, f in (
         (dense_embeddings(analytic, len(fd.embeddings)), fd.embeddings),
-        (analytic.head_weights, fd.head_weights),
-        (analytic.head_bias, fd.head_bias),
+        *zip(heads, head_parts(fd.head, weights_shape)),
     ):
         f = np.atleast_1d(f)
         a = np.zeros_like(f) if a is None else np.atleast_1d(a)

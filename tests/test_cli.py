@@ -1,17 +1,22 @@
 import builtins
+import contextlib
 import dataclasses
 import errno
 import io
 import json
 import math
 import os
+import tempfile
 import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simreg import cli, data, encoder, training
+from simreg import config as config_mod
 from simreg.cli import main
 from simreg.config import load_run_config
 from simreg.data import Dataset, SentencePair, load_tsv, save_tsv
@@ -294,6 +299,15 @@ class TestTrain:
         monkeypatch.setattr(encoder, "init_params", refuse)
         assert main(["train", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+
+    def test_undefined_dev_score_names_the_dev_file(self, corpus_files, capsys):
+        tmp_path, config_path, _ = corpus_files
+        # every dev pair under one label: its golds are constant
+        (tmp_path / "dev.tsv").write_text("".join(f"irrelevant\tw{i} x\tw{i} y\n"
+                                                  for i in range(6)))
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dev: rank correlation undefined for constant input\n")
 
     def test_out_dir_env_override(self, corpus_files, monkeypatch):
         tmp_path, config_path, _ = corpus_files
@@ -760,6 +774,9 @@ class TestGradcheck:
     @pytest.mark.parametrize("flags", [
         ["--seeds", "0"], ["--seeds", "-3"], ["--tolerance", "nan"],
         ["--dim", "1"], ["--vocab", "6"], ["--batch", "1"],
+        # past what the sampler's int64 draws, or a range's length, can take
+        ["--dim", str(10**20)], ["--vocab", str(10**20)], ["--batch", str(10**20)],
+        ["--seeds", str(10**20)],
     ], ids=lambda flags: " ".join(flags))
     def test_invalid_flag_is_a_clean_error(self, capsys, flags):
         assert main(["gradcheck", "--seeds", "1", *flags]) == 1
@@ -951,3 +968,128 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["train"]) == 1
+
+
+# ------------------------------------------------ the error contract, fuzzed
+
+# past what gradcheck's int64 draws, or a range's length, can take
+PAST_INT64 = st.integers(2**63, 2**70)
+
+
+@st.composite
+def gradcheck_argv(draw):
+    """gradcheck's flags, each most often valid up to its default (one seed,
+    so a run stays short), else negative, below its minimum or past int64;
+    each size may be left at its default."""
+    argv = ["gradcheck"]
+    for flag, least, most in (("--seeds", 1, 1), ("--dim", 2, 8), ("--vocab", 7, 30),
+                              ("--batch", 2, 4)):
+        how = draw(st.sampled_from(["valid", "valid", "valid", "low", "past"]))
+        if how == "valid" and flag != "--seeds" and draw(st.booleans()):
+            continue  # the default
+        value = draw({"valid": st.integers(least, most), "past": PAST_INT64,
+                      "low": st.integers(-3, least - 1)}[how])
+        argv += [flag, str(value)]
+    tolerance = draw(st.sampled_from([None, None, None, "1e-4", "nan", "-1"]))
+    return argv + ([] if tolerance is None else ["--tolerance", tolerance])
+
+
+# every (section, key) of config.SCHEMA; "joint" takes the training keys
+CONFIG_KEYS = [(section, key) for section, keys in config_mod.SCHEMA.items()
+               for key in keys] + [("joint", key) for key in config_mod.SCHEMA["training"]]
+# wrong JSON types, NaN and Infinity literals, zero and negative sizes, and
+# values some keys take: every valid draw keeps dim <= 4 and epochs <= 2
+CONFIG_VALUES = st.sampled_from([
+    None, True, "x", [], {}, 0, -1, 1, 2, 0.5, math.nan, math.inf, -math.inf,
+    "two_stage", "info_nce", "cross_entropy", "adam", "uv", [0, 5], [5, 0], ["a", "b"],
+])
+# a score field's replacements: not numbers, NaN, out of [0, 5], blank
+BAD_SCORES = st.sampled_from([b"nan", b"inf", b"-1", b"6", b"abc", b""])
+TSV_EDITS = st.one_of(
+    st.tuples(st.just("blank"), st.integers(0, 8)),
+    st.tuples(st.just("not_utf8"), st.integers(0, 8)),
+    st.tuples(st.just("score"), st.integers(0, 8), BAD_SCORES),
+    st.tuples(st.just("constant")),
+    st.tuples(st.just("empty")),
+)
+
+
+def _tsv_lines(n, offset):
+    """n lines of scored pairs, without their line ends; no score repeats
+    in six lines."""
+    return [f"{(i * 7 + offset) % 6 * 0.8:.1f}\tw{i} a b\tw{(i + 1) % n} c".encode()
+            for i in range(n)]
+
+
+def _rescored(line, score):
+    return score + b"".join(line.partition(b"\t")[1:])
+
+
+def _edit(lines, edit):
+    """lines (a TSV file's) with one of TSV_EDITS made."""
+    lines = list(lines)
+    at = min(edit[1], len(lines)) if len(edit) > 1 else 0
+    if edit[0] == "blank":
+        lines.insert(at, b"")
+    elif edit[0] == "not_utf8":
+        lines.insert(at, b"1.0\t\xff\xfe words\tmore words")
+    elif edit[0] == "score" and lines:
+        at = min(at, len(lines) - 1)
+        lines[at] = _rescored(lines[at], edit[2])
+    elif edit[0] == "constant":
+        lines = [_rescored(line, b"1.0") for line in lines]
+    elif edit[0] == "empty":
+        lines = []
+    return lines
+
+
+@st.composite
+def train_case(draw):
+    """(config overrides, edits of (file, edit)) of a tiny train run, each
+    as often none as some."""
+    overrides = st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES)
+    edits = st.tuples(st.sampled_from(["train", "dev"]), TSV_EDITS)
+    return tuple(draw(st.one_of(st.just([]), st.lists(each, min_size=1, max_size=2)))
+                 for each in (overrides, edits))
+
+
+def _train_argv(tmp: Path, overrides, edits) -> list:
+    files = {"train": _tsv_lines(8, 0), "dev": _tsv_lines(6, 3)}
+    for name, edit in edits:
+        files[name] = _edit(files[name], edit)
+    for name, lines in files.items():
+        (tmp / f"{name}.tsv").write_bytes(b"".join(line + b"\n" for line in lines))
+    doc = {
+        "out_dir": "run", "seed": 0, "encoder": {"dim": 4},
+        "loss": {"kind": "smooth_k2", "k": 2, "x0": 0.25, "d": 1.0},
+        "data": {"train": "train.tsv", "dev": "dev.tsv"},
+        "training": {"batch_size": 4, "epochs": 1, "learning_rate": 0.1,
+                     "eval_every": 2},
+    }
+    for (section, key), value in overrides:
+        target = doc if section == "" else doc.setdefault(section, {})
+        if isinstance(target, dict):  # an earlier override may have replaced it
+            target[key] = value
+    (tmp / "config.json").write_text(json.dumps(doc))  # NaN, Infinity literals
+    return ["train", "--config", "config.json"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(gradcheck_argv(), train_case()))
+def test_every_failure_is_one_error_line(case):
+    """cli.main on drawn gradcheck flags, train configs and TSV files exits
+    0, 1 or 2, raises nothing, and a failing run's stderr ends in its one
+    error: line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        patch.delenv(config_mod.OUT_DIR_ENV, raising=False)
+        argv = case if isinstance(case, list) else _train_argv(Path(tmp), *case)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert not any("Traceback" in line for line in lines)
+    if code:
+        assert lines and lines[-1].startswith("error: ")
+        assert sum(line.startswith("error:") for line in lines) == 1

@@ -35,7 +35,7 @@ from simreg.encoder import (
     feature_dim,
     features,
     forward_backward,
-    head_loss,
+    head_parts,
     init_params,
     load_checkpoint,
     pool,
@@ -292,10 +292,11 @@ class TestForwardBackward:
         target = score(m, pair) + 0.1  # residual 0.1 < x0
         spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
         value, grads = run(m, [(pair, target)], spec)
+        weights, bias = head_parts(grads.head, m.params.weights_shape)
         assert value == 0.0
         assert not grads.embeddings.any()
-        assert not grads.head_weights.any()
-        assert not grads.head_bias.any()
+        assert not weights.any()
+        assert not bias.any()
 
     def test_absent_tokens_have_zero_gradients(self, model):
         pair = SentencePair("a man", "the dog", score=0.0)
@@ -362,20 +363,24 @@ class TestForwardBackward:
         pair = SentencePair("a man", "the dog", score=0.0)
         m.params.head_bias[...] = 3.8  # raw prediction past the top node
         spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
+
+        def bias(grads):
+            return head_parts(grads.head, m.params.weights_shape)[1]
+
         value, grads = run(m, [(pair, 3.0)], spec, clamp_range=(0.0, 3.0))
         assert value == 0.0  # clamped to 3.0, residual 0 within buffer
-        assert not grads.head_bias.any() and not grads.embeddings.any()
+        assert not bias(grads).any() and not grads.embeddings.any()
         offset = score(m, pair) - 3.8  # the raw prediction without the bias
         # undershoot: clamped up to 0.0, so the residual 1.0 costs but sends nothing
         m.params.head_bias[...] = -0.4 - offset
         value, grads = run(m, [(pair, 1.0)], spec, clamp_range=(0.0, 3.0))
         assert value == pytest.approx(2.0 * 0.75 ** 2)
-        assert not grads.head_bias.any() and not grads.embeddings.any()
+        assert not bias(grads).any() and not grads.embeddings.any()
         # in range: the prediction 1.5 is not clamped and its gradient flows
         m.params.head_bias[...] = 1.5 - offset
         value, grads = run(m, [(pair, 0.0)], spec, clamp_range=(0.0, 3.0))
         assert value == pytest.approx(2.0 * 1.25 ** 2)
-        assert float(grads.head_bias) == pytest.approx(2.0 * 2.0 * 1.25)
+        assert float(bias(grads)) == pytest.approx(2.0 * 2.0 * 1.25)
 
     def test_empty_batch_rejected(self, model):
         with pytest.raises(InvalidInputError):
@@ -439,10 +444,11 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
         contrastive=lambda a, p: info_nce(a, p, spec.tau),
     )
     assert abs(value - expect) <= 1e-12
-    heads = (grads.head_weights, grads.head_bias)
     if kind is LossKind.INFO_NCE:  # no head, so no head gradient
-        assert all(g is None for g in heads)
+        assert grads.head is None
         heads = tuple(np.zeros_like(a) for a in expect_grads[1:])
+    else:
+        heads = head_parts(grads.head, params.weights_shape)
     for got, want in zip((dense_embeddings(grads, len(vocab)), *heads), expect_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -686,8 +692,8 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
             seen.append(features(u, v, read))
             return info_nce(u, v, *args)
     else:
-        owner, core, read = encoder, "_head_step", mode
-        prepare = encoder._head_step
+        owner, core, read = encoder, "prepare_head_loss", mode
+        prepare = encoder.prepare_head_loss
 
         def spy(*args, **kwargs):  # the prepared head step, recording its features
             step = prepare(*args, **kwargs)
@@ -727,19 +733,21 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     rows, S = pooling_matrix(tokens)
     pooled = S.T @ params.embeddings[rows]
     u, v = pooled[0::2], pooled[1::2]
-    value, grads, d_out = head_loss(params, features(u, v, mode), targets, spec,
-                                    (0.0, 3.0))
+    value, d_head, d_out = prepare_head_loss(params, spec, (0.0, 3.0))(
+        features(u, v, mode), targets)
     assert value == full[0]
-    assert grads.rows is None and grads.embeddings is None
+    # the flat head gradient alone: no embedding gradient
+    assert isinstance(d_head, np.ndarray) and d_head.shape == params.head.shape
     # the reference computes its own features and returns their gradient
     expect_value, expect, d_input = head_forward_backward(params, u, v, targets, mode,
                                                           spec, (0.0, 3.0))
     assert value == expect_value
-    for name in ("head_weights", "head_bias"):
-        got = getattr(grads, name)
+    parts = [head_parts(g, params.weights_shape) for g in (d_head, full[1].head,
+                                                           expect.head)]
+    for name, got, from_full, from_oracle in zip(("head_weights", "head_bias"), *parts):
         assert got.shape == getattr(params, name).shape
-        assert got.tobytes() == getattr(full[1], name).tobytes()
-        assert got.tobytes() == getattr(expect, name).tobytes()
+        assert got.tobytes() == from_full.tobytes()
+        assert got.tobytes() == from_oracle.tobytes()
     assert d_out.shape == ((batch, 3) if n_classes else (batch,))
     # the reference's gradient of the features, split as forward_backward
     # splits it, is the embedding gradient to the bit
@@ -759,7 +767,7 @@ def test_info_nce_has_no_head_gradient(seed, mode, batch, classifier):
              for _ in range(2 * batch)]
     tokens, spec = tokenize_pairs(texts, vocab), _random_spec(rng, LossKind.INFO_NCE)
     value, grads = forward_backward(params, tokens.pooling, None, mode, spec)
-    assert grads.head_weights is None and grads.head_bias is None
+    assert grads.head is None
     # the loss of u and v themselves, whatever the feature mode and head
     rows, S = pooling_matrix(tokens)
     pooled = S.T @ params.embeddings[rows]
@@ -775,7 +783,7 @@ def test_head_loss_serves_only_the_head_losses():
     params = init_params(6, 2, FeatureMode.UV, 0)
     f = features(np.ones((2, 2)), np.zeros((2, 2)), FeatureMode.UV)
     with pytest.raises(InvalidInputError, match="info_nce"):
-        head_loss(params, f, [0.0, 1.0], LossSpec(LossKind.INFO_NCE, tau=0.5))
+        prepare_head_loss(params, LossSpec(LossKind.INFO_NCE, tau=0.5))(f, [0.0, 1.0])
 
 
 def _step_cases():
@@ -797,15 +805,14 @@ def _same_gradients(got, expect):
         a, b = getattr(got, name), getattr(expect, name)
         assert (a is None) == (b is None)
         assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes())
-    assert got.weights_shape == expect.weights_shape
 
 
 @pytest.mark.parametrize("kind, n_classes, mode, optimizer", _step_cases())
 def test_a_prepared_step_holds_no_stale_state(kind, n_classes, mode, optimizer):
     """One prepared step serves batch after batch while an optimizer updates
     the parameters in place: at each step it gives, bit for bit, what a
-    fresh forward_backward or head_loss gives on the parameters as they are
-    then."""
+    fresh forward_backward or prepare_head_loss step gives on the parameters
+    as they are then."""
     rng = np.random.default_rng([ALL_KINDS.index(kind), n_classes or 0,
                                  list(FeatureMode).index(mode)])
     vocab = build_vocab([" ".join(WORDS)])
@@ -833,9 +840,11 @@ def test_a_prepared_step_holds_no_stale_state(kind, n_classes, mode, optimizer):
         if head is not None:
             pooled = pool(params.embeddings, tokens)
             f = features(pooled[0::2], pooled[1::2], mode)
-            got, expect = head(f, targets), head_loss(params, f, targets, spec, clamp)
+            got = head(f, targets)
+            expect = prepare_head_loss(params, spec, clamp)(f, targets)
             assert got[0] == expect[0] and got[2].tobytes() == expect[2].tobytes()
-            _same_gradients(got[1], expect[1])
+            assert got[1].shape == expect[1].shape
+            assert got[1].tobytes() == expect[1].tobytes()
         update(grads)
     # every array the steps read has moved
     assert not np.array_equal(params.embeddings, start.embeddings)
@@ -966,11 +975,14 @@ def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
         lambda p: forward_backward(p, tokens.pooling, targets, mode, spec,
                                    with_grads=False)[0], params)
     rows, S = tokens.pooling
-    _, head_grads, _ = head_loss(params, features(*np.split(S.T @ params.embeddings[rows],
-                                                            2), mode), targets, spec)
-    for g in (grads, fd, head_grads):
-        assert g.head.shape == params.head.shape and g.weights_shape == params.weights_shape
-        assert_views(g)
+    _, d_head, _ = prepare_head_loss(params, spec)(
+        features(*np.split(S.T @ params.embeddings[rows], 2), mode), targets)
+    # each flat head gradient splits into views of itself, as the head does
+    for g in (grads.head, fd.head, d_head):
+        assert g.shape == params.head.shape
+        weights, bias = head_parts(g, params.weights_shape)
+        assert np.shares_memory(weights, g) and np.shares_memory(bias, g)
+        assert g.tobytes() == np.concatenate((weights.ravel(), np.ravel(bias))).tobytes()
 
     model = Model(vocab, params, mode)
     save_checkpoint(model, tmp_path / "ck.json")

@@ -22,6 +22,7 @@ from simreg.encoder import (
     Model,
     build_vocab,
     forward_backward,
+    head_parts,
 )
 from simreg.gradcheck import (
     ALL_KINDS,
@@ -35,6 +36,7 @@ from simreg.gradcheck import (
     max_relative_error,
     run_gradient_checks,
 )
+from simreg.errors import InvalidInputError
 from simreg.losses import LossKind, LossSpec
 
 
@@ -42,6 +44,26 @@ def test_small_sweep_passes():
     results = run_gradient_checks(seeds=range(2), dim_max=5, vocab_max=15,
                                   batch_max=3)
     assert all(r.max_rel_error <= 1e-4 for r in results)
+
+
+def test_sizes_are_accepted_up_to_the_samplers_bound(monkeypatch):
+    """The largest size Generator.integers' int64 draws take passes the
+    checks, and one more is an input error; no configuration is drawn."""
+    largest = 2**63 - 1
+    rng = np.random.default_rng(0)
+    rng.integers(2, largest + 1), rng.integers(5, largest - 1)  # the draws' bounds
+    checked = []
+    monkeypatch.setattr(gradcheck, "check_configuration",
+                        lambda *args: checked.append(args))
+    run_gradient_checks(seeds=[0], dim_max=largest, vocab_max=largest,
+                        batch_max=largest)
+    assert len(checked) == len(ALL_KINDS) * len(ALL_MODES)
+    for name in ("dim_max", "vocab_max", "batch_max"):
+        with pytest.raises(InvalidInputError, match=f"{name} must be at least"):
+            run_gradient_checks(seeds=[0], **{name: largest + 1})
+    with pytest.raises(InvalidInputError, match=r"fewer than 2\*\*63 seeds"):
+        run_gradient_checks(seeds=range(largest + 1))
+    assert len(checked) == len(ALL_KINDS) * len(ALL_MODES)
 
 
 def test_results_are_reproducible():
@@ -79,9 +101,10 @@ def test_buffer_zone_gives_zero_on_both_routes():
     fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
     assert value == 0.0
     for grads in (analytic, fd):
+        weights, bias = head_parts(grads.head, model.params.weights_shape)
         assert not dense_embeddings(grads, model.params.vocab_size).any()
-        assert not grads.head_weights.any()
-        assert not np.atleast_1d(grads.head_bias).any()
+        assert not weights.any()
+        assert not np.atleast_1d(bias).any()
     assert max_relative_error(analytic, fd) == 0.0
 
 
@@ -98,7 +121,8 @@ def test_nan_analytic_entry_is_reported(name):
     _, analytic = run()
     fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
     assert max_relative_error(analytic, fd) < 1e-4
-    grad = getattr(analytic, name)
+    grad = (analytic.embeddings if name == "embeddings"
+            else head_parts(analytic.head, model.params.weights_shape)[1])
     grad[(0,) * grad.ndim] = np.nan
     assert math.isnan(max_relative_error(analytic, fd))
 
@@ -120,23 +144,23 @@ def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, 
         return np.asarray(rng.normal(size=shape) * scale)
 
     analytic = Gradients(draw((len(rows), width)), rows,
-                         *join_head(draw(weights_shape), draw(bias_shape)))
+                         join_head(draw(weights_shape), draw(bias_shape))[0])
     fd_table, fd_weights, fd_bias = (
         np.asarray(a + draw(np.shape(a)) * 1e-3 * rng.integers(0, 2))
-        for a in (dense_embeddings(analytic, vocab_size), analytic.head_weights,
-                  analytic.head_bias))
-    fd = Gradients(fd_table, np.arange(vocab_size), *join_head(fd_weights, fd_bias))
-    arrays = [analytic.embeddings, analytic.head_weights, analytic.head_bias,
-              fd.embeddings, fd.head_weights, fd.head_bias]
+        for a in (dense_embeddings(analytic, vocab_size),
+                  *head_parts(analytic.head, weights_shape)))
+    fd = Gradients(fd_table, np.arange(vocab_size), join_head(fd_weights, fd_bias)[0])
+    arrays = [analytic.embeddings, *head_parts(analytic.head, weights_shape),
+              fd.embeddings, *head_parts(fd.head, weights_shape)]
     if headless:  # no head gradient, as InfoNCE's: compared as zeros
-        analytic = dataclasses.replace(analytic, head=None, weights_shape=None)
+        analytic = dataclasses.replace(analytic, head=None)
         arrays[1:3] = [np.empty(0), np.empty(0)]
     has_nan = nan_in is not None and arrays[nan_in].size > 0
     if has_nan:
         flat = arrays[nan_in].reshape(-1)  # a view: each array is its own buffer
         flat[rng.integers(flat.size)] = np.nan
     got = max_relative_error(analytic, fd)
-    want = max_relative_error_per_array(analytic, fd)
+    want = max_relative_error_per_array(analytic, fd, weights_shape)
     assert type(got) is float
     assert math.isnan(got) == math.isnan(want) == has_nan
     if not has_nan:
@@ -148,14 +172,15 @@ def test_info_nce_head_has_no_gradient_and_a_zero_difference(mode):
     params, tokens, targets, spec = draw_configuration(0, LossKind.INFO_NCE, mode)
     _, analytic = forward_backward(params, tokens.pooling, targets, mode, spec)
     fd = finite_difference_grads(loss_fn(tokens, targets, mode, spec), params)
-    assert analytic.head_weights is None and analytic.head_bias is None
+    fd_weights, fd_bias = head_parts(fd.head, params.weights_shape)
+    assert analytic.head is None
     # the loss does not read the head, so each difference is exactly zero
-    assert not fd.head_weights.any() and not fd.head_bias.any()
+    assert not fd_weights.any() and not fd_bias.any()
     error = max_relative_error(analytic, fd)
     assert error == check_configuration(0, LossKind.INFO_NCE, mode).max_rel_error
     assert error < DEFAULT_TOLERANCE
     # a nonzero head difference is seen against the missing head gradient
-    fd.head_bias[...] += 1.0
+    fd_bias[...] += 1.0
     assert max_relative_error(analytic, fd) >= 0.5
 
 
@@ -173,7 +198,8 @@ def test_stacked_differences_match_per_entry_oracle(seed):
             value_fn = loss_fn(tokens, targets, mode, spec)
             fd = finite_difference_grads(value_fn, params)
             expected = finite_difference_per_entry(value_fn, params, DEFAULT_STEP)
-            for got, want in zip((fd.embeddings, fd.head_weights, fd.head_bias),
+            for got, want in zip((fd.embeddings, *head_parts(fd.head,
+                                                             params.weights_shape)),
                                  expected, strict=True):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
                                            err_msg=f"{kind.value} {mode.value}")
@@ -217,8 +243,8 @@ def test_chunks_straddling_arrays_match_per_entry_oracle(monkeypatch, kind):
     assert snapshot(params) == before
     assert calls == [per_call] * (n // per_call) + [1]
     expected = finite_difference_per_entry(value_fn, params, DEFAULT_STEP)
-    for got, want in zip((fd.embeddings, fd.head_weights, fd.head_bias), expected,
-                         strict=True):
+    for got, want in zip((fd.embeddings, *head_parts(fd.head, params.weights_shape)),
+                         expected, strict=True):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 

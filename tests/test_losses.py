@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import central_difference, softmax_bruteforce
 from simreg import losses
-from simreg.encoder import Model, build_vocab, forward_backward
+from simreg.encoder import Model, build_vocab, forward_backward, head_parts
 from simreg.errors import InvalidInputError
 from simreg.labelmap import LabelMapping
 from simreg.losses import (
@@ -39,7 +39,7 @@ def mse_with_prediction(prediction, target, clamp_range=None):
     value, grads = forward_backward(model.params, pairs.pooling, [target],
                                     model.feature_mode, LossSpec(LossKind.MSE),
                                     clamp_range)
-    return value, float(grads.head_bias)
+    return value, float(head_parts(grads.head, model.params.weights_shape)[1])
 
 
 def tr_spec(k=2.0, x0=0.25, d=1.0):

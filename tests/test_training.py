@@ -25,10 +25,11 @@ from simreg.encoder import (
     Model,
     build_vocab,
     forward_backward,
+    head_parts,
     init_params,
     tokenize_pairs,
 )
-from simreg.errors import InvalidInputError, TrainingError
+from simreg.errors import DegenerateInputError, InvalidInputError, TrainingError
 from simreg.evaluation import evaluate, golds
 from simreg.labelmap import LabelMapping
 from simreg.losses import LossKind, LossSpec
@@ -72,10 +73,17 @@ def model(corpus):
     return Model.initialize(vocab, dim=8, seed=13, label_range=(0.0, 3.0))
 
 
+def take_step(optimizer, params, grads):
+    """One update of the arrays of TRAINED that grads holds a gradient of,
+    by an updater the optimizer prepares for them."""
+    names = [name for name in training.TRAINED if getattr(grads, name) is not None]
+    optimizer.updater(params, names)(grads)
+
+
 class TestSgdStep:
     def test_zero_gradient_is_identity(self, model):
         params = copy_params(model.params)
-        SgdOptimizer(0.5).step(params, zero_gradients(params))
+        take_step(SgdOptimizer(0.5), params, zero_gradients(params))
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
         np.testing.assert_array_equal(params.head_weights, model.params.head_weights)
 
@@ -83,8 +91,8 @@ class TestSgdStep:
         params = copy_params(model.params)
         params.head_bias[...] = 1.0
         grads = zero_gradients(params)
-        grads.head_bias[...] = 2.0
-        SgdOptimizer(0.1).step(params, grads)
+        head_parts(grads.head, params.weights_shape)[1][...] = 2.0
+        take_step(SgdOptimizer(0.1), params, grads)
         assert float(params.head_bias) == pytest.approx(0.8)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -94,36 +102,13 @@ class TestSgdStep:
         opt = SgdOptimizer(0.1) if optimizer == "sgd" else AdamOptimizer(0.1)
         grads = zero_gradients(params)
         grads.embeddings[:] = 1.0
-        grads.head_weights[:] = 1.0
-        opt.step(params, grads)  # Adam's table moments are nonzero from here on
+        head_parts(grads.head, params.weights_shape)[0][:] = 1.0
+        take_step(opt, params, grads)  # Adam's table moments are nonzero from here on
         table, head = params.embeddings.copy(), params.head_weights.copy()
         grads = dataclasses.replace(grads, embeddings=None, rows=None)
-        opt.step(params, grads)
+        take_step(opt, params, grads)
         assert params.embeddings.tobytes() == table.tobytes()
         assert not np.array_equal(params.head_weights, head)
-
-    def test_shape_mismatch_rejected(self, model):
-        params = copy_params(model.params)
-        # a head of weights for 5 features
-        grads = dataclasses.replace(zero_gradients(params), head=np.zeros(6),
-                                    weights_shape=(5,))
-        # the table's gradient is good, so a partial update would show
-        grads.embeddings[:] = 1.0
-        # an embedding gradient without its rows
-        rowless = dataclasses.replace(zero_gradients(params), rows=None)
-        adam = AdamOptimizer(0.1)
-        first = zero_gradients(params)
-        first.embeddings[:] = first.head[:] = 1.0
-        adam.step(params, first)  # moments to change
-        snapshot = [a.tobytes() for a in (params.embeddings, params.head,
-                                          *arrays_in(adam.state))]
-        for optimizer in (SgdOptimizer(0.1), adam):
-            for bad in (grads, rowless):
-                with pytest.raises(InvalidInputError):
-                    optimizer.step(params, bad)
-        assert adam.t == 1
-        assert snapshot == [a.tobytes() for a in (params.embeddings, params.head,
-                                                  *arrays_in(adam.state))]
 
 
 class TestAdam:
@@ -131,8 +116,8 @@ class TestAdam:
         params = copy_params(model.params)
         opt = AdamOptimizer(0.01)
         grads = dataclasses.replace(zero_gradients(params), embeddings=None, rows=None)
-        grads.head_weights[:] = 1.0
-        opt.step(params, grads)
+        head_parts(grads.head, params.weights_shape)[0][:] = 1.0
+        take_step(opt, params, grads)
         np.testing.assert_array_equal(params.embeddings, model.params.embeddings)
         assert not np.array_equal(params.head_weights, model.params.head_weights)
         # no moments or buffers exist for the table
@@ -144,15 +129,15 @@ class TestAdam:
         before = params.head_weights.copy()
         opt = AdamOptimizer(0.01)
         grads = zero_gradients(params)
-        grads.head_weights[:] = 1.0
-        opt.step(params, grads)
+        head_parts(grads.head, params.weights_shape)[0][:] = 1.0
+        take_step(opt, params, grads)
         assert np.all(params.head_weights < before)
 
     def test_joint_step_holds_only_the_moments_and_scratch_of_the_table(self,
                                                                         model):
         params = copy_params(model.params)
         opt = AdamOptimizer(0.01)
-        opt.step(params, zero_gradients(params))
+        take_step(opt, params, zero_gradients(params))
         shapes = [a.shape for a in arrays_in(opt)]
         # m, v and two scratch buffers: no table-sized gradient
         assert shapes.count(params.embeddings.shape) == 4
@@ -191,11 +176,11 @@ def random_batch_grads(rng, params, vocab):
     return grads
 
 
-def densified(grads, vocab_size):
+def densified(grads, vocab_size, weights_shape):
     embeddings = np.zeros((vocab_size, grads.embeddings.shape[1]))
     embeddings[grads.rows] = grads.embeddings
-    return {"embeddings": embeddings, "head_weights": grads.head_weights,
-            "head_bias": grads.head_bias}
+    weights, bias = head_parts(grads.head, weights_shape)
+    return {"embeddings": embeddings, "head_weights": weights, "head_bias": bias}
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,10 +202,10 @@ def test_row_sparse_steps_match_dense_oracle(seed, optimizer, stage, lr):
     # every gradient is taken at the start, so a large lr cannot diverge
     for _ in range(int(rng.integers(1, 41))):
         grads = random_batch_grads(rng, start, vocab)
-        dense = densified(grads, len(vocab))
+        dense = densified(grads, len(vocab), params.weights_shape)
         if stage is Stage.HEAD_ONLY:  # the frozen stage computes no table gradient
             grads = dataclasses.replace(grads, embeddings=None, rows=None)
-        opt.step(params, grads)
+        take_step(opt, params, grads)
         if optimizer == "sgd":
             sgd_step_dense(expect, dense, lr, names)
         else:
@@ -242,10 +227,11 @@ def test_adam_on_a_row_untouched_for_long_runs_matches_dense_oracle():
         embeddings = rng.normal(size=(len(rows), 4))
         if step in (1, 30):
             embeddings[-1] = edge if step == 1 else -edge
-        grads = Gradients(embeddings, rows, *join_head(
-            rng.normal(size=params.head_weights.shape), edge[step % 4]))
-        oracle.step(expect, densified(grads, len(vocab)), encoder.PARAM_NAMES)
-        opt.step(params, grads)
+        grads = Gradients(embeddings, rows, join_head(
+            rng.normal(size=params.head_weights.shape), edge[step % 4])[0])
+        oracle.step(expect, densified(grads, len(vocab), params.weights_shape),
+                    encoder.PARAM_NAMES)
+        take_step(opt, params, grads)
     assert_same_params(params, expect)
     moments = [a for m, v, _, _ in opt.state.values() for a in (m, v)]
     assert not any(np.any((a == 0) & np.signbit(a)) for a in moments)
@@ -256,21 +242,19 @@ class TestTrain:
     def test_embedding_gradient_only_when_the_encoder_trains(self, model, corpus,
                                                              stage, monkeypatch):
         rows = []
+        prepare = SgdOptimizer.updater
 
-        def recorded(prepare):
-            def prepared(*args, **kwargs):
-                step = prepare(*args, **kwargs)
+        def recorded(self, params, names):
+            """The stage's updater, recording the gradients of each step."""
+            update = prepare(self, params, names)
 
-                def call(*batch):
-                    value, grads, *rest = step(*batch)
-                    rows.append(grads.rows)
-                    assert (grads.rows is None) == (grads.embeddings is None)
-                    return (value, grads, *rest)
-                return call
-            return prepared
+            def call(grads):
+                rows.append(grads.rows)
+                assert (grads.rows is None) == (grads.embeddings is None)
+                return update(grads)
+            return call
 
-        for name in ("prepare_forward_backward", "prepare_head_loss"):
-            monkeypatch.setattr(training, name, recorded(getattr(training, name)))
+        monkeypatch.setattr(SgdOptimizer, "updater", recorded)
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
         train(model, corpus, corpus, cfg, K2, stage)
         assert len(rows) == 2
@@ -385,7 +369,7 @@ class TestTrain:
                     model.feature_mode, spec, corpus.score_range)
                 # the encoder is frozen
                 grads = dataclasses.replace(grads, embeddings=None, rows=None)
-                opt.step(params, grads)
+                take_step(opt, params, grads)
                 losses.append(value)
         best = result.best_model.params
         assert best.embeddings.tobytes() == model.params.embeddings.tobytes()
@@ -515,6 +499,30 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="unknown category: 'c'"):
             train(model, ds, ds, cfg, LossSpec(LossKind.CROSS_ENTROPY))
 
+    @pytest.mark.parametrize("stage", list(Stage))
+    def test_dev_errors_name_the_dev_set(self, model, corpus, monkeypatch, stage):
+        """As evaluate names a dataset whose score is undefined, at step 0
+        and inside the loop."""
+        cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
+        flat = Dataset.from_columns("flat", np.ones(len(corpus)), corpus.s1, corpus.s2,
+                                    score_range=corpus.score_range)
+        with pytest.raises(DegenerateInputError,
+                           match="^flat: rank correlation undefined"):
+            train(model, corpus, flat, cfg, K2, stage)
+        score = training._dev_score
+        calls = []
+
+        def failing_after_step_0(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise InvalidInputError("non-finite prediction")
+            return score(*args)
+
+        monkeypatch.setattr(training, "_dev_score", failing_after_step_0)
+        with pytest.raises(TrainingError, match="^dev evaluation failed at step 2: "
+                                                "tiny: non-finite prediction$"):
+            train(model, corpus, corpus, cfg, K2, stage)
+
     def test_head_only_info_nce_is_rejected(self, model, corpus, monkeypatch):
         steps = []
         prepare = training.prepare_head_loss
@@ -598,7 +606,7 @@ def oracle_train(model, dataset, cfg, spec, stage):
                 value, grads = forward_backward(
                     params, pooling_matrix(take(tokens, idx)), targets[idx], mode,
                     spec, clamp_range)
-            opt.step(params, grads)
+            take_step(opt, params, grads)
             losses.append(value)
     return params, losses
 
