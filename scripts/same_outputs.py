@@ -19,7 +19,14 @@ one-stage run configs train on data/train.tsv and select on data/dev.tsv,
 so that every loss branch of the training step is compared:
 data/translated_relu.json (SGD, evaluated every 25 steps: the benchmark's
 large_vocab run, small), data/mse.json (Adam, absdiff features) and
-data/cross_entropy.json (SGD, uv features).  Then, for
+data/cross_entropy.json (SGD, uv features).  data/large_vocab.json trains
+the same way as data/translated_relu.json, at dim 8 in batches of 8 pairs,
+on data/large_train.tsv (make_ordinal_corpus(300, seed=14,
+vocab_size=5000), whatever N is) and selects on data/large_dev.tsv
+(make_ordinal_corpus(60, seed=15, vocab_size=5000)): its vocabulary of about
+3,000 words puts every window of its pooling plan past the presence mask's
+key space, on np.unique's side, where the other runs' 120-word corpus puts
+every window on the mask's.  Then, for
 each checkout in turn, it runs in one Python process on that checkout's
 src/:
 
@@ -40,11 +47,13 @@ and the same for configs/demo.json under out/demo, then
     simreg eval --checkpoint out/info_nce/checkpoint.json \
         data/dev_scores.tsv --cosine --out out/info_nce/eval
 
-and, for NAME each of translated_relu, mse and cross_entropy,
+and, for NAME each of translated_relu, mse, cross_entropy and large_vocab,
 
     simreg train --config data/NAME.json --out out/NAME
-    simreg eval --checkpoint out/NAME/checkpoint.json data/dev.tsv \
+    simreg eval --checkpoint out/NAME/checkpoint.json data/DEV.tsv \
         --out out/NAME/eval
+
+where DEV is large_dev for large_vocab and dev for the others,
 
 and last writes out/gradcheck.txt: the repr of each (label, max_rel_error,
 n_params) of run_gradient_checks(seeds=range(20)), the seeds simreg
@@ -70,8 +79,10 @@ import tempfile
 from pathlib import Path
 
 CONFIGS = ("two_stage", "demo")
-# run configs MAKE_DATA writes as data/NAME.json, each trained and evaluated
-DATA_CONFIGS = ("translated_relu", "mse", "cross_entropy")
+# run configs MAKE_DATA writes as data/NAME.json, each trained and then
+# evaluated on its dev file
+DATA_CONFIGS = {"translated_relu": "data/dev.tsv", "mse": "data/dev.tsv",
+                "cross_entropy": "data/dev.tsv", "large_vocab": "data/large_dev.tsv"}
 
 MAKE_DATA = """
 import json
@@ -108,10 +119,10 @@ Path("data/info_nce.json").write_text(json.dumps({
                  "optimizer": "adam", "eval_every": 4},
 }))
 
-def run_config(name, loss, encoder, training):
+def run_config(name, loss, encoder, training, prefix=""):
     Path(f"data/{name}.json").write_text(json.dumps({
         "seed": 0, "encoder": encoder, "loss": loss,
-        "data": {"train": "data/train.tsv", "dev": "data/dev.tsv",
+        "data": {"train": f"data/{prefix}train.tsv", "dev": f"data/{prefix}dev.tsv",
                  "categories": list(train.categories)},
         "training": training,
     }))
@@ -127,6 +138,12 @@ run_config("mse", {"kind": "mse"}, {"dim": 16, "feature_mode": "absdiff"},
 run_config("cross_entropy", {"kind": "cross_entropy"}, {"dim": 16, "feature_mode": "uv"},
            {"batch_size": 16, "epochs": 2, "learning_rate": 0.05, "optimizer": "sgd",
             "eval_every": 20})
+save_tsv(make_ordinal_corpus(300, seed=14, vocab_size=5000), "data/large_train.tsv")
+save_tsv(make_ordinal_corpus(60, seed=15, vocab_size=5000), "data/large_dev.tsv")
+run_config("large_vocab", {"kind": "translated_relu", "k": 1.0, "x0": 0.25, "d": 1.0},
+           {"dim": 8, "feature_mode": "uv_absdiff"},
+           {"batch_size": 8, "epochs": 1, "learning_rate": 2.0, "optimizer": "sgd",
+            "eval_every": 25}, prefix="large_")
 """
 
 RUN_COMMANDS = """
@@ -163,9 +180,9 @@ def commands(checkout: Path) -> list[list[str]]:
         ["train", "--config", "data/info_nce.json", "--out", "out/info_nce"],
         ["eval", "--checkpoint", "out/info_nce/checkpoint.json", "data/dev_scores.tsv",
          "--cosine", "--out", "out/info_nce/eval"],
-    ] + [argv for name in DATA_CONFIGS for argv in (
+    ] + [argv for name, dev in DATA_CONFIGS.items() for argv in (
         ["train", "--config", f"data/{name}.json", "--out", f"out/{name}"],
-        ["eval", "--checkpoint", f"out/{name}/checkpoint.json", "data/dev.tsv",
+        ["eval", "--checkpoint", f"out/{name}/checkpoint.json", dev,
          "--out", f"out/{name}/eval"],
     )]
 

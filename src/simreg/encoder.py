@@ -23,8 +23,9 @@ distinct token and one column per sentence holding count / length:
 pooled = S.T @ E[rows] forward, and one matrix product with S carries every
 sentence's gradient back to the token rows.  An epoch's matrices are planned
 a window of batches at a time (PairTokens.batches): one token gather and one
-np.unique per window, one bincount per batch.  The embedding gradient holds
-only the rows of the tokens in the batch, so its cost does not grow with the
+sort of (batch, token id) keys per window (a presence mask, or np.unique past
+_MASK_KEYS_PER_TOKEN keys per token), one bincount per batch.  The embedding
+gradient holds only the batch's token rows: its cost does not grow with the
 vocabulary.  The head and loss of the regression and K-logit heads run in
 one step, prepare_head_loss's, on the head's features.  It returns the loss,
 the flat head gradient and the gradient of the raw head output, and does no
@@ -94,6 +95,10 @@ PARAM_NAMES = ("embeddings", "head_weights", "head_bias")
 # batches PairTokens.batches plans at once: its memory stays bounded however
 # many pairs a dataset holds
 _PLAN_WINDOW = 32
+# _pooling_plan plans by a presence mask up to this many keys per token, by
+# np.unique's sort past it: on a 9,216-token window (2 cores, numpy 2.4) the
+# two crossed between 8.7 and 9.7 keys per token
+_MASK_KEYS_PER_TOKEN = 8
 
 
 class FeatureMode(str, Enum):
@@ -236,10 +241,12 @@ def build_vocab(texts, corpus: Corpus | None = None) -> Vocabulary:
         corpus = Corpus(texts)
     per_text = np.bincount(corpus.rows_of(texts), minlength=len(corpus.lengths))
     counts = np.bincount(corpus.word_ids, np.repeat(per_text, corpus.lengths),
-                         minlength=len(corpus.words)).tolist()
-    present = [i for i, c in enumerate(counts) if c and corpus.words[i]]
-    present.sort(key=lambda i: (-counts[i], corpus.words[i]))
-    return Vocabulary((PAD_TOKEN, OOV_TOKEN, *(corpus.words[i] for i in present)))
+                         minlength=len(corpus.words))
+    # by word, then stably by falling count: zero counts go last and are cut
+    word = corpus.words.__getitem__
+    by_word = np.array(sorted(range(len(corpus.words)), key=word), dtype=np.intp)
+    order = by_word[np.argsort(-counts[by_word], kind="stable")][:np.count_nonzero(counts)]
+    return Vocabulary((PAD_TOKEN, OOV_TOKEN, *filter(None, map(word, order.tolist()))))
 
 
 def _segments(ids, starts, sources, lengths):
@@ -258,26 +265,39 @@ def _pooling_plan(ids, lengths, per_batch: int):
     distinct tokens x sentences: it suits a batch; a whole dataset is pooled
     by pool.
 
-    One np.unique of (batch, id) keys gives every batch's rows and each
-    token's cell in its batch's S, so a batch's own work is one bincount and
-    one division.
+    The sorted distinct (batch, id) keys, from a presence mask over their
+    space (batches x largest id + 1) or, past _MASK_KEYS_PER_TOKEN keys per
+    token, from np.unique, give every batch's rows and each token's cell in
+    its S, so a batch's own work is one bincount and one division.
     """
     # each token's batch and its sentence in that batch
-    batch, column = np.divmod(np.repeat(np.arange(len(lengths)), lengths), per_batch)
-    n_ids = int(ids.max()) + 1
-    keys, inverse = np.unique(batch * n_ids + ids, return_inverse=True)
+    batch, column = (np.repeat(a, lengths)
+                     for a in np.divmod(np.arange(len(lengths)), per_batch))
+    n_batches, n_ids = -(-len(lengths) // per_batch), int(ids.max()) + 1
+    key = batch * n_ids + ids
+    if n_batches * n_ids <= _MASK_KEYS_PER_TOKEN * len(ids):
+        present = np.zeros(n_batches * n_ids, dtype=bool)
+        present[key] = True
+        keys = np.flatnonzero(present)
+        rank = np.empty(len(present), dtype=np.intp)
+        rank[keys] = np.arange(len(keys))
+        inverse = rank[key]
+    else:
+        keys, inverse = np.unique(key, return_inverse=True)
     # each batch's distinct ids are one run of keys, its tokens one run of ids
-    edges = np.arange(-(-len(lengths) // per_batch) + 1)
+    edges = np.arange(n_batches + 1)
     key_bounds = np.searchsorted(keys, edges * n_ids)
-    token_bounds = np.searchsorted(batch, edges)
     # cells of a full batch's S; a short last batch uses its first columns
     cell = (inverse - key_bounds[batch]) * per_batch + column
-    for b in range(len(edges) - 1):
-        rows = keys[key_bounds[b]:key_bounds[b + 1]] - b * n_ids
-        lens = lengths[b * per_batch:(b + 1) * per_batch]
-        counts = np.bincount(cell[token_bounds[b]:token_bounds[b + 1]],
-                             minlength=len(rows) * per_batch)
-        yield rows, counts.reshape(len(rows), per_batch)[:, :len(lens)] / lens
+    rows = keys % n_ids
+    # counts and lengths as floats: the same quotients, with no cast per batch
+    ones, float_lengths = np.ones(len(ids)), lengths.astype(float)
+    kb, tb = key_bounds.tolist(), np.searchsorted(batch, edges).tolist()
+    for b, (lo, hi, first, last) in enumerate(zip(kb, kb[1:], tb, tb[1:])):
+        lens = float_lengths[b * per_batch:(b + 1) * per_batch]
+        counts = np.bincount(cell[first:last], ones[first:last],
+                             minlength=(hi - lo) * per_batch)
+        yield rows[lo:hi], counts.reshape(hi - lo, per_batch)[:, :len(lens)] / lens
 
 
 @dataclass(frozen=True)

@@ -204,8 +204,9 @@ def run_gradient_checks(
 ) -> list[GradCheckResult]:
     """The full sweep: every seed x loss kind x feature mode (ALL_KINDS x
     ALL_MODES).  Each size lies between its sampling minimum and 2**63 - 1,
-    the most that Generator.integers' int64 draws take, and the seeds number
-    fewer than 2**63."""
+    the most that Generator.integers' int64 draws take, the largest table,
+    vocab_max x dim_max float64 entries, is smaller than numpy's largest
+    array of 2**63 bytes, and the seeds number fewer than 2**63."""
     try:
         seeds = tuple(seeds)
     except OverflowError:  # a range of 2**63 or more has no length
@@ -217,6 +218,9 @@ def run_gradient_checks(
         if not least <= value < 2**63:
             raise InvalidInputError(
                 f"{name} must be at least {least} and below 2**63, got {value}")
+    if vocab_max * dim_max * 8 >= 2**63:
+        raise InvalidInputError(f"a {vocab_max} x {dim_max} float64 table is past "
+                                "numpy's largest array of 2**63 bytes")
     return [
         check_configuration(seed, kind, mode, dim_max, vocab_max, batch_max)
         for seed in seeds

@@ -777,6 +777,8 @@ class TestGradcheck:
         # past what the sampler's int64 draws, or a range's length, can take
         ["--dim", str(10**20)], ["--vocab", str(10**20)], ["--batch", str(10**20)],
         ["--seeds", str(10**20)],
+        # a table of vocab x dim float64 entries past numpy's largest array
+        ["--dim", str(2**63 - 1)],
     ], ids=lambda flags: " ".join(flags))
     def test_invalid_flag_is_a_clean_error(self, capsys, flags):
         assert main(["gradcheck", "--seeds", "1", *flags]) == 1

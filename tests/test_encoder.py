@@ -4,6 +4,7 @@ import json
 import math
 import string
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestTokenize:
         assert build_vocab(texts).tokens == build_vocab(list(texts)).tokens
         # frequency order with alphabetical ties
         assert build_vocab(texts).tokens == ("<pad>", "<oov>", "a", "b", "c")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.text("abzé日ß_0", min_size=1, max_size=2), max_size=6),
+                    max_size=8))
+    @example([["é", "z"], ["z", "é"], ["日", "a", "a"], ["日"], []])
+    def test_vocab_order_matches_the_python_key_sort(self, sentences):
+        # a small alphabet, non-ASCII letters in it, gives many count ties
+        texts = [" ".join(words) for words in sentences]
+        counts = Counter(word for text in texts for word in split_words(text))
+        expect = sorted(counts, key=lambda word: (-counts[word], word))
+        assert build_vocab(texts).tokens == ("<pad>", "<oov>", *expect)
 
 
 class TestEmbedSentence:
@@ -566,17 +578,31 @@ def test_cached_pooling_matrix_is_built_once_and_read_only(vocab):
         S[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("n_pairs, batch_size, max_tokens, words", [
-    (10, 3, None, WORDS),  # n not a multiple of the batch size
-    (2 * encoder._PLAN_WINDOW + 5, 2, None, WORDS),  # more batches than one window
-    (10, 10, None, WORDS),  # batch_size == n
-    (7, 12, None, WORDS),  # batch_size > n
-    (9, 4, None, ["w3"]),  # every sentence of a batch the same single token
-    (10, 3, 2, WORDS),  # sentences cut by truncate
-], ids=["ragged", "windows", "one-batch", "oversized", "one-token", "truncated"])
-def test_batches_match_the_per_batch_oracle(n_pairs, batch_size, max_tokens, words):
+# words spread over a vocabulary whose windows' key spaces lie past
+# _MASK_KEYS_PER_TOKEN keys per token, so np.unique plans them
+MANY_WORDS = [f"v{i:04d}" for i in range(2000)]
+# with WORDS, <pad> and <oov>: 2 x _MASK_KEYS_PER_TOKEN ids, so one-token
+# sentences in batches of one pair make a key space of exactly
+# _MASK_KEYS_PER_TOKEN keys per token; one word more is one id past it
+AT_THRESHOLD = [f"x{i}" for i in range(2 * encoder._MASK_KEYS_PER_TOKEN - len(WORDS) - 2)]
+
+
+@pytest.mark.parametrize("n_pairs, batch_size, max_tokens, words, sorts", [
+    (10, 3, None, WORDS, 0),  # n not a multiple of the batch size
+    (2 * encoder._PLAN_WINDOW + 5, 2, None, WORDS, 0),  # more batches than one window
+    (10, 10, None, WORDS, 0),  # batch_size == n
+    (7, 12, None, WORDS, 0),  # batch_size > n
+    (9, 4, None, ["w3"], 0),  # every sentence of a batch the same single token
+    (10, 3, 2, WORDS, 0),  # sentences cut by truncate
+    (2 * encoder._PLAN_WINDOW + 5, 2, None, MANY_WORDS, 2),  # both windows sorted
+    (20, 1, 1, AT_THRESHOLD, 0),  # a key space at the threshold takes the mask
+    (20, 1, 1, AT_THRESHOLD + ["y"], 1),  # one id past it, the sort
+], ids=["ragged", "windows", "one-batch", "oversized", "one-token", "truncated",
+        "past-threshold", "at-threshold", "one-past-threshold"])
+def test_batches_match_the_per_batch_oracle(n_pairs, batch_size, max_tokens, words, sorts,
+                                            monkeypatch):
     rng = np.random.default_rng(n_pairs + batch_size)
-    vocab = build_vocab([" ".join(WORDS)])
+    vocab = build_vocab([" ".join(dict.fromkeys(WORDS + words))])
     texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 7))))
              for _ in range(2 * n_pairs)]
     tokens = tokenize_pairs(texts, vocab)
@@ -584,7 +610,12 @@ def test_batches_match_the_per_batch_oracle(n_pairs, batch_size, max_tokens, wor
         assert tokens.lengths.max() > max_tokens
         tokens = tokens.truncate(max_tokens)
     order = rng.permutation(n_pairs)
+    unique, sorted_keys = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda keys, **kw: sorted_keys.append(keys)
+                        or unique(keys, **kw))
     plan = list(tokens.batches(order, batch_size))
+    monkeypatch.undo()
+    assert len(sorted_keys) == sorts  # the windows np.unique planned
     assert len(plan) == -(-n_pairs // batch_size)
     for b, (rows, S) in enumerate(plan):
         expect_rows, expect_S = pooling_matrix(

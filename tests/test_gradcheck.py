@@ -47,20 +47,26 @@ def test_small_sweep_passes():
 
 
 def test_sizes_are_accepted_up_to_the_samplers_bound(monkeypatch):
-    """The largest size Generator.integers' int64 draws take passes the
-    checks, and one more is an input error; no configuration is drawn."""
+    """The largest batch size Generator.integers' int64 draws take, and the
+    largest table under numpy's 2**63-byte array bound, pass the checks; one
+    more is an input error.  No configuration is drawn."""
     largest = 2**63 - 1
     rng = np.random.default_rng(0)
     rng.integers(2, largest + 1), rng.integers(5, largest - 1)  # the draws' bounds
     checked = []
     monkeypatch.setattr(gradcheck, "check_configuration",
                         lambda *args: checked.append(args))
-    run_gradient_checks(seeds=[0], dim_max=largest, vocab_max=largest,
+    # 2**30 x (2**30 - 1) float64 entries: 2**33 bytes short of 2**63
+    run_gradient_checks(seeds=[0], dim_max=2**30 - 1, vocab_max=2**30,
                         batch_max=largest)
     assert len(checked) == len(ALL_KINDS) * len(ALL_MODES)
     for name in ("dim_max", "vocab_max", "batch_max"):
         with pytest.raises(InvalidInputError, match=f"{name} must be at least"):
             run_gradient_checks(seeds=[0], **{name: largest + 1})
+    for sizes in ({"dim_max": 2**30, "vocab_max": 2**30},
+                  {"dim_max": largest}, {"vocab_max": largest}):
+        with pytest.raises(InvalidInputError, match="largest array of 2"):
+            run_gradient_checks(seeds=[0], **sizes)
     with pytest.raises(InvalidInputError, match=r"fewer than 2\*\*63 seeds"):
         run_gradient_checks(seeds=range(largest + 1))
     assert len(checked) == len(ALL_KINDS) * len(ALL_MODES)

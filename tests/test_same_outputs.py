@@ -19,7 +19,8 @@ OUTPUTS |= {"demo/history.csv", "two_stage/history_stage1.csv",
 OUTPUTS |= {f"info_nce/{name}" for name in ("checkpoint.json", "history.csv",
                                             "manifest.json", "eval/report.json",
                                             "eval/report.txt")}
-OUTPUTS |= {f"{config}/{name}" for config in ("translated_relu", "mse", "cross_entropy")
+OUTPUTS |= {f"{config}/{name}"
+            for config in ("translated_relu", "mse", "cross_entropy", "large_vocab")
             for name in ("checkpoint.json", "history.csv", "manifest.json", "mapping.json",
                          "eval/report.json", "eval/report.txt")}
 
@@ -52,7 +53,7 @@ def test_a_crafted_difference_is_reported(tmp_path, capsys):
                               "--work", str(tmp_path / "work")]) == 1
     expect = dict.fromkeys(OUTPUTS, "same")
     for config in ("demo", "two_stage", "info_nce", "translated_relu", "mse",
-                   "cross_entropy"):
+                   "cross_entropy", "large_vocab"):
         expect[f"{config}/manifest.json"] = "DIFFERS"
     assert statuses(capsys.readouterr().out) == expect
 
