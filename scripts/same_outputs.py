@@ -26,7 +26,12 @@ vocab_size=5000), whatever N is) and selects on data/large_dev.tsv
 (make_ordinal_corpus(60, seed=15, vocab_size=5000)): its vocabulary of about
 3,000 words puts every window of its pooling plan past the presence mask's
 key space, on np.unique's side, where the other runs' 120-word corpus puts
-every window on the mask's.  Then, for
+every window on the mask's.  data/odd_texts.json is a two-stage run
+config, both stages on data/odd_train.tsv, selected on data/odd_dev.tsv:
+data/train.tsv's and data/dev.tsv's pairs with a text of every third pair
+replaced by an empty, punctuation-only or non-ASCII one, and a non-ASCII
+word added to every third other pair, so that Corpus splits them by its
+regular expression and texts without words become the OOV token.  Then, for
 each checkout in turn, it runs in one Python process on that checkout's
 src/:
 
@@ -47,13 +52,15 @@ and the same for configs/demo.json under out/demo, then
     simreg eval --checkpoint out/info_nce/checkpoint.json \
         data/dev_scores.tsv --cosine --out out/info_nce/eval
 
-and, for NAME each of translated_relu, mse, cross_entropy and large_vocab,
+and, for NAME each of translated_relu, mse, cross_entropy, large_vocab and
+odd_texts,
 
     simreg train --config data/NAME.json --out out/NAME
     simreg eval --checkpoint out/NAME/checkpoint.json data/DEV.tsv \
         --out out/NAME/eval
 
-where DEV is large_dev for large_vocab and dev for the others,
+where DEV is large_dev for large_vocab, odd_dev for odd_texts and dev for
+the others,
 
 and last writes out/gradcheck.txt: the repr of each (label, max_rel_error,
 n_params) of run_gradient_checks(seeds=range(20)), the seeds simreg
@@ -82,7 +89,8 @@ CONFIGS = ("two_stage", "demo")
 # run configs MAKE_DATA writes as data/NAME.json, each trained and then
 # evaluated on its dev file
 DATA_CONFIGS = {"translated_relu": "data/dev.tsv", "mse": "data/dev.tsv",
-                "cross_entropy": "data/dev.tsv", "large_vocab": "data/large_dev.tsv"}
+                "cross_entropy": "data/dev.tsv", "large_vocab": "data/large_dev.tsv",
+                "odd_texts": "data/odd_dev.tsv"}
 
 MAKE_DATA = """
 import json
@@ -144,6 +152,36 @@ run_config("large_vocab", {"kind": "translated_relu", "k": 1.0, "x0": 0.25, "d":
            {"dim": 8, "feature_mode": "uv_absdiff"},
            {"batch_size": 8, "epochs": 1, "learning_rate": 2.0, "optimizer": "sgd",
             "eval_every": 25}, prefix="large_")
+
+# texts without words, and non-ASCII ones
+ODD = ["", "?!", "...", "¿¡ -- ¡!", "naïve café", "ΣΟΦΙΑ σοφίας", "日本語 テキスト",
+       "über-größe"]
+
+def odd(ds, name):
+    pairs = []
+    for i, p in enumerate(ds.pairs):
+        s1, s2 = p.s1, p.s2
+        if i % 3 == 0:
+            s1 = ODD[i // 3 % len(ODD)]
+        elif i % 3 == 1:
+            s2 = f"{s2} {ODD[4 + i // 3 % 4]}"
+        pairs.append(SentencePair(s1, s2, label=p.label))
+    return Dataset(name, pairs, categories=ds.categories)
+
+save_tsv(odd(train, "odd_train"), "data/odd_train.tsv")
+save_tsv(odd(dev, "odd_dev"), "data/odd_dev.tsv")
+categories = list(train.categories)
+Path("data/odd_texts.json").write_text(json.dumps({
+    "seed": 0, "encoder": {"dim": 16, "feature_mode": "uv_absdiff"},
+    "loss": {"kind": "smooth_k2", "k": 2.0, "x0": 0.25, "d": 1.0},
+    "stages": "two_stage",
+    "data": {"train": "data/odd_train.tsv", "dev": "data/odd_dev.tsv",
+             "categories": categories, "nli_train": "data/odd_train.tsv",
+             "nli_categories": categories},
+    "training": {"batch_size": 16, "epochs": 1, "learning_rate": 0.2,
+                 "optimizer": "adam", "eval_every": 20},
+    "joint": {"learning_rate": 0.01, "optimizer": "sgd"},
+}))
 """
 
 RUN_COMMANDS = """

@@ -154,13 +154,7 @@ def _manifest(cfg: RunConfig, model: Model, best_dev: float) -> dict:
         "stages": cfg.stages,
         "dim": cfg.dim,
         "feature_mode": cfg.feature_mode.value,
-        "loss": {
-            "kind": cfg.loss.kind.value,
-            "k": cfg.loss.k,
-            "x0": cfg.loss.x0,
-            "d": cfg.loss.d,
-            "tau": cfg.loss.tau,
-        },
+        "loss": dataclasses.asdict(cfg.loss),
         "vocab_size": len(model.vocab),
         "head_weight_count": model.params.head_weight_count,
         "best_dev_spearman": best_dev,

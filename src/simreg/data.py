@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, compress, islice
 from pathlib import Path
 
@@ -284,11 +284,6 @@ def tsv_lines(text: str) -> list[str]:
     return lines
 
 
-def format_score(score: float) -> str:
-    """Shortest exact decimal form, shared by every writer in the package."""
-    return repr(float(score))
-
-
 def write_atomic(path, content: str | Iterable[bytes]) -> None:
     """Write a file whole or not at all.
 
@@ -320,7 +315,7 @@ def save_tsv(dataset: Dataset, path) -> None:
     if dataset.categories is not None:
         firsts = [dataset.categories[i] for i in dataset.values.tolist()]
     else:
-        firsts = list(map(format_score, dataset.values.tolist()))
+        firsts = list(map(repr, dataset.values.tolist()))  # shortest exact form
     text = "".join([f"{first}\t{s1}\t{s2}\n"
                     for first, s1, s2 in zip(firsts, dataset.s1, dataset.s2)])
     # each line holds two tabs and one line end of its own; a field only adds
@@ -361,12 +356,9 @@ def write_removal_audit(removed, path) -> None:
     """One JSON line per removed pair, naming the matching test dataset."""
     lines = []
     for record in removed:
-        pair = record.pair
-        doc = {"s1": pair.s1, "s2": pair.s2, "matched_test": record.test_name}
-        if pair.score is not None:
-            doc["score"] = pair.score
-        else:
-            doc["label"] = pair.label
+        # a pair's fields but the one of score and label it does not have
+        doc = {k: v for k, v in asdict(record.pair).items() if v is not None}
+        doc["matched_test"] = record.test_name
         lines.append(json.dumps(doc, sort_keys=True) + "\n")
     write_atomic(path, "".join(lines))
 

@@ -161,9 +161,9 @@ class Corpus:
     words mark where each text starts.  The words are kept as ids into the
     corpus's own word table, in order of first occurrence, so build_vocab and
     tokenize_pairs reuse the split without holding one word list per text.
-    A text without words holds the single word "", which no vocabulary holds.
-    The word table's ids under the vocabulary last asked for (vocab_ids) are
-    kept, so a run looks its words up once.
+    A text without words holds none, so its length is 0; tokenize_pairs
+    gives it the OOV token.  The word table's ids under the vocabulary last
+    asked for (vocab_ids) are kept, so a run looks its words up once.
     """
 
     def __init__(self, texts):
@@ -190,29 +190,11 @@ class Corpus:
         opens = flat < 0
         self.word_ids = flat[~opens]
         # text i starts after i "." words
-        starts = np.flatnonzero(opens) - np.arange(len(distinct))
-        self.starts = starts
-        self.lengths = np.concatenate((starts[1:], [len(self.word_ids)])) - starts
+        self.starts = np.flatnonzero(opens) - np.arange(len(distinct))
+        self.lengths = np.diff(self.starts, append=len(self.word_ids))
         self.words = tuple(word_id)[1:]
-        if not self.lengths.all():
-            self._hold_empty_word()
         self._rows = dict(zip(distinct, range(len(distinct))))
         self._vocab, self._vocab_ids = None, None
-
-    def _hold_empty_word(self):
-        """Give each text without words the single word "", which enters the
-        word table where the first such text puts it in first-occurrence
-        order: after the words of the texts before that text."""
-        empty = self.lengths == 0
-        # ids run in first-occurrence order: the words before the first empty
-        # text hold ids 0 to the largest among them
-        before = self.word_ids[:self.starts[np.argmax(empty)]]
-        new = int(before.max()) + 1 if len(before) else 0
-        shifted = self.word_ids + (self.word_ids >= new)
-        self.word_ids = np.insert(shifted, self.starts[empty], new)
-        self.lengths = self.lengths + empty
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.words = (*self.words[:new], "", *self.words[new:])
 
     def rows_of(self, texts) -> np.ndarray:
         """Position of each text among the corpus's distinct texts."""
@@ -246,7 +228,7 @@ def build_vocab(texts, corpus: Corpus | None = None) -> Vocabulary:
     word = corpus.words.__getitem__
     by_word = np.array(sorted(range(len(corpus.words)), key=word), dtype=np.intp)
     order = by_word[np.argsort(-counts[by_word], kind="stable")][:np.count_nonzero(counts)]
-    return Vocabulary((PAD_TOKEN, OOV_TOKEN, *filter(None, map(word, order.tolist()))))
+    return Vocabulary((PAD_TOKEN, OOV_TOKEN, *map(word, order.tolist())))
 
 
 def _segments(ids, starts, sources, lengths):
@@ -372,7 +354,12 @@ def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> Pa
     rows = corpus.rows_of(texts)
     lengths = corpus.lengths[rows]
     word_ids = _segments(corpus.word_ids, corpus.starts, rows, lengths)
-    return PairTokens(corpus.vocab_ids(vocab)[word_ids], lengths)
+    ids = corpus.vocab_ids(vocab)[word_ids]
+    empty = lengths == 0
+    if empty.any():  # np.insert would copy the ids even with nothing to insert
+        ids = np.insert(ids, (np.cumsum(lengths) - lengths)[empty], vocab.oov_id)
+        lengths = lengths + empty
+    return PairTokens(ids, lengths)
 
 
 def head_parts(head: np.ndarray, weights_shape: tuple[int, ...]):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,18 +73,8 @@ class EvalReport:
     average: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "datasets": [
-                {
-                    "name": r.name,
-                    "spearman": r.spearman,
-                    "accuracy": r.accuracy,
-                    "n_pairs": r.n_pairs,
-                }
-                for r in self.per_dataset
-            ],
-            "average": self.average,
-        }
+        return {"datasets": [asdict(r) for r in self.per_dataset],
+                "average": self.average}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)

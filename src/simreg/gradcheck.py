@@ -24,6 +24,8 @@ never written.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,13 @@ DEFAULT_TOLERANCE = 1e-4
 KNOT_MARGIN = 1e-3  # distance kept from non-smooth points of the loss surface
 ABS_MARGIN = 1e-4  # min per-coordinate |u - v| when the |u-v| branch is active
 FD_CHUNK_BYTES = 4 * 2**20  # bytes of perturbed parameter copies per forward
+# the least a draw holds per word of its vocabulary: the word's str and its
+# slot in the word list
+WORD_BYTES = sys.getsizeof("w0") + 8
+# the least a draw's tokens hold per pair: for each of its two sentences, an
+# array of at least one id and its slot in the list of sentences, then the
+# id in the joined ids and the sentence's length
+PAIR_BYTES = 2 * (sys.getsizeof(np.zeros(1, np.intp)) + 8 + 8 + 8)
 
 ALL_KINDS = tuple(LossKind)
 ALL_MODES = tuple(FeatureMode)
@@ -204,9 +213,12 @@ def run_gradient_checks(
 ) -> list[GradCheckResult]:
     """The full sweep: every seed x loss kind x feature mode (ALL_KINDS x
     ALL_MODES).  Each size lies between its sampling minimum and 2**63 - 1,
-    the most that Generator.integers' int64 draws take, the largest table,
-    vocab_max x dim_max float64 entries, is smaller than numpy's largest
-    array of 2**63 bytes, and the seeds number fewer than 2**63."""
+    the most that Generator.integers' int64 draws take, and the seeds number
+    fewer than 2**63.  Before any draw, the largest arrays a draw can make,
+    each counted at the least it takes, must each fit in physical memory:
+    the vocab_max x dim_max float64 table, the list of vocab_max words
+    (WORD_BYTES each) and the token arrays of batch_max pairs (PAIR_BYTES
+    each)."""
     try:
         seeds = tuple(seeds)
     except OverflowError:  # a range of 2**63 or more has no length
@@ -218,9 +230,13 @@ def run_gradient_checks(
         if not least <= value < 2**63:
             raise InvalidInputError(
                 f"{name} must be at least {least} and below 2**63, got {value}")
-    if vocab_max * dim_max * 8 >= 2**63:
-        raise InvalidInputError(f"a {vocab_max} x {dim_max} float64 table is past "
-                                "numpy's largest array of 2**63 bytes")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for what, size in ((f"a {vocab_max} x {dim_max} float64 table", vocab_max * dim_max * 8),
+                       (f"a list of {vocab_max} words", vocab_max * WORD_BYTES),
+                       (f"the token arrays of {batch_max} pairs", batch_max * PAIR_BYTES)):
+        if size > memory:
+            raise InvalidInputError(f"{what} would take {size} bytes, more than the "
+                                    f"{memory} bytes of physical memory")
     return [
         check_configuration(seed, kind, mode, dim_max, vocab_max, batch_max)
         for seed in seeds

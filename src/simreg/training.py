@@ -2,17 +2,18 @@
 
 Supports single-stage runs and the two-stage workflow used for contrastive
 pre-trained encoders: first only the randomly initialized head is updated
-while the encoder stays frozen, then everything is trained jointly.  The
-frozen stage computes every train pair's features once, and pools its dev
-sentences once, because its encoder cannot change; each step reads its
-batch's rows of those features and runs only the head and loss (the step
-prepare_head_loss makes), which computes no feature or embedding gradient.
-Every head loss takes this path; InfoNCE has no head, so a frozen InfoNCE
-stage would train nothing and is rejected.  The joint stage takes each
-epoch's pooling matrices from one plan of its batches (PairTokens.batches),
-a window of batches at a time, next to the epoch's shuffled targets.  Each
-stage prepares its step (prepare_head_loss or prepare_forward_backward) and
-its optimizer's update (updater) once, so a step runs only its arithmetic.
+while the encoder stays frozen, then everything is trained jointly.  train
+makes the frozen-or-joint choice in one block, which gives the stage its
+batches, the step each batch runs and its dev vectors.  The frozen stage's
+encoder cannot change, so it computes every train pair's features, and pools
+its dev sentences, once: its batches are rows of those features, and its
+step runs only the head and loss (prepare_head_loss), which computes no
+feature or embedding gradient.  Every head loss takes this path; InfoNCE
+has no head, so a frozen InfoNCE stage would train nothing and is rejected.
+The joint stage's batches are each epoch's pooling matrices, planned a
+window of batches at a time (PairTokens.batches), and its step is
+prepare_forward_backward's.  Each stage prepares its step and its
+optimizer's update (updater) once, so a step runs only its arithmetic.
 train is the only code that knows a stage is frozen: an optimizer updates
 the arrays its updater is prepared for, and the frozen table is shared
 read-only, never copied.  Every dataset's tokens are derived inside train
@@ -25,6 +26,7 @@ files once, and run, which trains its model, one stage or two, on them.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from dataclasses import dataclass
@@ -191,27 +193,9 @@ class SgdOptimizer:
         return update
 
 
-def _make_optimizer(config: TrainConfig):
-    if config.optimizer == "adam":
-        return AdamOptimizer(config.learning_rate)
-    return SgdOptimizer(config.learning_rate)
-
-
 def _dev_score(model: Model, u, v, dev_golds, use_cosine: bool) -> float:
     # checkpoint selection uses raw (unclamped) predictions
     return spearman(predictions_for(model, u, v, use_cosine), dev_golds)
-
-
-def tokenize_datasets(vocab, *datasets, corpus: Corpus | None = None):
-    """Each dataset's PairTokens under the vocabulary, untruncated, in a list.
-
-    corpus, when given, holds the datasets' texts already split; otherwise
-    every distinct text of all the datasets is split once here.
-    """
-    texts = [ds.texts for ds in datasets]
-    if corpus is None:
-        corpus = Corpus(t for group in texts for t in group)
-    return [tokenize_pairs(group, vocab, corpus=corpus) for group in texts]
 
 
 def _class_targets(mapping: LabelMapping, dataset: Dataset) -> np.ndarray:
@@ -257,11 +241,12 @@ def train(
     parameters of the best evaluation (first best wins ties).  The input
     model is never mutated.  Both sets are tokenized here with the model's
     vocabulary and cut to config.max_tokens; corpus, when given, holds their
-    texts already split (see tokenize_datasets), and a text it lacks is an
-    InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
-    embedding gradient is computed, and the returned model reads the input
-    model's table through a read-only view instead of a copy.  A frozen
-    InfoNCE stage is an InvalidInputError, as InfoNCE trains no head.
+    texts already split (otherwise each set's texts are split here), and a
+    text it lacks is an InvalidInputError.  With Stage.HEAD_ONLY the encoder
+    is frozen: no embedding gradient is computed, and the returned model
+    reads the input model's table through a read-only view instead of a
+    copy.  A frozen InfoNCE stage is an InvalidInputError, as InfoNCE trains
+    no head.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
@@ -289,40 +274,44 @@ def train(
     work = Model(model.vocab, _copy_updated(model.params, updated), model.feature_mode,
                  model.mapping, config.max_tokens)
     train_pairs, dev_pairs = (
-        tokens.truncate(config.max_tokens)
-        for tokens in tokenize_datasets(work.vocab, train_set, dev_set, corpus=corpus)
+        tokenize_pairs(ds.texts, work.vocab, corpus).truncate(config.max_tokens)
+        for ds in (train_set, dev_set)
     )
-    optimizer = _make_optimizer(config)
+    optimizer = (AdamOptimizer if config.optimizer == "adam"
+                 else SgdOptimizer)(config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n, batch_size = len(targets), config.batch_size
+
+    # the stage's one frozen-or-joint choice: its batches of the epoch in
+    # order perm, the step each batch runs (prepared once) and its dev vectors
     if frozen:
         # the encoder does not change in this stage: every train pair's
         # features, and every dev sentence's vector, are computed once
         train_features = features(*work.embed_pairs(train_pairs), work.feature_mode)
         dev_uv = work.embed_pairs(dev_pairs)
-
-    def plan(perm):
-        """What each batch of the epoch in order perm is computed from: its
-        pairs' positions, or its pooling (rows, S)."""
-        if frozen:
-            return (perm[start:start + batch_size] for start in range(0, n, batch_size))
-        return train_pairs.batches(perm, batch_size)
-
-    # each step's dispatch and checks, made once for the stage
-    if frozen:
         head_step = prepare_head_loss(work.params, loss_spec, clamp_range)
 
-        def batch_step(batch, batch_targets):
-            value, d_head, _ = head_step(train_features[batch], batch_targets)
+        def batches(perm):
+            return (train_features[perm[start:start + batch_size]]
+                    for start in range(0, n, batch_size))
+
+        def batch_step(batch_features, batch_targets):
+            value, d_head, _ = head_step(batch_features, batch_targets)
             return value, Gradients(None, None, d_head)
+
+        def embed_dev():
+            return dev_uv
     else:
+        batches = functools.partial(train_pairs.batches, batch_size=batch_size)
         batch_step = prepare_forward_backward(work.params, work.feature_mode, loss_spec,
                                               clamp_range)
+        embed_dev = functools.partial(work.embed_pairs, dev_pairs)
+
     # the arrays this stage's gradients cover: InfoNCE gives the head none
     update = optimizer.updater(work.params, ("embeddings",) if use_cosine else updated)
 
     def dev_score():
-        u, v = dev_uv if frozen else work.embed_pairs(dev_pairs)
+        u, v = embed_dev()
         try:
             return _dev_score(work, u, v, dev_golds, use_cosine)
         except (InvalidInputError, DegenerateInputError) as exc:
@@ -341,7 +330,7 @@ def train(
         for _ in range(config.epochs):
             perm = rng.permutation(n)
             epoch_targets = targets[perm]
-            for b, batch in enumerate(plan(perm)):
+            for b, batch in enumerate(batches(perm)):
                 try:
                     value, grads = batch_step(
                         batch, epoch_targets[b * batch_size:(b + 1) * batch_size])
@@ -491,10 +480,10 @@ def run(cfg: RunConfig, data: RunData):
 
 
 def write_history_csv(history, path) -> None:
-    """step,train_loss,dev_spearman with blanks where a value was not taken."""
-    lines = ["step,train_loss,dev_spearman\n"]
+    """A column per HistoryEntry field, in its order, and a line per entry:
+    each value's repr, or a blank where a value was not taken (None)."""
+    lines = [",".join(HistoryEntry._fields) + "\n"]
     for entry in history:
-        loss = repr(entry.train_loss) if entry.train_loss is not None else ""
-        dev = repr(entry.dev_spearman) if entry.dev_spearman is not None else ""
-        lines.append(f"{entry.step},{loss},{dev}\n")
+        cells = ["" if value is None else repr(value) for value in entry]
+        lines.append(",".join(cells) + "\n")
     write_atomic(path, "".join(lines))

@@ -8,14 +8,14 @@ import math
 import os
 import tempfile
 import types
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simreg import cli, data, encoder, training
+from simreg import cli, data, encoder, gradcheck, training
 from simreg import config as config_mod
 from simreg.cli import main
 from simreg.config import load_run_config
@@ -27,10 +27,10 @@ from simreg.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from simreg.evaluation import evaluate
+from simreg.evaluation import DatasetReport, evaluate
 from simreg.gradcheck import GradCheckResult
 from simreg.labelmap import LabelMapping
-from simreg.losses import LossKind
+from simreg.losses import LossKind, LossSpec
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
 
 
@@ -219,6 +219,29 @@ class TestTrain:
         assert (out / "history.csv").exists()
         assert (out / "mapping.json").exists()
         assert "best dev spearman" in capsys.readouterr().out
+
+    def test_each_writer_takes_its_fields_from_its_record(self, corpus_files,
+                                                          monkeypatch):
+        """history.csv has a column per HistoryEntry field, so one more field
+        writes one more column; manifest.json's loss and report.json's
+        datasets hold their dataclasses' fields."""
+        tmp_path, config_path, config = corpus_files
+        fields = (*training.HistoryEntry._fields, "extra")
+        monkeypatch.setattr(training, "HistoryEntry",
+                            namedtuple("HistoryEntry", fields, defaults=(0.5,)))
+        assert main(["train", "--config", str(config_path)]) == 0
+        out = tmp_path / "run"
+        header, *rows = (out / "history.csv").read_text().splitlines()
+        assert header == ",".join(fields)
+        assert rows and all(len(row.split(",")) == len(fields) and row.endswith(",0.5")
+                            for row in rows)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["loss"]) == {f.name for f in dataclasses.fields(LossSpec)}
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                     config["data"]["dev"], "--out", str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert [set(doc) for doc in report["datasets"]] == [
+            {f.name for f in dataclasses.fields(DatasetReport)}]
 
     def test_invalid_x0_rejected_before_training(self, corpus_files, capsys):
         tmp_path, config_path, config = corpus_files
@@ -777,10 +800,15 @@ class TestGradcheck:
         # past what the sampler's int64 draws, or a range's length, can take
         ["--dim", str(10**20)], ["--vocab", str(10**20)], ["--batch", str(10**20)],
         ["--seeds", str(10**20)],
-        # a table of vocab x dim float64 entries past numpy's largest array
-        ["--dim", str(2**63 - 1)],
+        # a table, word list or token arrays past physical memory
+        ["--dim", str(2**63 - 1)], ["--vocab", str(2**63 - 1)],
+        ["--batch", str(2**63 - 1)],
     ], ids=lambda flags: " ".join(flags))
-    def test_invalid_flag_is_a_clean_error(self, capsys, flags):
+    def test_invalid_flag_is_a_clean_error(self, capsys, monkeypatch, flags):
+        def no_draw(*args):
+            raise AssertionError("an invalid flag's configuration was drawn")
+
+        monkeypatch.setattr(gradcheck, "check_configuration", no_draw)
         assert main(["gradcheck", "--seeds", "1", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -505,7 +505,7 @@ def test_corpus_splits_each_text_as_the_per_text_oracle(texts, repeats):
     texts = texts + [texts[i] for i in repeats if i < len(texts)]
     corpus = Corpus(texts)
     distinct = list(dict.fromkeys(texts))
-    expect = [split_words(text) or [""] for text in distinct]
+    expect = [split_words(text) for text in distinct]
     assert len(corpus.lengths) == len(distinct)
     for row, words in enumerate(expect):
         ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
@@ -529,7 +529,7 @@ def test_ascii_corpus_splits_each_text_as_the_per_text_oracle(texts, repeats):
     texts = texts + [texts[i] for i in repeats if i < len(texts)]
     corpus = Corpus(texts)
     distinct = list(dict.fromkeys(texts))
-    expect = [split_words(text) or [""] for text in distinct]
+    expect = [split_words(text) for text in distinct]
     for row, words in enumerate(expect):
         ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
         assert [corpus.words[i] for i in ids] == words
@@ -548,21 +548,27 @@ def test_ascii_blank_table_matches_the_non_word_pattern():
 
 
 @pytest.mark.parametrize("texts, words, word_ids, lengths", [
-    (["", "a b", "b c"], ("", "a", "b", "c"), [0, 1, 2, 2, 3], [1, 2, 2]),
-    (["a b", "?!", "b c"], ("a", "b", "", "c"), [0, 1, 2, 1, 3], [2, 1, 2]),
-    (["a b", "b c", "..."], ("a", "b", "c", ""), [0, 1, 1, 2, 3], [2, 2, 1]),
-    (["a", "", "b", "!", "a", ""], ("a", "", "b"), [0, 1, 2, 1], [1, 1, 1, 1]),
-    (["x", "", "!", "y x"], ("x", "", "y"), [0, 1, 1, 2, 0], [1, 1, 1, 2]),
-    ([""], ("",), [0], [1]),
-    (["?", ""], ("",), [0, 0], [1, 1]),
+    (["", "a b", "b c"], ("a", "b", "c"), [0, 1, 1, 2], [0, 2, 2]),
+    (["a b", "?!", "b c"], ("a", "b", "c"), [0, 1, 1, 2], [2, 0, 2]),
+    (["a b", "b c", "..."], ("a", "b", "c"), [0, 1, 1, 2], [2, 2, 0]),
+    (["a", "", "b", "!", "a", ""], ("a", "b"), [0, 1], [1, 0, 1, 0]),
+    (["x", "", "!", "y x"], ("x", "y"), [0, 1, 0], [1, 0, 0, 2]),
+    ([""], (), [], [0]),
+    (["?", ""], (), [], [0, 0]),
 ])
-def test_text_without_words_holds_the_empty_word_where_it_first_occurs(
+def test_text_without_words_holds_none_and_tokenizes_to_the_oov_token(
         texts, words, word_ids, lengths):
     corpus = Corpus(texts)
     assert corpus.words == words
     assert corpus.word_ids.tolist() == word_ids
     assert corpus.lengths.tolist() == lengths
     assert corpus.starts.tolist() == np.cumsum([0, *lengths[:-1]]).tolist()
+    vocab = build_vocab(texts, corpus)
+    assert sorted(vocab.tokens[2:]) == sorted(words)
+    expect = [tokenize_per_token(text, vocab) for text in texts]
+    tokens = tokenize_pairs(texts, vocab, corpus)
+    assert tokens.lengths.tolist() == [len(ids) for ids in expect]
+    assert tokens.ids.tolist() == [i for ids in expect for i in ids]
 
 
 def test_cached_pooling_matrix_is_built_once_and_read_only(vocab):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -47,29 +48,42 @@ def test_small_sweep_passes():
 
 
 def test_sizes_are_accepted_up_to_the_samplers_bound(monkeypatch):
-    """The largest batch size Generator.integers' int64 draws take, and the
-    largest table under numpy's 2**63-byte array bound, pass the checks; one
-    more is an input error.  No configuration is drawn."""
+    """The largest sizes whose table, word list and token arrays each fit in
+    physical memory pass the checks; one more is an input error, as is a size
+    past the sampler's bound, Generator.integers' int64 draws.  No
+    configuration is drawn."""
     largest = 2**63 - 1
     rng = np.random.default_rng(0)
     rng.integers(2, largest + 1), rng.integers(5, largest - 1)  # the draws' bounds
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     checked = []
     monkeypatch.setattr(gradcheck, "check_configuration",
                         lambda *args: checked.append(args))
-    # 2**30 x (2**30 - 1) float64 entries: 2**33 bytes short of 2**63
-    run_gradient_checks(seeds=[0], dim_max=2**30 - 1, vocab_max=2**30,
-                        batch_max=largest)
-    assert len(checked) == len(ALL_KINDS) * len(ALL_MODES)
+    words = memory // gradcheck.WORD_BYTES  # the word list binds at dim 2
+    rows = memory // (8 * 8)  # the table binds at dim 8
+    fitting = [{"dim_max": 2, "vocab_max": words}, {"dim_max": 8, "vocab_max": rows},
+               {"batch_max": memory // gradcheck.PAIR_BYTES}]
+    for sizes in fitting:
+        run_gradient_checks(seeds=[0], **sizes)
+    assert len(checked) == len(fitting) * len(ALL_KINDS) * len(ALL_MODES)
+
+    def no_draw(*args):
+        raise AssertionError("a refused size was drawn")
+
+    monkeypatch.setattr(gradcheck, "check_configuration", no_draw)
     for name in ("dim_max", "vocab_max", "batch_max"):
         with pytest.raises(InvalidInputError, match=f"{name} must be at least"):
             run_gradient_checks(seeds=[0], **{name: largest + 1})
-    for sizes in ({"dim_max": 2**30, "vocab_max": 2**30},
-                  {"dim_max": largest}, {"vocab_max": largest}):
-        with pytest.raises(InvalidInputError, match="largest array of 2"):
+    for sizes, what in (({"dim_max": 2, "vocab_max": words + 1}, "list of"),
+                        ({"dim_max": 8, "vocab_max": rows + 1}, "float64 table"),
+                        ({"batch_max": memory // gradcheck.PAIR_BYTES + 1}, "token arrays"),
+                        ({"dim_max": largest}, "float64 table"),
+                        ({"vocab_max": largest}, "float64 table"),
+                        ({"batch_max": largest}, "token arrays")):
+        with pytest.raises(InvalidInputError, match=f"{what} .* physical memory"):
             run_gradient_checks(seeds=[0], **sizes)
     with pytest.raises(InvalidInputError, match=r"fewer than 2\*\*63 seeds"):
         run_gradient_checks(seeds=range(largest + 1))
-    assert len(checked) == len(ALL_KINDS) * len(ALL_MODES)
 
 
 def test_results_are_reproducible():

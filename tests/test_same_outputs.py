@@ -23,6 +23,10 @@ OUTPUTS |= {f"{config}/{name}"
             for config in ("translated_relu", "mse", "cross_entropy", "large_vocab")
             for name in ("checkpoint.json", "history.csv", "manifest.json", "mapping.json",
                          "eval/report.json", "eval/report.txt")}
+OUTPUTS |= {f"odd_texts/{name}"
+            for name in ("checkpoint.json", "history_stage1.csv", "history_stage2.csv",
+                         "manifest.json", "mapping.json", "eval/report.json",
+                         "eval/report.txt")}
 
 
 def statuses(text):
@@ -53,7 +57,7 @@ def test_a_crafted_difference_is_reported(tmp_path, capsys):
                               "--work", str(tmp_path / "work")]) == 1
     expect = dict.fromkeys(OUTPUTS, "same")
     for config in ("demo", "two_stage", "info_nce", "translated_relu", "mse",
-                   "cross_entropy", "large_vocab"):
+                   "cross_entropy", "large_vocab", "odd_texts"):
         expect[f"{config}/manifest.json"] = "DIFFERS"
     assert statuses(capsys.readouterr().out) == expect
 

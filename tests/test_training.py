@@ -356,7 +356,7 @@ class TestTrain:
         params = copy_params(model.params)
         opt = (AdamOptimizer(cfg.learning_rate) if optimizer == "adam"
                else SgdOptimizer(cfg.learning_rate))
-        (tokens,) = training.tokenize_datasets(model.vocab, corpus)
+        tokens = tokenize_pairs(corpus.texts, model.vocab)
         targets = np.array([pair.score for pair in corpus.pairs])
         rng = np.random.default_rng(cfg.seed)
         losses = []
@@ -584,7 +584,7 @@ def oracle_train(model, dataset, cfg, spec, stage):
     which builds the batch's features itself; the joint stage gathers each
     batch's tokens and builds its pooling matrix on its own."""
     mapping, mode = model.mapping, model.feature_mode
-    (tokens,) = training.tokenize_datasets(model.vocab, dataset)
+    tokens = tokenize_pairs(dataset.texts, model.vocab)
     tokens = tokens.truncate(cfg.max_tokens)
     targets = (mapping.index([pair.label for pair in dataset.pairs])
                if spec.kind is LossKind.CROSS_ENTROPY else golds(dataset, mapping))
