@@ -555,7 +555,8 @@ def test_ascii_blank_table_matches_the_non_word_pattern():
     (["x", "", "!", "y x"], ("x", "y"), [0, 1, 0], [1, 0, 0, 2]),
     ([""], (), [], [0]),
     (["?", ""], (), [], [0, 0]),
-])
+], ids=["empty-first", "punct-middle", "dots-last", "repeats", "blanks-inside",
+        "only-empty", "only-blanks"])
 def test_text_without_words_holds_none_and_tokenizes_to_the_oov_token(
         texts, words, word_ids, lengths):
     corpus = Corpus(texts)
