@@ -25,7 +25,14 @@ from .config import RunConfig, check_buffer_fits, load_run_config
 from .encoder import FeatureMode, Model, feature_dim, load_checkpoint, save_checkpoint
 from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
 from .evaluation import evaluate
-from .gradcheck import DEFAULT_TOLERANCE, run_gradient_checks
+from .gradcheck import (
+    DEFAULT_BATCH_MAX,
+    DEFAULT_DIM_MAX,
+    DEFAULT_SEEDS,
+    DEFAULT_TOLERANCE,
+    DEFAULT_VOCAB_MAX,
+    run_gradient_checks,
+)
 from .losses import LossKind, LossSpec
 
 
@@ -65,10 +72,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="directory for report files")
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
-    p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--vocab", type=int, default=30)
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="number of random seeds")
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM_MAX)
+    p.add_argument("--vocab", type=int, default=DEFAULT_VOCAB_MAX)
+    p.add_argument("--batch", type=int, default=DEFAULT_BATCH_MAX)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("sweep", help="grid sweep over k and x0")

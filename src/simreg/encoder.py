@@ -42,8 +42,8 @@ checks the code that trains.
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
-leading shape hold that many parameter copies, and
-forward_backward(..., with_grads=False) returns one loss value per copy.
+leading shape hold that many parameter copies.  Given such a stack,
+forward_backward returns one loss value per copy and no gradients (None).
 The finite-difference gradient check uses this to evaluate every perturbed
 copy of a parameter array in one call.  Each copy's loss agrees with an
 unstacked call on that copy to a few ulps.
@@ -504,15 +504,11 @@ def pool(embeddings: np.ndarray, tokens: PairTokens) -> np.ndarray:
     return pooled
 
 
-def head(params: ModelParams, f: np.ndarray) -> np.ndarray:
-    """Raw head output for features f (..., n, feature_dim): n outputs of the
-    regression head or an (n, K) logit matrix, with params' stack axes
-    broadcast against f's leading axes."""
-    return _head_output(params)(f)
-
-
-def _head_output(params: ModelParams):
-    """f -> head(params, f), reading params' head through views taken once."""
+def head(params: ModelParams):
+    """f -> the raw head output for features f (..., n, feature_dim): n
+    outputs of the regression head or an (n, K) logit matrix, with params'
+    stack axes broadcast against f's leading axes.  It reads params' head
+    through views taken here, once."""
     w, b = params.head_weights, params.head_bias
     if params.is_classifier:
         w_t, b_row = np.swapaxes(w, -1, -2), b[..., None, :]
@@ -622,7 +618,7 @@ class Model:
         head kinds.
         """
         p = self.params
-        out = head(p, features(u, v, self.feature_mode))
+        out = head(p)(features(u, v, self.feature_mode))
         if not p.is_classifier:
             return out
         probs = np.exp(out - out.max(axis=1, keepdims=True))
@@ -641,7 +637,6 @@ def forward_backward(
     mode: FeatureMode,
     loss_spec: LossSpec,
     clamp_range: tuple[float, float] | None = None,
-    with_grads: bool = True,
 ) -> tuple[float | np.ndarray, Gradients | None]:
     """Batch-mean loss and exact analytic gradients for all parameters.
 
@@ -652,27 +647,23 @@ def forward_backward(
     outside clamp_range are clamped and pass no gradient.  InfoNCE reads u
     and v themselves and has no head, so its head gradient is None.  The
     embedding gradient covers only the rows of tokens present in the batch
-    (Gradients.rows); every other row's gradient is zero.  With
-    with_grads=False only the loss is computed and the gradients are None;
-    params may then be a stack of copies (ModelParams.stack_shape), and the
-    loss is an array with one value per copy.  This is
-    prepare_forward_backward's step, prepared for one call.
+    (Gradients.rows); every other row's gradient is zero.  params may be a
+    stack of copies (ModelParams.stack_shape): then only the loss is
+    computed, an array with one value per copy, and the gradients are None.
+    This is prepare_forward_backward's step, prepared for one call.
     """
-    return prepare_forward_backward(params, mode, loss_spec, clamp_range,
-                                    with_grads)(pooling, targets)
+    return prepare_forward_backward(params, mode, loss_spec, clamp_range)(pooling, targets)
 
 
 def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: LossSpec,
-                             clamp_range: tuple[float, float] | None = None,
-                             with_grads: bool = True):
+                             clamp_range: tuple[float, float] | None = None):
     """step(pooling, targets) giving forward_backward(params, pooling,
-    targets, mode, loss_spec, clamp_range, with_grads), every dispatch and
-    every check that does not read the batch made here, once.  The step
-    reads params' arrays through views taken here, so it sees every in-place
-    update of them (an optimizer's) and serves batch after batch.
+    targets, mode, loss_spec, clamp_range), every dispatch and every check
+    that does not read the batch made here, once.  The step reads params'
+    arrays through views taken here, so it sees every in-place update of
+    them (an optimizer's) and serves batch after batch.
     """
-    if params.stack_shape and with_grads:
-        raise InvalidInputError("gradients need one unstacked parameter set")
+    stacked = bool(params.stack_shape)
     table = params.embeddings
     if loss_spec.kind is LossKind.INFO_NCE:
         tau = loss_spec.tau
@@ -681,13 +672,13 @@ def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: 
             rows, S = pooling
             pooled = S.T @ table[..., rows, :]
             value, du, dv = losses.info_nce(pooled[..., 0::2, :], pooled[..., 1::2, :], tau)
-            if not with_grads:
+            if stacked:
                 return value, None
             d_pooled = np.empty(pooled.shape)
             d_pooled[0::2], d_pooled[1::2] = du, dv
             return value, Gradients(S @ d_pooled, rows, None)
         return info_nce_step
-    head_step = prepare_head_loss(params, loss_spec, clamp_range, with_grads)
+    head_step = prepare_head_loss(params, loss_spec, clamp_range)
     combine, split = _FEATURE_MAPS[mode]
     w, classifier = params.head_weights, params.is_classifier
     uv = mode is FeatureMode.UV
@@ -698,7 +689,7 @@ def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: 
         u, v = pooled[..., 0::2, :], pooled[..., 1::2, :]
         diff = None if uv else u - v  # feeds |u - v| and its gradient's sign
         value, d_head, d_out = head_step(combine(u, v, diff), targets)
-        if not with_grads:
+        if stacked:
             return value, None
         d_pooled = np.empty(pooled.shape)
         split(d_out @ w if classifier else np.multiply.outer(d_out, w), diff, d_pooled)
@@ -707,8 +698,7 @@ def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: 
 
 
 def prepare_head_loss(params: ModelParams, loss_spec: LossSpec,
-                      clamp_range: tuple[float, float] | None = None,
-                      with_grads: bool = True):
+                      clamp_range: tuple[float, float] | None = None):
     """step(f, targets): the head and loss of a batch, from the head's
     features, prepared as prepare_forward_backward is.
 
@@ -719,13 +709,11 @@ def prepare_head_loss(params: ModelParams, loss_spec: LossSpec,
     out as params.head, and d_out the loss gradient of the raw head output,
     (n,) for the regression head and (n, K) for the classifier's logits.
     d_out is all the encoder's gradient needs; the joint step turns it into
-    the feature gradient.  With with_grads=False only the loss is computed,
-    d_head and d_out are None, and params may be a stack of copies.
+    the feature gradient.  For a stack of copies only the loss is computed,
+    one value per copy, and d_head and d_out are None.
     """
     stacked = bool(params.stack_shape)
-    if stacked and with_grads:
-        raise InvalidInputError("gradients need one unstacked parameter set")
-    output = _head_output(params)
+    output = head(params)
     if loss_spec.kind is LossKind.CROSS_ENTROPY:
         if not params.is_classifier:
             raise InvalidInputError("cross-entropy needs a classification head")
@@ -745,7 +733,7 @@ def prepare_head_loss(params: ModelParams, loss_spec: LossSpec,
             values, d_x = residual_loss(np.abs(diff))
             # a clamped prediction passes no gradient back to the raw output
             return values, d_x * np.sign(diff) * (pred == out)
-    head, weights_shape = params.head, params.weights_shape
+    flat_head, weights_shape = params.head, params.weights_shape
 
     def head_step(f, targets):
         n = f.shape[-2]
@@ -753,16 +741,14 @@ def prepare_head_loss(params: ModelParams, loss_spec: LossSpec,
             raise InvalidInputError("batch must be nonempty")
         values, d_out = loss(f, targets)
         value = np.add.reduce(values, axis=-1) / n
-        if not stacked:
-            value = float(value)
-        if not with_grads:
+        if stacked:
             return value, None, None
         d_out /= n  # d_out is this step's own array
-        d_head = np.empty(head.shape)
+        d_head = np.empty(flat_head.shape)
         d_weights, d_bias = head_parts(d_head, weights_shape)
         np.matmul(d_out.T, f, out=d_weights)
         np.add.reduce(d_out, axis=0, out=d_bias)
-        return value, d_head, d_out
+        return float(value), d_head, d_out
     return head_step
 
 

@@ -7,19 +7,23 @@ and feature mode.  A configuration's sentences are drawn straight as token
 ids over a vocabulary of its words (Generator.integers).  Sampled
 configurations are redrawn when the forward pass lands too close to a
 non-smooth point (the loss knot at x0, the kink of |u - v| at equal
-coordinates, the kink of the absolute error at zero), where comparing slopes
-is meaningless.  Each drawn batch is screened on its own pooling matrix
-(PairTokens.pooling), which the analytic and the stacked passes then reuse.
-InfoNCE has no head: its analytic head gradients are None and are compared
-as zeros, which checks that its finite-difference head gradient is zero.
+coordinates, the kink of the absolute error at zero, and, for InfoNCE, the
+cosine's singularity at a pooled vector of zero norm), where comparing
+slopes is meaningless.  The whole batch is redrawn, up to MAX_DRAWS times,
+so the larger the batch, the likelier every draw lands near a kink: from a
+batch_max of about 150 pairs a configuration can fail to be drawn at all.
+Each drawn batch is screened on its own pooling matrix (PairTokens.pooling),
+which the analytic and the stacked passes then reuse.  InfoNCE has no head:
+its analytic head gradients are None and are compared as zeros, which
+checks that its finite-difference head gradient is zero.
 
 The central differences run on the batched core's parameter-stack axis: the
 table and the flat head (ModelParams.head) are laid out as one flat vector,
-and all +step and -step copies of its entries go through one value-only
-forward pass, in chunks of at most FD_CHUNK_BYTES of perturbed copies, so
-memory stays bounded however large the table.  Each chunk's stacked table
-and head are views of its block of copies.  The caller's parameters are
-never written.
+and all +step and -step copies of its entries go through one forward pass
+of the stack, which gives one loss value per copy and no gradients, in
+chunks of at most FD_CHUNK_BYTES of perturbed copies, so memory stays
+bounded however large the table.  Each chunk's stacked table and head are
+views of its block of copies.  The caller's parameters are never written.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 KNOT_MARGIN = 1e-3  # distance kept from non-smooth points of the loss surface
 ABS_MARGIN = 1e-4  # min per-coordinate |u - v| when the |u-v| branch is active
+NORM_MARGIN = 5e-4  # min pooled-vector norm for InfoNCE's cosine, 50 steps
+MAX_DRAWS = 200  # batches drawn for one configuration before it is given up
 FD_CHUNK_BYTES = 4 * 2**20  # bytes of perturbed parameter copies per forward
 # the least a draw holds per word of its vocabulary: the word's str and its
 # slot in the word list
@@ -58,6 +64,12 @@ WORD_BYTES = sys.getsizeof("w0") + 8
 # array of at least one id and its slot in the list of sentences, then the
 # id in the joined ids and the sentence's length
 PAIR_BYTES = 2 * (sys.getsizeof(np.zeros(1, np.intp)) + 8 + 8 + 8)
+
+# the default sweep: seeds, and the largest sizes a configuration is drawn at
+DEFAULT_SEEDS = 20
+DEFAULT_DIM_MAX = 8
+DEFAULT_VOCAB_MAX = 30
+DEFAULT_BATCH_MAX = 4
 
 ALL_KINDS = tuple(LossKind)
 ALL_MODES = tuple(FeatureMode)
@@ -108,8 +120,8 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
         del stack, stacked  # free this chunk before the next is built
         up, down = np.reshape(values, (2, k))
         fd[entries] = (up - down) / (2.0 * DEFAULT_STEP)
-    embeddings, head = split(fd)
-    return Gradients(embeddings, np.arange(params.vocab_size), head)
+    embeddings, flat_head = split(fd)
+    return Gradients(embeddings, np.arange(params.vocab_size), flat_head)
 
 
 def max_relative_error(analytic: Gradients, fd: Gradients) -> float:
@@ -145,9 +157,11 @@ def _too_close_to_kink(params, pairs, targets, mode, spec):
     u, v = pooled[0::2], pooled[1::2]
     if mode is not FeatureMode.UV and np.min(np.abs(u - v)) < ABS_MARGIN:
         return True
-    if spec.kind in (LossKind.CROSS_ENTROPY, LossKind.INFO_NCE):
+    if spec.kind is LossKind.INFO_NCE:
+        return np.min(np.linalg.norm(pooled, axis=1)) < NORM_MARGIN
+    if spec.kind is LossKind.CROSS_ENTROPY:
         return False
-    x = np.abs(head(params, features(u, v, mode)) - targets)
+    x = np.abs(head(params)(features(u, v, mode)) - targets)
     if spec.kind in (LossKind.TRANSLATED_RELU, LossKind.SMOOTH_K2):
         if np.any(np.abs(x - spec.x0) < KNOT_MARGIN):
             return True
@@ -158,17 +172,16 @@ def check_configuration(
     seed: int,
     kind: LossKind,
     mode: FeatureMode,
-    dim_max: int = 8,
-    vocab_max: int = 30,
-    batch_max: int = 4,
+    dim_max: int = DEFAULT_DIM_MAX,
+    vocab_max: int = DEFAULT_VOCAB_MAX,
+    batch_max: int = DEFAULT_BATCH_MAX,
 ) -> GradCheckResult:
     """Gradient-check one randomly drawn (loss, feature-mode) configuration."""
     params, tokens, targets, spec = draw_configuration(
         seed, kind, mode, dim_max, vocab_max, batch_max)
     _, analytic = forward_backward(params, tokens.pooling, targets, mode, spec)
     fd = finite_difference_grads(
-        lambda stacked: forward_backward(stacked, tokens.pooling, targets, mode,
-                                         spec, with_grads=False)[0],
+        lambda stacked: forward_backward(stacked, tokens.pooling, targets, mode, spec)[0],
         params,
     )
     n_params = params.embeddings.size + params.head.size
@@ -176,7 +189,8 @@ def check_configuration(
 
 
 def draw_configuration(seed: int, kind: LossKind, mode: FeatureMode,
-                       dim_max: int = 8, vocab_max: int = 30, batch_max: int = 4):
+                       dim_max: int = DEFAULT_DIM_MAX, vocab_max: int = DEFAULT_VOCAB_MAX,
+                       batch_max: int = DEFAULT_BATCH_MAX):
     """The random (params, tokens, targets, spec) that check_configuration
     checks, drawn away from the loss surface's kinks."""
     rng = np.random.default_rng([seed, ALL_KINDS.index(kind), ALL_MODES.index(mode)])
@@ -192,7 +206,7 @@ def draw_configuration(seed: int, kind: LossKind, mode: FeatureMode,
                          label_range=(0.0, 3.0), n_classes=n_classes)
     spec = _random_spec(rng, kind)
 
-    for _ in range(200):
+    for _ in range(MAX_DRAWS):
         tokens = _random_tokens(rng, word_ids, batch)
         if kind is LossKind.CROSS_ENTROPY:
             targets = rng.integers(0, n_classes, size=batch)
@@ -201,15 +215,18 @@ def draw_configuration(seed: int, kind: LossKind, mode: FeatureMode,
         if not _too_close_to_kink(params, tokens, targets, mode, spec):
             break
     else:
-        raise TrainingError("could not sample a configuration away from kinks")
+        raise TrainingError(
+            f"could not sample a configuration away from kinks: all {MAX_DRAWS} "
+            f"draws of {batch} pairs (batch_max {batch_max}) landed near one; "
+            f"smaller batches avoid kinks")
     return params, tokens, targets, spec
 
 
 def run_gradient_checks(
-    seeds=range(20),
-    dim_max: int = 8,
-    vocab_max: int = 30,
-    batch_max: int = 4,
+    seeds=range(DEFAULT_SEEDS),
+    dim_max: int = DEFAULT_DIM_MAX,
+    vocab_max: int = DEFAULT_VOCAB_MAX,
+    batch_max: int = DEFAULT_BATCH_MAX,
 ) -> list[GradCheckResult]:
     """The full sweep: every seed x loss kind x feature mode (ALL_KINDS x
     ALL_MODES).  Each size lies between its sampling minimum and 2**63 - 1,

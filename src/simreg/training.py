@@ -345,8 +345,10 @@ def train(
                 if step % config.eval_every == 0 or b == batches_per_epoch - 1:
                     try:
                         dev = dev_score()
-                    except InvalidInputError as exc:
-                        # finite loss but runaway parameters: treat as divergence
+                    except (InvalidInputError, DegenerateInputError) as exc:
+                        # finite loss but runaway parameters (non-finite dev
+                        # predictions) or a saturated head (constant ones, whose
+                        # rank correlation is undefined): treat as divergence
                         raise TrainingError(
                             f"dev evaluation failed at step {step}: {exc}"
                         ) from exc

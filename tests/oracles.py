@@ -47,7 +47,16 @@ from simreg.encoder import (
     tokenize_pairs,
 )
 from simreg.errors import DataFormatError, TrainingError
-from simreg.gradcheck import ALL_KINDS, ALL_MODES, _random_spec, _too_close_to_kink
+from simreg.gradcheck import (
+    ALL_KINDS,
+    ALL_MODES,
+    DEFAULT_BATCH_MAX,
+    DEFAULT_DIM_MAX,
+    DEFAULT_VOCAB_MAX,
+    MAX_DRAWS,
+    _random_spec,
+    _too_close_to_kink,
+)
 from simreg.losses import LossKind
 
 
@@ -322,7 +331,7 @@ def head_forward_backward(params, u, v, targets, mode, loss_spec, clamp_range=No
     the (n, feature_dim) features.  grads' embeddings and rows are None."""
     n = u.shape[-2]
     f = features(u, v, mode)
-    out = head(params, f)
+    out = head(params)(f)
     if loss_spec.kind is LossKind.CROSS_ENTROPY:
         values, d_out = losses.cross_entropy(out, np.asarray(targets, dtype=int))
     else:
@@ -392,8 +401,8 @@ def max_relative_error_per_array(analytic, fd, weights_shape):
     return float(np.max(errors))
 
 
-def draw_configuration_via_text(seed, kind, mode, dim_max=8, vocab_max=30,
-                                batch_max=4):
+def draw_configuration_via_text(seed, kind, mode, dim_max=DEFAULT_DIM_MAX,
+                                vocab_max=DEFAULT_VOCAB_MAX, batch_max=DEFAULT_BATCH_MAX):
     """gradcheck.draw_configuration's draws made as text: each attempt's
     sentences drawn as words, joined into strings and tokenized against
     build_vocab of the configuration's words."""
@@ -407,7 +416,7 @@ def draw_configuration_via_text(seed, kind, mode, dim_max=8, vocab_max=30,
     params = init_params(len(vocab), dim, mode, int(rng.integers(0, 2**31)),
                          label_range=(0.0, 3.0), n_classes=n_classes)
     spec = _random_spec(rng, kind)
-    for _ in range(200):
+    for _ in range(MAX_DRAWS):
         texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 6))))
                  for _ in range(2 * batch)]
         if kind is LossKind.CROSS_ENTROPY:

@@ -815,6 +815,16 @@ class TestGradcheck:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error:")
 
+    def test_a_batch_never_away_from_kinks_is_one_runtime_error(self, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(gradcheck, "_too_close_to_kink", lambda *args: True)
+        assert main(["gradcheck", "--seeds", "1", "--batch", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: could not sample")
+        assert line.endswith("(batch_max 9) landed near one; smaller batches avoid kinks")
+
     def test_nan_error_counts_as_failure(self, capsys, monkeypatch):
         results = [GradCheckResult(0, LossKind.MSE, FeatureMode.UV, 0.0, 10),
                    GradCheckResult(0, LossKind.L1, FeatureMode.UV, math.nan, 10)]

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import inspect
 import json
 import math
 import string
@@ -71,8 +72,7 @@ def loss_of(model, batch, spec):
     pairs = model.encode([text for pair, _ in batch for text in (pair.s1, pair.s2)])
     targets = [target for _, target in batch]
     return lambda params: forward_backward(params, pairs.pooling, targets,
-                                           model.feature_mode, spec,
-                                           with_grads=False)[0]
+                                           model.feature_mode, spec)[0]
 
 
 def score(model, pair):
@@ -409,14 +409,38 @@ class TestForwardBackward:
             run(classifier, [(pair, 1.0)], LossSpec(LossKind.MSE))
 
     def test_stacked_params_give_values_only(self, model):
-        p = model.params
+        """The parameters alone decide values or gradients: a stack of copies
+        gives one loss per copy and None gradients, one set its loss and
+        gradients, and no step takes a flag for it."""
+        p, mode = model.params, model.feature_mode
         stack = params_of(*(np.stack([a, a]) for a in
                             (p.embeddings, p.head_weights, p.head_bias)))
         assert stack.stack_shape == (2,) and stack.dim == p.dim
         pairs = model.encode(["a man", "the dog"])
-        with pytest.raises(InvalidInputError):
-            forward_backward(stack, pairs.pooling, [1.0], model.feature_mode,
-                             LossSpec(LossKind.MSE))
+        mse = LossSpec(LossKind.MSE)
+        for spec in (mse, LossSpec(LossKind.INFO_NCE, tau=0.5)):
+            value, grads = forward_backward(p, pairs.pooling, [1.0], mode, spec)
+            assert type(value) is float and grads.embeddings is not None
+            for values, none in (
+                    forward_backward(stack, pairs.pooling, [1.0], mode, spec),
+                    prepare_forward_backward(stack, mode, spec)(pairs.pooling, [1.0])):
+                assert none is None
+                np.testing.assert_array_max_ulp(values, [value, value], maxulp=4)
+        rows, S = pairs.pooling
+        f = features(*np.split(S.T @ p.embeddings[rows], 2), mode)
+        value, d_head, d_out = prepare_head_loss(p, mse)(f, [1.0])
+        assert d_head.shape == p.head.shape and d_out.shape == (1,)
+        values, d_head, d_out = prepare_head_loss(stack, mse)(f, [1.0])
+        assert d_head is None and d_out is None
+        np.testing.assert_array_max_ulp(values, [value, value], maxulp=4)
+        # clamp_range is the last parameter: a values-or-gradients flag after
+        # it, by keyword or by position, is a TypeError
+        for fn, args in ((forward_backward, (stack, pairs.pooling, [1.0], mode, mse)),
+                         (prepare_forward_backward, (stack, mode, mse)),
+                         (prepare_head_loss, (stack, mse))):
+            assert list(inspect.signature(fn).parameters)[len(args):] == ["clamp_range"]
+            with pytest.raises(TypeError, match="positional argument"):
+                fn(*args, None, False)
         with pytest.raises(InvalidInputError):
             ModelParams(stack.embeddings, p.head, p.weights_shape)
         with pytest.raises(InvalidInputError):
@@ -739,8 +763,7 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(owner, core, spy)
-        forward_backward(params, tokens.pooling, targets, mode, _random_spec(rng, kind),
-                         with_grads=not copies)
+        forward_backward(params, tokens.pooling, targets, mode, _random_spec(rng, kind))
     pooled = pool(params.embeddings, tokens)
     atol = 4 * tokens.lengths.max() * EPS * np.abs(params.embeddings).max()
     (f,) = seen
@@ -904,15 +927,14 @@ def test_a_prepared_stacked_value_step_holds_no_stale_state(kind, mode):
     stack = params_of(*(a + rng.normal(0.0, 0.05, size=(3,) + a.shape)
                         for a in (base.embeddings, base.head_weights, base.head_bias)))
     spec, clamp = _random_spec(rng, kind), (0.0, 3.0)
-    step = prepare_forward_backward(stack, mode, spec, clamp, with_grads=False)
+    step = prepare_forward_backward(stack, mode, spec, clamp)
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 6)))) for _ in range(6)]
     tokens = tokenize_pairs(texts, vocab)
     targets = (rng.integers(0, 3, size=3) if n_classes
                else rng.uniform(0.0, 3.0, size=3))
     for _ in range(3):
         values, grads = step(tokens.pooling, targets)
-        expect = forward_backward(stack, tokens.pooling, targets, mode, spec, clamp,
-                                  with_grads=False)[0]
+        expect = forward_backward(stack, tokens.pooling, targets, mode, spec, clamp)[0]
         assert grads is None and values.tobytes() == expect.tobytes()
         stack.embeddings[...] += rng.normal(0.0, 0.05, size=stack.embeddings.shape)
         stack.head[...] += rng.normal(0.0, 0.5, size=stack.head.shape)
@@ -943,12 +965,11 @@ def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batc
     tokens = tokenize_pairs(texts, vocab)
 
     values, grads = forward_backward(stack, tokens.pooling, targets, mode, spec,
-                                     clamp_range, with_grads=False)
+                                     clamp_range)
     assert grads is None and values.shape == (copies,)
     each = [forward_backward(ModelParams(stack.embeddings[i], stack.head[i],
                                          stack.weights_shape),
-                             tokens.pooling, targets, mode, spec, clamp_range,
-                             with_grads=False)[0]
+                             tokens.pooling, targets, mode, spec, clamp_range)[0]
             for i in range(copies)]
     np.testing.assert_array_max_ulp(values, np.array(each), maxulp=4)
     if kind is LossKind.INFO_NCE and batch == 1:
@@ -1010,8 +1031,7 @@ def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
         spec, targets = LossSpec(LossKind.CROSS_ENTROPY), [0, 2]
     _, grads = forward_backward(params, tokens.pooling, targets, mode, spec)
     fd = finite_difference_grads(
-        lambda p: forward_backward(p, tokens.pooling, targets, mode, spec,
-                                   with_grads=False)[0], params)
+        lambda p: forward_backward(p, tokens.pooling, targets, mode, spec)[0], params)
     rows, S = tokens.pooling
     _, d_head, _ = prepare_head_loss(params, spec)(
         features(*np.split(S.T @ params.embeddings[rows], 2), mode), targets)

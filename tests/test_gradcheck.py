@@ -31,6 +31,7 @@ from simreg.gradcheck import (
     DEFAULT_STEP,
     DEFAULT_TOLERANCE,
     FD_CHUNK_BYTES,
+    NORM_MARGIN,
     check_configuration,
     draw_configuration,
     finite_difference_grads,
@@ -113,12 +114,11 @@ def test_buffer_zone_gives_zero_on_both_routes():
     target = model.head_scores(*model.embed_pairs(pairs))[0] + 0.05  # in the buffer
     spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
 
-    def run(params=model.params, with_grads=True):
-        return forward_backward(params, pairs.pooling, [target], model.feature_mode,
-                                spec, with_grads=with_grads)
+    def run(params=model.params):
+        return forward_backward(params, pairs.pooling, [target], model.feature_mode, spec)
 
     value, analytic = run()
-    fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
+    fd = finite_difference_grads(lambda p: run(p)[0], model.params)
     assert value == 0.0
     for grads in (analytic, fd):
         weights, bias = head_parts(grads.head, model.params.weights_shape)
@@ -134,12 +134,12 @@ def test_nan_analytic_entry_is_reported(name):
     model = Model.initialize(vocab, dim=4, seed=8, label_range=(0.0, 3.0))
     pairs = model.encode(["alpha beta", "delta epsilon"])
 
-    def run(params=model.params, with_grads=True):
+    def run(params=model.params):
         return forward_backward(params, pairs.pooling, [1.0], model.feature_mode,
-                                LossSpec(LossKind.MSE), with_grads=with_grads)
+                                LossSpec(LossKind.MSE))
 
     _, analytic = run()
-    fd = finite_difference_grads(lambda p: run(p, False)[0], model.params)
+    fd = finite_difference_grads(lambda p: run(p)[0], model.params)
     assert max_relative_error(analytic, fd) < 1e-4
     grad = (analytic.embeddings if name == "embeddings"
             else head_parts(analytic.head, model.params.weights_shape)[1])
@@ -206,8 +206,7 @@ def test_info_nce_head_has_no_gradient_and_a_zero_difference(mode):
 
 def loss_fn(tokens, targets, mode, spec):
     """value_fn for finite_difference_grads on one drawn configuration."""
-    return lambda params: forward_backward(params, tokens.pooling, targets, mode, spec,
-                                           with_grads=False)[0]
+    return lambda params: forward_backward(params, tokens.pooling, targets, mode, spec)[0]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -345,3 +344,27 @@ def test_one_pooling_matrix_per_drawn_batch(monkeypatch):
     rebuilt = run_gradient_checks(seeds=[0])
     assert len(built) == len(drawn) + 2 * len(rebuilt)
     assert cached == rebuilt
+
+
+def test_info_nce_draw_near_a_zero_norm_is_redrawn():
+    """InfoNCE's cosine is singular at a pooled vector of zero norm, where a
+    central difference is wrong: a batch whose smallest pooled norm is under
+    NORM_MARGIN is screened out."""
+    mode = FeatureMode.UV  # no |u - v| kink to screen
+    params, tokens, targets, spec = draw_configuration(0, LossKind.INFO_NCE, mode)
+    rows, S = tokens.pooling
+    smallest = np.linalg.norm(S.T @ params.embeddings[rows], axis=1).min()
+    for factor, close in ((0.9, True), (1.1, False)):
+        table = params.embeddings * (factor * NORM_MARGIN / smallest)
+        scaled = dataclasses.replace(params, embeddings=table)
+        assert bool(gradcheck._too_close_to_kink(scaled, tokens, targets, mode,
+                                                 spec)) is close
+
+
+def test_a_draw_once_next_to_a_zero_norm_passes():
+    """At batch_max 100 this draw once held a pooled vector of norm 2.9e-4,
+    whose central difference failed the tolerance."""
+    result = check_configuration(12, LossKind.INFO_NCE, FeatureMode.ABS_DIFF,
+                                 batch_max=100)
+    assert result.max_rel_error <= DEFAULT_TOLERANCE
+

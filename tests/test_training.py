@@ -502,7 +502,8 @@ class TestTrain:
     @pytest.mark.parametrize("stage", list(Stage))
     def test_dev_errors_name_the_dev_set(self, model, corpus, monkeypatch, stage):
         """As evaluate names a dataset whose score is undefined, at step 0
-        and inside the loop."""
+        and inside the loop.  Inside the loop, a score that training made
+        undefined, non-finite or constant predictions alike, is divergence."""
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=1)
         flat = Dataset.from_columns("flat", np.ones(len(corpus)), corpus.s1, corpus.s2,
                                     score_range=corpus.score_range)
@@ -510,18 +511,20 @@ class TestTrain:
                            match="^flat: rank correlation undefined"):
             train(model, corpus, flat, cfg, K2, stage)
         score = training._dev_score
-        calls = []
+        for error in (InvalidInputError("non-finite prediction"),
+                      DegenerateInputError("rank correlation undefined")):
+            calls = []
 
-        def failing_after_step_0(*args):
-            calls.append(args)
-            if len(calls) > 1:
-                raise InvalidInputError("non-finite prediction")
-            return score(*args)
+            def failing_after_step_0(*args, calls=calls, error=error):
+                calls.append(args)
+                if len(calls) > 1:
+                    raise error
+                return score(*args)
 
-        monkeypatch.setattr(training, "_dev_score", failing_after_step_0)
-        with pytest.raises(TrainingError, match="^dev evaluation failed at step 2: "
-                                                "tiny: non-finite prediction$"):
-            train(model, corpus, corpus, cfg, K2, stage)
+            monkeypatch.setattr(training, "_dev_score", failing_after_step_0)
+            with pytest.raises(TrainingError, match=f"^dev evaluation failed at step 2: "
+                                                    f"tiny: {error}$"):
+                train(model, corpus, corpus, cfg, K2, stage)
 
     def test_head_only_info_nce_is_rejected(self, model, corpus, monkeypatch):
         steps = []
