@@ -10,8 +10,8 @@ in each checkout, PARENT first in even pairs and CHANGE first in odd ones, and
 reads each run's last-line JSON.  It prints each side's median and quartiles
 for every end-to-end metric of BENCHMARK.json, the failed and attempted
 counts, and how many pairs CHANGE won on --metric (ties count for neither
-side), with the medians' difference and the distance between PARENT's
-quartiles.
+side), with the side whose median is better, by how much, and the distance
+between PARENT's quartiles.
 """
 
 from __future__ import annotations
@@ -79,9 +79,11 @@ def report(summary: dict) -> str:
         lines.append(f"{name:<14} {cells[0]:>32} {cells[1]:>32}")
     lines.append(f"failed: A {summary['failed_a']}/{summary['attempted_a']}, "
                  f"B {summary['failed_b']}/{summary['attempted_b']}")
+    gain = summary["median_gain"]
+    ahead = ("medians equal" if gain == 0 else
+             f"{'B' if gain > 0 else 'A'}'s median better by {abs(gain):.4g}")
     lines.append(f"{summary['metric']}: B better in {summary['b_wins']}/"
-                 f"{summary['pairs']} pairs, A in {summary['a_wins']}; medians "
-                 f"differ by {summary['median_gain']:.4g} in B's favour, "
+                 f"{summary['pairs']} pairs, A in {summary['a_wins']}; {ahead}, "
                  f"A's IQR {summary['a_iqr']:.4g}")
     return "\n".join(lines)
 

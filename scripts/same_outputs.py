@@ -6,13 +6,14 @@ Usage, from the root of the repository:
         [--dev-pairs 400] [--work DIR]
 
 Writes the quick start's synthetic corpus (make_ordinal_corpus(N, seed=11) as
-data/train.tsv and (M, seed=12) as data/dev.tsv, made by PARENT's code) into
-a work directory, with scored copies for the commands that read scores:
-data/dev_scores.tsv (class c scored c), data/sts.tsv (the train pairs, class
-c scored 5c/3), data/sick.tsv (make_ordinal_corpus(M, seed=13), class c
-scored 1 + 4c/3, on SICK's [1, 5] scale) and data/test.tsv (the dev pairs
-scored, plus every third pair of data/sts.tsv as it is and every third pair
-of data/sick.tsv swapped, so the filter has pairs to remove), and
+data/train.tsv and (M, seed=12) as data/dev.tsv, made by PARENT's code, so
+both sides read the same inputs) into a work directory, with scored copies
+for the commands that read scores: data/dev_scores.tsv (class c scored c),
+data/sts.tsv (the train pairs, class c scored 5c/3), data/sick.tsv
+(make_ordinal_corpus(M, seed=13), class c scored 1 + 4c/3, on SICK's [1, 5]
+scale) and data/test.tsv (the dev pairs scored, plus every third pair of
+data/sts.tsv as it is and every third pair of data/sick.tsv swapped, so the
+filter has pairs to remove), and
 data/info_nce.json, a contrastive run config: InfoNCE with Adam, trained on
 data/sts.tsv's positives and selected on data/dev_scores.tsv.  Three more
 one-stage run configs train on data/train.tsv and select on data/dev.tsv,
@@ -33,7 +34,11 @@ replaced by an empty, punctuation-only or non-ASCII one, and a non-ASCII
 word added to every third other pair, so that Corpus splits them by its
 regular expression and texts without words become the OOV token.  Then, for
 each checkout in turn, it runs in one Python process on that checkout's
-src/:
+src/.  First it writes that checkout's own make_ordinal_corpus output for the
+quick start's pair, (N, seed=11) and (M, seed=12), and for the 5,000-word
+pair, (300, seed=14) and (60, seed=15), as out/corpora/train.tsv, dev.tsv,
+large_train.tsv and large_dev.tsv, so a change to the generator shows there.
+Then it runs
 
     simreg train --config CHECKOUT/configs/two_stage.json --out out/two_stage
     simreg eval --checkpoint out/two_stage/checkpoint.json data/dev.tsv \
@@ -188,7 +193,13 @@ RUN_COMMANDS = """
 import json, sys
 from pathlib import Path
 from simreg.cli import main
+from simreg.data import save_tsv
 from simreg.gradcheck import run_gradient_checks
+from simreg.synth import make_ordinal_corpus
+Path("out/corpora").mkdir(parents=True)
+for name, (n_pairs, seed, vocab_size) in json.loads(sys.argv[2]).items():
+    save_tsv(make_ordinal_corpus(n_pairs, seed=seed, vocab_size=vocab_size),
+             f"out/corpora/{name}.tsv")
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
     if code:
@@ -236,12 +247,14 @@ def python_in(checkout: Path, work: Path, code: str, *args: str) -> None:
         raise SystemExit(2)
 
 
-def side_hashes(checkout: Path, work: Path) -> dict[str, str]:
-    """sha256 of every file the checkout's commands write, by its path under
-    out/, which is removed afterwards."""
+def side_hashes(checkout: Path, work: Path, corpus_args: dict) -> dict[str, str]:
+    """sha256 of every file the checkout writes, the corpora of corpus_args
+    ({name: (n_pairs, seed, vocab_size)}) and its commands' outputs, by its
+    path under out/, which is removed afterwards."""
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
-    python_in(checkout, work, RUN_COMMANDS, json.dumps(commands(checkout)))
+    python_in(checkout, work, RUN_COMMANDS, json.dumps(commands(checkout)),
+              json.dumps(corpus_args))
     hashes = {path.relative_to(out).as_posix():
               hashlib.sha256(path.read_bytes()).hexdigest()
               for path in sorted(out.rglob("*")) if path.is_file()}
@@ -280,7 +293,12 @@ def main(argv=None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     try:
         python_in(parent, work, MAKE_DATA, str(args.train_pairs), str(args.dev_pairs))
-        rows = compare(side_hashes(parent, work), side_hashes(change, work))
+        # (n_pairs, seed, vocab_size) of each side's out/corpora/NAME.tsv
+        corpus_args = {"train": (args.train_pairs, 11, 120),
+                       "dev": (args.dev_pairs, 12, 120),
+                       "large_train": (300, 14, 5000), "large_dev": (60, 15, 5000)}
+        rows = compare(side_hashes(parent, work, corpus_args),
+                       side_hashes(change, work, corpus_args))
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)

@@ -39,6 +39,20 @@ def test_sides_quartiles_failures_and_wins():
     assert (by_rate["b_wins"], by_rate["a_wins"]) == (2, 1)
     assert by_rate["median_gain"] > 0
     assert "B better in 2/4 pairs" in ab_pairs.report(summary)
+    assert "B's median better by 0.25, A's IQR 1.5" in ab_pairs.report(summary)
+
+
+def test_a_slower_change_names_the_parent_as_ahead():
+    walls = [(1.0, 1.25), (2.0, 2.5), (3.0, 2.75)]
+    pairs = [(result(a), result(b)) for a, b in walls]
+    summary = ab_pairs.summarize(pairs, END_TO_END, "wall_s")
+    assert (summary["b_wins"], summary["a_wins"]) == (1, 2)
+    assert summary["median_gain"] == -0.5
+    line = ab_pairs.report(summary).splitlines()[-1]
+    assert line == ("wall_s: B better in 1/3 pairs, A in 2; "
+                    "A's median better by 0.5, A's IQR 1")
+    tied = ab_pairs.summarize([(result(1.0), result(1.0))], END_TO_END, "wall_s")
+    assert "; medians equal, " in ab_pairs.report(tied)
 
 
 def test_unknown_metric_rejected():

@@ -16,6 +16,7 @@ OUTPUTS |= {"demo/history.csv", "two_stage/history_stage1.csv",
             "two_stage/history_stage2.csv", "sweep/sweep.csv", "ablate/ablate.csv",
             "cosine/report.json", "cosine/report.txt", "filter/filtered.tsv",
             "filter/removed.jsonl", "gradcheck.txt"}
+OUTPUTS |= {f"corpora/{name}.tsv" for name in ("train", "dev", "large_train", "large_dev")}
 OUTPUTS |= {f"info_nce/{name}" for name in ("checkpoint.json", "history.csv",
                                             "manifest.json", "eval/report.json",
                                             "eval/report.txt")}
