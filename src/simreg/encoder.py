@@ -15,7 +15,8 @@ words by one split of one string (``Corpus``): joined, lowercased, blanked of
 every character that is neither a word character nor whitespace (by
 str.translate when the string is ASCII), with a "." before each text to mark
 where it starts.  A dataset becomes flat token ids with per-sentence offsets
-and lengths (``PairTokens``).  A whole dataset is pooled by ``pool``:
+and lengths (``PairTokens``) by one gather of its words, each text cut to
+max_tokens first (``tokenize_pairs``).  A whole dataset is pooled by ``pool``:
 sentences sorted by length, longest first, and each token position added into
 the sentences that reach it, so the work is one gather and add per token with
 no padding.  A training batch is pooled by its pooling matrix S, one row per
@@ -333,26 +334,22 @@ class PairTokens:
             ids = _segments(self.ids, self.starts, sentences, lengths)
             yield from _pooling_plan(ids, lengths, 2 * batch_size)
 
-    def truncate(self, max_tokens: int) -> "PairTokens":
-        """Every sentence cut to its first max_tokens tokens."""
-        if not len(self.lengths) or self.lengths.max() <= max_tokens:
-            return self
-        lengths = np.minimum(self.lengths, max_tokens)
-        sentences = np.arange(len(lengths))
-        return PairTokens(_segments(self.ids, self.starts, sentences, lengths), lengths)
 
-
-def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None) -> PairTokens:
+def tokenize_pairs(texts, vocab: Vocabulary, corpus: Corpus | None = None,
+                   max_tokens: int | None = None) -> PairTokens:
     """Tokenize sentences given alternately left, right into one flat id array.
 
-    A text without words becomes the single OOV token.  corpus, when given,
-    holds the texts already split.
+    Each text is cut to its first max_tokens words, when given, in the one
+    gather of the words.  A text without words becomes the single OOV token.
+    corpus, when given, holds the texts already split.
     """
     if corpus is None:
         texts = list(texts)
         corpus = Corpus(texts)
     rows = corpus.rows_of(texts)
     lengths = corpus.lengths[rows]
+    if max_tokens is not None:
+        np.minimum(lengths, max_tokens, out=lengths)  # lengths is this call's copy
     word_ids = _segments(corpus.word_ids, corpus.starts, rows, lengths)
     ids = corpus.vocab_ids(vocab)[word_ids]
     empty = lengths == 0
@@ -600,10 +597,10 @@ class Model:
         params = init_params(len(vocab), dim, feature_mode, seed, label_range, n_classes)
         return cls(vocab, params, feature_mode, mapping)
 
-    def encode(self, texts) -> PairTokens:
-        """Tokenize sentences given alternately left, right (a dataset's
-        texts) once, cut to max_tokens."""
-        return tokenize_pairs(texts, self.vocab).truncate(self.max_tokens)
+    def encode(self, texts, corpus: Corpus | None = None) -> PairTokens:
+        """tokenize_pairs of a dataset's texts (sentences given alternately
+        left, right) and corpus, cut to max_tokens: the one cut there is."""
+        return tokenize_pairs(texts, self.vocab, corpus, self.max_tokens)
 
     def embed_pairs(self, pairs: PairTokens) -> tuple[np.ndarray, np.ndarray]:
         """Pooled sentence embeddings (u, v), one row per pair."""

@@ -1,4 +1,9 @@
-"""Rank-correlation evaluation and report aggregation."""
+"""Rank-correlation evaluation and report aggregation.
+
+dataset_report scores one dataset from its pooled pairs.  evaluate (simreg
+eval) maps it over its datasets, and training selects checkpoints by its
+Spearman coefficient on the dev set, so both report one measure.
+"""
 
 from __future__ import annotations
 
@@ -72,12 +77,9 @@ class EvalReport:
     per_dataset: tuple[DatasetReport, ...]
     average: float
 
-    def to_json_dict(self) -> dict:
-        return {"datasets": [asdict(r) for r in self.per_dataset],
-                "average": self.average}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return json.dumps({"datasets": [asdict(r) for r in self.per_dataset],
+                           "average": self.average}, sort_keys=True, indent=2)
 
     def format_table(self) -> str:
         """Datasets as columns with the average last, one metric per row."""
@@ -145,36 +147,34 @@ def accuracy(scores, dataset: Dataset, mapping: LabelMapping) -> float:
     return int(np.count_nonzero(classify(mapping, scores) == labels)) / len(dataset)
 
 
-def evaluate(
-    model,
-    datasets,
-    mapping: LabelMapping | None = None,
-    use_cosine: bool = False,
-) -> EvalReport:
-    """Score every dataset and average the Spearman coefficients.
+def dataset_report(model, dataset: Dataset, u, v, mapping: LabelMapping | None,
+                   use_cosine: bool = False) -> DatasetReport:
+    """The report of a dataset from its pooled pairs (u, v): the Spearman
+    coefficient of its predictions (predictions_for) against its golds under
+    mapping and, when categorical, the rounding accuracy of the head scores,
+    also when use_cosine ranks by embedding cosine.  An undefined one (fewer
+    than two pairs, non-finite or constant predictions or golds) raises an
+    error that starts with the dataset's name."""
+    gold = golds(dataset, mapping)
+    try:
+        ranked = predictions_for(model, u, v, use_cosine)
+        rho = spearman(ranked, gold)
+        acc = (accuracy(model.head_scores(u, v) if use_cosine else ranked, dataset, mapping)
+               if dataset.is_categorical else None)
+    except (InvalidInputError, DegenerateInputError) as exc:
+        raise type(exc)(f"{dataset.name}: {exc}") from exc
+    return DatasetReport(dataset.name, rho, acc, len(dataset))
 
-    Categorical datasets are ranked against their mapped node values and also
-    get a rounding-classification accuracy from the head scores, also when
-    use_cosine ranks by embedding cosine.  Each dataset is pooled once; the
-    head scores and the cosine share its (u, v).  A dataset whose Spearman
-    coefficient or accuracy is undefined (fewer than two pairs, constant
-    predictions or golds) raises an error that starts with its name.
-    """
-    datasets = list(datasets)
-    if not datasets:
+
+def evaluate(model, datasets, mapping: LabelMapping | None = None,
+             use_cosine: bool = False) -> EvalReport:
+    """Report every dataset (dataset_report) and average the Spearman
+    coefficients.  mapping, when given, replaces the model's own.  Each
+    dataset is tokenized (Model.encode) and pooled once; the head scores and
+    the cosine share its (u, v)."""
+    active = mapping if mapping is not None else model.mapping
+    rows = tuple(dataset_report(model, ds, *model.embed_pairs(model.encode(ds.texts)),
+                                active, use_cosine) for ds in datasets)
+    if not rows:
         raise InvalidInputError("no datasets to evaluate")
-    rows = []
-    for ds in datasets:
-        active = mapping if mapping is not None else model.mapping
-        gold = golds(ds, active)
-        u, v = model.embed_pairs(model.encode(ds.texts))
-        scores = model.head_scores(u, v)
-        ranked = cosine(u, v) if use_cosine else scores
-        try:
-            rho = spearman(ranked, gold)
-            acc = accuracy(scores, ds, active) if ds.is_categorical else None
-        except (InvalidInputError, DegenerateInputError) as exc:
-            raise type(exc)(f"{ds.name}: {exc}") from exc
-        rows.append(DatasetReport(ds.name, rho, acc, len(ds)))
-    average = sum(r.spearman for r in rows) / len(rows)
-    return EvalReport(tuple(rows), average)
+    return EvalReport(rows, sum(r.spearman for r in rows) / len(rows))

@@ -21,9 +21,9 @@ The central differences run on the batched core's parameter-stack axis: the
 table and the flat head (ModelParams.head) are laid out as one flat vector,
 and all +step and -step copies of its entries go through one forward pass
 of the stack, which gives one loss value per copy and no gradients, in
-chunks of at most FD_CHUNK_BYTES of perturbed copies, so memory stays
-bounded however large the table.  Each chunk's stacked table and head are
-views of its block of copies.  The caller's parameters are never written.
+chunks of at most FD_CHUNK_BYTES of copies and their work, so memory stays
+bounded however large the table or batch.  Each chunk's stacked table and
+head are views of its block of copies.  The caller's parameters are never written.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .encoder import (
     ModelParams,
     PairTokens,
     Vocabulary,
+    feature_dim,
     features,
     forward_backward,
     head,
@@ -56,7 +57,7 @@ KNOT_MARGIN = 1e-3  # distance kept from non-smooth points of the loss surface
 ABS_MARGIN = 1e-4  # min per-coordinate |u - v| when the |u-v| branch is active
 NORM_MARGIN = 5e-4  # min pooled-vector norm for InfoNCE's cosine, 50 steps
 MAX_DRAWS = 200  # batches drawn for one configuration before it is given up
-FD_CHUNK_BYTES = 4 * 2**20  # bytes of perturbed parameter copies per forward
+FD_CHUNK_BYTES = 4 * 2**20  # bytes of a forward's parameter copies and their work
 # the least a draw holds per word of its vocabulary: the word's str and its
 # slot in the word list
 WORD_BYTES = sys.getsizeof("w0") + 8
@@ -88,15 +89,16 @@ class GradCheckResult:
         return f"seed={self.seed} loss={self.kind.value} mode={self.mode.value}"
 
 
-def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
+def finite_difference_grads(value_fn, params: ModelParams, copy_bytes=0) -> Gradients:
     """Central-difference gradient of value_fn over every parameter entry,
     with steps of DEFAULT_STEP.
 
     value_fn takes ModelParams stacked along one leading axis of P copies and
-    returns their P loss values.  The table and the flat head are laid out
-    as one flat vector, table first; each call gets the +step copies, then
-    the -step copies, of a run of its entries, at most FD_CHUNK_BYTES of
-    them, split back into the table and the head as views.
+    returns their P loss values, holding copy_bytes per copy as it works.
+    The table and the flat head are laid out as one flat vector, table
+    first; each call gets the +step and then the -step copies of a run of
+    its entries, as many as fit FD_CHUNK_BYTES with their work, split back
+    into the table and the head as views.
     """
     table, weights_shape = params.embeddings, params.weights_shape
     flat = np.concatenate([table.reshape(-1), params.head])
@@ -108,7 +110,7 @@ def finite_difference_grads(value_fn, params: ModelParams) -> Gradients:
                 vectors[..., table.size:])
 
     fd = np.empty_like(flat)
-    per_call = max(1, FD_CHUNK_BYTES // (2 * flat.nbytes))
+    per_call = max(1, FD_CHUNK_BYTES // (2 * (flat.nbytes + copy_bytes)))
     for lo in range(0, flat.size, per_call):
         entries = np.arange(lo, min(lo + per_call, flat.size))
         k = len(entries)
@@ -180,9 +182,16 @@ def check_configuration(
     params, tokens, targets, spec = draw_configuration(
         seed, kind, mode, dim_max, vocab_max, batch_max)
     _, analytic = forward_backward(params, tokens.pooling, targets, mode, spec)
+    # the stacked forward's float64 work per copy: the gathered rows and pooled
+    # vectors, then InfoNCE's normalized vectors, their gradients and four pairs
+    # x pairs matrices, or |u - v| (two arrays), the features and four arrays of
+    # head outputs (n_classes logits or one score per pair)
+    rows, pairs, dim = len(analytic.rows), len(tokens), params.dim
+    per_pair = (4 * dim + 4 * pairs if kind is LossKind.INFO_NCE
+                else 2 * dim + feature_dim(mode, dim) + 4 * params.n_classes)
     fd = finite_difference_grads(
         lambda stacked: forward_backward(stacked, tokens.pooling, targets, mode, spec)[0],
-        params,
+        params, 8 * (rows * dim + pairs * (2 * dim + per_pair)),
     )
     n_params = params.embeddings.size + params.head.size
     return GradCheckResult(seed, kind, mode, max_relative_error(analytic, fd), n_params)

@@ -17,8 +17,10 @@ optimizer's update (updater) once, so a step runs only its arithmetic.
 train is the only code that knows a stage is frozen: an optimizer updates
 the arrays its updater is prepared for, and the frozen table is shared
 read-only, never copied.  Every dataset's tokens are derived inside train
-from the dataset itself, so tokens and labels cannot come from different
-datasets.  Given a seed, the whole procedure is deterministic.
+from the dataset itself (Model.encode), so tokens and labels cannot come
+from different datasets, and the dev set is scored as simreg eval scores it
+(evaluation.dataset_report).  Given a seed, the whole procedure is
+deterministic.
 
 A validated run configuration runs through load_run_data, which reads its
 files once, and run, which trains its model, one stage or two, on them.
@@ -46,10 +48,9 @@ from .encoder import (
     features,
     prepare_forward_backward,
     prepare_head_loss,
-    tokenize_pairs,
 )
 from .errors import DegenerateInputError, InvalidInputError, TrainingError
-from .evaluation import golds, predictions_for, spearman
+from .evaluation import dataset_report, golds
 from .labelmap import LabelMapping
 from .losses import LossKind, LossSpec
 
@@ -193,9 +194,9 @@ class SgdOptimizer:
         return update
 
 
-def _dev_score(model: Model, u, v, dev_golds, use_cosine: bool) -> float:
-    # checkpoint selection uses raw (unclamped) predictions
-    return spearman(predictions_for(model, u, v, use_cosine), dev_golds)
+def _dev_score(model: Model, dev_set: Dataset, u, v, mapping, use_cosine: bool) -> float:
+    # simreg eval's measure, from the raw (unclamped) predictions
+    return dataset_report(model, dev_set, u, v, mapping, use_cosine).spearman
 
 
 def _class_targets(mapping: LabelMapping, dataset: Dataset) -> np.ndarray:
@@ -239,14 +240,13 @@ def train(
     Shuffles once per epoch under the config seed, evaluates dev Spearman at
     step 0, every `eval_every` steps and at each epoch end, and keeps the
     parameters of the best evaluation (first best wins ties).  The input
-    model is never mutated.  Both sets are tokenized here with the model's
-    vocabulary and cut to config.max_tokens; corpus, when given, holds their
-    texts already split (otherwise each set's texts are split here), and a
-    text it lacks is an InvalidInputError.  With Stage.HEAD_ONLY the encoder
-    is frozen: no embedding gradient is computed, and the returned model
-    reads the input model's table through a read-only view instead of a
-    copy.  A frozen InfoNCE stage is an InvalidInputError, as InfoNCE trains
-    no head.
+    model is never mutated.  Both sets are tokenized by Model.encode, cut to
+    config.max_tokens; corpus, when given, holds their texts already split
+    (otherwise each set's texts are split here), and a text it lacks is an
+    InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
+    embedding gradient is computed, and the returned model reads the input
+    model's table through a read-only view instead of a copy.  A frozen
+    InfoNCE stage is an InvalidInputError, as InfoNCE trains no head.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
@@ -263,7 +263,7 @@ def train(
     else:
         raise InvalidInputError("cross-entropy needs categorical targets")
     # dev scores are judged as the saved model will be: through its own mapping
-    dev_golds = golds(dev_set, model.mapping if model.mapping is not None else mapping)
+    dev_mapping = model.mapping if model.mapping is not None else mapping
     clamp_range = None
     if config.clamp_predictions:
         clamp_range = ((mapping.low, mapping.high) if train_set.is_categorical
@@ -273,10 +273,7 @@ def train(
     updated = ("head",) if frozen else TRAINED
     work = Model(model.vocab, _copy_updated(model.params, updated), model.feature_mode,
                  model.mapping, config.max_tokens)
-    train_pairs, dev_pairs = (
-        tokenize_pairs(ds.texts, work.vocab, corpus).truncate(config.max_tokens)
-        for ds in (train_set, dev_set)
-    )
+    train_pairs, dev_pairs = (work.encode(ds.texts, corpus) for ds in (train_set, dev_set))
     optimizer = (AdamOptimizer if config.optimizer == "adam"
                  else SgdOptimizer)(config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -311,11 +308,7 @@ def train(
     update = optimizer.updater(work.params, ("embeddings",) if use_cosine else updated)
 
     def dev_score():
-        u, v = embed_dev()
-        try:
-            return _dev_score(work, u, v, dev_golds, use_cosine)
-        except (InvalidInputError, DegenerateInputError) as exc:
-            raise type(exc)(f"{dev_set.name}: {exc}") from exc  # as evaluate names it
+        return _dev_score(work, dev_set, *embed_dev(), dev_mapping, use_cosine)
 
     best_dev = dev_score()
     # one buffer for the best parameters, overwritten at each improvement

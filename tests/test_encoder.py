@@ -82,8 +82,7 @@ def score(model, pair):
 
 def token_ids(text, vocab, max_tokens=None):
     """The token ids of one sentence."""
-    tokens = tokenize_pairs([text], vocab)
-    return (tokens.truncate(max_tokens) if max_tokens else tokens).ids.tolist()
+    return tokenize_pairs([text], vocab, max_tokens=max_tokens).ids.tolist()
 
 
 def one_sentence(ids):
@@ -496,15 +495,19 @@ TEXT_PIECES = ["a", "man", "runs", "Dog", "zebra", "QUOKKA", "!!!", ",", "cat's"
 @given(st.lists(st.lists(st.sampled_from(TEXT_PIECES), max_size=7), min_size=1,
                 max_size=8),
        st.one_of(st.none(), st.integers(1, 4)), st.lists(st.sampled_from(WORDS)))
+# limits below the texts' lengths, and texts without words, which the cut
+# leaves the single OOV token
+@example([["a", "man", "runs", "Dog", "zebra"], ["!!!", ","], [], ["cat's", "QUOKKA", "a"]],
+         2, ["runs"])
+@example([["zebra", "a", "man"], [""], ["Dog", "!!!", "runs"], ["a"]], 1, [])
 def test_vectorized_lookup_matches_per_token_oracle(pieces, max_tokens, extra):
     vocab = build_vocab(["a man runs", "the dog swims fast", "a cat sleeps"])
     texts = [" ".join(p) for p in pieces]
     expect = [tokenize_per_token(t, vocab, max_tokens) for t in texts]
     # alone, and inside a larger corpus that also repeats the texts
     shared = Corpus(extra + texts[::-1] + texts)
-    for tokens in (tokenize_pairs(texts, vocab), tokenize_pairs(texts, vocab, shared)):
-        if max_tokens is not None:
-            tokens = tokens.truncate(max_tokens)
+    for tokens in (tokenize_pairs(texts, vocab, max_tokens=max_tokens),
+                   tokenize_pairs(texts, vocab, shared, max_tokens)):
         assert tokens.lengths.tolist() == [len(ids) for ids in expect]
         assert tokens.ids.tolist() == [i for ids in expect for i in ids]
         assert tokens.starts.tolist() == np.cumsum([0, *tokens.lengths[:-1]]).tolist()
@@ -624,7 +627,7 @@ AT_THRESHOLD = [f"x{i}" for i in range(2 * encoder._MASK_KEYS_PER_TOKEN - len(WO
     (10, 10, None, WORDS, 0),  # batch_size == n
     (7, 12, None, WORDS, 0),  # batch_size > n
     (9, 4, None, ["w3"], 0),  # every sentence of a batch the same single token
-    (10, 3, 2, WORDS, 0),  # sentences cut by truncate
+    (10, 3, 2, WORDS, 0),  # sentences cut by tokenize_pairs
     (2 * encoder._PLAN_WINDOW + 5, 2, None, MANY_WORDS, 2),  # both windows sorted
     (20, 1, 1, AT_THRESHOLD, 0),  # a key space at the threshold takes the mask
     (20, 1, 1, AT_THRESHOLD + ["y"], 1),  # one id past it, the sort
@@ -636,10 +639,13 @@ def test_batches_match_the_per_batch_oracle(n_pairs, batch_size, max_tokens, wor
     vocab = build_vocab([" ".join(dict.fromkeys(WORDS + words))])
     texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 7))))
              for _ in range(2 * n_pairs)]
-    tokens = tokenize_pairs(texts, vocab)
-    if max_tokens:
-        assert tokens.lengths.max() > max_tokens
-        tokens = tokens.truncate(max_tokens)
+    tokens = tokenize_pairs(texts, vocab, max_tokens=max_tokens)
+    if max_tokens:  # the cut shortens some sentences
+        assert tokenize_pairs(texts, vocab).lengths.max() > tokens.lengths.max()
+    # a shared corpus that also repeats the texts gathers the same tokens
+    shared = tokenize_pairs(texts, vocab, Corpus(texts[::-1] + texts), max_tokens)
+    assert shared.ids.tobytes() == tokens.ids.tobytes()
+    assert shared.lengths.tobytes() == tokens.lengths.tobytes()
     order = rng.permutation(n_pairs)
     unique, sorted_keys = np.unique, []
     monkeypatch.setattr(np, "unique", lambda keys, **kw: sorted_keys.append(keys)

@@ -317,6 +317,28 @@ def test_memory_stays_near_the_chunk_budget():
     assert max_relative_error(analytic, fd) <= 1e-4
 
 
+@pytest.mark.parametrize("kind", [LossKind.SMOOTH_K2, LossKind.CROSS_ENTROPY,
+                                  LossKind.INFO_NCE])
+def test_a_large_batch_stays_near_the_chunk_budget(monkeypatch, kind):
+    """A chunk counts what the stacked forward makes of each copy (the
+    gathered rows, pooled vectors, features, logits or similarities), not
+    only the copies' parameters: at batch_max 118, seed 0 draws 36, 94 and
+    48 pairs, which chunks sized by the parameters alone take to about 10,
+    25 and 45 times the budget."""
+    budget = 256 * 2**10
+    monkeypatch.setattr(gradcheck, "FD_CHUNK_BYTES", budget)
+    _, tokens, *_ = draw_configuration(0, kind, FeatureMode.UV_ABS_DIFF, batch_max=118)
+    assert len(tokens) >= 36
+    tracemalloc.start()
+    try:
+        result = check_configuration(0, kind, FeatureMode.UV_ABS_DIFF, batch_max=118)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * budget
+    assert result.max_rel_error <= DEFAULT_TOLERANCE
+
+
 def test_one_pooling_matrix_per_drawn_batch(monkeypatch):
     built, drawn = [], []
     plan, draw = encoder._pooling_plan, gradcheck._random_tokens

@@ -16,7 +16,7 @@ from oracles import (
     take,
     zero_gradients,
 )
-from simreg import encoder, training
+from simreg import encoder, evaluation, training
 from simreg.data import Dataset, SentencePair
 from simreg.encoder import (
     Corpus,
@@ -510,7 +510,7 @@ class TestTrain:
         with pytest.raises(DegenerateInputError,
                            match="^flat: rank correlation undefined"):
             train(model, corpus, flat, cfg, K2, stage)
-        score = training._dev_score
+        score = evaluation.spearman
         for error in (InvalidInputError("non-finite prediction"),
                       DegenerateInputError("rank correlation undefined")):
             calls = []
@@ -521,7 +521,7 @@ class TestTrain:
                     raise error
                 return score(*args)
 
-            monkeypatch.setattr(training, "_dev_score", failing_after_step_0)
+            monkeypatch.setattr(evaluation, "spearman", failing_after_step_0)
             with pytest.raises(TrainingError, match=f"^dev evaluation failed at step 2: "
                                                     f"tiny: {error}$"):
                 train(model, corpus, corpus, cfg, K2, stage)
@@ -587,8 +587,7 @@ def oracle_train(model, dataset, cfg, spec, stage):
     which builds the batch's features itself; the joint stage gathers each
     batch's tokens and builds its pooling matrix on its own."""
     mapping, mode = model.mapping, model.feature_mode
-    tokens = tokenize_pairs(dataset.texts, model.vocab)
-    tokens = tokens.truncate(cfg.max_tokens)
+    tokens = tokenize_pairs(dataset.texts, model.vocab, max_tokens=cfg.max_tokens)
     targets = (mapping.index([pair.label for pair in dataset.pairs])
                if spec.kind is LossKind.CROSS_ENTROPY else golds(dataset, mapping))
     clamp_range = (mapping.low, mapping.high)
@@ -674,6 +673,30 @@ def test_baselines_are_the_buffered_losses_at_k1_x0_0(baseline, buffered, optimi
     assert_same_params(got.best_model.params, expect.best_model.params)
     assert got.history == expect.history
     assert got.best_dev == expect.best_dev
+
+
+@pytest.mark.parametrize("kind, stage", [
+    (LossKind.SMOOTH_K2, Stage.JOINT),
+    (LossKind.SMOOTH_K2, Stage.HEAD_ONLY),
+    (LossKind.CROSS_ENTROPY, Stage.JOINT),
+    (LossKind.INFO_NCE, Stage.JOINT),
+], ids=["residual-joint", "residual-head-only", "cross-entropy", "info-nce"])
+def test_best_dev_is_what_evaluate_reports_for_the_best_model(kind, stage):
+    """Checkpoint selection and simreg eval take one measure: the dev
+    Spearman coefficient that picks the best model is, bit for bit, the one
+    evaluate reports for it (InfoNCE's by cosine), sentences cut alike."""
+    train_set, dev = make_ordinal_corpus(128, seed=31), make_ordinal_corpus(40, seed=32)
+    mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
+    n_classes = len(ORDINAL_CATEGORIES) if kind is LossKind.CROSS_ENTROPY else None
+    model = Model.initialize(build_vocab(train_set.texts), dim=8, seed=31,
+                             mapping=mapping, n_classes=n_classes)
+    cfg = TrainConfig(batch_size=8, epochs=2, learning_rate=0.05, seed=31, eval_every=3,
+                      max_tokens=5, optimizer="adam")
+    assert tokenize_pairs(dev.texts, model.vocab).lengths.min() > cfg.max_tokens
+    result = train(model, train_set, dev, cfg, SPECS[kind], stage)
+    assert result.best_dev > result.history[0].dev_spearman  # a trained model
+    report = evaluate(result.best_model, [dev], use_cosine=kind is LossKind.INFO_NCE)
+    assert report.per_dataset[0].spearman == result.best_dev
 
 
 class TestTwoStage:
