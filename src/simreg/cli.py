@@ -240,12 +240,13 @@ def cmd_eval(args) -> int:
         else:
             datasets.append(tsv.dataset(name))
     report = evaluate(model, datasets, use_cosine=args.cosine)
-    print(report.format_table())
+    table = report.format_table()
+    print(table)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         data_mod.write_atomic(out / "report.json", report.to_json() + "\n")
-        data_mod.write_atomic(out / "report.txt", report.format_table() + "\n")
+        data_mod.write_atomic(out / "report.txt", table + "\n")
         print(f"report -> {out / 'report.json'}")
     return 0
 

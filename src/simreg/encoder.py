@@ -52,7 +52,6 @@ unstacked call on that copy to a few ulps.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import json
 import math
@@ -779,7 +778,9 @@ def _decode_array(doc: dict, name: str) -> np.ndarray:
         type(n) is int and n >= 0 for n in shape
     ):
         raise CheckpointError(f"{name}: bad shape {shape!r}")
-    raw = base64.b64decode(doc["data"], validate=True)
+    # popped, so the base64 text is freed before the array is copied out; a
+    # str is decoded in place (b64decode would first copy it to bytes)
+    raw = binascii.a2b_base64(doc.pop("data"), strict_mode=True)
     itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
     if len(raw) != itemsize * math.prod(shape):
         raise CheckpointError(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateInputError, InvalidInputError
-from .labelmap import LabelMapping, classify, encode
+from .labelmap import LabelMapping, nearest_class
 
 
 def average_ranks(values) -> np.ndarray:
@@ -113,38 +113,41 @@ def predictions_for(model, u, v, use_cosine: bool = False) -> np.ndarray:
     return model.head_scores(u, v)
 
 
-def golds(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:
-    """Gold value of every pair: its score (the dataset's own read-only
-    column), or its category's node under the mapping, which must cover
-    every category of a categorical dataset."""
-    if not dataset.is_categorical:
-        return dataset.values
-    _check_covers(mapping, dataset)
-    return encode(mapping, dataset.categories)[dataset.values]
-
-
-def _check_covers(mapping: LabelMapping | None, dataset: Dataset) -> None:
-    """The mapping must give every category of the dataset a node."""
-    if mapping is None:
-        raise InvalidInputError(f"{dataset.name} needs a label mapping")
-    missing = [c for c in dataset.categories if c not in mapping.categories]
-    if missing:
-        raise InvalidInputError(
-            f"label mapping has no node for categories {missing} of {dataset.name}"
-        )
-
-
-def accuracy(scores, dataset: Dataset, mapping: LabelMapping) -> float:
-    """Fraction of pairs whose rounded score hits the gold category."""
+def gold_classes(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:
+    """Each pair's class: the index of its label in mapping.  A label the
+    mapping lacks is an error that names the dataset and the label of the
+    first pair holding one; a category no pair uses needs no node."""
     if not dataset.is_categorical:
         raise InvalidInputError(f"{dataset.name} has no categorical labels")
+    if mapping is None:
+        raise InvalidInputError(f"{dataset.name} needs a label mapping")
+    known = {c: i for i, c in enumerate(mapping.categories)}
+    table = np.array([known.get(c, -1) for c in dataset.categories], dtype=np.intp)
+    classes = table[dataset.values]
+    unknown = np.flatnonzero(classes < 0)
+    if unknown.size:
+        label = dataset.categories[dataset.values[unknown[0]]]
+        raise InvalidInputError(f"{dataset.name}: unknown category: {label!r}")
+    return classes
+
+
+def golds(dataset: Dataset, mapping: LabelMapping | None) -> np.ndarray:
+    """Gold value of every pair: its score (the dataset's own read-only
+    column), or the node of its class (gold_classes) under the mapping."""
+    if not dataset.is_categorical:
+        return dataset.values
+    classes = gold_classes(dataset, mapping)
+    return np.asarray(mapping.nodes)[classes]
+
+
+def accuracy(scores, dataset: Dataset, mapping: LabelMapping, classes=None) -> float:
+    """Share of pairs rounded to their class (classes if given, else gold_classes)."""
+    classes = gold_classes(dataset, mapping) if classes is None else classes
     if len(dataset) == 0:
         raise InvalidInputError("accuracy undefined on an empty dataset")
-    _check_covers(mapping, dataset)
     if len(scores) != len(dataset):
         raise InvalidInputError(f"{len(scores)} scores for {len(dataset)} pairs")
-    labels = np.asarray(dataset.categories)[dataset.values]
-    return int(np.count_nonzero(classify(mapping, scores) == labels)) / len(dataset)
+    return int(np.count_nonzero(nearest_class(mapping, scores) == classes)) / len(dataset)
 
 
 def dataset_report(model, dataset: Dataset, u, v, mapping: LabelMapping | None,
@@ -155,12 +158,13 @@ def dataset_report(model, dataset: Dataset, u, v, mapping: LabelMapping | None,
     also when use_cosine ranks by embedding cosine.  An undefined one (fewer
     than two pairs, non-finite or constant predictions or golds) raises an
     error that starts with the dataset's name."""
-    gold = golds(dataset, mapping)
+    classes = gold_classes(dataset, mapping) if dataset.is_categorical else None
+    gold = dataset.values if classes is None else np.asarray(mapping.nodes)[classes]
     try:
         ranked = predictions_for(model, u, v, use_cosine)
         rho = spearman(ranked, gold)
-        acc = (accuracy(model.head_scores(u, v) if use_cosine else ranked, dataset, mapping)
-               if dataset.is_categorical else None)
+        acc = (accuracy(model.head_scores(u, v) if use_cosine else ranked, dataset, mapping,
+                        classes) if classes is not None else None)
     except (InvalidInputError, DegenerateInputError) as exc:
         raise type(exc)(f"{dataset.name}: {exc}") from exc
     return DatasetReport(dataset.name, rho, acc, len(dataset))

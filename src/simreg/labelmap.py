@@ -5,7 +5,7 @@ A mapping assigns each category (listed in ascending similarity) the value
 categories by nearest-node rounding; a prediction is classified correctly
 whenever it lands within half an interval of the true node.
 
-Instances are immutable; ``index``, ``encode`` and ``classify`` work element-wise.
+Instances are immutable; ``index`` and the functions below work element-wise.
 """
 
 from __future__ import annotations
@@ -87,13 +87,12 @@ def encode(mapping: LabelMapping, category):
     return np.asarray(mapping.nodes, dtype=float)[idx]
 
 
-def classify(mapping: LabelMapping, prediction):
-    """Category whose node is nearest to the prediction; an array of names
-    for an array of predictions.
+def nearest_class(mapping: LabelMapping, prediction):
+    """Index of the nearest node; an intp array for an array of predictions.
 
     Exact midpoints round to the higher node, which keeps the classifier a
     non-decreasing step function.  Predictions beyond the terminal nodes map
-    to the nearest terminal category.
+    to the nearest terminal node.
     """
     p = np.asarray(prediction, dtype=float)
     finite = np.isfinite(p)
@@ -101,6 +100,12 @@ def classify(mapping: LabelMapping, prediction):
         raise InvalidInputError(f"prediction must be finite, got {p[~finite][0]}")
     idx = np.floor((p - mapping.low) / mapping.d + 0.5)
     idx = np.clip(idx, 0, len(mapping.categories) - 1).astype(np.intp)
-    if p.ndim == 0:
-        return mapping.categories[int(idx)]
+    return int(idx) if p.ndim == 0 else idx
+
+
+def classify(mapping: LabelMapping, prediction):
+    """Category of the nearest node (nearest_class); names for an array."""
+    idx = nearest_class(mapping, prediction)
+    if isinstance(idx, int):
+        return mapping.categories[idx]
     return np.asarray(mapping.categories)[idx]

@@ -50,7 +50,7 @@ from .encoder import (
     prepare_head_loss,
 )
 from .errors import DegenerateInputError, InvalidInputError, TrainingError
-from .evaluation import dataset_report, golds
+from .evaluation import dataset_report, gold_classes, golds
 from .labelmap import LabelMapping
 from .losses import LossKind, LossSpec
 
@@ -199,16 +199,6 @@ def _dev_score(model: Model, dev_set: Dataset, u, v, mapping, use_cosine: bool) 
     return dataset_report(model, dev_set, u, v, mapping, use_cosine).spearman
 
 
-def _class_targets(mapping: LabelMapping, dataset: Dataset) -> np.ndarray:
-    """Each pair's class: its label's index in the mapping.  A label the
-    mapping lacks is mapping.index's error, for the first pair holding one."""
-    used, first_row = np.unique(dataset.values, return_index=True)
-    used = used[np.argsort(first_row)]  # in the order the pairs first use them
-    classes = np.zeros(len(dataset.categories), dtype=np.intp)
-    classes[used] = mapping.index([dataset.categories[i] for i in used.tolist()])
-    return classes[dataset.values]
-
-
 def _copy_updated(params: ModelParams, updated) -> ModelParams:
     """params with a private copy of each of TRAINED named in updated and a
     read-only view of the others, which numpy then refuses to write."""
@@ -259,7 +249,7 @@ def train(
     if loss_spec.kind is not LossKind.CROSS_ENTROPY:
         targets = golds(train_set, mapping)  # the contrastive loss ignores them
     elif train_set.is_categorical:
-        targets = _class_targets(mapping, train_set)
+        targets = gold_classes(train_set, mapping)
     else:
         raise InvalidInputError("cross-entropy needs categorical targets")
     # dev scores are judged as the saved model will be: through its own mapping

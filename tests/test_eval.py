@@ -14,6 +14,8 @@ from simreg.encoder import Model, build_vocab
 from simreg.errors import DegenerateInputError, InvalidInputError
 from simreg.evaluation import accuracy, cosine, evaluate, spearman
 from simreg.labelmap import LabelMapping
+from simreg.losses import LossKind, LossSpec
+from simreg.training import TrainConfig, train
 
 
 class StubModel:
@@ -217,6 +219,50 @@ def test_evaluate_and_accuracy_match_per_pair_oracle():
             assert row.accuracy is None
 
 
+class TestGoldClasses:
+    """Cross-entropy targets, golds and accuracy turn labels into classes
+    alike (evaluation.gold_classes)."""
+
+    # "c" is the first label in pair order that the mapping lacks, "b" the
+    # first in category order
+    UNKNOWN = categorical_ds("d", ["a", "c", "b", "a"], cats=("a", "b", "c"))
+    AZ = LabelMapping(("a", "z"), 0.0, 1.0)
+
+    @staticmethod
+    def cross_entropy_targets(ds, mapping):
+        model = Model.initialize(build_vocab(ds.texts), dim=4, seed=0, n_classes=2,
+                                 mapping=mapping)
+        train(model, ds, ds, TrainConfig(batch_size=2, seed=0),
+              LossSpec(LossKind.CROSS_ENTROPY))
+
+    @pytest.mark.parametrize("convert", [
+        cross_entropy_targets,
+        evaluation.golds,
+        lambda ds, mapping: accuracy(np.zeros(len(ds)), ds, mapping),
+        lambda ds, mapping: evaluate(StubModel(lambda p: 0.0, mapping), [ds]),
+    ], ids=["cross-entropy-targets", "golds", "accuracy", "evaluate"])
+    def test_unknown_label_is_named_by_its_first_pair(self, convert):
+        with pytest.raises(InvalidInputError, match=r"^d: unknown category: 'c'$"):
+            convert(self.UNKNOWN, self.AZ)
+
+    def test_no_mapping_is_named(self):
+        for convert in (evaluation.golds, evaluation.gold_classes,
+                        lambda ds, mapping: accuracy([0.0] * len(ds), ds, mapping)):
+            with pytest.raises(InvalidInputError, match=r"^d needs a label mapping$"):
+                convert(self.UNKNOWN, None)
+
+    def test_unused_category_needs_no_node(self):
+        rng = np.random.default_rng(31)
+        mapping = LabelMapping(("low", "mid", "high"), -1.0, 0.5)
+        labels = [str(c) for c in rng.choice(mapping.categories, size=40)]
+        ds = categorical_ds("d", labels, cats=("low", "unused", "mid", "high"))
+        scores = rng.uniform(-2.0, 1.0, size=len(ds))
+        assert evaluation.gold_classes(ds, mapping).tolist() == [
+            mapping.categories.index(label) for label in labels]
+        assert evaluation.golds(ds, mapping).tolist() == golds_per_pair(ds, mapping)
+        assert accuracy(scores, ds, mapping) == accuracy_per_pair(scores, ds, mapping)
+
+
 class TestEvaluate:
     def make_ds(self, name, scores):
         pairs = tuple(
@@ -263,8 +309,8 @@ class TestEvaluate:
         mapping = LabelMapping(["low", "mid", "high"], 0.0, 1.0)
         model = StubModel(by_label(ds, {"low": 0.1, "mid": 0.9, "high": 2.2}), mapping)
         calls = []
-        real = evaluation.encode
-        monkeypatch.setattr(evaluation, "encode",
+        real = evaluation.gold_classes
+        monkeypatch.setattr(evaluation, "gold_classes",
                             lambda *args: calls.append(args) or real(*args))
         evaluate(model, [ds, ds])
         assert len(calls) == 2

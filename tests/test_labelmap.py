@@ -11,6 +11,7 @@ from simreg.labelmap import (
     LabelMapping,
     classify,
     encode,
+    nearest_class,
 )
 
 FOUR = LabelMapping(
@@ -145,6 +146,18 @@ class TestElementwise:
         assert list(rounded) == [classify_bruteforce(mapping, p) for p in preds]
         assert list(encode(mapping, names)) == [encode(mapping, n) for n in names]
         assert list(mapping.index(names)) == [mapping.index(n) for n in names]
+
+    @given(st.sampled_from([FOUR, NLI, TWO]).flatmap(
+        lambda m: st.tuples(st.just(m), predictions(m))))
+    def test_nearest_class_indexes_the_classified_category(self, case):
+        mapping, preds = case
+        classes = nearest_class(mapping, np.array(preds, dtype=float))
+        assert classes.dtype == np.intp
+        assert [mapping.categories[i] for i in classes] == [
+            classify_bruteforce(mapping, p) for p in preds]
+        for p, i in zip(preds, classes.tolist(), strict=True):
+            assert type(nearest_class(mapping, p)) is int
+            assert nearest_class(mapping, p) == i
 
     def test_non_finite_entry_rejected(self):
         with pytest.raises(InvalidInputError):
