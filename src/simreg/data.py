@@ -241,7 +241,9 @@ class TsvFile:
 
 def split_tsv(raw: bytes, path) -> TsvFile:
     """Decode the bytes of a TSV file read from path, which names it in
-    errors, and split them into lines and each line into fields."""
+    errors, and split them into lines and each line into fields.  One
+    leading UTF-8 byte-order mark is dropped; a decoding error still gives
+    its position in the file's bytes, the mark's included."""
     path = Path(path)
     not_utf8 = None
     try:
@@ -249,6 +251,7 @@ def split_tsv(raw: bytes, path) -> TsvFile:
     except UnicodeDecodeError as exc:
         text = raw.decode("utf-8", errors="replace")
         not_utf8 = f"{path} is not valid UTF-8: {exc}"
+    text = text.removeprefix("\ufeff")
     return TsvFile(path, [line.split("\t") for line in tsv_lines(text)], not_utf8)
 
 

@@ -10,11 +10,14 @@ weights, then the bias, as head_parts lays them out.  head_weights and
 head_bias are read-only views of it, and the head gradient, Gradients.head,
 has the same layout, so an optimizer updates the whole head as one array.
 
-Everything runs on whole batches at once.  All distinct texts are split into
-words by one split of one string (``Corpus``): joined, lowercased, blanked of
-every character that is neither a word character nor whitespace (by
-str.translate when the string is ASCII), with a "." before each text to mark
-where it starts.  A dataset becomes flat token ids with per-sentence offsets
+Everything runs on whole batches at once.  The distinct texts are split into
+words a window of _SPLIT_WINDOW texts at a time (``Corpus``), each window by
+one split of one string: joined, lowercased, blanked of every character that
+is neither a word character nor whitespace (by str.translate when the window
+is ASCII), with a "." before each text to mark where it starts.  Every
+window maps its words through one shared word table, and only their ids are
+kept, so the split holds one window's strings at a time.
+A dataset becomes flat token ids with per-sentence offsets
 and lengths (``PairTokens``) by one gather of its words, each text cut to
 max_tokens first (``tokenize_pairs``).  A whole dataset is pooled by ``pool``:
 sentences sorted by length, longest first, and each token position added into
@@ -60,7 +63,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,11 @@ _B64_CHUNK = 3 << 16
 # the trainable arrays of ModelParams, in the order of its fields
 PARAM_NAMES = ("embeddings", "head_weights", "head_bias")
 
+# distinct texts Corpus splits at once: its memory stays bounded however
+# many texts a corpus holds.  Each window costs about 10 us, so 256 texts
+# made a 2,000-text corpus 2-3% slower than one whole-corpus split; 512
+# matched its time, and 1,024 saved no more memory
+_SPLIT_WINDOW = 512
 # batches PairTokens.batches plans at once: its memory stays bounded however
 # many pairs a dataset holds
 _PLAN_WINDOW = 32
@@ -149,51 +157,73 @@ class Vocabulary:
                            count=len(words))
 
 
+def _window_ids(texts, word_id) -> np.ndarray:
+    """The words of texts as ids from word_id, the ids of each text after a
+    -1 that marks where it opens: the texts joined by "\\n" into one string,
+    lowercased, blanked and split once."""
+    blob = "\n".join(texts)
+    if blob.count("\n") != len(texts) - 1:  # a text holds a "\n" of its own
+        blob = "\n".join(text.replace("\n", " ") for text in texts)
+    # "\n" and " " are neither cased nor case-ignorable, so lower() sees
+    # each text as it would alone (the final sigma rule included)
+    blob = blob.lower()
+    # both blankings give the same string; on ASCII text translate takes a
+    # tenth of the regular expression's time (0.16 against 1.6 ms for a
+    # 2,000-text, 126,000-character corpus)
+    if blob.isascii():
+        blob = blob.translate(_ASCII_BLANK)
+    else:
+        blob = _NON_WORD.sub(" ", blob)
+    # blanking left no ".", so a "." word marks where each text opens
+    words = (". " + blob.replace("\n", " . ")).split()
+    return np.fromiter(map(word_id.__getitem__, words), dtype=np.intp,
+                       count=len(words))
+
+
 class Corpus:
     """Texts with each distinct text split into words once.
 
-    A text's words are its lowercased \\w+ runs.  All distinct texts are
-    split by one whole-string split: joined by "\\n" into one string,
-    lowercased, every character that is neither a word character nor
-    whitespace blanked (by str.translate when the string is ASCII, by one
-    regular-expression substitution otherwise), a "." put before each text,
-    and the string split at whitespace.  Blanking leaves no ".", so the "."
-    words mark where each text starts.  The words are kept as ids into the
-    corpus's own word table, in order of first occurrence, so build_vocab and
-    tokenize_pairs reuse the split without holding one word list per text.
+    A text's words are its lowercased \\w+ runs.  The distinct texts are
+    split a window of _SPLIT_WINDOW texts at a time, each window by one
+    whole-string split: joined by "\\n" into one string, lowercased, every
+    character that is neither a word character nor whitespace blanked (by
+    str.translate when the window is ASCII, by one regular-expression
+    substitution otherwise), a "." put before each text, and the string
+    split at whitespace.  Blanking leaves no ".", so the "." words mark
+    where each text starts.  The words are kept as ids into the corpus's own
+    word table, which all windows share, in order of first occurrence, so
+    build_vocab and tokenize_pairs reuse the split without holding one word
+    list per text.  No string or word list of the whole corpus is ever made:
+    at its peak a corpus holds its word ids twice (each window's, then
+    joined), about 90 bytes per text (its row in the one dict of texts, its
+    start and length) and one window's strings and words.
     A text without words holds none, so its length is 0; tokenize_pairs
     gives it the OOV token.  The word table's ids under the vocabulary last
     asked for (vocab_ids) are kept, so a run looks its words up once.
     """
 
     def __init__(self, texts):
-        distinct = dict.fromkeys(texts)
-        blob = "\n".join(distinct)
-        if blob.count("\n") != len(distinct) - 1:  # a text holds a "\n" of its own
-            blob = "\n".join(text.replace("\n", " ") for text in distinct)
-        # "\n" and " " are neither cased nor case-ignorable, so lower() sees
-        # each text as it would alone (the final sigma rule included)
-        blob = blob.lower()
-        # both blankings give the same string; on ASCII text translate takes a
-        # tenth of the regular expression's time (0.16 against 1.6 ms for a
-        # 2,000-text, 126,000-character corpus)
-        if blob.isascii():
-            blob = blob.translate(_ASCII_BLANK)
-        else:
-            blob = _NON_WORD.sub(" ", blob)
-        # blanking left no ".", so a "." word marks where each text opens
-        words = (". " + blob.replace("\n", " . ")).split() if distinct else []
+        # each distinct text's row, filled in place into the one dict
+        rows = dict.fromkeys(texts)
+        rows.update(zip(rows, range(len(rows))))
         # "." takes id -1, and each new word the next id from 0
         word_id = defaultdict(count().__next__, {".": -1})
-        flat = np.fromiter(map(word_id.__getitem__, words), dtype=np.intp,
-                           count=len(words))
-        opens = flat < 0
-        self.word_ids = flat[~opens]
+        # each window's word ids, and where its "." words lie among the
+        # words of all the windows, "." words included
+        keys, done = iter(rows), 0
+        ids, opens = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for _ in range(0, len(rows), _SPLIT_WINDOW):
+            flat = _window_ids(list(islice(keys, _SPLIT_WINDOW)), word_id)
+            marks = flat < 0
+            ids.append(flat[~marks])
+            opens.append(marks.nonzero()[0] + done)
+            done += len(flat)
+        self.word_ids = np.concatenate(ids)
         # text i starts after i "." words
-        self.starts = np.flatnonzero(opens) - np.arange(len(distinct))
+        self.starts = np.concatenate(opens) - np.arange(len(rows))
         self.lengths = np.diff(self.starts, append=len(self.word_ids))
         self.words = tuple(word_id)[1:]
-        self._rows = dict(zip(distinct, range(len(distinct))))
+        self._rows = rows
         self._vocab, self._vocab_ids = None, None
 
     def rows_of(self, texts) -> np.ndarray:

@@ -156,6 +156,8 @@ def parse_tsv_per_line(raw, path, name=None, score_range=(0.0, 5.0), categories=
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
+    if text.startswith("\ufeff"):  # a byte-order mark opens no field
+        text = text[1:]
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -616,6 +616,29 @@ class TestEval:
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert report["datasets"][0]["accuracy"] is not None
 
+    def test_files_with_a_byte_order_mark_read_as_without(self, tmp_path):
+        ds = make_ordinal_corpus(40, seed=7)
+        vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])
+        model = Model.initialize(vocab, dim=4,
+                                 mapping=LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+        save_checkpoint(model, tmp_path / "ck.json")
+        save_tsv(ds, tmp_path / "graded.tsv")
+        save_tsv(cont("scored", [(float(i % 4), p.s1, p.s2)
+                                 for i, p in enumerate(ds.pairs)]), tmp_path / "scored.tsv")
+        reports = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            out = tmp_path / f"marked{len(mark)}"
+            out.mkdir()
+            for name in ("graded.tsv", "scored.tsv"):
+                (out / name).write_bytes(mark + (tmp_path / name).read_bytes())
+            assert main(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+                         str(out / "graded.tsv"), str(out / "scored.tsv"),
+                         "--out", str(out / "report")]) == 0
+            reports.append((out / "report" / "report.json").read_text())
+        assert reports[1] == reports[0]
+        graded, scored = json.loads(reports[1])["datasets"]
+        assert graded["accuracy"] is not None and scored["accuracy"] is None
+
     def test_each_file_is_read_once(self, tmp_path, monkeypatch):
         ds = make_ordinal_corpus(40, seed=7)
         vocab = build_vocab([s for p in ds.pairs for s in (p.s1, p.s2)])

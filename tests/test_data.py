@@ -99,6 +99,28 @@ class TestLoadSave:
         with pytest.raises(DataFormatError, match="UTF-8"):
             load_tsv(path)
 
+    @pytest.mark.parametrize("content, reading", [
+        ("3.5\ta man sings\tsomeone sings\n1.0\ta\tb\n", {}),
+        ("entailment\ta man sings\tsomeone sings\nneutral\ta\tb\n",
+         {"categories": NLI_CATEGORIES}),
+    ], ids=["scores", "labels"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, content, reading):
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+        plain.write_text(content, encoding="utf-8")
+        marked.write_text(content, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load_tsv(marked, **reading).pairs == load_tsv(plain, **reading).pairs
+        # only the first: a second mark opens the first field
+        marked.write_text("\ufeff" + content, encoding="utf-8-sig")
+        with pytest.raises(DataFormatError, match="bom.tsv:1"):
+            load_tsv(marked, **reading)
+
+    def test_byte_order_mark_counts_in_a_decoding_error(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf4.1\tcaf\xe9\tok\n")
+        with pytest.raises(DataFormatError, match="byte 0xe9 in position 10"):
+            load_tsv(path)
+
     def test_extra_fields_ignored(self, tmp_path):
         path = tmp_path / "wide.tsv"
         path.write_text("2.5\tleft\tright\tannotation\textra\n", encoding="utf-8")
@@ -172,7 +194,8 @@ def tsv_files(draw):
     """A reading and the bytes of a TSV file: up to 6 lines of 1 to 5
     fields (3 most often) whose first field is mostly what the reading
     takes, each ended by "\\n", "\\r\\n" or "\\r", the last one with
-    or without its end, and sometimes a byte that is not UTF-8 somewhere."""
+    or without its end, sometimes a UTF-8 byte-order mark first, and
+    sometimes a byte that is not UTF-8 somewhere."""
     reading = draw(st.sampled_from(READINGS))
     good = list(reading.get("categories", SCORES))
     firsts = st.sampled_from(good * 4 + SCORES + list(NLI_CATEGORIES) + OTHER_FIELDS)
@@ -186,6 +209,8 @@ def tsv_files(draw):
     if lines and draw(st.booleans()):
         ends[-1] = ""
     raw = "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    if draw(st.sampled_from([False] * 7 + [True])):
+        raw = "\ufeff".encode("utf-8") + raw
     if draw(st.sampled_from([False] * 7 + [True])):
         at = draw(st.integers(0, len(raw)))
         raw = raw[:at] + b"\xff" + raw[at:]

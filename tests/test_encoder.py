@@ -55,6 +55,7 @@ from simreg.gradcheck import (
 )
 from simreg.labelmap import LabelMapping
 from simreg.losses import LossKind, LossSpec, info_nce
+from simreg.synth import make_ordinal_corpus
 from simreg.training import AdamOptimizer, SgdOptimizer, _copy_updated
 
 
@@ -490,6 +491,21 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
 
 TEXT_PIECES = ["a", "man", "runs", "Dog", "zebra", "QUOKKA", "!!!", ",", "cat's", ""]
 
+# texts per window of Corpus's split: windows' edges between every text, or
+# every second or third, and the module's own window, which holds all the
+# texts these tests draw
+SPLIT_WINDOWS = (1, 2, 3, encoder._SPLIT_WINDOW)
+
+
+def corpora(texts) -> list[Corpus]:
+    """Corpus(texts) built with each window of SPLIT_WINDOWS."""
+    built = []
+    for window in SPLIT_WINDOWS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "_SPLIT_WINDOW", window)
+            built.append(Corpus(texts))
+    return built
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(TEXT_PIECES), max_size=7), min_size=1,
@@ -504,10 +520,11 @@ def test_vectorized_lookup_matches_per_token_oracle(pieces, max_tokens, extra):
     vocab = build_vocab(["a man runs", "the dog swims fast", "a cat sleeps"])
     texts = [" ".join(p) for p in pieces]
     expect = [tokenize_per_token(t, vocab, max_tokens) for t in texts]
-    # alone, and inside a larger corpus that also repeats the texts
-    shared = Corpus(extra + texts[::-1] + texts)
+    # alone, and inside a larger corpus that also repeats the texts, split
+    # in windows of every size
     for tokens in (tokenize_pairs(texts, vocab, max_tokens=max_tokens),
-                   tokenize_pairs(texts, vocab, shared, max_tokens)):
+                   *(tokenize_pairs(texts, vocab, shared, max_tokens)
+                     for shared in corpora(extra + texts[::-1] + texts))):
         assert tokens.lengths.tolist() == [len(ids) for ids in expect]
         assert tokens.ids.tolist() == [i for ids in expect for i in ids]
         assert tokens.starts.tolist() == np.cumsum([0, *tokens.lengths[:-1]]).tolist()
@@ -530,16 +547,16 @@ SPLIT_ALPHABET = "ab_'09 \n\r\t\x0c\x85\u2028Σσς\u0130\u0301é🙂.,"
 @example(["a\nb", "a b", "\n", ""], [0, 3])
 def test_corpus_splits_each_text_as_the_per_text_oracle(texts, repeats):
     texts = texts + [texts[i] for i in repeats if i < len(texts)]
-    corpus = Corpus(texts)
     distinct = list(dict.fromkeys(texts))
     expect = [split_words(text) for text in distinct]
-    assert len(corpus.lengths) == len(distinct)
-    for row, words in enumerate(expect):
-        ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
-        assert [corpus.words[i] for i in ids] == words
-    # the word table in order of first occurrence
-    assert corpus.words == tuple(dict.fromkeys(w for words in expect for w in words))
-    assert corpus.rows_of(texts).tolist() == [distinct.index(t) for t in texts]
+    for corpus in corpora(texts):
+        assert len(corpus.lengths) == len(distinct)
+        for row, words in enumerate(expect):
+            ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
+            assert [corpus.words[i] for i in ids] == words
+        # the word table in order of first occurrence
+        assert corpus.words == tuple(dict.fromkeys(w for words in expect for w in words))
+        assert corpus.rows_of(texts).tolist() == [distinct.index(t) for t in texts]
 
 
 # every ASCII character that is neither a word character nor whitespace ("."
@@ -554,18 +571,57 @@ ASCII_SPLIT_ALPHABET = string.punctuation + "09aZ \n\t\x0b\x0c\r\x1c\x1d\x1e\x1f
 @example(["a.b", ". .", "", "_._", "a\nb"], [1, 2])
 def test_ascii_corpus_splits_each_text_as_the_per_text_oracle(texts, repeats):
     texts = texts + [texts[i] for i in repeats if i < len(texts)]
-    corpus = Corpus(texts)
     distinct = list(dict.fromkeys(texts))
     expect = [split_words(text) for text in distinct]
-    for row, words in enumerate(expect):
-        ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
-        assert [corpus.words[i] for i in ids] == words
-    assert corpus.words == tuple(dict.fromkeys(w for words in expect for w in words))
-    # a non-ASCII text last sends the same texts through the regular expression
-    mixed = Corpus(texts + ["é"])
-    assert mixed.words[:len(corpus.words)] == corpus.words
-    assert mixed.word_ids[:len(corpus.word_ids)].tolist() == corpus.word_ids.tolist()
-    assert mixed.lengths[:-1].tolist() == corpus.lengths.tolist()
+    # a non-ASCII text last sends the texts of its window through the
+    # regular expression
+    for corpus, mixed in zip(corpora(texts), corpora(texts + ["é"])):
+        for row, words in enumerate(expect):
+            ids = corpus.word_ids[corpus.starts[row]:][:corpus.lengths[row]]
+            assert [corpus.words[i] for i in ids] == words
+        assert corpus.words == tuple(dict.fromkeys(w for words in expect for w in words))
+        assert mixed.words[:len(corpus.words)] == corpus.words
+        assert mixed.word_ids[:len(corpus.word_ids)].tolist() == corpus.word_ids.tolist()
+        assert mixed.lengths[:-1].tolist() == corpus.lengths.tolist()
+
+
+@pytest.mark.parametrize("texts, window", [
+    (["a b", "c\nd", "e f", "g"], 2),  # a "\n" in the first window only
+    (["ab", "ΣΑΣ cd", "ab cd", "ef"], 2),  # non-ASCII text in the first only
+    (["", "a", "?!", "...", "b", " "], 3),  # texts without words at both edges
+    (["a b", "b a", "c a"], 2),  # "c" first seen in the second window
+], ids=["newline-in-one-window", "non-ascii-in-one-window", "blanks-at-window-edges",
+        "word-first-seen-later"])
+def test_window_edges_split_as_one_window(texts, window):
+    whole = Corpus(texts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "_SPLIT_WINDOW", window)
+        windowed = Corpus(texts)
+    for name in ("word_ids", "starts", "lengths"):
+        got, want = getattr(windowed, name), getattr(whole, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert windowed.words == whole.words
+    assert windowed.rows_of(texts).tolist() == whole.rows_of(texts).tolist()
+    for row, text in enumerate(texts):
+        ids = whole.word_ids[whole.starts[row]:][:whole.lengths[row]]
+        assert [whole.words[i] for i in ids] == split_words(text)
+
+
+def test_corpus_peak_is_bounded_by_its_window():
+    # 40,000 distinct texts of about 62 characters and 9 words each
+    texts = list(make_ordinal_corpus(20_000, seed=0).texts)
+    tracemalloc.start()
+    try:
+        corpus = Corpus(texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the word ids twice (each window's, then joined) and about 90 bytes
+    # per text: its row in the dict of texts, its start and length, and its
+    # share of one window's strings and words.  A split of all the texts at
+    # once holds every word as a string, about 13 times the word ids
+    assert len(corpus.lengths) == len(texts)
+    assert peak < 2 * corpus.word_ids.nbytes + 112 * len(corpus.lengths)
 
 
 def test_ascii_blank_table_matches_the_non_word_pattern():
@@ -586,17 +642,17 @@ def test_ascii_blank_table_matches_the_non_word_pattern():
         "only-empty", "only-blanks"])
 def test_text_without_words_holds_none_and_tokenizes_to_the_oov_token(
         texts, words, word_ids, lengths):
-    corpus = Corpus(texts)
-    assert corpus.words == words
-    assert corpus.word_ids.tolist() == word_ids
-    assert corpus.lengths.tolist() == lengths
-    assert corpus.starts.tolist() == np.cumsum([0, *lengths[:-1]]).tolist()
-    vocab = build_vocab(texts, corpus)
-    assert sorted(vocab.tokens[2:]) == sorted(words)
-    expect = [tokenize_per_token(text, vocab) for text in texts]
-    tokens = tokenize_pairs(texts, vocab, corpus)
-    assert tokens.lengths.tolist() == [len(ids) for ids in expect]
-    assert tokens.ids.tolist() == [i for ids in expect for i in ids]
+    for corpus in corpora(texts):
+        assert corpus.words == words
+        assert corpus.word_ids.tolist() == word_ids
+        assert corpus.lengths.tolist() == lengths
+        assert corpus.starts.tolist() == np.cumsum([0, *lengths[:-1]]).tolist()
+        vocab = build_vocab(texts, corpus)
+        assert sorted(vocab.tokens[2:]) == sorted(words)
+        expect = [tokenize_per_token(text, vocab) for text in texts]
+        tokens = tokenize_pairs(texts, vocab, corpus)
+        assert tokens.lengths.tolist() == [len(ids) for ids in expect]
+        assert tokens.ids.tolist() == [i for ids in expect for i in ids]
 
 
 def test_cached_pooling_matrix_is_built_once_and_read_only(vocab):
