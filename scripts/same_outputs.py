@@ -101,14 +101,17 @@ MAKE_DATA = """
 import json
 import sys
 from pathlib import Path
-from simreg.data import Dataset, SentencePair, save_tsv
+from simreg.data import Dataset, merge, save_tsv
 from simreg.synth import make_ordinal_corpus
 
 def scored(ds, name, low, step, swap=False):
-    pairs = [SentencePair(*((p.s2, p.s1) if swap else (p.s1, p.s2)),
-                          score=low + step * ds.categories.index(p.label))
-             for p in ds.pairs]
-    return Dataset(name, pairs, score_range=(low, 5.0))
+    s1, s2 = (ds.s2, ds.s1) if swap else (ds.s1, ds.s2)
+    return Dataset.from_columns(name, low + step * ds.values, s1, s2,
+                                score_range=(low, 5.0))
+
+def every_third(ds):
+    return Dataset.from_columns(ds.name, ds.values[::3], ds.s1[::3], ds.s2[::3],
+                                score_range=ds.score_range)
 
 Path("data").mkdir(exist_ok=True)
 train = make_ordinal_corpus(int(sys.argv[1]), seed=11)
@@ -120,9 +123,9 @@ save_tsv(scored(dev, "dev_scores", 0.0, 1.0), "data/dev_scores.tsv")
 sts = scored(train, "sts", 0.0, 5.0 / 3.0)
 save_tsv(sts, "data/sts.tsv")
 save_tsv(scored(sick, "sick", 1.0, 4.0 / 3.0), "data/sick.tsv")
-test = (scored(dev, "test", 0.0, 1.0).pairs + sts.pairs[::3]
-        + scored(sick, "test", 0.0, 1.0, swap=True).pairs[::3])
-save_tsv(Dataset("test", test, score_range=(0.0, 5.0)), "data/test.tsv")
+test = merge([scored(dev, "test", 0.0, 1.0), every_third(sts),
+              every_third(scored(sick, "test", 0.0, 1.0, swap=True))])
+save_tsv(test, "data/test.tsv")
 Path("data/info_nce.json").write_text(json.dumps({
     "seed": 0,
     "encoder": {"dim": 32},
@@ -163,15 +166,13 @@ ODD = ["", "?!", "...", "¿¡ -- ¡!", "naïve café", "ΣΟΦΙΑ σοφίας"
        "über-größe"]
 
 def odd(ds, name):
-    pairs = []
-    for i, p in enumerate(ds.pairs):
-        s1, s2 = p.s1, p.s2
+    s1, s2 = list(ds.s1), list(ds.s2)
+    for i in range(len(ds)):
         if i % 3 == 0:
-            s1 = ODD[i // 3 % len(ODD)]
+            s1[i] = ODD[i // 3 % len(ODD)]
         elif i % 3 == 1:
-            s2 = f"{s2} {ODD[4 + i // 3 % 4]}"
-        pairs.append(SentencePair(s1, s2, label=p.label))
-    return Dataset(name, pairs, categories=ds.categories)
+            s2[i] = f"{s2[i]} {ODD[4 + i // 3 % 4]}"
+    return Dataset.from_columns(name, ds.values, s1, s2, categories=ds.categories)
 
 save_tsv(odd(train, "odd_train"), "data/odd_train.tsv")
 save_tsv(odd(dev, "odd_dev"), "data/odd_dev.tsv")

@@ -25,14 +25,7 @@ from .config import RunConfig, check_buffer_fits, load_run_config
 from .encoder import FeatureMode, Model, feature_dim, load_checkpoint, save_checkpoint
 from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
 from .evaluation import evaluate
-from .gradcheck import (
-    DEFAULT_BATCH_MAX,
-    DEFAULT_DIM_MAX,
-    DEFAULT_SEEDS,
-    DEFAULT_TOLERANCE,
-    DEFAULT_VOCAB_MAX,
-    run_gradient_checks,
-)
+from .gradcheck import DEFAULT_SEEDS, DEFAULT_TOLERANCE, run_gradient_checks
 from .losses import LossKind, LossSpec
 
 
@@ -73,9 +66,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
     p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="number of random seeds")
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM_MAX)
-    p.add_argument("--vocab", type=int, default=DEFAULT_VOCAB_MAX)
-    p.add_argument("--batch", type=int, default=DEFAULT_BATCH_MAX)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("sweep", help="grid sweep over k and x0")
@@ -256,12 +246,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    results = run_gradient_checks(
-        seeds=range(args.seeds),
-        dim_max=args.dim,
-        vocab_max=args.vocab,
-        batch_max=args.batch,
-    )
+    results = run_gradient_checks(seeds=range(args.seeds))
     failed = 0
     for r in results:
         status = "ok" if r.max_rel_error <= args.tolerance else "FAIL"  # NaN fails

@@ -390,7 +390,7 @@ def merge(datasets) -> Dataset:
     """Concatenate datasets in order; they must agree on the score range."""
     datasets = list(datasets)
     if not datasets:
-        return Dataset("merged", ())
+        return Dataset.from_columns("merged", (), (), ())
     first = datasets[0]
     for ds in datasets[1:]:
         if ds.score_range != first.score_range or ds.categories != first.categories:

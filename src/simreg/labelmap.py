@@ -5,7 +5,8 @@ A mapping assigns each category (listed in ascending similarity) the value
 categories by nearest-node rounding; a prediction is classified correctly
 whenever it lands within half an interval of the true node.
 
-Instances are immutable; ``index`` and the functions below work element-wise.
+Instances are immutable; the functions below take one prediction or a whole
+array of them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class LabelMapping:
     start: float
     d: float
     nodes: tuple[float, ...] = field(init=False, compare=False)
-    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cats, start, d = tuple(self.categories), float(self.start), float(self.d)
@@ -48,7 +48,6 @@ class LabelMapping:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "nodes", tuple(start + i * d for i in range(len(cats))))
-        object.__setattr__(self, "_positions", {c: i for i, c in enumerate(cats)})
 
     @property
     def low(self) -> float:
@@ -57,15 +56,6 @@ class LabelMapping:
     @property
     def high(self) -> float:
         return self.nodes[-1]
-
-    def index(self, category):
-        """Position of a category name; an int array for a sequence of names."""
-        try:
-            if isinstance(category, str):
-                return self._positions[category]
-            return np.array([self._positions[c] for c in category], dtype=np.intp)
-        except KeyError as exc:
-            raise InvalidInputError(f"unknown category: {exc.args[0]!r}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,14 +67,6 @@ class LabelMapping:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LabelMapping":
         return cls(doc["categories"], doc["start"], doc["interval"])
-
-
-def encode(mapping: LabelMapping, category):
-    """Numeric node of a category name; an array for a sequence of names."""
-    idx = mapping.index(category)
-    if isinstance(idx, int):
-        return mapping.nodes[idx]
-    return np.asarray(mapping.nodes, dtype=float)[idx]
 
 
 def nearest_class(mapping: LabelMapping, prediction):

@@ -50,10 +50,10 @@ from simreg.errors import DataFormatError, TrainingError
 from simreg.gradcheck import (
     ALL_KINDS,
     ALL_MODES,
-    DEFAULT_BATCH_MAX,
-    DEFAULT_DIM_MAX,
-    DEFAULT_VOCAB_MAX,
+    BATCH_MAX,
+    DIM_MAX,
     MAX_DRAWS,
+    VOCAB_MAX,
     _random_spec,
     _too_close_to_kink,
 )
@@ -129,6 +129,12 @@ def classify_bruteforce(mapping, prediction):
         if dist < best_dist or (dist == best_dist and i > best_i):
             best_i, best_dist = i, dist
     return mapping.categories[best_i]
+
+
+def classes_per_pair(dataset, mapping):
+    """Each pair's label position in a scan of the mapping's categories."""
+    return np.array([list(mapping.categories).index(pair.label)
+                     for pair in dataset.pairs], dtype=np.intp)
 
 
 def golds_per_pair(dataset, mapping):
@@ -403,15 +409,14 @@ def max_relative_error_per_array(analytic, fd, weights_shape):
     return float(np.max(errors))
 
 
-def draw_configuration_via_text(seed, kind, mode, dim_max=DEFAULT_DIM_MAX,
-                                vocab_max=DEFAULT_VOCAB_MAX, batch_max=DEFAULT_BATCH_MAX):
+def draw_configuration_via_text(seed, kind, mode):
     """gradcheck.draw_configuration's draws made as text: each attempt's
     sentences drawn as words, joined into strings and tokenized against
     build_vocab of the configuration's words."""
     rng = np.random.default_rng([seed, ALL_KINDS.index(kind), ALL_MODES.index(mode)])
-    dim = int(rng.integers(2, dim_max + 1))
-    n_words = int(rng.integers(5, vocab_max - 1))
-    batch = int(rng.integers(2, batch_max + 1))
+    dim = int(rng.integers(2, DIM_MAX + 1))
+    n_words = int(rng.integers(5, VOCAB_MAX - 1))
+    batch = int(rng.integers(2, BATCH_MAX + 1))
     words = [f"w{i}" for i in range(n_words)]
     vocab = build_vocab([" ".join(words)])
     n_classes = int(rng.integers(3, 6)) if kind is LossKind.CROSS_ENTROPY else None

@@ -10,7 +10,6 @@ from simreg.errors import InvalidInputError
 from simreg.labelmap import (
     LabelMapping,
     classify,
-    encode,
     nearest_class,
 )
 
@@ -39,7 +38,6 @@ class TestBuildMapping:
         mapping = LabelMapping(["a", "b", "c"], 0, 1)
         assert [type(n) for n in mapping.nodes] == [float] * 3
         assert type(mapping.d) is float
-        assert type(encode(mapping, "a")) is float
         assert json.dumps(mapping.to_json_dict()["start"]) == "0.0"
 
     def test_needs_two_categories(self):
@@ -78,17 +76,10 @@ class TestBuildMapping:
 
 
 class TestEncodeDecode:
-    def test_entailment_encodes_to_two(self):
-        assert encode(NLI, "entailment") == 2.0
-
     def test_round_trip(self):
-        for i, category in enumerate(NLI.categories):
-            assert encode(NLI, category) == NLI.nodes[i]
-            assert classify(NLI, NLI.nodes[i]) == category
-
-    def test_unknown_category(self):
-        with pytest.raises(InvalidInputError):
-            encode(NLI, "paraphrase")
+        for i, (category, node) in enumerate(zip(NLI.categories, NLI.nodes, strict=True)):
+            assert nearest_class(NLI, node) == i
+            assert classify(NLI, node) == category
 
 
 class TestClassify:
@@ -137,15 +128,13 @@ def predictions(mapping):
 
 
 class TestElementwise:
-    @given(st.sampled_from([FOUR, NLI, TWO]).flatmap(lambda m: st.tuples(
-        st.just(m), predictions(m), st.lists(st.sampled_from(m.categories)))))
+    @given(st.sampled_from([FOUR, NLI, TWO]).flatmap(
+        lambda m: st.tuples(st.just(m), predictions(m))))
     def test_arrays_match_per_entry_results(self, case):
-        mapping, preds, names = case
+        mapping, preds = case
         rounded = classify(mapping, np.array(preds, dtype=float))
         assert list(rounded) == [classify(mapping, p) for p in preds]
         assert list(rounded) == [classify_bruteforce(mapping, p) for p in preds]
-        assert list(encode(mapping, names)) == [encode(mapping, n) for n in names]
-        assert list(mapping.index(names)) == [mapping.index(n) for n in names]
 
     @given(st.sampled_from([FOUR, NLI, TWO]).flatmap(
         lambda m: st.tuples(st.just(m), predictions(m))))
@@ -162,10 +151,6 @@ class TestElementwise:
     def test_non_finite_entry_rejected(self):
         with pytest.raises(InvalidInputError):
             classify(FOUR, [0.5, float("inf"), 1.0])
-
-    def test_unknown_name_in_a_sequence_rejected(self):
-        with pytest.raises(InvalidInputError, match="paraphrase"):
-            encode(NLI, ["neutral", "paraphrase"])
 
 
 class TestCorrectnessRadius:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     DenseAdam,
+    classes_per_pair,
     copy_params,
     head_forward_backward,
     join_head,
@@ -588,7 +589,7 @@ def oracle_train(model, dataset, cfg, spec, stage):
     batch's tokens and builds its pooling matrix on its own."""
     mapping, mode = model.mapping, model.feature_mode
     tokens = tokenize_pairs(dataset.texts, model.vocab, max_tokens=cfg.max_tokens)
-    targets = (mapping.index([pair.label for pair in dataset.pairs])
+    targets = (classes_per_pair(dataset, mapping)
                if spec.kind is LossKind.CROSS_ENTROPY else golds(dataset, mapping))
     clamp_range = (mapping.low, mapping.high)
     u, v = model.embed_pairs(tokens)
