@@ -73,7 +73,11 @@ gradcheck checks by default, one a line, so the gradient check is compared
 bit for bit too.  It records the sha256 of every file under out/ and removes
 out/.  Both sides write to the same relative paths, one after the other,
 because manifest.json records out_dir.
-Each file is printed as "same", "DIFFERS" or "only in PARENT/CHANGE", with
+It first prints one line naming the environment both sides ran under, as
+they run under this script's interpreter: the Python, numpy and BLAS
+versions and OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, as
+set or "unset", since BLAS thread counts can change checkpoint bytes.  Then
+each file is printed as "same", "DIFFERS" or "only in PARENT/CHANGE", with
 its sha256.  Exits 0 when every file is the same, 1 when any is not, and 2
 when a command fails.
 """
@@ -84,11 +88,14 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 CONFIGS = ("two_stage", "demo")
 # run configs MAKE_DATA writes as data/NAME.json, each trained and then
@@ -263,6 +270,16 @@ def side_hashes(checkout: Path, work: Path, corpus_args: dict) -> dict[str, str]
     return hashes
 
 
+def environment() -> str:
+    """One line: the Python, numpy and BLAS versions and the BLAS thread
+    settings, each variable's value or "unset"."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}" for name in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return (f"environment: Python {platform.python_version()}, numpy {np.__version__}, "
+            f"BLAS {blas['name']} {blas['version']}, {threads}")
+
+
 def compare(parent: dict[str, str], change: dict[str, str]) -> list[tuple]:
     """(status, path, sha256) of every file either side wrote, sorted by
     path; a differing file's sha256 is PARENT's and CHANGE's, joined by " ->
@@ -303,6 +320,7 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
+    print(environment())
     for status, path, digest in rows:
         print(f"{status:<15} {path:<30} {digest}")
     differing = sum(status != "same" for status, _, _ in rows)

@@ -66,12 +66,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
     p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="number of random seeds")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("sweep", help="grid sweep over k and x0")
     p.add_argument("--config", required=True)
-    p.add_argument("--k", default=None, help="comma-separated k values")
-    p.add_argument("--x0", default=None, help="comma-separated x0 values")
+    p.add_argument("--k", required=True, help="comma-separated k values")
+    p.add_argument("--x0", required=True, help="comma-separated x0 values")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
@@ -244,19 +243,17 @@ def cmd_eval(args) -> int:
 # ------------------------------------------------------------------ gradcheck
 
 def cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     results = run_gradient_checks(seeds=range(args.seeds))
     failed = 0
     for r in results:
-        status = "ok" if r.max_rel_error <= args.tolerance else "FAIL"  # NaN fails
+        status = "ok" if r.max_rel_error <= DEFAULT_TOLERANCE else "FAIL"  # NaN fails
         print(f"{r.label:<50} max_rel_err={r.max_rel_error:.3e}  {status}")
         failed += status == "FAIL"
     # a NaN error ranks worst
     worst = max((r.max_rel_error for r in results), key=lambda e: (math.isnan(e), e))
     print(f"checked {len(results)} configurations; worst relative error {worst:.3e}")
     if failed:
-        print(f"{failed} configuration(s) exceeded tolerance {args.tolerance}")
+        print(f"{failed} configuration(s) exceeded tolerance {DEFAULT_TOLERANCE}")
         return 1
     return 0
 
@@ -297,10 +294,9 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
-    ks = _parse_floats(args.k, "--k") if args.k else cfg.sweep_k
-    x0s = _parse_floats(args.x0, "--x0") if args.x0 else cfg.sweep_x0
+    ks, x0s = _parse_floats(args.k, "--k"), _parse_floats(args.x0, "--x0")
     if not ks or not x0s:
-        raise UsageError("sweep needs k and x0 values (config sweep section or flags)")
+        raise UsageError("sweep needs at least one --k and one --x0 value")
     if cfg.loss.kind not in (LossKind.TRANSLATED_RELU, LossKind.SMOOTH_K2):
         raise UsageError("sweep applies to the buffered losses (k and x0)")
 

@@ -4,6 +4,9 @@ A run is described by a JSON document.  ``SCHEMA`` declares every key once,
 with its JSON type and default, and the document is checked against it before
 any data is read: an unknown key, a missing required key or a wrong-typed
 value is a ConfigError naming ``<section>.<key>``, never a silent default.
+Some values are fixed, not configured: a label mapping's first node is 0
+(``data.mapping_interval`` gives the spacing), texts are cut at the model's
+``max_tokens``, and ``simreg sweep`` takes its grid from its flags alone.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ SCHEMA = {
         "data": (dict, REQUIRED),
         "training": (dict, {}),
         "joint": (dict, {}),  # stage-2 overrides of training
-        "sweep": (dict, {}),
     },
     "encoder": {"dim": (int, 32),
                 "feature_mode": (FeatureMode, FeatureMode.UV_ABS_DIFF)},
@@ -61,7 +63,6 @@ SCHEMA = {
         "train": (str, REQUIRED),
         "dev": (str, REQUIRED),
         "categories": (tuple[str, ...], None),
-        "mapping_start": (float, 0.0),
         "mapping_interval": (float, 1.0),
         "score_range": (tuple[float, ...], (0.0, 5.0)),
         "nli_train": (str, None),  # read by two_stage runs only
@@ -69,7 +70,6 @@ SCHEMA = {
         "positive_threshold": (float, 4.0),
     },
     "training": _from_fields(TrainConfig, "seed"),
-    "sweep": {"k": (tuple[float, ...], ()), "x0": (tuple[float, ...], ())},
 }
 
 _JSON_NAMES = {str: "string", int: "integer", bool: "boolean", dict: "object"}
@@ -91,8 +91,6 @@ class RunConfig:
     nli_mapping: LabelMapping | None  # stage-1 mapping of two_stage runs
     training: TrainConfig
     joint: TrainConfig  # stage 2 of two_stage runs
-    sweep_k: tuple[float, ...]
-    sweep_x0: tuple[float, ...]
     positive_threshold: float
     raw: dict
 
@@ -157,9 +155,9 @@ def _train_config(name: str, doc: dict, base: TrainConfig | None = None):
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
-def _mapping(where: str, categories, start: float, interval: float) -> LabelMapping:
+def _mapping(where: str, categories, interval: float) -> LabelMapping:
     try:
-        return LabelMapping(categories, start, interval)
+        return LabelMapping(categories, 0.0, interval)
     except InvalidInputError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
@@ -196,7 +194,7 @@ def load_run_config(path, seed_override: int | None = None,
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     top = _section("", doc)
-    enc, data, sweep = (_section(key, top[key]) for key in ("encoder", "data", "sweep"))
+    enc, data = (_section(key, top[key]) for key in ("encoder", "data"))
 
     seed = seed_override if seed_override is not None else top["seed"]
     if seed < 0:
@@ -215,8 +213,7 @@ def load_run_config(path, seed_override: int | None = None,
 
     mapping = None
     if data["categories"] is not None:
-        mapping = _mapping("data.categories", data["categories"],
-                           data["mapping_start"], data["mapping_interval"])
+        mapping = _mapping("data.categories", data["categories"], data["mapping_interval"])
     if loss.kind is LossKind.CROSS_ENTROPY and mapping is None:
         raise ConfigError("loss.kind cross_entropy needs data.categories")
     if loss.kind is LossKind.INFO_NCE and mapping is not None:
@@ -237,7 +234,7 @@ def load_run_config(path, seed_override: int | None = None,
         if data["nli_train"] is None:
             raise ConfigError("two_stage runs need data.nli_train")
         nli_path = _existing(data["nli_train"])
-        nli_mapping = _mapping("data.nli_categories", data["nli_categories"], 0.0, 1.0)
+        nli_mapping = _mapping("data.nli_categories", data["nli_categories"], 1.0)
     check_buffer_fits(loss, mapping, nli_mapping)
 
     return RunConfig(
@@ -245,6 +242,6 @@ def load_run_config(path, seed_override: int | None = None,
         feature_mode=enc["feature_mode"], loss=loss, stages=stages,
         train_path=train_path, dev_path=dev_path, mapping=mapping,
         score_range=score_range, nli_path=nli_path, nli_mapping=nli_mapping,
-        training=training, joint=joint, sweep_k=sweep["k"], sweep_x0=sweep["x0"],
+        training=training, joint=joint,
         positive_threshold=data["positive_threshold"], raw=doc,
     )

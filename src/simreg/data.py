@@ -9,10 +9,11 @@ sentences.  A file is decoded and split into lines and fields once
 fails is the file walked line by line to name its first bad line.
 
 ``SentencePair`` records are only the edge of a dataset, for callers outside
-the package and for the dedup audit: ``Dataset(name, pairs)`` turns records
-into columns once, and ``Dataset.pairs`` builds them on demand.  No code of
-the package reads ``pairs``.  ``write_atomic`` is the package's writer for
-outputs that must never be left half-written.
+the package: ``Dataset(name, pairs)`` turns records into columns once, and
+``Dataset.pairs`` builds them on demand.  No code of the package reads
+``pairs``; the dedup audit's ``RemovedPair`` holds its own fields.
+``write_atomic`` is the package's writer for outputs that must never be
+left half-written.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable
+from contextlib import suppress
 from dataclasses import asdict, dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -76,20 +78,13 @@ class Dataset:
                  score_range=None, categories=None):
         """The dataset of SentencePair records, turned into columns once."""
         pairs = tuple(pairs)
-        _check_declared(len(pairs), score_range, categories)
-        for pair in pairs:
-            if score_range is not None:
-                low, high = score_range
-                if pair.score is None or not low <= pair.score <= high:
-                    raise InvalidInputError(
-                        f"{name}: score {pair.score} outside [{low}, {high}]"
-                    )
-            elif categories is not None and pair.label not in categories:
-                raise InvalidInputError(f"{name}: unknown label {pair.label!r}")
         if categories is not None:
             position = _positions(categories)
+            unknown = [pair.label for pair in pairs if pair.label not in position]
+            if unknown:
+                raise InvalidInputError(f"{name}: unknown label {unknown[0]!r}")
             values = [position[pair.label] for pair in pairs]
-        else:
+        else:  # a labelled pair's score, None, is held as NaN, outside any range
             values = [pair.score for pair in pairs]
         self._hold(name, values, tuple(p.s1 for p in pairs),
                    tuple(p.s2 for p in pairs), score_range, categories)
@@ -97,18 +92,27 @@ class Dataset:
     @classmethod
     def from_columns(cls, name: str, values, s1, s2, score_range=None,
                      categories=None) -> "Dataset":
-        """The dataset of columns whose values are already valid: scores
-        inside score_range, or indices into categories."""
-        s1, s2 = tuple(s1), tuple(s2)
-        _check_declared(len(s1), score_range, categories)
+        """The dataset of columns, checked as Dataset(name, pairs) is."""
         dataset = cls.__new__(cls)
-        dataset._hold(name, values, s1, s2, score_range, categories)
+        dataset._hold(name, values, tuple(s1), tuple(s2), score_range, categories)
         return dataset
 
     def _hold(self, name, values, s1, s2, score_range, categories) -> None:
+        """Hold the columns once every value is checked: a score inside
+        score_range, or an index into categories; the first that is not is
+        an InvalidInputError naming the dataset."""
+        _check_declared(len(s1), score_range, categories)
         values = np.asarray(values, dtype=np.intp if categories is not None else float)
         if not len(values) == len(s1) == len(s2):
             raise InvalidInputError(f"{name}: columns of different lengths")
+        if len(values):
+            low, high = score_range if categories is None else (0, len(categories) - 1)
+            inside = (low <= values) & (values <= high)  # NaN is outside
+            if not inside.all():
+                bad = values[~inside][0].item()
+                what = (f"score {bad} outside [{low}, {high}]" if categories is None
+                        else f"category index {bad} outside [0, {len(categories)})")
+                raise InvalidInputError(f"{name}: {what}")
         values.flags.writeable = False
         for field, value in (("name", name), ("values", values), ("s1", s1), ("s2", s2),
                              ("score_range", score_range), ("categories", categories)):
@@ -132,13 +136,12 @@ class Dataset:
     @property
     def pairs(self) -> tuple[SentencePair, ...]:
         """The pairs as SentencePair records, built on each call."""
-        return tuple(map(self._record, range(len(self))))
-
-    def _record(self, i: int) -> SentencePair:
-        value = self.values[i].item()
+        values = self.values.tolist()
         if self.categories is not None:
-            return SentencePair(self.s1[i], self.s2[i], label=self.categories[value])
-        return SentencePair(self.s1[i], self.s2[i], score=value)
+            return tuple(SentencePair(a, b, label=self.categories[i])
+                         for i, a, b in zip(values, self.s1, self.s2))
+        return tuple(SentencePair(a, b, score=score)
+                     for score, a, b in zip(values, self.s1, self.s2))
 
     def _subset(self, name: str, keep: np.ndarray) -> "Dataset":
         """The pairs where the boolean array keep is true, in order."""
@@ -152,7 +155,10 @@ class Dataset:
 class RemovedPair:
     """Audit record: a dropped training pair and the test set that matched it."""
 
-    pair: SentencePair
+    s1: str
+    s2: str
+    score: float | None
+    label: str | None
     test_name: str
 
 
@@ -183,36 +189,33 @@ class TsvFile:
         if self.not_utf8 is not None:
             raise DataFormatError(self.not_utf8)
         name = name if name is not None else self.path.stem
-        columns = self._columns(score_range, categories)
-        if columns is None:
-            raise self._first_bad_line(score_range, categories)
-        if categories is not None:
-            return Dataset.from_columns(name, *columns, categories=tuple(categories))
-        return Dataset.from_columns(name, *columns, score_range=score_range)
+        columns = self._columns(categories)
+        if columns is not None:
+            declared = ({"categories": tuple(categories)} if categories is not None
+                        else {"score_range": score_range})
+            with suppress(InvalidInputError):  # a value outside the range or categories
+                return Dataset.from_columns(name, *columns, **declared)
+        raise self._first_bad_line(score_range, categories)
 
-    def _columns(self, score_range, categories):
-        """(values, s1, s2) with each column checked whole, or None when
-        some line fails a check."""
+    def _columns(self, categories):
+        """(values, s1, s2) with each line's fields parsed, or None when some
+        line has too few fields or a score that is not a number; the values
+        are checked by Dataset.from_columns."""
         if not self.rows:
             return (), (), ()
         if min(map(len, self.rows)) < 3:
             return None
         firsts, s1, s2 = islice(zip(*self.rows), 3)
         if categories is not None:
-            try:
-                values = np.fromiter(map(_positions(categories).__getitem__, firsts),
-                                     np.intp, len(firsts))
-            except KeyError:
-                return None
+            # an unknown label reads as index -1, which Dataset.from_columns rejects
+            values = np.fromiter(map(_positions(categories).get, firsts, repeat(-1)),
+                                 np.intp, len(firsts))
         else:
             try:
                 # Python's float, as each line is read alone: it takes
                 # " 4.1 " and "0_5", and "nan" fails the range check
                 values = np.fromiter(map(float, firsts), float, len(firsts))
             except ValueError:
-                return None
-            low, high = score_range
-            if not ((low <= values) & (values <= high)).all():
                 return None
         return values, s1, s2
 
@@ -349,8 +352,13 @@ def dedup_filter(train: Dataset, tests) -> tuple[Dataset, list[RemovedPair]]:
     for test in reversed(list(tests)):
         seen.update(zip(_dedup_keys(test), [test.name] * len(test)))
     hits = [seen.get(key, seen.get(key[::-1])) for key in _dedup_keys(train)]
-    removed = [RemovedPair(train._record(i), hit)
-               for i, hit in enumerate(hits) if hit is not None]
+    removed = []
+    for i, hit in enumerate(hits):
+        if hit is not None:
+            value = train.values[i].item()
+            score, label = ((None, train.categories[value]) if train.is_categorical
+                            else (value, None))
+            removed.append(RemovedPair(train.s1[i], train.s2[i], score, label, hit))
     keep = np.fromiter((hit is None for hit in hits), bool, len(hits))
     return train._subset(train.name, keep), removed
 
@@ -359,9 +367,9 @@ def write_removal_audit(removed, path) -> None:
     """One JSON line per removed pair, naming the matching test dataset."""
     lines = []
     for record in removed:
-        # a pair's fields but the one of score and label it does not have
-        doc = {k: v for k, v in asdict(record.pair).items() if v is not None}
-        doc["matched_test"] = record.test_name
+        # the pair's fields but the one of score and label it does not have
+        doc = {k: v for k, v in asdict(record).items() if v is not None}
+        doc["matched_test"] = doc.pop("test_name")
         lines.append(json.dumps(doc, sort_keys=True) + "\n")
     write_atomic(path, "".join(lines))
 

@@ -17,10 +17,10 @@ optimizer's update (updater) once, so a step runs only its arithmetic.
 train is the only code that knows a stage is frozen: an optimizer updates
 the arrays its updater is prepared for, and the frozen table is shared
 read-only, never copied.  Every dataset's tokens are derived inside train
-from the dataset itself (Model.encode), so tokens and labels cannot come
-from different datasets, and the dev set is scored as simreg eval scores it
-(evaluation.dataset_report).  Given a seed, the whole procedure is
-deterministic.
+from the dataset itself (Model.encode, cut at the model's max_tokens), so
+tokens and labels cannot come from different datasets, and the dev set is
+scored as simreg eval scores it (evaluation.dataset_report).  Given a seed,
+the whole procedure is deterministic.
 
 A validated run configuration runs through load_run_data, which reads its
 files once, and run, which trains its model, one stage or two, on them.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,12 +65,11 @@ class TrainConfig:
     learning_rate: float = 0.1
     seed: int = 0
     eval_every: int = 50
-    max_tokens: int = 256
     clamp_predictions: bool = True
     optimizer: str = "sgd"  # or "adam"
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "eval_every", "max_tokens"):
+        for name in ("batch_size", "epochs", "eval_every"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be positive")
         if self.learning_rate < 0:
@@ -231,7 +230,7 @@ def train(
     step 0, every `eval_every` steps and at each epoch end, and keeps the
     parameters of the best evaluation (first best wins ties).  The input
     model is never mutated.  Both sets are tokenized by Model.encode, cut to
-    config.max_tokens; corpus, when given, holds their texts already split
+    the model's max_tokens; corpus, when given, holds their texts already split
     (otherwise each set's texts are split here), and a text it lacks is an
     InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
     embedding gradient is computed, and the returned model reads the input
@@ -261,8 +260,7 @@ def train(
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
     updated = ("head",) if frozen else TRAINED
-    work = Model(model.vocab, _copy_updated(model.params, updated), model.feature_mode,
-                 model.mapping, config.max_tokens)
+    work = replace(model, params=_copy_updated(model.params, updated))
     train_pairs, dev_pairs = (work.encode(ds.texts, corpus) for ds in (train_set, dev_set))
     optimizer = (AdamOptimizer if config.optimizer == "adam"
                  else SgdOptimizer)(config.learning_rate)
@@ -342,10 +340,7 @@ def train(
                                       getattr(work.params, name))
                 history.append(HistoryEntry(step, value, dev))
 
-    best_model = Model(
-        work.vocab, best_params, work.feature_mode, work.mapping, work.max_tokens
-    )
-    return TrainResult(best_model, history, best_dev)
+    return TrainResult(replace(work, params=best_params), history, best_dev)
 
 
 def two_stage_finetune(

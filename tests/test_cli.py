@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simreg import cli, data, encoder, gradcheck, training
+from simreg import cli, data, encoder, gradcheck, losses, training
 from simreg import config as config_mod
 from simreg.cli import main
 from simreg.config import load_run_config
@@ -287,15 +287,16 @@ class TestTrain:
 
     def test_mapping_reloads_with_the_trained_nodes(self, corpus_files):
         tmp_path, config_path, config = corpus_files
-        config["data"].update(mapping_start=1, mapping_interval=0.1)
+        config["data"].update(mapping_interval=0.1)
         config["loss"] = {"kind": "mse"}
         config_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_path)]) == 0
         doc = json.loads((tmp_path / "run" / "mapping.json").read_text())
-        assert doc == {"categories": list(ORDINAL_CATEGORIES), "start": 1.0,
+        assert doc == {"categories": list(ORDINAL_CATEGORIES), "start": 0.0,
                        "interval": 0.1}
-        trained = LabelMapping(ORDINAL_CATEGORIES, 1.0, 0.1)
-        assert trained.nodes == (1.0, 1.1, 1.2, 1.3)
+        trained = LabelMapping(ORDINAL_CATEGORIES, 0.0, 0.1)
+        # 3 * 0.1 is 0.30000000000000004, not 0.3: nodes are derived, not read
+        assert trained.nodes == (0.0, 0.1, 0.2, 3 * 0.1)
         model = load_checkpoint(tmp_path / "run" / "checkpoint.json")
         assert model.mapping == trained and model.mapping.nodes == trained.nodes
 
@@ -410,15 +411,13 @@ class TestTrain:
 
     def test_two_stage_splits_each_distinct_text_once(self, corpus_files,
                                                       monkeypatch):
-        # stage 1 reads the train file again as its NLI corpus, the dev set is
-        # scored by both stages, and the stages cut sentences at different
-        # lengths: still one split per distinct text
+        # stage 1 reads the train file again as its NLI corpus and the dev set
+        # is scored by both stages: still one split per distinct text
         tmp_path, config_path, config = corpus_files
         config["stages"] = "two_stage"
         config["data"].update(nli_train=config["data"]["train"],
                               nli_categories=list(ORDINAL_CATEGORIES))
-        config["training"]["max_tokens"] = 4
-        config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd", "max_tokens": 6}
+        config["joint"] = {"learning_rate": 0.01, "optimizer": "sgd"}
         config_path.write_text(json.dumps(config))
         corpora = []
         init = encoder.Corpus.__init__
@@ -812,12 +811,26 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "worst relative error" in out
 
-    def test_tight_tolerance_fails(self, capsys):
-        code = main(["gradcheck", "--seeds", "1", "--tolerance", "1e-18"])
-        assert code == 1
+    def test_a_wrong_derivative_fails(self, capsys, monkeypatch):
+        """MSE's slope off by half again: each MSE configuration prints FAIL,
+        the count of them follows, and the exit code is 1."""
+        right = losses.mse_loss
+
+        def wrong(x):
+            value, slope = right(x)
+            return value, 1.5 * slope
+
+        monkeypatch.setattr(losses, "mse_loss", wrong)
+        assert main(["gradcheck", "--seeds", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.endswith("FAIL")]
+        assert [line.split()[1] for line in failed] == ["loss=mse"] * len(FeatureMode)
+        assert lines[-1] == "3 configuration(s) exceeded tolerance 0.0001"
 
     @pytest.mark.parametrize("flags", [
-        ["--seeds", "0"], ["--seeds", "-3"], ["--tolerance", "nan"],
+        ["--seeds", "0"], ["--seeds", "-3"],
+        # the tolerance is fixed at gradcheck.DEFAULT_TOLERANCE: no flag sets it
+        ["--tolerance", "nan"], ["--tolerance", "1e-4"],
         # past a range's length
         ["--seeds", str(10**20)],
         # the sizes are fixed: there is no size flag, whatever its value
@@ -922,6 +935,20 @@ class TestSweep:
         assert [line for line in err if line.startswith("error:")] == [
             "error: every sweep point was skipped; nothing to train"]
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid", [["--x0", "0.25"], ["--k", "2"],
+                                      ["--k", "", "--x0", "0.25"],
+                                      ["--k", "2", "--x0", ","]],
+                             ids=["no-k", "no-x0", "empty-k", "empty-x0"])
+    def test_a_grid_flag_missing_or_empty_is_a_usage_error(self, corpus_files,
+                                                           capsys, grid):
+        tmp_path, config_path, _ = corpus_files
+        out = tmp_path / "sweepgrid"
+        assert main(["sweep", "--config", str(config_path), *grid,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["nan", "inf"])
     def test_non_finite_k_is_skipped_with_warning(self, corpus_files, capsys, k):
@@ -1052,14 +1079,11 @@ class TestUsage:
 
 @st.composite
 def gradcheck_argv(draw):
-    """gradcheck's flags: --seeds most often 1, so a run stays short, else
-    below 1 or past a range's length, and --tolerance most often left at
-    its default."""
+    """gradcheck's one flag: --seeds most often 1, so a run stays short, else
+    below 1 or past a range's length."""
     seeds = draw(st.sampled_from([st.just(1)] * 3 + [st.integers(-3, 0),
                                                      st.integers(2**63, 2**70)]))
-    argv = ["gradcheck", "--seeds", str(draw(seeds))]
-    tolerance = draw(st.sampled_from([None, None, None, "1e-4", "nan", "-1"]))
-    return argv + ([] if tolerance is None else ["--tolerance", tolerance])
+    return ["gradcheck", "--seeds", str(draw(seeds))]
 
 
 # every (section, key) of config.SCHEMA; "joint" takes the training keys

@@ -24,7 +24,6 @@ WRONG_TYPES = [
     ("data", [1], "data"),
     ("training", [1], "training"),
     ("joint", 1, "joint"),
-    ("sweep", None, "sweep"),
     ("encoder.dim", "abc", "encoder.dim"),
     ("encoder.feature_mode", 1, "encoder.feature_mode"),
     ("loss.kind", "banana", "loss.kind"),
@@ -35,7 +34,6 @@ WRONG_TYPES = [
     ("data.train", 5, "data.train"),
     ("data.dev", None, "data.dev"),
     ("data.categories", "abc", "data.categories"),
-    ("data.mapping_start", "0", "data.mapping_start"),
     ("data.mapping_interval", "x", "data.mapping_interval"),
     ("data.score_range", 5, "data.score_range"),
     ("data.nli_train", ["nli.tsv"], "data.nli_train"),
@@ -45,24 +43,32 @@ WRONG_TYPES = [
     ("training.epochs", 1.5, "training.epochs"),
     ("training.learning_rate", "0.1", "training.learning_rate"),
     ("training.eval_every", 2.5, "training.eval_every"),
-    ("training.max_tokens", 2.5, "training.max_tokens"),
     ("training.clamp_predictions", "no", "training.clamp_predictions"),
     ("training.optimizer", 1, "training.optimizer"),
     ("joint.batch_size", True, "joint.batch_size"),
     ("joint.epochs", "2", "joint.epochs"),
     ("joint.learning_rate", None, "joint.learning_rate"),
     ("joint.eval_every", "50", "joint.eval_every"),
-    ("joint.max_tokens", [256], "joint.max_tokens"),
     ("joint.clamp_predictions", 0, "joint.clamp_predictions"),
     ("joint.optimizer", ["sgd"], "joint.optimizer"),
-    ("sweep.k", "1,2", "sweep.k"),
-    ("sweep.x0", 0.25, "sweep.x0"),
     # a wrong element of a list
     ("data.categories", ["low", 3], "data.categories[1]"),
     ("data.score_range", [0, "5"], "data.score_range[1]"),
     # Python's json module reads these, but they are not JSON numbers
     ("training.learning_rate", float("nan"), "training.learning_rate"),
     ("loss.k", float("inf"), "loss.k"),
+]
+
+# keys the schema does not have, unknown whatever their value: the sweep
+# grid comes from simreg sweep's flags, a mapping's first node is 0, and a
+# text is cut at the model's max_tokens
+REMOVED_KEYS = [
+    ("sweep", None, "unknown config key(s): sweep"),
+    ("sweep.k", "1,2", "unknown config key(s): sweep"),
+    ("sweep.x0", 0.25, "unknown config key(s): sweep"),
+    ("data.mapping_start", "0", "unknown config key(s): data.mapping_start"),
+    ("training.max_tokens", 2.5, "unknown config key(s): training.max_tokens"),
+    ("joint.max_tokens", [256], "unknown config key(s): joint.max_tokens"),
 ]
 
 
@@ -86,12 +92,16 @@ def test_every_schema_key_has_a_wrong_type_case():
     keys = {f"{s}.{k}" if s else k for s, entries in SCHEMA.items() for k in entries}
     keys |= {f"joint.{k}" for k in SCHEMA["training"]}
     assert {where for where, _, _ in WRONG_TYPES} == keys
+    assert not keys & {where for where, _, _ in REMOVED_KEYS}
 
 
-@pytest.mark.parametrize("where, value, named", WRONG_TYPES,
-                         ids=[f"{w}={json.dumps(v)}" for w, v, _ in WRONG_TYPES])
+@pytest.mark.parametrize("where, value, named", WRONG_TYPES + REMOVED_KEYS,
+                         ids=[f"{w}={json.dumps(v)}"
+                              for w, v, _ in WRONG_TYPES + REMOVED_KEYS])
 def test_wrong_type_is_a_clean_error(minimal, tmp_path, monkeypatch, capsys,
                                      where, value, named):
+    """A wrong-typed value, or a removed key with any value, is one error:
+    line naming the key, exit 1, before any data is read."""
     def no_reading(*args, **kwargs):
         raise AssertionError("data read before the config was validated")
 

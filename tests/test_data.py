@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -55,6 +56,10 @@ TESTS = [
         ],
     ),
 ]
+
+
+# the fields a SentencePair and a RemovedPair share
+PAIR_FIELDS = attrgetter("s1", "s2", "score", "label")
 
 
 class TestLoadSave:
@@ -272,7 +277,7 @@ class TestDedupFilter:
         filtered, removed = dedup_filter(TRAIN, TESTS)
         assert len(filtered) == 2
         assert len(removed) == 2
-        removed_s1 = {r.pair.s1 for r in removed}
+        removed_s1 = {r.s1 for r in removed}
         assert "a cyclist balances on the rear wheel" in removed_s1  # swapped order
         assert "a gray cat naps on the windowsill" in removed_s1  # same order
         assert {r.test_name for r in removed} == {"test-a", "test-b"}
@@ -287,7 +292,8 @@ class TestDedupFilter:
         filtered, removed = dedup_filter(TRAIN, TESTS)
         kept_idx, removed_idx = dedup_bruteforce(TRAIN, TESTS)
         assert [TRAIN.pairs[i] for i in kept_idx] == list(filtered.pairs)
-        assert [TRAIN.pairs[i] for i in removed_idx] == [r.pair for r in removed]
+        assert ([PAIR_FIELDS(TRAIN.pairs[i]) for i in removed_idx]
+                == [PAIR_FIELDS(r) for r in removed])
 
     def test_partition_and_idempotence(self):
         filtered, removed = dedup_filter(TRAIN, TESTS)
@@ -300,8 +306,8 @@ class TestDedupFilter:
         tests = [cont("first", [(1.0, "p", "q")]),
                  cont("second", [(1.0, "y", "x"), (2.0, "p", "q")])]
         _, removed = dedup_filter(train, tests)
-        assert [(r.pair.s1, r.test_name) for r in removed] == [("x", "second"),
-                                                              ("p", "first")]
+        assert [(r.s1, r.test_name) for r in removed] == [("x", "second"),
+                                                         ("p", "first")]
 
     def test_trims_edge_whitespace_only(self):
         train = cont("t", [(1.0, "  spaced out  ", "other side"),
@@ -337,6 +343,19 @@ class TestDedupFilter:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(lines) == 2
         assert all({"s1", "s2", "score", "matched_test"} == set(l) for l in lines)
+
+    def test_audit_lines_hold_the_label_or_the_score(self, tmp_path):
+        labelled = Dataset("t", (SentencePair("p", "q", label="y"),
+                                 SentencePair("x", "w", label="x")),
+                           categories=("x", "y"))
+        scored = cont("s", [(2.5, "q", "p")])
+        _, removed = dedup_filter(labelled, [cont("q", [(1.0, "q", "p")])])
+        _, more = dedup_filter(scored, [cont("q", [(1.0, "q", "p")])])
+        path = tmp_path / "removed.jsonl"
+        write_removal_audit(removed + more, path)
+        assert path.read_text() == (
+            '{"label": "y", "matched_test": "q", "s1": "p", "s2": "q"}\n'
+            '{"matched_test": "q", "s1": "q", "s2": "p", "score": 2.5}\n')
 
 
 class TestRescale:
@@ -406,6 +425,27 @@ class TestPositivePairs:
         ds = Dataset("c", (SentencePair("a", "b", label="x"),), categories=("x",))
         with pytest.raises(InvalidInputError):
             positive_pairs_dataset(ds)
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize("score", [9.5, -1.0, float("nan")])
+    def test_score_outside_the_range_rejected(self, score):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^d: score {score} outside \[0.0, 5.0\]$"):
+            Dataset.from_columns("d", [1.0, score, 6.0], "abc", "def",
+                                 score_range=(0.0, 5.0))
+
+    @pytest.mark.parametrize("index", [-1, 2, 7])
+    def test_category_index_outside_the_categories_rejected(self, index):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^d: category index {index} outside \[0, 2\)$"):
+            Dataset.from_columns("d", [1, index, -5], "abc", "def", categories=("x", "y"))
+
+    def test_bounds_are_accepted(self):
+        scored = Dataset.from_columns("d", [0.0, 5.0], "ab", "cd", score_range=(0.0, 5.0))
+        labelled = Dataset.from_columns("d", [0, 1], "ab", "cd", categories=("x", "y"))
+        assert [p.score for p in scored.pairs] == [0.0, 5.0]
+        assert [p.label for p in labelled.pairs] == ["x", "y"]
 
 
 class TestSentencePair:

@@ -2,6 +2,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("same_outputs",
                                               ROOT / "scripts" / "same_outputs.py")
@@ -31,15 +33,17 @@ OUTPUTS |= {f"odd_texts/{name}"
 
 
 def statuses(text):
-    """{path: status} of the script's per-file lines: a 15-character status
-    column, then the path."""
-    return {line[16:].split()[0]: line[:15].strip() for line in text.splitlines()[:-1]}
+    """{path: status} of the script's per-file lines, between its
+    environment line and its count: a 15-character status column, then the
+    path."""
+    return {line[16:].split()[0]: line[:15].strip() for line in text.splitlines()[1:-1]}
 
 
 def test_one_checkout_on_both_sides_is_identical(tmp_path, capsys):
     assert same_outputs.main([str(ROOT), str(ROOT), *TINY,
                               "--work", str(tmp_path)]) == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == same_outputs.environment()
     assert statuses(out) == dict.fromkeys(OUTPUTS, "same")
     assert out.splitlines()[-1] == f"{len(OUTPUTS)} of {len(OUTPUTS)} files identical"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]  # out/ removed
@@ -61,6 +65,15 @@ def test_a_crafted_difference_is_reported(tmp_path, capsys):
                    "cross_entropy", "large_vocab", "odd_texts"):
         expect[f"{config}/manifest.json"] = "DIFFERS"
     assert statuses(capsys.readouterr().out) == expect
+
+
+def test_the_environment_line_names_numpy_and_the_blas_threads(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    line = same_outputs.environment()
+    assert line.startswith("environment: Python ") and "\n" not in line
+    assert f", numpy {np.__version__}, BLAS " in line
+    assert "OMP_NUM_THREADS=3" in line and "MKL_NUM_THREADS=unset" in line
 
 
 def test_files_on_one_side_only_differ():

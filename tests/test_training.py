@@ -300,8 +300,9 @@ class TestTrain:
     @pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
     def test_corpus_with_other_texts_changes_nothing(self, model, corpus, stage):
         other = make_ordinal_corpus(30, seed=5)
+        model = dataclasses.replace(model, max_tokens=3)
         cfg = TrainConfig(batch_size=3, epochs=2, learning_rate=0.1, seed=4,
-                          eval_every=2, max_tokens=3, optimizer="adam")
+                          eval_every=2, optimizer="adam")
         # another dataset's texts come first, so every word id differs
         shared = Corpus(other.texts + corpus.texts)
         alone = train(model, corpus, corpus, cfg, K2, stage)
@@ -588,7 +589,7 @@ def oracle_train(model, dataset, cfg, spec, stage):
     which builds the batch's features itself; the joint stage gathers each
     batch's tokens and builds its pooling matrix on its own."""
     mapping, mode = model.mapping, model.feature_mode
-    tokens = tokenize_pairs(dataset.texts, model.vocab, max_tokens=cfg.max_tokens)
+    tokens = tokenize_pairs(dataset.texts, model.vocab, max_tokens=model.max_tokens)
     targets = (classes_per_pair(dataset, mapping)
                if spec.kind is LossKind.CROSS_ENTROPY else golds(dataset, mapping))
     clamp_range = (mapping.low, mapping.high)
@@ -643,8 +644,9 @@ def test_train_matches_per_batch_oracle_byte_for_byte(stage, kind, mode, optimiz
     n_classes = 4 if kind is LossKind.CROSS_ENTROPY else None
     model = Model.initialize(vocab, dim=6, feature_mode=mode, seed=5, mapping=mapping,
                              n_classes=n_classes)
+    model = dataclasses.replace(model, max_tokens=6)
     cfg = TrainConfig(batch_size=2, epochs=2, learning_rate=0.05, seed=7,
-                      eval_every=3, max_tokens=6, optimizer=optimizer)
+                      eval_every=3, optimizer=optimizer)
     assert 69 / cfg.batch_size > encoder._PLAN_WINDOW
     result = train(model, dataset, dataset, cfg, SPECS[kind], stage)
     params, losses = oracle_train(model, dataset, cfg, SPECS[kind], stage)
@@ -691,9 +693,10 @@ def test_best_dev_is_what_evaluate_reports_for_the_best_model(kind, stage):
     n_classes = len(ORDINAL_CATEGORIES) if kind is LossKind.CROSS_ENTROPY else None
     model = Model.initialize(build_vocab(train_set.texts), dim=8, seed=31,
                              mapping=mapping, n_classes=n_classes)
+    model = dataclasses.replace(model, max_tokens=5)
     cfg = TrainConfig(batch_size=8, epochs=2, learning_rate=0.05, seed=31, eval_every=3,
-                      max_tokens=5, optimizer="adam")
-    assert tokenize_pairs(dev.texts, model.vocab).lengths.min() > cfg.max_tokens
+                      optimizer="adam")
+    assert tokenize_pairs(dev.texts, model.vocab).lengths.min() > model.max_tokens
     result = train(model, train_set, dev, cfg, SPECS[kind], stage)
     assert result.best_dev > result.history[0].dev_spearman  # a trained model
     report = evaluate(result.best_model, [dev], use_cosine=kind is LossKind.INFO_NCE)
@@ -749,10 +752,11 @@ class TestTwoStage:
         other = make_ordinal_corpus(30, seed=5)
         vocab = build_vocab(corpus.texts + nli.texts)
         model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
+        model = dataclasses.replace(model, max_tokens=3)
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21,
-                          eval_every=3, max_tokens=4)
+                          eval_every=3)
         joint = TrainConfig(batch_size=4, epochs=2, learning_rate=0.05, seed=21,
-                            eval_every=2, max_tokens=3, optimizer="adam")
+                            eval_every=2, optimizer="adam")
         shared = Corpus(other.texts + nli.texts
                         + corpus.texts)
         alone = two_stage_finetune(model, nli, corpus, corpus, cfg, joint)
