@@ -21,9 +21,9 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import training
-from .config import RunConfig, check_buffer_fits, load_run_config
+from .config import RunConfig, load_run_config
 from .encoder import FeatureMode, Model, feature_dim, load_checkpoint, save_checkpoint
-from .errors import ConfigError, InvalidInputError, SimregError, TrainingError
+from .errors import InvalidInputError, SimregError, TrainingError
 from .evaluation import evaluate
 from .gradcheck import DEFAULT_SEEDS, DEFAULT_TOLERANCE, run_gradient_checks
 from .losses import LossKind, LossSpec
@@ -304,8 +304,7 @@ def cmd_sweep(args) -> int:
     for k, x0 in ((k, x0) for k in ks for x0 in x0s):
         try:
             loss = LossSpec(cfg.loss.kind, k=k, x0=x0, d=cfg.loss.d)
-            check_buffer_fits(loss, cfg.mapping, cfg.nli_mapping)
-        except (InvalidInputError, ConfigError) as exc:
+        except InvalidInputError as exc:
             print(f"warning: skipping k={k} x0={x0}: {exc}", file=sys.stderr)
             continue
         points.append(((k, x0), dataclasses.replace(cfg, loss=loss)))

@@ -5,8 +5,10 @@ with its JSON type and default, and the document is checked against it before
 any data is read: an unknown key, a missing required key or a wrong-typed
 value is a ConfigError naming ``<section>.<key>``, never a silent default.
 Some values are fixed, not configured: a label mapping's first node is 0
-(``data.mapping_interval`` gives the spacing), texts are cut at the model's
-``max_tokens``, and ``simreg sweep`` takes its grid from its flags alone.
+and ``loss.d`` spaces the nodes of every mapping, the stage-1 mapping's too,
+so the loss's check ``0 <= x0 <= d/2`` is made against the spacing trained
+on; texts are cut at the model's ``max_tokens``, and ``simreg sweep`` takes
+its grid from its flags alone.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ SCHEMA = {
         "train": (str, REQUIRED),
         "dev": (str, REQUIRED),
         "categories": (tuple[str, ...], None),
-        "mapping_interval": (float, 1.0),
         "score_range": (tuple[float, ...], (0.0, 5.0)),
         "nli_train": (str, None),  # read by two_stage runs only
         "nli_categories": (tuple[str, ...], NLI_CATEGORIES),
@@ -168,17 +169,6 @@ def _existing(name: str) -> Path:
     return Path(name)
 
 
-def check_buffer_fits(loss: LossSpec, *mappings) -> None:
-    """Reject a buffer x0 wider than half the node spacing of any mapping
-    trained on (None entries are skipped): past d/2 the zero-loss zone of one
-    node reaches the rounding region of its neighbour."""
-    for m in mappings:
-        if m is not None and loss.x0 > m.d / 2.0:
-            raise ConfigError(
-                f"loss.x0 = {loss.x0} exceeds half the node spacing d/2 = {m.d / 2.0}"
-            )
-
-
 def load_run_config(path, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
@@ -213,7 +203,7 @@ def load_run_config(path, seed_override: int | None = None,
 
     mapping = None
     if data["categories"] is not None:
-        mapping = _mapping("data.categories", data["categories"], data["mapping_interval"])
+        mapping = _mapping("data.categories", data["categories"], loss.d)
     if loss.kind is LossKind.CROSS_ENTROPY and mapping is None:
         raise ConfigError("loss.kind cross_entropy needs data.categories")
     if loss.kind is LossKind.INFO_NCE and mapping is not None:
@@ -234,8 +224,7 @@ def load_run_config(path, seed_override: int | None = None,
         if data["nli_train"] is None:
             raise ConfigError("two_stage runs need data.nli_train")
         nli_path = _existing(data["nli_train"])
-        nli_mapping = _mapping("data.nli_categories", data["nli_categories"], 1.0)
-    check_buffer_fits(loss, mapping, nli_mapping)
+        nli_mapping = _mapping("data.nli_categories", data["nli_categories"], loss.d)
 
     return RunConfig(
         out_dir=Path(out_dir), seed=seed, dim=enc["dim"],

@@ -99,10 +99,20 @@ class Dataset:
 
     def _hold(self, name, values, s1, s2, score_range, categories) -> None:
         """Hold the columns once every value is checked: a score inside
-        score_range, or an index into categories; the first that is not is
-        an InvalidInputError naming the dataset."""
+        score_range, or a whole-number index into categories; the first that
+        is not is an InvalidInputError naming the dataset."""
         _check_declared(len(s1), score_range, categories)
-        values = np.asarray(values, dtype=np.intp if categories is not None else float)
+        if categories is None:
+            values = np.asarray(values, dtype=float)
+        else:
+            values = np.asarray(values)
+            if values.dtype.kind not in "iu":  # checked whole before the cast
+                values = values.astype(float)
+                whole = np.isfinite(values) & (values == np.trunc(values))
+                if not whole.all():
+                    raise InvalidInputError(f"{name}: category index "
+                                            f"{values[~whole][0].item()} is not whole")
+            values = values.astype(np.intp, copy=False)
         if not len(values) == len(s1) == len(s2):
             raise InvalidInputError(f"{name}: columns of different lengths")
         if len(values):
@@ -374,22 +384,15 @@ def write_removal_audit(removed, path) -> None:
     write_atomic(path, "".join(lines))
 
 
-def rescale_sick(score: float) -> float:
-    """Affine rescale of a [1, 5] score onto [0, 5]: 5*(score - 1)/4."""
-    if not 1.0 <= score <= 5.0:
-        raise InvalidInputError(f"score {score} outside [1, 5]")
-    return 5.0 * (score - 1.0) / 4.0
-
-
 def rescale_sick_dataset(dataset: Dataset) -> Dataset:
-    """Apply the [1, 5] -> [0, 5] rescale to every pair of a dataset."""
+    """Every pair's [1, 5] score rescaled onto [0, 5] by 5*(score - 1)/4; a
+    score outside [1, 5] is an InvalidInputError naming the first."""
     if dataset.is_categorical:
         raise InvalidInputError("cannot rescale a categorical dataset")
     scores = dataset.values
     outside = ~((1.0 <= scores) & (scores <= 5.0))
     if outside.any():
-        rescale_sick(scores[outside][0].item())  # raises, naming the first
-    # the same float64 operations, in the same order, as rescale_sick's
+        raise InvalidInputError(f"score {scores[outside][0].item()} outside [1, 5]")
     return Dataset.from_columns(dataset.name, 5.0 * (scores - 1.0) / 4.0, dataset.s1,
                                 dataset.s2, score_range=(0.0, 5.0))
 

@@ -605,10 +605,13 @@ class Model:
             raise InvalidInputError("a model holds one unstacked parameter set")
         if len(self.vocab) != self.params.vocab_size:
             raise InvalidInputError("vocabulary and embedding table sizes differ")
-        if (self.params.is_classifier and self.mapping is not None
-                and self.params.n_classes != len(self.mapping.categories)):
-            raise InvalidInputError(f"classification head has {self.params.n_classes} "
-                                    f"logits for {len(self.mapping.categories)} categories")
+        if self.params.is_classifier:
+            if self.mapping is None:
+                raise InvalidInputError("a classification head needs a label mapping")
+            if self.params.n_classes != len(self.mapping.categories):
+                raise InvalidInputError(
+                    f"classification head has {self.params.n_classes} logits "
+                    f"for {len(self.mapping.categories)} categories")
 
     @classmethod
     def initialize(
@@ -640,20 +643,15 @@ class Model:
         """Raw similarity score of every pair from its pooled embeddings.
 
         For the classification baseline this is the softmax-expected node
-        value, so rank evaluation and rounding classification work for both
-        head kinds.
+        value under the model's mapping, so rank evaluation and rounding
+        classification work for both head kinds.
         """
-        p = self.params
-        out = head(p)(features(u, v, self.feature_mode))
-        if not p.is_classifier:
+        out = head(self.params)(features(u, v, self.feature_mode))
+        if not self.params.is_classifier:
             return out
         probs = np.exp(out - out.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        if self.mapping is not None:
-            nodes = np.asarray(self.mapping.nodes)
-        else:
-            nodes = np.arange(p.n_classes, dtype=float)
-        return probs @ nodes
+        return probs @ np.asarray(self.mapping.nodes)
 
 
 def forward_backward(

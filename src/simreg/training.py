@@ -229,10 +229,12 @@ def train(
     Shuffles once per epoch under the config seed, evaluates dev Spearman at
     step 0, every `eval_every` steps and at each epoch end, and keeps the
     parameters of the best evaluation (first best wins ties).  The input
-    model is never mutated.  Both sets are tokenized by Model.encode, cut to
-    the model's max_tokens; corpus, when given, holds their texts already split
-    (otherwise each set's texts are split here), and a text it lacks is an
-    InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
+    model is never mutated.  A categorical train set's targets are read
+    through mapping, or the model's own when mapping is None; with neither
+    it is an InvalidInputError.  Both sets are tokenized by Model.encode,
+    cut to the model's max_tokens; corpus, when given, holds their texts
+    already split (otherwise each set's texts are split here), and a text
+    it lacks is an InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
     embedding gradient is computed, and the returned model reads the input
     model's table through a read-only view instead of a copy.  A frozen
     InfoNCE stage is an InvalidInputError, as InfoNCE trains no head.
@@ -243,8 +245,6 @@ def train(
     if frozen and loss_spec.kind is LossKind.INFO_NCE:
         raise InvalidInputError("info_nce has no head to train with the encoder frozen")
     mapping = mapping if mapping is not None else model.mapping
-    if mapping is None and train_set.is_categorical:
-        mapping = LabelMapping(train_set.categories, 0.0, 1.0)
     if loss_spec.kind is not LossKind.CROSS_ENTROPY:
         targets = golds(train_set, mapping)  # the contrastive loss ignores them
     elif train_set.is_categorical:
@@ -349,25 +349,24 @@ def two_stage_finetune(
     sts_set: Dataset,
     dev_set: Dataset,
     config: TrainConfig,
-    joint_config: TrainConfig | None = None,
-    loss_spec: LossSpec | None = None,
-    nli_mapping: LabelMapping | None = None,
+    joint_config: TrainConfig,
+    loss_spec: LossSpec,
+    nli_mapping: LabelMapping,
     corpus: Corpus | None = None,
 ) -> TwoStageResult:
     """Freeze-then-joint fine-tuning.
 
-    Stage 1 trains only the head on the categorical corpus; its best model
-    shares the input model's table read-only.  Stage 2 starts from the
-    stage-1 best checkpoint and trains everything on the similarity corpus.
-    The buffered quadratic loss is used throughout unless another spec is
-    supplied.  Because stage 2 re-evaluates its starting point, the final
-    dev score can never fall below stage 1's.  corpus, when given, holds
-    the texts of all three sets already split; otherwise one Corpus over
-    them is built here, so each distinct text is split once and each stage
-    gathers its token ids from it.
+    Stage 1 trains only the head on the categorical corpus, under config
+    and nli_mapping; its best model shares the input model's table
+    read-only.  Stage 2 starts from the stage-1 best checkpoint and trains
+    everything on the similarity corpus under joint_config, its labels read
+    through the model's own mapping.  Both stages use loss_spec.  Because
+    stage 2 re-evaluates its starting point, the final dev score can never
+    fall below stage 1's.  corpus, when given, holds the texts of all three
+    sets already split; otherwise one Corpus over them is built here, so
+    each distinct text is split once and each stage gathers its token ids
+    from it.
     """
-    if loss_spec is None:
-        loss_spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25, d=1.0)
     if corpus is None:
         corpus = Corpus(text for ds in (nli_set, sts_set, dev_set) for text in ds.texts)
     stage1 = train(
@@ -375,7 +374,7 @@ def two_stage_finetune(
         corpus,
     )
     stage2 = train(
-        stage1.best_model, sts_set, dev_set, joint_config or config, loss_spec,
+        stage1.best_model, sts_set, dev_set, joint_config, loss_spec,
         Stage.JOINT, corpus=corpus,
     )
     return TwoStageResult(stage2.best_model, stage1, stage2)

@@ -253,23 +253,27 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
         assert "x0" in capsys.readouterr().err
 
-    def test_x0_checked_against_node_spacing(self, corpus_files, capsys):
+    def test_x0_checked_against_node_spacing(self, corpus_files, capsys, monkeypatch):
         tmp_path, config_path, config = corpus_files
-        # x0 fits loss.d = 1.0 but covers the whole 0.25-spaced label range
-        config["data"]["mapping_interval"] = 0.25
-        config["loss"].update(x0=0.5, d=1.0)
+        # loss.d spaces the nodes trained on, so x0 = 0.5 covers the whole
+        # 0.25-spaced label range: one error line, before any file is read
+        config["loss"].update(x0=0.5, d=0.25)
         config_path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(config_path)]) == 1
-        assert "x0" in capsys.readouterr().err
-        # fits the data mapping (d = 2) but not the stage-1 mapping (d = 1)
-        config["data"]["mapping_interval"] = 2.0
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "split_tsv", pytest.fail)
+            assert main(["train", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid loss: x0 must satisfy")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+        # both mappings of a two-stage run are spaced by loss.d, so x0 = 0.75
+        # fits d = 2 for the stage-1 mapping too
         config["data"]["nli_train"] = config["data"]["train"]
         config["stages"] = "two_stage"
         config["loss"].update(x0=0.75, d=2.0)
         config_path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(config_path)]) == 1
-        assert "x0" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        cfg = load_run_config(config_path)
+        assert cfg.mapping.d == cfg.nli_mapping.d == 2.0
 
     def test_unknown_config_key_rejected(self, corpus_files):
         tmp_path, config_path, config = corpus_files
@@ -287,8 +291,7 @@ class TestTrain:
 
     def test_mapping_reloads_with_the_trained_nodes(self, corpus_files):
         tmp_path, config_path, config = corpus_files
-        config["data"].update(mapping_interval=0.1)
-        config["loss"] = {"kind": "mse"}
+        config["loss"] = {"kind": "mse", "d": 0.1}
         config_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_path)]) == 0
         doc = json.loads((tmp_path / "run" / "mapping.json").read_text())
@@ -797,6 +800,26 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: corrupt checkpoint") and "logits" in err
+
+    def test_classifier_without_mapping_is_a_corrupt_checkpoint(self, tmp_path, capsys):
+        # a classification head scores through its mapping's nodes, so a
+        # checkpoint holding one with a null mapping cannot score anything
+        ds = make_ordinal_corpus(40, seed=7)
+        model = Model.initialize(build_vocab(ds.texts), dim=4, n_classes=4,
+                                 mapping=LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0))
+        checkpoint = tmp_path / "ck.json"
+        save_checkpoint(model, checkpoint)
+        doc = json.loads(checkpoint.read_text())
+        doc["mapping"] = None
+        checkpoint.write_text(json.dumps(doc))
+        scored = cont("scored", [(float(i % 4), p.s1, p.s2)
+                                 for i, p in enumerate(ds.pairs)])
+        save_tsv(scored, tmp_path / "scored.tsv")
+        code = main(["eval", "--checkpoint", str(checkpoint), str(tmp_path / "scored.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt checkpoint") and err.count("\n") == 1
+        assert "needs a label mapping" in err
 
     def test_empty_dataset_list_is_usage_error(self, corpus_files, capsys):
         tmp_path, config_path, _ = corpus_files

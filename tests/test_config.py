@@ -13,6 +13,7 @@ from simreg.cli import main
 from simreg.config import SCHEMA, load_run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CONFIGS = sorted((README.parent / "configs").glob("*.json"))
 
 # one wrong-typed value for every schema key: (where, value, name in the error)
 WRONG_TYPES = [
@@ -34,7 +35,6 @@ WRONG_TYPES = [
     ("data.train", 5, "data.train"),
     ("data.dev", None, "data.dev"),
     ("data.categories", "abc", "data.categories"),
-    ("data.mapping_interval", "x", "data.mapping_interval"),
     ("data.score_range", 5, "data.score_range"),
     ("data.nli_train", ["nli.tsv"], "data.nli_train"),
     ("data.nli_categories", "abc", "data.nli_categories"),
@@ -67,6 +67,7 @@ REMOVED_KEYS = [
     ("sweep.k", "1,2", "unknown config key(s): sweep"),
     ("sweep.x0", 0.25, "unknown config key(s): sweep"),
     ("data.mapping_start", "0", "unknown config key(s): data.mapping_start"),
+    ("data.mapping_interval", "x", "unknown config key(s): data.mapping_interval"),
     ("training.max_tokens", 2.5, "unknown config key(s): training.max_tokens"),
     ("joint.max_tokens", [256], "unknown config key(s): joint.max_tokens"),
 ]
@@ -168,3 +169,20 @@ def test_readme_block_is_the_schema_with_its_defaults(minimal, tmp_path):
         for p in (readme_path, minimal_path)
     )
     assert from_readme == from_minimal
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_every_shipped_config_loads(path, tmp_path, monkeypatch):
+    """Each file under configs/ loads, its data paths made as empty files in
+    a fresh working directory, so a key removed from SCHEMA but left in a
+    shipped config fails here."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SIMREG_OUT", raising=False)
+    data = json.loads(path.read_text(encoding="utf-8"))["data"]
+    for key in ("train", "dev", "nli_train"):
+        if key in data:
+            Path(data[key]).parent.mkdir(parents=True, exist_ok=True)
+            Path(data[key]).touch()
+    cfg = load_run_config(path)
+    if cfg.stages == "two_stage":
+        assert cfg.mapping.d == cfg.nli_mapping.d == cfg.loss.d

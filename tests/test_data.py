@@ -16,7 +16,6 @@ from simreg.data import (
     load_tsv,
     merge,
     positive_pairs_dataset,
-    rescale_sick,
     rescale_sick_dataset,
     save_tsv,
     split_tsv,
@@ -358,26 +357,33 @@ class TestDedupFilter:
             '{"matched_test": "q", "s1": "q", "s2": "p", "score": 2.5}\n')
 
 
+def rescaled(*scores) -> list[float]:
+    """The scores after rescale_sick_dataset, read from a dataset whose
+    range (0, 6) holds scores outside [1, 5] too."""
+    rows = [(score, f"a{i}", f"b{i}") for i, score in enumerate(scores)]
+    return rescale_sick_dataset(cont("sick", rows, score_range=(0.0, 6.0))).values.tolist()
+
+
 class TestRescale:
     def test_endpoints(self):
-        assert rescale_sick(1.0) == 0.0
-        assert rescale_sick(5.0) == 5.0
+        assert rescaled(1.0, 5.0) == [0.0, 5.0]
 
     def test_midpoint(self):
-        assert rescale_sick(3.0) == 2.5
+        assert rescaled(3.0) == [2.5]
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            rescale_sick(0.5)
-        with pytest.raises(InvalidInputError):
-            rescale_sick(5.1)
+        # the first score outside [1, 5] is named
+        for score in (0.5, 5.1):
+            with pytest.raises(InvalidInputError,
+                               match=rf"^score {score} outside \[1, 5\]$"):
+                rescaled(3.0, score, 0.0)
 
     @given(st.floats(1.0, 5.0), st.floats(1.0, 5.0))
     def test_affine_and_increasing(self, a, b):
+        at_a, at_b, mid = rescaled(a, b, (a + b) / 2.0)
         if a < b:
-            assert rescale_sick(a) < rescale_sick(b)
-        mid = rescale_sick((a + b) / 2.0)
-        assert mid == pytest.approx((rescale_sick(a) + rescale_sick(b)) / 2.0)
+            assert at_a < at_b
+        assert mid == pytest.approx((at_a + at_b) / 2.0)
 
     def test_dataset_rescale(self):
         ds = cont("sick", [(1.0, "a", "b"), (5.0, "c", "d")], score_range=(1.0, 5.0))
@@ -440,6 +446,20 @@ class TestFromColumns:
         with pytest.raises(InvalidInputError,
                            match=rf"^d: category index {index} outside \[0, 2\)$"):
             Dataset.from_columns("d", [1, index, -5], "abc", "def", categories=("x", "y"))
+
+    @pytest.mark.parametrize("index", [1.5, 0.2, float("nan"), float("inf")])
+    def test_category_index_not_whole_rejected(self, index):
+        # named before the cast to an index, which would truncate 1.5 to 1
+        # and fail on NaN and inf
+        with pytest.raises(InvalidInputError,
+                           match=rf"^d: category index {index} is not whole$"):
+            Dataset.from_columns("d", [1.0, index, 0.5], "abc", "def",
+                                 categories=("x", "y"))
+
+    def test_whole_float_indices_are_accepted(self):
+        labelled = Dataset.from_columns("d", [1.0, 0.0], "ab", "cd", categories=("x", "y"))
+        assert labelled.values.dtype == np.intp
+        assert [p.label for p in labelled.pairs] == ["y", "x"]
 
     def test_bounds_are_accepted(self):
         scored = Dataset.from_columns("d", [0.0, 5.0], "ab", "cd", score_range=(0.0, 5.0))

@@ -266,11 +266,9 @@ class TestPredict:
         assert score(m, pair) == pytest.approx(float(probs @ [0.0, 1.0, 2.0]))
         assert 0.0 <= score(m, pair) <= 2.0
 
-    def test_classifier_without_mapping_uses_class_indices(self, vocab):
-        m = Model.initialize(vocab, dim=4, seed=7, n_classes=4,
-                             label_range=(0.0, 3.0))
-        pair = SentencePair("a man runs", "the dog swims", score=1.0)
-        assert 0.0 <= score(m, pair) <= 3.0
+    def test_classifier_needs_a_mapping(self, vocab):
+        with pytest.raises(InvalidInputError, match="needs a label mapping"):
+            Model.initialize(vocab, dim=4, seed=7, n_classes=4)
 
 
 class TestParameterCounts:
@@ -360,7 +358,7 @@ class TestForwardBackward:
 
     def test_classifier_gradcheck(self, vocab):
         m = Model.initialize(vocab, dim=4, seed=5, n_classes=3,
-                             label_range=(0.0, 2.0))
+                             mapping=LabelMapping(["lo", "mid", "hi"], 0.0, 1.0))
         batch = [
             (SentencePair("a man runs", "the dog swims", score=0.0), 2),
             (SentencePair("cat sleeps", "a man", score=0.0), 0),
@@ -401,7 +399,7 @@ class TestForwardBackward:
     def test_head_kind_mismatch_rejected(self, vocab):
         regressor = Model.initialize(vocab, dim=4, seed=0, label_range=(0.0, 3.0))
         classifier = Model.initialize(vocab, dim=4, seed=0, n_classes=3,
-                                      label_range=(0.0, 2.0))
+                                      mapping=LabelMapping(["lo", "mid", "hi"], 0.0, 1.0))
         pair = SentencePair("a man", "the dog", score=0.0)
         with pytest.raises(InvalidInputError):
             run(regressor, [(pair, 1)], LossSpec(LossKind.CROSS_ENTROPY))
@@ -1104,7 +1102,8 @@ def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
         assert np.shares_memory(weights, g) and np.shares_memory(bias, g)
         assert g.tobytes() == np.concatenate((weights.ravel(), np.ravel(bias))).tobytes()
 
-    model = Model(vocab, params, mode)
+    mapping = None if n_classes is None else LabelMapping(["lo", "mid", "hi"], 0.0, 1.0)
+    model = Model(vocab, params, mode, mapping)
     save_checkpoint(model, tmp_path / "ck.json")
     again = load_checkpoint(tmp_path / "ck.json").params
     assert_views(again)
@@ -1219,10 +1218,11 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
-    @pytest.mark.parametrize("classifier", [False, True],
-                             ids=["regression", "classification"])
-    @pytest.mark.parametrize("with_mapping", [False, True],
-                             ids=["no-mapping", "mapping"])
+    # a classification head always has a mapping
+    @pytest.mark.parametrize(("with_mapping", "classifier"),
+                             [(False, False), (True, False), (True, True)],
+                             ids=["no-mapping-regression", "mapping-regression",
+                                  "mapping-classification"])
     @pytest.mark.parametrize("chunks", [1, 2], ids=["one-chunk", "chunks"])
     def test_bytes_equal_sorted_json_dumps(self, tmp_path, classifier, with_mapping,
                                            chunks):

@@ -46,6 +46,7 @@ from simreg.training import (
 )
 
 K2 = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25, d=1.0)
+NLI = LabelMapping(("c", "n", "e"), 0.0, 1.0)  # stage 1's mapping in TestTwoStage
 
 
 def tiny_corpus():
@@ -466,6 +467,16 @@ class TestTrain:
             train(model, train_ds, train_ds, cfg, LossSpec(LossKind.CROSS_ENTROPY),
                   stage, mapping)
 
+    def test_categorical_corpus_without_a_mapping_rejected(self, monkeypatch):
+        # no mapping given and none carried by the model: no spacing is assumed
+        train_ds = make_ordinal_corpus(40, seed=4)
+        model = Model.initialize(build_vocab(train_ds.texts), dim=4, seed=0)
+        monkeypatch.setattr(training, "_dev_score", pytest.fail)
+        cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.05, seed=0)
+        for stage in Stage:
+            with pytest.raises(InvalidInputError, match="needs a label mapping"):
+                train(model, train_ds, train_ds, cfg, K2, stage)
+
     def test_mapping_missing_a_category_rejected(self):
         train_ds = make_ordinal_corpus(40, seed=4)
         partial = LabelMapping(ORDINAL_CATEGORIES[:3], 0.0, 1.0)
@@ -483,7 +494,9 @@ class TestTrain:
     ], ids=["no-mapping", "scores-on-nodes"])
     def test_cross_entropy_needs_categorical_targets(self, corpus, mapping):
         vocab = build_vocab([s for p in corpus.pairs for s in (p.s1, p.s2)])
-        model = Model.initialize(vocab, dim=8, seed=2, n_classes=4, mapping=mapping)
+        # a classification head needs a mapping; without one the model regresses
+        model = Model.initialize(vocab, dim=8, seed=2, mapping=mapping,
+                                 n_classes=None if mapping is None else 4)
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.05, seed=2)
         with pytest.raises(InvalidInputError, match="categorical targets"):
             train(model, corpus, corpus, cfg, LossSpec(LossKind.CROSS_ENTROPY))
@@ -713,7 +726,7 @@ class TestTwoStage:
         )
         model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21)
-        result = two_stage_finetune(model, nli, corpus, corpus, cfg)
+        result = two_stage_finetune(model, nli, corpus, corpus, cfg, cfg, K2, NLI)
         np.testing.assert_array_equal(
             result.stage1.best_model.params.embeddings, model.params.embeddings
         )
@@ -727,7 +740,7 @@ class TestTwoStage:
         )
         model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21)
-        result = two_stage_finetune(model, nli, corpus, corpus, cfg)
+        result = two_stage_finetune(model, nli, corpus, corpus, cfg, cfg, K2, NLI)
         assert result.stage2.best_dev >= result.stage1.best_dev
 
     def test_categorical_dev_judged_by_the_model_mapping(self):
@@ -741,8 +754,7 @@ class TestTwoStage:
         mapping = LabelMapping(ORDINAL_CATEGORIES, 0.0, 1.0)
         model = Model.initialize(vocab, dim=8, seed=21, mapping=mapping)
         cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=0.1, seed=21)
-        result = two_stage_finetune(model, nli, sts, sts, cfg,
-                                    nli_mapping=LabelMapping(("c", "n", "e"), 0, 1))
+        result = two_stage_finetune(model, nli, sts, sts, cfg, cfg, K2, NLI)
         initial = evaluate(model, [sts]).average
         assert result.stage1.history[0].dev_spearman == pytest.approx(initial, abs=1e-12)
 
@@ -759,8 +771,8 @@ class TestTwoStage:
                             eval_every=2, optimizer="adam")
         shared = Corpus(other.texts + nli.texts
                         + corpus.texts)
-        alone = two_stage_finetune(model, nli, corpus, corpus, cfg, joint)
-        given = two_stage_finetune(model, nli, corpus, corpus, cfg, joint,
+        alone = two_stage_finetune(model, nli, corpus, corpus, cfg, joint, K2, NLI)
+        given = two_stage_finetune(model, nli, corpus, corpus, cfg, joint, K2, NLI,
                                    corpus=shared)
         for a, b in ((given.stage1, alone.stage1), (given.stage2, alone.stage2)):
             assert a.history == b.history
@@ -776,7 +788,8 @@ class TestTwoStage:
             # the reference looks the word table up again for every dataset
             patch.setattr(Corpus, "vocab_ids",
                           lambda self, vocab: vocab.lookup(self.words))
-            every_dataset = two_stage_finetune(model, nli, corpus, corpus, cfg)
+            every_dataset = two_stage_finetune(model, nli, corpus, corpus, cfg, cfg, K2,
+                                               NLI)
         calls = []
         lookup = encoder.Vocabulary.lookup
 
@@ -785,7 +798,7 @@ class TestTwoStage:
             return lookup(self, words)
 
         monkeypatch.setattr(encoder.Vocabulary, "lookup", counted)
-        once = two_stage_finetune(model, nli, corpus, corpus, cfg)
+        once = two_stage_finetune(model, nli, corpus, corpus, cfg, cfg, K2, NLI)
         assert calls == [vocab]
         for a, b in ((once.stage1, every_dataset.stage1),
                      (once.stage2, every_dataset.stage2)):
@@ -801,8 +814,8 @@ class TestTwoStage:
         )
         model = Model.initialize(vocab, dim=8, seed=21, label_range=(0.0, 3.0))
         cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, seed=21)
-        a = two_stage_finetune(model, nli, corpus, corpus, cfg)
-        b = two_stage_finetune(model, nli, corpus, corpus, cfg)
+        a = two_stage_finetune(model, nli, corpus, corpus, cfg, cfg, K2, NLI)
+        b = two_stage_finetune(model, nli, corpus, corpus, cfg, cfg, K2, NLI)
         np.testing.assert_array_equal(
             a.best_model.params.embeddings, b.best_model.params.embeddings
         )
