@@ -40,14 +40,12 @@ computed once, so it computes no feature or embedding gradient.  The
 contrastive baseline, InfoNCE, has no head: the joint step computes it on u
 and v themselves, and its Gradients hold no head gradient (None).  Both
 steps are prepared with every dispatch and check that does not read the
-batch done once, so a training stage calls one step batch after batch;
-forward_backward prepares a joint step per call, so the gradient check
-checks the code that trains.
+batch done once, so a training stage calls one step batch after batch.
 
 The value path (pooling, features, head and every loss) also broadcasts over
 a leading parameter-stack axis: ModelParams whose arrays all carry the same
-leading shape hold that many parameter copies.  Given such a stack,
-forward_backward returns one loss value per copy and no gradients (None).
+leading shape hold that many parameter copies.  A step prepared for such a
+stack returns one loss value per copy and no gradients (None).
 The finite-difference gradient check uses this to evaluate every perturbed
 copy of a parameter array in one call.  Each copy's loss agrees with an
 unstacked call on that copy to a few ulps.
@@ -342,8 +340,7 @@ class PairTokens:
     @cached_property
     def pooling(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, S) of all these pairs as one batch (see _pooling_plan),
-        read-only: every forward_backward on the same batch reads the one
-        built first."""
+        read-only: every step on the same batch reads the one built first."""
         if not len(self):
             raise InvalidInputError("batch must be nonempty")
         (rows, S), = _pooling_plan(self.ids, self.lengths, len(self.lengths))
@@ -594,6 +591,9 @@ class Model:
     max_tokens: int = 256
 
     def __post_init__(self):
+        if type(self.max_tokens) is not int or self.max_tokens <= 0:
+            raise InvalidInputError(
+                f"max_tokens must be a positive integer, got {self.max_tokens!r}")
         expected = feature_dim(self.feature_mode, self.params.dim)
         got = self.params.weights_shape[-1]
         if got != expected:
@@ -654,15 +654,13 @@ class Model:
         return probs @ np.asarray(self.mapping.nodes)
 
 
-def forward_backward(
-    params: ModelParams,
-    pooling: tuple[np.ndarray, np.ndarray],
-    targets,
-    mode: FeatureMode,
-    loss_spec: LossSpec,
-    clamp_range: tuple[float, float] | None = None,
-) -> tuple[float | np.ndarray, Gradients | None]:
-    """Batch-mean loss and exact analytic gradients for all parameters.
+def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: LossSpec,
+                             clamp_range: tuple[float, float] | None = None):
+    """step(pooling, targets) -> (batch-mean loss, exact analytic gradients
+    for all parameters), every dispatch and every check that does not read
+    the batch made here, once.  The step reads params' arrays through views
+    taken here, so it sees every in-place update of them (an optimizer's)
+    and serves batch after batch.
 
     pooling is the batch's (rows, S), from PairTokens.batches or
     PairTokens.pooling.  targets holds one entry per pair: floats for the
@@ -674,18 +672,6 @@ def forward_backward(
     (Gradients.rows); every other row's gradient is zero.  params may be a
     stack of copies (ModelParams.stack_shape): then only the loss is
     computed, an array with one value per copy, and the gradients are None.
-    This is prepare_forward_backward's step, prepared for one call.
-    """
-    return prepare_forward_backward(params, mode, loss_spec, clamp_range)(pooling, targets)
-
-
-def prepare_forward_backward(params: ModelParams, mode: FeatureMode, loss_spec: LossSpec,
-                             clamp_range: tuple[float, float] | None = None):
-    """step(pooling, targets) giving forward_backward(params, pooling,
-    targets, mode, loss_spec, clamp_range), every dispatch and every check
-    that does not read the batch made here, once.  The step reads params'
-    arrays through views taken here, so it sees every in-place update of
-    them (an optimizer's) and serves batch after batch.
     """
     stacked = bool(params.stack_shape)
     table = params.embeddings
@@ -727,8 +713,8 @@ def prepare_head_loss(params: ModelParams, loss_spec: LossSpec,
     features, prepared as prepare_forward_backward is.
 
     f (..., n, feature_dim) holds the n pairs' features(u, v, mode); the
-    other arguments are as for forward_backward, and the loss is a residual
-    loss (regression head) or cross-entropy (K-logit head).  The step
+    other arguments are as for prepare_forward_backward, and the loss is a
+    residual loss (regression head) or cross-entropy (K-logit head).  The step
     returns (value, d_head, d_out): d_head is the flat head gradient, laid
     out as params.head, and d_out the loss gradient of the raw head output,
     (n,) for the regression head and (n, K) for the classifier's logits.
@@ -869,9 +855,8 @@ def load_checkpoint(path) -> Model:
         if doc["version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {doc['version']}")
         vocab = Vocabulary(tuple(doc["vocab"]))
-        mapping = (
-            LabelMapping.from_json_dict(doc["mapping"]) if doc["mapping"] else None
-        )
+        mapping = (None if doc["mapping"] is None
+                   else LabelMapping.from_json_dict(doc["mapping"]))
         embeddings, weights, bias = (_decode_array(doc[name], name)
                                      for name in PARAM_NAMES)
         params = ModelParams(embeddings, np.append(weights, bias), weights.shape)
@@ -881,12 +866,7 @@ def load_checkpoint(path) -> Model:
         if doc["head_kind"] != _head_kind(params):
             raise CheckpointError(
                 f"head_kind {doc['head_kind']!r} does not match the head weights")
-        max_tokens = doc["max_tokens"]
-        if type(max_tokens) is not int or max_tokens <= 0:
-            raise CheckpointError(
-                f"max_tokens must be a positive integer, got {max_tokens!r}")
-        return Model(
-            vocab, params, FeatureMode(doc["feature_mode"]), mapping, max_tokens
-        )
+        return Model(vocab, params, FeatureMode(doc["feature_mode"]), mapping,
+                     doc["max_tokens"])
     except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc

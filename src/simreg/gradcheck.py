@@ -40,9 +40,9 @@ from .encoder import (
     PairTokens,
     Vocabulary,
     features,
-    forward_backward,
     head,
     init_params,
+    prepare_forward_backward,
 )
 from .errors import InvalidInputError, TrainingError
 from .losses import LossKind, LossSpec
@@ -153,9 +153,10 @@ def _too_close_to_kink(params, pairs, targets, mode, spec):
 def check_configuration(seed: int, kind: LossKind, mode: FeatureMode) -> GradCheckResult:
     """Gradient-check one randomly drawn (loss, feature-mode) configuration."""
     params, tokens, targets, spec = draw_configuration(seed, kind, mode)
-    _, analytic = forward_backward(params, tokens.pooling, targets, mode, spec)
+    _, analytic = prepare_forward_backward(params, mode, spec)(tokens.pooling, targets)
     fd = finite_difference_grads(
-        lambda stacked: forward_backward(stacked, tokens.pooling, targets, mode, spec)[0],
+        lambda stacked: prepare_forward_backward(stacked, mode, spec)(
+            tokens.pooling, targets)[0],
         params)
     n_params = params.embeddings.size + params.head.size
     return GradCheckResult(seed, kind, mode, max_relative_error(analytic, fd), n_params)

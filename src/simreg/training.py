@@ -15,12 +15,13 @@ window of batches at a time (PairTokens.batches), and its step is
 prepare_forward_backward's.  Each stage prepares its step and its
 optimizer's update (updater) once, so a step runs only its arithmetic.
 train is the only code that knows a stage is frozen: an optimizer updates
-the arrays its updater is prepared for, and the frozen table is shared
-read-only, never copied.  Every dataset's tokens are derived inside train
-from the dataset itself (Model.encode, cut at the model's max_tokens), so
-tokens and labels cannot come from different datasets, and the dev set is
-scored as simreg eval scores it (evaluation.dataset_report).  Given a seed,
-the whole procedure is deterministic.
+the arrays its updater is prepared for, and the frozen table, like an
+InfoNCE stage's unused head, is shared read-only, never copied.  Every
+dataset's tokens are derived inside train from the dataset itself
+(Model.encode, cut at the model's max_tokens), so tokens and labels cannot
+come from different datasets, and the dev set is scored as simreg eval
+scores it (evaluation.dataset_report).  Given a seed, the whole procedure
+is deterministic.
 
 A validated run configuration runs through load_run_data, which reads its
 files once, and run, which trains its model, one stage or two, on them.
@@ -236,8 +237,10 @@ def train(
     already split (otherwise each set's texts are split here), and a text
     it lacks is an InvalidInputError.  With Stage.HEAD_ONLY the encoder is frozen: no
     embedding gradient is computed, and the returned model reads the input
-    model's table through a read-only view instead of a copy.  A frozen
-    InfoNCE stage is an InvalidInputError, as InfoNCE trains no head.
+    model's table through a read-only view instead of a copy.  InfoNCE has
+    no head, so its stage trains the table alone, and the returned model
+    reads the input model's head the same way.  A frozen InfoNCE stage is
+    an InvalidInputError, as InfoNCE trains no head.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise InvalidInputError("training and dev sets must be nonempty")
@@ -259,7 +262,8 @@ def train(
                        else train_set.score_range)
     use_cosine = loss_spec.kind is LossKind.INFO_NCE
 
-    updated = ("head",) if frozen else TRAINED
+    # the arrays this stage steps, copies, and snapshots at a dev improvement
+    updated = ("head",) if frozen else ("embeddings",) if use_cosine else TRAINED
     work = replace(model, params=_copy_updated(model.params, updated))
     train_pairs, dev_pairs = (work.encode(ds.texts, corpus) for ds in (train_set, dev_set))
     optimizer = (AdamOptimizer if config.optimizer == "adam"
@@ -292,8 +296,7 @@ def train(
                                               clamp_range)
         embed_dev = functools.partial(work.embed_pairs, dev_pairs)
 
-    # the arrays this stage's gradients cover: InfoNCE gives the head none
-    update = optimizer.updater(work.params, ("embeddings",) if use_cosine else updated)
+    update = optimizer.updater(work.params, updated)
 
     def dev_score():
         return _dev_score(work, dev_set, *embed_dev(), dev_mapping, use_cosine)

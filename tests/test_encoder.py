@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import string
 import tracemalloc
 from collections import Counter
@@ -36,7 +37,6 @@ from simreg.encoder import (
     build_vocab,
     feature_dim,
     features,
-    forward_backward,
     head_parts,
     init_params,
     load_checkpoint,
@@ -60,11 +60,11 @@ from simreg.training import AdamOptimizer, SgdOptimizer, _copy_updated
 
 
 def run(model, batch, spec, clamp_range=None):
-    """forward_backward on a list of (SentencePair, target)."""
+    """The prepared joint step on a list of (SentencePair, target)."""
     pairs = model.encode([text for pair, _ in batch for text in (pair.s1, pair.s2)])
     targets = [target for _, target in batch]
-    return forward_backward(model.params, pairs.pooling, targets, model.feature_mode,
-                            spec, clamp_range)
+    step = prepare_forward_backward(model.params, model.feature_mode, spec, clamp_range)
+    return step(pairs.pooling, targets)
 
 
 def loss_of(model, batch, spec):
@@ -72,8 +72,8 @@ def loss_of(model, batch, spec):
     parameter copy on a list of (SentencePair, target)."""
     pairs = model.encode([text for pair, _ in batch for text in (pair.s1, pair.s2)])
     targets = [target for _, target in batch]
-    return lambda params: forward_backward(params, pairs.pooling, targets,
-                                           model.feature_mode, spec)[0]
+    return lambda params: prepare_forward_backward(params, model.feature_mode, spec)(
+        pairs.pooling, targets)[0]
 
 
 def score(model, pair):
@@ -266,6 +266,12 @@ class TestPredict:
         assert score(m, pair) == pytest.approx(float(probs @ [0.0, 1.0, 2.0]))
         assert 0.0 <= score(m, pair) <= 2.0
 
+    @pytest.mark.parametrize("max_tokens", [0, -2, 2.5, True])
+    def test_max_tokens_must_be_a_positive_integer(self, model, max_tokens):
+        with pytest.raises(InvalidInputError, match=(
+                f"^max_tokens must be a positive integer, got {max_tokens!r}$")):
+            dataclasses.replace(model, max_tokens=max_tokens)
+
     def test_classifier_needs_a_mapping(self, vocab):
         with pytest.raises(InvalidInputError, match="needs a label mapping"):
             Model.initialize(vocab, dim=4, seed=7, n_classes=4)
@@ -417,13 +423,11 @@ class TestForwardBackward:
         pairs = model.encode(["a man", "the dog"])
         mse = LossSpec(LossKind.MSE)
         for spec in (mse, LossSpec(LossKind.INFO_NCE, tau=0.5)):
-            value, grads = forward_backward(p, pairs.pooling, [1.0], mode, spec)
+            value, grads = prepare_forward_backward(p, mode, spec)(pairs.pooling, [1.0])
             assert type(value) is float and grads.embeddings is not None
-            for values, none in (
-                    forward_backward(stack, pairs.pooling, [1.0], mode, spec),
-                    prepare_forward_backward(stack, mode, spec)(pairs.pooling, [1.0])):
-                assert none is None
-                np.testing.assert_array_max_ulp(values, [value, value], maxulp=4)
+            values, none = prepare_forward_backward(stack, mode, spec)(pairs.pooling, [1.0])
+            assert none is None
+            np.testing.assert_array_max_ulp(values, [value, value], maxulp=4)
         rows, S = pairs.pooling
         f = features(*np.split(S.T @ p.embeddings[rows], 2), mode)
         value, d_head, d_out = prepare_head_loss(p, mse)(f, [1.0])
@@ -433,8 +437,7 @@ class TestForwardBackward:
         np.testing.assert_array_max_ulp(values, [value, value], maxulp=4)
         # clamp_range is the last parameter: a values-or-gradients flag after
         # it, by keyword or by position, is a TypeError
-        for fn, args in ((forward_backward, (stack, pairs.pooling, [1.0], mode, mse)),
-                         (prepare_forward_backward, (stack, mode, mse)),
+        for fn, args in ((prepare_forward_backward, (stack, mode, mse)),
                          (prepare_head_loss, (stack, mse))):
             assert list(inspect.signature(fn).parameters)[len(args):] == ["clamp_range"]
             with pytest.raises(TypeError, match="positional argument"):
@@ -469,8 +472,8 @@ def test_batched_core_matches_per_pair_oracle(seed, kind, mode, clamp):
              for _ in range(2 * batch)]
 
     tokens = tokenize_pairs(texts, vocab)
-    value, grads = forward_backward(params, tokens.pooling, targets, mode, spec,
-                                    clamp_range)
+    value, grads = prepare_forward_backward(params, mode, spec, clamp_range)(
+        tokens.pooling, targets)
     ids = [(tokenize_per_token(a, vocab), tokenize_per_token(b, vocab))
            for a, b in zip(texts[0::2], texts[1::2])]
     expect, expect_grads = forward_backward_per_pair(
@@ -823,7 +826,8 @@ def test_batch_pooling_matrix_matches_pool(seed, kind, mode, copies):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(owner, core, spy)
-        forward_backward(params, tokens.pooling, targets, mode, _random_spec(rng, kind))
+        prepare_forward_backward(params, mode, _random_spec(rng, kind))(
+            tokens.pooling, targets)
     pooled = pool(params.embeddings, tokens)
     atol = 4 * tokens.lengths.max() * EPS * np.abs(params.embeddings).max()
     (f,) = seen
@@ -850,7 +854,8 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
              for _ in range(2 * batch)]
     tokens, spec = tokenize_pairs(texts, vocab), _random_spec(rng, kind)
-    full = forward_backward(params, tokens.pooling, targets, mode, spec, (0.0, 3.0))
+    full = prepare_forward_backward(params, mode, spec, (0.0, 3.0))(
+        tokens.pooling, targets)
     rows, S = pooling_matrix(tokens)
     pooled = S.T @ params.embeddings[rows]
     u, v = pooled[0::2], pooled[1::2]
@@ -870,7 +875,7 @@ def test_frozen_encoder_skips_only_the_embedding_gradient(seed, kind, mode):
         assert got.tobytes() == from_full.tobytes()
         assert got.tobytes() == from_oracle.tobytes()
     assert d_out.shape == ((batch, 3) if n_classes else (batch,))
-    # the reference's gradient of the features, split as forward_backward
+    # the reference's gradient of the features, split as the joint step
     # splits it, is the embedding gradient to the bit
     d_pooled = np.empty_like(pooled)
     encoder._FEATURE_MAPS[mode][1](d_input, u - v, d_pooled)
@@ -887,7 +892,7 @@ def test_info_nce_has_no_head_gradient(seed, mode, batch, classifier):
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6))))
              for _ in range(2 * batch)]
     tokens, spec = tokenize_pairs(texts, vocab), _random_spec(rng, LossKind.INFO_NCE)
-    value, grads = forward_backward(params, tokens.pooling, None, mode, spec)
+    value, grads = prepare_forward_backward(params, mode, spec)(tokens.pooling, None)
     assert grads.head is None
     # the loss of u and v themselves, whatever the feature mode and head
     rows, S = pooling_matrix(tokens)
@@ -932,7 +937,7 @@ def _same_gradients(got, expect):
 def test_a_prepared_step_holds_no_stale_state(kind, n_classes, mode, optimizer):
     """One prepared step serves batch after batch while an optimizer updates
     the parameters in place: at each step it gives, bit for bit, what a
-    fresh forward_backward or prepare_head_loss step gives on the parameters
+    freshly prepared joint or head step gives on the parameters
     as they are then."""
     rng = np.random.default_rng([ALL_KINDS.index(kind), n_classes or 0,
                                  list(FeatureMode).index(mode)])
@@ -954,8 +959,8 @@ def test_a_prepared_step_holds_no_stale_state(kind, n_classes, mode, optimizer):
         targets = (rng.integers(0, n_classes, size=batch) if n_classes
                    else rng.uniform(0.0, 3.0, size=batch))
         value, grads = joint(tokens.pooling, targets)
-        expect_value, expect = forward_backward(params, tokens.pooling, targets, mode,
-                                                spec, clamp)
+        expect_value, expect = prepare_forward_backward(params, mode, spec, clamp)(
+            tokens.pooling, targets)
         assert np.float64(value).tobytes() == np.float64(expect_value).tobytes()
         _same_gradients(grads, expect)
         if head is not None:
@@ -994,7 +999,8 @@ def test_a_prepared_stacked_value_step_holds_no_stale_state(kind, mode):
                else rng.uniform(0.0, 3.0, size=3))
     for _ in range(3):
         values, grads = step(tokens.pooling, targets)
-        expect = forward_backward(stack, tokens.pooling, targets, mode, spec, clamp)[0]
+        expect = prepare_forward_backward(stack, mode, spec, clamp)(
+            tokens.pooling, targets)[0]
         assert grads is None and values.tobytes() == expect.tobytes()
         stack.embeddings[...] += rng.normal(0.0, 0.05, size=stack.embeddings.shape)
         stack.head[...] += rng.normal(0.0, 0.5, size=stack.head.shape)
@@ -1024,12 +1030,12 @@ def test_stacked_values_match_one_forward_per_copy(seed, kind, mode, clamp, batc
              for _ in range(2 * batch)]
     tokens = tokenize_pairs(texts, vocab)
 
-    values, grads = forward_backward(stack, tokens.pooling, targets, mode, spec,
-                                     clamp_range)
+    values, grads = prepare_forward_backward(stack, mode, spec, clamp_range)(
+        tokens.pooling, targets)
     assert grads is None and values.shape == (copies,)
-    each = [forward_backward(ModelParams(stack.embeddings[i], stack.head[i],
-                                         stack.weights_shape),
-                             tokens.pooling, targets, mode, spec, clamp_range)[0]
+    each = [prepare_forward_backward(ModelParams(stack.embeddings[i], stack.head[i],
+                                                 stack.weights_shape),
+                                     mode, spec, clamp_range)(tokens.pooling, targets)[0]
             for i in range(copies)]
     np.testing.assert_array_max_ulp(values, np.array(each), maxulp=4)
     if kind is LossKind.INFO_NCE and batch == 1:
@@ -1089,9 +1095,10 @@ def test_head_parts_are_views_of_one_flat_head(n_classes, tmp_path):
         spec, targets = LossSpec(LossKind.MSE), [0.5, 2.0]
     else:
         spec, targets = LossSpec(LossKind.CROSS_ENTROPY), [0, 2]
-    _, grads = forward_backward(params, tokens.pooling, targets, mode, spec)
+    _, grads = prepare_forward_backward(params, mode, spec)(tokens.pooling, targets)
     fd = finite_difference_grads(
-        lambda p: forward_backward(p, tokens.pooling, targets, mode, spec)[0], params)
+        lambda p: prepare_forward_backward(p, mode, spec)(tokens.pooling, targets)[0],
+        params)
     rows, S = tokens.pooling
     _, d_head, _ = prepare_head_loss(params, spec)(
         features(*np.split(S.T @ params.embeddings[rows], 2), mode), targets)
@@ -1164,12 +1171,22 @@ class TestCheckpoint:
         lambda doc: doc.update(head_kind="banana"),
         lambda doc: doc.update(max_tokens=-3),
         lambda doc: doc.update(max_tokens=2.5),
+        lambda doc: doc.update(max_tokens=0),
+        lambda doc: doc.update(max_tokens=True),
         lambda doc: [doc[name]["shape"].insert(0, 1)
                      for name in ("embeddings", "head_weights", "head_bias")],
+        # only null means no mapping
+        lambda doc: doc.update(mapping={}),
+        lambda doc: doc.update(mapping=[]),
+        lambda doc: doc.update(mapping=0),
+        lambda doc: doc.update(mapping=""),
+        lambda doc: doc.update(mapping=False),
     ], ids=["bad-base64", "bad-padding", "non-ascii-base64", "number-payload",
             "no-payload", "wrong-dtype", "bytes-not-shape", "float-shape",
             "bias-shape", "list-payload", "version-1", "head-kind-mismatch", "head-kind-unknown",
-            "max-tokens-negative", "max-tokens-float", "stacked-arrays"])
+            "max-tokens-negative", "max-tokens-float", "max-tokens-zero", "max-tokens-true",
+            "stacked-arrays", "mapping-empty-object", "mapping-empty-list", "mapping-zero",
+            "mapping-empty-string", "mapping-false"])
     def test_corrupt_arrays_rejected(self, model, tmp_path, corrupt):
         path = tmp_path / "ck.json"
         save_checkpoint(model, path)
@@ -1177,6 +1194,23 @@ class TestCheckpoint:
         corrupt(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_a_null_mapping_loads_as_none(self, model, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        assert json.loads(path.read_text())["mapping"] is None
+        assert load_checkpoint(path).mapping is None
+
+    def test_a_bad_max_tokens_names_the_file(self, model, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        doc["max_tokens"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=(
+                f"^corrupt checkpoint {re.escape(str(path))}: max_tokens must be "
+                "a positive integer, got 0$")):
             load_checkpoint(path)
 
     def test_load_holds_one_copy_of_the_base64_text(self, tmp_path):

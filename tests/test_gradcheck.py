@@ -20,8 +20,8 @@ from simreg.encoder import (
     Gradients,
     Model,
     build_vocab,
-    forward_backward,
     head_parts,
+    prepare_forward_backward,
 )
 from simreg.gradcheck import (
     ALL_KINDS,
@@ -71,7 +71,8 @@ def test_buffer_zone_gives_zero_on_both_routes():
     spec = LossSpec(LossKind.SMOOTH_K2, k=2.0, x0=0.25)
 
     def run(params=model.params):
-        return forward_backward(params, pairs.pooling, [target], model.feature_mode, spec)
+        return prepare_forward_backward(params, model.feature_mode, spec)(
+            pairs.pooling, [target])
 
     value, analytic = run()
     fd = finite_difference_grads(lambda p: run(p)[0], model.params)
@@ -91,8 +92,8 @@ def test_nan_analytic_entry_is_reported(name):
     pairs = model.encode(["alpha beta", "delta epsilon"])
 
     def run(params=model.params):
-        return forward_backward(params, pairs.pooling, [1.0], model.feature_mode,
-                                LossSpec(LossKind.MSE))
+        return prepare_forward_backward(params, model.feature_mode,
+                                        LossSpec(LossKind.MSE))(pairs.pooling, [1.0])
 
     _, analytic = run()
     fd = finite_difference_grads(lambda p: run(p)[0], model.params)
@@ -146,7 +147,7 @@ def test_flat_error_equals_per_array_oracle(seed, vocab_size, width, n_classes, 
 @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
 def test_info_nce_head_has_no_gradient_and_a_zero_difference(mode):
     params, tokens, targets, spec = draw_configuration(0, LossKind.INFO_NCE, mode)
-    _, analytic = forward_backward(params, tokens.pooling, targets, mode, spec)
+    _, analytic = prepare_forward_backward(params, mode, spec)(tokens.pooling, targets)
     fd = finite_difference_grads(loss_fn(tokens, targets, mode, spec), params)
     fd_weights, fd_bias = head_parts(fd.head, params.weights_shape)
     assert analytic.head is None
@@ -162,7 +163,8 @@ def test_info_nce_head_has_no_gradient_and_a_zero_difference(mode):
 
 def loss_fn(tokens, targets, mode, spec):
     """value_fn for finite_difference_grads on one drawn configuration."""
-    return lambda params: forward_backward(params, tokens.pooling, targets, mode, spec)[0]
+    return lambda params: prepare_forward_backward(params, mode, spec)(
+        tokens.pooling, targets)[0]
 
 
 @pytest.mark.parametrize("seed", range(4))

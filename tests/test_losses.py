@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import central_difference, softmax_bruteforce
 from simreg import losses
-from simreg.encoder import Model, build_vocab, forward_backward, head_parts
+from simreg.encoder import Model, build_vocab, head_parts, prepare_forward_backward
 from simreg.errors import InvalidInputError
 from simreg.labelmap import LabelMapping
 from simreg.losses import (
@@ -26,7 +26,7 @@ FOUR_CLASS = LabelMapping(["irrelevant", "slight", "moderate", "high"], 0.0, 1.0
 
 
 def mse_with_prediction(prediction, target, clamp_range=None):
-    """forward_backward MSE of one pair whose raw prediction is fixed.
+    """The joint step's MSE of one pair whose raw prediction is fixed.
 
     The head weights are zeroed, so the raw prediction is the head bias.
     Returns the loss and the gradient reaching the head bias.
@@ -36,9 +36,9 @@ def mse_with_prediction(prediction, target, clamp_range=None):
     model.params.head_weights[...] = 0.0
     model.params.head_bias[...] = prediction
     pairs = model.encode(["a man", "the dog"])
-    value, grads = forward_backward(model.params, pairs.pooling, [target],
-                                    model.feature_mode, LossSpec(LossKind.MSE),
-                                    clamp_range)
+    step = prepare_forward_backward(model.params, model.feature_mode,
+                                    LossSpec(LossKind.MSE), clamp_range)
+    value, grads = step(pairs.pooling, [target])
     return value, float(head_parts(grads.head, model.params.weights_shape)[1])
 
 

@@ -25,13 +25,14 @@ from simreg.encoder import (
     Gradients,
     Model,
     build_vocab,
-    forward_backward,
     head_parts,
     init_params,
+    prepare_forward_backward,
     tokenize_pairs,
 )
 from simreg.errors import DegenerateInputError, InvalidInputError, TrainingError
 from simreg.evaluation import evaluate, golds
+from simreg.gradcheck import ALL_KINDS, ALL_MODES, draw_configuration
 from simreg.labelmap import LabelMapping
 from simreg.losses import LossKind, LossSpec
 from simreg.synth import ORDINAL_CATEGORIES, make_ordinal_corpus
@@ -171,10 +172,8 @@ def random_batch_grads(rng, params, vocab):
     batch = int(rng.integers(1, 5))
     texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 5))))
              for _ in range(2 * batch)]
-    _, grads = forward_backward(
-        params, tokenize_pairs(texts, vocab).pooling, rng.uniform(0.0, 3.0, size=batch),
-        FeatureMode.UV_ABS_DIFF, LossSpec(LossKind.MSE),
-    )
+    step = prepare_forward_backward(params, FeatureMode.UV_ABS_DIFF, LossSpec(LossKind.MSE))
+    _, grads = step(tokenize_pairs(texts, vocab).pooling, rng.uniform(0.0, 3.0, size=batch))
     return grads
 
 
@@ -237,6 +236,41 @@ def test_adam_on_a_row_untouched_for_long_runs_matches_dense_oracle():
     assert_same_params(params, expect)
     moments = [a for m, v, _, _ in opt.state.values() for a in (m, v)]
     assert not any(np.any((a == 0) & np.signbit(a)) for a in moments)
+
+
+# the most any table entry moves in the descent test's one step
+DESCENT_STEP = 1e-7
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_table_step_goes_downhill(seed, optimizer):
+    """One optimizer step of the embedding table alone, so small that no
+    entry moves by more than DESCENT_STEP, lowers the batch loss of every
+    drawn gradient-check configuration with a nonzero table gradient: a
+    step in the gradient's direction instead of against it fails here."""
+    stepped, uphill = 0, []
+    for kind in ALL_KINDS:
+        for mode in ALL_MODES:
+            params, tokens, targets, spec = draw_configuration(seed, kind, mode)
+            step = prepare_forward_backward(params, mode, spec)
+            before, grads = step(tokens.pooling, targets)
+            largest = np.abs(grads.embeddings).max()
+            if largest == 0.0:  # every residual in the buffer: nothing to step
+                continue
+            # SGD's largest move is lr * largest; Adam's first moves are
+            # lr * g / (|g| + eps), each under lr
+            opt = (SgdOptimizer(DESCENT_STEP / largest) if optimizer == "sgd"
+                   else AdamOptimizer(DESCENT_STEP))
+            table = params.embeddings.copy()
+            opt.updater(params, ("embeddings",))(grads)
+            assert np.abs(params.embeddings - table).max() <= DESCENT_STEP * (1 + 1e-9)
+            after, _ = step(tokens.pooling, targets)
+            stepped += 1
+            if not after < before:
+                uphill.append(f"{kind.value}/{mode.value}: {before!r} -> {after!r}")
+    assert not uphill
+    assert stepped >= len(ALL_KINDS) * len(ALL_MODES) // 2
 
 
 class TestTrain:
@@ -333,6 +367,17 @@ class TestTrain:
         joint = train(model, corpus, corpus, cfg, K2, Stage.JOINT).best_model
         assert not np.shares_memory(joint.params.embeddings, model.params.embeddings)
 
+    def test_info_nce_shares_the_input_head_read_only(self, model, corpus):
+        cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
+        result = train(model, corpus, corpus, cfg, LossSpec(LossKind.INFO_NCE, tau=0.5))
+        assert result.best_dev > result.history[0].dev_spearman  # the table moved
+        best = result.best_model.params
+        assert np.shares_memory(best.head, model.params.head)
+        with pytest.raises(ValueError, match="read-only"):
+            best.head[0] = 1.0
+        assert model.params.head.flags.writeable
+        assert not np.shares_memory(best.embeddings, model.params.embeddings)
+
     def test_head_only_leaves_embeddings_bit_identical(self, model, corpus):
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=0.1, seed=1)
         result = train(model, corpus, corpus, cfg, K2, Stage.HEAD_ONLY)
@@ -355,7 +400,7 @@ class TestTrain:
                           eval_every=2, optimizer=optimizer)
         result = train(model, corpus, corpus, cfg, spec, Stage.HEAD_ONLY)
 
-        # oracle: pool every batch again through forward_backward
+        # oracle: pool every batch again through a prepared joint step
         params = copy_params(model.params)
         opt = (AdamOptimizer(cfg.learning_rate) if optimizer == "adam"
                else SgdOptimizer(cfg.learning_rate))
@@ -367,9 +412,9 @@ class TestTrain:
             perm = rng.permutation(len(corpus))
             for start in range(0, len(corpus), cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
-                value, grads = forward_backward(
-                    params, pooling_matrix(take(tokens, idx)), targets[idx],
-                    model.feature_mode, spec, corpus.score_range)
+                value, grads = prepare_forward_backward(
+                    params, model.feature_mode, spec, corpus.score_range)(
+                    pooling_matrix(take(tokens, idx)), targets[idx])
                 # the encoder is frozen
                 grads = dataclasses.replace(grads, embeddings=None, rows=None)
                 take_step(opt, params, grads)
@@ -620,9 +665,8 @@ def oracle_train(model, dataset, cfg, spec, stage):
                 value, grads, _ = head_forward_backward(
                     params, u[idx], v[idx], targets[idx], mode, spec, clamp_range)
             else:
-                value, grads = forward_backward(
-                    params, pooling_matrix(take(tokens, idx)), targets[idx], mode,
-                    spec, clamp_range)
+                value, grads = prepare_forward_backward(params, mode, spec, clamp_range)(
+                    pooling_matrix(take(tokens, idx)), targets[idx])
             take_step(opt, params, grads)
             losses.append(value)
     return params, losses
